@@ -1,12 +1,11 @@
-//! C-F6 — Materialized view maintenance: apply-delta vs. rematerialize.
+//! C-F6 — Materialized view maintenance: view deltas vs. rematerialize.
 //!
-//! Expected shape: applying the upward deltas to the stored extension is
-//! proportional to the delta (flat in view size); rematerializing the view
-//! from scratch grows linearly.
+//! Expected shape: computing the `ins`/`del` view events is proportional
+//! to the delta (flat in view size); rematerializing the views from
+//! scratch grows linearly.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dduf_bench::{random_toggle_txn, wide_db};
-use dduf_core::matview::MaterializedViewStore;
 use dduf_core::problems::view_maintenance;
 use dduf_core::upward::Engine;
 use dduf_datalog::eval::materialize;
@@ -22,22 +21,15 @@ fn bench_matview(c: &mut Criterion) {
     for &n in &[100usize, 1_000, 10_000] {
         let db = wide_db(n);
         let old = materialize(&db).expect("old");
-        let store = MaterializedViewStore::materialize(db.program(), &old);
         let txn = random_toggle_txn(&db, 4, 7);
 
         group.bench_with_input(BenchmarkId::new("apply_delta", n), &n, |b, _| {
             b.iter(|| {
-                let mut s = store.clone();
-                view_maintenance::maintain(&db, &old, &txn, &mut s, Engine::Incremental)
-                    .expect("maintain")
+                view_maintenance::maintain(&db, &old, &txn, Engine::Incremental).expect("maintain")
             })
         });
         group.bench_with_input(BenchmarkId::new("rematerialize", n), &n, |b, _| {
-            b.iter(|| {
-                let new_db = txn.apply(&db);
-                let new = materialize(&new_db).expect("new");
-                MaterializedViewStore::materialize(new_db.program(), &new)
-            })
+            b.iter(|| materialize(&txn.apply(&db)).expect("new"))
         });
     }
     group.finish();

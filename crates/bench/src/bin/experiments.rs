@@ -8,7 +8,6 @@ use dduf_bench::{
     chain_tc_db, constraint_db, random_toggle_txn, time_us, tower_db, wide_db, TowerShape,
 };
 use dduf_core::downward::{self, DownwardOptions, Request};
-use dduf_core::matview::MaterializedViewStore;
 use dduf_core::problems::{ic_checking, view_maintenance};
 use dduf_core::processor::UpdateProcessor;
 use dduf_core::transaction::Transaction;
@@ -153,18 +152,12 @@ fn main() {
     for n in [100usize, 1_000, 10_000] {
         let db = wide_db(n);
         let old = materialize(&db).unwrap();
-        let store = MaterializedViewStore::materialize(db.program(), &old);
         let txn = random_toggle_txn(&db, 4, 7);
         let iters = if n >= 10_000 { 3 } else { 10 };
         let apply = time_us(iters, || {
-            let mut s = store.clone();
-            view_maintenance::maintain(&db, &old, &txn, &mut s, Engine::Incremental).unwrap()
+            view_maintenance::maintain(&db, &old, &txn, Engine::Incremental).unwrap()
         });
-        let remat = time_us(iters, || {
-            let new_db = txn.apply(&db);
-            let new = materialize(&new_db).unwrap();
-            MaterializedViewStore::materialize(new_db.program(), &new)
-        });
+        let remat = time_us(iters, || materialize(&txn.apply(&db)).unwrap());
         println!("C-F6,n={n},apply_delta_us,{apply:.1}");
         println!("C-F6,n={n},rematerialize_us,{remat:.1}");
     }

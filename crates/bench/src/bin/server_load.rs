@@ -1,12 +1,11 @@
 //! Group-commit characterization of the server (`dduf serve`): drives
-//! the in-process server with concurrent TCP writers under three writer
+//! the in-process server with concurrent TCP writers under two writer
 //! configurations — `max_batch=1` (an fsync per transaction, the
-//! baseline any naive durable server pays), the serial batched writer
-//! (one fsync covers every transaction that queued during the previous
-//! sync), and the pipelined writer (batch N+1 stages while batch N's
-//! fsync is in flight) — and writes throughput, latency percentiles,
-//! and fsync counts to `BENCH_server.json` (override with
-//! `BENCH_SERVER_OUT`).
+//! baseline any naive durable server pays) and the batched writer (one
+//! fsync covers every transaction that queued during the previous sync,
+//! and batch N+1 stages while batch N's fsync is in flight) — and writes
+//! throughput, latency percentiles, and fsync counts to
+//! `BENCH_server.json` (override with `BENCH_SERVER_OUT`).
 //!
 //! Both runs end with a serial-equivalence audit: the journal is
 //! replayed through a fresh [`UpdateProcessor`] and the resulting
@@ -37,7 +36,6 @@ const SCHEMA: &str = "load(seed, seed). seen(X) :- load(X, Y).";
 struct ModeResult {
     label: &'static str,
     max_batch: usize,
-    pipeline: bool,
     commits: u64,
     elapsed_s: f64,
     commits_per_sec: f64,
@@ -119,7 +117,6 @@ fn audit_serial_equivalence(dir: &Path) {
 fn run_mode(
     label: &'static str,
     max_batch: usize,
-    pipeline: bool,
     writers: usize,
     commits: usize,
     window: usize,
@@ -134,7 +131,6 @@ fn run_mode(
             addr: "127.0.0.1:0".to_string(),
             sessions: writers,
             max_batch,
-            pipeline,
             ..ServerConfig::default()
         },
     )
@@ -172,7 +168,6 @@ fn run_mode(
     ModeResult {
         label,
         max_batch,
-        pipeline,
         commits: total,
         elapsed_s,
         commits_per_sec: total as f64 / elapsed_s,
@@ -190,13 +185,12 @@ fn run_mode(
 
 fn json_mode(m: &ModeResult) -> String {
     format!(
-        "{{\"label\": \"{}\", \"max_batch\": {}, \"pipeline\": {}, \"commits\": {}, \
+        "{{\"label\": \"{}\", \"max_batch\": {}, \"commits\": {}, \
          \"elapsed_s\": {:.3}, \
          \"commits_per_sec\": {:.1}, \"fsyncs\": {}, \"batches\": {}, \
          \"mean_batch_size\": {:.2}, \"latency_p50_us\": {}, \"latency_p99_us\": {}}}",
         m.label,
         m.max_batch,
-        m.pipeline,
         m.commits,
         m.elapsed_s,
         m.commits_per_sec,
@@ -228,37 +222,27 @@ fn main() {
     // Cap group size well under the outstanding-request count
     // (`window`·writers) so the job queue never drains empty: with the
     // cap at or above it, a closed loop puts every outstanding request
-    // in one batch and the write path sits idle between rotations —
-    // both writer designs degenerate to lockstep and measure
-    // identically. With the cap at a quarter of it the queue always
-    // holds the next batch, which is the regime where overlapping
-    // staging with the in-flight fsync is observable; a cap far above
-    // that would instead amortize the fsync into irrelevance and
-    // measure only staging.
+    // in one batch and the write path sits idle between rotations. With
+    // the cap at a quarter of it the queue always holds the next batch,
+    // which is the regime where overlapping staging with the in-flight
+    // fsync is observable; a cap far above that would instead amortize
+    // the fsync into irrelevance and measure only staging.
     let cap = (writers * window / 4).max(2);
-    let per_txn = run_mode("fsync_per_txn", 1, false, writers, commits, window);
+    let per_txn = run_mode("fsync_per_txn", 1, writers, commits, window);
 
-    // Sample the two batched modes interleaved and keep each mode's
-    // best run: consecutive runs on a shared (often single-core,
-    // CPU-quota-throttled) box degrade monotonically, so back-to-back
-    // ordering would systematically tax whichever mode runs later.
-    // Best-of-N measures the structural capability of each design
-    // rather than the scheduler's mood.
+    // Keep the batched mode's best run: consecutive runs on a shared
+    // (often single-core, CPU-quota-throttled) box degrade
+    // monotonically, and best-of-N measures the structural capability
+    // of the design rather than the scheduler's mood.
     let samples = env_usize("SERVER_LOAD_SAMPLES", 3).max(1);
-    let mut grouped = run_mode("group_commit", cap, false, writers, commits, window);
-    let mut piped = run_mode("pipelined", cap, true, writers, commits, window);
+    let mut grouped = run_mode("group_commit", cap, writers, commits, window);
     for _ in 1..samples {
-        let g = run_mode("group_commit", cap, false, writers, commits, window);
+        let g = run_mode("group_commit", cap, writers, commits, window);
         if g.commits_per_sec > grouped.commits_per_sec {
             grouped = g;
         }
-        let p = run_mode("pipelined", cap, true, writers, commits, window);
-        if p.commits_per_sec > piped.commits_per_sec {
-            piped = p;
-        }
     }
     let speedup = grouped.commits_per_sec / per_txn.commits_per_sec;
-    let pipelined_speedup = piped.commits_per_sec / grouped.commits_per_sec;
 
     let mut json = String::from("{\n");
     let _ = writeln!(json, "  \"bench\": \"server_load\",");
@@ -270,18 +254,16 @@ fn main() {
     let _ = writeln!(json, "  \"serial_equivalent\": true,");
     let _ = writeln!(json, "  \"modes\": [");
     let _ = writeln!(json, "    {},", json_mode(&per_txn));
-    let _ = writeln!(json, "    {},", json_mode(&grouped));
-    let _ = writeln!(json, "    {}", json_mode(&piped));
+    let _ = writeln!(json, "    {}", json_mode(&grouped));
     let _ = writeln!(json, "  ],");
-    let _ = writeln!(json, "  \"speedup\": {speedup:.2},");
-    let _ = writeln!(json, "  \"pipelined_speedup\": {pipelined_speedup:.2}");
+    let _ = writeln!(json, "  \"speedup\": {speedup:.2}");
     json.push_str("}\n");
 
     let out = std::env::var("BENCH_SERVER_OUT").unwrap_or_else(|_| "BENCH_server.json".into());
     std::fs::write(&out, &json).expect("write BENCH_server.json");
 
     println!("mode,max_batch,commits,elapsed_s,commits_per_sec,fsyncs,mean_batch,p50_us,p99_us");
-    for m in [&per_txn, &grouped, &piped] {
+    for m in [&per_txn, &grouped] {
         println!(
             "{},{},{},{:.3},{:.1},{},{:.2},{},{}",
             m.label,
@@ -296,6 +278,5 @@ fn main() {
         );
     }
     println!("speedup: {speedup:.2}x (group commit vs fsync per transaction)");
-    println!("pipelined_speedup: {pipelined_speedup:.2}x (pipelined vs serial group commit)");
     eprintln!("wrote {out}");
 }

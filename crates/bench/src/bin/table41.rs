@@ -8,7 +8,6 @@
 //! Run with: `cargo run -p dduf-bench --bin table41`
 
 use dduf_core::downward::Request;
-use dduf_core::matview::MaterializedViewStore;
 use dduf_core::problems::condition_prevention::PreventKinds;
 use dduf_core::problems::ic_checking::CheckOutcome;
 use dduf_core::problems::ic_maintenance::MaintenanceOutcome;
@@ -69,21 +68,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
 
     // --- Upward / View: materialized view maintenance (ins + del) ---
-    let mut store =
-        MaterializedViewStore::materialize(proc.database().program(), proc.interpretation());
     let txn = proc.transaction("+la(maria).")?;
-    let rep = proc.maintain_views(&txn, &mut store)?;
+    let rep = proc.maintain_views(&txn)?;
     demo(
         0,
-        format!("applied +{} tuples to stored unemp", rep.delta.insertions),
+        format!("insert {} tuple(s) into stored unemp", rep.insertions),
     );
-    let mut store2 =
-        MaterializedViewStore::materialize(proc.database().program(), proc.interpretation());
     let txn = proc.transaction("+works(dolors).")?;
-    let rep = proc.maintain_views(&txn, &mut store2)?;
+    let rep = proc.maintain_views(&txn)?;
     demo(
         1,
-        format!("applied -{} tuples to stored unemp", rep.delta.deletions),
+        format!("delete {} tuple(s) from stored unemp", rep.deletions),
     );
 
     // --- Upward / Ic: checking (violation + restoration) ---

@@ -28,14 +28,6 @@ pub enum Error {
     /// predicate, which this implementation does not support (the paper
     /// only treats hierarchical definitions downward; see DESIGN.md §4).
     RecursiveDownward(Pred),
-    /// The counting maintenance engine (\[GMS93\]) only supports
-    /// non-recursive programs; this strongly connected component of the
-    /// dependency graph is recursive.
-    RecursiveCounting {
-        /// The members of the recursive component, in evaluation order —
-        /// the predicate cycle the diagnostic names.
-        cycle: Vec<Pred>,
-    },
     /// A search limit was exceeded (alternatives, groundings, or depth).
     LimitExceeded {
         /// What limit was hit.
@@ -73,21 +65,6 @@ impl fmt::Display for Error {
                 write!(
                     f,
                     "downward interpretation of recursively defined predicate {p} is not supported"
-                )
-            }
-            Error::RecursiveCounting { cycle } => {
-                // Render the predicate cycle the way the lint diagnostics
-                // do: `tc/2 -> tc/2` closes the loop explicitly.
-                let mut path: Vec<String> = cycle.iter().map(Pred::to_string).collect();
-                if let Some(first) = path.first().cloned() {
-                    path.push(first);
-                }
-                write!(
-                    f,
-                    "counting maintenance supports non-recursive programs only; \
-                     recursive component: {} (use the maintenance engine, which \
-                     falls back to delete-and-rederive for recursive strata)",
-                    path.join(" -> ")
                 )
             }
             Error::LimitExceeded { what, limit } => {
@@ -137,13 +114,6 @@ mod tests {
     fn displays_are_informative() {
         let e = Error::RecursiveDownward(Pred::new("tc", 2));
         assert!(e.to_string().contains("tc/2"));
-        let e = Error::RecursiveCounting {
-            cycle: vec![Pred::new("odd", 1), Pred::new("even", 1)],
-        };
-        assert!(
-            e.to_string().contains("odd/1 -> even/1 -> odd/1"),
-            "cycle must be spelled out: {e}"
-        );
         let e = Error::LimitExceeded {
             what: "alternatives",
             limit: 10,

@@ -18,7 +18,6 @@
 //! * [`evolution`] — insertions/deletions of deductive rules and
 //!   constraints (§5.3 closing paragraph), with event-rule diffs.
 //! * [`explain`] — explanations of induced events via derivation trees.
-//! * [`matview`] — materialized view extensions and delta application.
 //! * [`domain`] — finite domains (global and per-predicate `#domain`).
 
 #![forbid(unsafe_code)]
@@ -30,7 +29,6 @@ pub mod downward;
 pub mod error;
 pub mod evolution;
 pub mod explain;
-pub mod matview;
 pub mod problems;
 pub mod processor;
 pub mod rng;
@@ -41,7 +39,6 @@ pub mod upward;
 pub use domain::Domain;
 pub use downward::{Alternative, DownwardOptions, DownwardResult, Request};
 pub use error::{Error, Result};
-pub use matview::MaterializedViewStore;
 pub use processor::UpdateProcessor;
 pub use transaction::Transaction;
 pub use upward::{Engine as UpwardEngine, UpwardResult};

@@ -6,39 +6,57 @@
 //! stored extension) and `del View(x̄)` (tuples to delete).
 
 use crate::error::Result;
-use crate::matview::{MaintenanceDelta, MaterializedViewStore};
 use crate::transaction::Transaction;
 use crate::upward::{self, Engine};
 use dduf_datalog::ast::Pred;
 use dduf_datalog::eval::Interpretation;
+use dduf_datalog::schema::DerivedRole;
 use dduf_datalog::storage::database::Database;
-use dduf_events::event::EventKind;
+use dduf_events::event::{EventKind, GroundEvent};
 use dduf_events::store::EventStore;
 
-/// Report of one maintenance pass.
+/// Report of one maintenance pass: what to apply to the stored extensions
+/// of the `View`-role predicates.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MaintenanceReport {
-    /// The derived events that drove the maintenance.
+    /// The induced `ins View(x̄)` / `del View(x̄)` events.
     pub events: EventStore,
-    /// What was applied to the store.
-    pub delta: MaintenanceDelta,
+    /// Tuples to insert, over all views.
+    pub insertions: usize,
+    /// Tuples to delete, over all views.
+    pub deletions: usize,
 }
 
-/// Maintains `store` under `txn`: upward-interprets the transaction and
-/// applies the induced view events to the stored extensions.
+/// Maintains the materialized views under `txn`: upward-interprets the
+/// transaction and reports the induced view events. The stored extensions
+/// themselves are the processor's interpretation, which
+/// [`commit`](crate::processor::UpdateProcessor::commit) updates from the
+/// same events.
 pub fn maintain(
     db: &Database,
     old: &Interpretation,
     txn: &Transaction,
-    store: &mut MaterializedViewStore,
     engine: Engine,
 ) -> Result<MaintenanceReport> {
     let res = upward::interpret_with(db, old, txn, engine)?;
-    let delta = store.apply(&res.derived);
-    Ok(MaintenanceReport {
-        events: res.derived,
-        delta,
-    })
+    let mut report = MaintenanceReport {
+        events: EventStore::new(),
+        insertions: 0,
+        deletions: 0,
+    };
+    for view in db.program().derived_with_role(DerivedRole::View) {
+        let ins = res.derived.relation(EventKind::Ins, view);
+        let del = res.derived.relation(EventKind::Del, view);
+        report.insertions += ins.len();
+        report.deletions += del.len();
+        for t in ins.iter() {
+            report.events.insert(GroundEvent::ins(view, t.clone()));
+        }
+        for t in del.iter() {
+            report.events.insert(GroundEvent::del(view, t.clone()));
+        }
+    }
+    Ok(report)
 }
 
 /// The complementary problem: true iff `txn` does not affect `view`
@@ -59,67 +77,78 @@ pub fn view_unaffected(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::processor::UpdateProcessor;
     use dduf_datalog::eval::materialize;
     use dduf_datalog::parser::parse_database;
 
-    fn setup() -> (Database, Interpretation, MaterializedViewStore) {
+    fn emp_city() -> Pred {
+        Pred::new("emp_city", 2)
+    }
+
+    fn setup() -> UpdateProcessor {
         let db = parse_database(
             "emp(john, sales). dept(sales, bcn).
              emp_city(E, C) :- emp(E, D), dept(D, C).",
         )
         .unwrap();
-        let old = materialize(&db).unwrap();
-        let store = MaterializedViewStore::materialize(db.program(), &old);
-        (db, old, store)
+        UpdateProcessor::new(db).unwrap()
+    }
+
+    /// The stored extension of the view equals a fresh materialization.
+    fn assert_view_fresh(proc: &UpdateProcessor) {
+        let fresh = materialize(proc.database()).unwrap();
+        assert_eq!(
+            proc.interpretation().relation(emp_city()),
+            fresh.relation(emp_city())
+        );
     }
 
     #[test]
     fn maintenance_matches_rematerialization() {
-        let (db, old, mut store) = setup();
-        let txn = Transaction::parse(&db, "+emp(mary, sales). -emp(john, sales).").unwrap();
-        let report = maintain(&db, &old, &txn, &mut store, Engine::Incremental).unwrap();
-        assert_eq!(report.delta.insertions, 1);
-        assert_eq!(report.delta.deletions, 1);
-        let fresh = materialize(&txn.apply(&db)).unwrap();
-        assert!(store.consistent_with(&fresh));
+        let mut proc = setup();
+        let txn = proc
+            .transaction("+emp(mary, sales). -emp(john, sales).")
+            .unwrap();
+        let report = proc.maintain_views(&txn).unwrap();
+        assert_eq!(report.insertions, 1);
+        assert_eq!(report.deletions, 1);
+        assert_eq!(report.events, proc.commit(&txn).unwrap().derived);
+        assert_view_fresh(&proc);
+    }
+
+    #[test]
+    fn only_view_role_events_are_reported() {
+        let db = parse_database(
+            "q(a). r(a). v(X) :- q(X).
+             :- q(X), r(X), s(X).",
+        )
+        .unwrap();
+        let proc = UpdateProcessor::new(db).unwrap();
+        let txn = proc.transaction("+s(a). +q(b).").unwrap();
+        let report = proc.maintain_views(&txn).unwrap();
+        assert_eq!(report.events.to_string(), "{+v(b)}");
+        assert_eq!((report.insertions, report.deletions), (1, 0));
     }
 
     #[test]
     fn unaffected_view_detected() {
-        let (db, old, _) = setup();
+        let proc = setup();
+        let (db, old) = (proc.database(), proc.interpretation());
         // A new department with no employees does not change emp_city.
-        let txn = Transaction::parse(&db, "+dept(hr, madrid).").unwrap();
-        assert!(view_unaffected(
-            &db,
-            &old,
-            &txn,
-            Pred::new("emp_city", 2),
-            Engine::Incremental
-        )
-        .unwrap());
-        let txn2 = Transaction::parse(&db, "+emp(pere, sales).").unwrap();
-        assert!(!view_unaffected(
-            &db,
-            &old,
-            &txn2,
-            Pred::new("emp_city", 2),
-            Engine::Incremental
-        )
-        .unwrap());
+        let txn = Transaction::parse(db, "+dept(hr, madrid).").unwrap();
+        assert!(view_unaffected(db, old, &txn, emp_city(), Engine::Incremental).unwrap());
+        let txn2 = Transaction::parse(db, "+emp(pere, sales).").unwrap();
+        assert!(!view_unaffected(db, old, &txn2, emp_city(), Engine::Incremental).unwrap());
     }
 
     #[test]
     fn repeated_maintenance_converges() {
-        let (mut db, mut old, mut store) = setup();
-        for (i, t) in ["+emp(a, sales).", "+emp(b, sales).", "-emp(a, sales)."]
-            .iter()
-            .enumerate()
-        {
-            let txn = Transaction::parse(&db, t).unwrap();
-            maintain(&db, &old, &txn, &mut store, Engine::Incremental).unwrap();
-            db = txn.apply(&db);
-            old = materialize(&db).unwrap();
-            assert!(store.consistent_with(&old), "diverged after step {i}");
+        let mut proc = setup();
+        for t in ["+emp(a, sales).", "+emp(b, sales).", "-emp(a, sales)."] {
+            let txn = proc.transaction(t).unwrap();
+            proc.maintain_views(&txn).unwrap();
+            proc.commit(&txn).unwrap();
+            assert_view_fresh(&proc);
         }
     }
 }

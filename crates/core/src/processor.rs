@@ -10,7 +10,6 @@
 
 use crate::downward::{Alternative, DownwardOptions, DownwardResult, Request};
 use crate::error::{Error, Result};
-use crate::matview::MaterializedViewStore;
 use crate::problems::{
     condition_activation, condition_monitoring, condition_prevention, ic_checking, ic_maintenance,
     repair, side_effects, view_maintenance, view_updating,
@@ -76,16 +75,21 @@ impl UpdateProcessor {
     /// no longer an error) from the current state, and routes every
     /// subsequent commit through it.
     pub fn with_maintenance(mut self) -> Result<UpdateProcessor> {
-        let engine = match self.threads {
+        self.maint = Some(self.build_maintenance()?);
+        Ok(self)
+    }
+
+    /// Builds the maintenance engine from the current state, on the worker
+    /// count pinned by [`with_threads`](Self::with_threads) if any.
+    fn build_maintenance(&self) -> Result<MaintenanceEngine> {
+        match self.threads {
             Some(n) => MaintenanceEngine::new_pooled(
                 &self.db,
                 &self.old,
                 &dduf_datalog::eval::pool::Pool::new(n),
-            )?,
-            None => MaintenanceEngine::new(&self.db, &self.old)?,
-        };
-        self.maint = Some(engine);
-        Ok(self)
+            ),
+            None => MaintenanceEngine::new(&self.db, &self.old),
+        }
     }
 
     /// The maintenance engine, when enabled.
@@ -217,13 +221,9 @@ impl UpdateProcessor {
         condition_monitoring::monitor(&self.db, &self.old, txn, None, self.engine)
     }
 
-    /// §5.1.3 — maintain materialized views under `txn`.
-    pub fn maintain_views(
-        &self,
-        txn: &Transaction,
-        store: &mut MaterializedViewStore,
-    ) -> Result<view_maintenance::MaintenanceReport> {
-        view_maintenance::maintain(&self.db, &self.old, txn, store, self.engine)
+    /// §5.1.3 — the changes `txn` induces on the materialized views.
+    pub fn maintain_views(&self, txn: &Transaction) -> Result<view_maintenance::MaintenanceReport> {
+        view_maintenance::maintain(&self.db, &self.old, txn, self.engine)
     }
 
     // ----- downward problems (§5.2) -----
@@ -511,7 +511,7 @@ impl UpdateProcessor {
         self.old = new_interp;
         // The strategy plan and counts are program-dependent: rebuild.
         if self.maint.is_some() {
-            self.maint = Some(MaintenanceEngine::new(&self.db, &self.old)?);
+            self.maint = Some(self.build_maintenance()?);
         }
         Ok(crate::evolution::EvolutionResult {
             induced,

@@ -592,8 +592,11 @@ pub fn interpret_pooled(
             Plan::EventRules => {
                 let pred = components[wave[w]].preds[0];
                 let tr = simplify_transition(&TransitionRule::build(program, pred));
-                let tr_plans =
-                    plan::planning_enabled().then(|| TrPlans::compile(&tr, db, old, &events));
+                // Decided by the one read of the planner toggle above: a
+                // concurrent `with_planning` section may flip it mid-call.
+                let tr_plans = cost_model
+                    .as_ref()
+                    .map(|_| TrPlans::compile(&tr, db, old, &events));
                 let mut stats = JoinStats::default();
                 // Index-build decisions are local dedup + gate checks, so
                 // the count is deterministic even when siblings race on

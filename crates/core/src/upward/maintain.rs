@@ -3,11 +3,22 @@
 //!
 //! The paper frames materialized view maintenance (§5.1.3) as the updating
 //! problem where *deletions* are hard: a deleted base fact may or may not
-//! invalidate a derived one, depending on alternative support. The
-//! [`CountingEngine`](crate::upward::counting::CountingEngine) answers
-//! that with stored support counts, but counts only work for
-//! non-recursive programs — a recursive tuple can support itself through
-//! a cycle, so a positive count no longer implies an external derivation.
+//! invalidate a derived one, depending on alternative support. Counting
+//! (Gupta, Mumick & Subrahmanian, SIGMOD 1993 — the \[GMS93\] the paper
+//! cites) answers that with a stored **support count** per derived tuple,
+//! the number of rule bindings deriving it: a tuple holds iff its count is
+//! positive, so the induced events are exactly the `0 → >0` and `>0 → 0`
+//! transitions, and a deletion needs no re-derivation check. Count
+//! *changes* come from finite differencing of each rule body,
+//!
+//! ```text
+//! Δ(L₁ ⋈ … ⋈ Lₙ) = Σᵢ  L₁ⁿ ⋈ … ⋈ Lᵢ₋₁ⁿ ⋈ ΔLᵢ ⋈ Lᵢ₊₁ᵒ ⋈ … ⋈ Lₙᵒ
+//! ```
+//!
+//! with signed deltas (`+1` per inserted tuple, `−1` per deleted; signs
+//! flipped under negation). But counts only work for non-recursive
+//! programs — a recursive tuple can support itself through a cycle, so a
+//! positive count no longer implies an external derivation.
 //!
 //! [`MaintenanceEngine`] closes the gap. It walks the stratification's
 //! components in dependency order and picks a strategy per component:
@@ -42,7 +53,6 @@
 
 use crate::error::{Error, Result};
 use crate::transaction::Transaction;
-use crate::upward::counting::{rule_count_delta, CountDeltas};
 use crate::upward::UpwardResult;
 use dduf_datalog::ast::{Literal, Pred, Rule, Var};
 use dduf_datalog::eval::join::{eval_conjunct, ground_terms, match_tuple, Bindings, JoinStats};
@@ -56,6 +66,10 @@ use dduf_datalog::stratify::Stratification;
 use dduf_events::event::{EventKind, GroundEvent};
 use dduf_events::store::EventStore;
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+
+/// Support-count deltas per counting-strategy predicate, as staged by
+/// [`MaintenanceEngine::interpret`].
+pub type CountDeltas = BTreeMap<Pred, HashMap<Tuple, i64>>;
 
 /// The maintenance strategy chosen for one stratification component.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -709,6 +723,66 @@ struct DredCounters {
     inserted: u64,
 }
 
+/// Adds one rule's finite-difference contribution to `delta`.
+///
+/// For each body position `i` whose predicate changed, evaluates
+/// `L₁ⁿ … Lᵢ₋₁ⁿ ΔLᵢ Lᵢ₊₁ᵒ … Lₙᵒ`, seeding bindings from each delta
+/// tuple with its sign (positive occurrence: +1 insert / −1 delete;
+/// negative occurrence: signs flipped). `old_exts` holds the old
+/// extension of every derived predicate; `new_exts` the new extension of
+/// those that changed so far (dependency order guarantees lower strata
+/// are final, and an absent entry means old == new).
+fn rule_count_delta(
+    rule: &Rule,
+    db: &Database,
+    new_db: &Database,
+    events: &EventStore,
+    old_exts: &BTreeMap<Pred, Relation>,
+    new_exts: &BTreeMap<Pred, Relation>,
+    delta: &mut HashMap<Tuple, i64>,
+) {
+    let program = db.program();
+    for (i, lit) in rule.body.iter().enumerate() {
+        let p = lit.atom.pred;
+        let ins = events.relation(EventKind::Ins, p);
+        let del = events.relation(EventKind::Del, p);
+        if ins.is_empty() && del.is_empty() {
+            continue;
+        }
+        let ins_sign = if lit.positive { 1 } else { -1 };
+        let signed = ins
+            .iter()
+            .map(|t| (t, ins_sign))
+            .chain(del.iter().map(|t| (t, -ins_sign)));
+
+        // Remaining literals: before `i` on the new side, after it on the
+        // old side.
+        let rest = rest_of(rule, i);
+        let rel_of = |k: usize| -> &Relation {
+            let q = rest[k].atom.pred;
+            let new_side = k < i;
+            if program.is_derived(q) {
+                let changed = if new_side { new_exts.get(&q) } else { None };
+                changed.unwrap_or_else(|| old_exts.get(&q).expect("every derived predicate"))
+            } else if new_side {
+                new_db.relation(q)
+            } else {
+                db.relation(q)
+            }
+        };
+
+        for (t, sign) in signed {
+            let Some(seed) = match_tuple(&lit.atom.terms, t, &Bindings::new()) else {
+                continue;
+            };
+            for b in eval_conjunct(&rest, &rel_of, &seed) {
+                let head = ground_terms(&rule.head.terms, &b).expect("allowed heads");
+                *delta.entry(head).or_insert(0) += sign;
+            }
+        }
+    }
+}
+
 /// Stable plan-cache key for the head-bound rederive check of local rule
 /// `ri` of member `m`: the rule's global index in `rules` (the members'
 /// rules are contiguous there), paired with `usize::MAX` so it can never
@@ -862,10 +936,80 @@ mod tests {
                         old.relation(pred),
                         "step {step}: stale extension for {pred}"
                     );
+                    for tup in old.relation(pred).iter() {
+                        assert!(
+                            engine.count(pred, tup) > 0,
+                            "step {step}: zero count for live {pred}{tup}"
+                        );
+                    }
                 }
             }
         }
         (db, engine)
+    }
+
+    #[test]
+    fn counting_strata_match_semantic() {
+        // Example 4.1; negation with a constraint; layered views;
+        // simultaneous mixed updates across two strata.
+        let cases: [(&str, &[&str]); 4] = [
+            (
+                "q(a). q(b). r(b). p(X) :- q(X), not r(X).",
+                &["-r(b).", "+r(a).", "-q(a)."],
+            ),
+            (
+                "la(dolors). la(joan). works(joan). u_benefit(dolors).
+                 unemp(X) :- la(X), not works(X).
+                 :- unemp(X), not u_benefit(X).",
+                &[
+                    "+works(dolors).",
+                    "-works(dolors).",
+                    "+la(maria). +u_benefit(maria).",
+                    "-works(joan).",
+                ],
+            ),
+            (
+                "b(x). b(y). r(y).
+                 v1(X) :- b(X), not r(X).
+                 v2(X) :- v1(X).
+                 v3(X) :- v2(X), b(X).",
+                &["-r(y).", "+r(x).", "-b(x).", "+b(z)."],
+            ),
+            (
+                "q(a). r(a). q(b). s(b).
+                 p(X) :- q(X), not r(X).
+                 w(X) :- p(X), s(X).",
+                &["-r(a). +s(a). +q(c). +s(c)."],
+            ),
+        ];
+        for (src, txns) in cases {
+            check_against_semantic(src, txns);
+        }
+    }
+
+    #[test]
+    fn multi_support_deletion_needs_no_recheck() {
+        // v(k) has two supports; deleting one leaves count 1 (no event),
+        // deleting both drops it to 0 (event).
+        let v = Pred::new("v", 1);
+        let src = "a(k). b(k). v(X) :- a(X). v(X) :- b(X).";
+        let (_, fresh) = check_against_semantic(src, &[]);
+        assert_eq!(fresh.count(v, &syms(&["k"])), 2);
+        let (_, one_left) = check_against_semantic(src, &["-a(k)."]);
+        assert_eq!(one_left.count(v, &syms(&["k"])), 1);
+        let (_, none_left) = check_against_semantic(src, &["-a(k).", "-b(k)."]);
+        assert_eq!(none_left.count(v, &syms(&["k"])), 0);
+    }
+
+    #[test]
+    fn join_counts_multiply() {
+        // Two employees derive city_has(bcn) twice.
+        let (_, engine) = check_against_semantic(
+            "emp(john, sales). emp(mary, sales). dept(sales, bcn).
+             city_has(C) :- emp(E, D), dept(D, C).",
+            &[],
+        );
+        assert_eq!(engine.count(Pred::new("city_has", 1), &syms(&["bcn"])), 2);
     }
 
     #[test]

@@ -10,21 +10,22 @@
 //! ```
 //!
 //! Three engines implement the interpretation (the paper separates the
-//! interpretation from its implementations, §4 preamble):
+//! interpretation from its implementations, §4 preamble), one per job:
 //!
 //! * [`Engine::Semantic`] materializes the new state and takes set
 //!   differences — it is definitionally correct (it *is* the event
 //!   definitions (1)/(2)) and serves as the oracle;
 //! * [`Engine::Incremental`] evaluates the (simplified) event rules
 //!   stratum-by-stratum, driving joins from event literals, and never
-//!   materializes the new state of unaffected predicates;
-//! * [`counting::CountingEngine`] (stateful, non-recursive programs only)
-//!   maintains support counts by finite differencing, after \[GMS93\] — the
-//!   maintenance algorithm the paper cites in §5.1.3.
+//!   materializes the new state of unaffected predicates — the stateless
+//!   production engine;
+//! * [`maintain::MaintenanceEngine`] (stateful, the commit path) keeps
+//!   support counts for non-recursive strata, after \[GMS93\] — the
+//!   maintenance algorithm the paper cites in §5.1.3 — and
+//!   delete-and-rederives recursive ones.
 //!
 //! All are differentially tested for equality on random programs.
 
-pub mod counting;
 pub mod incremental;
 pub mod maintain;
 pub mod semantic;

@@ -103,10 +103,6 @@ impl std::error::Error for SchemaError {}
 pub enum EvalError {
     /// Evaluation referenced a predicate unknown to the database.
     UnknownPredicate(Pred),
-    /// Top-down resolution reached a recursively defined predicate, which
-    /// plain SLD resolution cannot terminate on; use bottom-up
-    /// materialization for it instead.
-    RecursiveTopDown(Pred),
     /// The iteration/derivation limit was exceeded (guards runaway
     /// fixpoints in misconfigured callers; the fixpoint itself always
     /// terminates on finite domains).
@@ -122,12 +118,6 @@ impl fmt::Display for EvalError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             EvalError::UnknownPredicate(p) => write!(f, "unknown predicate {p}"),
-            EvalError::RecursiveTopDown(p) => {
-                write!(
-                    f,
-                    "top-down resolution cannot evaluate recursive predicate {p}; materialize it bottom-up"
-                )
-            }
             EvalError::LimitExceeded { what, limit } => {
                 write!(f, "evaluation limit exceeded: {what} > {limit}")
             }

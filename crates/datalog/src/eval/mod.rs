@@ -6,7 +6,6 @@ pub mod naive;
 pub mod plan;
 pub mod pool;
 pub mod seminaive;
-pub mod topdown;
 
 use crate::ast::Pred;
 use crate::error::Error;

@@ -1,12 +1,13 @@
 //! Magic-sets transformation: goal-directed bottom-up query evaluation.
 //!
 //! §4 of the paper leaves the choice of query evaluation procedure open
-//! ("either ... top-down or ... bottom-up"). [`crate::eval::topdown`] is
-//! the SLD option but cannot handle recursion; this module is the standard
-//! middle road: rewrite the program with *magic predicates* that encode
-//! the query's binding pattern, so that bottom-up evaluation only derives
-//! facts relevant to the goal — goal-directed like resolution, terminating
-//! like the fixpoint.
+//! ("either ... top-down or ... bottom-up"). Top-down resolution is a
+//! rewriting the one fixpoint engine can serve (Behrend's uniform
+//! fixpoint approach), and this module is that rewriting: the program
+//! gets *magic predicates* that encode the query's binding pattern, so
+//! that bottom-up evaluation only derives facts relevant to the goal —
+//! goal-directed like resolution, terminating like the fixpoint, recursion
+//! included.
 //!
 //! Scope: the transformation is applied when the query's reachable
 //! subprogram is negation-free (the rewritten program of a stratified

@@ -8,7 +8,8 @@
 //!   Concurrent `:apply` requests are drained into a batch, staged
 //!   serially (upward evaluation is inherently order-sensitive), made
 //!   durable with a **single fsync** for the whole batch
-//!   ([`writer`]), and only then acknowledged — group commit.
+//!   ([`writer`]), and only then acknowledged — group commit. Staging
+//!   of the next batch overlaps that fsync (DESIGN.md §16).
 //! * **Snapshot-isolated readers**: after each batch the writer
 //!   publishes an immutable `Arc`'d state into a [`state::StateCell`];
 //!   sessions query whichever snapshot was current when their request
@@ -60,9 +61,6 @@ pub struct ServerConfig {
     pub sessions: usize,
     /// Most transactions one group commit may cover.
     pub max_batch: usize,
-    /// Overlap staging of batch N+1 with batch N's in-flight fsync
-    /// (DESIGN.md §16). Acks still release only after the fsync.
-    pub pipeline: bool,
     /// High-water mark of the pending-commit queue (jobs).
     pub queue_cap: usize,
     /// Policy when the queue is full.
@@ -75,7 +73,6 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:7117".to_string(),
             sessions: 8,
             max_batch: 64,
-            pipeline: true,
             queue_cap: 256,
             backpressure: Backpressure::Block,
         }
@@ -133,11 +130,8 @@ impl ServerHandle {
 pub fn start(db: dduf_persist::DurableDb, config: ServerConfig) -> io::Result<ServerHandle> {
     let (proc, store) = db.into_parts();
     let journal_end = store.journal_end();
-    let state = proc.into_state();
     let cell = Arc::new(StateCell::new(Published {
-        db: state.db,
-        interp: state.interp,
-        maint: state.maint,
+        state: proc.into_state(),
         journal_end,
         commits: 0,
     }));
@@ -156,13 +150,10 @@ pub fn start(db: dduf_persist::DurableDb, config: ServerConfig) -> io::Result<Se
         let cell = cell.clone();
         let metrics = metrics.clone();
         let gauge = gauge.clone();
-        let opts = writer::WriterOptions {
-            max_batch: config.max_batch,
-            pipeline: config.pipeline,
-        };
+        let max_batch = config.max_batch;
         thread::Builder::new()
             .name("dduf-writer".to_string())
-            .spawn(move || writer::run(jobs_rx, cell, store, metrics, gauge, opts))?
+            .spawn(move || writer::run(jobs_rx, &cell, store, &metrics, &gauge, max_batch))?
     };
 
     let sessions = config.sessions.max(1);

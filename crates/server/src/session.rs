@@ -211,7 +211,7 @@ fn apply_job(src: &str, checked: bool) -> impl FnOnce(mpsc::Sender<Reply>) -> Jo
 /// `:show [pred]` over the session's snapshot — same output as the
 /// local shell, including the `%= derived` marks.
 fn show(ctx: &SessionCtx, pred: &str) -> dduf_core::Result<String> {
-    let cur = ctx.cell.load();
+    let cur = &ctx.cell.load().state;
     let state = StateView::new(&cur.db, &cur.interp);
     let wanted: Option<&str> = (!pred.is_empty()).then_some(pred);
     let mut out = String::new();
@@ -247,7 +247,7 @@ fn query(ctx: &SessionCtx, rest: &str) -> dduf_core::Result<String> {
     let cur = ctx.cell.load();
     let out = dduf_datalog::parser::parse_program(&format!("query_tmp :- {atom_src}."))?;
     let atom = out.program.rules()[0].body[0].atom.clone();
-    let ans = dduf_datalog::magic::query(&cur.db, &atom)?;
+    let ans = dduf_datalog::magic::query(&cur.state.db, &atom)?;
     let mut text = String::new();
     for t in &ans.tuples {
         let _ = writeln!(text, "{}", t.to_atom(atom.pred));
@@ -260,7 +260,7 @@ fn query(ctx: &SessionCtx, rest: &str) -> dduf_core::Result<String> {
 /// wording. Purely advisory: the authoritative check happens on the
 /// writer when the transaction is actually applied.
 fn check(ctx: &SessionCtx, txn_src: &str) -> dduf_core::Result<String> {
-    let cur = ctx.cell.load();
+    let cur = &ctx.cell.load().state;
     let txn = Transaction::parse(&cur.db, txn_src)?;
     Ok(
         match ic_checking::check(&cur.db, &cur.interp, &txn, Engine::default())? {

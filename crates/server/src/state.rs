@@ -10,22 +10,17 @@
 //! long enough to clone or store a pointer) and never observe a
 //! half-applied batch: snapshot isolation by construction.
 
-use dduf_core::upward::maintain::MaintenanceEngine;
-use dduf_datalog::eval::Interpretation;
-use dduf_datalog::storage::database::Database;
+use dduf_core::processor::ProcessorState;
 use std::sync::{Arc, RwLock};
 
-/// One published state: the extensional database plus its materialized
-/// derived relations, stamped with how much journal it covers.
+/// One published state: the processor state readers query, stamped with
+/// how much journal it covers.
 #[derive(Debug)]
 pub struct Published {
-    /// The extensional database (program + base facts).
-    pub db: Database,
-    /// Materialization of every derived predicate over `db`.
-    pub interp: Interpretation,
-    /// The maintenance state (support counts + extensions) the writer
-    /// carries across group-committed batches, when enabled.
-    pub maint: Option<MaintenanceEngine>,
+    /// The extensional database, its materialized derived relations, and
+    /// the maintenance state the writer carries across group-committed
+    /// batches.
+    pub state: ProcessorState,
     /// Journal byte offset this state is durable through.
     pub journal_end: u64,
     /// Transactions committed since the server started.
@@ -71,23 +66,16 @@ mod tests {
     #[test]
     fn readers_keep_their_snapshot_across_a_publish() {
         let db = parse_database("p(a). q(X) :- p(X).").unwrap();
-        let proc = UpdateProcessor::new(db).unwrap();
-        let state = proc.into_state();
         let cell = StateCell::new(Published {
-            db: state.db,
-            interp: state.interp,
-            maint: state.maint,
+            state: UpdateProcessor::new(db).unwrap().into_state(),
             journal_end: 8,
             commits: 0,
         });
         let before = cell.load();
 
         let db2 = parse_database("p(a). p(b). q(X) :- p(X).").unwrap();
-        let state2 = UpdateProcessor::new(db2).unwrap().into_state();
         cell.publish(Published {
-            db: state2.db,
-            interp: state2.interp,
-            maint: state2.maint,
+            state: UpdateProcessor::new(db2).unwrap().into_state(),
             journal_end: 42,
             commits: 1,
         });
@@ -95,9 +83,9 @@ mod tests {
         // The old Arc still describes the old state; a fresh load sees
         // the new one.
         assert_eq!(before.journal_end, 8);
-        assert_eq!(before.db.fact_count(), 1);
+        assert_eq!(before.state.db.fact_count(), 1);
         let after = cell.load();
         assert_eq!(after.journal_end, 42);
-        assert_eq!(after.db.fact_count(), 2);
+        assert_eq!(after.state.db.fact_count(), 2);
     }
 }

@@ -1,5 +1,5 @@
-//! The write path: serial staging, group commit, and (by default) a
-//! two-stage pipeline that overlaps staging with durability.
+//! The write path: serial staging, group commit, and a two-stage
+//! pipeline that overlaps staging with durability.
 //!
 //! Every mutation in the server flows through one *staging* loop that
 //! owns the only mutable [`UpdateProcessor`]. The loop is the classic
@@ -14,16 +14,13 @@
 //!
 //! **Pipelining** (DESIGN.md §16) splits that cycle across two threads:
 //! the *stager* parses, checks, and evaluates batch N+1 while the
-//! *syncer* has batch N's `append_batch` fsync in flight. The serial
-//! floor drops from `stage + fsync` to `max(stage, fsync)` per batch.
-//! The contract does not move: acks are released by the syncer only
-//! after the corresponding fsync completes — never an `ok` before
-//! durable bytes — and the syncer alone publishes snapshots, so readers
-//! still only ever observe durable states.
+//! *syncer* has batch N's `append_batch` fsync in flight. The per-batch
+//! floor is `max(stage, fsync)`, not `stage + fsync`. Acks are released
+//! by the syncer only after the corresponding fsync completes — never an
+//! `ok` before durable bytes — and the syncer alone publishes snapshots,
+//! so readers only ever observe durable states.
 //!
-//! Write-ahead ordering is preserved batch-wide. In serial mode the
-//! staging processor is a *clone* of the published state, so a failed
-//! append just drops the clone. In pipelined mode the stager keeps a
+//! Write-ahead ordering is preserved batch-wide. The stager keeps a
 //! long-lived staging processor one-or-two batches ahead of disk; every
 //! staged batch carries an **epoch**, and an append failure poisons the
 //! current epoch: the syncer demotes the failed batch *and every
@@ -135,14 +132,6 @@ impl QueueGauge {
     }
 }
 
-/// Tunables the writer needs beyond its channels.
-pub(crate) struct WriterOptions {
-    /// Most transactions one group commit may cover.
-    pub max_batch: usize,
-    /// Overlap staging with the in-flight fsync (DESIGN.md §16).
-    pub pipeline: bool,
-}
-
 /// What one staged request is waiting for at fsync time.
 enum Staged {
     /// Evaluated and staged; acknowledged once the batch fsync lands.
@@ -177,57 +166,6 @@ enum PipeItem {
     Admin(Job),
 }
 
-/// Runs the writer until every job sender is gone.
-pub(crate) fn run(
-    jobs: Receiver<Job>,
-    cell: Arc<StateCell>,
-    store: DurableStore,
-    metrics: Arc<dduf_obs::SharedCollector>,
-    gauge: Arc<QueueGauge>,
-    opts: WriterOptions,
-) {
-    // Every span the staged evaluations record (eval.*, upward.*,
-    // journal.append) lands in the server's shared report.
-    let _guard = dduf_obs::install_shared(&metrics);
-    let max_batch = opts.max_batch.max(1);
-    if opts.pipeline {
-        run_pipelined(jobs, &cell, store, &metrics, &gauge, max_batch);
-    } else {
-        run_serial(jobs, &cell, store, &gauge, max_batch);
-    }
-}
-
-/// The unpipelined loop: stage, fsync, publish, ack — one thread.
-fn run_serial(
-    jobs: Receiver<Job>,
-    cell: &StateCell,
-    mut store: DurableStore,
-    gauge: &QueueGauge,
-    max_batch: usize,
-) {
-    loop {
-        let first = match jobs.recv() {
-            Ok(job) => job,
-            Err(_) => break, // all sessions and acceptors are gone
-        };
-        gauge.note_dequeue();
-        let mut batch = Vec::new();
-        let mut deferred = None;
-        match first {
-            Job::Apply { .. } => batch.push(first),
-            admin => {
-                run_admin(admin, cell, &mut store);
-                continue;
-            }
-        }
-        drain_batch(&jobs, gauge, max_batch, &mut batch, &mut deferred);
-        commit_batch(batch, cell, &mut store);
-        if let Some(admin) = deferred {
-            run_admin(admin, cell, &mut store);
-        }
-    }
-}
-
 /// Group: drain whatever queued while the previous fsync ran. Admin
 /// jobs are barriers — they end the batch.
 fn drain_batch(
@@ -253,9 +191,10 @@ fn drain_batch(
     }
 }
 
-/// The pipelined write path: this thread stages; a spawned syncer
-/// thread owns the store, fsyncs, publishes, and acks.
-fn run_pipelined(
+/// Runs the writer until every job sender is gone: this thread stages;
+/// a spawned syncer thread owns the store, fsyncs, publishes, and acks.
+/// `max_batch` is the most transactions one group commit may cover.
+pub(crate) fn run(
     jobs: Receiver<Job>,
     cell: &StateCell,
     store: DurableStore,
@@ -263,6 +202,10 @@ fn run_pipelined(
     gauge: &QueueGauge,
     max_batch: usize,
 ) {
+    // Every span the staged evaluations record (eval.*, upward.*,
+    // journal.append) lands in the server's shared report.
+    let _guard = dduf_obs::install_shared(metrics);
+    let max_batch = max_batch.max(1);
     let (pipe_tx, pipe_rx) = std::sync::mpsc::sync_channel::<PipeItem>(PIPE_DEPTH);
     // Epochs below this staged on state that never reached disk; the
     // syncer bumps it on append failure, the stager reads it before
@@ -339,15 +282,11 @@ fn stage_batch(
         None => {
             let clone_timer = dduf_obs::timer();
             let cur = cell.load();
-            let proc = UpdateProcessor::from_state(ProcessorState {
-                db: cur.db.clone(),
-                interp: cur.interp.clone(),
-                maint: cur.maint.clone(),
-            });
+            let proc = UpdateProcessor::from_state(cur.state.clone());
             dduf_obs::record_timed(
                 "server.clone",
                 "",
-                &[("clones", 1), ("facts", cur.db.fact_count() as u64)],
+                &[("clones", 1), ("facts", cur.state.db.fact_count() as u64)],
                 clone_timer.elapsed_us(),
             );
             staging.insert(proc)
@@ -355,14 +294,9 @@ fn stage_batch(
     };
     let (payloads, committed, rejected, failed, outcomes) = stage_jobs(proc, batch);
     // The staging processor lives on for batch N+1, so the publishable
-    // state is a clone — the pipelined counterpart of serial mode's
-    // clone-then-into_state (one clone per batch either way).
+    // state is a clone.
     let clone_timer = dduf_obs::timer();
-    let state = ProcessorState {
-        db: proc.database().clone(),
-        interp: proc.interpretation().clone(),
-        maint: proc.maintenance().cloned(),
-    };
+    let state = proc.clone().into_state();
     dduf_obs::record_timed(
         "server.clone",
         "",
@@ -478,9 +412,7 @@ fn sync_loop(
                     fsyncs = 1;
                     commits += committed;
                     cell.publish(Published {
-                        db: state.db,
-                        interp: state.interp,
-                        maint: state.maint,
+                        state,
                         journal_end: end,
                         commits,
                     });
@@ -517,8 +449,8 @@ fn sync_loop(
     }
 }
 
-/// Records the batch-level summary span (shared with serial mode, so
-/// dashboards and the bench read one phase across both write paths).
+/// Records the batch-level summary span (a demoted batch and a synced
+/// one report the same phase, so dashboards and the bench read one).
 fn record_batch(
     committed: u64,
     rejected: u64,
@@ -562,67 +494,6 @@ fn release_acks(outcomes: Vec<(Sender<Reply>, Staged)>, demote: Option<&str>) {
         // A client that hung up before its ack is not an error.
         let _ = reply.send(r);
     }
-}
-
-/// Serial mode: stages, journals (one fsync), publishes, and
-/// acknowledges one batch on the calling thread.
-fn commit_batch(batch: Vec<Job>, cell: &StateCell, store: &mut DurableStore) {
-    let timer = dduf_obs::timer();
-    let clone_timer = dduf_obs::timer();
-    let cur = cell.load();
-    // The maintenance state travels with the clone, so support counts
-    // stay current across group-committed batches.
-    let mut staged = UpdateProcessor::from_state(ProcessorState {
-        db: cur.db.clone(),
-        interp: cur.interp.clone(),
-        maint: cur.maint.clone(),
-    });
-    dduf_obs::record_timed(
-        "server.clone",
-        "",
-        &[("clones", 1), ("facts", cur.db.fact_count() as u64)],
-        clone_timer.elapsed_us(),
-    );
-    let (payloads, committed, rejected, failed, outcomes) = stage_jobs(&mut staged, batch);
-    let mut fsyncs = 0u64;
-    let mut append_error = None;
-    if !payloads.is_empty() {
-        match store.record_commit_batch(&payloads) {
-            Ok(end) => {
-                fsyncs = 1;
-                let state = staged.into_state();
-                cell.publish(Published {
-                    db: state.db,
-                    interp: state.interp,
-                    maint: state.maint,
-                    journal_end: end,
-                    commits: cur.commits + committed,
-                });
-            }
-            Err(e) => {
-                // Nothing became durable and nothing was acknowledged:
-                // the staging clone is discarded with the old state
-                // still published. Every staged commit fails loudly.
-                append_error = Some(e.to_string());
-            }
-        }
-    }
-    dduf_obs::record_timed(
-        "server.batch",
-        "",
-        &[
-            ("requests", committed + rejected + failed),
-            (
-                "committed",
-                if append_error.is_none() { committed } else { 0 },
-            ),
-            ("rejected", rejected),
-            ("failed", failed),
-            ("fsyncs", fsyncs),
-        ],
-        timer.elapsed_us(),
-    );
-    release_acks(outcomes, append_error.as_deref());
 }
 
 /// Parses, optionally checks, and stages one transaction against the
@@ -672,15 +543,14 @@ fn stage_one(staged: &mut UpdateProcessor, src: &str, checked: bool) -> Staged {
     }
 }
 
-/// Admin jobs run between batches, against the published state. In
-/// pipelined mode they execute on the syncer after every earlier batch
-/// is durable and published, so `:checkpoint` still covers exactly the
-/// acknowledged history.
+/// Admin jobs run between batches, against the published state: they
+/// execute on the syncer after every earlier batch is durable and
+/// published, so `:checkpoint` covers exactly the acknowledged history.
 fn run_admin(job: Job, cell: &StateCell, store: &mut DurableStore) {
     match job {
         Job::Checkpoint { reply } => {
             let cur = cell.load();
-            let r = match store.checkpoint_with_maint(&cur.db, cur.maint.as_ref()) {
+            let r = match store.checkpoint_with_maint(&cur.state.db, cur.state.maint.as_ref()) {
                 Ok(pos) => Reply {
                     ok: true,
                     text: format!("checkpoint written (journal covered to byte {pos})"),

@@ -1,10 +1,9 @@
-//! Query answering and explanation: bottom-up vs. top-down evaluation
-//! (§4's remark that either strategy can implement the interpretations),
-//! derivation trees, and event explanations.
+//! Query answering and explanation: bottom-up vs. goal-directed
+//! evaluation (§4's remark that either strategy can implement the
+//! interpretations), derivation trees, and event explanations.
 //!
 //! Run with: `cargo run --example provenance_queries`
 
-use dduf::datalog::eval::topdown::TopDown;
 use dduf::datalog::query;
 use dduf::prelude::*;
 
@@ -20,11 +19,14 @@ fn main() -> Result<()> {
         println!("  {}", t.to_atom(goal.pred));
     }
 
-    // ---- Top-down (SLD) resolution: same answers, no materialization ----
-    let td = TopDown::new(&db)?;
-    let answers = td.solve(&goal)?;
-    println!("top-down found {} bindings (must agree)", answers.len());
-    assert_eq!(answers.len(), query::answers(state, &goal).len());
+    // ---- Goal-directed (magic sets): same answers, only relevant facts ----
+    let answers = magic::query(&db, &goal)?;
+    println!(
+        "goal-directed found {} bindings via {:?} (must agree)",
+        answers.tuples.len(),
+        answers.path
+    );
+    assert_eq!(answers.tuples.len(), query::answers(state, &goal).len());
 
     // ---- Provenance: why does covered(ben) hold? ----
     let why = explain(

@@ -2,9 +2,9 @@
 //!
 //! Models a small order-processing schema with two materialized views —
 //! a join view (`order_city`) and a negation view (`pending`) — and
-//! maintains their stored extensions incrementally through a stream of
-//! updates, verifying after every step that the store matches a from-
-//! scratch rematerialization.
+//! maintains their stored extensions (the processor's interpretation)
+//! incrementally through a stream of updates, verifying after every step
+//! that they match a from-scratch rematerialization.
 //!
 //! Run with: `cargo run --example view_maintenance`
 
@@ -13,12 +13,17 @@ use dduf::prelude::*;
 fn main() -> Result<()> {
     let db = parse_database(include_str!("programs/view_maintenance.dl"))?;
     let mut proc = UpdateProcessor::new(db)?;
-    let mut store =
-        MaterializedViewStore::materialize(proc.database().program(), proc.interpretation());
+    let views = proc
+        .database()
+        .program()
+        .derived_with_role(DerivedRole::View);
     println!(
         "materialized {} views, {} tuples",
-        store.views().count(),
-        store.tuple_count()
+        views.len(),
+        views
+            .iter()
+            .map(|&v| proc.interpretation().relation(v).len())
+            .sum::<usize>()
     );
 
     let stream = [
@@ -31,32 +36,35 @@ fn main() -> Result<()> {
 
     for (step, src) in stream.iter().enumerate() {
         let txn = proc.transaction(src)?;
-        let report = proc.maintain_views(&txn, &mut store)?;
+        let report = proc.maintain_views(&txn)?;
         println!(
             "step {}: {src:<40} -> +{} / -{} view tuples (events: {})",
             step + 1,
-            report.delta.insertions,
-            report.delta.deletions,
+            report.insertions,
+            report.deletions,
             report.events
         );
-        // Commit the base update and verify the store against a full
-        // rematerialization — the invariant incremental maintenance must
-        // keep.
+        // Commit applies the same events to the stored extensions; verify
+        // them against a full rematerialization — the invariant
+        // incremental maintenance must keep.
         proc.commit(&txn)?;
-        assert!(
-            store.consistent_with(proc.interpretation()),
-            "store diverged at step {}",
-            step + 1
-        );
+        let fresh = materialize(proc.database())?;
+        for &view in &views {
+            assert_eq!(
+                proc.interpretation().relation(view),
+                fresh.relation(view),
+                "{view} diverged at step {}",
+                step + 1
+            );
+        }
     }
 
     println!("\nfinal state of materialized views:");
-    for view in store.views().collect::<Vec<_>>() {
-        let rel = store.relation(view).unwrap();
-        for t in rel.iter() {
+    for &view in &views {
+        for t in proc.interpretation().relation(view).iter() {
             println!("  {}", t.to_atom(view));
         }
     }
-    println!("store stayed consistent through {} steps.", stream.len());
+    println!("views stayed consistent through {} steps.", stream.len());
     Ok(())
 }

@@ -64,10 +64,8 @@ pub mod prelude {
     pub use dduf_core::downward::{Alternative, DownwardOptions, DownwardResult, Request};
     pub use dduf_core::evolution::{EventRuleChange, EvolutionResult};
     pub use dduf_core::explain::{explain_event, EventExplanation};
-    pub use dduf_core::matview::MaterializedViewStore;
     pub use dduf_core::processor::UpdateProcessor;
     pub use dduf_core::transaction::Transaction;
-    pub use dduf_core::upward::counting::CountingEngine;
     pub use dduf_core::upward::{Engine as UpwardEngine, UpwardResult};
     pub use dduf_core::{Domain, Error, Result};
     pub use dduf_datalog::ast::{Atom, Const, Literal, Pred, Rule, Term, Var};

@@ -23,14 +23,13 @@ use std::net::TcpStream;
 
 const SERVE_USAGE: &str = "\
 usage: dduf serve <dir> [--addr HOST:PORT] [--sessions N] [--max-batch N]
-                        [--queue-cap N] [--backpressure block|reject] [--serial]
+                        [--queue-cap N] [--backpressure block|reject]
        --addr          address to listen on (default 127.0.0.1:7117; port 0 = ephemeral)
        --sessions      concurrent client sessions served (default 8)
        --max-batch     most transactions one group commit may cover (default 64)
        --queue-cap     commit-queue high-water mark in jobs (default 256)
        --backpressure  policy when the queue is full: block the session or
-                       answer a retryable `busy` error (default block)
-       --serial        disable write pipelining (stage and fsync on one thread)";
+                       answer a retryable `busy` error (default block)";
 
 fn usage_err(msg: &str) -> i32 {
     eprintln!("dduf serve: {msg}\n{SERVE_USAGE}");
@@ -84,8 +83,6 @@ pub fn run(args: impl IntoIterator<Item = String>) -> i32 {
                 Some("reject") => dduf_server::Backpressure::Reject,
                 _ => return usage_err("--backpressure expects `block` or `reject`"),
             };
-        } else if a == "--serial" {
-            config.pipeline = false;
         } else if a.starts_with('-') {
             return usage_err(&format!("unrecognized flag `{a}`"));
         } else if dir.is_some() {
@@ -201,6 +198,8 @@ mod tests {
     fn usage_errors_exit_two() {
         assert_eq!(run(Vec::<String>::new()), 2);
         assert_eq!(run(["--bogus".to_string()]), 2);
+        // Removed with the serial writer: refused like any unknown flag.
+        assert_eq!(run(["d".to_string(), "--serial".into()]), 2);
         assert_eq!(run(["a".to_string(), "b".into()]), 2);
         assert_eq!(run(["--addr".to_string()]), 2);
         assert_eq!(run(["--sessions".to_string(), "x".into(), "d".into()]), 2);

@@ -9,6 +9,7 @@
 //! explores the same program/transaction pairs.
 
 use dduf::core::rng::Rng;
+use dduf::core::upward::maintain::{MaintenanceEngine, Strategy};
 use dduf::prelude::*;
 use std::fmt::Write as _;
 
@@ -525,68 +526,120 @@ fn gen_churn_txn(rng: &mut Rng, db: &Database) -> Transaction {
     Transaction::from_events(db, events).expect("validated")
 }
 
-/// Deletion-heavy random streams over recursive programs: the stateful
-/// maintenance engine (counting strata + DRed SCCs, selected
-/// automatically) must agree with the semantic oracle — run at 1, 2,
-/// and 8 worker threads — on every induced event set, and its carried
-/// extensions must equal a full recompute after every step.
-#[test]
-fn maintenance_matches_semantic_on_deletion_heavy_recursive_streams() {
-    use dduf::core::upward::maintain::{MaintenanceEngine, Strategy};
+/// Replays `steps` transactions drawn from `gen` through a fresh
+/// maintenance engine over `src` (after `expect_strategies` has checked
+/// the selection matrix). At every step the induced events must equal
+/// the semantic oracle — itself run at 1, 2, and 8 worker threads — the
+/// carried extensions must equal a full recompute, and every live tuple
+/// must have a positive support count (statefulness is the point: counts
+/// must stay correct step after step).
+fn maintained_stream_matches_semantic(
+    label: &str,
+    src: &str,
+    rng: &mut Rng,
+    steps: usize,
+    gen: fn(&mut Rng, &Database) -> Transaction,
+    expect_strategies: impl Fn(&Database, &MaintenanceEngine),
+) {
+    let mut db = parse_database(src).expect("parses");
+    let mut old = materialize(&db).expect("stratified");
+    let mut engine = MaintenanceEngine::new(&db, &old).expect("mixed strategies");
+    expect_strategies(&db, &engine);
 
+    for step in 0..steps {
+        let txn = gen(rng, &db);
+        let expected = dduf::core::upward::interpret_with(&db, &old, &txn, UpwardEngine::Semantic)
+            .expect("semantic");
+        for threads in [1usize, 2, 8] {
+            let threaded = dduf::core::upward::interpret_with_threads(
+                &db,
+                &old,
+                &txn,
+                UpwardEngine::Semantic,
+                threads,
+            )
+            .expect("semantic threaded");
+            assert_eq!(
+                expected, threaded,
+                "{label} step {step}: oracle diverges at {threads} threads"
+            );
+        }
+        let got = engine.apply(&db, &txn).expect("maintained");
+        assert_eq!(
+            got,
+            expected,
+            "{label} step {step} ({} events):\n{src}",
+            txn.events().len(),
+        );
+        db = txn.apply(&db);
+        old = materialize(&db).expect("new state");
+        // Full-recompute equality of the carried state, every step.
+        assert_eq!(
+            dduf::datalog::pretty::derived(&engine.interpretation()),
+            dduf::datalog::pretty::derived(&old),
+            "{label} step {step}: maintained extensions drifted"
+        );
+        for (pred, rel) in old.iter() {
+            for t in rel.iter() {
+                assert!(
+                    engine.count(pred, t) > 0,
+                    "{label} step {step}: zero count for live {pred}{t}"
+                );
+            }
+        }
+    }
+}
+
+/// The stateful maintenance engine (counting strata + DRed SCCs,
+/// selected automatically) agrees with the semantic oracle over whole
+/// transaction *sequences*, on two families of input: deletion-heavy
+/// streams over recursive programs, and toggle streams over
+/// non-recursive ones, where every predicate is maintained by counting
+/// (\[GMS93\]).
+#[test]
+fn maintenance_matches_semantic_over_streams() {
     let mut rng = Rng::new(0xD8ED);
     for case in 0..48 {
         let prog = RecProgram::gen(&mut rng);
-        let mut db = parse_database(&prog.to_source()).expect("parses");
-        let mut old = materialize(&db).expect("stratified");
-        let mut engine = MaintenanceEngine::new(&db, &old).expect("mixed strategies");
-
+        let steps = 1 + rng.usize(4);
         // The selection matrix: recursive SCC members run DRed, the
         // non-recursive strata above keep counting.
         let h = Pred::new(prog.scc_head(), 2);
-        assert_eq!(engine.strategy(h), Some(Strategy::DRed), "case {case}");
-        assert_eq!(
-            engine.strategy(Pred::new("cyc", 1)),
-            Some(Strategy::Counting),
-            "case {case}"
-        );
-
-        for step in 0..1 + rng.usize(4) {
-            let txn = gen_churn_txn(&mut rng, &db);
-            let expected =
-                dduf::core::upward::interpret_with(&db, &old, &txn, UpwardEngine::Semantic)
-                    .expect("semantic");
-            for threads in [1usize, 2, 8] {
-                let threaded = dduf::core::upward::interpret_with_threads(
-                    &db,
-                    &old,
-                    &txn,
-                    UpwardEngine::Semantic,
-                    threads,
-                )
-                .expect("semantic threaded");
+        maintained_stream_matches_semantic(
+            &format!("recursive case {case}"),
+            &prog.to_source(),
+            &mut rng,
+            steps,
+            gen_churn_txn,
+            |_, engine| {
+                assert_eq!(engine.strategy(h), Some(Strategy::DRed), "case {case}");
                 assert_eq!(
-                    expected, threaded,
-                    "case {case} step {step}: oracle diverges at {threads} threads"
+                    engine.strategy(Pred::new("cyc", 1)),
+                    Some(Strategy::Counting),
+                    "case {case}"
                 );
-            }
-            let got = engine.apply(&db, &txn).expect("maintained");
-            assert_eq!(
-                got,
-                expected,
-                "case {case} step {step} ({} events):\n{}",
-                txn.events().len(),
-                prog.to_source()
-            );
-            db = txn.apply(&db);
-            old = materialize(&db).expect("new state");
-            // Full-recompute equality of the carried state, every step.
-            assert_eq!(
-                dduf::datalog::pretty::derived(&engine.interpretation()),
-                dduf::datalog::pretty::derived(&old),
-                "case {case} step {step}: maintained extensions drifted"
-            );
-        }
+            },
+        );
+    }
+
+    let mut rng = Rng::new(0xC0117);
+    for case in 0..64 {
+        let prog = RandProgram::gen(&mut rng);
+        let steps = 1 + rng.usize(3);
+        maintained_stream_matches_semantic(
+            &format!("non-recursive case {case}"),
+            &prog.to_source(),
+            &mut rng,
+            steps,
+            gen_txn,
+            |db, engine| {
+                for (p, _role) in db.program().predicates() {
+                    if db.program().is_derived(p) {
+                        assert_eq!(engine.strategy(p), Some(Strategy::Counting), "case {case}");
+                    }
+                }
+            },
+        );
     }
 }
 
@@ -596,7 +649,6 @@ fn maintenance_matches_semantic_on_deletion_heavy_recursive_streams() {
 /// and identical final extensions.
 #[test]
 fn maintained_stream_fingerprints_are_deterministic() {
-    use dduf::core::upward::maintain::MaintenanceEngine;
     use dduf::datalog::eval::pool::Pool;
 
     let mut rng = Rng::new(0xD8ED2);
@@ -643,43 +695,5 @@ fn maintained_stream_fingerprints_are_deterministic() {
                 );
             }
         });
-    }
-}
-
-/// The stateful counting engine ([GMS93]) agrees with the semantic
-/// oracle across a whole *sequence* of transactions (statefulness is
-/// the point: counts must stay correct step after step).
-#[test]
-fn counting_engine_matches_semantic_over_sequences() {
-    let mut rng = Rng::new(0xC0117);
-    for case in 0..64 {
-        let prog = RandProgram::gen(&mut rng);
-        let mut db = parse_database(&prog.to_source()).expect("parses");
-        let mut old = materialize(&db).expect("stratified");
-        let mut engine =
-            dduf::core::upward::counting::CountingEngine::new(&db, &old).expect("non-recursive");
-        let steps = 1 + rng.usize(3);
-        for step in 0..steps {
-            let txn = gen_txn(&mut rng, &db);
-            let expected =
-                dduf::core::upward::interpret_with(&db, &old, &txn, UpwardEngine::Semantic)
-                    .expect("semantic");
-            let got = engine.apply(&db, &txn).expect("counting");
-            assert_eq!(got, expected, "case {case} step {step}");
-            db = txn.apply(&db);
-            old = materialize(&db).expect("new state");
-            // Counts must reflect exactly the live tuples.
-            for (pred, _role) in db.program().predicates() {
-                if !db.program().is_derived(pred) {
-                    continue;
-                }
-                for t in old.relation(pred).iter() {
-                    assert!(
-                        engine.count(pred, t) > 0,
-                        "case {case} step {step}: zero count for live {pred}{t}"
-                    );
-                }
-            }
-        }
     }
 }

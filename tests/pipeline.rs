@@ -7,6 +7,9 @@ use dduf::core::problems::ic_maintenance::MaintenanceOutcome;
 use dduf::core::testkit;
 use dduf::prelude::*;
 
+mod common;
+use common::commit_maintaining_views;
+
 /// A library lending system exercising all three roles at once: a view
 /// (`borrowed_by`), two constraints, and a monitored condition
 /// (`overdue_alert`).
@@ -32,8 +35,6 @@ fn combined_upward_set_interpretation() {
     // checking and condition monitoring by upward interpreting the set".
     let db = library_db();
     let proc = UpdateProcessor::new(db).unwrap();
-    let mut store =
-        MaterializedViewStore::materialize(proc.database().program(), proc.interpretation());
     let txn = proc
         .transaction("+loan(dune, ben). +overdue(dune).")
         .unwrap();
@@ -46,8 +47,8 @@ fn combined_upward_set_interpretation() {
         conditions.activated[&Pred::new("overdue_alert", 1)],
         vec![Tuple::new(vec![Const::sym("ben")])]
     );
-    let report = proc.maintain_views(&txn, &mut store).unwrap();
-    assert!(report.delta.insertions >= 1); // borrowed_by(dune, ben)
+    let report = proc.maintain_views(&txn).unwrap();
+    assert!(report.insertions >= 1); // borrowed_by(dune, ben)
 }
 
 #[test]
@@ -99,8 +100,6 @@ fn maintenance_stream_stays_consistent() {
     // problems engaged each step.
     let db = testkit::employment_db_with_condition();
     let mut proc = UpdateProcessor::new(db).unwrap();
-    let mut store =
-        MaterializedViewStore::materialize(proc.database().program(), proc.interpretation());
     let stream = [
         "+la(maria). +u_benefit(maria).",
         "+works(maria).",
@@ -113,12 +112,7 @@ fn maintenance_stream_stays_consistent() {
         let txn = proc.transaction(src).unwrap();
         let check = proc.check_integrity(&txn).unwrap();
         assert!(check.accepts(), "step {i}: {src} violates integrity");
-        proc.maintain_views(&txn, &mut store).unwrap();
-        proc.commit(&txn).unwrap();
-        assert!(
-            store.consistent_with(proc.interpretation()),
-            "store diverged at step {i}"
-        );
+        commit_maintaining_views(&mut proc, &txn, i);
         let fresh = materialize(proc.database()).unwrap();
         assert_eq!(proc.interpretation(), &fresh, "interp stale at step {i}");
     }

@@ -6,18 +6,18 @@
 //! * **Seeded randomized workload** — N concurrent clients drive a
 //!   deterministic (per-client xorshift-seeded) mix of `:apply`
 //!   inserts and deletes, `:query`, `:check`, and `:checkpoint`
-//!   against an in-process server, in both writer modes. The final
-//!   durable state must be the serial replay of the journal, replaying
-//!   the journal twice must produce identical semantic trace
-//!   fingerprints, and each client's last acknowledged write to a key
-//!   decides that key's final state.
+//!   against an in-process server, once per seed. The final durable
+//!   state must be the serial replay of the journal, replaying the
+//!   journal twice must produce identical semantic trace fingerprints,
+//!   and each client's last acknowledged write to a key decides that
+//!   key's final state.
 //! * **SIGKILL crash injection** — clients stream pipelined commits at
 //!   a real `dduf serve` process (fsync widened by the journal's
 //!   `DDUF_SYNC_DELAY_US` hook so the kill lands inside the pipelined
-//!   window) and the process is killed at a seed-chosen moment, in
-//!   both writer modes. Recovery must contain every acknowledged
-//!   commit, must not contain anything never sent, and the crashed
-//!   journal must still replay to the recovered state.
+//!   window) and the process is killed at a seed-chosen moment, four
+//!   rounds. Recovery must contain every acknowledged commit, must not
+//!   contain anything never sent, and the crashed journal must still
+//!   replay to the recovered state.
 
 use dduf::core::rng::Rng;
 use dduf::prelude::*;
@@ -143,14 +143,13 @@ fn random_client(addr: SocketAddr, id: usize, seed: u64, ops: usize) -> HashMap<
     last
 }
 
-/// Four randomized clients against an in-process server, in both
-/// writer modes: the journal must replay deterministically to the
-/// recovered state, and every key must match its owner's last
-/// acknowledged write.
+/// Four randomized clients against an in-process server, once per
+/// seed: the journal must replay deterministically to the recovered
+/// state, and every key must match its owner's last acknowledged write.
 #[test]
-fn randomized_workload_is_serially_equivalent_in_both_modes() {
-    for (pipeline, seed) in [(true, 0xfau64), (false, 0x17u64)] {
-        let dir = tmpdir(&format!("rand_{pipeline}"));
+fn randomized_workload_is_serially_equivalent() {
+    for seed in [0xfau64, 0x17u64] {
+        let dir = tmpdir(&format!("rand_{seed:x}"));
         let db = dduf::persist::DurableDb::init(&dir, SCHEMA).unwrap();
         let handle = start(
             db,
@@ -158,7 +157,6 @@ fn randomized_workload_is_serially_equivalent_in_both_modes() {
                 addr: "127.0.0.1:0".to_string(),
                 sessions: 4,
                 max_batch: 4,
-                pipeline,
                 ..ServerConfig::default()
             },
         )
@@ -178,7 +176,7 @@ fn randomized_workload_is_serially_equivalent_in_both_modes() {
                 let present = state.contains(&format!("{fact}."));
                 assert_eq!(
                     present, *alive,
-                    "{fact}: last acked write said alive={alive}, state disagrees (pipeline={pipeline})"
+                    "{fact}: last acked write said alive={alive}, state disagrees (seed={seed:#x})"
                 );
             }
         }
@@ -189,25 +187,18 @@ fn randomized_workload_is_serially_equivalent_in_both_modes() {
 /// Spawns `dduf serve` on an ephemeral port with a widened fsync (so
 /// kills land inside the pipelined window) and parses the bound
 /// address.
-fn spawn_server(
-    dir: &Path,
-    serial: bool,
-) -> (Child, SocketAddr, BufReader<std::process::ChildStdout>) {
-    let mut args = vec![
-        "serve".to_string(),
-        dir.to_str().unwrap().to_string(),
-        "--addr".into(),
-        "127.0.0.1:0".into(),
-        "--sessions".into(),
-        "4".into(),
-        "--max-batch".into(),
-        "4".into(),
-    ];
-    if serial {
-        args.push("--serial".into());
-    }
+fn spawn_server(dir: &Path) -> (Child, SocketAddr, BufReader<std::process::ChildStdout>) {
     let mut child = Command::new(env!("CARGO_BIN_EXE_dduf"))
-        .args(&args)
+        .arg("serve")
+        .arg(dir)
+        .args([
+            "--addr",
+            "127.0.0.1:0",
+            "--sessions",
+            "4",
+            "--max-batch",
+            "4",
+        ])
         .env("DDUF_SYNC_DELAY_US", "1500")
         .stdout(Stdio::piped())
         .stderr(Stdio::inherit())
@@ -301,64 +292,62 @@ fn crash_client(addr: SocketAddr, id: usize, seed: u64) -> ClientLog {
     log
 }
 
-/// SIGKILL at a seed-chosen moment of a streaming pipelined workload,
-/// in both writer modes: recovery keeps every acknowledged commit,
-/// invents nothing that was never sent, and the (possibly torn)
-/// journal still replays to the recovered state.
+/// SIGKILL at a seed-chosen moment of a streaming pipelined workload:
+/// recovery keeps every acknowledged commit, invents nothing that was
+/// never sent, and the (possibly torn) journal still replays to the
+/// recovered state.
 #[test]
 fn sigkill_under_load_loses_no_acked_commit_and_invents_none() {
     let mut rng = Rng::new(0xdead_beef_cafe);
-    for round in 0..2u64 {
-        for serial in [false, true] {
-            let dir = tmpdir(&format!("kill_{round}_{serial}"));
-            drop(dduf::persist::DurableDb::init(&dir, SCHEMA).unwrap());
-            let (mut child, addr, _stdout) = spawn_server(&dir, serial);
+    for round in 0..4u64 {
+        let dir = tmpdir(&format!("kill_{round}"));
+        drop(dduf::persist::DurableDb::init(&dir, SCHEMA).unwrap());
+        let (mut child, addr, _stdout) = spawn_server(&dir);
 
-            let seed = 0x5eed ^ round;
-            let workers: Vec<_> = (0..3)
-                .map(|id| std::thread::spawn(move || crash_client(addr, id, seed)))
-                .collect();
-            // Let the pipeline fill, then kill at an arbitrary point of
-            // the window (fsyncs take ≥1.5ms here, so this lands with
-            // a staged batch behind an in-flight one).
-            std::thread::sleep(std::time::Duration::from_millis(40 + rng.usize(120) as u64));
-            child.kill().unwrap();
-            child.wait().unwrap();
-            let logs: Vec<ClientLog> = workers.into_iter().map(|w| w.join().unwrap()).collect();
+        let seed = 0x5eed ^ round;
+        let workers: Vec<_> = (0..3)
+            .map(|id| std::thread::spawn(move || crash_client(addr, id, seed)))
+            .collect();
+        // Let the pipeline fill, then kill at an arbitrary point of
+        // the window (fsyncs take ≥1.5ms here, so this lands with
+        // a staged batch behind an in-flight one).
+        std::thread::sleep(std::time::Duration::from_millis(40 + rng.usize(120) as u64));
+        child.kill().unwrap();
+        child.wait().unwrap();
+        let logs: Vec<ClientLog> = workers.into_iter().map(|w| w.join().unwrap()).collect();
 
-            let state = audit(&dir);
-            let sent: HashSet<&String> = logs.iter().flat_map(|l| l.sent.iter()).collect();
-            let mut acked_total = 0usize;
-            for log in &logs {
-                acked_total += log.acked.len();
-                for fact in &log.acked {
-                    assert!(
-                        state.contains(&format!("{fact}.")),
-                        "acked commit {fact} lost by SIGKILL (serial={serial}, round={round})"
-                    );
-                }
+        let state = audit(&dir);
+        let sent: HashSet<&String> = logs.iter().flat_map(|l| l.sent.iter()).collect();
+        let mut acked_total = 0usize;
+        for log in &logs {
+            acked_total += log.acked.len();
+            for fact in &log.acked {
+                assert!(
+                    state.contains(&format!("{fact}.")),
+                    "acked commit {fact} lost by SIGKILL (round={round})"
+                );
             }
-            // Nothing in the recovered state beyond the schema seed and
-            // facts some client actually sent: an unacked commit may
-            // land (it was in flight), but nothing can be invented.
-            for line in state.lines() {
-                let fact = line.trim().trim_end_matches('.');
-                if let Some(body) = fact.strip_prefix("acct(") {
-                    if body.starts_with("seed") {
-                        continue;
-                    }
-                    assert!(
-                        sent.contains(&fact.to_string()),
-                        "recovered state invented {fact} (serial={serial}, round={round})"
-                    );
-                }
-            }
-            assert!(
-                acked_total > 0,
-                "kill landed before any commit was acknowledged; widen the window \
-                 (serial={serial}, round={round})"
-            );
-            std::fs::remove_dir_all(&dir).unwrap();
         }
+        // Nothing in the recovered state beyond the schema seed and
+        // facts some client actually sent: an unacked commit may
+        // land (it was in flight), but nothing can be invented.
+        for line in state.lines() {
+            let fact = line.trim().trim_end_matches('.');
+            if let Some(body) = fact.strip_prefix("acct(") {
+                if body.starts_with("seed") {
+                    continue;
+                }
+                assert!(
+                    sent.contains(&fact.to_string()),
+                    "recovered state invented {fact} (round={round})"
+                );
+            }
+        }
+        assert!(
+            acked_total > 0,
+            "kill landed before any commit was acknowledged; widen the window \
+             (round={round})"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }
