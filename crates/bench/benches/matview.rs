@@ -7,7 +7,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dduf_bench::{random_toggle_txn, wide_db};
 use dduf_core::problems::view_maintenance;
-use dduf_core::upward::Engine;
+use dduf_core::upward::{interpret_with, Engine};
 use dduf_datalog::eval::materialize;
 use std::time::Duration;
 
@@ -25,7 +25,8 @@ fn bench_matview(c: &mut Criterion) {
 
         group.bench_with_input(BenchmarkId::new("apply_delta", n), &n, |b, _| {
             b.iter(|| {
-                view_maintenance::maintain(&db, &old, &txn, Engine::Incremental).expect("maintain")
+                let up = interpret_with(&db, &old, &txn, Engine::Incremental).expect("upward");
+                view_maintenance::maintain(&db, &up)
             })
         });
         group.bench_with_input(BenchmarkId::new("rematerialize", n), &n, |b, _| {

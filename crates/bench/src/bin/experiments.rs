@@ -112,7 +112,8 @@ fn main() {
         let txn = Transaction::parse(&db, "+la(newguy).").unwrap();
         let iters = if n >= 10_000 { 3 } else { 10 };
         let inc = time_us(iters, || {
-            ic_checking::check(&db, &old, &txn, Engine::Incremental).unwrap()
+            let up = upward::interpret_with(&db, &old, &txn, Engine::Incremental).unwrap();
+            ic_checking::check(&db, &old, &up)
         });
         let full = time_us(iters, || {
             let new = materialize(&txn.apply(&db)).unwrap();
@@ -155,7 +156,8 @@ fn main() {
         let txn = random_toggle_txn(&db, 4, 7);
         let iters = if n >= 10_000 { 3 } else { 10 };
         let apply = time_us(iters, || {
-            view_maintenance::maintain(&db, &old, &txn, Engine::Incremental).unwrap()
+            let up = upward::interpret_with(&db, &old, &txn, Engine::Incremental).unwrap();
+            view_maintenance::maintain(&db, &up)
         });
         let remat = time_us(iters, || materialize(&txn.apply(&db)).unwrap());
         println!("C-F6,n={n},apply_delta_us,{apply:.1}");

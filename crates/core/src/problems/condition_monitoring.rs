@@ -6,11 +6,8 @@
 //! reading — the transaction does not affect the condition — is the
 //! emptiness of both.
 
-use crate::error::Result;
-use crate::transaction::Transaction;
-use crate::upward::{self, Engine};
+use crate::upward::UpwardResult;
 use dduf_datalog::ast::Pred;
-use dduf_datalog::eval::Interpretation;
 use dduf_datalog::schema::{DerivedRole, Role};
 use dduf_datalog::storage::database::Database;
 use dduf_datalog::storage::tuple::Tuple;
@@ -41,29 +38,23 @@ impl ConditionChanges {
     }
 }
 
-/// Monitors all `Cond`-role predicates (or an explicit subset) under
-/// `txn`: the upward interpretation of `{ins Cond(x̄), del Cond(x̄)}`.
-pub fn monitor(
-    db: &Database,
-    old: &Interpretation,
-    txn: &Transaction,
-    conditions: Option<&[Pred]>,
-    engine: Engine,
-) -> Result<ConditionChanges> {
+/// Reads the changes on all `Cond`-role predicates (or an explicit
+/// subset) off `up`: the upward interpretation of
+/// `{ins Cond(x̄), del Cond(x̄)}`.
+pub fn monitor(db: &Database, up: &UpwardResult, conditions: Option<&[Pred]>) -> ConditionChanges {
     let monitored: Vec<Pred> = match conditions {
         Some(preds) => preds.to_vec(),
         None => db.program().derived_with_role(DerivedRole::Cond),
     };
-    let res = upward::interpret_with(db, old, txn, engine)?;
     let mut out = ConditionChanges::default();
     for pred in monitored {
-        let ins: Vec<Tuple> = res
+        let ins: Vec<Tuple> = up
             .derived
             .relation(EventKind::Ins, pred)
             .iter()
             .cloned()
             .collect();
-        let del: Vec<Tuple> = res
+        let del: Vec<Tuple> = up
             .derived
             .relation(EventKind::Del, pred)
             .iter()
@@ -76,30 +67,25 @@ pub fn monitor(
             out.deactivated.insert(pred, del);
         }
     }
-    Ok(out)
+    out
 }
 
-/// The complementary problem: true iff `txn` does not induce any change on
-/// `cond` (upward interpretation of `{¬ins Cond(x̄), ¬del Cond(x̄)}`).
-pub fn unaffected(
-    db: &Database,
-    old: &Interpretation,
-    txn: &Transaction,
-    cond: Pred,
-    engine: Engine,
-) -> Result<bool> {
+/// The complementary problem: true iff the transaction behind `up` does
+/// not induce any change on `cond` (upward interpretation of
+/// `{¬ins Cond(x̄), ¬del Cond(x̄)}`).
+pub fn unaffected(db: &Database, up: &UpwardResult, cond: Pred) -> bool {
     debug_assert!(matches!(
         db.program().role(cond),
         Some(Role::Derived(_)) | None
     ));
-    let changes = monitor(db, old, txn, Some(&[cond]), engine)?;
-    Ok(changes.is_empty())
+    monitor(db, up, Some(&[cond])).is_empty()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dduf_datalog::eval::materialize;
+    use crate::transaction::Transaction;
+    use crate::upward;
     use dduf_datalog::parser::parse_database;
     use dduf_datalog::storage::tuple::syms;
 
@@ -112,12 +98,14 @@ mod tests {
         .unwrap()
     }
 
+    fn interpret(db: &Database, txn: &str) -> UpwardResult {
+        upward::interpret(db, &Transaction::parse(db, txn).unwrap()).unwrap()
+    }
+
     #[test]
     fn activation_detected() {
         let db = db();
-        let old = materialize(&db).unwrap();
-        let txn = Transaction::parse(&db, "+la(maria).").unwrap();
-        let ch = monitor(&db, &old, &txn, None, Engine::Incremental).unwrap();
+        let ch = monitor(&db, &interpret(&db, "+la(maria)."), None);
         assert_eq!(ch.len(), 1);
         assert_eq!(ch.activated[&Pred::new("needy", 1)], vec![syms(&["maria"])]);
     }
@@ -125,9 +113,7 @@ mod tests {
     #[test]
     fn deactivation_detected() {
         let db = db();
-        let old = materialize(&db).unwrap();
-        let txn = Transaction::parse(&db, "+works(dolors).").unwrap();
-        let ch = monitor(&db, &old, &txn, None, Engine::Incremental).unwrap();
+        let ch = monitor(&db, &interpret(&db, "+works(dolors)."), None);
         assert_eq!(
             ch.deactivated[&Pred::new("needy", 1)],
             vec![syms(&["dolors"])]
@@ -138,12 +124,11 @@ mod tests {
     #[test]
     fn unaffected_complement() {
         let db = db();
-        let old = materialize(&db).unwrap();
+        let needy = Pred::new("needy", 1);
         // joan already works; making her work "more" changes nothing.
-        let txn = Transaction::parse(&db, "+la(nuria). +works(nuria).").unwrap();
-        assert!(unaffected(&db, &old, &txn, Pred::new("needy", 1), Engine::Incremental).unwrap());
-        let txn2 = Transaction::parse(&db, "+la(pere).").unwrap();
-        assert!(!unaffected(&db, &old, &txn2, Pred::new("needy", 1), Engine::Incremental).unwrap());
+        let up = interpret(&db, "+la(nuria). +works(nuria).");
+        assert!(unaffected(&db, &up, needy));
+        assert!(!unaffected(&db, &interpret(&db, "+la(pere)."), needy));
     }
 
     #[test]
@@ -155,16 +140,7 @@ mod tests {
              c2(X) :- b(X).",
         )
         .unwrap();
-        let old = materialize(&db).unwrap();
-        let txn = Transaction::parse(&db, "+b(z).").unwrap();
-        let ch = monitor(
-            &db,
-            &old,
-            &txn,
-            Some(&[Pred::new("c1", 1)]),
-            Engine::Incremental,
-        )
-        .unwrap();
+        let ch = monitor(&db, &interpret(&db, "+b(z)."), Some(&[Pred::new("c1", 1)]));
         assert!(ch.activated.contains_key(&Pred::new("c1", 1)));
         assert!(!ch.activated.contains_key(&Pred::new("c2", 1)));
     }

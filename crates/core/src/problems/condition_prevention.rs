@@ -58,7 +58,7 @@ pub fn prevent_activation(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::upward::Engine;
+    use crate::upward;
     use dduf_datalog::eval::materialize;
     use dduf_datalog::parser::parse_database;
 
@@ -89,7 +89,7 @@ mod tests {
         assert!(!res.alternatives.is_empty());
         for alt in &res.alternatives {
             let t2 = alt.to_transaction(&db).unwrap();
-            let fx = side_effects::side_effects_of(&db, &old, &t2, Engine::Incremental).unwrap();
+            let fx = upward::interpret(&db, &t2).unwrap().derived;
             assert!(
                 fx.iter().all(|e| e.pred != Pred::new("alert", 1)),
                 "{alt} still changes alert"

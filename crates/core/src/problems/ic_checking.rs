@@ -7,14 +7,15 @@
 //! transaction restore consistency? — is the upward interpretation of
 //! `del Ic`, provided `Ic°` holds.
 
-use crate::error::Result;
-use crate::transaction::Transaction;
-use crate::upward::{self, Engine};
+use crate::upward::UpwardResult;
 use dduf_datalog::eval::Interpretation;
+use dduf_datalog::schema::{DerivedRole, Role};
 use dduf_datalog::storage::database::Database;
 use dduf_events::event::{EventKind, GroundEvent};
+use std::fmt;
 
 /// Outcome of checking a transaction against the integrity constraints.
+/// Its `Display` is the `:check` reply of the shell and the server.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum CheckOutcome {
     /// The database has no integrity constraints; nothing to check.
@@ -39,6 +40,40 @@ impl CheckOutcome {
     }
 }
 
+impl fmt::Display for CheckOutcome {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            CheckOutcome::Violated(events) => write!(f, "REJECT: violates {}", list(events)),
+            CheckOutcome::Consistent => write!(f, "ok: no constraint violated"),
+            CheckOutcome::NoConstraints => write!(f, "ok: no constraints declared"),
+            CheckOutcome::AlreadyInconsistent => {
+                write!(f, "warning: database is already inconsistent (see :repair)")
+            }
+        }
+    }
+}
+
+/// A checked commit that was refused: the violations the transaction
+/// would induce. Its `Display` is the `:apply` reply of the shell and the
+/// server.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Rejection(pub Vec<GroundEvent>);
+
+impl fmt::Display for Rejection {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "REJECTED: violates {} (use :force to override)",
+            list(&self.0)
+        )
+    }
+}
+
+fn list(events: &[GroundEvent]) -> String {
+    let events: Vec<String> = events.iter().map(GroundEvent::to_string).collect();
+    events.join(", ")
+}
+
 /// True iff `Ic°` holds (some constraint is violated in the current state).
 pub fn is_inconsistent(db: &Database, old: &Interpretation) -> bool {
     db.program()
@@ -46,39 +81,29 @@ pub fn is_inconsistent(db: &Database, old: &Interpretation) -> bool {
         .is_some_and(|ic| !old.relation(ic).is_empty())
 }
 
-/// Checks whether `txn` violates the integrity constraints: the upward
-/// interpretation of `ins Ic` (§5.1.1).
-pub fn check(
-    db: &Database,
-    old: &Interpretation,
-    txn: &Transaction,
-    engine: Engine,
-) -> Result<CheckOutcome> {
+/// Reads off `up` whether its transaction violates the integrity
+/// constraints: the upward interpretation of `ins Ic` (§5.1.1). `up` must
+/// be an upward interpretation over `db` and its materialization `old`.
+pub fn check(db: &Database, old: &Interpretation, up: &UpwardResult) -> CheckOutcome {
     let Some(global) = db.program().global_ic() else {
-        return Ok(CheckOutcome::NoConstraints);
+        return CheckOutcome::NoConstraints;
     };
     if is_inconsistent(db, old) {
-        return Ok(CheckOutcome::AlreadyInconsistent);
+        return CheckOutcome::AlreadyInconsistent;
     }
-    let res = upward::interpret_with(db, old, txn, engine)?;
-    let violated: Vec<GroundEvent> = res
+    let violated: Vec<GroundEvent> = up
         .derived
         .iter()
         .filter(|e| {
             e.kind == EventKind::Ins
                 && e.pred != global
-                && matches!(
-                    db.program().role(e.pred),
-                    Some(dduf_datalog::schema::Role::Derived(
-                        dduf_datalog::schema::DerivedRole::Ic
-                    ))
-                )
+                && db.program().role(e.pred) == Some(Role::Derived(DerivedRole::Ic))
         })
         .collect();
     if violated.is_empty() {
-        Ok(CheckOutcome::Consistent)
+        CheckOutcome::Consistent
     } else {
-        Ok(CheckOutcome::Violated(violated))
+        CheckOutcome::Violated(violated)
     }
 }
 
@@ -93,36 +118,36 @@ pub enum RestoreOutcome {
     StillInconsistent,
 }
 
-/// Checks whether `txn` restores a currently inconsistent database to
-/// consistency: the upward interpretation of `del Ic`, provided `Ic°`
-/// holds (§5.1.1, second problem).
+/// Reads off `up` whether its transaction restores a currently
+/// inconsistent database to consistency: the upward interpretation of
+/// `del Ic`, provided `Ic°` holds (§5.1.1, second problem).
 pub fn restores_consistency(
     db: &Database,
     old: &Interpretation,
-    txn: &Transaction,
-    engine: Engine,
-) -> Result<RestoreOutcome> {
+    up: &UpwardResult,
+) -> RestoreOutcome {
     let Some(global) = db.program().global_ic() else {
-        return Ok(RestoreOutcome::AlreadyConsistent);
+        return RestoreOutcome::AlreadyConsistent;
     };
     if !is_inconsistent(db, old) {
-        return Ok(RestoreOutcome::AlreadyConsistent);
+        return RestoreOutcome::AlreadyConsistent;
     }
-    let res = upward::interpret_with(db, old, txn, engine)?;
-    let deleted = res.derived.contains(&GroundEvent::del(
+    let deleted = up.derived.contains(&GroundEvent::del(
         global,
         dduf_datalog::storage::tuple::Tuple::empty(),
     ));
-    Ok(if deleted {
+    if deleted {
         RestoreOutcome::Restored
     } else {
         RestoreOutcome::StillInconsistent
-    })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transaction::Transaction;
+    use crate::upward::{interpret_with, Engine};
     use dduf_datalog::eval::materialize;
     use dduf_datalog::parser::parse_database;
 
@@ -132,15 +157,34 @@ mod tests {
         :- unemp(X), not u_benefit(X).
     ";
 
+    /// dolors is unemployed without benefit: already inconsistent.
+    const INCONSISTENT: &str = "
+        la(dolors).
+        unemp(X) :- la(X), not works(X).
+        :- unemp(X), not u_benefit(X).
+    ";
+
+    /// The database, its materialization, and the interpretation of
+    /// `txn` every reading below is taken off.
+    fn interpreted(
+        src: &str,
+        txn: &str,
+        engine: Engine,
+    ) -> (Database, Interpretation, UpwardResult) {
+        let db = parse_database(src).unwrap();
+        let old = materialize(&db).unwrap();
+        let txn = Transaction::parse(&db, txn).unwrap();
+        let up = interpret_with(&db, &old, &txn, engine).unwrap();
+        (db, old, up)
+    }
+
     /// Example 5.1 of the paper: T = {del U_benefit(Dolors)} violates Ic1
     /// and must be rejected.
     #[test]
     fn example_5_1_violation_detected() {
-        let db = parse_database(EMPLOYMENT).unwrap();
-        let old = materialize(&db).unwrap();
-        let txn = Transaction::parse(&db, "-u_benefit(dolors).").unwrap();
         for engine in [Engine::Semantic, Engine::Incremental] {
-            let out = check(&db, &old, &txn, engine).unwrap();
+            let (db, old, up) = interpreted(EMPLOYMENT, "-u_benefit(dolors).", engine);
+            let out = check(&db, &old, &up);
             match &out {
                 CheckOutcome::Violated(events) => {
                     assert_eq!(events.len(), 1);
@@ -154,72 +198,78 @@ mod tests {
 
     #[test]
     fn harmless_transaction_accepted() {
-        let db = parse_database(EMPLOYMENT).unwrap();
-        let old = materialize(&db).unwrap();
-        let txn = Transaction::parse(&db, "+works(dolors).").unwrap();
-        let out = check(&db, &old, &txn, Engine::Incremental).unwrap();
+        let (db, old, up) = interpreted(EMPLOYMENT, "+works(dolors).", Engine::Incremental);
+        let out = check(&db, &old, &up);
         assert_eq!(out, CheckOutcome::Consistent);
         assert!(out.accepts());
     }
 
     #[test]
     fn no_constraints_short_circuits() {
-        let db = parse_database("q(a). p(X) :- q(X).").unwrap();
-        let old = materialize(&db).unwrap();
-        let txn = Transaction::parse(&db, "-q(a).").unwrap();
-        assert_eq!(
-            check(&db, &old, &txn, Engine::Incremental).unwrap(),
-            CheckOutcome::NoConstraints
-        );
+        let (db, old, up) = interpreted("q(a). p(X) :- q(X).", "-q(a).", Engine::Incremental);
+        assert_eq!(check(&db, &old, &up), CheckOutcome::NoConstraints);
     }
 
     #[test]
     fn inconsistent_precondition_reported() {
-        // dolors is unemployed without benefit: already inconsistent.
-        let db = parse_database(
-            "la(dolors).
-             unemp(X) :- la(X), not works(X).
-             :- unemp(X), not u_benefit(X).",
-        )
-        .unwrap();
-        let old = materialize(&db).unwrap();
+        let (db, old, up) = interpreted(INCONSISTENT, "+la(maria).", Engine::Incremental);
         assert!(is_inconsistent(&db, &old));
-        let txn = Transaction::parse(&db, "+la(maria).").unwrap();
-        assert_eq!(
-            check(&db, &old, &txn, Engine::Incremental).unwrap(),
-            CheckOutcome::AlreadyInconsistent
-        );
+        assert_eq!(check(&db, &old, &up), CheckOutcome::AlreadyInconsistent);
     }
 
     #[test]
     fn restoration_detected() {
-        let db = parse_database(
-            "la(dolors).
-             unemp(X) :- la(X), not works(X).
-             :- unemp(X), not u_benefit(X).",
-        )
-        .unwrap();
-        let old = materialize(&db).unwrap();
-        let good = Transaction::parse(&db, "+u_benefit(dolors).").unwrap();
+        let (db, old, good) = interpreted(INCONSISTENT, "+u_benefit(dolors).", Engine::Incremental);
         assert_eq!(
-            restores_consistency(&db, &old, &good, Engine::Incremental).unwrap(),
+            restores_consistency(&db, &old, &good),
             RestoreOutcome::Restored
         );
-        let useless = Transaction::parse(&db, "+la(maria). +u_benefit(maria).").unwrap();
+        let (db, old, useless) = interpreted(
+            INCONSISTENT,
+            "+la(maria). +u_benefit(maria).",
+            Engine::Incremental,
+        );
         assert_eq!(
-            restores_consistency(&db, &old, &useless, Engine::Incremental).unwrap(),
+            restores_consistency(&db, &old, &useless),
             RestoreOutcome::StillInconsistent
         );
     }
 
     #[test]
     fn restore_on_consistent_db_is_noop() {
-        let db = parse_database(EMPLOYMENT).unwrap();
-        let old = materialize(&db).unwrap();
-        let txn = Transaction::parse(&db, "+works(dolors).").unwrap();
+        let (db, old, up) = interpreted(EMPLOYMENT, "+works(dolors).", Engine::Incremental);
         assert_eq!(
-            restores_consistency(&db, &old, &txn, Engine::Incremental).unwrap(),
+            restores_consistency(&db, &old, &up),
             RestoreOutcome::AlreadyConsistent
+        );
+    }
+
+    /// The replies both frontends send, word for word.
+    #[test]
+    fn outcomes_render_the_wire_replies() {
+        let (db, old, up) = interpreted(EMPLOYMENT, "-u_benefit(dolors).", Engine::Incremental);
+        let CheckOutcome::Violated(events) = check(&db, &old, &up) else {
+            panic!("expected a violation");
+        };
+        assert_eq!(
+            Rejection(events.clone()).to_string(),
+            "REJECTED: violates +ic1 (use :force to override)"
+        );
+        assert_eq!(
+            CheckOutcome::Violated(events).to_string(),
+            "REJECT: violates +ic1"
+        );
+        assert_eq!(
+            CheckOutcome::Consistent.to_string(),
+            "ok: no constraint violated"
+        );
+        assert_eq!(
+            CheckOutcome::NoConstraints.to_string(),
+            "ok: no constraints declared"
+        );
+        assert_eq!(
+            CheckOutcome::AlreadyInconsistent.to_string(),
+            "warning: database is already inconsistent (see :repair)"
         );
     }
 }

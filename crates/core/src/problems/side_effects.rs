@@ -8,23 +8,10 @@
 use crate::downward::{self, DownwardOptions, DownwardResult, Request};
 use crate::error::Result;
 use crate::transaction::Transaction;
-use crate::upward::{self, Engine};
 use dduf_datalog::ast::{Atom, Pred, Term};
 use dduf_datalog::eval::Interpretation;
 use dduf_datalog::storage::database::Database;
 use dduf_events::event::EventAtom;
-use dduf_events::store::EventStore;
-
-/// The induced (derived) events `txn` would cause — the side effects a
-/// user may wish to inspect before choosing which to prevent.
-pub fn side_effects_of(
-    db: &Database,
-    old: &Interpretation,
-    txn: &Transaction,
-    engine: Engine,
-) -> Result<EventStore> {
-    Ok(upward::interpret_with(db, old, txn, engine)?.derived)
-}
 
 /// Resulting transactions that perform `txn` while not inducing any of
 /// `unwanted`: the downward interpretation of `{T, ¬ev₁, ..., ¬evₖ}`.
@@ -68,6 +55,7 @@ pub fn prevent_all_on(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::upward;
     use dduf_datalog::ast::Const;
     use dduf_datalog::eval::materialize;
     use dduf_datalog::parser::parse_database;
@@ -91,7 +79,7 @@ mod tests {
         let (db, old) = employment();
         let txn = Transaction::parse(&db, "+la(maria).").unwrap();
         // First inspect: the side effect does occur without prevention.
-        let fx = side_effects_of(&db, &old, &txn, Engine::Incremental).unwrap();
+        let fx = upward::interpret(&db, &txn).unwrap().derived;
         assert!(fx.iter().any(|e| e.to_string() == "+unemp(maria)"));
 
         let unwanted = [EventAtom::new(
@@ -117,7 +105,7 @@ mod tests {
         let res = prevent(&db, &old, &txn, &unwanted, &DownwardOptions::default()).unwrap();
         for alt in &res.alternatives {
             let t2 = alt.to_transaction(&db).unwrap();
-            let fx = side_effects_of(&db, &old, &t2, Engine::Incremental).unwrap();
+            let fx = upward::interpret(&db, &t2).unwrap().derived;
             assert!(
                 !fx.iter().any(|e| e.to_string() == "+unemp(maria)"),
                 "side effect not prevented by {alt}"

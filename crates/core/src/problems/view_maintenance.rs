@@ -5,11 +5,8 @@
 //! upward interpretation of `ins View(x̄)` (tuples to insert into the
 //! stored extension) and `del View(x̄)` (tuples to delete).
 
-use crate::error::Result;
-use crate::transaction::Transaction;
-use crate::upward::{self, Engine};
+use crate::upward::UpwardResult;
 use dduf_datalog::ast::Pred;
-use dduf_datalog::eval::Interpretation;
 use dduf_datalog::schema::DerivedRole;
 use dduf_datalog::storage::database::Database;
 use dduf_events::event::{EventKind, GroundEvent};
@@ -27,26 +24,20 @@ pub struct MaintenanceReport {
     pub deletions: usize,
 }
 
-/// Maintains the materialized views under `txn`: upward-interprets the
-/// transaction and reports the induced view events. The stored extensions
-/// themselves are the processor's interpretation, which
+/// Maintains the materialized views: reads the induced view events off
+/// `up`. The stored extensions themselves are the processor's
+/// interpretation, which
 /// [`commit`](crate::processor::UpdateProcessor::commit) updates from the
 /// same events.
-pub fn maintain(
-    db: &Database,
-    old: &Interpretation,
-    txn: &Transaction,
-    engine: Engine,
-) -> Result<MaintenanceReport> {
-    let res = upward::interpret_with(db, old, txn, engine)?;
+pub fn maintain(db: &Database, up: &UpwardResult) -> MaintenanceReport {
     let mut report = MaintenanceReport {
         events: EventStore::new(),
         insertions: 0,
         deletions: 0,
     };
     for view in db.program().derived_with_role(DerivedRole::View) {
-        let ins = res.derived.relation(EventKind::Ins, view);
-        let del = res.derived.relation(EventKind::Del, view);
+        let ins = up.derived.relation(EventKind::Ins, view);
+        let del = up.derived.relation(EventKind::Del, view);
         report.insertions += ins.len();
         report.deletions += del.len();
         for t in ins.iter() {
@@ -56,22 +47,16 @@ pub fn maintain(
             report.events.insert(GroundEvent::del(view, t.clone()));
         }
     }
-    Ok(report)
+    report
 }
 
-/// The complementary problem: true iff `txn` does not affect `view`
-/// (upward interpretation of `{¬ins View(x̄), ¬del View(x̄)}`), in which
-/// case its stored extension needs no maintenance.
-pub fn view_unaffected(
-    db: &Database,
-    old: &Interpretation,
-    txn: &Transaction,
-    view: Pred,
-    engine: Engine,
-) -> Result<bool> {
-    let res = upward::interpret_with(db, old, txn, engine)?;
-    Ok(res.derived.relation(EventKind::Ins, view).is_empty()
-        && res.derived.relation(EventKind::Del, view).is_empty())
+/// The complementary problem: true iff the transaction behind `up` does
+/// not affect `view` (upward interpretation of
+/// `{¬ins View(x̄), ¬del View(x̄)}`), in which case its stored extension
+/// needs no maintenance.
+pub fn view_unaffected(up: &UpwardResult, view: Pred) -> bool {
+    up.derived.relation(EventKind::Ins, view).is_empty()
+        && up.derived.relation(EventKind::Del, view).is_empty()
 }
 
 #[cfg(test)]
@@ -133,12 +118,11 @@ mod tests {
     #[test]
     fn unaffected_view_detected() {
         let proc = setup();
-        let (db, old) = (proc.database(), proc.interpretation());
         // A new department with no employees does not change emp_city.
-        let txn = Transaction::parse(db, "+dept(hr, madrid).").unwrap();
-        assert!(view_unaffected(db, old, &txn, emp_city(), Engine::Incremental).unwrap());
-        let txn2 = Transaction::parse(db, "+emp(pere, sales).").unwrap();
-        assert!(!view_unaffected(db, old, &txn2, emp_city(), Engine::Incremental).unwrap());
+        let txn = proc.transaction("+dept(hr, madrid).").unwrap();
+        assert!(view_unaffected(&proc.upward(&txn).unwrap(), emp_city()));
+        let txn2 = proc.transaction("+emp(pere, sales).").unwrap();
+        assert!(!view_unaffected(&proc.upward(&txn2).unwrap(), emp_city()));
     }
 
     #[test]

@@ -27,15 +27,11 @@ use dduf_events::event::{EventAtom, EventKind};
 pub struct UpdateProcessor {
     db: Database,
     old: Interpretation,
-    engine: Engine,
     opts: DownwardOptions,
-    /// Worker count for upward evaluation; `None` defers to the
-    /// process-default pool (`--threads` / `DDUF_THREADS`).
-    threads: Option<usize>,
     /// Stateful maintenance engine (counting / DRed per stratum). When
-    /// present, [`commit_with_hook`](Self::commit_with_hook) interprets
-    /// transactions through it — change-proportional even under deletion —
-    /// instead of the stateless upward engines.
+    /// present, [`apply`](Self::apply) interprets transactions through it
+    /// — it has to run anyway to keep the counts — instead of the
+    /// stateless engine.
     maint: Option<MaintenanceEngine>,
 }
 
@@ -62,9 +58,7 @@ impl UpdateProcessor {
         Ok(UpdateProcessor {
             db,
             old,
-            engine: Engine::default(),
             opts: DownwardOptions::default(),
-            threads: None,
             maint: None,
         })
     }
@@ -75,32 +69,13 @@ impl UpdateProcessor {
     /// no longer an error) from the current state, and routes every
     /// subsequent commit through it.
     pub fn with_maintenance(mut self) -> Result<UpdateProcessor> {
-        self.maint = Some(self.build_maintenance()?);
+        self.maint = Some(MaintenanceEngine::new(&self.db, &self.old)?);
         Ok(self)
-    }
-
-    /// Builds the maintenance engine from the current state, on the worker
-    /// count pinned by [`with_threads`](Self::with_threads) if any.
-    fn build_maintenance(&self) -> Result<MaintenanceEngine> {
-        match self.threads {
-            Some(n) => MaintenanceEngine::new_pooled(
-                &self.db,
-                &self.old,
-                &dduf_datalog::eval::pool::Pool::new(n),
-            ),
-            None => MaintenanceEngine::new(&self.db, &self.old),
-        }
     }
 
     /// The maintenance engine, when enabled.
     pub fn maintenance(&self) -> Option<&MaintenanceEngine> {
         self.maint.as_ref()
-    }
-
-    /// Selects the upward engine.
-    pub fn with_engine(mut self, engine: Engine) -> UpdateProcessor {
-        self.engine = engine;
-        self
     }
 
     /// Sets the downward options.
@@ -109,56 +84,21 @@ impl UpdateProcessor {
         self
     }
 
-    /// Pins the worker count for upward evaluation (`0` = all available
-    /// hardware parallelism). Results are bit-identical at any thread
-    /// count; without this the process-default pool is used.
-    pub fn with_threads(mut self, threads: usize) -> UpdateProcessor {
-        self.threads = Some(threads);
-        self
-    }
-
-    /// Rebuilds a processor from previously published state parts
-    /// **without re-materializing** — the constructor behind snapshot
-    /// publication (`dduf serve`): the server's writer republishes
-    /// `(database, interpretation)` after every commit, and rebuilding
-    /// the next staging processor from those parts is a clone, not a
-    /// fixpoint evaluation.
+    /// Rebuilds a processor from previously published state **without
+    /// re-materializing** — the constructor behind snapshot publication
+    /// (`dduf serve`) and recovery: rebuilding the next staging processor
+    /// from a published state is a clone, not a fixpoint evaluation.
     ///
-    /// Trusted: the caller asserts `interp` is exactly the
-    /// materialization of `db` (as [`into_state_parts`] of a live
-    /// processor guarantees). Handing in anything else produces a
-    /// processor whose upward interpretations are silently wrong.
-    ///
-    /// [`into_state_parts`]: Self::into_state_parts
-    pub fn from_parts(db: Database, interp: Interpretation) -> UpdateProcessor {
-        UpdateProcessor::from_state(ProcessorState {
-            db,
-            interp,
-            maint: None,
-        })
-    }
-
-    /// Surrenders the database and its materialized state — the
-    /// publication half of the snapshot-isolation hook. The pair is
-    /// exactly what [`from_parts`](Self::from_parts) accepts back.
-    /// Maintenance state, if any, is dropped; use
-    /// [`into_state`](Self::into_state) to keep it.
-    pub fn into_state_parts(self) -> (Database, Interpretation) {
-        (self.db, self.old)
-    }
-
-    /// [`from_parts`](Self::from_parts) including the maintenance state:
-    /// trusted, no re-derivation. `state.interp` must be the
-    /// materialization of `state.db` and `state.maint` (when present) its
-    /// consistent maintenance state, as [`into_state`](Self::into_state)
-    /// of a live processor guarantees.
+    /// Trusted: `state.interp` must be the materialization of `state.db`
+    /// and `state.maint` (when present) its consistent maintenance state,
+    /// as [`into_state`](Self::into_state) of a live processor guarantees.
+    /// Handing in anything else produces a processor whose upward
+    /// interpretations are silently wrong.
     pub fn from_state(state: ProcessorState) -> UpdateProcessor {
         UpdateProcessor {
             db: state.db,
             old: state.interp,
-            engine: Engine::default(),
             opts: DownwardOptions::default(),
-            threads: None,
             maint: state.maint,
         }
     }
@@ -195,22 +135,21 @@ impl UpdateProcessor {
 
     // ----- upward problems (§5.1) -----
 
-    /// The raw upward interpretation of a transaction.
+    /// The raw upward interpretation of a transaction, by the stateless
+    /// engine. Every read-only upward problem below is a reading of it.
     pub fn upward(&self, txn: &Transaction) -> Result<UpwardResult> {
-        match self.threads {
-            Some(n) => upward::interpret_with_threads(&self.db, &self.old, txn, self.engine, n),
-            None => upward::interpret_with(&self.db, &self.old, txn, self.engine),
-        }
+        upward::interpret_with(&self.db, &self.old, txn, Engine::default())
     }
 
     /// §5.1.1 — does `txn` violate the integrity constraints?
     pub fn check_integrity(&self, txn: &Transaction) -> Result<ic_checking::CheckOutcome> {
-        ic_checking::check(&self.db, &self.old, txn, self.engine)
+        Ok(ic_checking::check(&self.db, &self.old, &self.upward(txn)?))
     }
 
     /// §5.1.1 — does `txn` restore a currently inconsistent database?
     pub fn restores_consistency(&self, txn: &Transaction) -> Result<ic_checking::RestoreOutcome> {
-        ic_checking::restores_consistency(&self.db, &self.old, txn, self.engine)
+        let up = self.upward(txn)?;
+        Ok(ic_checking::restores_consistency(&self.db, &self.old, &up))
     }
 
     /// §5.1.2 — changes induced on monitored conditions.
@@ -218,12 +157,13 @@ impl UpdateProcessor {
         &self,
         txn: &Transaction,
     ) -> Result<condition_monitoring::ConditionChanges> {
-        condition_monitoring::monitor(&self.db, &self.old, txn, None, self.engine)
+        let up = self.upward(txn)?;
+        Ok(condition_monitoring::monitor(&self.db, &up, None))
     }
 
     /// §5.1.3 — the changes `txn` induces on the materialized views.
     pub fn maintain_views(&self, txn: &Transaction) -> Result<view_maintenance::MaintenanceReport> {
-        view_maintenance::maintain(&self.db, &self.old, txn, self.engine)
+        Ok(view_maintenance::maintain(&self.db, &self.upward(txn)?))
     }
 
     // ----- downward problems (§5.2) -----
@@ -386,62 +326,92 @@ impl UpdateProcessor {
 
     // ----- state evolution -----
 
-    /// Applies a transaction: updates the extensional database and
-    /// refreshes the materialized state from the upward result (old state
-    /// plus induced events), returning that result.
+    /// Applies a transaction without checking it: updates the extensional
+    /// database and refreshes the materialized state from the upward
+    /// result (old state plus induced events), returning that result.
     pub fn commit(&mut self, txn: &Transaction) -> Result<UpwardResult> {
         self.commit_with_hook(txn, &mut |_| Ok(()))
     }
 
-    /// [`commit`](Self::commit) with a write-ahead hook: the upward
-    /// interpretation is evaluated first (read-only), then `hook` runs —
-    /// a durable store appends the transaction to its journal here — and
-    /// only if the hook succeeds is the in-memory state mutated. A failing
-    /// hook therefore leaves both the processor and the store describing
-    /// the same (old) consistent state.
+    /// [`commit`](Self::commit) with the write-ahead hook of
+    /// [`apply`](Self::apply).
     pub fn commit_with_hook(
         &mut self,
         txn: &Transaction,
         hook: &mut dyn FnMut(&Transaction) -> Result<()>,
     ) -> Result<UpwardResult> {
-        // With maintenance enabled the stateful engine IS the upward
-        // interpretation (strategy-selected per stratum); its staged
-        // effect commits only after the hook succeeds.
-        if let Some(maint) = &self.maint {
-            let (result, staged) = maint.interpret(&self.db, txn)?;
-            hook(txn)?;
-            txn.apply_in_place(&mut self.db);
-            for (pred, rel) in &staged.new_exts {
-                self.old.set(*pred, rel.clone());
+        let applied = self.apply(txn, false, hook)?;
+        Ok(applied.expect("an unchecked commit is never rejected"))
+    }
+
+    /// The one commit sequence (§5.3): `txn` is upward-interpreted
+    /// **once** (read-only) — by the maintenance engine when the processor
+    /// has one, by the stateless engine otherwise; when `checked`, the
+    /// integrity check is read off that interpretation and a violating
+    /// transaction is returned as the [`Rejection`](ic_checking::Rejection)
+    /// (a database without constraints, or one that is already
+    /// inconsistent, blocks nothing); then `hook` runs — a durable store
+    /// appends the transaction to its journal here — and only if the hook
+    /// succeeds is the in-memory state mutated from the same
+    /// interpretation, which is returned. A rejected transaction or a
+    /// failing hook therefore leaves the processor (database,
+    /// interpretation, support counts) and the store describing the same
+    /// old state, and a rejected transaction never reaches the hook.
+    pub fn apply(
+        &mut self,
+        txn: &Transaction,
+        checked: bool,
+        hook: &mut dyn FnMut(&Transaction) -> Result<()>,
+    ) -> Result<std::result::Result<UpwardResult, ic_checking::Rejection>> {
+        let (result, staged) = match &self.maint {
+            Some(maint) => {
+                let (result, staged) = maint.interpret(&self.db, txn)?;
+                (result, Some(staged))
             }
-            self.maint
-                .as_mut()
-                .expect("checked above")
-                .commit_staged(staged);
-            return Ok(result);
+            None => (self.upward(txn)?, None),
+        };
+        if checked {
+            if let ic_checking::CheckOutcome::Violated(events) =
+                ic_checking::check(&self.db, &self.old, &result)
+            {
+                return Ok(Err(ic_checking::Rejection(events)));
+            }
         }
-        let result = self.upward(txn)?;
         hook(txn)?;
         txn.apply_in_place(&mut self.db);
-        // Update only the derived relations the events actually touch;
-        // cloning the whole interpretation per commit would make every
-        // small transaction pay for the size of the database.
-        let mut changed: Vec<(Pred, dduf_datalog::storage::Relation)> = Vec::new();
-        for (pred, _role) in self.db.program().predicates() {
-            if !self.db.program().is_derived(pred) {
-                continue;
+        match staged {
+            Some(staged) => {
+                for (pred, rel) in &staged.new_exts {
+                    self.old.set(*pred, rel.clone());
+                }
+                self.maint
+                    .as_mut()
+                    .expect("it staged this above")
+                    .commit_staged(staged);
             }
-            let ins = result.derived.relation(EventKind::Ins, pred);
-            let del = result.derived.relation(EventKind::Del, pred);
-            if ins.is_empty() && del.is_empty() {
-                continue;
+            None => {
+                // Update only the derived relations the events actually
+                // touch; cloning the whole interpretation per commit would
+                // make every small transaction pay for the size of the
+                // database.
+                let mut changed: Vec<(Pred, dduf_datalog::storage::Relation)> = Vec::new();
+                for (pred, _role) in self.db.program().predicates() {
+                    if !self.db.program().is_derived(pred) {
+                        continue;
+                    }
+                    let ins = result.derived.relation(EventKind::Ins, pred);
+                    let del = result.derived.relation(EventKind::Del, pred);
+                    if ins.is_empty() && del.is_empty() {
+                        continue;
+                    }
+                    changed.push((pred, self.old.relation(pred).difference(del).union(ins)));
+                }
+                for (pred, rel) in changed {
+                    self.old.set(pred, rel);
+                }
             }
-            changed.push((pred, self.old.relation(pred).difference(del).union(ins)));
         }
-        for (pred, rel) in changed {
-            self.old.set(pred, rel);
-        }
-        Ok(result)
+        Ok(Ok(result))
     }
 
     /// Applies the chosen alternative of a downward result.
@@ -511,7 +481,7 @@ impl UpdateProcessor {
         self.old = new_interp;
         // The strategy plan and counts are program-dependent: rebuild.
         if self.maint.is_some() {
-            self.maint = Some(self.build_maintenance()?);
+            self.maint = Some(MaintenanceEngine::new(&self.db, &self.old)?);
         }
         Ok(crate::evolution::EvolutionResult {
             induced,
@@ -615,25 +585,6 @@ mod tests {
     }
 
     #[test]
-    fn from_parts_round_trips_without_rematerializing() {
-        let mut p = processor();
-        let txn = p.transaction("+works(dolors).").unwrap();
-        p.commit(&txn).unwrap();
-        let before = (
-            dduf_datalog::pretty::database(p.database()),
-            p.interpretation().clone(),
-        );
-        let (db, interp) = p.into_state_parts();
-        let rebuilt = UpdateProcessor::from_parts(db, interp);
-        assert_eq!(dduf_datalog::pretty::database(rebuilt.database()), before.0);
-        assert_eq!(rebuilt.interpretation(), &before.1);
-        // The rebuilt processor evaluates correctly from the carried state.
-        let txn = rebuilt.transaction("-works(dolors).").unwrap();
-        let res = rebuilt.upward(&txn).unwrap();
-        assert_eq!(res.derived.to_string(), "{+unemp(dolors)}");
-    }
-
-    #[test]
     fn commit_keeps_interpretation_fresh() {
         let mut p = processor();
         let txn = p.transaction("+works(dolors).").unwrap();
@@ -660,47 +611,113 @@ mod tests {
             .unwrap()
             .with_maintenance()
             .unwrap();
-        let mut plain = UpdateProcessor::new(db)
-            .unwrap()
-            .with_engine(Engine::Semantic);
+        let mut plain = UpdateProcessor::new(db).unwrap();
         for t in &txns {
             let txn = maintained.transaction(t).unwrap();
-            let got = maintained.commit(&txn).unwrap();
-            let expected = plain.commit(&txn).unwrap();
-            assert_eq!(got, expected, "{t}");
+            let expected = upward::interpret_with(
+                plain.database(),
+                plain.interpretation(),
+                &txn,
+                Engine::Semantic,
+            )
+            .unwrap();
+            assert_eq!(maintained.commit(&txn).unwrap(), expected, "{t}");
+            assert_eq!(plain.commit(&txn).unwrap(), expected, "{t}");
             assert_eq!(maintained.interpretation(), plain.interpretation(), "{t}");
         }
         // Maintenance state survives the round trip through the published
         // state (the server's per-batch path) without re-derivation.
         let state = maintained.into_state();
         assert!(state.maint.is_some());
-        let rebuilt = UpdateProcessor::from_state(state);
+        let mut rebuilt = UpdateProcessor::from_state(state);
         assert_eq!(rebuilt.interpretation(), plain.interpretation());
         assert!(rebuilt.maintenance().is_some());
+        // ... and the rebuilt processor evaluates from the carried state.
+        let txn = rebuilt.transaction("+e(a, b).").unwrap();
+        assert_eq!(rebuilt.upward(&txn).unwrap(), plain.upward(&txn).unwrap());
+        assert_eq!(rebuilt.commit(&txn).unwrap(), plain.commit(&txn).unwrap());
     }
 
+    /// A commit that does not happen — the hook fails, or the check
+    /// rejects it — moves nothing, and a rejected one never reaches the
+    /// hook.
     #[test]
     fn maintained_commit_aborts_cleanly_on_hook_failure() {
         let db = parse_database(
             "e(a, b). e(b, c).
-             tc(X, Y) :- e(X, Y). tc(X, Y) :- e(X, Z), tc(Z, Y).",
+             tc(X, Y) :- e(X, Y). tc(X, Y) :- e(X, Z), tc(Z, Y).
+             src(X) :- e(X, Y), not e(Y, X).
+             :- tc(X, X).",
         )
         .unwrap();
         let mut p = UpdateProcessor::new(db)
             .unwrap()
             .with_maintenance()
             .unwrap();
-        let before = p.maintenance().unwrap().tuple_count();
-        let txn = p.transaction("-e(a, b).").unwrap();
-        let err = p
-            .commit_with_hook(&txn, &mut |_| Err(Error::Storage("journal full".into())))
-            .unwrap_err();
-        assert!(matches!(err, Error::Storage(_)));
-        // Nothing moved: database, interpretation, and counts all intact.
-        assert_eq!(p.maintenance().unwrap().tuple_count(), before);
-        let fresh = materialize(p.database()).unwrap();
-        assert_eq!(p.interpretation(), &fresh);
-        assert_eq!(fresh.relation(Pred::new("tc", 2)).len(), 3);
+        let before = (
+            dduf_datalog::pretty::database(p.database()),
+            p.interpretation().clone(),
+            p.maintenance().unwrap().counts().clone(),
+        );
+        let hook_calls = std::cell::Cell::new(0);
+        // (transaction, checked, the hook's answer)
+        for (src, checked, journal_full) in [("-e(a, b).", false, true), ("+e(c, a).", true, false)]
+        {
+            let txn = p.transaction(src).unwrap();
+            let out = p.apply(&txn, checked, &mut |_| {
+                hook_calls.set(hook_calls.get() + 1);
+                if journal_full {
+                    Err(Error::Storage("journal full".into()))
+                } else {
+                    Ok(())
+                }
+            });
+            match out {
+                Err(Error::Storage(_)) => assert!(journal_full, "{src}"),
+                Ok(Err(rejection)) => assert_eq!(
+                    rejection.to_string(),
+                    "REJECTED: violates +ic1 (use :force to override)"
+                ),
+                other => panic!("{src} must not commit: {other:?}"),
+            }
+            // Nothing moved: database, interpretation, and counts all intact.
+            assert_eq!(dduf_datalog::pretty::database(p.database()), before.0);
+            assert_eq!(p.interpretation(), &before.1, "{src}");
+            assert_eq!(p.interpretation(), &materialize(p.database()).unwrap());
+            assert_eq!(p.maintenance().unwrap().counts(), &before.2, "{src}");
+        }
+        // Only the unrejected transaction reached the hook.
+        assert_eq!(hook_calls.get(), 1);
+        assert_eq!(p.interpretation().relation(Pred::new("tc", 2)).len(), 3);
+    }
+
+    /// One upward interpretation per commit, checked or not, accepted or
+    /// rejected: by the maintenance engine when there is one, by the
+    /// stateless engine otherwise — never both.
+    #[test]
+    fn checked_commit_interprets_once() {
+        for maintained in [true, false] {
+            for (src, accepted) in [("+works(dolors).", true), ("-u_benefit(dolors).", false)] {
+                let mut p = processor();
+                if maintained {
+                    p = p.with_maintenance().unwrap();
+                }
+                let txn = p.transaction(src).unwrap();
+                let (out, report) = dduf_obs::capture(|| p.apply(&txn, true, &mut |_| Ok(())));
+                assert_eq!(out.unwrap().is_ok(), accepted, "{src}");
+                let spans = |phase: &str| {
+                    report
+                        .iter()
+                        .filter(|(p, _, _)| *p == phase)
+                        .map(|(_, _, node)| node.count)
+                        .sum::<u64>()
+                };
+                let (maintain, apply) = if maintained { (1, 0) } else { (0, 1) };
+                assert_eq!(spans("upward.maintain"), maintain, "{src}");
+                assert_eq!(report.total("upward.maintain", "transactions"), maintain);
+                assert_eq!(spans("upward.apply"), apply, "{src}");
+            }
+        }
     }
 
     #[test]

@@ -16,9 +16,9 @@
 use crate::proto::write_response;
 use crate::state::StateCell;
 use crate::writer::{Job, JobQueue, Reply};
-use dduf_core::problems::ic_checking::{self, CheckOutcome};
+use dduf_core::problems::ic_checking;
 use dduf_core::transaction::Transaction;
-use dduf_core::upward::Engine;
+use dduf_core::upward::{self, Engine};
 use dduf_datalog::ast::Pred;
 use dduf_datalog::eval::StateView;
 use std::fmt::Write as _;
@@ -262,19 +262,8 @@ fn query(ctx: &SessionCtx, rest: &str) -> dduf_core::Result<String> {
 fn check(ctx: &SessionCtx, txn_src: &str) -> dduf_core::Result<String> {
     let cur = &ctx.cell.load().state;
     let txn = Transaction::parse(&cur.db, txn_src)?;
-    Ok(
-        match ic_checking::check(&cur.db, &cur.interp, &txn, Engine::default())? {
-            CheckOutcome::Violated(events) => {
-                let list: Vec<String> = events.iter().map(|e| e.to_string()).collect();
-                format!("REJECT: violates {}", list.join(", "))
-            }
-            CheckOutcome::Consistent => "ok: no constraint violated".into(),
-            CheckOutcome::NoConstraints => "ok: no constraints declared".into(),
-            CheckOutcome::AlreadyInconsistent => {
-                "warning: database is already inconsistent (see :repair)".into()
-            }
-        },
-    )
+    let up = upward::interpret_with(&cur.db, &cur.interp, &txn, Engine::default())?;
+    Ok(ic_checking::check(&cur.db, &cur.interp, &up).to_string())
 }
 
 /// `:stats` — the aggregated server trace report plus the snapshot's

@@ -32,7 +32,6 @@
 //! acknowledged, recovery to any prefix is correct.
 
 use crate::state::{Published, StateCell};
-use dduf_core::problems::ic_checking::CheckOutcome;
 use dduf_core::processor::{ProcessorState, UpdateProcessor};
 use dduf_persist::{serialize_transaction, DurableStore};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -496,50 +495,31 @@ fn release_acks(outcomes: Vec<(Sender<Reply>, Staged)>, demote: Option<&str>) {
     }
 }
 
-/// Parses, optionally checks, and stages one transaction against the
-/// batch's private processor.
+/// Parses and stages one transaction against the batch's private
+/// processor; what `checked` blocks is [`UpdateProcessor::apply`]'s call.
 fn stage_one(staged: &mut UpdateProcessor, src: &str, checked: bool) -> Staged {
+    let failed = |e: dduf_core::Error| {
+        Staged::Settled(Reply {
+            ok: false,
+            text: e.to_string(),
+        })
+    };
     let txn = match staged.transaction(src) {
         Ok(txn) => txn,
-        Err(e) => {
-            return Staged::Settled(Reply {
-                ok: false,
-                text: e.to_string(),
-            })
-        }
+        Err(e) => return failed(e),
     };
-    if checked {
-        match staged.check_integrity(&txn) {
-            Ok(CheckOutcome::Violated(events)) => {
-                let list: Vec<String> = events.iter().map(|e| e.to_string()).collect();
-                return Staged::Settled(Reply {
-                    ok: true,
-                    text: format!(
-                        "REJECTED: violates {} (use :force to override)",
-                        list.join(", ")
-                    ),
-                });
-            }
-            Ok(_) => {} // consistent / no constraints / already inconsistent
-            Err(e) => {
-                return Staged::Settled(Reply {
-                    ok: false,
-                    text: e.to_string(),
-                })
-            }
-        }
-    }
     // Serialize before committing: the payload is the journal record.
     let payload = serialize_transaction(&txn);
-    match staged.commit(&txn) {
-        Ok(res) => Staged::Committed {
+    match staged.apply(&txn, checked, &mut |_| Ok(())) {
+        Ok(Ok(res)) => Staged::Committed {
             ack: format!("applied {}; induced {}", res.base, res.derived),
             payload,
         },
-        Err(e) => Staged::Settled(Reply {
-            ok: false,
-            text: e.to_string(),
+        Ok(Err(rejection)) => Staged::Settled(Reply {
+            ok: true,
+            text: rejection.to_string(),
         }),
+        Err(e) => failed(e),
     }
 }
 

@@ -5,7 +5,6 @@
 
 use dduf_core::downward::{Alternative, Request};
 use dduf_core::problems::condition_prevention::PreventKinds;
-use dduf_core::problems::ic_checking::CheckOutcome;
 use dduf_core::problems::repair::{RepairOutcome, Satisfiability};
 use dduf_core::processor::UpdateProcessor;
 use dduf_core::{Error, Result};
@@ -50,19 +49,6 @@ impl Session {
     /// The underlying processor (for assertions in tests).
     pub fn processor(&self) -> &UpdateProcessor {
         &self.proc
-    }
-
-    /// Commits through the journal when the session is durable.
-    fn commit_txn(
-        &mut self,
-        txn: &dduf_core::transaction::Transaction,
-    ) -> Result<dduf_core::upward::UpwardResult> {
-        match &mut self.store {
-            None => self.proc.commit(txn),
-            Some(store) => self
-                .proc
-                .commit_with_hook(txn, &mut |t| store.record_commit(t)),
-        }
     }
 
     /// Executes one command line, returning the text to display.
@@ -149,33 +135,17 @@ impl Session {
 
     fn check(&self, txn_src: &str) -> Result<String> {
         let txn = self.proc.transaction(txn_src)?;
-        Ok(match self.proc.check_integrity(&txn)? {
-            CheckOutcome::Violated(events) => {
-                format!("REJECT: violates {}", join(&events))
-            }
-            CheckOutcome::Consistent => "ok: no constraint violated".into(),
-            CheckOutcome::NoConstraints => "ok: no constraints declared".into(),
-            CheckOutcome::AlreadyInconsistent => {
-                "warning: database is already inconsistent (see :repair)".into()
-            }
-        })
+        Ok(self.proc.check_integrity(&txn)?.to_string())
     }
 
     fn apply(&mut self, txn_src: &str, checked: bool) -> Result<String> {
         let txn = self.proc.transaction(txn_src)?;
-        if checked {
-            let outcome = self.proc.check_integrity(&txn)?;
-            if !outcome.accepts() {
-                if let CheckOutcome::Violated(events) = outcome {
-                    return Ok(format!(
-                        "REJECTED: violates {} (use :force to override)",
-                        join(&events)
-                    ));
-                }
-            }
-        }
-        let res = self.commit_txn(&txn)?;
-        Ok(format!("applied {}; induced {}", res.base, res.derived))
+        let store = &mut self.store;
+        let applied = self.proc.apply(&txn, checked, &mut |t| journal(store, t))?;
+        Ok(match applied {
+            Ok(res) => format!("applied {}; induced {}", res.base, res.derived),
+            Err(rejection) => rejection.to_string(),
+        })
     }
 
     fn update(&mut self, req_src: &str) -> Result<String> {
@@ -342,7 +312,10 @@ impl Session {
             .cloned()
             .ok_or_else(|| parse_err("no such alternative; run a downward command first"))?;
         let txn = alt.to_transaction(self.proc.database())?;
-        let res = self.commit_txn(&txn)?;
+        let store = &mut self.store;
+        let res = self
+            .proc
+            .commit_with_hook(&txn, &mut |t| journal(store, t))?;
         self.pending.clear();
         Ok(format!("committed {}; induced {}", res.base, res.derived))
     }
@@ -430,12 +403,13 @@ impl Session {
     }
 }
 
-fn join(events: &[dduf_events::event::GroundEvent]) -> String {
-    events
-        .iter()
-        .map(|e| e.to_string())
-        .collect::<Vec<_>>()
-        .join(", ")
+/// The write-ahead hook of every commit: a durable session journals the
+/// transaction before the in-memory state changes.
+fn journal(
+    store: &mut Option<dduf_persist::DurableStore>,
+    txn: &dduf_core::transaction::Transaction,
+) -> Result<()> {
+    store.as_mut().map_or(Ok(()), |s| s.record_commit(txn))
 }
 
 fn parse_pred(spec: &str) -> Result<Pred> {

@@ -4,6 +4,7 @@
 
 use dduf::core::problems::condition_prevention::PreventKinds;
 use dduf::core::problems::ic_maintenance::MaintenanceOutcome;
+use dduf::core::problems::{condition_monitoring, ic_checking, view_maintenance};
 use dduf::core::testkit;
 use dduf::prelude::*;
 
@@ -40,14 +41,14 @@ fn combined_upward_set_interpretation() {
         .unwrap();
 
     // One upward pass answers all three problems.
-    let check = proc.check_integrity(&txn).unwrap();
-    assert!(check.accepts());
-    let conditions = proc.monitor_conditions(&txn).unwrap();
+    let (db, up) = (proc.database(), proc.upward(&txn).unwrap());
+    assert!(ic_checking::check(db, proc.interpretation(), &up).accepts());
+    let conditions = condition_monitoring::monitor(db, &up, None);
     assert_eq!(
         conditions.activated[&Pred::new("overdue_alert", 1)],
         vec![Tuple::new(vec![Const::sym("ben")])]
     );
-    let report = proc.maintain_views(&txn).unwrap();
+    let report = view_maintenance::maintain(db, &up);
     assert!(report.insertions >= 1); // borrowed_by(dune, ben)
 }
 

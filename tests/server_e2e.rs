@@ -105,8 +105,13 @@ impl Client {
 /// Replays the journal serially through a fresh in-memory processor and
 /// asserts the recovered durable state renders bit-identically.
 fn assert_serial_equivalence(dir: &Path) -> String {
+    assert_serial_equivalence_over(dir, SCHEMA)
+}
+
+/// [`assert_serial_equivalence`] for a database created from `schema`.
+fn assert_serial_equivalence_over(dir: &Path, schema: &str) -> String {
     let (_, scan) = dduf::persist::read_log(dir).unwrap();
-    let mut replay = UpdateProcessor::new(parse_database(SCHEMA).unwrap()).unwrap();
+    let mut replay = UpdateProcessor::new(parse_database(schema).unwrap()).unwrap();
     for r in &scan.records {
         let txn = replay.transaction(&r.payload).unwrap();
         replay.commit(&txn).unwrap();
@@ -278,19 +283,96 @@ fn framing_bytes_in_content_survive_the_wire() {
     assert!(child.wait().unwrap().success());
 
     // The committed CR fact recovers: replaying the journal serially
-    // over the schema matches the recovered state (the generic helper
-    // assumes the default SCHEMA, so replay locally here).
-    let (_, scan) = dduf::persist::read_log(&dir).unwrap();
-    let mut replay = UpdateProcessor::new(parse_database(schema).unwrap()).unwrap();
-    for r in &scan.records {
-        let txn = replay.transaction(&r.payload).unwrap();
-        replay.commit(&txn).unwrap();
-    }
-    let recovered = dduf::persist::DurableDb::open(&dir).unwrap();
-    let state = dduf::datalog::pretty::database(recovered.processor().database());
-    assert_eq!(dduf::datalog::pretty::database(replay.database()), state);
+    // over the schema matches the recovered state.
+    let state = assert_serial_equivalence_over(&dir, schema);
     assert!(state.contains("item('cr\rmid', s1)."), "{state}");
-    drop(recovered);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The `REJECTED:` branch of the writer: a violating `:apply` between two
+/// valid ones, written in one `write` so the three can share a batch. The
+/// rejected one answers an `ok` frame, changes nothing, is not journaled,
+/// and does not disturb its neighbours (the third is valid only on top of
+/// the first); `:force` overrides it. The replies are the local shell's
+/// (DESIGN.md §14), and the state survives a SIGKILL.
+#[test]
+fn rejected_apply_inside_a_batch_leaves_no_trace() {
+    use dduf::cli::Session;
+    const EMPLOYMENT: &str = "la(dolors). u_benefit(dolors). la(maria). works(maria).
+        unemp(X) :- la(X), not works(X).
+        :- unemp(X), not u_benefit(X).";
+    const BATCH: [(&str, &str); 3] = [
+        (
+            ":apply +u_benefit(maria).",
+            "applied {+u_benefit(maria)}; induced {}",
+        ),
+        (
+            ":apply -u_benefit(dolors).",
+            "REJECTED: violates +ic1 (use :force to override)",
+        ),
+        (
+            ":apply -works(maria).",
+            "applied {-works(maria)}; induced {+unemp(maria)}",
+        ),
+    ];
+    const CHECK: (&str, &str) = (
+        ":check +la(pere).",
+        "warning: database is already inconsistent (see :repair)",
+    );
+    let dir = tmpdir("rejected");
+    drop(dduf::persist::DurableDb::init(&dir, EMPLOYMENT).unwrap());
+    let (mut child, addr, _stdout) = spawn_server(&dir, "1");
+    let mut client = Client::connect(addr);
+    let mut shell = Session::from_source(EMPLOYMENT).unwrap();
+    let records = || dduf::persist::read_log(&dir).unwrap().1.records.len();
+    // `:show` lists predicates in the order the database met them, which
+    // a durable database and a source file need not share.
+    let show = |client: &mut Client| {
+        let (ok, mut lines) = client.send(":show");
+        assert!(ok, "{lines:?}");
+        lines.sort();
+        lines
+    };
+
+    let lines: Vec<&str> = BATCH.iter().map(|(line, _)| *line).collect();
+    client
+        .stream
+        .write_all(format!("{}\n", lines.join("\n")).as_bytes())
+        .unwrap();
+    for (line, expected) in BATCH {
+        let (ok, lines) = read_response(&mut client.reader).unwrap();
+        assert_eq!((ok, lines.join("\n").as_str()), (true, expected), "{line}");
+        assert_eq!(shell.run(line).unwrap(), expected, "{line}");
+    }
+    // The state is the one the two valid transactions alone produce.
+    let mut valid_only = Session::from_source(EMPLOYMENT).unwrap();
+    valid_only.run(BATCH[0].0).unwrap();
+    valid_only.run(BATCH[2].0).unwrap();
+    let expected = valid_only.run(":show").unwrap();
+    let mut expected: Vec<&str> = expected.lines().collect();
+    expected.sort();
+    assert_eq!(show(&mut client), expected);
+    assert_eq!(records(), 2, "a rejected transaction is not journaled");
+
+    let (ok, lines) = client.send(":force -u_benefit(dolors).");
+    assert!(ok && lines[0].starts_with("applied {-u_benefit(dolors)}; induced {"));
+    assert!(lines[0].contains("+ic1"), "{lines:?}");
+    assert_eq!(records(), 3);
+    assert_eq!(client.send(CHECK.0), (true, vec![CHECK.1.to_string()]));
+    shell.run(":force -u_benefit(dolors).").unwrap();
+    assert_eq!(shell.run(CHECK.0).unwrap(), CHECK.1);
+    let shown = show(&mut client);
+
+    child.kill().unwrap();
+    child.wait().unwrap();
+    assert_serial_equivalence_over(&dir, EMPLOYMENT);
+    let (mut child, addr, _stdout) = spawn_server(&dir, "1");
+    let mut client = Client::connect(addr);
+    assert_eq!(show(&mut client), shown);
+    assert_eq!(client.send(CHECK.0), (true, vec![CHECK.1.to_string()]));
+    let (ok, _) = client.send(":shutdown");
+    assert!(ok);
+    assert!(child.wait().unwrap().success());
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -165,7 +165,11 @@ fn stats_command_reports_in_session() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("trace report"), "{stdout}");
     assert!(stdout.contains("eval.materialize"), "{stdout}");
-    assert!(stdout.contains("upward.apply"), "{stdout}");
+    // A checked `:apply` is one upward interpretation, not two.
+    assert!(
+        stdout.contains("upward.apply\n  incremental  x1  "),
+        "{stdout}"
+    );
     // No --trace flag: nothing on stderr.
     assert!(
         out.stderr.is_empty(),
@@ -196,9 +200,14 @@ fn db_stats_summary_and_exit_codes() {
     let open = dduf(
         &["db", "open", dir.to_str().unwrap()],
         &[],
-        Some(":apply +works(dolors).\n:quit\n"),
+        Some(":apply +works(dolors).\n:stats\n:quit\n"),
     );
     assert!(open.status.success());
+    // A durable session's checked `:apply` is interpreted once, by the
+    // maintenance engine that keeps the counts.
+    let stdout = String::from_utf8_lossy(&open.stdout);
+    assert!(stdout.contains("upward.maintain\n  ·  x1  "), "{stdout}");
+    assert!(!stdout.contains("upward.apply"), "{stdout}");
 
     let stats = dduf(&["db", "stats", dir.to_str().unwrap()], &[], None);
     assert_eq!(stats.status.code(), Some(0));
