@@ -165,7 +165,7 @@ fn main() {
     let rel = Relation::from_tuples(
         (0..20_000i64).map(|i| Tuple::new(vec![Const::Int(i % 64), Const::Int(i)])),
     );
-    rel.warm_index(0);
+    rel.build_index(&[0]);
     workloads.push(Workload::sweep(
         "index_probe",
         "tuples=20000,keys=64".into(),

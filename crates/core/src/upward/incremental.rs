@@ -26,10 +26,8 @@ use crate::transaction::Transaction;
 use crate::upward::UpwardResult;
 use dduf_datalog::analysis::cost::{self, CostModel};
 use dduf_datalog::ast::{Atom, Pred, Term, Var};
-use dduf_datalog::eval::join::{
-    eval_conjunct_stats, ground_terms, match_tuple, Bindings, JoinStats,
-};
-use dduf_datalog::eval::plan::{self, eval_plan_stats, IndexTracker, JoinPlan};
+use dduf_datalog::eval::join::{ground_terms, match_tuple, Bindings, JoinStats};
+use dduf_datalog::eval::plan::{eval_plan_stats, IndexTracker, JoinPlan};
 use dduf_datalog::eval::pool::Pool;
 use dduf_datalog::eval::{
     component_label, record_component_trace, seminaive, ComponentTrace, Interpretation,
@@ -214,6 +212,10 @@ fn prebuild_sigs(
 /// executable form of the transition rule of §3.2 and is exposed for
 /// verification: `Pⁿ(c̄)` must coincide with membership of `c̄` in the
 /// materialized new state (property-tested in `tests/transition_semantics.rs`).
+///
+/// This entry point is the verification oracle, so it evaluates with the
+/// reference loop, independent of the plan compiler the engine below
+/// runs on.
 pub fn new_state_holds(
     tr: &TransitionRule,
     tuple: &Tuple,
@@ -221,26 +223,24 @@ pub fn new_state_holds(
     old: &Interpretation,
     events: &EventStore,
 ) -> bool {
-    // The greedy pipeline is kept here deliberately: this entry point is
-    // the verification oracle, independent of the planner.
-    new_state_holds_inner(
-        tr,
-        None,
-        tuple,
-        db,
-        old,
-        events,
-        &mut JoinStats::default(),
-        &IndexTracker::new(),
-    )
+    tr.branches.iter().any(|branch| {
+        unify_head(&branch.head, tuple).is_some_and(|seed| {
+            branch.dnf.0.iter().any(|conj| {
+                let rel_of =
+                    |i: usize| -> &Relation { trlit_relation(&conj.0[i], db, old, events) };
+                !dduf_datalog::eval::join::eval_conjunct(&conj.0, &rel_of, &seed).is_empty()
+            })
+        })
+    })
 }
 
-/// [`new_state_holds`], evaluating through compiled plans when supplied
-/// and accumulating join work into `stats`.
+/// The engine's `Pⁿ(tuple)`: the same question as [`new_state_holds`],
+/// answered through the compiled `holds` plans and accumulating join work
+/// into `stats`.
 #[allow(clippy::too_many_arguments)]
-fn new_state_holds_inner(
+fn new_state_holds_planned(
     tr: &TransitionRule,
-    plans: Option<&TrPlans>,
+    plans: &TrPlans,
     tuple: &Tuple,
     db: &Database,
     old: &Interpretation,
@@ -253,20 +253,16 @@ fn new_state_holds_inner(
             continue;
         };
         for (ci, conj) in branch.dnf.0.iter().enumerate() {
-            let rel_of = |i: usize| -> &Relation { trlit_relation(&conj.0[i], db, old, events) };
-            let satisfiable = match plans {
-                Some(p) => {
-                    // Dead disjunct (empty positive event relation):
-                    // unsatisfiable, skip. Index prebuilds happened once
-                    // in `deletions`, before the candidate loop.
-                    let Some(pl) = &p.holds[bi][ci] else { continue };
-                    let indexed_of =
-                        |i: usize, cols: &[usize]| indexes.contains(&trlit_key(&conj.0[i]), cols);
-                    !eval_plan_stats(pl, &conj.0, &rel_of, &indexed_of, &seed, stats).is_empty()
-                }
-                None => !eval_conjunct_stats(&conj.0, &rel_of, &seed, stats).is_empty(),
+            // Dead disjunct (empty positive event relation):
+            // unsatisfiable, skip. Index prebuilds happened once in
+            // `deletions`, before the candidate loop.
+            let Some(pl) = &plans.holds[bi][ci] else {
+                continue;
             };
-            if satisfiable {
+            let rel_of = |i: usize| -> &Relation { trlit_relation(&conj.0[i], db, old, events) };
+            let indexed_of =
+                |i: usize, cols: &[usize]| indexes.contains(&trlit_key(&conj.0[i]), cols);
+            if !eval_plan_stats(pl, &conj.0, &rel_of, &indexed_of, &seed, stats).is_empty() {
                 return true;
             }
         }
@@ -279,70 +275,32 @@ fn new_state_holds_inner(
 #[allow(clippy::too_many_arguments)]
 fn insertions(
     tr: &TransitionRule,
-    plans: Option<&TrPlans>,
+    plans: &TrPlans,
     db: &Database,
     old: &Interpretation,
     events: &EventStore,
-    model: Option<&CostModel>,
+    model: &CostModel,
     stats: &mut JoinStats,
     indexes: &mut IndexTracker<(u8, Pred)>,
 ) -> Relation {
     let mut out = Relation::new();
-    for (bi, branch) in tr.branches.iter().enumerate() {
-        let eval_one = |lits: &[TrLit],
-                        pl: Option<&JoinPlan>,
-                        out: &mut Relation,
-                        stats: &mut JoinStats,
-                        indexes: &mut IndexTracker<(u8, Pred)>| {
-            // Fast path: a positive event literal over an empty event
-            // relation kills the disjunct (planned conjuncts were
-            // already filtered at compile time, but derived events can
-            // only grow within a wave, so re-checking is a no-op there).
-            if lits
-                .iter()
-                .any(|l| l.is_positive_event() && trlit_relation(l, db, old, events).is_empty())
-            {
-                return;
-            }
+    for (branch, conjuncts) in tr.branches.iter().zip(&plans.ins) {
+        // Rule (6) conjoined ¬P°(head) to each insertion-relevant
+        // disjunctand, and disjunctands with a positive event literal
+        // over an empty event relation were dropped, at compile time.
+        for (lits, pl) in conjuncts {
             let rel_of = |i: usize| -> &Relation { trlit_relation(&lits[i], db, old, events) };
-            let bindings = match pl {
-                Some(pl) => {
-                    // Driving cardinality: the pinned event relation the
-                    // plan scans first — each of its tuples seeds one
-                    // pass over the later probes.
-                    let driving = pl
-                        .steps()
-                        .first()
-                        .map(|s| trlit_relation(&lits[s.lit()], db, old, events).len())
-                        .unwrap_or(0);
-                    let model = model.expect("cost model accompanies plans");
-                    prebuild_sigs(pl, lits, db, old, events, model, driving, indexes);
-                    let indexed_of =
-                        |i: usize, cols: &[usize]| indexes.contains(&trlit_key(&lits[i]), cols);
-                    eval_plan_stats(pl, lits, &rel_of, &indexed_of, &Bindings::new(), stats)
-                }
-                None => eval_conjunct_stats(lits, &rel_of, &Bindings::new(), stats),
-            };
-            for b in bindings {
+            // Driving cardinality: the pinned event relation the plan
+            // scans first — each of its tuples seeds one pass over the
+            // later probes.
+            let driving = pl.steps().first().map_or(0, |s| rel_of(s.lit()).len());
+            prebuild_sigs(pl, lits, db, old, events, model, driving, indexes);
+            let indexed_of =
+                |i: usize, cols: &[usize]| indexes.contains(&trlit_key(&lits[i]), cols);
+            for b in eval_plan_stats(pl, lits, &rel_of, &indexed_of, &Bindings::new(), stats) {
                 let t = ground_terms(&branch.head.terms, &b)
                     .expect("allowedness grounds transition heads");
                 out.insert(t);
-            }
-        };
-        // Rule (6) conjoins ¬P°(head) to each insertion-relevant
-        // disjunctand; with plans this happened at compile time.
-        match plans {
-            Some(p) => {
-                for (lits, pl) in &p.ins[bi] {
-                    eval_one(lits, Some(pl), &mut out, stats, indexes);
-                }
-            }
-            None => {
-                for conj in &for_insertion(&branch.dnf).0 {
-                    let mut lits = conj.0.clone();
-                    lits.push(TrLit::old_neg(branch.head.clone()));
-                    eval_one(&lits, None, &mut out, stats, indexes);
-                }
             }
         }
     }
@@ -356,11 +314,11 @@ fn insertions(
 fn deletions(
     pred: Pred,
     tr: &TransitionRule,
-    plans: Option<&TrPlans>,
+    plans: &TrPlans,
     db: &Database,
     old: &Interpretation,
     events: &EventStore,
-    model: Option<&CostModel>,
+    model: &CostModel,
     stats: &mut JoinStats,
     indexes: &mut IndexTracker<(u8, Pred)>,
     compiled: &mut u64,
@@ -390,22 +348,16 @@ fn deletions(
                 })
                 .collect();
             let rel_of = |k: usize| -> &Relation { trlit_relation(&lits[k], db, old, events) };
-            let bindings = if plans.is_some() {
-                // The breaking event is this conjunct's delta: pin it
-                // first, exactly like a semi-naive delta occurrence. It
-                // also drives the probes — one pass per breaking event.
-                *compiled += 1;
-                let driving = events.relation(breaking, lit.atom.pred).len();
-                let pl = JoinPlan::compile(&lits, &BTreeSet::new(), Some(i));
-                let model = model.expect("cost model accompanies plans");
-                prebuild_sigs(&pl, &lits, db, old, events, model, driving, indexes);
-                let indexed_of =
-                    |k: usize, cols: &[usize]| indexes.contains(&trlit_key(&lits[k]), cols);
-                eval_plan_stats(&pl, &lits, &rel_of, &indexed_of, &Bindings::new(), stats)
-            } else {
-                eval_conjunct_stats(&lits, &rel_of, &Bindings::new(), stats)
-            };
-            for b in bindings {
+            // The breaking event is this conjunct's delta: pin it first,
+            // exactly like a semi-naive delta occurrence. It also drives
+            // the probes — one pass per breaking event.
+            *compiled += 1;
+            let driving = events.relation(breaking, lit.atom.pred).len();
+            let pl = JoinPlan::compile(&lits, &BTreeSet::new(), Some(i));
+            prebuild_sigs(&pl, &lits, db, old, events, model, driving, indexes);
+            let indexed_of =
+                |k: usize, cols: &[usize]| indexes.contains(&trlit_key(&lits[k]), cols);
+            for b in eval_plan_stats(&pl, &lits, &rel_of, &indexed_of, &Bindings::new(), stats) {
                 if let Some(t) = ground_terms(&rule.head.terms, &b) {
                     candidates.insert(t);
                 }
@@ -415,12 +367,11 @@ fn deletions(
     // Rule (7): del P = P° ∩ candidates, minus tuples still derivable.
     // The `Pⁿ` plans run once per candidate, so their index prebuilds are
     // hoisted here — one pass, driven by the candidate count — instead of
-    // being re-requested inside every `new_state_holds_inner` call.
-    if let (Some(p), false) = (plans, candidates.is_empty()) {
-        let model = model.expect("cost model accompanies plans");
+    // being re-requested inside every `new_state_holds_planned` call.
+    if !candidates.is_empty() {
         for (bi, branch) in tr.branches.iter().enumerate() {
             for (ci, conj) in branch.dnf.0.iter().enumerate() {
-                if let Some(pl) = &p.holds[bi][ci] {
+                if let Some(pl) = &plans.holds[bi][ci] {
                     prebuild_sigs(
                         pl,
                         &conj.0,
@@ -440,7 +391,7 @@ fn deletions(
         .iter()
         .filter(|t| {
             old_rel.contains(t)
-                && !new_state_holds_inner(tr, plans, t, db, old, events, stats, indexes)
+                && !new_state_holds_planned(tr, plans, t, db, old, events, stats, indexes)
         })
         .cloned()
         .collect()
@@ -520,7 +471,7 @@ pub fn interpret_pooled(
 
     // One cost model per transaction: static bounds over the program plus
     // the old base state, consulted by every event-rule index gate below.
-    let cost_model = plan::planning_enabled().then(|| CostModel::from_database(db));
+    let cost_model = CostModel::from_database(db);
 
     let components = strat.components();
     let mut done: Vec<bool> = vec![false; components.len()];
@@ -592,35 +543,31 @@ pub fn interpret_pooled(
             Plan::EventRules => {
                 let pred = components[wave[w]].preds[0];
                 let tr = simplify_transition(&TransitionRule::build(program, pred));
-                // Decided by the one read of the planner toggle above: a
-                // concurrent `with_planning` section may flip it mid-call.
-                let tr_plans = cost_model
-                    .as_ref()
-                    .map(|_| TrPlans::compile(&tr, db, old, &events));
+                let tr_plans = TrPlans::compile(&tr, db, old, &events);
                 let mut stats = JoinStats::default();
                 // Index-build decisions are local dedup + gate checks, so
                 // the count is deterministic even when siblings race on
                 // the physical build (same argument as eval.scc).
                 let mut indexes: IndexTracker<(u8, Pred)> = IndexTracker::new();
-                let mut compiled = tr_plans.as_ref().map_or(0, TrPlans::compiled);
+                let mut compiled = tr_plans.compiled();
                 let ins = insertions(
                     &tr,
-                    tr_plans.as_ref(),
+                    &tr_plans,
                     db,
                     old,
                     &events,
-                    cost_model.as_ref(),
+                    &cost_model,
                     &mut stats,
                     &mut indexes,
                 );
                 let del = deletions(
                     pred,
                     &tr,
-                    tr_plans.as_ref(),
+                    &tr_plans,
                     db,
                     old,
                     &events,
-                    cost_model.as_ref(),
+                    &cost_model,
                     &mut stats,
                     &mut indexes,
                     &mut compiled,

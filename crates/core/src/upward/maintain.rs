@@ -54,9 +54,9 @@
 use crate::error::{Error, Result};
 use crate::transaction::Transaction;
 use crate::upward::UpwardResult;
-use dduf_datalog::ast::{Literal, Pred, Rule, Var};
-use dduf_datalog::eval::join::{eval_conjunct, ground_terms, match_tuple, Bindings, JoinStats};
-use dduf_datalog::eval::plan::{self, JoinPlan};
+use dduf_datalog::ast::{Literal, Pred, Rule};
+use dduf_datalog::eval::join::{ground_terms, match_tuple, Bindings};
+use dduf_datalog::eval::plan::{eval_seeded, JoinPlan};
 use dduf_datalog::eval::pool::Pool;
 use dduf_datalog::eval::Interpretation;
 use dduf_datalog::storage::database::Database;
@@ -172,7 +172,7 @@ impl MaintenanceEngine {
                         db.relation(p)
                     }
                 };
-                for b in eval_conjunct(&rule.body, &rel_of, &Bindings::new()) {
+                for b in eval_seeded(&mut None, &rule.body, &rel_of, &Bindings::new()) {
                     let t = ground_terms(&rule.head.terms, &b).expect("allowed heads");
                     *map.entry(t).or_insert(0) += 1;
                 }
@@ -486,7 +486,7 @@ impl MaintenanceEngine {
         if !touched {
             return;
         }
-        let mut plans: HashMap<(usize, usize), JoinPlan> = HashMap::new();
+        let mut plans = SeededPlans::new();
 
         // ---- phase 1: overdelete to fixpoint against the OLD state ----
         // `over[m]` ⊆ old extension of m; the worklist carries member
@@ -771,17 +771,25 @@ fn rule_count_delta(
             }
         };
 
+        // Every seed binds the variables of `lit`: one plan per occurrence.
+        let mut plan = None;
         for (t, sign) in signed {
             let Some(seed) = match_tuple(&lit.atom.terms, t, &Bindings::new()) else {
                 continue;
             };
-            for b in eval_conjunct(&rest, &rel_of, &seed) {
+            for b in eval_seeded(&mut plan, &rest, &rel_of, &seed) {
                 let head = ground_terms(&rule.head.terms, &b).expect("allowed heads");
                 *delta.entry(head).or_insert(0) += sign;
             }
         }
     }
 }
+
+/// One DRed pass's [`eval_seeded`] slots: one per (rule, occurrence) that
+/// fired, plus one per rule for the head-bound rederive check (keyed by
+/// [`rules_index`]). Every firing of an occurrence seeds the variables of
+/// that occurrence's literal, so each slot compiles once per pass.
+type SeededPlans = HashMap<(usize, usize), Option<JoinPlan>>;
 
 /// Stable plan-cache key for the head-bound rederive check of local rule
 /// `ri` of member `m`: the rule's global index in `rules` (the members'
@@ -804,7 +812,7 @@ fn fire_breaking<'a>(
     lit: &Literal,
     t: &Tuple,
     old_rel_of: &dyn Fn(Pred) -> &'a Relation,
-    plans: &mut HashMap<(usize, usize), JoinPlan>,
+    plans: &mut SeededPlans,
     ri: usize,
     over: &mut BTreeMap<Pred, Relation>,
     worklist: &mut VecDeque<(Pred, Tuple)>,
@@ -815,7 +823,7 @@ fn fire_breaking<'a>(
     };
     let rest: Vec<&Literal> = rest_of(rule, i);
     let rel_of = |k: usize| -> &'a Relation { old_rel_of(rest[k].atom.pred) };
-    for b in join_lits(plans, (ri, i), &rest, &rel_of, &seed) {
+    for b in eval_seeded(plans.entry((ri, i)).or_default(), &rest, &rel_of, &seed) {
         let h = ground_terms(&rule.head.terms, &b).expect("allowed heads");
         let dead = over.get_mut(&head).expect("member head");
         if engine.extension(head).contains(&h) && !dead.contains(&h) && dead.insert(h.clone()) {
@@ -835,7 +843,7 @@ fn fire_enabling<'a>(
     lit: &Literal,
     t: &Tuple,
     new_rel_of: &dyn Fn(Pred) -> &'a Relation,
-    plans: &mut HashMap<(usize, usize), JoinPlan>,
+    plans: &mut SeededPlans,
     ri: usize,
     cur: &BTreeMap<Pred, Relation>,
     pending: &mut BTreeSet<(Pred, Tuple)>,
@@ -845,7 +853,7 @@ fn fire_enabling<'a>(
     };
     let rest: Vec<&Literal> = rest_of(rule, i);
     let rel_of = |k: usize| -> &'a Relation { new_rel_of(rest[k].atom.pred) };
-    for b in join_lits(plans, (ri, i), &rest, &rel_of, &seed) {
+    for b in eval_seeded(plans.entry((ri, i)).or_default(), &rest, &rel_of, &seed) {
         let h = ground_terms(&rule.head.terms, &b).expect("allowed heads");
         if !cur[&head].contains(&h) {
             pending.insert((head, h));
@@ -859,7 +867,7 @@ fn rederive_check<'a>(
     rule: &'a Rule,
     t: &Tuple,
     new_rel_of: &dyn Fn(Pred) -> &'a Relation,
-    plans: &mut HashMap<(usize, usize), JoinPlan>,
+    plans: &mut SeededPlans,
     key: (usize, usize),
 ) -> bool {
     let Some(seed) = match_tuple(&rule.head.terms, t, &Bindings::new()) else {
@@ -867,7 +875,7 @@ fn rederive_check<'a>(
     };
     let lits: Vec<&Literal> = rule.body.iter().collect();
     let rel_of = |k: usize| -> &'a Relation { new_rel_of(lits[k].atom.pred) };
-    !join_lits(plans, key, &lits, &rel_of, &seed).is_empty()
+    !eval_seeded(plans.entry(key).or_default(), &lits, &rel_of, &seed).is_empty()
 }
 
 /// The body of `rule` without occurrence `i`.
@@ -878,33 +886,6 @@ fn rest_of(rule: &Rule, i: usize) -> Vec<&Literal> {
         .filter(|&(j, _)| j != i)
         .map(|(_, l)| l)
         .collect()
-}
-
-/// Evaluates `lits` from `seed` through a compiled join plan when the
-/// planner is enabled (compiled once per call site, cached in `plans`),
-/// or the greedy pipeline otherwise. Both produce the same binding set.
-fn join_lits<'a>(
-    plans: &mut HashMap<(usize, usize), JoinPlan>,
-    key: (usize, usize),
-    lits: &[&Literal],
-    rel_of: &dyn Fn(usize) -> &'a Relation,
-    seed: &Bindings,
-) -> Vec<Bindings> {
-    if !plan::planning_enabled() {
-        return eval_conjunct(lits, rel_of, seed);
-    }
-    let compiled = plans.entry(key).or_insert_with(|| {
-        let bound: BTreeSet<Var> = seed.keys().copied().collect();
-        JoinPlan::compile(lits, &bound, None)
-    });
-    plan::eval_plan_stats(
-        compiled,
-        lits,
-        rel_of,
-        &|_, _| true,
-        seed,
-        &mut JoinStats::default(),
-    )
 }
 
 #[cfg(test)]
@@ -1201,28 +1182,5 @@ mod tests {
         let txn = Transaction::parse(&db, "+f(y).").unwrap();
         let (_, staged) = engine.interpret(&db, &txn).unwrap();
         assert!(!staged.new_exts.contains_key(&Pred::new("tc", 2)));
-    }
-
-    #[test]
-    fn planning_toggle_is_equivalent() {
-        let src = "e(a, b). e(b, c). e(c, d). e(a, c).
-                   tc(X, Y) :- e(X, Y). tc(X, Y) :- e(X, Z), tc(Z, Y).";
-        let txns = ["-e(b, c). +e(d, a).", "-e(a, c)."];
-        let run = |enabled: bool| {
-            dduf_datalog::eval::plan::with_planning(enabled, || {
-                let mut db = parse_database(src).unwrap();
-                let old = materialize(&db).unwrap();
-                let mut engine = MaintenanceEngine::new(&db, &old).unwrap();
-                let mut events = Vec::new();
-                for t in &txns {
-                    let txn = Transaction::parse(&db, t).unwrap();
-                    let res = engine.apply(&db, &txn).unwrap();
-                    events.extend(res.all_events().map(|e| e.to_string()));
-                    db = txn.apply(&db);
-                }
-                events
-            })
-        };
-        assert_eq!(run(true), run(false));
     }
 }

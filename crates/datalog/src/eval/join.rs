@@ -1,12 +1,13 @@
-//! The join pipeline: evaluating a conjunction of literals against backing
-//! relations, producing all satisfying variable bindings.
+//! Conjunction evaluation, shared vocabulary and reference: the binding
+//! and literal types every evaluator speaks, and [`eval_conjunct`], the
+//! greedy loop kept as the *reference* the production evaluator
+//! ([`crate::eval::plan::eval_plan_stats`]) is tested against.
 //!
 //! This is deliberately generic over the literal type: the datalog fixpoint
 //! engines evaluate [`crate::ast::Literal`] conjunctions, while the event
 //! crate evaluates transition-rule conjuncts whose literals are backed by
 //! three different relation sources (old state, base events, derived
-//! events). Both go through [`eval_conjunct`], supplying a per-occurrence
-//! relation lookup.
+//! events). Both supply a per-occurrence relation lookup.
 
 use crate::ast::{Const, Term, Var};
 use crate::storage::relation::Relation;
@@ -89,34 +90,25 @@ fn pattern(terms: &[Term], b: &Bindings) -> Vec<Option<Const>> {
     terms.iter().map(|&t| resolve(t, b).as_const()).collect()
 }
 
-/// Join-level work counters: one `probe` per relation lookup (a select
-/// or a ground membership test), one `match` per frontier binding the
-/// lookup retained or extended.
+/// Join-level work counters of [`crate::eval::plan::eval_plan_stats`]:
+/// one `probe` per relation lookup (an index probe, a scan or a ground
+/// membership test), one `match` per frontier binding the lookup retained
+/// or extended. Every probe is classified as *indexed* (answered through
+/// a composite index or a keyed membership test) or *scan* (an unindexed
+/// iteration), so `indexed_probes + scan_probes == probes`.
 ///
-/// The planned evaluator ([`crate::eval::plan::eval_plan_stats`])
-/// additionally classifies every probe as *indexed* (answered through a
-/// composite index or a keyed membership test) or *scan* (an unindexed
-/// iteration), so `indexed_probes + scan_probes == probes` on planned
-/// paths. The greedy pipeline below predates the split and leaves both
-/// at zero.
-///
-/// For a fixed conjunction against fixed relations, greedy-path counters
-/// are functions of the data alone only when jobs evaluate whole
-/// relations (the greedy literal order keys on relation sizes, which
-/// delta chunking changes) — so greedy chunked differential rounds leave
-/// probes uncounted. Planned counters are partition-exact in every round
-/// because the plan is static and the delta scan counts per tuple, not
-/// per chunk (DESIGN.md §12).
+/// The counters are partition-exact in every round: the plan is static
+/// and the delta scan counts per tuple, not per chunk (DESIGN.md §12).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct JoinStats {
     /// Relation lookups issued.
     pub probes: u64,
     /// Lookups that retained or extended a binding.
     pub matches: u64,
-    /// Planned lookups answered through a composite index (or a keyed
+    /// Lookups answered through a composite index (or a keyed
     /// membership test).
     pub indexed_probes: u64,
-    /// Planned lookups that fell back to iterating the relation.
+    /// Lookups that iterated the relation.
     pub scan_probes: u64,
 }
 
@@ -130,9 +122,13 @@ impl JoinStats {
     }
 }
 
-/// Evaluates the conjunction `lits` and returns every extension of `seed`
-/// that satisfies it. `rel_of(i)` supplies the relation backing literal `i`
-/// (for negative literals, the relation against which absence is checked).
+/// The reference evaluator: evaluates the conjunction `lits` and returns
+/// every extension of `seed` that satisfies it. `rel_of(i)` supplies the
+/// relation backing literal `i` (for negative literals, the relation
+/// against which absence is checked). No engine calls it: it re-derives
+/// its literal order on every call and counts nothing, and exists so that
+/// compiled plans have an independent answer to be checked against (the
+/// sweep in `plan::tests`, and `new_state_holds` in the core crate).
 ///
 /// Literals are consumed greedily: ground negative literals as soon as
 /// possible (cheap filters), then the positive literal with the most bound
@@ -145,16 +141,6 @@ pub fn eval_conjunct<'a, L: JoinLit>(
     lits: &[L],
     rel_of: &dyn Fn(usize) -> &'a Relation,
     seed: &Bindings,
-) -> Vec<Bindings> {
-    eval_conjunct_stats(lits, rel_of, seed, &mut JoinStats::default())
-}
-
-/// [`eval_conjunct`], also accumulating probe/match counts into `stats`.
-pub fn eval_conjunct_stats<'a, L: JoinLit>(
-    lits: &[L],
-    rel_of: &dyn Fn(usize) -> &'a Relation,
-    seed: &Bindings,
-    stats: &mut JoinStats,
 ) -> Vec<Bindings> {
     let mut frontier = vec![seed.clone()];
     let mut remaining: Vec<usize> = (0..lits.len()).collect();
@@ -175,10 +161,7 @@ pub fn eval_conjunct_stats<'a, L: JoinLit>(
             let rel = rel_of(i);
             frontier.retain(|b| {
                 let t = ground_terms(lits[i].terms(), b).expect("checked ground");
-                stats.probes += 1;
-                let keep = !rel.contains(&t);
-                stats.matches += u64::from(keep);
-                keep
+                !rel.contains(&t)
             });
             continue;
         }
@@ -201,12 +184,8 @@ pub fn eval_conjunct_stats<'a, L: JoinLit>(
             let rel = rel_of(i);
             let mut next = Vec::new();
             for b in &frontier {
-                stats.probes += 1;
                 for tuple in rel.select(&pattern(lits[i].terms(), b)) {
-                    if let Some(ext) = match_tuple(lits[i].terms(), &tuple, b) {
-                        stats.matches += 1;
-                        next.push(ext);
-                    }
+                    next.extend(match_tuple(lits[i].terms(), &tuple, b));
                 }
             }
             frontier = next;
@@ -218,13 +197,9 @@ pub fn eval_conjunct_stats<'a, L: JoinLit>(
         let i = remaining.remove(0);
         let rel = rel_of(i);
         frontier.retain(|b| {
-            stats.probes += 1;
-            let keep = !rel
-                .select(&pattern(lits[i].terms(), b))
+            !rel.select(&pattern(lits[i].terms(), b))
                 .iter()
-                .any(|t| match_tuple(lits[i].terms(), t, b).is_some());
-            stats.matches += u64::from(keep);
-            keep
+                .any(|t| match_tuple(lits[i].terms(), t, b).is_some())
         });
     }
     frontier
@@ -234,7 +209,9 @@ pub fn eval_conjunct_stats<'a, L: JoinLit>(
 mod tests {
     use super::*;
     use crate::ast::{Atom, Literal};
+    use crate::eval::plan::{eval_plan_stats, JoinPlan};
     use crate::storage::tuple::syms;
+    use std::collections::BTreeSet;
 
     fn lit(pos: bool, name: &str, vars: &[&str]) -> Literal {
         let atom = Atom::new(name, vars.iter().map(|v| Term::var(v)).collect());
@@ -344,27 +321,34 @@ mod tests {
         let r = rel(&[&["b"]]);
         let lits = vec![lit(true, "q", &["X"]), lit(false, "r", &["X"])];
         let rels = [&q, &r];
+        let plan = JoinPlan::compile(&lits, &BTreeSet::new(), None);
         let mut stats = JoinStats::default();
-        let out = eval_conjunct_stats(&lits, &|i| rels[i], &Bindings::new(), &mut stats);
-        assert_eq!(out.len(), 1);
+        let run = |stats: &mut JoinStats| {
+            eval_plan_stats(
+                &plan,
+                &lits,
+                &|i| rels[i],
+                &|_, _| true,
+                &Bindings::new(),
+                stats,
+            )
+        };
         assert_eq!(
-            stats,
-            JoinStats {
-                probes: 3,
-                matches: 3,
-                ..Default::default()
-            }
+            run(&mut stats),
+            eval_conjunct(&lits, &|i| rels[i], &Bindings::new())
         );
+        let once = JoinStats {
+            probes: 3,
+            matches: 3,
+            indexed_probes: 2,
+            scan_probes: 1,
+        };
+        assert_eq!(stats, once);
         // Identical rerun accumulates deterministically.
-        eval_conjunct_stats(&lits, &|i| rels[i], &Bindings::new(), &mut stats);
-        assert_eq!(
-            stats,
-            JoinStats {
-                probes: 6,
-                matches: 6,
-                ..Default::default()
-            }
-        );
+        run(&mut stats);
+        let mut twice = once;
+        twice.merge(once);
+        assert_eq!(stats, twice);
     }
 
     #[test]

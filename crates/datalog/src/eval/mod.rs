@@ -31,14 +31,12 @@ fn empty_relation() -> &'static Relation {
 /// (DESIGN.md §11).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ComponentTrace {
-    /// Join work. On the planned path (the default) every round counts,
-    /// including chunked differential rounds, because the compiled plan's
-    /// probe counts are partition-exact (DESIGN.md §12). On the greedy
-    /// fallback, probes are only counted at partition-independent call
-    /// sites (whole-relation jobs).
+    /// Join work. Every round counts, including chunked differential
+    /// rounds, because the compiled plan's probe counts are
+    /// partition-exact (DESIGN.md §12).
     pub stats: join::JoinStats,
-    /// Join plans compiled for this component (one per rule plus one per
-    /// (rule, delta-occurrence) pair; zero on the greedy fallback).
+    /// Join plans compiled for this component (one per live round-0 rule
+    /// plus one per live (rule, delta-occurrence) pair).
     pub plans: u64,
     /// Gate-passing composite-index pre-build requests issued by those
     /// plans across all rounds (see [`plan::IndexTracker`]).

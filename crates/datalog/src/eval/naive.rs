@@ -6,8 +6,8 @@
 //! engine is differentially tested.
 
 use crate::ast::Pred;
-use crate::eval::join::{eval_conjunct_stats, ground_terms, Bindings, JoinStats};
-use crate::eval::plan::{self, eval_plan_stats, IndexTracker, JoinPlan};
+use crate::eval::join::{ground_terms, Bindings, JoinStats};
+use crate::eval::plan::{eval_plan_stats, IndexTracker, JoinPlan};
 use crate::eval::pool::Pool;
 use crate::eval::{body_relation, ComponentTrace, Interpretation};
 use crate::storage::database::Database;
@@ -63,30 +63,26 @@ pub fn eval_component_traced(
 
     // One full-evaluation plan per rule, compiled once; naive rounds all
     // evaluate the same (unpinned) binding pattern.
-    let plans: Option<Vec<JoinPlan>> = plan::planning_enabled().then(|| {
-        rules
-            .iter()
-            .map(|r| JoinPlan::compile(&r.body, &BTreeSet::new(), None))
-            .collect()
-    });
+    let plans: Vec<JoinPlan> = rules
+        .iter()
+        .map(|r| JoinPlan::compile(&r.body, &BTreeSet::new(), None))
+        .collect();
     let mut indexes: IndexTracker<Pred> = IndexTracker::new();
 
-    let mut trace = ComponentTrace::default();
-    if let Some(p) = &plans {
-        trace.plans = p.len() as u64;
-    }
+    let mut trace = ComponentTrace {
+        plans: plans.len() as u64,
+        ..ComponentTrace::default()
+    };
     loop {
-        if let Some(p) = &plans {
-            // Pre-build this round's composite indexes before fan-out.
-            for (ri, rule) in rules.iter().enumerate() {
-                for (lit, cols) in p[ri].sigs() {
-                    let pred = rule.body[*lit].atom.pred;
-                    indexes.request(
-                        pred,
-                        body_relation(db, interp, &current, program, pred),
-                        cols,
-                    );
-                }
+        // Pre-build this round's composite indexes before fan-out.
+        for (rule, plan) in rules.iter().zip(&plans) {
+            for (lit, cols) in plan.sigs() {
+                let pred = rule.body[*lit].atom.pred;
+                indexes.request(
+                    pred,
+                    body_relation(db, interp, &current, program, pred),
+                    cols,
+                );
             }
         }
         let per_rule: Vec<(Vec<(Pred, Tuple)>, JoinStats)> = pool.map(rules.len(), |ri| {
@@ -95,17 +91,14 @@ pub fn eval_component_traced(
                 body_relation(db, interp, &current, program, rule.body[i].atom.pred)
             };
             let mut stats = JoinStats::default();
-            let bindings = match &plans {
-                Some(p) => eval_plan_stats(
-                    &p[ri],
-                    &rule.body,
-                    &rel_of,
-                    &|i, cols| indexes.contains(&rule.body[i].atom.pred, cols),
-                    &Bindings::new(),
-                    &mut stats,
-                ),
-                None => eval_conjunct_stats(&rule.body, &rel_of, &Bindings::new(), &mut stats),
-            };
+            let bindings = eval_plan_stats(
+                &plans[ri],
+                &rule.body,
+                &rel_of,
+                &|i, cols| indexes.contains(&rule.body[i].atom.pred, cols),
+                &Bindings::new(),
+                &mut stats,
+            );
             let tuples = bindings
                 .iter()
                 .filter_map(|b| {

@@ -3,13 +3,13 @@
 //! (the same machinery underlying the magic-sets transform in
 //! [`crate::magic`]).
 //!
-//! The greedy pipeline in [`crate::eval::join`] re-derives its literal
-//! order on every conjunct evaluation and keys the choice on relation
-//! *sizes* — a dynamic quantity that changes when semi-naive deltas are
-//! chunked across workers, which is why join probes could not be counted
-//! in differential rounds. A [`JoinPlan`] fixes the order ahead of time
-//! from static information only — the literal list, the variables bound by
-//! the seed, and which occurrence (if any) is the semi-naive delta:
+//! This is the one conjunction evaluator: every engine and every one-shot
+//! query compiles a [`JoinPlan`] and runs it through [`eval_plan_stats`]
+//! (or its stats-discarding wrapper [`eval_seeded`]). The greedy loop in
+//! [`crate::eval::join`] is only the reference it is tested against. A
+//! plan fixes the literal order ahead of time from static information
+//! only — the literal list, the variables bound by the seed, and which
+//! occurrence (if any) is the semi-naive delta:
 //!
 //! * the delta occurrence is pinned first (differential evaluation wants
 //!   every derivation to pass through the delta);
@@ -20,7 +20,7 @@
 //!   static selectivity proxy: more bound columns means a tighter probe),
 //!   ties broken by fewest free variables, then by body position;
 //! * non-ground negative literals keep their ¬∃ reading and therefore run
-//!   only after every positive literal, exactly as the greedy pipeline
+//!   only after every positive literal, exactly as the reference
 //!   schedules them.
 //!
 //! Each positive (and partially-bound negative) step is annotated with its
@@ -41,8 +41,6 @@ use crate::ast::{Term, Var};
 use crate::eval::join::{ground_terms, match_tuple, resolve, Bindings, JoinLit, JoinStats};
 use crate::storage::relation::Relation;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
 
 /// One step of a compiled plan.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -249,10 +247,10 @@ fn free_vars(terms: &[Term], bound: &BTreeSet<Var>) -> usize {
 }
 
 /// Evaluates `lits` under a compiled `plan`, returning every extension of
-/// `seed` that satisfies the conjunction — the same answer set as
-/// [`crate::eval::join::eval_conjunct`], in a possibly different order
-/// (callers deduplicate through `BTreeSet`-backed relations, so engine
-/// output is unaffected).
+/// `seed` that satisfies the conjunction — the same answer set as the
+/// reference loop in [`crate::eval::join`], in a possibly different
+/// order (callers deduplicate through `BTreeSet`-backed relations, so
+/// engine output is unaffected).
 ///
 /// Counting: every step except [`Step::DeltaScan`] counts one probe per
 /// frontier binding, classified as indexed (a composite-index or
@@ -401,6 +399,34 @@ pub fn eval_plan_stats<'a, L: JoinLit>(
     frontier
 }
 
+/// Evaluates `lits` from `seed` for a caller outside the fixpoint engines
+/// — a query, an explanation, a maintenance firing — which has no index
+/// accounting of its own: every signature probes through the relation's
+/// lazily built index and the join counters are discarded.
+///
+/// `plan` is the caller's slot for this conjunction. It is compiled on
+/// first use for the variable set `seed` binds and reused for as long as
+/// the caller keeps the slot, so every seed passed with one slot must bind
+/// the same variables: a caller firing one (rule, occurrence) per delta
+/// tuple compiles once, a one-shot caller passes `&mut None`.
+pub fn eval_seeded<'a, L: JoinLit>(
+    plan: &mut Option<JoinPlan>,
+    lits: &[L],
+    rel_of: &dyn Fn(usize) -> &'a Relation,
+    seed: &Bindings,
+) -> Vec<Bindings> {
+    let plan =
+        plan.get_or_insert_with(|| JoinPlan::compile(lits, &seed.keys().copied().collect(), None));
+    eval_plan_stats(
+        plan,
+        lits,
+        rel_of,
+        &|_, _| true,
+        seed,
+        &mut JoinStats::default(),
+    )
+}
+
 /// Deterministic accounting for composite-index pre-builds. An engine
 /// requests every signature its plans declare, once per round; the
 /// tracker deduplicates by an engine-chosen relation key, issues the
@@ -460,42 +486,12 @@ impl<K: Ord + Clone> IndexTracker<K> {
     }
 }
 
-/// Process-global planner toggle, on by default. Off means every engine
-/// falls back to the greedy [`crate::eval::join::eval_conjunct`] pipeline
-/// — the unplanned oracle the equivalence sweep compares against.
-static PLANNING: AtomicBool = AtomicBool::new(true);
-
-/// Serializes sections whose observable behavior (output fingerprints)
-/// depends on the toggle, so concurrent tests cannot flip it mid-capture.
-static PLAN_LOCK: Mutex<()> = Mutex::new(());
-
-/// True iff engines should evaluate through compiled plans.
-pub fn planning_enabled() -> bool {
-    PLANNING.load(Ordering::Relaxed)
-}
-
-/// Runs `f` with the planner toggled to `enabled`, restoring the previous
-/// setting afterwards (also on panic). Holds a process-wide lock for the
-/// duration: concurrent `with_planning` sections serialize, so a
-/// fingerprint captured inside one can never observe another's toggle.
-pub fn with_planning<T>(enabled: bool, f: impl FnOnce() -> T) -> T {
-    let _guard = PLAN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    struct Restore(bool);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            PLANNING.store(self.0, Ordering::SeqCst);
-        }
-    }
-    let _restore = Restore(PLANNING.swap(enabled, Ordering::SeqCst));
-    f()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ast::{Atom, Const, Literal};
     use crate::eval::join::eval_conjunct;
-    use crate::storage::tuple::syms;
+    use crate::storage::tuple::{syms, Tuple};
 
     fn lit(pos: bool, name: &str, terms: Vec<Term>) -> Literal {
         let atom = Atom::new(name, terms);
@@ -626,61 +622,153 @@ mod tests {
         );
     }
 
+    /// Xorshift64: `dduf_core::rng` sits above this crate.
+    struct XorShift(u64);
+
+    impl XorShift {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            (self.0 % n as u64) as usize
+        }
+    }
+
+    /// Seeded sweep of random conjunctions: the compiled plan and the
+    /// reference loop return the same bindings whatever the delta
+    /// occurrence, the seed, the literal shapes, the relation sizes and
+    /// the engine's index decisions, and every probe is classified.
     #[test]
     fn planned_answers_match_greedy_answers() {
-        // Wide conjunct exercising probe, scan, ground- and ¬∃-negatives.
-        let e = rel(&[
-            &["a", "b"],
-            &["b", "c"],
-            &["c", "d"],
-            &["a", "d"],
-            &["d", "a"],
-        ]);
-        let q = rel(&[&["a"], &["b"], &["c"]]);
-        let r = rel(&[&["c"]]);
-        let lits = vec![
-            lit(true, "q", vars(&["X"])),
-            lit(true, "e", vars(&["X", "Y"])),
-            lit(false, "r", vars(&["Y"])),
-            lit(true, "e", vars(&["Y", "Z"])),
-        ];
-        let rels: Vec<&Relation> = vec![&q, &e, &r, &e];
-        let rel_of = |i: usize| -> &Relation { rels[i] };
-        let plan = JoinPlan::compile(&lits, &BTreeSet::new(), None);
-        let mut stats = JoinStats::default();
-        let mut planned = eval_plan_stats(
-            &plan,
-            &lits,
-            &rel_of,
-            &|_, _| true,
-            &Bindings::new(),
-            &mut stats,
-        );
-        let mut greedy = eval_conjunct(&lits, &rel_of, &Bindings::new());
-        planned.sort();
-        greedy.sort();
-        assert_eq!(planned, greedy);
-        assert_eq!(stats.probes, stats.indexed_probes + stats.scan_probes);
-        assert!(stats.matches > 0);
+        const DOMAIN: usize = 6;
+        const VARS: [&str; 4] = ["A", "B", "C", "D"];
+        let mut rng = XorShift(0x9E37_79B9_7F4A_7C15);
+        // What the sweep must have exercised by the end.
+        let mut steps_seen = [0usize; 6];
+        let (mut nonempty, mut seeded, mut repeats, mut large, mut small) = (0, 0, 0, 0, 0);
+        let mut total = JoinStats::default();
 
-        // Declining every index must not change the answers, only the
-        // probe classification (everything becomes a scan).
-        let mut scan_stats = JoinStats::default();
-        let mut scanned = eval_plan_stats(
-            &plan,
-            &lits,
-            &rel_of,
-            &|_, _| false,
-            &Bindings::new(),
-            &mut scan_stats,
-        );
-        scanned.sort();
-        assert_eq!(scanned, planned);
-        assert_eq!(scan_stats.probes, stats.probes);
-        assert_eq!(scan_stats.matches, stats.matches);
-        // NegGround membership tests are always indexed; every Probe step
-        // routed through probe_scan counts as a scan.
-        assert_eq!(scan_stats.indexed_probes, stats.indexed_probes);
+        for case in 0..3000 {
+            // Four relations of arity 1..=3, empty, below or above the
+            // index gate (an arity-1 relation cannot reach it).
+            let rels: Vec<(usize, Relation)> = (0..4)
+                .map(|_| {
+                    let arity = 1 + rng.below(3);
+                    let rows = match rng.below(4) {
+                        0 => 0,
+                        1 => 1 + rng.below(8),
+                        _ => 10 + rng.below(50),
+                    };
+                    let rel: Relation = (0..rows)
+                        .map(|_| {
+                            (0..arity)
+                                .map(|_| Const::Int(rng.below(DOMAIN) as i64))
+                                .collect::<Tuple>()
+                        })
+                        .collect();
+                    (arity, rel)
+                })
+                .collect();
+            let n = 1 + rng.below(4);
+            let backing: Vec<usize> = (0..n).map(|_| rng.below(rels.len())).collect();
+            let lits: Vec<Literal> = backing
+                .iter()
+                .map(|&r| {
+                    let terms: Vec<Term> = (0..rels[r].0)
+                        .map(|_| match rng.below(4) {
+                            0 => Term::Const(Const::Int(rng.below(DOMAIN) as i64)),
+                            _ => Term::var(VARS[rng.below(VARS.len())]),
+                        })
+                        .collect();
+                    lit(rng.below(10) >= 3, "r", terms)
+                })
+                .collect();
+            let mut seed = Bindings::new();
+            for v in VARS {
+                if rng.below(4) == 0 {
+                    seed.insert(Var::new(v), Const::Int(rng.below(DOMAIN) as i64));
+                }
+            }
+            let positives: Vec<usize> = (0..n).filter(|&i| lits[i].positive).collect();
+            let pinned = (!positives.is_empty() && rng.below(2) == 0)
+                .then(|| positives[rng.below(positives.len())]);
+            let index_mask = rng.below(1 << n);
+
+            let rel_of = |i: usize| -> &Relation { &rels[backing[i]].1 };
+            let bound: BTreeSet<Var> = seed.keys().copied().collect();
+            let plan = JoinPlan::compile(&lits, &bound, pinned);
+            let mut stats = JoinStats::default();
+            let mut planned = eval_plan_stats(
+                &plan,
+                &lits,
+                &rel_of,
+                &|i, _| index_mask >> i & 1 == 1,
+                &seed,
+                &mut stats,
+            );
+            let mut reference = eval_conjunct(&lits, &rel_of, &seed);
+            planned.sort();
+            reference.sort();
+            assert_eq!(
+                planned, reference,
+                "case {case}: {lits:?} seed {seed:?} pinned {pinned:?}"
+            );
+            assert_eq!(
+                stats.indexed_probes + stats.scan_probes,
+                stats.probes,
+                "case {case}: unclassified probe"
+            );
+            // Index decisions move probes between the two classes and
+            // change nothing else.
+            let mut declined = JoinStats::default();
+            eval_plan_stats(&plan, &lits, &rel_of, &|_, _| false, &seed, &mut declined);
+            assert_eq!(
+                (declined.probes, declined.matches),
+                (stats.probes, stats.matches),
+                "case {case}: the index decision changed the work"
+            );
+
+            total.merge(stats);
+            nonempty += usize::from(!planned.is_empty());
+            seeded += usize::from(!seed.is_empty());
+            repeats += lits
+                .iter()
+                .filter(|l| {
+                    let vars: Vec<&Term> = l.atom.terms.iter().filter(|t| !t.is_ground()).collect();
+                    vars.iter().collect::<BTreeSet<_>>().len() < vars.len()
+                })
+                .count();
+            for step in plan.steps() {
+                let kind = match step {
+                    Step::DeltaScan { .. } => 0,
+                    Step::Probe { .. } => 1,
+                    Step::Scan { .. } => 2,
+                    Step::NegGround { .. } => 3,
+                    Step::NegProbe { .. } => 4,
+                    Step::NegScan { .. } => 5,
+                };
+                steps_seen[kind] += 1;
+                if rel_of(step.lit()).indexable() {
+                    large += 1;
+                } else {
+                    small += 1;
+                }
+            }
+        }
+        for (kind, &seen) in steps_seen.iter().enumerate() {
+            assert!(seen > 100, "step kind {kind} planned only {seen} times");
+        }
+        for (what, seen) in [
+            ("non-empty answers", nonempty),
+            ("seed-bound cases", seeded),
+            ("repeated variables in a literal", repeats),
+            ("steps over indexable relations", large),
+            ("steps over relations below the gate", small),
+            ("indexed probes", total.indexed_probes as usize),
+            ("scan probes", total.scan_probes as usize),
+        ] {
+            assert!(seen > 100, "only {seen} {what}");
+        }
     }
 
     #[test]
@@ -707,16 +795,5 @@ mod tests {
         assert!(tracker.contains(&1, &[0]), "other keys survive");
         tracker.request(0, &big, &[0]); // genuine rebuild after mutation
         assert_eq!(tracker.count(), 3);
-    }
-
-    #[test]
-    fn with_planning_toggles_and_restores() {
-        assert!(planning_enabled());
-        with_planning(false, || {
-            assert!(!planning_enabled());
-            // Nested sections would deadlock (same lock), so just check
-            // state here.
-        });
-        assert!(planning_enabled());
     }
 }

@@ -17,8 +17,8 @@
 
 use crate::analysis::cost::CostModel;
 use crate::ast::{Literal, Pred, Rule};
-use crate::eval::join::{eval_conjunct, eval_conjunct_stats, ground_terms, Bindings, JoinStats};
-use crate::eval::plan::{self, eval_plan_stats, IndexTracker, JoinPlan};
+use crate::eval::join::{ground_terms, Bindings, JoinStats};
+use crate::eval::plan::{eval_plan_stats, IndexTracker, JoinPlan};
 use crate::eval::pool::Pool;
 use crate::eval::{body_relation, ComponentTrace, Interpretation};
 use crate::storage::database::Database;
@@ -95,11 +95,9 @@ pub fn eval_component_pooled(
 /// and delta cardinalities, join work, plan/index accounting), all of
 /// which are independent of the worker count: per-round derivation
 /// counts are binding counts, which partition exactly across delta
-/// chunks, and on the planned path (the default) probe counts are
-/// partition-exact in every round because the compiled plan's literal
-/// order is static and the delta scan counts per tuple (DESIGN.md §12).
-/// On the greedy fallback, probes are only counted in round 0 where jobs
-/// evaluate whole relations (DESIGN.md §11).
+/// chunks, and probe counts are partition-exact in every round because
+/// the compiled plan's literal order is static and the delta scan counts
+/// per tuple (DESIGN.md §12).
 pub fn eval_component_traced(
     db: &Database,
     interp: &Interpretation,
@@ -114,24 +112,21 @@ pub fn eval_component_traced(
     let rules: Vec<&Rule> = members.iter().flat_map(|&p| program.rules_for(p)).collect();
     let mut trace = ComponentTrace::default();
 
-    let planning = plan::planning_enabled();
-
-    // Dead rules (planned path only): a positive body literal over a
-    // *non-member* empty relation can never match, and non-member
-    // relations are fixed for the duration of this component's
-    // evaluation — so the rule is unreachable and no plan is compiled
-    // for it. Skipping cannot change results (the rule contributes
-    // nothing either way), and the decision reads only pre-fan-out
-    // state, so it is identical at any thread count.
+    // Dead rules: a positive body literal over a *non-member* empty
+    // relation can never match, and non-member relations are fixed for
+    // the duration of this component's evaluation — so the rule is
+    // unreachable and no plan is compiled for it. Skipping cannot change
+    // results (the rule contributes nothing either way), and the decision
+    // reads only pre-fan-out state, so it is identical at any thread
+    // count.
     let dead: Vec<bool> = rules
         .iter()
         .map(|rule| {
-            planning
-                && rule.body.iter().any(|l| {
-                    l.positive
-                        && !members.contains(&l.atom.pred)
-                        && body_relation(db, interp, &current, program, l.atom.pred).is_empty()
-                })
+            rule.body.iter().any(|l| {
+                l.positive
+                    && !members.contains(&l.atom.pred)
+                    && body_relation(db, interp, &current, program, l.atom.pred).is_empty()
+            })
         })
         .collect();
 
@@ -142,42 +137,37 @@ pub fn eval_component_traced(
     // binding pattern, never on relation contents. A rule with a positive
     // member occurrence gets no full plan either: members start empty, so
     // its round-0 evaluation is vacuous and every later derivation goes
-    // through a delta plan.
-    let plans: Option<RulePlans> = planning.then(|| {
-        let full: Vec<Option<JoinPlan>> = rules
-            .iter()
-            .enumerate()
-            .map(|(ri, r)| {
-                let vacuous =
-                    dead[ri] || r.body.iter().any(|l| is_recursive_occurrence(l, &members));
-                (!vacuous).then(|| JoinPlan::compile(&r.body, &BTreeSet::new(), None))
-            })
-            .collect();
-        let mut delta: BTreeMap<(usize, usize), JoinPlan> = BTreeMap::new();
-        if component.recursive {
-            for (ri, rule) in rules.iter().enumerate() {
-                if dead[ri] {
-                    continue;
-                }
-                for (occ, lit) in rule.body.iter().enumerate() {
-                    if is_recursive_occurrence(lit, &members) {
-                        delta.insert(
-                            (ri, occ),
-                            JoinPlan::compile(&rule.body, &BTreeSet::new(), Some(occ)),
-                        );
-                    }
+    // through a delta plan. Each list is also its rounds' job list: a rule
+    // or occurrence without a plan gets no job at all.
+    let full: Vec<(usize, JoinPlan)> = rules
+        .iter()
+        .enumerate()
+        .filter(|&(ri, r)| {
+            !dead[ri] && !r.body.iter().any(|l| is_recursive_occurrence(l, &members))
+        })
+        .map(|(ri, r)| (ri, JoinPlan::compile(&r.body, &BTreeSet::new(), None)))
+        .collect();
+    let mut delta_plans: BTreeMap<(usize, usize), JoinPlan> = BTreeMap::new();
+    if component.recursive {
+        for (ri, rule) in rules.iter().enumerate() {
+            if dead[ri] {
+                continue;
+            }
+            for (occ, lit) in rule.body.iter().enumerate() {
+                if is_recursive_occurrence(lit, &members) {
+                    delta_plans.insert(
+                        (ri, occ),
+                        JoinPlan::compile(&rule.body, &BTreeSet::new(), Some(occ)),
+                    );
                 }
             }
         }
-        RulePlans { full, delta }
-    });
-    if let Some(p) = &plans {
-        trace.plans = (p.full.iter().flatten().count() + p.delta.len()) as u64;
     }
+    trace.plans = (full.len() + delta_plans.len()) as u64;
     // The static cost model: per-predicate cardinality bounds from the
     // program shape plus exact EDB counts, consulted to gate every eager
     // index build below.
-    let cost = planning.then(|| CostModel::from_database(db));
+    let cost = CostModel::from_database(db);
     let mut indexes: IndexTracker<Pred> = IndexTracker::new();
 
     // Round 0: full evaluation (recursive predicates are empty, so this
@@ -187,55 +177,41 @@ pub fn eval_component_traced(
     // read lock.
     let mut delta: BTreeMap<Pred, Relation> =
         members.iter().map(|&p| (p, Relation::new())).collect();
-    if let (Some(p), Some(cost)) = (&plans, &cost) {
-        for (ri, rule) in rules.iter().enumerate() {
-            let Some(pl) = &p.full[ri] else { continue };
-            // Driving cardinality: the plan's first step enumerates its
-            // relation once per seed, so its length bounds how many
-            // probes reach the later steps.
-            let driving = pl
-                .steps()
-                .first()
-                .map(|s| {
-                    body_relation(db, interp, &current, program, rule.body[s.lit()].atom.pred).len()
-                })
-                .unwrap_or(0);
-            for (lit, cols) in pl.sigs() {
-                let pred = rule.body[*lit].atom.pred;
-                let rel = body_relation(db, interp, &current, program, pred);
-                if cost.index_worthwhile(pred, rel.len(), driving) {
-                    indexes.request(pred, rel, cols);
-                }
+    for (ri, pl) in &full {
+        let rule = rules[*ri];
+        // Driving cardinality: the plan's first step enumerates its
+        // relation once per seed, so its length bounds how many
+        // probes reach the later steps.
+        let driving = pl
+            .steps()
+            .first()
+            .map(|s| {
+                body_relation(db, interp, &current, program, rule.body[s.lit()].atom.pred).len()
+            })
+            .unwrap_or(0);
+        for (lit, cols) in pl.sigs() {
+            let pred = rule.body[*lit].atom.pred;
+            let rel = body_relation(db, interp, &current, program, pred);
+            if cost.index_worthwhile(pred, rel.len(), driving) {
+                indexes.request(pred, rel, cols);
             }
         }
     }
-    // On the planned path, rules without a full plan (dead, or vacuous in
-    // round 0 because a positive member occurrence is still empty) get no
-    // job at all.
-    let jobs0: Vec<usize> = (0..rules.len())
-        .filter(|&ri| match &plans {
-            Some(p) => p.full[ri].is_some(),
-            None => true,
-        })
-        .collect();
-    let round0: Vec<(Vec<Tuple>, JoinStats)> = pool.map(jobs0.len(), |k| {
-        let ri = jobs0[k];
-        let rule = rules[ri];
+    let round0: Vec<(Vec<Tuple>, JoinStats)> = pool.map(full.len(), |k| {
+        let (ri, pl) = &full[k];
+        let rule = rules[*ri];
         let rel_of = |i: usize| -> &Relation {
             body_relation(db, interp, &current, program, rule.body[i].atom.pred)
         };
         let mut stats = JoinStats::default();
-        let bindings = match &plans {
-            Some(p) => eval_plan_stats(
-                p.full[ri].as_ref().expect("job exists only with a plan"),
-                &rule.body,
-                &rel_of,
-                &|i, cols| indexes.contains(&rule.body[i].atom.pred, cols),
-                &Bindings::new(),
-                &mut stats,
-            ),
-            None => eval_conjunct_stats(&rule.body, &rel_of, &Bindings::new(), &mut stats),
-        };
+        let bindings = eval_plan_stats(
+            pl,
+            &rule.body,
+            &rel_of,
+            &|i, cols| indexes.contains(&rule.body[i].atom.pred, cols),
+            &Bindings::new(),
+            &mut stats,
+        );
         let tuples = bindings
             .iter()
             .map(|b| ground_terms(&rule.head.terms, b).expect("ground head"))
@@ -246,7 +222,7 @@ pub fn eval_component_traced(
     for (k, (tuples, stats)) in round0.into_iter().enumerate() {
         round_tuples += tuples.len() as u64;
         trace.stats.merge(stats);
-        let rel = delta.get_mut(&rules[jobs0[k]].head.pred).expect("member");
+        let rel = delta.get_mut(&rules[full[k].0].head.pred).expect("member");
         rel.extend(tuples);
     }
     merge_delta(&mut current, &mut delta, &mut indexes);
@@ -262,41 +238,22 @@ pub fn eval_component_traced(
     // round, so they are independent; the reduction below is a union of
     // sets and therefore independent of the partition and of scheduling.
     while delta.values().any(|r| !r.is_empty()) {
-        // Per-round adaptive fallback: a delta plan drives every
-        // derivation through the pinned delta, which is a bad trade once
-        // this round's delta outgrows the smallest other positive
-        // relation — the greedy pipeline (smallest-first) then wins. The
-        // decision reads the *whole* delta length, before chunking, so it
-        // is identical for every chunk and at any thread count. Fallback
-        // jobs evaluate greedily with zero stats, like the unplanned path.
-        let mut fallback: BTreeSet<(usize, usize)> = BTreeSet::new();
-        if let (Some(p), Some(cost)) = (&plans, &cost) {
-            // Pre-build this round's composite indexes before fan-out.
-            // Pinned (delta) occurrences never appear in a plan's
-            // signatures, so chunk relations are never indexed.
-            for (&(ri, occ), pl) in &p.delta {
-                let rule = rules[ri];
-                let dlen = delta[&rule.body[occ].atom.pred].len();
-                if dlen == 0 {
-                    continue; // no jobs for this occurrence this round
-                }
-                let min_other = rule
-                    .body
-                    .iter()
-                    .enumerate()
-                    .filter(|&(i, l)| i != occ && l.positive)
-                    .map(|(_, l)| body_relation(db, interp, &current, program, l.atom.pred).len())
-                    .min();
-                if min_other.is_some_and(|m| dlen > m) {
-                    fallback.insert((ri, occ));
-                    continue;
-                }
-                for (lit, cols) in pl.sigs() {
-                    let pred = rule.body[*lit].atom.pred;
-                    let rel = body_relation(db, interp, &current, program, pred);
-                    if cost.index_worthwhile(pred, rel.len(), dlen) {
-                        indexes.request(pred, rel, cols);
-                    }
+        // Pre-build this round's composite indexes before fan-out.
+        // Pinned (delta) occurrences never appear in a plan's
+        // signatures, so chunk relations are never indexed. The gate
+        // reads the *whole* delta length, before chunking, so it is
+        // identical for every chunk and at any thread count.
+        for (&(ri, occ), pl) in &delta_plans {
+            let rule = rules[ri];
+            let dlen = delta[&rule.body[occ].atom.pred].len();
+            if dlen == 0 {
+                continue; // no jobs for this occurrence this round
+            }
+            for (lit, cols) in pl.sigs() {
+                let pred = rule.body[*lit].atom.pred;
+                let rel = body_relation(db, interp, &current, program, pred);
+                if cost.index_worthwhile(pred, rel.len(), dlen) {
+                    indexes.request(pred, rel, cols);
                 }
             }
         }
@@ -305,17 +262,9 @@ pub fn eval_component_traced(
             .map(|(&p, d)| (p, DeltaView::build(d, pool.threads())))
             .collect();
         let mut jobs: Vec<(usize, usize, usize)> = Vec::new();
-        for (ri, rule) in rules.iter().enumerate() {
-            if dead[ri] {
-                continue;
-            }
-            for (occ, lit) in rule.body.iter().enumerate() {
-                if !is_recursive_occurrence(lit, &members) {
-                    continue;
-                }
-                for ci in 0..views[&lit.atom.pred].count() {
-                    jobs.push((ri, occ, ci));
-                }
+        for &(ri, occ) in delta_plans.keys() {
+            for ci in 0..views[&rules[ri].body[occ].atom.pred].count() {
+                jobs.push((ri, occ, ci));
             }
         }
         let results: Vec<(Vec<Tuple>, JoinStats)> = pool.map(jobs.len(), |k| {
@@ -330,19 +279,14 @@ pub fn eval_component_traced(
             };
             let head_rel = &current[&rule.head.pred];
             let mut stats = JoinStats::default();
-            let bindings = match &plans {
-                Some(p) if !fallback.contains(&(ri, occ)) => eval_plan_stats(
-                    &p.delta[&(ri, occ)],
-                    &rule.body,
-                    &rel_of,
-                    &|i, cols| indexes.contains(&rule.body[i].atom.pred, cols),
-                    &Bindings::new(),
-                    &mut stats,
-                ),
-                // Greedy fallback: stats stay zero — the greedy order keys
-                // on relation sizes, which chunking changes (DESIGN.md §11).
-                _ => eval_conjunct(&rule.body, &rel_of, &Bindings::new()),
-            };
+            let bindings = eval_plan_stats(
+                &delta_plans[&(ri, occ)],
+                &rule.body,
+                &rel_of,
+                &|i, cols| indexes.contains(&rule.body[i].atom.pred, cols),
+                &Bindings::new(),
+                &mut stats,
+            );
             let tuples = bindings
                 .iter()
                 .filter_map(|b| {
@@ -369,15 +313,6 @@ pub fn eval_component_traced(
 
     trace.indexes = indexes.count();
     (current.into_iter().collect(), trace)
-}
-
-/// The compiled plans for one component: one full-evaluation plan per
-/// *live* round-0 rule (`None` = unreachable, or vacuous in round 0
-/// because the rule joins through a still-empty member), plus one
-/// delta-pinned plan per live (rule, recursive occurrence).
-struct RulePlans {
-    full: Vec<Option<JoinPlan>>,
-    delta: BTreeMap<(usize, usize), JoinPlan>,
 }
 
 /// Post-dedup cardinality of a round's delta.

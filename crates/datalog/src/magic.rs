@@ -224,7 +224,7 @@ pub fn query(db: &Database, query: &Atom) -> Result<MagicAnswers, Error> {
     })];
     let rel = interp.relation(goal);
     let rel_of = |_: usize| rel;
-    let tuples = crate::eval::join::eval_conjunct(&lits, &rel_of, &Bindings::new())
+    let tuples = crate::eval::plan::eval_seeded(&mut None, &lits, &rel_of, &Bindings::new())
         .into_iter()
         .map(|b| crate::eval::join::ground_terms(&query.terms, &b).expect("query bindings ground"))
         .collect::<BTreeSet<Tuple>>()

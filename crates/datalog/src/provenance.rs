@@ -9,7 +9,8 @@
 //! unsuccessful branches are abandoned and retried.
 
 use crate::ast::{Atom, Pred, Rule};
-use crate::eval::join::{eval_conjunct, ground_terms, match_tuple, Bindings};
+use crate::eval::join::{ground_terms, match_tuple, Bindings};
+use crate::eval::plan::eval_seeded;
 use crate::eval::StateView;
 use crate::storage::relation::Relation;
 use crate::storage::tuple::Tuple;
@@ -111,7 +112,7 @@ fn explain_guarded(
                 continue;
             };
             let rel_of = |i: usize| -> &Relation { state.relation(rule.body[i].atom.pred) };
-            for b in eval_conjunct(&rule.body, &rel_of, &seed) {
+            for b in eval_seeded(&mut None, &rule.body, &rel_of, &seed) {
                 if let Some(d) = derivation_from_binding(state, rule, tuple, &b, visiting) {
                     return Some(d);
                 }

@@ -6,7 +6,8 @@
 //! against a [`StateView`].
 
 use crate::ast::{Atom, Literal};
-use crate::eval::join::{eval_conjunct, ground_terms, Bindings};
+use crate::eval::join::{ground_terms, Bindings};
+use crate::eval::plan::eval_seeded;
 use crate::eval::StateView;
 use crate::storage::relation::Relation;
 use crate::storage::tuple::Tuple;
@@ -15,7 +16,7 @@ use crate::storage::tuple::Tuple;
 pub fn query_atom(state: StateView<'_>, atom: &Atom) -> Vec<Bindings> {
     let lits = [Literal::pos(atom.clone())];
     let rel_of = |_: usize| -> &Relation { state.relation(atom.pred) };
-    eval_conjunct(&lits, &rel_of, &Bindings::new())
+    eval_seeded(&mut None, &lits, &rel_of, &Bindings::new())
 }
 
 /// All tuples of `atom`'s instantiations that hold in `state`.
@@ -38,7 +39,7 @@ pub fn holds(state: StateView<'_>, atom: &Atom) -> bool {
 /// All bindings satisfying the conjunction `body` in `state`.
 pub fn query_body(state: StateView<'_>, body: &[Literal], seed: &Bindings) -> Vec<Bindings> {
     let rel_of = |i: usize| -> &Relation { state.relation(body[i].atom.pred) };
-    eval_conjunct(body, &rel_of, seed)
+    eval_seeded(&mut None, body, &rel_of, seed)
 }
 
 #[cfg(test)]

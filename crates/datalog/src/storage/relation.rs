@@ -150,12 +150,6 @@ impl Relation {
         idx
     }
 
-    /// Ensures a single-column index for `col` exists (compatibility alias
-    /// for [`Relation::build_index`] on a one-column set).
-    pub fn warm_index(&self, col: usize) {
-        self.build_index(&[col]);
-    }
-
     /// True iff the relation is large enough that building a hash index
     /// beats scanning it (the gate [`Relation::build_index`] and
     /// [`Relation::probe_cols`] apply).
@@ -419,6 +413,12 @@ mod tests {
         }
         assert!(r.build_index(&[0, 1]), "first build is fresh");
         assert!(!r.build_index(&[0, 1]), "second build is a no-op");
+        assert!(r.build_index(&[1]));
+        assert_eq!(
+            r.select(&[None, Some(Const::Int(4))]),
+            vec![Tuple::new(vec![Const::Int(1), Const::Int(4)])],
+            "the prebuilt index answers reads"
+        );
         assert!(!r.build_index(&[]), "empty column set never indexes");
         assert!(!r.build_index(&[7]), "out-of-range column never indexes");
         // Small relations decline.
@@ -490,19 +490,6 @@ mod tests {
         });
         // The index survives and still answers correctly after the race.
         assert_eq!(r.select(&[None, Some(Const::Int(0))]).len(), 40);
-    }
-
-    #[test]
-    fn warm_index_prebuilds_for_reads() {
-        let mut r = Relation::new();
-        for i in 0..50 {
-            r.insert(Tuple::new(vec![Const::Int(i), Const::Int(i % 3)]));
-        }
-        r.warm_index(1);
-        assert_eq!(r.select(&[None, Some(Const::Int(1))]).len(), 17);
-        // Out-of-range and empty-relation warms are no-ops.
-        r.warm_index(9);
-        Relation::new().warm_index(0);
     }
 
     #[test]

@@ -147,10 +147,23 @@ impl FromIterator<GroundEvent> for EventStore {
     }
 }
 
+/// Prints insertions before deletions like [`EventStore::iter`], but
+/// within a kind by predicate name, arity, then rendered tuple: `Sym`
+/// order is interning order, which differs from process to process, and
+/// what two processes print for one event set must not.
 impl fmt::Display for EventStore {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut events: Vec<GroundEvent> = self.iter().collect();
+        events.sort_by_cached_key(|e| {
+            (
+                e.kind,
+                e.pred.name.as_str(),
+                e.pred.arity,
+                e.tuple.to_string(),
+            )
+        });
         write!(f, "{{")?;
-        for (i, e) in self.iter().enumerate() {
+        for (i, e) in events.iter().enumerate() {
             if i > 0 {
                 write!(f, ", ")?;
             }
@@ -192,6 +205,30 @@ mod tests {
         let p = Pred::new("r", 1);
         let s = EventStore::from_events([GroundEvent::del(p, syms(&["b"]))]);
         assert_eq!(s.to_string(), "{-r(b)}");
+    }
+
+    #[test]
+    fn display_orders_by_name_not_by_interning() {
+        // Intern in reverse order so id order differs from lexicographic.
+        let z = Pred::new("zzz_display_test", 1);
+        let a2 = Pred::new("aaa_display_test", 2);
+        let a1 = Pred::new("aaa_display_test", 1);
+        let s = EventStore::from_events([
+            GroundEvent::del(a1, syms(&["k"])),
+            GroundEvent::ins(z, syms(&["zz_display_const"])),
+            GroundEvent::ins(z, syms(&["aa_display_const"])),
+            GroundEvent::ins(a2, syms(&["x", "y"])),
+            GroundEvent::ins(a1, syms(&["x"])),
+        ]);
+        assert_eq!(
+            s.to_string(),
+            "{+aaa_display_test(x), +aaa_display_test(x, y), \
+             +zzz_display_test(aa_display_const), +zzz_display_test(zz_display_const), \
+             -aaa_display_test(k)}"
+        );
+        // `iter()` keeps `Sym` order: the journal payload and every map
+        // key depend on it.
+        assert_eq!(s.iter().next().map(|e| e.pred), Some(z));
     }
 
     #[test]

@@ -245,28 +245,24 @@ fn trace_counters_identical_across_thread_counts() {
         dbs.push((format!("rand#{case}"), db));
     }
 
-    // Hold the planning lock: fingerprints include planner counters, so
-    // a concurrent test toggling the planner would skew them.
-    dduf::datalog::eval::plan::with_planning(true, || {
-        for (name, db) in &dbs {
-            for strategy in [Strategy::Naive, Strategy::SemiNaive] {
-                let (_, baseline) = dduf::obs::capture(|| {
-                    materialize_with_threads(db, strategy, 1).expect("stratified")
+    for (name, db) in &dbs {
+        for strategy in [Strategy::Naive, Strategy::SemiNaive] {
+            let (_, baseline) = dduf::obs::capture(|| {
+                materialize_with_threads(db, strategy, 1).expect("stratified")
+            });
+            assert!(!baseline.is_empty(), "{name}: no spans recorded");
+            for threads in [2usize, 8] {
+                let (_, got) = dduf::obs::capture(|| {
+                    materialize_with_threads(db, strategy, threads).expect("stratified")
                 });
-                assert!(!baseline.is_empty(), "{name}: no spans recorded");
-                for threads in [2usize, 8] {
-                    let (_, got) = dduf::obs::capture(|| {
-                        materialize_with_threads(db, strategy, threads).expect("stratified")
-                    });
-                    assert_eq!(
-                        baseline.semantic_fingerprint(),
-                        got.semantic_fingerprint(),
-                        "{name}: {strategy:?} trace diverges at {threads} threads"
-                    );
-                }
+                assert_eq!(
+                    baseline.semantic_fingerprint(),
+                    got.semantic_fingerprint(),
+                    "{name}: {strategy:?} trace diverges at {threads} threads"
+                );
             }
         }
-    });
+    }
 }
 
 /// Same contract for the upward engines: each engine's counter
@@ -280,104 +276,21 @@ fn upward_trace_counters_identical_across_thread_counts() {
         let db = parse_database(&prog.to_source()).expect("parses");
         let old = materialize(&db).expect("stratified");
         let txn = gen_txn(&mut rng, &db);
-        dduf::datalog::eval::plan::with_planning(true, || {
-            for engine in [UpwardEngine::Semantic, UpwardEngine::Incremental] {
-                let (_, baseline) = dduf::obs::capture(|| {
-                    dduf::core::upward::interpret_with_threads(&db, &old, &txn, engine, 1)
-                        .expect("upward")
-                });
-                assert!(!baseline.is_empty(), "case {case}: no spans recorded");
-                for threads in [2usize, 8] {
-                    let (_, got) = dduf::obs::capture(|| {
-                        dduf::core::upward::interpret_with_threads(&db, &old, &txn, engine, threads)
-                            .expect("upward")
-                    });
-                    assert_eq!(
-                        baseline.semantic_fingerprint(),
-                        got.semantic_fingerprint(),
-                        "case {case}: {engine:?} trace diverges at {threads} threads\n{}",
-                        prog.to_source()
-                    );
-                }
-            }
-        });
-    }
-}
-
-/// The join planner is a pure optimization: compiled plans must produce
-/// bit-identical materializations to the greedy (unplanned) pipeline on
-/// embedded and random programs, for both strategies, at every worker
-/// count. `with_planning` serializes the toggle so concurrent tests in
-/// this binary never observe a half-flipped planner.
-#[test]
-fn planned_matches_unplanned_materialization() {
-    use dduf::datalog::eval::{materialize_with_threads, plan, Strategy};
-    use dduf::datalog::pretty;
-
-    let mut dbs: Vec<(String, Database)> = vec![
-        (
-            "employment".into(),
-            dduf::core::testkit::employment_db_with_condition(),
-        ),
-        ("chain_tc".into(), dduf::core::testkit::chain_tc_db(50)),
-        ("wide".into(), dduf::core::testkit::wide_db(80)),
-    ];
-    let mut rng = Rng::new(0x914A);
-    for case in 0..24 {
-        let prog = RandProgram::gen(&mut rng);
-        let db = parse_database(&prog.to_source()).expect("generated program parses");
-        dbs.push((format!("rand#{case}"), db));
-    }
-
-    for (name, db) in &dbs {
-        for strategy in [Strategy::Naive, Strategy::SemiNaive] {
-            for threads in [1usize, 2, 8] {
-                let unplanned = plan::with_planning(false, || {
-                    pretty::derived(
-                        &materialize_with_threads(db, strategy, threads).expect("stratified"),
-                    )
-                });
-                let planned = plan::with_planning(true, || {
-                    pretty::derived(
-                        &materialize_with_threads(db, strategy, threads).expect("stratified"),
-                    )
-                });
-                assert_eq!(
-                    unplanned, planned,
-                    "{name}: {strategy:?} at {threads} threads: planner changed the model"
-                );
-            }
-        }
-    }
-}
-
-/// Same oracle sweep for the upward engines: planned and unplanned runs
-/// of both engines agree on every induced event set, and the planned
-/// run's trace fingerprint is itself thread-count invariant.
-#[test]
-fn planned_matches_unplanned_upward() {
-    use dduf::datalog::eval::plan;
-
-    let mut rng = Rng::new(0x914B);
-    for case in 0..32 {
-        let prog = RandProgram::gen(&mut rng);
-        let db = parse_database(&prog.to_source()).expect("parses");
-        let old = materialize(&db).expect("stratified");
-        let txn = gen_txn(&mut rng, &db);
         for engine in [UpwardEngine::Semantic, UpwardEngine::Incremental] {
-            for threads in [1usize, 2, 8] {
-                let unplanned = plan::with_planning(false, || {
-                    dduf::core::upward::interpret_with_threads(&db, &old, &txn, engine, threads)
-                        .expect("upward")
-                });
-                let planned = plan::with_planning(true, || {
+            let (_, baseline) = dduf::obs::capture(|| {
+                dduf::core::upward::interpret_with_threads(&db, &old, &txn, engine, 1)
+                    .expect("upward")
+            });
+            assert!(!baseline.is_empty(), "case {case}: no spans recorded");
+            for threads in [2usize, 8] {
+                let (_, got) = dduf::obs::capture(|| {
                     dduf::core::upward::interpret_with_threads(&db, &old, &txn, engine, threads)
                         .expect("upward")
                 });
                 assert_eq!(
-                    unplanned,
-                    planned,
-                    "case {case}: {engine:?} at {threads} threads: planner changed the events\n{}",
+                    baseline.semantic_fingerprint(),
+                    got.semantic_fingerprint(),
+                    "case {case}: {engine:?} trace diverges at {threads} threads\n{}",
                     prog.to_source()
                 );
             }
@@ -391,34 +304,84 @@ fn planned_matches_unplanned_upward() {
 /// depend only on the program and static binding patterns.
 #[test]
 fn planned_trace_fingerprints_invariant_across_thread_counts() {
-    use dduf::datalog::eval::plan;
-
     let mut rng = Rng::new(0x914C);
     for case in 0..12 {
         let prog = RandProgram::gen(&mut rng);
         let db = parse_database(&prog.to_source()).expect("parses");
         let old = materialize(&db).expect("stratified");
         let txn = gen_txn(&mut rng, &db);
-        plan::with_planning(true, || {
-            for engine in [UpwardEngine::Semantic, UpwardEngine::Incremental] {
-                let (_, baseline) = dduf::obs::capture(|| {
-                    dduf::core::upward::interpret_with_threads(&db, &old, &txn, engine, 1)
+        for engine in [UpwardEngine::Semantic, UpwardEngine::Incremental] {
+            let (_, baseline) = dduf::obs::capture(|| {
+                dduf::core::upward::interpret_with_threads(&db, &old, &txn, engine, 1)
+                    .expect("upward")
+            });
+            for threads in [2usize, 8] {
+                let (_, got) = dduf::obs::capture(|| {
+                    dduf::core::upward::interpret_with_threads(&db, &old, &txn, engine, threads)
                         .expect("upward")
                 });
-                for threads in [2usize, 8] {
-                    let (_, got) = dduf::obs::capture(|| {
-                        dduf::core::upward::interpret_with_threads(&db, &old, &txn, engine, threads)
-                            .expect("upward")
-                    });
-                    assert_eq!(
-                        baseline.semantic_fingerprint(),
-                        got.semantic_fingerprint(),
-                        "case {case}: {engine:?} planned trace diverges at {threads} threads"
-                    );
-                }
+                assert_eq!(
+                    baseline.semantic_fingerprint(),
+                    got.semantic_fingerprint(),
+                    "case {case}: {engine:?} planned trace diverges at {threads} threads"
+                );
             }
-        });
+        }
     }
+}
+
+/// Same-generation over a balanced binary tree of `depth` levels:
+/// `up(child, parent)`, `down(parent, child)`, `flat(root, root)`.
+fn same_generation_db(depth: u32) -> Database {
+    let mut src = String::from(
+        "sg(X, Y) :- flat(X, Y).
+         sg(X, Y) :- up(X, Z1), sg(Z1, Z2), down(Z2, Y).
+         flat(n0_0, n0_0).\n",
+    );
+    for lvl in 1..depth {
+        for i in 0..(1u64 << lvl) {
+            let (p, parent) = (lvl - 1, i / 2);
+            let _ = writeln!(src, "up(n{lvl}_{i}, n{p}_{parent}).");
+            let _ = writeln!(src, "down(n{p}_{parent}, n{lvl}_{i}).");
+        }
+    }
+    parse_database(&src).expect("generated tree parses")
+}
+
+/// The shape whose deltas outgrow the literals they join with: the `sg`
+/// delta of level 4, 5 and 6 (4^level pairs) is larger than `up` and
+/// `down` (126 edges each). Those rounds still run their delta-pinned
+/// plan, so the model equals naive evaluation at any thread count and
+/// every probe is counted.
+#[test]
+fn same_generation_deltas_outgrowing_their_joins_stay_planned_and_counted() {
+    use dduf::datalog::eval::{materialize_with_threads, Strategy};
+    use dduf::datalog::pretty;
+
+    let db = same_generation_db(7);
+    let naive = pretty::derived(&materialize_with_threads(&db, Strategy::Naive, 1).unwrap());
+    let mut fingerprints = Vec::new();
+    for threads in [1usize, 2, 8] {
+        let (model, report) = dduf::obs::capture(|| {
+            materialize_with_threads(&db, Strategy::SemiNaive, threads).expect("stratified")
+        });
+        assert_eq!(
+            pretty::derived(&model),
+            naive,
+            "semi-naive at {threads} threads diverges from naive"
+        );
+        let probes = report.total("eval.scc", "probes");
+        // One scan of `flat`; each of the 5461 sg pairs probes `up` once,
+        // and each of the 1365 above the leaves probes `down` for its two
+        // children.
+        assert_eq!(probes, 1 + 5461 + 2 * 1365, "at {threads} threads");
+        assert_eq!(
+            report.total("eval.scc", "indexed_probes") + report.total("eval.scc", "scan_probes"),
+            probes
+        );
+        fingerprints.push(report.semantic_fingerprint());
+    }
+    assert!(fingerprints.windows(2).all(|w| w[0] == w[1]));
 }
 
 const NODES: [&str; 5] = ["n0", "n1", "n2", "n3", "n4"];
@@ -684,16 +647,14 @@ fn maintained_stream_fingerprints_are_deterministic() {
             )
         };
 
-        dduf::datalog::eval::plan::with_planning(true, || {
-            let (state, fp) = run(None);
-            for threads in [2usize, 8] {
-                let (s, f) = run(Some(threads));
-                assert_eq!(state, s, "case {case}: state differs with a {threads}-pool");
-                assert_eq!(
-                    fp, f,
-                    "case {case}: trace fingerprint differs with a {threads}-pool"
-                );
-            }
-        });
+        let (state, fp) = run(None);
+        for threads in [2usize, 8] {
+            let (s, f) = run(Some(threads));
+            assert_eq!(state, s, "case {case}: state differs with a {threads}-pool");
+            assert_eq!(
+                fp, f,
+                "case {case}: trace fingerprint differs with a {threads}-pool"
+            );
+        }
     }
 }
