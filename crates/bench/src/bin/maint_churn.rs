@@ -104,11 +104,28 @@ fn churn_txn(
     Transaction::from_events(db, events).expect("validated churn event")
 }
 
+/// The process's resident-set high-water mark (`VmHWM`) in MB; 0 where
+/// `/proc/self/status` does not exist.
+fn rss_peak_mb() -> f64 {
+    std::fs::read_to_string("/proc/self/status")
+        .ok()
+        .and_then(|status| {
+            let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+            line.split_whitespace().nth(1)?.parse::<f64>().ok()
+        })
+        .map_or(0.0, |kb| kb / 1024.0)
+}
+
 struct ChurnResult {
     base_facts: usize,
     derived_tuples: usize,
     build_s: f64,
     incremental_s: f64,
+    /// High-water mark once the incremental segment is through: the
+    /// parsed database, its materialization, the engine (extensions and
+    /// support counts) and the old/new states its steps held at once —
+    /// read before the recompute oracle rematerializes beside them.
+    rss_peak_mb: f64,
     recompute_s: f64,
     speedup: f64,
 }
@@ -154,6 +171,7 @@ fn run_churn(chains: usize, len: usize, steps: usize) -> ChurnResult {
         inc_events.push(res);
         db = txn.apply(&db);
     }
+    let rss_peak_mb = rss_peak_mb();
 
     // Full recompute: the semantic oracle rematerializes the new state
     // every step (its `old` input advances outside the timed region).
@@ -184,6 +202,7 @@ fn run_churn(chains: usize, len: usize, steps: usize) -> ChurnResult {
         derived_tuples,
         build_s,
         incremental_s,
+        rss_peak_mb,
         recompute_s,
         speedup: recompute_s / incremental_s,
     }
@@ -304,6 +323,7 @@ fn main() {
     let _ = writeln!(json, "  \"identical_final_state\": true,");
     let _ = writeln!(json, "  \"engine_build_s\": {:.4},", churn.build_s);
     let _ = writeln!(json, "  \"incremental_s\": {:.4},", churn.incremental_s);
+    let _ = writeln!(json, "  \"rss_peak_mb\": {:.1},", churn.rss_peak_mb);
     let _ = writeln!(json, "  \"full_recompute_s\": {:.4},", churn.recompute_s);
     let _ = writeln!(json, "  \"speedup\": {:.2},", churn.speedup);
     let _ = writeln!(json, "  \"recovery\": {{");
@@ -335,8 +355,9 @@ fn main() {
         chains, len, churn.base_facts, churn.derived_tuples, steps
     );
     println!(
-        "incremental {:.3}s vs full recompute {:.3}s -> {:.2}x (events and states identical)",
-        churn.incremental_s, churn.recompute_s, churn.speedup
+        "incremental {:.3}s vs full recompute {:.3}s -> {:.2}x (events and states identical); \
+         resident peak after the incremental segment {:.1} MB",
+        churn.incremental_s, churn.recompute_s, churn.speedup, churn.rss_peak_mb
     );
     println!(
         "recovery: {} support counts restored in {:.3}s (recompute path: {:.3}s), 0 records replayed",

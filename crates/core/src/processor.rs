@@ -21,6 +21,7 @@ use dduf_datalog::ast::{Atom, Pred};
 use dduf_datalog::eval::{materialize, Interpretation, StateView};
 use dduf_datalog::storage::database::Database;
 use dduf_events::event::{EventAtom, EventKind};
+use std::collections::BTreeSet;
 
 /// The uniform update-processing interface over one deductive database.
 #[derive(Clone, Debug)]
@@ -390,23 +391,17 @@ impl UpdateProcessor {
                     .commit_staged(staged);
             }
             None => {
-                // Update only the derived relations the events actually
-                // touch; cloning the whole interpretation per commit would
-                // make every small transaction pay for the size of the
-                // database.
-                let mut changed: Vec<(Pred, dduf_datalog::storage::Relation)> = Vec::new();
-                for (pred, _role) in self.db.program().predicates() {
-                    if !self.db.program().is_derived(pred) {
-                        continue;
-                    }
-                    let ins = result.derived.relation(EventKind::Ins, pred);
-                    let del = result.derived.relation(EventKind::Del, pred);
-                    if ins.is_empty() && del.is_empty() {
-                        continue;
-                    }
-                    changed.push((pred, self.old.relation(pred).difference(del).union(ins)));
-                }
-                for (pred, rel) in changed {
+                // Only the derived relations the events touch, and of
+                // those only the runs the events fall in.
+                let derived = &result.derived;
+                let touched: BTreeSet<Pred> = derived
+                    .predicates(EventKind::Del)
+                    .chain(derived.predicates(EventKind::Ins))
+                    .collect();
+                for pred in touched {
+                    let mut rel = self.old.relation(pred).clone();
+                    rel.remove_all(derived.relation(EventKind::Del, pred).iter());
+                    rel.merge(derived.relation(EventKind::Ins, pred));
                     self.old.set(pred, rel);
                 }
             }

@@ -116,23 +116,22 @@ impl Transaction {
         (Transaction { events: effective }, noops)
     }
 
-    /// Applies the transaction to `db`, producing the new state `Dⁿ`.
-    /// No-op events are silently ignored (they do not change the state).
+    /// Applies the transaction to a clone of `db`, producing the new
+    /// state `Dⁿ` beside the old one. The two share every relation the
+    /// transaction does not touch and, of the touched ones, every run its
+    /// events do not fall in. No-op events are silently ignored (they do
+    /// not change the state).
     pub fn apply(&self, db: &Database) -> Database {
         let mut new_db = db.clone();
         self.apply_in_place(&mut new_db);
         new_db
     }
 
-    /// [`apply`](Self::apply) without the whole-database clone: mutates
-    /// `db` directly. This is the commit path — a transaction touches a
-    /// handful of relations, and cloning every untouched one per commit
-    /// dominates a small-transaction workload (the server's group
-    /// commit batches are limited by exactly this serial cost).
+    /// [`apply`](Self::apply) on `db` itself, for a caller that no longer
+    /// needs the old state: the commit path and journal replay.
     pub fn apply_in_place(&self, db: &mut Database) {
-        // Group per (kind, pred) so each relation is mutated — and its
-        // indexes invalidated — once, not once per event. Journal replay
-        // funnels every recovered record through here.
+        // Group per (kind, pred) so each relation is mutated — and
+        // detached from its indexes — once, not once per event.
         let mut ins: BTreeMap<Pred, Vec<Tuple>> = BTreeMap::new();
         let mut del: BTreeMap<Pred, Vec<Tuple>> = BTreeMap::new();
         for e in self.events.iter() {

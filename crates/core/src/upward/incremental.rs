@@ -655,7 +655,10 @@ pub fn interpret_pooled(
                     if !ins.is_empty() || !del.is_empty() {
                         touched.insert(pred);
                     }
-                    new_interp.set(pred, old_rel.difference(&del).union(&ins));
+                    let mut new_rel = old_rel.clone();
+                    new_rel.remove_all(del.iter());
+                    new_rel.merge(&ins);
+                    new_interp.set(pred, new_rel);
                     evaluated.insert(pred);
                     for t in ins.iter() {
                         let e = GroundEvent::ins(pred, t.clone());

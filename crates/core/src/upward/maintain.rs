@@ -61,6 +61,7 @@ use dduf_datalog::eval::pool::Pool;
 use dduf_datalog::eval::Interpretation;
 use dduf_datalog::storage::database::Database;
 use dduf_datalog::storage::relation::Relation;
+use dduf_datalog::storage::runs::Runs;
 use dduf_datalog::storage::tuple::Tuple;
 use dduf_datalog::stratify::Stratification;
 use dduf_events::event::{EventKind, GroundEvent};
@@ -70,6 +71,11 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 /// Support-count deltas per counting-strategy predicate, as staged by
 /// [`MaintenanceEngine::interpret`].
 pub type CountDeltas = BTreeMap<Pred, HashMap<Tuple, i64>>;
+
+/// The stored support counts of one counting-strategy predicate: the
+/// container the relations are made of, with the count as each tuple's
+/// value, so a clone of the engine shares them like it shares extensions.
+pub type Counts = Runs<i64>;
 
 /// The maintenance strategy chosen for one stratification component.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -98,8 +104,10 @@ struct Unit {
 pub struct StagedMaintenance {
     /// Support-count deltas for counting-strategy predicates.
     pub count_deltas: CountDeltas,
-    /// Full new extensions of the derived predicates that changed
-    /// (unchanged predicates are absent).
+    /// New extensions of the derived predicates that changed (unchanged
+    /// predicates are absent). Each is a clone of the old extension with
+    /// the induced events applied, so it shares every untouched run with
+    /// it.
     pub new_exts: BTreeMap<Pred, Relation>,
 }
 
@@ -113,7 +121,7 @@ pub struct StagedMaintenance {
 #[derive(Clone, Debug)]
 pub struct MaintenanceEngine {
     /// Support counts, counting-strategy predicates only.
-    counts: BTreeMap<Pred, HashMap<Tuple, i64>>,
+    counts: BTreeMap<Pred, Counts>,
     /// Current extension of every derived predicate.
     exts: BTreeMap<Pred, Relation>,
     /// Components in dependency order with their strategies.
@@ -160,7 +168,7 @@ impl MaintenanceEngine {
             .filter(|u| u.strategy == Strategy::Counting)
             .flat_map(|u| u.preds.iter().copied())
             .collect();
-        let maps: Vec<HashMap<Tuple, i64>> = pool.map(counting.len(), |ci| {
+        let maps: Vec<Counts> = pool.map(counting.len(), |ci| {
             let pred = counting[ci];
             let mut map: HashMap<Tuple, i64> = HashMap::new();
             for rule in program.rules_for(pred) {
@@ -177,10 +185,11 @@ impl MaintenanceEngine {
                     *map.entry(t).or_insert(0) += 1;
                 }
             }
-            map
+            let mut counted: Vec<(Tuple, i64)> = map.into_iter().collect();
+            counted.sort_unstable();
+            Counts::from_sorted(counted)
         });
-        let counts: BTreeMap<Pred, HashMap<Tuple, i64>> =
-            counting.iter().copied().zip(maps).collect();
+        let counts: BTreeMap<Pred, Counts> = counting.iter().copied().zip(maps).collect();
         let exts: BTreeMap<Pred, Relation> = units
             .iter()
             .flat_map(|u| u.preds.iter())
@@ -207,7 +216,7 @@ impl MaintenanceEngine {
     /// recompute.
     pub fn from_saved(
         db: &Database,
-        counts: BTreeMap<Pred, HashMap<Tuple, i64>>,
+        counts: BTreeMap<Pred, Counts>,
         dred_exts: BTreeMap<Pred, Relation>,
     ) -> Result<MaintenanceEngine> {
         let units = compute_units(db.program())?;
@@ -237,7 +246,7 @@ impl MaintenanceEngine {
                 let rel = match s {
                     Strategy::Counting => counts
                         .get(&p)
-                        .map(|m| m.keys().cloned().collect())
+                        .map(|m| m.iter().map(|(t, _)| t.clone()).collect())
                         .unwrap_or_default(),
                     Strategy::DRed => dred_exts.get(&p).cloned().unwrap_or_default(),
                 };
@@ -279,7 +288,7 @@ impl MaintenanceEngine {
 
     /// All support counts (counting-strategy predicates only), for
     /// persistence.
-    pub fn counts(&self) -> &BTreeMap<Pred, HashMap<Tuple, i64>> {
+    pub fn counts(&self) -> &BTreeMap<Pred, Counts> {
         &self.counts
     }
 
@@ -385,7 +394,11 @@ impl MaintenanceEngine {
         for (pred, delta) in staged.count_deltas {
             let map = self.counts.entry(pred).or_default();
             for (t, d) in delta {
-                let c = map.entry(t.clone()).or_insert(0);
+                let Some(c) = map.get_mut(&t) else {
+                    debug_assert!(d > 0, "negative count for {pred}{t}");
+                    map.insert(t, d);
+                    continue;
+                };
                 *c += d;
                 debug_assert!(*c >= 0, "negative count for {pred}{t}");
                 if *c == 0 {
@@ -567,13 +580,8 @@ impl MaintenanceEngine {
         let mut cur: BTreeMap<Pred, Relation> = members
             .iter()
             .map(|&m| {
-                let old = self.extension(m);
-                let d = &over[&m];
-                let rel = if d.is_empty() {
-                    old.clone()
-                } else {
-                    old.difference(d)
-                };
+                let mut rel = self.extension(m).clone();
+                rel.remove_all(over[&m].iter());
                 (m, rel)
             })
             .collect();
@@ -1151,8 +1159,8 @@ mod tests {
         let db =
             parse_database("e(a, b). tc(X, Y) :- e(X, Y). tc(X, Y) :- e(X, Z), tc(Z, Y).").unwrap();
         // tc is recursive, so counts for it cannot be loaded.
-        let mut counts: BTreeMap<Pred, HashMap<Tuple, i64>> = BTreeMap::new();
-        counts.insert(Pred::new("tc", 2), HashMap::new());
+        let mut counts: BTreeMap<Pred, Counts> = BTreeMap::new();
+        counts.insert(Pred::new("tc", 2), Counts::default());
         let err = MaintenanceEngine::from_saved(&db, counts, BTreeMap::new()).unwrap_err();
         assert!(err.to_string().contains("tc/2"), "{err}");
     }

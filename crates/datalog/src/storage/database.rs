@@ -8,7 +8,7 @@ use crate::schema::Program;
 use crate::storage::relation::Relation;
 use crate::storage::tuple::Tuple;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 fn empty_relation() -> &'static Relation {
     static EMPTY: OnceLock<Relation> = OnceLock::new();
@@ -16,9 +16,14 @@ fn empty_relation() -> &'static Relation {
 }
 
 /// A deductive database: extensional facts + intensional program.
+///
+/// A clone shares the program and every relation's tuples with its origin
+/// (see [`Relation`]), so the new state `Dⁿ` of a transaction and a
+/// published snapshot cost what the transaction changed, not what the
+/// database holds.
 #[derive(Clone, Debug, Default)]
 pub struct Database {
-    program: Program,
+    program: Arc<Program>,
     edb: BTreeMap<Pred, Relation>,
 }
 
@@ -26,7 +31,7 @@ impl Database {
     /// Creates a database with the given intensional part and no facts.
     pub fn new(program: Program) -> Database {
         Database {
-            program,
+            program: Arc::new(program),
             edb: BTreeMap::new(),
         }
     }
@@ -70,7 +75,7 @@ impl Database {
     }
 
     /// Bulk-asserts base facts for one predicate, mutating the relation
-    /// (and invalidating its indexes) once. Returns the number of fresh
+    /// (and detaching it from its indexes) once. Returns the number of fresh
     /// tuples. Validates like [`Database::assert_tuple`], before touching
     /// the relation.
     pub fn extend_tuples(
@@ -92,7 +97,7 @@ impl Database {
     }
 
     /// Bulk-retracts base facts for one predicate, mutating the relation
-    /// (and invalidating its indexes) once. Returns the number removed.
+    /// (and detaching it from its indexes) once. Returns the number removed.
     pub fn remove_tuples<'a>(
         &mut self,
         pred: Pred,

@@ -2,8 +2,10 @@
 
 pub mod database;
 pub mod relation;
+pub mod runs;
 pub mod tuple;
 
 pub use database::Database;
 pub use relation::Relation;
+pub use runs::Runs;
 pub use tuple::Tuple;

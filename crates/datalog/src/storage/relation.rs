@@ -3,9 +3,10 @@
 //! join pipeline.
 
 use crate::ast::Const;
+use crate::storage::runs::Runs;
 use crate::storage::tuple::Tuple;
 use std::collections::{BTreeSet, HashMap};
-use std::sync::RwLock;
+use std::sync::{Arc, RwLock};
 
 /// A composite index: key tuple (values of the indexed columns, in
 /// column order) → matching tuples.
@@ -17,31 +18,27 @@ const INDEX_MIN: usize = 16;
 
 /// A set of ground tuples of a single arity.
 ///
-/// Tuples are kept in a `BTreeSet` so iteration order — and therefore every
-/// answer the engine produces — is deterministic. Joins that probe bound
+/// Tuples are kept in persistent sorted runs ([`Runs`]), so iteration is
+/// in ascending tuple order — and therefore every answer the engine
+/// produces is deterministic — while `clone()` copies nothing: a clone
+/// shares every run with its origin until one of them is mutated, and a
+/// mutation copies only the runs it touches. Joins that probe bound
 /// columns go through an internal composite index keyed by the bound
 /// column *set*: one hash map per distinct column set, mapping the key
 /// tuple (the values of those columns) to the matching tuples. Indexes
-/// are built on first use (or eagerly via [`Relation::build_index`]) and
-/// cached until the next mutation.
-#[derive(Debug, Default)]
+/// are built on first use (or eagerly via [`Relation::build_index`]).
+#[derive(Clone, Debug, Default)]
 pub struct Relation {
-    tuples: BTreeSet<Tuple>,
+    tuples: Runs<()>,
     /// Composite indexes keyed by the (sorted) indexed column set. Behind
     /// an `RwLock` so the steady state — all workers probing an
     /// already-built index — takes only a shared read lock; the exclusive
-    /// write lock is held just once per column set to build. The cache is
-    /// not cloned with the relation and does not participate in equality.
-    index: RwLock<HashMap<Box<[usize]>, CompositeIndex>>,
-}
-
-impl Clone for Relation {
-    fn clone(&self) -> Relation {
-        Relation {
-            tuples: self.tuples.clone(),
-            index: RwLock::new(HashMap::new()),
-        }
-    }
+    /// write lock is held just once per column set to build. Clones share
+    /// the cache (same tuple set, same indexes, whichever of them builds
+    /// one); a mutation *detaches* the mutated relation onto an empty
+    /// cache and leaves the others theirs. It does not participate in
+    /// equality.
+    index: Arc<RwLock<HashMap<Box<[usize]>, CompositeIndex>>>,
 }
 
 impl Relation {
@@ -52,58 +49,74 @@ impl Relation {
 
     /// Creates a relation from tuples.
     pub fn from_tuples(tuples: impl IntoIterator<Item = Tuple>) -> Relation {
+        let mut sorted: Vec<Tuple> = tuples.into_iter().collect();
+        sorted.sort_unstable();
+        sorted.dedup();
+        Relation::from_sorted(sorted)
+    }
+
+    /// Creates a relation from tuples in strictly ascending order.
+    fn from_sorted(tuples: impl IntoIterator<Item = Tuple>) -> Relation {
         Relation {
-            tuples: tuples.into_iter().collect(),
-            index: Default::default(),
+            tuples: Runs::from_sorted(tuples.into_iter().map(|t| (t, ()))),
+            index: Arc::default(),
+        }
+    }
+
+    /// Leaves the index cache to the clones that still have this
+    /// relation's previous tuple set; called after every change to it.
+    fn detach_index(&mut self) {
+        match Arc::get_mut(&mut self.index) {
+            Some(own) => own.get_mut().expect("index lock").clear(),
+            None => self.index = Arc::default(),
         }
     }
 
     /// Inserts a tuple; returns `true` if it was not already present.
     pub fn insert(&mut self, t: Tuple) -> bool {
-        let fresh = self.tuples.insert(t);
+        let fresh = self.tuples.insert(t, ());
         if fresh {
-            self.index.get_mut().expect("index lock").clear();
+            self.detach_index();
         }
         fresh
     }
 
     /// Removes a tuple; returns `true` if it was present.
     pub fn remove(&mut self, t: &Tuple) -> bool {
-        let removed = self.tuples.remove(t);
+        let removed = self.tuples.remove(t).is_some();
         if removed {
-            self.index.get_mut().expect("index lock").clear();
+            self.detach_index();
         }
         removed
     }
 
-    /// Bulk insertion: adds every tuple, invalidating the index cache at
-    /// most once (per-tuple [`Relation::insert`] pays one invalidation per
-    /// fresh tuple, which turns bulk loads into O(n) cache churn). Returns
-    /// the tuples that were genuinely new, in input order.
+    /// Bulk insertion: adds every tuple, detaching the index cache at
+    /// most once. Returns the tuples that were genuinely new, in input
+    /// order.
     pub fn extend(&mut self, tuples: impl IntoIterator<Item = Tuple>) -> Vec<Tuple> {
         let mut fresh = Vec::new();
         for t in tuples {
-            if self.tuples.insert(t.clone()) {
+            if self.tuples.insert(t.clone(), ()) {
                 fresh.push(t);
             }
         }
         if !fresh.is_empty() {
-            self.index.get_mut().expect("index lock").clear();
+            self.detach_index();
         }
         fresh
     }
 
-    /// Bulk removal: removes every tuple, invalidating the index cache at
+    /// Bulk removal: removes every tuple, detaching the index cache at
     /// most once. Returns the number of tuples actually removed.
     pub fn remove_all<'a>(&mut self, tuples: impl IntoIterator<Item = &'a Tuple>) -> usize {
         let mut removed = 0;
         for t in tuples {
-            if self.tuples.remove(t) {
+            if self.tuples.remove(t).is_some() {
                 removed += 1;
             }
         }
         if removed > 0 {
-            self.index.get_mut().expect("index lock").clear();
+            self.detach_index();
         }
         removed
     }
@@ -114,15 +127,16 @@ impl Relation {
     /// write lock. Returns `true` iff an index was freshly built; no-op
     /// (returning `false`) when the relation is too small for indexing to
     /// pay off, the column set is empty or out of range, or the index
-    /// already exists.
+    /// already exists (built through this relation or through a clone
+    /// sharing its cache).
     pub fn build_index(&self, cols: &[usize]) -> bool {
         debug_assert!(cols.windows(2).all(|w| w[0] < w[1]), "cols must be sorted");
         if cols.is_empty() || self.tuples.len() < INDEX_MIN {
             return false;
         }
         if self
-            .tuples
-            .first()
+            .iter()
+            .next()
             .is_some_and(|t| cols.last().is_some_and(|&c| c >= t.arity()))
         {
             return false;
@@ -143,7 +157,7 @@ impl Relation {
 
     fn build_composite(&self, cols: &[usize]) -> CompositeIndex {
         let mut idx: CompositeIndex = HashMap::new();
-        for t in &self.tuples {
+        for t in self.iter() {
             let key: Box<[Const]> = cols.iter().map(|&c| t[c]).collect();
             idx.entry(key).or_default().push(t.clone());
         }
@@ -159,7 +173,7 @@ impl Relation {
 
     /// Membership test.
     pub fn contains(&self, t: &Tuple) -> bool {
-        self.tuples.contains(t)
+        self.tuples.get(t).is_some()
     }
 
     /// Number of tuples.
@@ -174,7 +188,7 @@ impl Relation {
 
     /// Iterates tuples in deterministic (ordered) fashion.
     pub fn iter(&self) -> impl Iterator<Item = &Tuple> + '_ {
-        self.tuples.iter()
+        self.tuples.iter().map(|(t, ())| t)
     }
 
     /// The tuples matching a binding pattern (`Some(c)` = column must equal
@@ -183,8 +197,8 @@ impl Relation {
     /// first use and cached until mutation).
     pub fn select(&self, pattern: &[Option<Const>]) -> Vec<Tuple> {
         debug_assert!(self
-            .tuples
-            .first()
+            .iter()
+            .next()
             .is_none_or(|t| t.arity() == pattern.len()));
         let bound: Vec<(usize, Const)> = pattern
             .iter()
@@ -192,15 +206,14 @@ impl Relation {
             .filter_map(|(i, c)| c.map(|c| (i, c)))
             .collect();
         if bound.is_empty() {
-            return self.tuples.iter().cloned().collect();
+            return self.iter().cloned().collect();
         }
         if self.tuples.len() >= INDEX_MIN {
             let cols: Vec<usize> = bound.iter().map(|&(i, _)| i).collect();
             let key: Vec<Const> = bound.iter().map(|&(_, c)| c).collect();
             return self.probe(&cols, &key);
         }
-        self.tuples
-            .iter()
+        self.iter()
             .filter(|t| bound.iter().all(|&(i, c)| t[i] == c))
             .cloned()
             .collect()
@@ -220,13 +233,7 @@ impl Relation {
     pub fn probe_cols(&self, cols: &[usize], key: &[Const]) -> (Vec<Tuple>, bool) {
         debug_assert_eq!(cols.len(), key.len());
         if self.tuples.len() < INDEX_MIN {
-            let matches = self
-                .tuples
-                .iter()
-                .filter(|t| cols.iter().zip(key).all(|(&c, &k)| t[c] == k))
-                .cloned()
-                .collect();
-            return (matches, false);
+            return (self.probe_scan(cols, key), false);
         }
         (self.probe(cols, key), true)
     }
@@ -237,8 +244,7 @@ impl Relation {
     /// the decision must then not leak back in through the lazy build.
     pub fn probe_scan(&self, cols: &[usize], key: &[Const]) -> Vec<Tuple> {
         debug_assert_eq!(cols.len(), key.len());
-        self.tuples
-            .iter()
+        self.iter()
             .filter(|t| cols.iter().zip(key).all(|(&c, &k)| t[c] == k))
             .cloned()
             .collect()
@@ -249,14 +255,16 @@ impl Relation {
         // index at all: tuples sort lexicographically, so the matches
         // are one contiguous range of the ordered set (a shorter tuple
         // sorts before every tuple extending it). This keeps probes
-        // change-proportional on relations whose index cache was just
-        // invalidated — the incremental maintenance engine mutates its
-        // materialized extensions every transaction, and an O(n) index
-        // rebuild per transaction would swallow the incrementality.
+        // change-proportional on a relation a transaction has just
+        // mutated and thereby detached from its indexes — the incremental
+        // maintenance engine does that to its materialized extensions
+        // every transaction, and an O(n) index rebuild per transaction
+        // would swallow the incrementality.
         if cols.iter().copied().eq(0..cols.len()) {
             return self
                 .tuples
-                .range(Tuple::new(key.to_vec())..)
+                .range_from(key)
+                .map(|(t, ())| t)
                 .take_while(|t| t[..key.len()] == *key)
                 .cloned()
                 .collect();
@@ -274,30 +282,33 @@ impl Relation {
         idx.get(key).cloned().unwrap_or_default()
     }
 
-    /// Set union (self ∪ other).
+    /// Set union (self ∪ other); shares with `self` every run `other`
+    /// adds nothing to.
     pub fn union(&self, other: &Relation) -> Relation {
-        Relation::from_tuples(self.tuples.union(&other.tuples).cloned())
+        let mut out = self.clone();
+        out.merge(other);
+        out
     }
 
     /// Set difference (self \ other).
     pub fn difference(&self, other: &Relation) -> Relation {
-        Relation::from_tuples(self.tuples.difference(&other.tuples).cloned())
+        Relation::from_sorted(self.iter().filter(|t| !other.contains(t)).cloned())
     }
 
     /// Set intersection (self ∩ other).
     pub fn intersection(&self, other: &Relation) -> Relation {
-        Relation::from_tuples(self.tuples.intersection(&other.tuples).cloned())
+        Relation::from_sorted(self.iter().filter(|t| other.contains(t)).cloned())
     }
 
     /// Inserts all tuples of `other`; returns the tuples that were new.
-    /// Bulk operation: the index cache is invalidated once, not per tuple.
+    /// Bulk operation: the index cache is detached once, not per tuple.
     pub fn merge(&mut self, other: &Relation) -> Vec<Tuple> {
         self.extend(other.iter().cloned())
     }
 
     /// All constants appearing in any tuple.
     pub fn constants(&self) -> BTreeSet<Const> {
-        self.tuples.iter().flat_map(|t| t.iter().copied()).collect()
+        self.iter().flat_map(|t| t.iter().copied()).collect()
     }
 }
 
@@ -318,7 +329,11 @@ impl FromIterator<Tuple> for Relation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::storage::runs::RUN;
     use crate::storage::tuple::syms;
+
+    /// What the relations are checked against.
+    type Model = BTreeSet<super::Tuple>;
 
     fn rel(rows: &[&[&str]]) -> Relation {
         rows.iter().map(|r| syms(r)).collect()
@@ -490,6 +505,206 @@ mod tests {
         });
         // The index survives and still answers correctly after the race.
         assert_eq!(r.select(&[None, Some(Const::Int(0))]).len(), 40);
+    }
+
+    /// Every run but at most one holds `RUN / 2 ..= 2 * RUN - 1` tuples
+    /// and none is empty.
+    fn assert_run_sizes(r: &Relation) {
+        let sizes: Vec<usize> = r.tuples.runs().iter().map(|run| run.len()).collect();
+        assert!(sizes.iter().all(|&n| n > 0 && n < 2 * RUN), "{sizes:?}");
+        let small = sizes.iter().filter(|&&n| n < RUN / 2).count();
+        assert!(small <= 1, "{small} underfull runs: {sizes:?}");
+        assert_eq!(sizes.iter().sum::<usize>(), r.len());
+    }
+
+    /// Everything a reader can ask of `r` answers as the model does.
+    fn assert_matches_model(r: &Relation, model: &Model, rng: &mut u64) {
+        assert_eq!(r.len(), model.len());
+        assert_eq!(r.is_empty(), model.is_empty());
+        assert!(r.iter().eq(model.iter()), "iteration order");
+        assert_run_sizes(r);
+        let scan = |cols: &[usize], key: &[Const]| -> Vec<Tuple> {
+            let hit = |t: &&Tuple| cols.iter().zip(key).all(|(&c, &k)| t[c] == k);
+            model.iter().filter(hit).cloned().collect()
+        };
+        for _ in 0..4 {
+            let t = random_tuple(rng);
+            assert_eq!(r.contains(&t), model.contains(&t));
+            // Prefix keys (shorter than the arity, and whole), non-prefix.
+            for cols in [&[0][..], &[0, 1], &[0, 1, 2], &[1], &[2], &[0, 2], &[1, 2]] {
+                let key: Vec<Const> = cols.iter().map(|&c| t[c]).collect();
+                let expected = scan(cols, &key);
+                let (hits, indexed) = r.probe_cols(cols, &key);
+                assert_eq!(hits, expected, "probe_cols {cols:?}");
+                assert_eq!(indexed, model.len() >= INDEX_MIN);
+                assert_eq!(r.probe_scan(cols, &key), expected, "probe_scan {cols:?}");
+                let mut pattern = vec![None; 3];
+                for (&c, &k) in cols.iter().zip(&key) {
+                    pattern[c] = Some(k);
+                }
+                assert_eq!(r.select(&pattern), expected, "select {pattern:?}");
+            }
+        }
+        assert!(r.select(&[None, None, None]).iter().eq(model.iter()));
+    }
+
+    fn xorshift(state: &mut u64) -> u64 {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        *state
+    }
+
+    /// One of 6 × 12 × 30 tuples, so draws repeat and prefixes are shared.
+    fn random_tuple(rng: &mut u64) -> Tuple {
+        let x = xorshift(rng);
+        let col = |shift: u32, modulus: u64| Const::Int(((x >> shift) % modulus) as i64);
+        Tuple::new(vec![col(0, 6), col(16, 12), col(32, 30)])
+    }
+
+    fn random_tuples(rng: &mut u64, at_most: u64) -> Vec<Tuple> {
+        (0..xorshift(rng) % (at_most + 1))
+            .map(|_| random_tuple(rng))
+            .collect()
+    }
+
+    /// Seeded model-based sweep: every operation of `Relation` against a
+    /// `BTreeSet` of tuples, over a handful of relations that are clones and
+    /// combinations of each other and all stay alive — so a clone that saw
+    /// a later mutation of its origin or of a sibling fails its next check.
+    #[test]
+    fn random_operations_match_a_btreeset_model() {
+        const SLOTS: usize = 5;
+        for seed in [1u64, 0x9e3779b97f4a7c15, 20260101] {
+            let mut rng = seed;
+            let mut slots: Vec<(Relation, Model)> = vec![Default::default(); SLOTS];
+            for step in 0..1500u64 {
+                let i = (xorshift(&mut rng) % SLOTS as u64) as usize;
+                let j = (xorshift(&mut rng) % SLOTS as u64) as usize;
+                // Alternate growing and shrinking spells, so sizes cross
+                // 0, 1, INDEX_MIN, one run and many runs in both directions.
+                let growing = (step / 250) % 2 == 0;
+                let (other, other_model) = slots[j].clone();
+                let (r, model) = &mut slots[i];
+                match xorshift(&mut rng) % 12 {
+                    0 => {
+                        let t = random_tuple(&mut rng);
+                        assert_eq!(r.insert(t.clone()), model.insert(t));
+                    }
+                    1 => {
+                        let t = random_tuple(&mut rng);
+                        assert_eq!(r.remove(&t), model.remove(&t));
+                    }
+                    2 | 3 if growing => {
+                        let ts = random_tuples(&mut rng, 200);
+                        let fresh = r.extend(ts.clone());
+                        let mut expected = Vec::new();
+                        for t in ts {
+                            if model.insert(t.clone()) {
+                                expected.push(t);
+                            }
+                        }
+                        assert_eq!(fresh, expected);
+                    }
+                    2 | 3 => {
+                        // Mostly members, so the spell really shrinks.
+                        let mut ts = random_tuples(&mut rng, 20);
+                        let stride = 1 + (xorshift(&mut rng) % 4) as usize;
+                        ts.extend(model.iter().step_by(stride).take(300).cloned());
+                        let expected = ts.iter().filter(|t| model.remove(t)).count();
+                        assert_eq!(r.remove_all(ts.iter()), expected);
+                    }
+                    4 => {
+                        let ts = random_tuples(&mut rng, if growing { 400 } else { 3 });
+                        *model = ts.iter().cloned().collect();
+                        *r = Relation::from_tuples(ts);
+                    }
+                    5 => {
+                        *model = model.union(&other_model).cloned().collect();
+                        *r = r.union(&other);
+                    }
+                    6 => {
+                        *model = model.difference(&other_model).cloned().collect();
+                        *r = r.difference(&other);
+                    }
+                    7 => {
+                        *model = model.intersection(&other_model).cloned().collect();
+                        *r = r.intersection(&other);
+                    }
+                    8 => {
+                        let expected: Vec<Tuple> = other_model.difference(model).cloned().collect();
+                        assert_eq!(r.merge(&other), expected);
+                        model.extend(other_model);
+                    }
+                    9 if !growing => {
+                        let all: Vec<Tuple> = model.iter().cloned().collect();
+                        assert_eq!(r.remove_all(all.iter()), all.len());
+                        model.clear();
+                    }
+                    _ => slots[i] = (other, other_model),
+                }
+                for (k, (r, model)) in slots.iter().enumerate() {
+                    if k == i {
+                        assert_matches_model(r, model, &mut rng);
+                    } else {
+                        assert!(r.iter().eq(model.iter()), "slot {k} moved at step {step}");
+                    }
+                }
+            }
+        }
+    }
+
+    fn numbered(n: i64) -> Relation {
+        (0..n)
+            .map(|i| Tuple::new(vec![Const::Int(i), Const::Int(i % 7)]))
+            .collect()
+    }
+
+    #[test]
+    fn a_clone_shares_every_run_it_did_not_touch() {
+        let origin = numbered(1000);
+        let mut copy = origin.clone();
+        assert!(copy.insert(Tuple::new(vec![Const::Int(500), Const::Int(-1)])));
+        let (old, new) = (origin.tuples.runs(), copy.tuples.runs());
+        assert_eq!(old.len(), new.len());
+        let copied = old.iter().zip(new).filter(|(a, b)| !Arc::ptr_eq(a, b));
+        assert_eq!(copied.count(), 1, "one insert copies one run");
+        assert_eq!(origin.len(), 1000);
+        assert_eq!(copy.len(), 1001);
+        // No tuple was copied either: the two runs hold the same `Arc`s.
+        let shared = origin
+            .iter()
+            .zip(copy.iter().filter(|t| t[1] != Const::Int(-1)));
+        assert!(shared
+            .into_iter()
+            .all(|(a, b)| std::ptr::eq(&a[..], &b[..])));
+    }
+
+    #[test]
+    fn clones_share_indexes_until_one_is_mutated() {
+        let origin = numbered(200);
+        let mut copy = origin.clone();
+        assert!(origin.build_index(&[1]));
+        assert!(!copy.build_index(&[1]), "built through the origin");
+        assert!(copy.build_index(&[0, 1]));
+        assert!(!origin.build_index(&[0, 1]), "built through the clone");
+        // A mutation detaches the clone; the origin keeps both indexes.
+        copy.insert(Tuple::new(vec![Const::Int(1000), Const::Int(3)]));
+        assert!(!origin.build_index(&[1]));
+        assert!(!origin.build_index(&[0, 1]));
+        let threes = origin.select(&[None, Some(Const::Int(3))]);
+        assert_eq!(threes.len(), 200 / 7 + usize::from(3 < 200 % 7));
+        assert_eq!(
+            copy.select(&[None, Some(Const::Int(3))]).len(),
+            threes.len() + 1
+        );
+        assert!(!copy.build_index(&[1]), "the select above rebuilt it");
+        assert!(copy.build_index(&[0, 1]), "detached from the shared cache");
+        // A relation that owns its cache alone clears it in place.
+        let mut alone = numbered(50);
+        assert!(alone.build_index(&[1]));
+        alone.remove(&Tuple::new(vec![Const::Int(3), Const::Int(3)]));
+        assert!(alone.build_index(&[1]));
     }
 
     #[test]

@@ -3,20 +3,24 @@
 use crate::ast::{Atom, Const, Pred};
 use std::fmt;
 use std::ops::Deref;
+use std::sync::Arc;
 
-/// An immutable ground tuple of constants.
+/// An immutable ground tuple of constants. The constants sit behind an
+/// `Arc`, so a clone — into another relation, an index bucket, an event —
+/// is a reference-count bump, never an allocation; order, equality and
+/// hash are those of the constants.
 #[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
-pub struct Tuple(Box<[Const]>);
+pub struct Tuple(Arc<[Const]>);
 
 impl Tuple {
     /// Creates a tuple from constants.
     pub fn new(consts: impl Into<Vec<Const>>) -> Tuple {
-        Tuple(consts.into().into_boxed_slice())
+        Tuple(consts.into().into())
     }
 
     /// The empty (0-ary) tuple.
     pub fn empty() -> Tuple {
-        Tuple(Box::new([]))
+        Tuple(Arc::new([]))
     }
 
     /// Number of columns.
@@ -50,7 +54,7 @@ impl From<Vec<Const>> for Tuple {
 
 impl FromIterator<Const> for Tuple {
     fn from_iter<I: IntoIterator<Item = Const>>(iter: I) -> Tuple {
-        Tuple::new(iter.into_iter().collect::<Vec<_>>())
+        Tuple(iter.into_iter().collect())
     }
 }
 

@@ -31,12 +31,12 @@
 
 use crate::crc32::crc32;
 use crate::error::{io_err, PersistError, Result};
-use dduf_core::upward::maintain::MaintenanceEngine;
+use dduf_core::upward::maintain::{Counts, MaintenanceEngine};
 use dduf_datalog::ast::Pred;
 use dduf_datalog::storage::relation::Relation;
 use dduf_datalog::storage::tuple::Tuple;
 use dduf_events::event::GroundEvent;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::io::Write;
 use std::path::Path;
 
@@ -52,7 +52,7 @@ pub struct CountsState {
     /// Journal byte offset the state covers; must equal the snapshot's.
     pub journal_pos: u64,
     /// Support counts of the counting strata.
-    pub counts: BTreeMap<Pred, HashMap<Tuple, i64>>,
+    pub counts: BTreeMap<Pred, Counts>,
     /// Extensions of the recursive (DRed) strata.
     pub dred_exts: BTreeMap<Pred, Relation>,
 }
@@ -60,7 +60,7 @@ pub struct CountsState {
 impl CountsState {
     /// Total persisted tuples (counted + DRed extension).
     pub fn tuple_count(&self) -> usize {
-        self.counts.values().map(HashMap::len).sum::<usize>()
+        self.counts.values().map(Counts::len).sum::<usize>()
             + self.dred_exts.values().map(Relation::len).sum::<usize>()
     }
 }
@@ -73,10 +73,7 @@ pub fn write(dir: &Path, engine: &MaintenanceEngine, journal_pos: u64) -> Result
     let mut body = String::new();
     let mut tuples = 0u64;
     for (&pred, map) in engine.counts() {
-        // HashMap iteration is unordered; sort for a deterministic file.
-        let mut entries: Vec<(&Tuple, i64)> = map.iter().map(|(t, &c)| (t, c)).collect();
-        entries.sort();
-        for (t, c) in entries {
+        for (t, c) in map.iter() {
             body.push_str(&format!("c {c} {}.\n", GroundEvent::ins(pred, t.clone())));
             tuples += 1;
         }
@@ -176,7 +173,7 @@ pub fn read(dir: &Path) -> Result<CountsState> {
             "checksum mismatch (stored {stored_crc:#010x}, computed {computed:#010x})"
         )));
     }
-    let mut counts: BTreeMap<Pred, HashMap<Tuple, i64>> = BTreeMap::new();
+    let mut counts: BTreeMap<Pred, Counts> = BTreeMap::new();
     let mut dred_exts: BTreeMap<Pred, Relation> = BTreeMap::new();
     for (ln, line) in body.lines().enumerate() {
         let line = line.trim();
@@ -204,7 +201,7 @@ pub fn read(dir: &Path) -> Result<CountsState> {
         };
         match count {
             Some(c) => {
-                if counts.entry(pred).or_default().insert(tuple, c).is_some() {
+                if !counts.entry(pred).or_default().insert(tuple, c) {
                     return Err(bad_line("duplicate counted tuple"));
                 }
             }

@@ -1,0 +1,186 @@
+//! The O(change) gate: what a commit and the publication of its state
+//! allocate must not depend on the size of the database.
+//!
+//! Relations are persistent sorted runs (DESIGN.md §15), so the new state
+//! `Dⁿ` of a transaction, the staged extensions and the snapshot the
+//! server publishes share everything the transaction did not touch. A
+//! copy of a relation, an extension or the support counts that sneaks
+//! back onto the commit path allocates in proportion to the database, and
+//! this test — a counting allocator around one commit, at two database
+//! sizes — fails. Bytes, not time: the numbers repeat exactly. One test
+//! function, and CI runs it with `DDUF_THREADS=1`, so nothing else
+//! allocates while it counts.
+
+use dduf::core::processor::ProcessorState;
+use dduf::core::rng::Rng;
+use dduf::prelude::*;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::fmt::Write as _;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Bytes requested from the allocator since the process started.
+static REQUESTED: AtomicU64 = AtomicU64::new(0);
+
+struct Counting;
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds
+// the `GlobalAlloc` contract; the counter is a relaxed statistic.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        REQUESTED.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        // SAFETY: the caller's obligations are `System.alloc`'s.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` with this layout.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        REQUESTED.fetch_add(new_size as u64, Ordering::Relaxed);
+        // SAFETY: `ptr` came from `System` with this layout.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+const INVENTORY: &str = include_str!("../e2ebench/programs/inventory.dl");
+const ATTACK_GRAPH: &str = include_str!("../e2ebench/programs/attack_graph.dl");
+
+/// A commit may allocate this much more on the large database than on the
+/// small one (spines grow by a pointer per 64 tuples).
+const SLACK: u64 = 128 * 1024;
+
+/// The benchmark's topology (`e2ebench/src/gen.rs`) in small: five zones
+/// in a chain, three intra-zone `hacl` edges per host, four firewall rules
+/// between adjacent zones, 70 % of the hosts vulnerable, ten attackers in
+/// zone 0, 5 % of the last zone critical — ≈4.7 facts per host. `island`
+/// is a host no attacker reaches, with one edge into zone 0.
+fn database(program: &str, hosts_per_zone: usize) -> Database {
+    let mut rng = Rng::new(1);
+    let mut text = String::from(program);
+    let host = |zone: usize, i: usize| format!("h{zone}_{i:05}");
+    for z in 0..5 {
+        for i in 0..hosts_per_zone {
+            let h = host(z, i);
+            writeln!(text, "host({h}, z{z}).").unwrap();
+            if rng.chance(0.7) {
+                writeln!(text, "vuln({h}, v{:02}).", rng.usize(50)).unwrap();
+            }
+            for _ in 0..3 {
+                writeln!(text, "hacl({h}, {}).", host(z, rng.usize(hosts_per_zone))).unwrap();
+            }
+        }
+    }
+    for z in 0..4 {
+        for _ in 0..4 {
+            let (from, to) = (rng.usize(hosts_per_zone), rng.usize(hosts_per_zone));
+            writeln!(text, "hacl({}, {}).", host(z, from), host(z + 1, to)).unwrap();
+        }
+    }
+    for a in 0..10 {
+        writeln!(
+            text,
+            "attacker_at(a{a}, {}).",
+            host(0, rng.usize(hosts_per_zone))
+        )
+        .unwrap();
+    }
+    for i in 0..(hosts_per_zone / 20).max(1) {
+        writeln!(text, "critical({}).", host(4, i)).unwrap();
+    }
+    writeln!(text, "host(island, z0). hacl(island, {}).", host(0, 0)).unwrap();
+    parse_database(&text).unwrap()
+}
+
+/// What the server's stager does for one `:apply` in a batch of its own:
+/// a checked commit on the staging processor, a clone of it to publish,
+/// and the drop of the state published before. Returns the bytes that
+/// allocated.
+fn commit_and_publish(
+    staging: &mut UpdateProcessor,
+    published: &mut ProcessorState,
+    src: &str,
+) -> u64 {
+    let txn = staging.transaction(src).unwrap();
+    let before = REQUESTED.load(Ordering::Relaxed);
+    let applied = staging.apply(&txn, true, &mut |_| Ok(())).unwrap();
+    let state = staging.clone().into_state();
+    drop(std::mem::replace(published, state));
+    let bytes = REQUESTED.load(Ordering::Relaxed) - before;
+    assert!(applied.is_ok(), "{src} is rejected");
+    bytes
+}
+
+/// The most any of `commits` allocates, after `warm_up` has built
+/// whatever is built on first use.
+fn worst_commit(db: Database, warm_up: &str, commits: &[String]) -> (usize, u64) {
+    let facts = db.fact_count();
+    let mut staging = UpdateProcessor::new(db)
+        .unwrap()
+        .with_maintenance()
+        .unwrap();
+    let mut published = staging.clone().into_state();
+    commit_and_publish(&mut staging, &mut published, warm_up);
+    let worst = commits
+        .iter()
+        .map(|src| commit_and_publish(&mut staging, &mut published, src))
+        .max()
+        .unwrap();
+    (facts, worst)
+}
+
+#[test]
+fn a_commit_allocates_the_same_on_a_small_and_a_large_database() {
+    // The traffic of `sync_small` / `ingest_wide`: a scanner reports a new
+    // host with a vulnerability.
+    let scans: Vec<String> = (1..6)
+        .map(|n| format!("+host(n{n:07}, z{}). +vuln(n{n:07}, v{:02}).", n % 5, n * 7))
+        .collect();
+    let scan = |hosts_per_zone| {
+        worst_commit(
+            database(INVENTORY, hosts_per_zone),
+            "+host(n0000000, z0). +vuln(n0000000, v00).",
+            &scans,
+        )
+    };
+    let (small_facts, small) = scan(40);
+    let (large_facts, large) = scan(2000);
+    assert!(small_facts < 1_100 && large_facts > 45_000);
+    println!("scanner commit: {small} B on {small_facts} facts, {large} B on {large_facts}");
+    assert!(
+        large <= small + SLACK,
+        "a scanner commit allocates {small} B on {small_facts} facts \
+         and {large} B on {large_facts}"
+    );
+
+    // The traffic of `ag_churn`, on the recursive program: a firewall rule
+    // goes and comes back. The rule is the island's, which no attacker has
+    // reached, so DRed has the same nothing to over-delete at either size
+    // and what is left is the fixed cost of a commit.
+    let toggles = [
+        "+hacl(island, h0_00000).".to_string(),
+        "-hacl(island, h0_00000).".to_string(),
+        "+hacl(island, h0_00000).".to_string(),
+        "-hacl(island, h0_00000).".to_string(),
+    ];
+    let toggle = |hosts_per_zone| {
+        worst_commit(
+            database(ATTACK_GRAPH, hosts_per_zone),
+            "-hacl(island, h0_00000).",
+            &toggles,
+        )
+    };
+    let (small_facts, small) = toggle(60);
+    let (large_facts, large) = toggle(600);
+    assert!(large_facts > 9 * small_facts);
+    println!("firewall toggle: {small} B on {small_facts} facts, {large} B on {large_facts}");
+    assert!(
+        large <= small + SLACK,
+        "a firewall toggle allocates {small} B on {small_facts} facts \
+         and {large} B on {large_facts}"
+    );
+}
