@@ -47,8 +47,8 @@ pub struct ProcessorState {
     pub db: Database,
     /// The materialized current state of the derived predicates.
     pub interp: Interpretation,
-    /// The maintenance state (support counts + extensions), when
-    /// maintenance was enabled.
+    /// The maintenance state (support counts + extensions, no ranks),
+    /// when maintenance was enabled.
     pub maint: Option<MaintenanceEngine>,
 }
 
@@ -105,12 +105,16 @@ impl UpdateProcessor {
     }
 
     /// Surrenders the full published state, maintenance included — the
-    /// counterpart of [`from_state`](Self::from_state).
+    /// counterpart of [`from_state`](Self::from_state). The engine goes
+    /// without its ranks: they are working state of the processor that
+    /// commits, which one rebuilt from this state builds again when it
+    /// needs them, and a snapshot holding them would keep alive its own
+    /// copy of every rank run the next batches rewrite.
     pub fn into_state(self) -> ProcessorState {
         ProcessorState {
             db: self.db,
             interp: self.old,
-            maint: self.maint,
+            maint: self.maint.map(MaintenanceEngine::without_ranks),
         }
     }
 
@@ -684,6 +688,50 @@ mod tests {
         // Only the unrejected transaction reached the hook.
         assert_eq!(hook_calls.get(), 1);
         assert_eq!(p.interpretation().relation(Pred::new("tc", 2)).len(), 3);
+    }
+
+    /// The engine ranks a recursive component in the transaction that
+    /// first re-derives a tuple of it, and the ranks are staged like the
+    /// rest of that transaction: a vetoed one leaves none behind, and the
+    /// engine is its old self.
+    #[test]
+    fn ranks_are_installed_by_the_commit_and_never_published() {
+        let db = parse_database(
+            "e(a, b). e(a, c). e(b, d). e(c, d).
+             tc(X, Y) :- e(X, Y). tc(X, Y) :- e(X, Z), tc(Z, Y).",
+        )
+        .unwrap();
+        let mut p = UpdateProcessor::new(db)
+            .unwrap()
+            .with_maintenance()
+            .unwrap();
+        let tc = Pred::new("tc", 2);
+        let ranked = |p: &UpdateProcessor| {
+            let engine = p.maintenance().unwrap();
+            engine.check_ranks(p.database()).unwrap();
+            engine
+                .extension(tc)
+                .iter()
+                .all(|t| engine.rank(tc, t).is_some())
+        };
+        let before = p.maintenance().unwrap().extensions().clone();
+        // tc(a, d) goes with b → d and comes back through c.
+        let txn = p.transaction("-e(b, d).").unwrap();
+        let vetoed = p.apply(&txn, true, &mut |_| {
+            Err(Error::Storage("journal full".into()))
+        });
+        assert!(matches!(vetoed, Err(Error::Storage(_))));
+        assert_eq!(p.maintenance().unwrap().extensions(), &before);
+        assert!(!ranked(&p), "a vetoed transaction installed its ranks");
+        p.apply(&txn, true, &mut |_| Ok(())).unwrap().unwrap();
+        assert!(ranked(&p), "the committed one did not");
+        // Ranks are the committing processor's working state: a published
+        // state carries none, and a processor rebuilt from it ranks again.
+        let mut rebuilt = UpdateProcessor::from_state(p.clone().into_state());
+        assert!(!ranked(&rebuilt));
+        let txn = rebuilt.transaction("+e(b, d). -e(c, d).").unwrap();
+        rebuilt.apply(&txn, true, &mut |_| Ok(())).unwrap().unwrap();
+        assert!(ranked(&rebuilt));
     }
 
     /// One upward interpretation per commit, checked or not, accepted or

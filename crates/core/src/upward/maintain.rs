@@ -23,10 +23,12 @@
 //! [`MaintenanceEngine`] closes the gap. It walks the stratification's
 //! components in dependency order and picks a strategy per component:
 //!
-//! | component      | strategy | deletion answer                        |
-//! |----------------|----------|----------------------------------------|
-//! | non-recursive  | counting | support count `>0 → 0` transition      |
-//! | recursive      | DRed     | overdelete to fixpoint, then rederive  |
+//! | component                          | strategy         | deletion answer                                        |
+//! |------------------------------------|------------------|--------------------------------------------------------|
+//! | non-recursive                      | counting         | support count `>0 → 0` transition                      |
+//! | recursive, nothing rederived yet   | DRed             | overdelete to fixpoint, then rederive                  |
+//! | recursive, once a tuple was        | rank-pruned DRed | overdelete what has no derivation over lower ranks,    |
+//! | rederived (never: chains, trees)   |                  | then rederive                                          |
 //!
 //! The DRed pass (after Gupta–Mumick–Subrahmanian, with the Datalog
 //! formulation of Behrend's uniform fixpoint treatment) runs in three
@@ -43,6 +45,31 @@
 //! 3. **Insert**: the transaction's enabling deltas fire each rule once
 //!    per occurrence, and newly added member tuples propagate
 //!    semi-naively (round-batched) to the new fixpoint.
+//!
+//! Textbook phase 1 takes out everything downstream of the change, which
+//! on a well-connected graph is most of the component, nearly all of it
+//! put back by phase 2. What it cannot know is whether a tuple's other
+//! derivations support it from outside or only through a cycle that
+//! passes through the deleted tuple. A **rank** per tuple says so: the
+//! engine keeps, for every tuple `t` of a ranked component, a number with
+//! the invariant that *`t` has a rule instance, true in the current
+//! state, whose member body tuples all have a rank below `t`'s* (the
+//! fixpoint round that first derived it is such a number; ranks need not
+//! stay minimal). Phase 1 then pops its candidates in ascending rank and
+//! **keeps** one that still has an instance whose literals outside the
+//! component hold in the new state and whose member body tuples are old,
+//! not overdeleted and of strictly lower rank. By induction on the rank
+//! those body tuples stay — everything of lower rank that has to go went
+//! before — so the kept tuple is derivable without itself, keeps its rank,
+//! and the cascade stops there; a candidate without such an instance is
+//! overdeleted and goes through phases 2 and 3, which give whatever they
+//! put back or insert `1 + max` rank of the member body tuples of the
+//! instance that produced it. Ranks are built, from the new state, at the
+//! end of the first pass over the component that rederives a tuple — the
+//! first evidence that there are alternative derivations to tell apart —
+//! staged and committed like the extensions, maintained from then on and
+//! never persisted. A component without ranks runs the same loop with the
+//! keep-check skipped.
 //!
 //! Every phase drives its joins from a delta tuple, so the work is
 //! proportional to the change, not the database — the same compiled join
@@ -66,7 +93,8 @@ use dduf_datalog::storage::tuple::Tuple;
 use dduf_datalog::stratify::Stratification;
 use dduf_events::event::{EventKind, GroundEvent};
 use dduf_events::store::EventStore;
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap, HashSet};
 
 /// Support-count deltas per counting-strategy predicate, as staged by
 /// [`MaintenanceEngine::interpret`].
@@ -76,6 +104,10 @@ pub type CountDeltas = BTreeMap<Pred, HashMap<Tuple, i64>>;
 /// container the relations are made of, with the count as each tuple's
 /// value, so a clone of the engine shares them like it shares extensions.
 pub type Counts = Runs<i64>;
+
+/// The stored ranks of one member predicate of a recursive component: the
+/// same container again, with the tuple's rank as its value.
+pub type Ranks = Runs<i64>;
 
 /// The maintenance strategy chosen for one stratification component.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -109,6 +141,10 @@ pub struct StagedMaintenance {
     /// the induced events applied, so it shares every untouched run with
     /// it.
     pub new_exts: BTreeMap<Pred, Relation>,
+    /// New rank maps of the recursive-component members whose ranks
+    /// changed, or were built by this transaction (then every member of
+    /// the component has an entry).
+    pub new_ranks: BTreeMap<Pred, Ranks>,
 }
 
 /// Stateful, strategy-selecting view maintenance over one database.
@@ -124,6 +160,13 @@ pub struct MaintenanceEngine {
     counts: BTreeMap<Pred, Counts>,
     /// Current extension of every derived predicate.
     exts: BTreeMap<Pred, Relation>,
+    /// Ranks of the members of every recursive component that has shown
+    /// an alternative derivation (all members of a component or none).
+    /// Same keys as the member's extension; every tuple has a rule
+    /// instance, true in the current state, whose member body tuples all
+    /// have a strictly lower rank. Never persisted: a recovered engine
+    /// starts without and builds them again when it needs them.
+    ranks: BTreeMap<Pred, Ranks>,
     /// Components in dependency order with their strategies.
     units: Vec<Unit>,
 }
@@ -201,6 +244,7 @@ impl MaintenanceEngine {
         Ok(MaintenanceEngine {
             counts,
             exts,
+            ranks: BTreeMap::new(),
             units,
         })
     }
@@ -256,6 +300,7 @@ impl MaintenanceEngine {
         Ok(MaintenanceEngine {
             counts,
             exts,
+            ranks: BTreeMap::new(),
             units,
         })
     }
@@ -284,6 +329,20 @@ impl MaintenanceEngine {
         self.exts
             .get(&pred)
             .unwrap_or_else(|| EMPTY.get_or_init(Relation::new))
+    }
+
+    /// The rank of a tuple of a recursive component, once the component
+    /// has ranks (`None` before that, and for any other tuple).
+    pub fn rank(&self, pred: Pred, tuple: &Tuple) -> Option<i64> {
+        self.ranks.get(&pred)?.get(tuple).copied()
+    }
+
+    /// The engine without its ranks: what is published and persisted. It
+    /// maintains as before and ranks a component again when a pass
+    /// rederives in it.
+    pub(crate) fn without_ranks(mut self) -> MaintenanceEngine {
+        self.ranks.clear();
+        self
     }
 
     /// All support counts (counting-strategy predicates only), for
@@ -363,9 +422,11 @@ impl MaintenanceEngine {
                 ("transactions", 1),
                 ("counting_preds", ctrs.counting),
                 ("dred_components", ctrs.dred),
+                ("checked", ctrs.checked),
                 ("overdeleted", ctrs.overdeleted),
                 ("rederived", ctrs.rederived),
                 ("inserted", ctrs.inserted),
+                ("ranks_built", ctrs.ranks_built),
                 ("events", derived_events.len() as u64),
             ],
             timer.elapsed_us(),
@@ -387,7 +448,7 @@ impl MaintenanceEngine {
     }
 
     /// Commits a staged interpretation: merges the count deltas and
-    /// installs the changed extensions. Split from
+    /// installs the changed extensions and rank maps. Split from
     /// [`interpret`](Self::interpret) so a write-ahead hook can run (and
     /// veto) in between.
     pub fn commit_staged(&mut self, staged: StagedMaintenance) {
@@ -406,9 +467,8 @@ impl MaintenanceEngine {
                 }
             }
         }
-        for (pred, rel) in staged.new_exts {
-            self.exts.insert(pred, rel);
-        }
+        self.exts.extend(staged.new_exts);
+        self.ranks.extend(staged.new_ranks);
     }
 
     /// One counting-strategy predicate: finite differencing against the
@@ -500,13 +560,24 @@ impl MaintenanceEngine {
             return;
         }
         let mut plans = SeededPlans::new();
+        // All members of a component have ranks or none has.
+        let ranked = self.ranks.contains_key(&members[0]);
+        // The new state of everything outside the component: final, lower
+        // components are processed first.
+        let lower_exts = &staged.new_exts;
+        let new_outside = |p: Pred| -> &Relation {
+            if program.is_derived(p) {
+                lower_exts.get(&p).unwrap_or_else(|| self.extension(p))
+            } else {
+                new_db.relation(p)
+            }
+        };
 
         // ---- phase 1: overdelete to fixpoint against the OLD state ----
-        // `over[m]` ⊆ old extension of m; the worklist carries member
-        // deletions still to propagate.
-        let mut over: BTreeMap<Pred, Relation> =
-            members.iter().map(|&m| (m, Relation::new())).collect();
-        let mut worklist: VecDeque<(Pred, Tuple)> = VecDeque::new();
+        // `over[m]` ⊆ old extension of m. Candidates are popped in
+        // ascending rank, so when one is checked every tuple of lower rank
+        // that has to go is in `over` for good.
+        let mut candidates = Candidates::new(members);
         {
             let old_rel_of = |p: Pred| -> &Relation {
                 if program.is_derived(p) {
@@ -515,61 +586,66 @@ impl MaintenanceEngine {
                     db.relation(p)
                 }
             };
+            // What the keep-check reads: the component as it was, the
+            // rest as it will be.
+            let kept_rel_of = |p: Pred| -> &Relation {
+                if member_set.contains(&p) {
+                    self.extension(p)
+                } else {
+                    new_outside(p)
+                }
+            };
             // Breaking deltas from outside the component: deletions on
             // positive occurrences, insertions on negated ones. Member
             // predicates have no events yet, so their relations are empty
-            // here and only the worklist drives them.
+            // here and only the candidates drive them.
             for (ri, rule) in rules.iter().enumerate() {
-                let head = rule.head.pred;
                 for (i, lit) in rule.body.iter().enumerate() {
                     let kind = if lit.positive {
                         EventKind::Del
                     } else {
                         EventKind::Ins
                     };
-                    let breaking = events.relation(kind, lit.atom.pred);
-                    for t in breaking.iter() {
-                        fire_breaking(
-                            rule,
-                            head,
-                            i,
-                            lit,
-                            t,
-                            &old_rel_of,
-                            &mut plans,
-                            ri,
-                            &mut over,
-                            &mut worklist,
-                            self,
-                        );
+                    for t in events.relation(kind, lit.atom.pred).iter() {
+                        let slot = plans.entry((ri, i)).or_default();
+                        fire(rule, i, t, &old_rel_of, slot, &mut |h, _| {
+                            candidates.push(self, rule.head.pred, h)
+                        });
                     }
                 }
             }
-            while let Some((p, t)) = worklist.pop_front() {
+            while let Some((rank, p, t)) = candidates.pop() {
+                if ranked {
+                    ctrs.checked += 1;
+                    // Kept, with its rank: an instance over tuples of
+                    // lower rank that all stay cannot pass through `t`.
+                    let kept = rules_for(&rules, p).any(|(ri, rule)| {
+                        let slot = plans.entry((ri, usize::MAX)).or_default();
+                        head_bound(rule, &t, &kept_rel_of, slot).iter().any(|b| {
+                            member_body(rule, b, &member_set, &self.ranks)
+                                .all(|(q, bt, r)| r < rank && !candidates.over[&q].contains(&bt))
+                        })
+                    });
+                    if kept {
+                        candidates.keep(p, t);
+                        continue;
+                    }
+                }
                 for (ri, rule) in rules.iter().enumerate() {
-                    let head = rule.head.pred;
                     for (i, lit) in rule.body.iter().enumerate() {
                         // Negative member occurrences cannot exist in a
                         // stratified component.
                         if lit.positive && lit.atom.pred == p {
-                            fire_breaking(
-                                rule,
-                                head,
-                                i,
-                                lit,
-                                &t,
-                                &old_rel_of,
-                                &mut plans,
-                                ri,
-                                &mut over,
-                                &mut worklist,
-                                self,
-                            );
+                            let slot = plans.entry((ri, i)).or_default();
+                            fire(rule, i, &t, &old_rel_of, slot, &mut |h, _| {
+                                candidates.push(self, rule.head.pred, h)
+                            });
                         }
                     }
                 }
             }
         }
+        let over = candidates.over;
         for rel in over.values() {
             ctrs.overdeleted += rel.len() as u64;
         }
@@ -577,6 +653,8 @@ impl MaintenanceEngine {
         // ---- phase 2+3: rederive survivors, fire insertions, propagate ----
         // `cur` is the running underestimate: old \ over, grown to the
         // new fixpoint. `fresh` tracks genuinely new tuples (ins events).
+        // `rank` holds the rank of every tuple of `cur` when the component
+        // has ranks and stays empty when it has none.
         let mut cur: BTreeMap<Pred, Relation> = members
             .iter()
             .map(|&m| {
@@ -585,31 +663,40 @@ impl MaintenanceEngine {
                 (m, rel)
             })
             .collect();
+        let mut rank: BTreeMap<Pred, Ranks> = members
+            .iter()
+            .filter_map(|&m| {
+                let mut map = self.ranks.get(&m)?.clone();
+                for t in over[&m].iter() {
+                    map.remove(t);
+                }
+                Some((m, map))
+            })
+            .collect();
         let mut fresh: BTreeMap<Pred, Relation> =
             members.iter().map(|&m| (m, Relation::new())).collect();
-        let mut pending: BTreeSet<(Pred, Tuple)> = BTreeSet::new();
+        // Tuples to add in the next round, each with the rank the instance
+        // that produced it gives it (the lowest, if several did).
+        let mut pending: BTreeMap<(Pred, Tuple), i64> = BTreeMap::new();
 
         {
             // New-state view: members from `cur`, everything else final.
-            let new_rel_of = |p: Pred| -> &Relation {
-                if member_set.contains(&p) {
-                    &cur[&p]
-                } else if program.is_derived(p) {
-                    staged.new_exts.get(&p).unwrap_or_else(|| self.extension(p))
-                } else {
-                    new_db.relation(p)
-                }
-            };
+            let new_rel_of =
+                |p: Pred| -> &Relation { cur.get(&p).unwrap_or_else(|| new_outside(p)) };
             // Rederive scan: each overdeleted tuple, head-bound, against
             // the underestimate. Tuples whose support arrives later are
             // caught by propagation.
             for &m in members {
                 for t in over[&m].iter() {
-                    let derivable = program.rules_for(m).iter().enumerate().any(|(ri, rule)| {
-                        rederive_check(rule, t, &new_rel_of, &mut plans, rules_index(&rules, m, ri))
+                    let derived = rules_for(&rules, m).find_map(|(ri, rule)| {
+                        let slot = plans.entry((ri, usize::MAX)).or_default();
+                        head_bound(rule, t, &new_rel_of, slot)
+                            .iter()
+                            .map(|b| instance_rank(rule, b, &member_set, &rank))
+                            .min()
                     });
-                    if derivable {
-                        pending.insert((m, t.clone()));
+                    if let Some(r) = derived {
+                        pending.insert((m, t.clone()), r);
                     }
                 }
             }
@@ -617,7 +704,6 @@ impl MaintenanceEngine {
             // positive occurrences, deletions on negated ones, joined
             // against the new state.
             for (ri, rule) in rules.iter().enumerate() {
-                let head = rule.head.pred;
                 for (i, lit) in rule.body.iter().enumerate() {
                     if member_set.contains(&lit.atom.pred) {
                         continue; // member insertions arrive via `pending`
@@ -627,20 +713,14 @@ impl MaintenanceEngine {
                     } else {
                         EventKind::Del
                     };
-                    let enabling = events.relation(kind, lit.atom.pred);
-                    for t in enabling.iter() {
-                        fire_enabling(
-                            rule,
-                            head,
-                            i,
-                            lit,
-                            t,
-                            &new_rel_of,
-                            &mut plans,
-                            ri,
-                            &cur,
-                            &mut pending,
-                        );
+                    for t in events.relation(kind, lit.atom.pred).iter() {
+                        let slot = plans.entry((ri, i)).or_default();
+                        fire(rule, i, t, &new_rel_of, slot, &mut |h, b| {
+                            if !cur[&rule.head.pred].contains(&h) {
+                                let r = instance_rank(rule, b, &member_set, &rank);
+                                lower(&mut pending, (rule.head.pred, h), r);
+                            }
+                        });
                     }
                 }
             }
@@ -650,57 +730,49 @@ impl MaintenanceEngine {
         // join indexes are hot, and a derivation using several same-batch
         // tuples still fires (they are all applied before any firing).
         while !pending.is_empty() {
-            let batch: Vec<(Pred, Tuple)> = std::mem::take(&mut pending).into_iter().collect();
-            for (p, t) in &batch {
+            let batch: Vec<((Pred, Tuple), i64)> =
+                std::mem::take(&mut pending).into_iter().collect();
+            for ((p, t), r) in &batch {
                 cur.get_mut(p).expect("member").insert(t.clone());
+                if let Some(map) = rank.get_mut(p) {
+                    map.insert(t.clone(), *r);
+                }
                 if !self.extension(*p).contains(t) {
                     fresh.get_mut(p).expect("member").insert(t.clone());
                 }
             }
-            let new_rel_of = |p: Pred| -> &Relation {
-                if member_set.contains(&p) {
-                    &cur[&p]
-                } else if program.is_derived(p) {
-                    staged.new_exts.get(&p).unwrap_or_else(|| self.extension(p))
-                } else {
-                    new_db.relation(p)
-                }
-            };
-            let mut next: BTreeSet<(Pred, Tuple)> = BTreeSet::new();
-            for (p, t) in &batch {
+            let new_rel_of =
+                |p: Pred| -> &Relation { cur.get(&p).unwrap_or_else(|| new_outside(p)) };
+            for ((p, t), _) in &batch {
                 for (ri, rule) in rules.iter().enumerate() {
-                    let head = rule.head.pred;
                     for (i, lit) in rule.body.iter().enumerate() {
                         if lit.positive && lit.atom.pred == *p {
-                            fire_enabling(
-                                rule,
-                                head,
-                                i,
-                                lit,
-                                t,
-                                &new_rel_of,
-                                &mut plans,
-                                ri,
-                                &cur,
-                                &mut next,
-                            );
+                            let slot = plans.entry((ri, i)).or_default();
+                            fire(rule, i, t, &new_rel_of, slot, &mut |h, b| {
+                                if !cur[&rule.head.pred].contains(&h) {
+                                    let r = instance_rank(rule, b, &member_set, &rank);
+                                    lower(&mut pending, (rule.head.pred, h), r);
+                                }
+                            });
                         }
                     }
                 }
             }
-            pending = next;
         }
 
-        // ---- events + staged extensions: diff(old, fixpoint) ----
+        // ---- events: diff(old, fixpoint) ----
+        let mut rederived = 0;
+        let mut changed: Vec<Pred> = Vec::new();
         for &m in members {
             let old = self.extension(m);
-            let mut changed = false;
+            let before = derived_events.len();
             for t in over[&m].iter() {
-                if !cur[&m].contains(t) {
+                if cur[&m].contains(t) {
+                    rederived += 1;
+                } else {
                     let e = GroundEvent::del(m, t.clone());
                     events.insert(e.clone());
                     derived_events.insert(e);
-                    changed = true;
                 }
             }
             for t in fresh[&m].iter() {
@@ -709,15 +781,74 @@ impl MaintenanceEngine {
                 events.insert(e.clone());
                 derived_events.insert(e);
                 ctrs.inserted += 1;
-                changed = true;
             }
-            ctrs.rederived += over[&m].iter().filter(|t| cur[&m].contains(t)).count() as u64;
-            if changed {
-                staged
-                    .new_exts
-                    .insert(m, cur.remove(&m).expect("member relation"));
+            if derived_events.len() > before {
+                changed.push(m);
             }
         }
+        ctrs.rederived += rederived;
+
+        // ---- staged ranks and extensions ----
+        if ranked {
+            // A rederived tuple may have a new rank and nothing else.
+            rank.retain(|m, _| !over[m].is_empty() || !fresh[m].is_empty());
+        } else if rederived > 0 {
+            // The first evidence that the component has alternative
+            // derivations: from here on it pays to know which of them
+            // cannot run through a cycle.
+            let new_rel_of =
+                |p: Pred| -> &Relation { cur.get(&p).unwrap_or_else(|| new_outside(p)) };
+            rank = build_ranks(&rules, &member_set, &cur, &new_rel_of);
+            ctrs.ranks_built += rank.values().map(|map| map.len() as u64).sum::<u64>();
+        }
+        staged.new_ranks.append(&mut rank);
+        for m in changed {
+            let rel = cur.remove(&m).expect("member relation");
+            staged.new_exts.insert(m, rel);
+        }
+    }
+
+    /// Checks the rank invariant against the state `db` the engine
+    /// describes: every recursive component has ranks for all of its
+    /// members or for none, a rank map has the keys of its extension, and
+    /// every tuple has a rule instance true in the state whose member body
+    /// tuples all have a strictly lower rank. For tests.
+    #[doc(hidden)]
+    pub fn check_ranks(&self, db: &Database) -> std::result::Result<(), String> {
+        let program = db.program();
+        let rel_of = |p: Pred| -> &Relation {
+            if program.is_derived(p) {
+                self.extension(p)
+            } else {
+                db.relation(p)
+            }
+        };
+        for unit in self.units.iter().filter(|u| u.strategy == Strategy::DRed) {
+            let ranked = unit.preds.iter().filter(|p| self.ranks.contains_key(p));
+            match ranked.count() {
+                0 => continue,
+                n if n == unit.preds.len() => {}
+                n => return Err(format!("{n} of {:?} have ranks", unit.preds)),
+            }
+            let members: BTreeSet<Pred> = unit.preds.iter().copied().collect();
+            for &m in &unit.preds {
+                let keys = self.ranks[&m].iter().map(|(t, _)| t);
+                if !keys.eq(self.extension(m).iter()) {
+                    return Err(format!("ranks of {m} are not over its extension"));
+                }
+                for (t, r) in self.ranks[&m].iter() {
+                    let witnessed = program.rules_for(m).iter().any(|rule| {
+                        head_bound(rule, t, &rel_of, &mut None)
+                            .iter()
+                            .any(|b| instance_rank(rule, b, &members, &self.ranks) <= *r)
+                    });
+                    if !witnessed {
+                        return Err(format!("{m}{t} has no instance below its rank {r}"));
+                    }
+                }
+            }
+        }
+        Ok(())
     }
 }
 
@@ -726,9 +857,11 @@ impl MaintenanceEngine {
 struct DredCounters {
     counting: u64,
     dred: u64,
+    checked: u64,
     overdeleted: u64,
     rederived: u64,
     inserted: u64,
+    ranks_built: u64,
 }
 
 /// Adds one rule's finite-difference contribution to `delta`.
@@ -794,96 +927,220 @@ fn rule_count_delta(
 }
 
 /// One DRed pass's [`eval_seeded`] slots: one per (rule, occurrence) that
-/// fired, plus one per rule for the head-bound rederive check (keyed by
-/// [`rules_index`]). Every firing of an occurrence seeds the variables of
+/// fired, plus one per rule — under occurrence `usize::MAX`, which is no
+/// body position — for the head-bound evaluations (keep-check and
+/// rederive check). Every firing of an occurrence seeds the variables of
 /// that occurrence's literal, so each slot compiles once per pass.
 type SeededPlans = HashMap<(usize, usize), Option<JoinPlan>>;
 
-/// Stable plan-cache key for the head-bound rederive check of local rule
-/// `ri` of member `m`: the rule's global index in `rules` (the members'
-/// rules are contiguous there), paired with `usize::MAX` so it can never
-/// collide with a per-occurrence key (whose second element is a body
-/// position).
-fn rules_index(rules: &[&Rule], m: Pred, ri: usize) -> (usize, usize) {
-    let base = rules.iter().position(|r| r.head.pred == m).unwrap_or(0);
-    (base + ri, usize::MAX)
+/// The rules of `rules` with head predicate `p`, each with its position —
+/// the first half of its plan-slot key.
+fn rules_for<'r, 'a>(
+    rules: &'r [&'a Rule],
+    p: Pred,
+) -> impl Iterator<Item = (usize, &'a Rule)> + 'r {
+    let heads_p = move |&(_, rule): &(usize, &'a Rule)| rule.head.pred == p;
+    rules.iter().copied().enumerate().filter(heads_p)
 }
 
-/// One breaking firing: delta tuple `t` at occurrence `i`, the rest of
-/// the body joined against the old state; heads still extant and not yet
-/// overdeleted join `over` and the worklist.
-#[allow(clippy::too_many_arguments)]
-fn fire_breaking<'a>(
-    rule: &'a Rule,
-    head: Pred,
-    i: usize,
-    lit: &Literal,
-    t: &Tuple,
-    old_rel_of: &dyn Fn(Pred) -> &'a Relation,
-    plans: &mut SeededPlans,
-    ri: usize,
-    over: &mut BTreeMap<Pred, Relation>,
-    worklist: &mut VecDeque<(Pred, Tuple)>,
-    engine: &MaintenanceEngine,
-) {
-    let Some(seed) = match_tuple(&lit.atom.terms, t, &Bindings::new()) else {
-        return;
-    };
-    let rest: Vec<&Literal> = rest_of(rule, i);
-    let rel_of = |k: usize| -> &'a Relation { old_rel_of(rest[k].atom.pred) };
-    for b in eval_seeded(plans.entry((ri, i)).or_default(), &rest, &rel_of, &seed) {
-        let h = ground_terms(&rule.head.terms, &b).expect("allowed heads");
-        let dead = over.get_mut(&head).expect("member head");
-        if engine.extension(head).contains(&h) && !dead.contains(&h) && dead.insert(h.clone()) {
-            worklist.push_back((head, h));
+/// Phase 1's working set: the old tuples a breaking firing reached, each
+/// queued once and popped in ascending rank (every rank is 0 while the
+/// component has none). A candidate is in `over` from the moment it is
+/// queued — whatever the keep-check of a popped candidate asks about has a
+/// lower rank than anything still queued, so it cannot tell — and is taken
+/// out again, into `kept`, if its own check keeps it.
+struct Candidates {
+    over: BTreeMap<Pred, Relation>,
+    kept: HashSet<(Pred, Tuple)>,
+    queue: BinaryHeap<Reverse<(i64, Pred, Tuple)>>,
+}
+
+impl Candidates {
+    fn new(members: &[Pred]) -> Candidates {
+        Candidates {
+            over: members.iter().map(|&m| (m, Relation::new())).collect(),
+            kept: HashSet::new(),
+            queue: BinaryHeap::new(),
         }
+    }
+
+    fn push(&mut self, engine: &MaintenanceEngine, p: Pred, t: Tuple) {
+        if engine.extension(p).contains(&t)
+            && !self.kept.contains(&(p, t.clone()))
+            && self
+                .over
+                .get_mut(&p)
+                .expect("member head")
+                .insert(t.clone())
+        {
+            let rank = engine.rank(p, &t).unwrap_or(0);
+            self.queue.push(Reverse((rank, p, t)));
+        }
+    }
+
+    fn pop(&mut self) -> Option<(i64, Pred, Tuple)> {
+        self.queue.pop().map(|Reverse(candidate)| candidate)
+    }
+
+    fn keep(&mut self, p: Pred, t: Tuple) {
+        self.over.get_mut(&p).expect("member").remove(&t);
+        self.kept.insert((p, t));
     }
 }
 
-/// One enabling firing: delta tuple `t` at occurrence `i`, the rest of
-/// the body joined against the new state; heads not yet in the
-/// approximation are queued for the next round.
-#[allow(clippy::too_many_arguments)]
-fn fire_enabling<'a>(
+/// One firing: delta tuple `t` at occurrence `i` of `rule`, the rest of
+/// the body joined in the state `rel_of` describes; `emit` receives every
+/// head with the instance that derives it.
+fn fire<'a>(
     rule: &'a Rule,
-    head: Pred,
     i: usize,
-    lit: &Literal,
     t: &Tuple,
-    new_rel_of: &dyn Fn(Pred) -> &'a Relation,
-    plans: &mut SeededPlans,
-    ri: usize,
-    cur: &BTreeMap<Pred, Relation>,
-    pending: &mut BTreeSet<(Pred, Tuple)>,
+    rel_of: &dyn Fn(Pred) -> &'a Relation,
+    plan: &mut Option<JoinPlan>,
+    emit: &mut dyn FnMut(Tuple, &Bindings),
 ) {
-    let Some(seed) = match_tuple(&lit.atom.terms, t, &Bindings::new()) else {
+    let Some(seed) = match_tuple(&rule.body[i].atom.terms, t, &Bindings::new()) else {
         return;
     };
     let rest: Vec<&Literal> = rest_of(rule, i);
-    let rel_of = |k: usize| -> &'a Relation { new_rel_of(rest[k].atom.pred) };
-    for b in eval_seeded(plans.entry((ri, i)).or_default(), &rest, &rel_of, &seed) {
+    let rel_of = |k: usize| -> &'a Relation { rel_of(rest[k].atom.pred) };
+    for b in eval_seeded(plan, &rest, &rel_of, &seed) {
         let h = ground_terms(&rule.head.terms, &b).expect("allowed heads");
-        if !cur[&head].contains(&h) {
-            pending.insert((head, h));
-        }
+        emit(h, &b);
     }
 }
 
-/// Head-bound rederivation check: does `rule` derive `t` in the state
-/// `new_rel_of` describes?
-fn rederive_check<'a>(
+/// Head-bound evaluation: the instances of `rule` that derive `t` in the
+/// state `rel_of` describes.
+fn head_bound<'a>(
     rule: &'a Rule,
     t: &Tuple,
-    new_rel_of: &dyn Fn(Pred) -> &'a Relation,
-    plans: &mut SeededPlans,
-    key: (usize, usize),
-) -> bool {
+    rel_of: &dyn Fn(Pred) -> &'a Relation,
+    plan: &mut Option<JoinPlan>,
+) -> Vec<Bindings> {
     let Some(seed) = match_tuple(&rule.head.terms, t, &Bindings::new()) else {
-        return false;
+        return Vec::new();
     };
     let lits: Vec<&Literal> = rule.body.iter().collect();
-    let rel_of = |k: usize| -> &'a Relation { new_rel_of(lits[k].atom.pred) };
-    !eval_seeded(plans.entry(key).or_default(), &lits, &rel_of, &seed).is_empty()
+    let rel_of = |k: usize| -> &'a Relation { rel_of(lits[k].atom.pred) };
+    eval_seeded(plan, &lits, &rel_of, &seed)
+}
+
+/// The member body tuples of instance `b` of `rule`, each with its rank
+/// in `ranks` (which must rank every member; none at all when it ranks no
+/// predicate).
+fn member_body<'r>(
+    rule: &'r Rule,
+    b: &'r Bindings,
+    members: &'r BTreeSet<Pred>,
+    ranks: &'r BTreeMap<Pred, Ranks>,
+) -> impl Iterator<Item = (Pred, Tuple, i64)> + 'r {
+    let member = |l: &&Literal| l.positive && members.contains(&l.atom.pred);
+    rule.body.iter().filter(member).filter_map(move |l| {
+        let map = ranks.get(&l.atom.pred)?;
+        let t = ground_terms(&l.atom.terms, b).expect("instances are ground");
+        let r = *map
+            .get(&t)
+            .expect("every member tuple of the state is ranked");
+        Some((l.atom.pred, t, r))
+    })
+}
+
+/// The rank instance `b` of `rule` gives its head: one more than the
+/// highest rank among its member body tuples, 0 for a member-free rule
+/// (and throughout a component that has no ranks).
+fn instance_rank(
+    rule: &Rule,
+    b: &Bindings,
+    members: &BTreeSet<Pred>,
+    ranks: &BTreeMap<Pred, Ranks>,
+) -> i64 {
+    member_body(rule, b, members, ranks)
+        .map(|(_, _, r)| r + 1)
+        .max()
+        .unwrap_or(0)
+}
+
+/// Queues `key` with rank `r`, or lowers the rank it is queued with.
+fn lower(pending: &mut BTreeMap<(Pred, Tuple), i64>, key: (Pred, Tuple), r: i64) {
+    pending
+        .entry(key)
+        .and_modify(|queued| *queued = r.min(*queued))
+        .or_insert(r);
+}
+
+/// Ranks a whole component from scratch: `cur` is its fixpoint in the
+/// state `rel_of` describes. Round-batched propagation from the
+/// member-free rules, a tuple's rank being the round that first derives
+/// it from tuples of earlier rounds — so it has an instance over strictly
+/// lower ranks by construction. The maps are bulk-built from the
+/// extensions' own tuples, in their order, and filled in place.
+fn build_ranks<'a>(
+    rules: &[&'a Rule],
+    members: &BTreeSet<Pred>,
+    cur: &BTreeMap<Pred, Relation>,
+    rel_of: &dyn Fn(Pred) -> &'a Relation,
+) -> BTreeMap<Pred, Ranks> {
+    const UNRANKED: i64 = -1;
+    let mut ranks: BTreeMap<Pred, Ranks> = cur
+        .iter()
+        .map(|(&m, rel)| {
+            let unranked = rel.iter().map(|t| (t.clone(), UNRANKED));
+            (m, Ranks::from_sorted(unranked))
+        })
+        .collect();
+    let mut plans = SeededPlans::new();
+    let mut batch: Vec<(Pred, Tuple)> = Vec::new();
+    let mut round = 0;
+    let is_member = |l: &Literal| l.positive && members.contains(&l.atom.pred);
+    for rule in rules.iter().filter(|r| !r.body.iter().any(is_member)) {
+        let lits: Vec<&Literal> = rule.body.iter().collect();
+        let rel_of = |k: usize| -> &'a Relation { rel_of(lits[k].atom.pred) };
+        for b in eval_seeded(&mut None, &lits, &rel_of, &Bindings::new()) {
+            let h = ground_terms(&rule.head.terms, &b).expect("allowed heads");
+            let map = ranks.get_mut(&rule.head.pred).expect("member");
+            let r = map.get_mut(&h).expect("the fixpoint holds every head");
+            if *r == UNRANKED {
+                *r = round;
+                batch.push((rule.head.pred, h));
+            }
+        }
+    }
+    while !batch.is_empty() {
+        round += 1;
+        let mut next: Vec<(Pred, Tuple)> = Vec::new();
+        for (p, t) in &batch {
+            for (ri, rule) in rules.iter().enumerate() {
+                for (i, lit) in rule.body.iter().enumerate() {
+                    if !(lit.positive && lit.atom.pred == *p) {
+                        continue;
+                    }
+                    let slot = plans.entry((ri, i)).or_default();
+                    fire(rule, i, t, rel_of, slot, &mut |h, b| {
+                        // An instance counts in the round after the last
+                        // of its member body tuples was ranked; it fires
+                        // once from each of them.
+                        let mut body = member_body(rule, b, members, &ranks);
+                        if !body.all(|(_, _, r)| r != UNRANKED && r < round) {
+                            return;
+                        }
+                        drop(body);
+                        let map = ranks.get_mut(&rule.head.pred).expect("member");
+                        let r = map.get_mut(&h).expect("the fixpoint holds every head");
+                        if *r == UNRANKED {
+                            *r = round;
+                            next.push((rule.head.pred, h));
+                        }
+                    });
+                }
+            }
+        }
+        batch = next;
+    }
+    debug_assert!(ranks
+        .values()
+        .all(|map| map.iter().all(|(_, r)| *r != UNRANKED)));
+    ranks
 }
 
 /// The body of `rule` without occurrence `i`.
@@ -918,6 +1175,9 @@ mod tests {
             assert_eq!(got, expected, "step {step}: {t}");
             db = txn.apply(&db);
             old = materialize(&db).unwrap();
+            if let Err(broken) = engine.check_ranks(&db) {
+                panic!("step {step}: {t}: {broken}");
+            }
             for (pred, _role) in db.program().predicates() {
                 if db.program().is_derived(pred) {
                     assert_eq!(
@@ -1104,6 +1364,148 @@ mod tests {
             "e(a, b). e(b, c). e(c, d).
              tc(X, Y) :- e(X, Y). tc(X, Y) :- e(X, Z), tc(Z, Y).",
             &["-e(b, c). +e(b, d). +e(d, c)."],
+        );
+    }
+
+    /// A diamond `w0 → {w1, w2} → w3` beside the case's own edges, in the
+    /// same component, and the two transactions that cut and restore one
+    /// side of it: the cut re-derives what the other side still supports,
+    /// which is what makes the engine rank the component, so the
+    /// transactions that follow run rank-pruned.
+    const DIAMOND: &str = "e(w0, w1). e(w0, w2). e(w1, w3). e(w2, w3).";
+    const RANK_UP: [&str; 2] = ["-e(w1, w3).", "+e(w1, w3)."];
+
+    /// [`check_against_semantic`] over `RANK_UP` and then `txns`, with
+    /// the ranks of `pred` asserted absent before and present after the
+    /// warm-up.
+    fn check_ranked(src: &str, pred: Pred, txns: &[&str]) -> (Database, MaintenanceEngine) {
+        let src = format!("{DIAMOND}\n{src}");
+        let (_, cold) = check_against_semantic(&src, &[]);
+        assert!(
+            !cold.ranks.contains_key(&pred),
+            "ranked before any evidence"
+        );
+        let (_, warm) = check_against_semantic(&src, &RANK_UP);
+        assert!(warm.ranks.contains_key(&pred), "the warm-up built no ranks");
+        let all: Vec<&str> = RANK_UP.iter().chain(txns).copied().collect();
+        check_against_semantic(&src, &all)
+    }
+
+    const TC: &str = "tc(X, Y) :- e(X, Y). tc(X, Y) :- e(X, Z), tc(Z, Y).";
+
+    #[test]
+    fn ranks_are_built_by_the_first_rederivation_and_then_prune() {
+        let tc = Pred::new("tc", 2);
+        let (_, engine) = check_ranked(TC, tc, &[]);
+        // Built from the state without w1 → w3, then maintained: the
+        // restored tc(w1, w3) is an insertion by a member-free rule.
+        let rank = |x, y| engine.rank(tc, &syms(&[x, y]));
+        assert_eq!(rank("w0", "w1"), Some(0));
+        assert_eq!(rank("w0", "w3"), Some(1));
+        assert_eq!(rank("w1", "w3"), Some(0));
+        // The same cut again keeps tc(w0, w3): it has w2, one rank below.
+        let (_, report) = dduf_obs::capture(|| check_ranked(TC, tc, &["-e(w1, w3)."]));
+        let total = |name| report.total("upward.maintain", name);
+        // Both replays of the first cut: tc(w1, w3) and tc(w0, w3) go and
+        // one comes back; the ranked third cut checks both and deletes one.
+        assert_eq!(
+            (total("overdeleted"), total("rederived")),
+            (2 + 2 + 1, 1 + 1)
+        );
+        assert_eq!(total("checked"), 2);
+    }
+
+    #[test]
+    fn chain_closure_never_builds_ranks() {
+        let (_, engine) = check_against_semantic(
+            &format!("e(a, b). e(b, c). e(c, d). e(d, f). {TC}"),
+            &["-e(b, c).", "+e(b, c).", "-e(a, b). -e(d, f).", "+e(d, f)."],
+        );
+        assert!(engine.ranks.is_empty(), "nothing was ever re-derived");
+    }
+
+    #[test]
+    fn cutting_the_lowest_bridge_into_a_cycle_reranks_the_cycle() {
+        // Two ways from the source into the cycle a → b → c → a: the edge
+        // r → a, and the detour r → x → y → b, which ranks b no lower than
+        // the cycle does. Cutting r → a must take the whole cycle out —
+        // no tuple of it has a derivation below its own rank — and put it
+        // back off the detour: no events, new ranks.
+        let reach = Pred::new("reach", 1);
+        let src = "src(r). src(w0).
+             e(r, a). e(a, b). e(b, c). e(c, a). e(r, x). e(x, y). e(y, b).
+             reach(X) :- src(X). reach(Y) :- reach(X), e(X, Y).";
+        let (_, before) = check_ranked(src, reach, &[]);
+        let (_, after) = check_ranked(src, reach, &["-e(r, a)."]);
+        assert_eq!(before.extension(reach), after.extension(reach));
+        let ranks = |engine: &MaintenanceEngine| {
+            ["a", "b", "c", "y"].map(|n| engine.rank(reach, &syms(&[n])).unwrap())
+        };
+        assert_eq!(ranks(&before), [1, 2, 3, 2]);
+        assert_eq!(ranks(&after), [5, 3, 4, 2]);
+    }
+
+    #[test]
+    fn ranked_cycle_collapses_when_its_only_outside_support_goes() {
+        // The case a plain "has another derivation" test gets wrong: every
+        // tuple of the cycle has one, through the cycle. Its rank is no
+        // lower, so it does not count.
+        let tc = Pred::new("tc", 2);
+        let (_, engine) = check_ranked(
+            &format!("e(a, b). e(b, c). e(c, a). e(r, a). {TC}"),
+            tc,
+            &["-e(r, a).", "+e(r, a). -e(c, a).", "+e(c, a). -e(a, b)."],
+        );
+        assert_eq!(engine.count(tc, &syms(&["r", "b"])), 0);
+        let reach = Pred::new("reach", 1);
+        let (_, engine) = check_ranked(
+            "src(r). src(w0). e(r, a). e(a, b). e(b, a).
+             reach(X) :- src(X). reach(Y) :- reach(X), e(X, Y).",
+            reach,
+            &["-e(r, a)."],
+        );
+        assert_eq!(engine.extension(reach).len(), 5, "r and the diamond");
+    }
+
+    #[test]
+    fn ranked_mutual_recursion() {
+        check_ranked(
+            "z(w0). z(zero). s(zero, one). s(one, two). s(two, three). s(zero, two).
+             even(X) :- z(X).
+             even(Y) :- e(X, Y), odd(X).
+             odd(Y) :- e(X, Y), even(X).
+             even(X) :- s(Y, X), odd(Y).
+             odd(X) :- s(Y, X), even(Y).",
+            Pred::new("odd", 1),
+            &[
+                "-s(one, two).",
+                "+s(one, two).",
+                "-s(zero, two).",
+                "-z(zero).",
+            ],
+        );
+    }
+
+    #[test]
+    fn ranked_nonlinear_closure() {
+        check_ranked(
+            "e(a, b). e(b, c). e(c, d). e(a, c). e(d, a).
+             tc(X, Y) :- e(X, Y). tc(X, Y) :- tc(X, Z), tc(Z, Y).",
+            Pred::new("tc", 2),
+            &["-e(a, c).", "-e(d, a).", "+e(d, b). -e(b, c).", "-e(a, b)."],
+        );
+    }
+
+    #[test]
+    fn ranked_transaction_deletes_and_inserts_in_one_component() {
+        check_ranked(
+            &format!("e(a, b). e(b, c). e(c, d). e(a, d). {TC}"),
+            Pred::new("tc", 2),
+            &[
+                "-e(b, c). +e(b, d). +e(d, c).",
+                "-e(a, d). +e(d, a).",
+                "-e(w0, w2). +e(w3, w0). -e(a, b).",
+            ],
         );
     }
 

@@ -7,9 +7,9 @@
 //! query compiles a [`JoinPlan`] and runs it through [`eval_plan_stats`]
 //! (or its stats-discarding wrapper [`eval_seeded`]). The greedy loop in
 //! [`crate::eval::join`] is only the reference it is tested against. A
-//! plan fixes the literal order ahead of time from static information
-//! only — the literal list, the variables bound by the seed, and which
-//! occurrence (if any) is the semi-naive delta:
+//! plan fixes the literal order ahead of time, for the fixpoint engines
+//! from static information only — the literal list, the variables bound by
+//! the seed, and which occurrence (if any) is the semi-naive delta:
 //!
 //! * the delta occurrence is pinned first (differential evaluation wants
 //!   every derivation to pass through the delta);
@@ -31,11 +31,18 @@
 //! build them once per round, before worker fan-out, instead of racing
 //! lazily.
 //!
-//! Because the plan depends only on the rule and the static binding
+//! Because such a plan depends only on the rule and the static binding
 //! pattern — never on frontier or relation contents — evaluation visits
 //! the same (binding, tuple) pairs regardless of how a delta is chunked,
 //! which makes every [`JoinStats`] counter partition-exact and therefore
 //! thread-count invariant (DESIGN.md §12).
+//!
+//! The plans [`eval_seeded`] compiles lazily, for callers whose counters
+//! are discarded, take one dynamic input as well: among equally bound
+//! positive literals the one over the smaller relation goes first. Body
+//! position is a poor proxy there — a head-bound
+//! `exec(A, H) :- exec(A, S), hacl(S, H), open(H)` would enumerate what
+//! `A` reaches before asking which three hosts reach `H`.
 
 use crate::ast::{Term, Var};
 use crate::eval::join::{ground_terms, match_tuple, resolve, Bindings, JoinLit, JoinStats};
@@ -120,6 +127,21 @@ impl JoinPlan {
         seed_bound: &BTreeSet<Var>,
         pinned: Option<usize>,
     ) -> JoinPlan {
+        JoinPlan::compile_sized(lits, seed_bound, pinned, &|_| 0)
+    }
+
+    /// [`compile`](Self::compile) with one dynamic input: `size_of(i)`, the
+    /// number of tuples literal `i` ranges over, breaks ties among equally
+    /// bound positive literals (the smaller relation first; a fully bound
+    /// literal is a membership test and counts as 0). Only
+    /// [`eval_seeded`]'s lazily compiled plans pass real sizes: their join
+    /// counters are discarded, so nothing observable depends on the order.
+    fn compile_sized<L: JoinLit>(
+        lits: &[L],
+        seed_bound: &BTreeSet<Var>,
+        pinned: Option<usize>,
+        size_of: &dyn Fn(usize) -> usize,
+    ) -> JoinPlan {
         let mut bound = seed_bound.clone();
         let mut steps = Vec::with_capacity(lits.len());
         let mut sigs = Vec::new();
@@ -165,15 +187,18 @@ impl JoinPlan {
                 });
             }
             // Best positive literal: most bound columns, then fewest free
-            // variables, then body position. All static.
+            // variables, then smallest relation, then body position. All
+            // static but the size.
             let best = remaining
                 .iter()
                 .enumerate()
                 .filter(|&(_, &i)| lits[i].positive())
                 .max_by_key(|&(_, &i)| {
+                    let free = free_vars(lits[i].terms(), &bound);
                     (
                         bound_cols(lits[i].terms(), &bound).len(),
-                        std::cmp::Reverse(free_vars(lits[i].terms(), &bound)),
+                        std::cmp::Reverse(free),
+                        std::cmp::Reverse(if free == 0 { 0 } else { size_of(i) }),
                         std::cmp::Reverse(i),
                     )
                 })
@@ -405,18 +430,22 @@ pub fn eval_plan_stats<'a, L: JoinLit>(
 /// lazily built index and the join counters are discarded.
 ///
 /// `plan` is the caller's slot for this conjunction. It is compiled on
-/// first use for the variable set `seed` binds and reused for as long as
-/// the caller keeps the slot, so every seed passed with one slot must bind
-/// the same variables: a caller firing one (rule, occurrence) per delta
-/// tuple compiles once, a one-shot caller passes `&mut None`.
+/// first use for the variable set `seed` binds — and for the sizes the
+/// relations have then, which break ties among equally bound literals —
+/// and reused for as long as the caller keeps the slot, so every seed
+/// passed with one slot must bind the same variables: a caller firing one
+/// (rule, occurrence) per delta tuple compiles once, a one-shot caller
+/// passes `&mut None`.
 pub fn eval_seeded<'a, L: JoinLit>(
     plan: &mut Option<JoinPlan>,
     lits: &[L],
     rel_of: &dyn Fn(usize) -> &'a Relation,
     seed: &Bindings,
 ) -> Vec<Bindings> {
-    let plan =
-        plan.get_or_insert_with(|| JoinPlan::compile(lits, &seed.keys().copied().collect(), None));
+    let plan = plan.get_or_insert_with(|| {
+        let bound = seed.keys().copied().collect();
+        JoinPlan::compile_sized(lits, &bound, None, &|i| rel_of(i).len())
+    });
     eval_plan_stats(
         plan,
         lits,
@@ -622,6 +651,40 @@ mod tests {
         );
     }
 
+    #[test]
+    fn size_breaks_ties_only_in_lazily_compiled_plans() {
+        // exec(A, H) :- exec(A, S), hacl(S, H), open(H), head-bound: both
+        // binary literals have one bound column and one free variable.
+        let lits = vec![
+            lit(true, "exec", vars(&["A", "S"])),
+            lit(true, "hacl", vars(&["S", "H"])),
+            lit(true, "open", vars(&["H"])),
+        ];
+        let bound: BTreeSet<Var> = [Var::new("A"), Var::new("H")].into();
+        let order = |plan: &JoinPlan| plan.steps().iter().map(Step::lit).collect::<Vec<_>>();
+        // Statically, body position decides.
+        assert_eq!(order(&JoinPlan::compile(&lits, &bound, None)), [2, 0, 1]);
+        // Lazily, the three `hacl` rows go before the many `exec` rows;
+        // `open(H)` is a membership test whatever its size.
+        let exec: Relation = (0..40)
+            .map(|i| Tuple::new(vec![Const::sym("a"), Const::Int(i)]))
+            .collect();
+        let hacl: Relation = (0..3)
+            .map(|i| Tuple::new(vec![Const::Int(i), Const::Int(7)]))
+            .collect();
+        let open: Relation = (0..99).map(|i| Tuple::new(vec![Const::Int(i)])).collect();
+        let rels = [exec, hacl, open];
+        let rel_of = |i: usize| -> &Relation { &rels[i] };
+        let seed: Bindings = [
+            (Var::new("A"), Const::sym("a")),
+            (Var::new("H"), Const::Int(7)),
+        ]
+        .into();
+        let mut slot = None;
+        assert_eq!(eval_seeded(&mut slot, &lits, &rel_of, &seed).len(), 3);
+        assert_eq!(order(&slot.unwrap()), [2, 1, 0]);
+    }
+
     /// Xorshift64: `dduf_core::rng` sits above this crate.
     struct XorShift(u64);
 
@@ -636,8 +699,9 @@ mod tests {
 
     /// Seeded sweep of random conjunctions: the compiled plan and the
     /// reference loop return the same bindings whatever the delta
-    /// occurrence, the seed, the literal shapes, the relation sizes and
-    /// the engine's index decisions, and every probe is classified.
+    /// occurrence, the seed, the literal shapes, the relation sizes, the
+    /// engine's index decisions and the size tie-break of the lazily
+    /// compiled plans, and every probe is classified.
     #[test]
     fn planned_answers_match_greedy_answers() {
         const DOMAIN: usize = 6;
@@ -646,6 +710,7 @@ mod tests {
         // What the sweep must have exercised by the end.
         let mut steps_seen = [0usize; 6];
         let (mut nonempty, mut seeded, mut repeats, mut large, mut small) = (0, 0, 0, 0, 0);
+        let mut reordered = 0;
         let mut total = JoinStats::default();
 
         for case in 0..3000 {
@@ -718,6 +783,16 @@ mod tests {
                 stats.probes,
                 "case {case}: unclassified probe"
             );
+            // A lazily compiled plan orders equally bound literals by the
+            // size of their relations: another order, the same answers.
+            let mut slot = None;
+            let mut sized = eval_seeded(&mut slot, &lits, &rel_of, &seed);
+            sized.sort();
+            assert_eq!(
+                sized, reference,
+                "case {case}: {lits:?} seed {seed:?} ordered by size"
+            );
+            reordered += usize::from(slot != Some(JoinPlan::compile(&lits, &bound, None)));
             // Index decisions move probes between the two classes and
             // change nothing else.
             let mut declined = JoinStats::default();
@@ -764,6 +839,7 @@ mod tests {
             ("repeated variables in a literal", repeats),
             ("steps over indexable relations", large),
             ("steps over relations below the gate", small),
+            ("plans the size tie-break reordered", reordered),
             ("indexed probes", total.indexed_probes as usize),
             ("scan probes", total.scan_probes as usize),
         ] {

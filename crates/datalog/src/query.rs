@@ -6,11 +6,13 @@
 //! against a [`StateView`].
 
 use crate::ast::{Atom, Literal};
+use crate::error::{Error, ParseError, Span};
 use crate::eval::join::{ground_terms, Bindings};
 use crate::eval::plan::eval_seeded;
 use crate::eval::StateView;
 use crate::storage::relation::Relation;
 use crate::storage::tuple::Tuple;
+use std::fmt::Write as _;
 
 /// All bindings satisfying `atom` in `state`.
 pub fn query_atom(state: StateView<'_>, atom: &Atom) -> Vec<Bindings> {
@@ -40,6 +42,44 @@ pub fn holds(state: StateView<'_>, atom: &Atom) -> bool {
 pub fn query_body(state: StateView<'_>, body: &[Literal], seed: &Bindings) -> Vec<Bindings> {
     let rel_of = |i: usize| -> &Relation { state.relation(body[i].atom.pred) };
     eval_seeded(&mut None, body, &rel_of, seed)
+}
+
+/// The `:query <atom>` command of the shell and of the server: the
+/// instances of one positive atom that hold in `state`, one per line in
+/// ascending order, then `(N answer(s) via Materialized)` — or `via
+/// Extensional` for a base predicate. A read of the state the writer
+/// maintains: nothing is evaluated. Anything but one positive atom (a
+/// negated one, a conjunction, nothing) is the usage error.
+pub fn command(state: StateView<'_>, src: &str) -> Result<String, Error> {
+    let usage = || {
+        Error::Parse(ParseError {
+            span: Span { line: 1, col: 1 },
+            message: "usage: :query p(a, X)".into(),
+        })
+    };
+    let src = src.trim().trim_end_matches('.');
+    if src.is_empty() {
+        return Err(usage());
+    }
+    let parsed = crate::parser::parse_program(&format!("query_tmp :- {src}."))?;
+    let atom = match &parsed.program.rules()[0].body[..] {
+        [lit] if lit.positive => &lit.atom,
+        _ => return Err(usage()),
+    };
+    let mut tuples = answers(state, atom);
+    tuples.sort_unstable();
+    tuples.dedup();
+    let mut text = String::new();
+    for t in &tuples {
+        let _ = writeln!(text, "{}", t.to_atom(atom.pred));
+    }
+    let path = if state.db.program().is_derived(atom.pred) {
+        "Materialized"
+    } else {
+        "Extensional"
+    };
+    let _ = writeln!(text, "({} answer(s) via {path})", tuples.len());
+    Ok(text)
 }
 
 #[cfg(test)]
@@ -92,6 +132,26 @@ mod tests {
         let state = StateView::new(&db, &m);
         let ans = answers(state, &Atom::new("la", vec![Term::var("X")]));
         assert_eq!(ans.len(), 2);
+    }
+
+    #[test]
+    fn command_answers_from_the_state_and_names_its_source() {
+        let (db, m) = setup();
+        let state = StateView::new(&db, &m);
+        assert_eq!(
+            command(state, "unemp(X).").unwrap(),
+            "unemp(dolors)\n(1 answer(s) via Materialized)\n"
+        );
+        // Tuple order follows symbol interning, which is the process's.
+        let base = command(state, " la(X) ").unwrap();
+        let mut lines: Vec<&str> = base.lines().collect();
+        assert_eq!(lines.pop(), Some("(2 answer(s) via Extensional)"));
+        lines.sort_unstable();
+        assert_eq!(lines, ["la(dolors)", "la(joan)"]);
+        assert_eq!(
+            command(state, "unemp(joan)").unwrap(),
+            "(0 answer(s) via Materialized)\n"
+        );
     }
 
     #[test]

@@ -51,7 +51,7 @@ pub(crate) struct SessionCtx {
 const HELP: &str = "\
 server commands:
   :show [pred]            list facts (derived marked %=)
-  :query <atom>           goal-directed query against the snapshot
+  :query <atom>           the atom's instances in the snapshot
   :check <txn>            would this transaction violate the constraints?
   :apply <txn>            commit (rejected if a constraint is violated)
   :force <txn>            commit without the integrity check
@@ -238,22 +238,12 @@ fn show(ctx: &SessionCtx, pred: &str) -> dduf_core::Result<String> {
     Ok(out)
 }
 
-/// `:query <atom>` — goal-directed answering against the snapshot.
+/// `:query <atom>` — the atom's instances in the snapshot: a read of the
+/// interpretation the writer maintains, like `:show`.
 fn query(ctx: &SessionCtx, rest: &str) -> dduf_core::Result<String> {
-    let atom_src = rest.trim().trim_end_matches('.');
-    if atom_src.is_empty() {
-        return Err(parse_err("usage: :query p(a, X)"));
-    }
-    let cur = ctx.cell.load();
-    let out = dduf_datalog::parser::parse_program(&format!("query_tmp :- {atom_src}."))?;
-    let atom = out.program.rules()[0].body[0].atom.clone();
-    let ans = dduf_datalog::magic::query(&cur.state.db, &atom)?;
-    let mut text = String::new();
-    for t in &ans.tuples {
-        let _ = writeln!(text, "{}", t.to_atom(atom.pred));
-    }
-    let _ = writeln!(text, "({} answer(s) via {:?})", ans.tuples.len(), ans.path);
-    Ok(text)
+    let cur = &ctx.cell.load().state;
+    let state = StateView::new(&cur.db, &cur.interp);
+    Ok(dduf_datalog::query::command(state, rest)?)
 }
 
 /// `:check <txn>` — integrity check against the snapshot, shell-identical
@@ -286,13 +276,4 @@ fn stats(ctx: &SessionCtx) -> String {
         ctx.queue.gauge.cap
     );
     out
-}
-
-fn parse_err(msg: &str) -> dduf_core::Error {
-    dduf_core::Error::Datalog(dduf_datalog::error::Error::Parse(
-        dduf_datalog::error::ParseError {
-            span: dduf_datalog::error::Span { line: 1, col: 1 },
-            message: msg.to_string(),
-        },
-    ))
 }

@@ -253,23 +253,10 @@ impl Session {
             .join("\n"))
     }
 
-    /// `:query p(a, X)` — goal-directed query answering (magic sets when
-    /// the goal's subprogram is negation-free, relevance-restricted
-    /// materialization otherwise).
+    /// `:query p(a, X)` — the atom's instances in the current state (the
+    /// materialized interpretation the processor maintains).
     fn query(&self, rest: &str) -> Result<String> {
-        let atom_src = rest.trim().trim_end_matches('.');
-        if atom_src.is_empty() {
-            return Err(parse_err("usage: :query p(a, X)"));
-        }
-        let out = dduf_datalog::parser::parse_program(&format!("query_tmp :- {atom_src}."))?;
-        let atom = out.program.rules()[0].body[0].atom.clone();
-        let ans = dduf_datalog::magic::query(self.proc.database(), &atom)?;
-        let mut text = String::new();
-        for t in &ans.tuples {
-            let _ = writeln!(text, "{}", t.to_atom(atom.pred));
-        }
-        let _ = writeln!(text, "({} answer(s) via {:?})", ans.tuples.len(), ans.path);
-        Ok(text)
+        Ok(dduf_datalog::query::command(self.proc.state(), rest)?)
     }
 
     /// `:save <path>` — write the current database (program + facts) to a
@@ -447,7 +434,7 @@ commands:
   :satisfiable            integrity constraint satisfiability
   :why <atom>             derivation tree of a (derived) fact
   :why <ev>. <txn>        why a transaction induces an event
-  :query <atom>           goal-directed query (magic sets)
+  :query <atom>           the atom's instances in the current state
   :save <path>            write the database back to a file
   :checkpoint             write a snapshot (durable sessions only)
   :stats                  evaluation counters recorded so far this session
@@ -683,6 +670,17 @@ mod tests {
         let out = s.run(":query la(dolors)").unwrap();
         assert!(out.contains("1 answer(s) via Extensional"), "{out}");
         assert!(s.run(":query").is_err());
+    }
+
+    /// One positive atom is the whole grammar: dropping the sign or the
+    /// further literals would answer a different question.
+    #[test]
+    fn query_rejects_anything_but_one_positive_atom() {
+        let mut s = session();
+        for other in [":query not works(joan)", ":query la(X), works(X)"] {
+            let err = s.run(other).unwrap_err().to_string();
+            assert!(err.contains("usage: :query p(a, X)"), "{other}: {err}");
+        }
     }
 
     #[test]

@@ -11,11 +11,12 @@
 //! function, and CI runs it with `DDUF_THREADS=1`, so nothing else
 //! allocates while it counts.
 
+mod common;
+
+use common::{topology, ATTACK_GRAPH, INVENTORY};
 use dduf::core::processor::ProcessorState;
-use dduf::core::rng::Rng;
 use dduf::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Bytes requested from the allocator since the process started.
@@ -47,54 +48,9 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-const INVENTORY: &str = include_str!("../e2ebench/programs/inventory.dl");
-const ATTACK_GRAPH: &str = include_str!("../e2ebench/programs/attack_graph.dl");
-
 /// A commit may allocate this much more on the large database than on the
 /// small one (spines grow by a pointer per 64 tuples).
 const SLACK: u64 = 128 * 1024;
-
-/// The benchmark's topology (`e2ebench/src/gen.rs`) in small: five zones
-/// in a chain, three intra-zone `hacl` edges per host, four firewall rules
-/// between adjacent zones, 70 % of the hosts vulnerable, ten attackers in
-/// zone 0, 5 % of the last zone critical — ≈4.7 facts per host. `island`
-/// is a host no attacker reaches, with one edge into zone 0.
-fn database(program: &str, hosts_per_zone: usize) -> Database {
-    let mut rng = Rng::new(1);
-    let mut text = String::from(program);
-    let host = |zone: usize, i: usize| format!("h{zone}_{i:05}");
-    for z in 0..5 {
-        for i in 0..hosts_per_zone {
-            let h = host(z, i);
-            writeln!(text, "host({h}, z{z}).").unwrap();
-            if rng.chance(0.7) {
-                writeln!(text, "vuln({h}, v{:02}).", rng.usize(50)).unwrap();
-            }
-            for _ in 0..3 {
-                writeln!(text, "hacl({h}, {}).", host(z, rng.usize(hosts_per_zone))).unwrap();
-            }
-        }
-    }
-    for z in 0..4 {
-        for _ in 0..4 {
-            let (from, to) = (rng.usize(hosts_per_zone), rng.usize(hosts_per_zone));
-            writeln!(text, "hacl({}, {}).", host(z, from), host(z + 1, to)).unwrap();
-        }
-    }
-    for a in 0..10 {
-        writeln!(
-            text,
-            "attacker_at(a{a}, {}).",
-            host(0, rng.usize(hosts_per_zone))
-        )
-        .unwrap();
-    }
-    for i in 0..(hosts_per_zone / 20).max(1) {
-        writeln!(text, "critical({}).", host(4, i)).unwrap();
-    }
-    writeln!(text, "host(island, z0). hacl(island, {}).", host(0, 0)).unwrap();
-    parse_database(&text).unwrap()
-}
 
 /// What the server's stager does for one `:apply` in a batch of its own:
 /// a checked commit on the staging processor, a clone of it to publish,
@@ -142,7 +98,7 @@ fn a_commit_allocates_the_same_on_a_small_and_a_large_database() {
         .collect();
     let scan = |hosts_per_zone| {
         worst_commit(
-            database(INVENTORY, hosts_per_zone),
+            topology(INVENTORY, hosts_per_zone).db,
             "+host(n0000000, z0). +vuln(n0000000, v00).",
             &scans,
         )
@@ -169,7 +125,7 @@ fn a_commit_allocates_the_same_on_a_small_and_a_large_database() {
     ];
     let toggle = |hosts_per_zone| {
         worst_commit(
-            database(ATTACK_GRAPH, hosts_per_zone),
+            topology(ATTACK_GRAPH, hosts_per_zone).db,
             "-hacl(island, h0_00000).",
             &toggles,
         )

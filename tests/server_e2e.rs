@@ -289,6 +289,46 @@ fn framing_bytes_in_content_survive_the_wire() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// `:query` reads one positive atom off the snapshot's materialized
+/// state — the writer's own interpretation, so a committed fact shows in
+/// the view at once — and refuses anything else with an `err` frame
+/// instead of answering for the first atom it can find.
+#[test]
+fn query_reads_the_maintained_state_and_rejects_other_shapes() {
+    let dir = tmpdir("query");
+    make_db(&dir);
+    let (mut child, addr, _stdout) = spawn_server(&dir, "1");
+    let mut client = Client::connect(addr);
+
+    let (ok, lines) = client.send(":apply +item(k1, s1).");
+    assert!(ok, "{lines:?}");
+    // Answers come in tuple order, which follows symbol interning.
+    let (ok, mut lines) = client.send(":query view(X)");
+    lines.sort();
+    assert!(ok);
+    assert_eq!(
+        lines,
+        ["(2 answer(s) via Materialized)", "view(k1)", "view(seed)"]
+    );
+    let (ok, lines) = client.send(":query item(k1, S).");
+    assert!(ok);
+    assert_eq!(lines, ["item(k1, s1)", "(1 answer(s) via Extensional)"]);
+    for other in [":query not view(k1)", ":query item(X, Y), view(X)"] {
+        let (ok, lines) = client.send(other);
+        assert!(!ok, "{other} was answered: {lines:?}");
+        assert!(
+            lines.iter().any(|l| l.contains("usage: :query p(a, X)")),
+            "{other}: {lines:?}"
+        );
+    }
+    assert_eq!(client.send(":ping"), (true, vec!["pong".to_string()]));
+
+    let (ok, _) = client.send(":shutdown");
+    assert!(ok);
+    assert!(child.wait().unwrap().success());
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// The `REJECTED:` branch of the writer: a violating `:apply` between two
 /// valid ones, written in one `write` so the three can share a batch. The
 /// rejected one answers an `ok` frame, changes nothing, is not journaled,
