@@ -7,9 +7,12 @@
 //! transaction restore consistency? — is the upward interpretation of
 //! `del Ic`, provided `Ic°` holds.
 
-use crate::upward::UpwardResult;
+use crate::error::Result;
+use crate::transaction::Transaction;
+use crate::upward::{self, UpwardResult};
+use dduf_datalog::ast::Pred;
 use dduf_datalog::eval::Interpretation;
-use dduf_datalog::schema::{DerivedRole, Role};
+use dduf_datalog::schema::DerivedRole;
 use dduf_datalog::storage::database::Database;
 use dduf_events::event::{EventKind, GroundEvent};
 use std::fmt;
@@ -81,23 +84,46 @@ pub fn is_inconsistent(db: &Database, old: &Interpretation) -> bool {
         .is_some_and(|ic| !old.relation(ic).is_empty())
 }
 
+/// The individual inconsistency predicates `Ic1 … Icn` — the global `Ic`
+/// only says that one of them holds.
+fn constraints(db: &Database) -> impl Iterator<Item = Pred> + '_ {
+    let global = db.program().global_ic();
+    db.program()
+        .derived_with_role(DerivedRole::Ic)
+        .into_iter()
+        .filter(move |&p| Some(p) != global)
+}
+
+/// `:check`: does `txn` violate the integrity constraints? The upward
+/// interpretation of `ins Ic1 … ins Icn` and nothing else
+/// ([`upward::interpret_for`]), read by [`check`]. `old` must be the
+/// materialization of `db`.
+pub fn check_transaction(
+    db: &Database,
+    old: &Interpretation,
+    txn: &Transaction,
+) -> Result<CheckOutcome> {
+    let goals = constraints(db).map(|p| (p, EventKind::Ins)).collect();
+    let up = upward::interpret_for(db, old, txn, &goals)?;
+    Ok(check(db, old, &up))
+}
+
 /// Reads off `up` whether its transaction violates the integrity
 /// constraints: the upward interpretation of `ins Ic` (§5.1.1). `up` must
 /// be an upward interpretation over `db` and its materialization `old`.
 pub fn check(db: &Database, old: &Interpretation, up: &UpwardResult) -> CheckOutcome {
-    let Some(global) = db.program().global_ic() else {
+    if db.program().global_ic().is_none() {
         return CheckOutcome::NoConstraints;
-    };
+    }
     if is_inconsistent(db, old) {
         return CheckOutcome::AlreadyInconsistent;
     }
-    let violated: Vec<GroundEvent> = up
-        .derived
-        .iter()
-        .filter(|e| {
-            e.kind == EventKind::Ins
-                && e.pred != global
-                && db.program().role(e.pred) == Some(Role::Derived(DerivedRole::Ic))
+    let violated: Vec<GroundEvent> = constraints(db)
+        .flat_map(|ic| {
+            up.derived
+                .relation(EventKind::Ins, ic)
+                .iter()
+                .map(move |t| GroundEvent::ins(ic, t.clone()))
         })
         .collect();
     if violated.is_empty() {

@@ -19,9 +19,13 @@ use crate::upward::maintain::MaintenanceEngine;
 use crate::upward::{self, Engine, UpwardResult};
 use dduf_datalog::ast::{Atom, Pred};
 use dduf_datalog::eval::{materialize, Interpretation, StateView};
+use dduf_datalog::schema::DerivedRole;
 use dduf_datalog::storage::database::Database;
 use dduf_events::event::{EventAtom, EventKind};
 use std::collections::BTreeSet;
+
+/// Condition monitoring and view maintenance ask for both event kinds.
+const BOTH_KINDS: [EventKind; 2] = [EventKind::Ins, EventKind::Del];
 
 /// The uniform update-processing interface over one deductive database.
 #[derive(Clone, Debug)]
@@ -140,20 +144,36 @@ impl UpdateProcessor {
 
     // ----- upward problems (§5.1) -----
 
-    /// The raw upward interpretation of a transaction, by the stateless
-    /// engine. Every read-only upward problem below is a reading of it.
+    /// The raw upward interpretation of a transaction — every induced
+    /// event — by the stateless engine.
     pub fn upward(&self, txn: &Transaction) -> Result<UpwardResult> {
         upward::interpret_with(&self.db, &self.old, txn, Engine::default())
     }
 
+    /// The upward interpretation of the `kinds` events on `preds`: the
+    /// cell of Table 4.1 a read-only upward problem below is, which is all
+    /// the stateless engine then evaluates.
+    fn upward_for(
+        &self,
+        txn: &Transaction,
+        preds: impl IntoIterator<Item = Pred>,
+        kinds: &[EventKind],
+    ) -> Result<UpwardResult> {
+        let goals = preds
+            .into_iter()
+            .flat_map(|p| kinds.iter().map(move |&kind| (p, kind)))
+            .collect();
+        upward::interpret_for(&self.db, &self.old, txn, &goals)
+    }
+
     /// §5.1.1 — does `txn` violate the integrity constraints?
     pub fn check_integrity(&self, txn: &Transaction) -> Result<ic_checking::CheckOutcome> {
-        Ok(ic_checking::check(&self.db, &self.old, &self.upward(txn)?))
+        ic_checking::check_transaction(&self.db, &self.old, txn)
     }
 
     /// §5.1.1 — does `txn` restore a currently inconsistent database?
     pub fn restores_consistency(&self, txn: &Transaction) -> Result<ic_checking::RestoreOutcome> {
-        let up = self.upward(txn)?;
+        let up = self.upward_for(txn, self.db.program().global_ic(), &[EventKind::Del])?;
         Ok(ic_checking::restores_consistency(&self.db, &self.old, &up))
     }
 
@@ -162,13 +182,16 @@ impl UpdateProcessor {
         &self,
         txn: &Transaction,
     ) -> Result<condition_monitoring::ConditionChanges> {
-        let up = self.upward(txn)?;
+        let conditions = self.db.program().derived_with_role(DerivedRole::Cond);
+        let up = self.upward_for(txn, conditions, &BOTH_KINDS)?;
         Ok(condition_monitoring::monitor(&self.db, &up, None))
     }
 
     /// §5.1.3 — the changes `txn` induces on the materialized views.
     pub fn maintain_views(&self, txn: &Transaction) -> Result<view_maintenance::MaintenanceReport> {
-        Ok(view_maintenance::maintain(&self.db, &self.upward(txn)?))
+        let views = self.db.program().derived_with_role(DerivedRole::View);
+        let up = self.upward_for(txn, views, &BOTH_KINDS)?;
+        Ok(view_maintenance::maintain(&self.db, &up))
     }
 
     // ----- downward problems (§5.2) -----
@@ -317,7 +340,7 @@ impl UpdateProcessor {
         let mut kept = Vec::new();
         for alt in res.alternatives.drain(..) {
             let txn = alt.to_transaction(&self.db)?;
-            let up = self.upward(&txn)?;
+            let up = self.upward_for(&txn, checked.iter().copied(), &[EventKind::Ins])?;
             let violates = checked
                 .iter()
                 .any(|&icp| !up.derived.relation(EventKind::Ins, icp).is_empty());

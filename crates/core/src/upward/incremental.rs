@@ -20,12 +20,20 @@
 //! Recursive components fall back to recomputing the component under the
 //! new state with the semi-naive engine and diffing (see DESIGN.md §4.1);
 //! everything below and above the component stays incremental.
+//!
+//! An upward *problem* asks for some events only (`ιIc` for integrity
+//! checking, §5.1.1). Given those goals the engine first decides off the
+//! dependency graph, by sign, whether one of them can follow from the
+//! transaction at all, and otherwise evaluates only the components a goal
+//! predicate depends on — never a subset of the event *kinds* of a
+//! component it does evaluate (DESIGN.md §4.1 has the reason).
 
 use crate::error::{Error, Result};
 use crate::transaction::Transaction;
 use crate::upward::UpwardResult;
 use dduf_datalog::analysis::cost::{self, CostModel};
 use dduf_datalog::ast::{Atom, Pred, Term, Var};
+use dduf_datalog::depgraph::{DepGraph, EdgeSign};
 use dduf_datalog::eval::join::{ground_terms, match_tuple, Bindings, JoinStats};
 use dduf_datalog::eval::plan::{eval_plan_stats, IndexTracker, JoinPlan};
 use dduf_datalog::eval::pool::Pool;
@@ -399,7 +407,7 @@ fn deletions(
 
 /// Upward-interprets `txn` incrementally with the process-default pool.
 pub fn interpret(db: &Database, old: &Interpretation, txn: &Transaction) -> Result<UpwardResult> {
-    interpret_pooled(db, old, txn, &Pool::current())
+    interpret_pooled(db, old, txn, None, &Pool::current())
 }
 
 /// What the parallel phase must do for one wave member (decided in the
@@ -407,7 +415,8 @@ pub fn interpret(db: &Database, old: &Interpretation, txn: &Transaction) -> Resu
 /// may be mutated).
 #[derive(Clone, Copy)]
 enum Plan {
-    /// No body predicate was touched; the old extension stays valid.
+    /// Outside the goals' cone, or no body predicate was touched: the old
+    /// extension stays valid, or nobody asked.
     Skip,
     /// Recursive component: recompute under the new state and diff.
     Recompute,
@@ -430,7 +439,96 @@ enum Out {
     },
 }
 
-/// Upward-interprets `txn` incrementally across `pool`.
+/// What the wave loop did with the components, for `upward.apply`.
+#[derive(Default)]
+struct Tally {
+    waves: u64,
+    skipped: u64,
+    pruned: u64,
+    recomputed: u64,
+    event_ruled: u64,
+}
+
+/// An event kind as the dependency graph's sign of a change: an
+/// insertion grows the predicate's extension, a deletion shrinks it.
+fn change(kind: EventKind) -> EdgeSign {
+    match kind {
+        EventKind::Ins => EdgeSign::Positive,
+        EventKind::Del => EdgeSign::Negative,
+    }
+}
+
+/// Upward-interprets `txn` incrementally across `pool`: every induced
+/// event when `goals` is `None`, and otherwise the upward problem `goals`
+/// states — the result is exact on the goal events and a subset of the
+/// full interpretation elsewhere ([`upward::interpret_for`] has the
+/// contract; DESIGN.md §4.1 the argument).
+///
+/// [`upward::interpret_for`]: crate::upward::interpret_for
+pub fn interpret_pooled(
+    db: &Database,
+    old: &Interpretation,
+    txn: &Transaction,
+    goals: Option<&BTreeSet<(Pred, EventKind)>>,
+    pool: &Pool,
+) -> Result<UpwardResult> {
+    let tracing = dduf_obs::enabled();
+    let timer = dduf_obs::timer();
+    let (effective, _noops) = txn.normalize(db);
+    let base = effective.events();
+
+    // The possibility test, signed: an insertion can only come from an
+    // insertion below a positive literal or a deletion below a negated
+    // one, a deletion the other way round. When no goal event is among
+    // what the base events can cause, the answer is known without
+    // evaluating anything. The same closure, unsigned, is the cone: the
+    // goal predicates and everything they depend on.
+    let mut possible = !base.is_empty();
+    let mut graph = None;
+    let mut cone: Option<BTreeSet<Pred>> = None;
+    if let (Some(goals), true) = (goals, possible) {
+        let causes = graph
+            .insert(DepGraph::build(db.program()))
+            .signed_closure(goals.iter().map(|&(p, kind)| (p, change(kind))));
+        possible = [EventKind::Ins, EventKind::Del].into_iter().any(|kind| {
+            base.predicates(kind)
+                .any(|p| causes.contains(&(p, change(kind))))
+        });
+        cone = Some(causes.into_iter().map(|(p, _)| p).collect());
+    }
+    let (derived, tally) = if possible {
+        propagate(db, old, &effective, cone.as_ref(), graph, pool)?
+    } else {
+        (EventStore::new(), Tally::default())
+    };
+
+    if tracing {
+        let derived_ins = derived.iter().filter(|e| e.kind == EventKind::Ins).count() as u64;
+        let mut counters = vec![
+            ("base_events", base.len() as u64),
+            ("derived_ins", derived_ins),
+            ("derived_del", derived.len() as u64 - derived_ins),
+            ("waves", tally.waves),
+            ("components_skipped", tally.skipped),
+            ("components_recomputed", tally.recomputed),
+            ("components_event_ruled", tally.event_ruled),
+        ];
+        if goals.is_some() {
+            counters.push(("components_pruned", tally.pruned));
+            counters.push(("decided_statically", u64::from(!possible)));
+        }
+        dduf_obs::record_timed("upward.apply", "incremental", &counters, timer.elapsed_us());
+    }
+
+    Ok(UpwardResult {
+        base: base.clone(),
+        derived,
+    })
+}
+
+/// The wave loop: evaluates the components `effective` affects — of
+/// those with a member in `cone`, when there is one — and returns the
+/// induced derived events.
 ///
 /// Components are scheduled in topological wavefronts over the
 /// stratification's condensation: every unfinished component whose
@@ -439,46 +537,45 @@ enum Out {
 /// `new_interp` state it would see sequentially; merging wave results in
 /// ascending component order makes the EventStore identical for any
 /// thread count (DESIGN.md §10).
-pub fn interpret_pooled(
+///
+/// The cone is closed under dependency, so a component inside it reads
+/// only components inside it: each one evaluated sees the events it would
+/// see with no cone at all.
+fn propagate(
     db: &Database,
     old: &Interpretation,
-    txn: &Transaction,
+    effective: &Transaction,
+    cone: Option<&BTreeSet<Pred>>,
+    mut graph: Option<DepGraph>,
     pool: &Pool,
-) -> Result<UpwardResult> {
+) -> Result<(EventStore, Tally)> {
     let program = db.program();
     let strat = Stratification::compute(program)
         .map_err(|e| Error::from(dduf_datalog::error::Error::from(e)))?;
-    let graph = dduf_datalog::depgraph::DepGraph::build(program);
 
     let tracing = dduf_obs::enabled();
-    let timer = dduf_obs::timer();
-    let (effective, _noops) = txn.normalize(db);
     let mut events = effective.events().clone();
     let mut derived_events = EventStore::new();
     let mut new_interp = Interpretation::default();
-    // New base state, needed only for recursive components.
-    let new_db = effective.apply(db);
+    // Built by the first component that needs them: the new base state
+    // (and the dependency graph) by a recursive one, the cost model —
+    // static bounds over the program plus the old base state, consulted
+    // by every event-rule index gate — by an event-ruled one.
+    let mut new_db: Option<Database> = None;
+    let mut cost_model: Option<CostModel> = None;
 
     // Predicates whose extension may have changed: base predicates with
     // events, extended with every derived predicate that produced events.
     // A component none of whose body predicates is touched cannot change
     // and is skipped wholesale.
-    let mut touched: std::collections::BTreeSet<Pred> =
-        effective.events().iter().map(|e| e.pred).collect();
+    let mut touched: BTreeSet<Pred> = effective.events().iter().map(|e| e.pred).collect();
     // Components actually evaluated (their entry in `new_interp` is
     // authoritative, even when empty).
-    let mut evaluated: std::collections::BTreeSet<Pred> = std::collections::BTreeSet::new();
-
-    // One cost model per transaction: static bounds over the program plus
-    // the old base state, consulted by every event-rule index gate below.
-    let cost_model = CostModel::from_database(db);
+    let mut evaluated: BTreeSet<Pred> = BTreeSet::new();
 
     let components = strat.components();
     let mut done: Vec<bool> = vec![false; components.len()];
-    let mut waves = 0u64;
-    let mut skipped = 0u64;
-    let mut recomputed = 0u64;
-    let mut event_ruled = 0u64;
+    let mut tally = Tally::default();
     while done.iter().any(|d| !d) {
         let wave: Vec<usize> = (0..components.len())
             .filter(|&i| !done[i] && strat.component_deps(i).iter().all(|&j| done[j]))
@@ -486,7 +583,7 @@ pub fn interpret_pooled(
         if wave.is_empty() {
             break; // unreachable: the condensation is acyclic
         }
-        waves += 1;
+        tally.waves += 1;
 
         // Sequential pre-pass: decide each member's plan and, for
         // recursive members, lazily fill the (unchanged) old extensions of
@@ -497,6 +594,10 @@ pub fn interpret_pooled(
             .iter()
             .map(|&ci| {
                 let component = &components[ci];
+                if cone.is_some_and(|cone| !component.preds.iter().any(|p| cone.contains(p))) {
+                    tally.pruned += 1;
+                    return Plan::Skip;
+                }
                 let affected = component.preds.iter().any(|&p| {
                     program
                         .rules_for(p)
@@ -505,9 +606,12 @@ pub fn interpret_pooled(
                         .any(|lit| touched.contains(&lit.atom.pred))
                 });
                 if !affected {
+                    tally.skipped += 1;
                     return Plan::Skip;
                 }
                 if component.recursive {
+                    new_db.get_or_insert_with(|| effective.apply(db));
+                    let graph = graph.get_or_insert_with(|| DepGraph::build(program));
                     for &p in &component.preds {
                         for dep in graph.reachable(p) {
                             if program.is_derived(dep)
@@ -521,6 +625,7 @@ pub fn interpret_pooled(
                     }
                     Plan::Recompute
                 } else {
+                    cost_model.get_or_insert_with(|| CostModel::from_database(db));
                     Plan::EventRules
                 }
             })
@@ -529,11 +634,12 @@ pub fn interpret_pooled(
         // Parallel phase: all shared state is read-only here. Inner pools
         // share the worker budget evenly across the wave.
         let inner = Pool::new((pool.threads() / pool.threads().min(wave.len())).max(1));
+        let (new_db, cost_model) = (new_db.as_ref(), cost_model.as_ref());
         let outs: Vec<Out> = pool.map(wave.len(), |w| match plans[w] {
             Plan::Skip => Out::Skip,
             Plan::Recompute => {
                 let (results, trace) = seminaive::eval_component_traced(
-                    &new_db,
+                    new_db.expect("the pre-pass built it"),
                     &new_interp,
                     &components[wave[w]],
                     &inner,
@@ -542,6 +648,7 @@ pub fn interpret_pooled(
             }
             Plan::EventRules => {
                 let pred = components[wave[w]].preds[0];
+                let cost_model = cost_model.expect("the pre-pass built it");
                 let tr = simplify_transition(&TransitionRule::build(program, pred));
                 let tr_plans = TrPlans::compile(&tr, db, old, &events);
                 let mut stats = JoinStats::default();
@@ -556,7 +663,7 @@ pub fn interpret_pooled(
                     db,
                     old,
                     &events,
-                    &cost_model,
+                    cost_model,
                     &mut stats,
                     &mut indexes,
                 );
@@ -567,7 +674,7 @@ pub fn interpret_pooled(
                     db,
                     old,
                     &events,
-                    &cost_model,
+                    cost_model,
                     &mut stats,
                     &mut indexes,
                     &mut compiled,
@@ -586,9 +693,9 @@ pub fn interpret_pooled(
         for (w, out) in outs.into_iter().enumerate() {
             done[wave[w]] = true;
             match out {
-                Out::Skip => skipped += 1, // unchanged: old extension remains valid
+                Out::Skip => {} // the old extension remains valid, or nobody reads it
                 Out::Recompute(results, trace) => {
-                    recomputed += 1;
+                    tally.recomputed += 1;
                     if tracing {
                         record_component_trace(
                             &component_label(&components[wave[w]].preds),
@@ -621,7 +728,7 @@ pub fn interpret_pooled(
                     plans,
                     indexes,
                 } => {
-                    event_ruled += 1;
+                    tally.event_ruled += 1;
                     let pred = components[wave[w]].preds[0];
                     if tracing {
                         dduf_obs::record(
@@ -674,32 +781,7 @@ pub fn interpret_pooled(
             }
         }
     }
-
-    if tracing {
-        let derived_ins = derived_events
-            .iter()
-            .filter(|e| e.kind == EventKind::Ins)
-            .count() as u64;
-        dduf_obs::record_timed(
-            "upward.apply",
-            "incremental",
-            &[
-                ("base_events", effective.events().len() as u64),
-                ("derived_ins", derived_ins),
-                ("derived_del", derived_events.len() as u64 - derived_ins),
-                ("waves", waves),
-                ("components_skipped", skipped),
-                ("components_recomputed", recomputed),
-                ("components_event_ruled", event_ruled),
-            ],
-            timer.elapsed_us(),
-        );
-    }
-
-    Ok(UpwardResult {
-        base: effective.events().clone(),
-        derived: derived_events,
-    })
+    Ok((derived_events, tally))
 }
 
 #[cfg(test)]

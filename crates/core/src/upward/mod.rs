@@ -38,6 +38,7 @@ use dduf_datalog::storage::database::Database;
 use dduf_datalog::storage::relation::Relation;
 use dduf_events::event::{EventKind, GroundEvent};
 use dduf_events::store::EventStore;
+use std::collections::BTreeSet;
 use std::fmt;
 
 /// Which upward implementation to use.
@@ -113,6 +114,26 @@ pub fn interpret_with(
     }
 }
 
+/// The upward interpretation of the events in `goals` — an upward
+/// problem as Table 4.1 states it (§5.1.1 *is* "the upward interpretation
+/// of `ιIc`"), by the incremental engine. The result is **exact on the
+/// goals** — for each `(P, kind)` among them, the `kind` events on `P` are
+/// those of [`interpret_with`] — and a subset of the full interpretation
+/// elsewhere: when no goal event can follow from the effective base
+/// events (an insertion only comes from an insertion below a positive
+/// literal or a deletion below a negated one, a deletion the other way
+/// round) nothing is evaluated at all, and otherwise only the components
+/// a goal predicate depends on are (DESIGN.md §4.1).
+pub fn interpret_for(
+    db: &Database,
+    old: &Interpretation,
+    txn: &Transaction,
+    goals: &BTreeSet<(Pred, EventKind)>,
+) -> Result<UpwardResult> {
+    let pool = dduf_datalog::eval::pool::Pool::current();
+    incremental::interpret_pooled(db, old, txn, Some(goals), &pool)
+}
+
 /// Upward-interprets `txn` with an explicit worker count (`0` = all
 /// available hardware parallelism). The result is bit-identical to
 /// [`interpret_with`] at any thread count (DESIGN.md §10).
@@ -126,7 +147,7 @@ pub fn interpret_with_threads(
     let pool = dduf_datalog::eval::pool::Pool::new(threads);
     match engine {
         Engine::Semantic => semantic::interpret_pooled(db, old, txn, &pool),
-        Engine::Incremental => incremental::interpret_pooled(db, old, txn, &pool),
+        Engine::Incremental => incremental::interpret_pooled(db, old, txn, None, &pool),
     }
 }
 

@@ -17,6 +17,18 @@ pub enum EdgeSign {
     Negative,
 }
 
+impl EdgeSign {
+    /// The sign of a path made of a path of sign `self` and an edge of
+    /// sign `edge`.
+    fn times(self, edge: EdgeSign) -> EdgeSign {
+        if self == edge {
+            EdgeSign::Positive
+        } else {
+            EdgeSign::Negative
+        }
+    }
+}
+
 /// Dependency graph over the predicates of a program.
 #[derive(Clone, Debug, Default)]
 pub struct DepGraph {
@@ -68,6 +80,31 @@ impl DepGraph {
         while let Some(p) = stack.pop() {
             if seen.insert(p) {
                 stack.extend(self.deps(p).map(|(q, _)| q));
+            }
+        }
+        seen
+    }
+
+    /// The signed dependency closure of `roots`: `(Q, s)` is in it iff it
+    /// is a root or some root `(P, r)` reaches `Q` along a path whose edge
+    /// signs multiply with `r` to `s` (two negations cancel; a predicate
+    /// reachable with both parities appears twice). Read a pair as a
+    /// *change* — `Positive` the extension gains a tuple, `Negative` it
+    /// loses one: a rule body can only start to hold through a positive
+    /// literal that gained or a negated one that lost, and only stop to
+    /// hold the other way round, so the closure is every change that can
+    /// contribute to a root change, recursion included. Its unsigned
+    /// projection is the roots plus everything they
+    /// [reach](Self::reachable).
+    pub fn signed_closure(
+        &self,
+        roots: impl IntoIterator<Item = (Pred, EdgeSign)>,
+    ) -> BTreeSet<(Pred, EdgeSign)> {
+        let mut seen = BTreeSet::new();
+        let mut stack: Vec<(Pred, EdgeSign)> = roots.into_iter().collect();
+        while let Some((p, s)) = stack.pop() {
+            if seen.insert((p, s)) {
+                stack.extend(self.deps(p).map(|(q, e)| (q, s.times(e))));
             }
         }
         seen
@@ -235,6 +272,80 @@ mod tests {
             .unwrap();
         assert!(comp.contains(&Pred::new("q", 1)));
         assert!(g.is_recursive(Pred::new("p", 1)));
+    }
+
+    /// The signed closure of `root` over the rules in `src`, rendered
+    /// `+p` / `-p` and sorted.
+    fn closure(src: &str, root: (&str, usize, EdgeSign)) -> Vec<String> {
+        let program = crate::parser::parse_program(src).unwrap().program;
+        let (name, arity, sign) = root;
+        let mut out: Vec<String> = DepGraph::build(&program)
+            .signed_closure([(Pred::new(name, arity), sign)])
+            .into_iter()
+            .map(|(p, s)| {
+                let mark = if s == EdgeSign::Positive { '+' } else { '-' };
+                format!("{mark}{}", p.name)
+            })
+            .collect();
+        out.sort();
+        out
+    }
+
+    #[test]
+    fn signed_closure_keeps_the_sign_along_positive_edges() {
+        let src = "v(X) :- u(X). u(X) :- b(X).";
+        assert_eq!(
+            closure(src, ("v", 1, EdgeSign::Positive)),
+            ["+b", "+u", "+v"]
+        );
+        assert_eq!(
+            closure(src, ("v", 1, EdgeSign::Negative)),
+            ["-b", "-u", "-v"]
+        );
+    }
+
+    #[test]
+    fn signed_closure_flips_at_a_negation_and_back_at_the_second() {
+        let one = "v(X) :- a(X), not u(X). u(X) :- b(X).";
+        assert_eq!(
+            closure(one, ("v", 1, EdgeSign::Positive)),
+            ["+a", "+v", "-b", "-u"]
+        );
+        let two = "w(X) :- a(X), not v(X). v(X) :- a(X), not u(X). u(X) :- b(X).";
+        assert_eq!(
+            closure(two, ("w", 1, EdgeSign::Positive)),
+            ["+a", "+b", "+u", "+w", "-a", "-v"]
+        );
+    }
+
+    #[test]
+    fn signed_closure_terminates_on_cycles() {
+        let tc = "tc(X, Y) :- e(X, Y). tc(X, Y) :- e(X, Z), tc(Z, Y).";
+        assert_eq!(closure(tc, ("tc", 2, EdgeSign::Positive)), ["+e", "+tc"]);
+        // Mutual recursion through negation-free rules, a negation below.
+        let mutual = "p(X) :- q(X). q(X) :- p(X). q(X) :- e(X), not m(X).";
+        assert_eq!(
+            closure(mutual, ("p", 1, EdgeSign::Negative)),
+            ["+m", "-e", "-p", "-q"]
+        );
+    }
+
+    /// The attack graph's shape: a cut edge (`-hacl`) can only shrink what
+    /// is reachable, a patch (`+patched`) likewise, so neither is among
+    /// the changes that can make `goal` gain a tuple — their opposites are.
+    #[test]
+    fn signed_closure_leaves_out_a_base_predicate_of_the_wrong_sign() {
+        let src = "exploitable(H) :- vuln(H, V), not patched(H, V).
+                   exec(A, H) :- at(A, H).
+                   exec(A, H) :- exec(A, S), hacl(S, H), exploitable(H).
+                   goal(A, H) :- exec(A, H), critical(H).";
+        let gains = closure(src, ("goal", 2, EdgeSign::Positive));
+        assert!(gains.contains(&"+hacl".to_string()) && !gains.contains(&"-hacl".to_string()));
+        assert!(
+            gains.contains(&"-patched".to_string()) && !gains.contains(&"+patched".to_string())
+        );
+        let loses = closure(src, ("goal", 2, EdgeSign::Negative));
+        assert!(loses.contains(&"-hacl".to_string()) && loses.contains(&"+patched".to_string()));
     }
 
     #[test]

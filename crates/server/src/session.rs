@@ -18,7 +18,6 @@ use crate::state::StateCell;
 use crate::writer::{Job, JobQueue, Reply};
 use dduf_core::problems::ic_checking;
 use dduf_core::transaction::Transaction;
-use dduf_core::upward::{self, Engine};
 use dduf_datalog::ast::Pred;
 use dduf_datalog::eval::StateView;
 use std::fmt::Write as _;
@@ -252,8 +251,7 @@ fn query(ctx: &SessionCtx, rest: &str) -> dduf_core::Result<String> {
 fn check(ctx: &SessionCtx, txn_src: &str) -> dduf_core::Result<String> {
     let cur = &ctx.cell.load().state;
     let txn = Transaction::parse(&cur.db, txn_src)?;
-    let up = upward::interpret_with(&cur.db, &cur.interp, &txn, Engine::default())?;
-    Ok(ic_checking::check(&cur.db, &cur.interp, &up).to_string())
+    Ok(ic_checking::check_transaction(&cur.db, &cur.interp, &txn)?.to_string())
 }
 
 /// `:stats` — the aggregated server trace report plus the snapshot's

@@ -489,6 +489,138 @@ fn gen_churn_txn(rng: &mut Rng, db: &Database) -> Transaction {
     Transaction::from_events(db, events).expect("validated")
 }
 
+/// The `kind` events on `pred` for every goal, in goal order.
+fn goal_events(res: &UpwardResult, goals: &Goals) -> Vec<(Pred, EventKind, Relation)> {
+    goals
+        .iter()
+        .map(|&(pred, kind)| (pred, kind, res.derived.relation(kind, pred).clone()))
+        .collect()
+}
+
+type Goals = std::collections::BTreeSet<(Pred, EventKind)>;
+
+/// The contract of `upward::interpret_for` on one case, at 1 and 8
+/// workers and through the entry point itself: exact on the goals, a
+/// subset of the full interpretation elsewhere. Returns the entry point's
+/// result.
+fn assert_exact_on_goals(
+    label: &str,
+    db: &Database,
+    old: &Interpretation,
+    txn: &Transaction,
+    goals: &Goals,
+) -> UpwardResult {
+    use dduf::core::upward::{incremental, interpret_for, interpret_with};
+    use dduf::datalog::eval::pool::Pool;
+
+    let full = interpret_with(db, old, txn, UpwardEngine::Semantic).expect("semantic");
+    let mut runs = vec![interpret_for(db, old, txn, goals).expect("goal-directed")];
+    for threads in [1usize, 8] {
+        let pool = Pool::new(threads);
+        runs.push(incremental::interpret_pooled(db, old, txn, Some(goals), &pool).expect("pooled"));
+    }
+    for got in &runs {
+        assert_eq!(got.base, full.base, "{label}");
+        assert_eq!(
+            goal_events(got, goals),
+            goal_events(&full, goals),
+            "{label}: goals {goals:?}, transaction {}",
+            txn.events()
+        );
+        for e in got.derived.iter() {
+            assert!(full.derived.contains(&e), "{label}: invented {e}");
+        }
+    }
+    runs.swap_remove(0)
+}
+
+/// Every derived event of `db`'s program: the goal set that asks for
+/// everything.
+fn every_derived_event(db: &Database) -> Goals {
+    db.program()
+        .predicates()
+        .filter(|&(p, _)| db.program().is_derived(p))
+        .flat_map(|(p, _)| [(p, EventKind::Ins), (p, EventKind::Del)])
+        .collect()
+}
+
+/// A random subset of `all` (each goal with probability one third; may
+/// be empty — an upward problem nobody asked anything of).
+fn gen_goals(rng: &mut Rng, all: &Goals) -> Goals {
+    all.iter().copied().filter(|_| rng.usize(3) == 0).collect()
+}
+
+/// Goal-directed upward interpretation is exact on its goals: random
+/// stratified programs (non-recursive layers, and a recursive component
+/// under counting-maintained layers) × random goal sets × random
+/// transactions against the semantic oracle's full result — and with
+/// every derived event as the goal, the result *is* the stateless
+/// engine's.
+#[test]
+fn goal_directed_equals_semantic_on_the_goals() {
+    use dduf::core::upward::{interpret_for, interpret_with};
+
+    let mut rng = Rng::new(0x60A1);
+    let mut pruned = 0;
+    for case in 0..192 {
+        let (source, txn_of): (String, fn(&mut Rng, &Database) -> Transaction) = if case % 2 == 0 {
+            (RandProgram::gen(&mut rng).to_source(), gen_txn)
+        } else {
+            (RecProgram::gen(&mut rng).to_source(), gen_churn_txn)
+        };
+        let label = format!("case {case}:\n{source}");
+        let db = parse_database(&source).expect("parses");
+        let old = materialize(&db).expect("stratified");
+        let txn = txn_of(&mut rng, &db);
+        let everything = interpret_with(&db, &old, &txn, UpwardEngine::Incremental).unwrap();
+        let all = every_derived_event(&db);
+        assert_eq!(
+            interpret_for(&db, &old, &txn, &all).unwrap(),
+            everything,
+            "{label}: asking for everything"
+        );
+        for _ in 0..3 {
+            let goals = gen_goals(&mut rng, &all);
+            let got = assert_exact_on_goals(&label, &db, &old, &txn, &goals);
+            pruned += usize::from(got.derived.len() < everything.derived.len());
+        }
+    }
+    assert!(
+        pruned > 100,
+        "the goals hardly ever left anything out: {pruned}"
+    );
+}
+
+/// The variant that must not be built: pruning *evaluation* by event
+/// kind. `ιgoal` needs `p(a)` and `p(b)`; the transaction inserts `p(a)`
+/// and deletes `p(b)`. An engine that, asked for insertions, skipped the
+/// deletions on `p` would read `Pⁿ = P° ∨ ιP` and invent `+goal(k)`:
+/// `ιC` is blocked by `δP`. Once through the event rules, once through a
+/// recursive component recomputed above `p`.
+#[test]
+fn an_insertion_blocked_by_a_deletion_below_is_not_invented() {
+    let event_rules = "b(b). m(k).
+        p(X) :- b(X).
+        goal(X) :- m(X), p(a), p(b).";
+    let recompute = "b(b). m(k). e(k, k).
+        p(X) :- b(X).
+        goal(X) :- m(X), p(a), p(b).
+        goal(X) :- goal(Y), e(Y, X).";
+    for src in [event_rules, recompute] {
+        let db = parse_database(src).unwrap();
+        let txn = Transaction::parse(&db, "+b(a). -b(b).").unwrap();
+        let goals: Goals = [(Pred::new("goal", 1), EventKind::Ins)].into();
+        let old = materialize(&db).unwrap();
+        let got = assert_exact_on_goals(src, &db, &old, &txn, &goals);
+        assert!(got
+            .derived
+            .relation(EventKind::Ins, Pred::new("goal", 1))
+            .is_empty());
+        // It got that far: both events on `p` are in the cone's result.
+        assert_eq!(got.derived.to_string(), "{+p(a), -p(b)}");
+    }
+}
+
 /// Replays `steps` transactions drawn from `gen` through a fresh
 /// maintenance engine over `src` (after `expect_strategies` has checked
 /// the selection matrix). At every step the induced events must equal

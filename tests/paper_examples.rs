@@ -74,6 +74,25 @@ fn example_5_1_integrity_checking() {
     }
 }
 
+/// Example 5.1 as the paper states it — "the upward interpretation of
+/// ιIc1" — through the goal-directed entry point: the answer is {ιIc1},
+/// and the global `Ic`, which nobody asked for, is not evaluated.
+#[test]
+fn example_5_1_is_the_upward_interpretation_of_ins_ic1() {
+    let db = testkit::employment_db();
+    let old = materialize(&db).unwrap();
+    let txn = Transaction::parse(&db, "-u_benefit(dolors).").unwrap();
+    let goals = [(Pred::new("ic1", 0), EventKind::Ins)].into();
+    let res = dduf::core::upward::interpret_for(&db, &old, &txn, &goals).unwrap();
+    assert_eq!(res.base.to_string(), "{-u_benefit(dolors)}");
+    assert_eq!(res.derived.to_string(), "{+ic1}");
+    // +works(dolors) can only delete unemp(dolors), and a deletion below
+    // a positive literal inserts nothing: decided without evaluating.
+    let txn = Transaction::parse(&db, "+works(dolors).").unwrap();
+    let res = dduf::core::upward::interpret_for(&db, &old, &txn, &goals).unwrap();
+    assert_eq!(res.derived.to_string(), "{}");
+}
+
 /// Example 5.2: the downward interpretation of δUnemp(Dolors) is
 /// (δLa(Dolors) ∨ ιWorks(Dolors)): translations T1 = {δLa(Dolors)} and
 /// T2 = {ιWorks(Dolors)}.
