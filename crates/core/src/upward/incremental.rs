@@ -36,10 +36,7 @@ use dduf_datalog::ast::{Atom, Pred, Term, Var};
 use dduf_datalog::depgraph::{DepGraph, EdgeSign};
 use dduf_datalog::eval::join::{ground_terms, match_tuple, Bindings, JoinStats};
 use dduf_datalog::eval::plan::{eval_plan_stats, IndexTracker, JoinPlan};
-use dduf_datalog::eval::pool::Pool;
-use dduf_datalog::eval::{
-    component_label, record_component_trace, seminaive, ComponentTrace, Interpretation,
-};
+use dduf_datalog::eval::{component_label, record_component_trace, seminaive, Interpretation};
 use dduf_datalog::storage::database::Database;
 use dduf_datalog::storage::relation::Relation;
 use dduf_datalog::storage::tuple::Tuple;
@@ -100,7 +97,7 @@ struct TrPlans {
     /// the head's variables seed-bound (they are fixed by unification
     /// against the candidate tuple). `None` = the disjunct contains a
     /// positive event literal over an empty event relation and is
-    /// unsatisfiable this wave — skipped without compiling.
+    /// unsatisfiable for this predicate — skipped without compiling.
     holds: Vec<Vec<Option<JoinPlan>>>,
 }
 
@@ -123,8 +120,9 @@ impl TrPlans {
                         lits.push(TrLit::old_neg(branch.head.clone()));
                         // A positive event literal over an empty event
                         // relation kills the disjunct — don't even
-                        // compile it (events are fixed for this wave, so
-                        // the compile count stays deterministic).
+                        // compile it (the body's events are complete
+                        // before the predicate is evaluated, so the
+                        // compile count stays deterministic).
                         if lits.iter().any(|l| {
                             l.is_positive_event() && trlit_relation(l, db, old, events).is_empty()
                         }) {
@@ -159,8 +157,7 @@ impl TrPlans {
                     .iter()
                     .map(|conj| {
                         // Same dead-disjunct filter as the insertion
-                        // plans: events are fixed for this wave member,
-                        // so a positive event literal over an empty
+                        // plans: a positive event literal over an empty
                         // event relation makes the disjunct
                         // unsatisfiable for every candidate.
                         let live = conj.0.iter().all(|l| {
@@ -188,9 +185,8 @@ impl TrPlans {
 /// signature's literal to its backing relation and asking the cost model
 /// whether the build amortizes: old-state relations are gated through
 /// their static size class, event relations (which exist only within the
-/// wave) through the purely dynamic gate. `driving` is how many probe
-/// seeds are about to hit the plan — a pre-fan-out quantity, so the
-/// decision is identical at any thread count.
+/// transaction) through the purely dynamic gate. `driving` is how many
+/// probe seeds are about to hit the plan.
 #[allow(clippy::too_many_arguments)]
 fn prebuild_sigs(
     plan: &JoinPlan,
@@ -405,44 +401,14 @@ fn deletions(
         .collect()
 }
 
-/// Upward-interprets `txn` incrementally with the process-default pool.
+/// Upward-interprets `txn` incrementally: every induced event.
 pub fn interpret(db: &Database, old: &Interpretation, txn: &Transaction) -> Result<UpwardResult> {
-    interpret_pooled(db, old, txn, None, &Pool::current())
+    interpret_for(db, old, txn, None)
 }
 
-/// What the parallel phase must do for one wave member (decided in the
-/// sequential pre-pass, which is the only place `new_interp`/`touched`
-/// may be mutated).
-#[derive(Clone, Copy)]
-enum Plan {
-    /// Outside the goals' cone, or no body predicate was touched: the old
-    /// extension stays valid, or nobody asked.
-    Skip,
-    /// Recursive component: recompute under the new state and diff.
-    Recompute,
-    /// Single non-recursive predicate: event-rule evaluation.
-    EventRules,
-}
-
-/// The parallel phase's output for one wave member. Traces and join
-/// stats ride back with the results so the sequential merge can record
-/// them on the orchestrating thread (DESIGN.md §11).
-enum Out {
-    Skip,
-    Recompute(Vec<(Pred, Relation)>, ComponentTrace),
-    EventRules {
-        ins: Relation,
-        del: Relation,
-        stats: JoinStats,
-        plans: u64,
-        indexes: u64,
-    },
-}
-
-/// What the wave loop did with the components, for `upward.apply`.
+/// What the component loop did with the components, for `upward.apply`.
 #[derive(Default)]
 struct Tally {
-    waves: u64,
     skipped: u64,
     pruned: u64,
     recomputed: u64,
@@ -458,19 +424,16 @@ fn change(kind: EventKind) -> EdgeSign {
     }
 }
 
-/// Upward-interprets `txn` incrementally across `pool`: every induced
-/// event when `goals` is `None`, and otherwise the upward problem `goals`
-/// states — the result is exact on the goal events and a subset of the
-/// full interpretation elsewhere ([`upward::interpret_for`] has the
-/// contract; DESIGN.md §4.1 the argument).
-///
-/// [`upward::interpret_for`]: crate::upward::interpret_for
-pub fn interpret_pooled(
+/// Upward-interprets `txn` incrementally: every induced event when
+/// `goals` is `None`, and otherwise the upward problem `goals` states —
+/// the result is exact on the goal events and a subset of the full
+/// interpretation elsewhere (`upward::interpret_for` has the contract;
+/// DESIGN.md §4.1 the argument).
+pub(crate) fn interpret_for(
     db: &Database,
     old: &Interpretation,
     txn: &Transaction,
     goals: Option<&BTreeSet<(Pred, EventKind)>>,
-    pool: &Pool,
 ) -> Result<UpwardResult> {
     let tracing = dduf_obs::enabled();
     let timer = dduf_obs::timer();
@@ -497,7 +460,7 @@ pub fn interpret_pooled(
         cone = Some(causes.into_iter().map(|(p, _)| p).collect());
     }
     let (derived, tally) = if possible {
-        propagate(db, old, &effective, cone.as_ref(), graph, pool)?
+        propagate(db, old, &effective, cone.as_ref(), graph)?
     } else {
         (EventStore::new(), Tally::default())
     };
@@ -508,7 +471,6 @@ pub fn interpret_pooled(
             ("base_events", base.len() as u64),
             ("derived_ins", derived_ins),
             ("derived_del", derived.len() as u64 - derived_ins),
-            ("waves", tally.waves),
             ("components_skipped", tally.skipped),
             ("components_recomputed", tally.recomputed),
             ("components_event_ruled", tally.event_ruled),
@@ -526,17 +488,9 @@ pub fn interpret_pooled(
     })
 }
 
-/// The wave loop: evaluates the components `effective` affects — of
-/// those with a member in `cone`, when there is one — and returns the
-/// induced derived events.
-///
-/// Components are scheduled in topological wavefronts over the
-/// stratification's condensation: every unfinished component whose
-/// dependencies are complete is evaluated concurrently. Same-wave members
-/// are pairwise independent, so each sees exactly the `events`/`touched`/
-/// `new_interp` state it would see sequentially; merging wave results in
-/// ascending component order makes the EventStore identical for any
-/// thread count (DESIGN.md §10).
+/// The component loop: evaluates, in dependency order, the components
+/// `effective` affects — of those with a member in `cone`, when there is
+/// one — and returns the induced derived events.
 ///
 /// The cone is closed under dependency, so a component inside it reads
 /// only components inside it: each one evaluated sees the events it would
@@ -547,7 +501,6 @@ fn propagate(
     effective: &Transaction,
     cone: Option<&BTreeSet<Pred>>,
     mut graph: Option<DepGraph>,
-    pool: &Pool,
 ) -> Result<(EventStore, Tally)> {
     let program = db.program();
     let strat = Stratification::compute(program)
@@ -573,212 +526,133 @@ fn propagate(
     // authoritative, even when empty).
     let mut evaluated: BTreeSet<Pred> = BTreeSet::new();
 
-    let components = strat.components();
-    let mut done: Vec<bool> = vec![false; components.len()];
     let mut tally = Tally::default();
-    while done.iter().any(|d| !d) {
-        let wave: Vec<usize> = (0..components.len())
-            .filter(|&i| !done[i] && strat.component_deps(i).iter().all(|&j| done[j]))
-            .collect();
-        if wave.is_empty() {
-            break; // unreachable: the condensation is acyclic
+    for component in strat.components() {
+        if cone.is_some_and(|cone| !component.preds.iter().any(|p| cone.contains(p))) {
+            tally.pruned += 1;
+            continue; // nobody asked
         }
-        tally.waves += 1;
-
-        // Sequential pre-pass: decide each member's plan and, for
-        // recursive members, lazily fill the (unchanged) old extensions of
-        // skipped lower dependencies into `new_interp` — the only mutation
-        // the fixpoints below depend on, so it must complete before the
-        // parallel phase reads `new_interp`.
-        let plans: Vec<Plan> = wave
-            .iter()
-            .map(|&ci| {
-                let component = &components[ci];
-                if cone.is_some_and(|cone| !component.preds.iter().any(|p| cone.contains(p))) {
-                    tally.pruned += 1;
-                    return Plan::Skip;
-                }
-                let affected = component.preds.iter().any(|&p| {
-                    program
-                        .rules_for(p)
-                        .iter()
-                        .flat_map(|r| r.body.iter())
-                        .any(|lit| touched.contains(&lit.atom.pred))
-                });
-                if !affected {
-                    tally.skipped += 1;
-                    return Plan::Skip;
-                }
-                if component.recursive {
-                    new_db.get_or_insert_with(|| effective.apply(db));
-                    let graph = graph.get_or_insert_with(|| DepGraph::build(program));
-                    for &p in &component.preds {
-                        for dep in graph.reachable(p) {
-                            if program.is_derived(dep)
-                                && !component.preds.contains(&dep)
-                                && !evaluated.contains(&dep)
-                            {
-                                new_interp.set(dep, old.relation(dep).clone());
-                                evaluated.insert(dep);
-                            }
-                        }
-                    }
-                    Plan::Recompute
-                } else {
-                    cost_model.get_or_insert_with(|| CostModel::from_database(db));
-                    Plan::EventRules
-                }
-            })
-            .collect();
-
-        // Parallel phase: all shared state is read-only here. Inner pools
-        // share the worker budget evenly across the wave.
-        let inner = Pool::new((pool.threads() / pool.threads().min(wave.len())).max(1));
-        let (new_db, cost_model) = (new_db.as_ref(), cost_model.as_ref());
-        let outs: Vec<Out> = pool.map(wave.len(), |w| match plans[w] {
-            Plan::Skip => Out::Skip,
-            Plan::Recompute => {
-                let (results, trace) = seminaive::eval_component_traced(
-                    new_db.expect("the pre-pass built it"),
-                    &new_interp,
-                    &components[wave[w]],
-                    &inner,
-                );
-                Out::Recompute(results, trace)
-            }
-            Plan::EventRules => {
-                let pred = components[wave[w]].preds[0];
-                let cost_model = cost_model.expect("the pre-pass built it");
-                let tr = simplify_transition(&TransitionRule::build(program, pred));
-                let tr_plans = TrPlans::compile(&tr, db, old, &events);
-                let mut stats = JoinStats::default();
-                // Index-build decisions are local dedup + gate checks, so
-                // the count is deterministic even when siblings race on
-                // the physical build (same argument as eval.scc).
-                let mut indexes: IndexTracker<(u8, Pred)> = IndexTracker::new();
-                let mut compiled = tr_plans.compiled();
-                let ins = insertions(
-                    &tr,
-                    &tr_plans,
-                    db,
-                    old,
-                    &events,
-                    cost_model,
-                    &mut stats,
-                    &mut indexes,
-                );
-                let del = deletions(
-                    pred,
-                    &tr,
-                    &tr_plans,
-                    db,
-                    old,
-                    &events,
-                    cost_model,
-                    &mut stats,
-                    &mut indexes,
-                    &mut compiled,
-                );
-                Out::EventRules {
-                    ins,
-                    del,
-                    stats,
-                    plans: compiled,
-                    indexes: indexes.count(),
-                }
-            }
+        let affected = component.preds.iter().any(|&p| {
+            program
+                .rules_for(p)
+                .iter()
+                .flat_map(|r| r.body.iter())
+                .any(|lit| touched.contains(&lit.atom.pred))
         });
-
-        // Sequential merge, in ascending component order.
-        for (w, out) in outs.into_iter().enumerate() {
-            done[wave[w]] = true;
-            match out {
-                Out::Skip => {} // the old extension remains valid, or nobody reads it
-                Out::Recompute(results, trace) => {
-                    tally.recomputed += 1;
-                    if tracing {
-                        record_component_trace(
-                            &component_label(&components[wave[w]].preds),
-                            &trace,
-                        );
-                    }
-                    for (pred, new_rel) in results {
-                        let old_rel = old.relation(pred);
-                        for t in new_rel.difference(old_rel).iter() {
-                            let e = GroundEvent::ins(pred, t.clone());
-                            events.insert(e.clone());
-                            derived_events.insert(e);
-                        }
-                        for t in old_rel.difference(&new_rel).iter() {
-                            let e = GroundEvent::del(pred, t.clone());
-                            events.insert(e.clone());
-                            derived_events.insert(e);
-                        }
-                        if new_rel != *old_rel {
-                            touched.insert(pred);
-                        }
-                        new_interp.set(pred, new_rel);
-                        evaluated.insert(pred);
-                    }
-                }
-                Out::EventRules {
-                    ins,
-                    del,
-                    stats,
-                    plans,
-                    indexes,
-                } => {
-                    tally.event_ruled += 1;
-                    let pred = components[wave[w]].preds[0];
-                    if tracing {
-                        dduf_obs::record(
-                            "upward.pred",
-                            &pred.to_string(),
-                            &[
-                                ("ins", ins.len() as u64),
-                                ("del", del.len() as u64),
-                                ("probes", stats.probes),
-                                ("matches", stats.matches),
-                                ("indexed_probes", stats.indexed_probes),
-                                ("scan_probes", stats.scan_probes),
-                            ],
-                        );
-                        if plans > 0 {
-                            dduf_obs::record(
-                                "plan.compile",
-                                &pred.to_string(),
-                                &[("compiled", plans)],
-                            );
-                        }
-                        if indexes > 0 {
-                            dduf_obs::record(
-                                "index.build",
-                                &pred.to_string(),
-                                &[("composite_built", indexes)],
-                            );
-                        }
-                    }
-                    let old_rel = old.relation(pred);
-                    if !ins.is_empty() || !del.is_empty() {
-                        touched.insert(pred);
-                    }
-                    let mut new_rel = old_rel.clone();
-                    new_rel.remove_all(del.iter());
-                    new_rel.merge(&ins);
-                    new_interp.set(pred, new_rel);
-                    evaluated.insert(pred);
-                    for t in ins.iter() {
-                        let e = GroundEvent::ins(pred, t.clone());
-                        events.insert(e.clone());
-                        derived_events.insert(e);
-                    }
-                    for t in del.iter() {
-                        let e = GroundEvent::del(pred, t.clone());
-                        events.insert(e.clone());
-                        derived_events.insert(e);
+        if !affected {
+            tally.skipped += 1;
+            continue; // the old extension remains valid
+        }
+        // Per member predicate: its insertions, deletions and new extension.
+        let changes: Vec<(Pred, Relation, Relation, Relation)> = if component.recursive {
+            // Recompute under the new state and diff, after filling the
+            // (unchanged) old extensions of skipped lower dependencies
+            // into `new_interp`.
+            tally.recomputed += 1;
+            let new_db = new_db.get_or_insert_with(|| effective.apply(db));
+            let graph = graph.get_or_insert_with(|| DepGraph::build(program));
+            for &p in &component.preds {
+                for dep in graph.reachable(p) {
+                    if program.is_derived(dep)
+                        && !component.preds.contains(&dep)
+                        && !evaluated.contains(&dep)
+                    {
+                        new_interp.set(dep, old.relation(dep).clone());
+                        evaluated.insert(dep);
                     }
                 }
             }
+            let (results, trace) = seminaive::eval_component(new_db, &new_interp, component);
+            if tracing {
+                record_component_trace(&component_label(&component.preds), &trace);
+            }
+            results
+                .into_iter()
+                .map(|(pred, new_rel)| {
+                    let old_rel = old.relation(pred);
+                    (
+                        pred,
+                        new_rel.difference(old_rel),
+                        old_rel.difference(&new_rel),
+                        new_rel,
+                    )
+                })
+                .collect()
+        } else {
+            // A single non-recursive predicate: event-rule evaluation.
+            tally.event_ruled += 1;
+            let pred = component.preds[0];
+            let cost_model = cost_model.get_or_insert_with(|| CostModel::from_database(db));
+            let tr = simplify_transition(&TransitionRule::build(program, pred));
+            let tr_plans = TrPlans::compile(&tr, db, old, &events);
+            let mut stats = JoinStats::default();
+            let mut indexes: IndexTracker<(u8, Pred)> = IndexTracker::new();
+            let mut compiled = tr_plans.compiled();
+            let ins = insertions(
+                &tr,
+                &tr_plans,
+                db,
+                old,
+                &events,
+                cost_model,
+                &mut stats,
+                &mut indexes,
+            );
+            let del = deletions(
+                pred,
+                &tr,
+                &tr_plans,
+                db,
+                old,
+                &events,
+                cost_model,
+                &mut stats,
+                &mut indexes,
+                &mut compiled,
+            );
+            if tracing {
+                let label = pred.to_string();
+                dduf_obs::record(
+                    "upward.pred",
+                    &label,
+                    &[
+                        ("ins", ins.len() as u64),
+                        ("del", del.len() as u64),
+                        ("probes", stats.probes),
+                        ("matches", stats.matches),
+                        ("indexed_probes", stats.indexed_probes),
+                        ("scan_probes", stats.scan_probes),
+                    ],
+                );
+                if compiled > 0 {
+                    dduf_obs::record("plan.compile", &label, &[("compiled", compiled)]);
+                }
+                if indexes.count() > 0 {
+                    dduf_obs::record(
+                        "index.build",
+                        &label,
+                        &[("composite_built", indexes.count())],
+                    );
+                }
+            }
+            let mut new_rel = old.relation(pred).clone();
+            new_rel.remove_all(del.iter());
+            new_rel.merge(&ins);
+            vec![(pred, ins, del, new_rel)]
+        };
+        for (pred, ins, del, new_rel) in changes {
+            if !ins.is_empty() || !del.is_empty() {
+                touched.insert(pred);
+            }
+            for (kind, tuples) in [(EventKind::Ins, ins), (EventKind::Del, del)] {
+                for t in tuples.iter() {
+                    let e = GroundEvent::new(kind, pred, t.clone());
+                    events.insert(e.clone());
+                    derived_events.insert(e);
+                }
+            }
+            new_interp.set(pred, new_rel);
+            evaluated.insert(pred);
         }
     }
     Ok((derived_events, tally))

@@ -84,7 +84,6 @@ use crate::upward::UpwardResult;
 use dduf_datalog::ast::{Literal, Pred, Rule};
 use dduf_datalog::eval::join::{ground_terms, match_tuple, Bindings};
 use dduf_datalog::eval::plan::{eval_seeded, JoinPlan};
-use dduf_datalog::eval::pool::Pool;
 use dduf_datalog::eval::Interpretation;
 use dduf_datalog::storage::database::Database;
 use dduf_datalog::storage::relation::Relation;
@@ -190,20 +189,10 @@ fn compute_units(program: &dduf_datalog::schema::Program) -> Result<Vec<Unit>> {
 }
 
 impl MaintenanceEngine {
-    /// Builds the engine from the current state with the process-default
-    /// pool.
+    /// Builds the engine from the current state: counting predicates are
+    /// counted against the old interpretation; extensions are snapshots
+    /// of `old`.
     pub fn new(db: &Database, old: &Interpretation) -> Result<MaintenanceEngine> {
-        MaintenanceEngine::new_pooled(db, old, &Pool::current())
-    }
-
-    /// Builds the engine across `pool`: counting predicates are counted
-    /// concurrently (each reads only the completed old interpretation);
-    /// extensions are snapshots of `old`.
-    pub fn new_pooled(
-        db: &Database,
-        old: &Interpretation,
-        pool: &Pool,
-    ) -> Result<MaintenanceEngine> {
         let program = db.program();
         let units = compute_units(program)?;
         let counting: Vec<Pred> = units
@@ -211,28 +200,29 @@ impl MaintenanceEngine {
             .filter(|u| u.strategy == Strategy::Counting)
             .flat_map(|u| u.preds.iter().copied())
             .collect();
-        let maps: Vec<Counts> = pool.map(counting.len(), |ci| {
-            let pred = counting[ci];
-            let mut map: HashMap<Tuple, i64> = HashMap::new();
-            for rule in program.rules_for(pred) {
-                let rel_of = |i: usize| -> &Relation {
-                    let p = rule.body[i].atom.pred;
-                    if program.is_derived(p) {
-                        old.relation(p)
-                    } else {
-                        db.relation(p)
+        let counts: BTreeMap<Pred, Counts> = counting
+            .iter()
+            .map(|&pred| {
+                let mut map: HashMap<Tuple, i64> = HashMap::new();
+                for rule in program.rules_for(pred) {
+                    let rel_of = |i: usize| -> &Relation {
+                        let p = rule.body[i].atom.pred;
+                        if program.is_derived(p) {
+                            old.relation(p)
+                        } else {
+                            db.relation(p)
+                        }
+                    };
+                    for b in eval_seeded(&mut None, &rule.body, &rel_of, &Bindings::new()) {
+                        let t = ground_terms(&rule.head.terms, &b).expect("allowed heads");
+                        *map.entry(t).or_insert(0) += 1;
                     }
-                };
-                for b in eval_seeded(&mut None, &rule.body, &rel_of, &Bindings::new()) {
-                    let t = ground_terms(&rule.head.terms, &b).expect("allowed heads");
-                    *map.entry(t).or_insert(0) += 1;
                 }
-            }
-            let mut counted: Vec<(Tuple, i64)> = map.into_iter().collect();
-            counted.sort_unstable();
-            Counts::from_sorted(counted)
-        });
-        let counts: BTreeMap<Pred, Counts> = counting.iter().copied().zip(maps).collect();
+                let mut counted: Vec<(Tuple, i64)> = map.into_iter().collect();
+                counted.sort_unstable();
+                (pred, Counts::from_sorted(counted))
+            })
+            .collect();
         let exts: BTreeMap<Pred, Relation> = units
             .iter()
             .flat_map(|u| u.preds.iter())

@@ -130,25 +130,7 @@ pub fn interpret_for(
     txn: &Transaction,
     goals: &BTreeSet<(Pred, EventKind)>,
 ) -> Result<UpwardResult> {
-    let pool = dduf_datalog::eval::pool::Pool::current();
-    incremental::interpret_pooled(db, old, txn, Some(goals), &pool)
-}
-
-/// Upward-interprets `txn` with an explicit worker count (`0` = all
-/// available hardware parallelism). The result is bit-identical to
-/// [`interpret_with`] at any thread count (DESIGN.md §10).
-pub fn interpret_with_threads(
-    db: &Database,
-    old: &Interpretation,
-    txn: &Transaction,
-    engine: Engine,
-    threads: usize,
-) -> Result<UpwardResult> {
-    let pool = dduf_datalog::eval::pool::Pool::new(threads);
-    match engine {
-        Engine::Semantic => semantic::interpret_pooled(db, old, txn, &pool),
-        Engine::Incremental => incremental::interpret_pooled(db, old, txn, None, &pool),
-    }
+    incremental::interpret_for(db, old, txn, Some(goals))
 }
 
 #[cfg(test)]

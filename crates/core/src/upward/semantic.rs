@@ -6,41 +6,25 @@
 //! engine is the specification itself — the incremental engine is tested
 //! against it.
 //!
-//! Join planning reaches this engine through the materialization call:
-//! `materialize_with_threads` compiles per-rule
-//! [`JoinPlan`](dduf_datalog::eval::plan::JoinPlan)s whenever planning
-//! is enabled, so the
-//! semantic engine needs no plan wiring of its own.
+//! Join planning reaches this engine through the materialization call,
+//! which compiles per-rule
+//! [`JoinPlan`](dduf_datalog::eval::plan::JoinPlan)s, so the semantic
+//! engine needs no plan wiring of its own.
 
 use crate::error::Result;
 use crate::transaction::Transaction;
 use crate::upward::UpwardResult;
-use dduf_datalog::eval::pool::Pool;
-use dduf_datalog::eval::{materialize_with_threads, Interpretation, Strategy};
+use dduf_datalog::eval::{materialize, Interpretation};
 use dduf_datalog::storage::database::Database;
 use dduf_events::event::GroundEvent;
 use dduf_events::store::EventStore;
 
 /// Upward-interprets `txn` by materializing the new state and diffing.
 pub fn interpret(db: &Database, old: &Interpretation, txn: &Transaction) -> Result<UpwardResult> {
-    interpret_pooled(db, old, txn, &Pool::current())
-}
-
-/// Upward-interprets `txn` semantically, materializing the new state
-/// across `pool`.
-pub fn interpret_pooled(
-    db: &Database,
-    old: &Interpretation,
-    txn: &Transaction,
-    pool: &Pool,
-) -> Result<UpwardResult> {
     let timer = dduf_obs::timer();
     let (effective, _noops) = txn.normalize(db);
     let new_db = effective.apply(db);
-    // The materialization runs on this thread, so its eval spans land in
-    // whatever recorder is installed here.
-    let new = materialize_with_threads(&new_db, Strategy::default(), pool.threads())
-        .map_err(crate::error::Error::from)?;
+    let new = materialize(&new_db).map_err(crate::error::Error::from)?;
     let derived = diff_interpretations(db, old, &new);
     if dduf_obs::enabled() {
         let derived_ins = derived

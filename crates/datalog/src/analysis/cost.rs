@@ -181,8 +181,7 @@ impl CostModel {
     /// The index gate: should a composite index be eagerly built on
     /// `pred`'s relation (current length `len`) when roughly `driving`
     /// probe seeds are about to hit it? Decided from static class plus
-    /// two runtime scalars only — both are pre-fan-out quantities, so the
-    /// decision is identical at any worker count.
+    /// two runtime scalars only, both known before the plan runs.
     pub fn index_worthwhile(&self, pred: Pred, len: usize, driving: usize) -> bool {
         match self.class(pred) {
             // Static analysis says the relation stays trivial; only a
@@ -209,7 +208,7 @@ impl CostModel {
 }
 
 /// The purely dynamic gate, for relations without a static class (event
-/// relations, whose contents exist only within one transaction wave).
+/// relations, whose contents exist only within one transaction).
 pub fn index_worthwhile_dynamic(len: usize, driving: usize) -> bool {
     len >= TINY_MAX && (len >= SMALL_MAX || driving >= PROBE_MIN_DRIVING)
 }

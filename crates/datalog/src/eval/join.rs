@@ -97,8 +97,8 @@ fn pattern(terms: &[Term], b: &Bindings) -> Vec<Option<Const>> {
 /// a composite index or a keyed membership test) or *scan* (an unindexed
 /// iteration), so `indexed_probes + scan_probes == probes`.
 ///
-/// The counters are partition-exact in every round: the plan is static
-/// and the delta scan counts per tuple, not per chunk (DESIGN.md §12).
+/// The plan is static, so the counters are a function of the program
+/// and the data (DESIGN.md §12).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct JoinStats {
     /// Relation lookups issued.

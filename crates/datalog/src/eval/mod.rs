@@ -4,7 +4,6 @@
 pub mod join;
 pub mod naive;
 pub mod plan;
-pub mod pool;
 pub mod seminaive;
 
 use crate::ast::Pred;
@@ -24,16 +23,12 @@ fn empty_relation() -> &'static Relation {
 }
 
 /// Semantic evaluation counters for one component fixpoint, returned by
-/// the traced component evaluators and recorded by whichever sequential
-/// orchestrator ran them (the materializer's wave loop, or the upward
-/// engine's merge phase). Worker jobs never record directly — that is
-/// what keeps every counter here bit-identical across thread counts
-/// (DESIGN.md §11).
+/// the component evaluators and recorded by their caller (the
+/// materializer, or the upward engine). Every counter is a function of
+/// the program and the data alone (DESIGN.md §11).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ComponentTrace {
-    /// Join work. Every round counts, including chunked differential
-    /// rounds, because the compiled plan's probe counts are
-    /// partition-exact (DESIGN.md §12).
+    /// Join work, every round included (DESIGN.md §12).
     pub stats: join::JoinStats,
     /// Join plans compiled for this component (one per live round-0 rule
     /// plus one per live (rule, delta-occurrence) pair).
@@ -48,9 +43,7 @@ pub struct ComponentTrace {
 /// One fixpoint round's semantic counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RoundTrace {
-    /// Derivations produced this round, before deduplication. Binding
-    /// counts partition exactly across delta chunks, so this is
-    /// independent of the worker count.
+    /// Derivations produced this round, before deduplication.
     pub tuples: u64,
     /// Genuinely new tuples this round (post-dedup delta cardinality).
     pub delta: u64,
@@ -220,31 +213,10 @@ pub fn materialize_for(
     materialize_restricted(db, strategy, Some(roots))
 }
 
-/// Materializes all derived predicates of `db` with an explicit worker
-/// count (`0` = all available hardware parallelism). The result is
-/// bit-identical to `materialize_with` at any thread count; see
-/// DESIGN.md §10.
-pub fn materialize_with_threads(
-    db: &Database,
-    strategy: Strategy,
-    threads: usize,
-) -> Result<Interpretation, Error> {
-    materialize_restricted_pooled(db, strategy, None, &pool::Pool::new(threads))
-}
-
 fn materialize_restricted(
     db: &Database,
     strategy: Strategy,
     roots: Option<&[Pred]>,
-) -> Result<Interpretation, Error> {
-    materialize_restricted_pooled(db, strategy, roots, &pool::Pool::current())
-}
-
-fn materialize_restricted_pooled(
-    db: &Database,
-    strategy: Strategy,
-    roots: Option<&[Pred]>,
-    pool: &pool::Pool,
 ) -> Result<Interpretation, Error> {
     let program = db.program();
     safety::check_program(program)?;
@@ -259,63 +231,31 @@ fn materialize_restricted_pooled(
         set
     });
 
+    // Components come in dependency order, so each one reads only
+    // extensions that are already complete. A relevant component's
+    // dependencies are reachable from the roots, hence relevant too.
     let components = strat.components();
-    // Irrelevant components count as done so they never gate a wave (a
-    // relevant component's dependencies are reachable from the roots and
-    // hence always relevant themselves).
-    let mut done: Vec<bool> = components
-        .iter()
-        .map(|c| match &relevant {
-            Some(rel) => !c.preds.iter().any(|p| rel.contains(p)),
-            None => false,
-        })
-        .collect();
-
-    // Topological wavefronts over the condensation: each wave is the set
-    // of unevaluated components whose dependencies are all complete. Wave
-    // members are pairwise independent, so they are evaluated concurrently;
-    // merging in ascending component order keeps the result deterministic.
-    //
-    // Tracing: the enabled check happens here, on the orchestrating
-    // thread, and all spans are recorded from the merged per-component
-    // traces — worker jobs only return counters (DESIGN.md §11).
     let tracing = dduf_obs::enabled();
     let timer = dduf_obs::timer();
-    let mut waves = 0u64;
     let mut evaluated = 0u64;
     let mut interp = Interpretation::default();
-    while done.iter().any(|d| !d) {
-        let wave: Vec<usize> = (0..components.len())
-            .filter(|&i| !done[i] && strat.component_deps(i).iter().all(|&j| done[j]))
-            .collect();
-        if wave.is_empty() {
-            // Unreachable: the condensation is acyclic, so some unfinished
-            // component always has all dependencies complete.
-            break;
+    for component in components {
+        if relevant
+            .as_ref()
+            .is_some_and(|rel| !component.preds.iter().any(|p| rel.contains(p)))
+        {
+            continue;
         }
-        waves += 1;
-        // Split the worker budget: the wave level gets one worker per
-        // member, and each member's fixpoint gets an equal share of the
-        // remainder (everything, if the wave is a singleton).
-        let inner = pool::Pool::new((pool.threads() / pool.threads().min(wave.len())).max(1));
-        let results = pool.map(wave.len(), |w| {
-            let component = &components[wave[w]];
-            match strategy {
-                Strategy::Naive => naive::eval_component_traced(db, &interp, component, &inner),
-                Strategy::SemiNaive => {
-                    seminaive::eval_component_traced(db, &interp, component, &inner)
-                }
-            }
-        });
-        for (w, (comp_results, trace)) in results.into_iter().enumerate() {
-            done[wave[w]] = true;
-            evaluated += 1;
-            if tracing {
-                record_component_trace(&component_label(&components[wave[w]].preds), &trace);
-            }
-            for (pred, rel) in comp_results {
-                interp.insert(pred, rel);
-            }
+        let (results, trace) = match strategy {
+            Strategy::Naive => naive::eval_component(db, &interp, component),
+            Strategy::SemiNaive => seminaive::eval_component(db, &interp, component),
+        };
+        evaluated += 1;
+        if tracing {
+            record_component_trace(&component_label(&component.preds), &trace);
+        }
+        for (pred, rel) in results {
+            interp.insert(pred, rel);
         }
     }
     if tracing {
@@ -324,7 +264,6 @@ fn materialize_restricted_pooled(
             "",
             &[
                 ("components", evaluated),
-                ("waves", waves),
                 ("skipped", components.len() as u64 - evaluated),
                 ("facts", interp.fact_count() as u64),
             ],
@@ -407,9 +346,8 @@ mod tests {
         )
         .unwrap();
         let (_, report) = dduf_obs::capture(|| materialize(&db).unwrap());
-        // Two components (tc, top), each in its own wave.
+        // Two components (tc, top).
         assert_eq!(report.counter("eval.materialize", "", "components"), 2);
-        assert_eq!(report.counter("eval.materialize", "", "waves"), 2);
         assert_eq!(report.counter("eval.materialize", "", "facts"), 6 + 3);
         // Chain of 3 edges: round 0 derives the base pairs, two more
         // rounds extend, one empty round detects the fixpoint.
@@ -418,19 +356,14 @@ mod tests {
         assert_eq!(report.counter("eval.round", "tc/2#r1", "delta"), 2);
         assert!(report.counter("eval.scc", "tc/2", "probes") > 0);
 
-        // The semantic projection is bit-identical at every thread count
-        // and between the pooled and sequential paths.
+        // The semantic projection is the same on every run.
         for strategy in [Strategy::Naive, Strategy::SemiNaive] {
-            let mut baseline = None;
-            for threads in [1usize, 2, 8] {
-                let (_, rep) =
-                    dduf_obs::capture(|| materialize_with_threads(&db, strategy, threads).unwrap());
-                let fp = rep.semantic_fingerprint();
-                match &baseline {
-                    None => baseline = Some(fp),
-                    Some(base) => assert_eq!(base, &fp, "{strategy:?} at {threads} threads"),
-                }
-            }
+            let fingerprint = || {
+                dduf_obs::capture(|| materialize_with(&db, strategy).unwrap())
+                    .1
+                    .semantic_fingerprint()
+            };
+            assert_eq!(fingerprint(), fingerprint(), "{strategy:?}");
         }
     }
 

@@ -6,9 +6,8 @@
 //! engine is differentially tested.
 
 use crate::ast::Pred;
-use crate::eval::join::{ground_terms, Bindings, JoinStats};
+use crate::eval::join::{ground_terms, Bindings};
 use crate::eval::plan::{eval_plan_stats, IndexTracker, JoinPlan};
-use crate::eval::pool::Pool;
 use crate::eval::{body_relation, ComponentTrace, Interpretation};
 use crate::storage::database::Database;
 use crate::storage::relation::Relation;
@@ -16,37 +15,15 @@ use crate::storage::tuple::Tuple;
 use crate::stratify::Component;
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Evaluates `component` to fixpoint with the process-default pool,
-/// returning the extension of each of its predicates. `interp` must
-/// already contain every lower component.
+/// Evaluates `component` to fixpoint, returning the extension of each of
+/// its predicates and the component's trace. `interp` must already
+/// contain every lower component. Each round evaluates every rule against
+/// the relations as the previous round left them, then merges the fresh
+/// tuples.
 pub fn eval_component(
     db: &Database,
     interp: &Interpretation,
     component: &Component,
-) -> Vec<(Pred, Relation)> {
-    eval_component_pooled(db, interp, component, &Pool::current())
-}
-
-/// Evaluates `component` to fixpoint across `pool`: each round runs one
-/// job per rule, and the fresh tuples are merged in rule order, so the
-/// fixpoint is identical for any thread count.
-pub fn eval_component_pooled(
-    db: &Database,
-    interp: &Interpretation,
-    component: &Component,
-    pool: &Pool,
-) -> Vec<(Pred, Relation)> {
-    eval_component_traced(db, interp, component, pool).0
-}
-
-/// [`eval_component_pooled`], also returning the component's trace.
-/// Every naive job evaluates whole relations (no delta chunking), so
-/// all counters — including join probes — are thread-count invariant.
-pub fn eval_component_traced(
-    db: &Database,
-    interp: &Interpretation,
-    component: &Component,
-    pool: &Pool,
 ) -> (Vec<(Pred, Relation)>, ComponentTrace) {
     let program = db.program();
     let mut current: BTreeMap<Pred, Relation> = component
@@ -74,7 +51,8 @@ pub fn eval_component_traced(
         ..ComponentTrace::default()
     };
     loop {
-        // Pre-build this round's composite indexes before fan-out.
+        // Request this round's composite indexes before the first rule
+        // runs, so every rule of the round sees the same index decisions.
         for (rule, plan) in rules.iter().zip(&plans) {
             for (lit, cols) in plan.sigs() {
                 let pred = rule.body[*lit].atom.pred;
@@ -85,45 +63,36 @@ pub fn eval_component_traced(
                 );
             }
         }
-        let per_rule: Vec<(Vec<(Pred, Tuple)>, JoinStats)> = pool.map(rules.len(), |ri| {
-            let rule = rules[ri];
+        let mut derived: Vec<(Pred, Tuple)> = Vec::new();
+        for (rule, plan) in rules.iter().zip(&plans) {
             let rel_of = |i: usize| -> &Relation {
                 body_relation(db, interp, &current, program, rule.body[i].atom.pred)
             };
-            let mut stats = JoinStats::default();
             let bindings = eval_plan_stats(
-                &plans[ri],
+                plan,
                 &rule.body,
                 &rel_of,
                 &|i, cols| indexes.contains(&rule.body[i].atom.pred, cols),
                 &Bindings::new(),
-                &mut stats,
+                &mut trace.stats,
             );
-            let tuples = bindings
-                .iter()
-                .filter_map(|b| {
-                    let tuple = ground_terms(&rule.head.terms, b)
-                        .expect("allowedness guarantees ground heads");
-                    (!current[&rule.head.pred].contains(&tuple)).then_some((rule.head.pred, tuple))
-                })
-                .collect();
-            (tuples, stats)
-        });
-        let mut round_tuples = 0u64;
+            derived.extend(bindings.iter().filter_map(|b| {
+                let tuple =
+                    ground_terms(&rule.head.terms, b).expect("allowedness guarantees ground heads");
+                (!current[&rule.head.pred].contains(&tuple)).then_some((rule.head.pred, tuple))
+            }));
+        }
+        let round_tuples = derived.len() as u64;
         let mut fresh = 0u64;
         let mut mutated: BTreeSet<Pred> = BTreeSet::new();
-        for (tuples, stats) in per_rule {
-            round_tuples += tuples.len() as u64;
-            trace.stats.merge(stats);
-            for (pred, tuple) in tuples {
-                if current
-                    .get_mut(&pred)
-                    .expect("component pred")
-                    .insert(tuple)
-                {
-                    fresh += 1;
-                    mutated.insert(pred);
-                }
+        for (pred, tuple) in derived {
+            if current
+                .get_mut(&pred)
+                .expect("component pred")
+                .insert(tuple)
+            {
+                fresh += 1;
+                mutated.insert(pred);
             }
         }
         for pred in &mutated {

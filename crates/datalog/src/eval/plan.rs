@@ -28,14 +28,12 @@
 //! or already-bound variables when the step is reached. Signatures are
 //! exactly the composite indexes ([`Relation::probe_cols`]) the plan will
 //! probe, and [`JoinPlan::sigs`] declares them up front so engines can
-//! build them once per round, before worker fan-out, instead of racing
-//! lazily.
+//! decide and build them once per round, before the round's first plan
+//! runs, instead of lazily.
 //!
 //! Because such a plan depends only on the rule and the static binding
-//! pattern — never on frontier or relation contents — evaluation visits
-//! the same (binding, tuple) pairs regardless of how a delta is chunked,
-//! which makes every [`JoinStats`] counter partition-exact and therefore
-//! thread-count invariant (DESIGN.md §12).
+//! pattern — never on frontier or relation contents — every [`JoinStats`]
+//! counter is a function of the program and the data (DESIGN.md §12).
 //!
 //! The plans [`eval_seeded`] compiles lazily, for callers whose counters
 //! are discarded, take one dynamic input as well: among equally bound
@@ -52,10 +50,8 @@ use std::collections::{BTreeMap, BTreeSet};
 /// One step of a compiled plan.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Step {
-    /// Enumerate the pinned delta occurrence. Counts no probes: in chunked
-    /// differential rounds this step runs once per chunk, so a per-step or
-    /// per-binding count would depend on the partition. Match counts are
-    /// per delta tuple and partition exactly.
+    /// Enumerate the pinned delta occurrence. Counts no probes, only one
+    /// match per delta tuple that fits the seed.
     DeltaScan {
         /// Body position of the delta occurrence.
         lit: usize,
@@ -114,7 +110,7 @@ pub struct JoinPlan {
     steps: Vec<Step>,
     /// The composite-index signatures the plan will probe: (body position,
     /// bound column set). Declared so engines can pre-build them before
-    /// fan-out.
+    /// the plan runs.
     sigs: Vec<(usize, Box<[usize]>)>,
 }
 
@@ -279,9 +275,7 @@ fn free_vars(terms: &[Term], bound: &BTreeSet<Var>) -> usize {
 ///
 /// Counting: every step except [`Step::DeltaScan`] counts one probe per
 /// frontier binding, classified as indexed (a composite-index or
-/// membership lookup) or scan (an unindexed iteration). Frontier bindings
-/// downstream of the delta scan partition exactly across delta chunks, so
-/// all counters are thread-count invariant.
+/// membership lookup) or scan (an unindexed iteration).
 ///
 /// `indexed_of(lit, cols)` is the engine's *deterministic* record of which
 /// (occurrence, signature) pairs it decided to index — normally
@@ -289,9 +283,9 @@ fn free_vars(terms: &[Term], bound: &BTreeSet<Var>) -> usize {
 /// route through [`Relation::probe_scan`], so a cost-model "don't index"
 /// decision cannot be undone by the lazy build inside
 /// [`Relation::probe_cols`]; and because the classification reads the
-/// decision rather than the physical cache, the indexed/scan counters stay
-/// identical at any thread count even when same-wave components share a
-/// base relation.
+/// decision rather than the physical cache, the indexed/scan counters do
+/// not depend on what an earlier evaluation left in a shared relation's
+/// index cache.
 pub fn eval_plan_stats<'a, L: JoinLit>(
     plan: &JoinPlan,
     lits: &[L],
@@ -461,9 +455,9 @@ pub fn eval_seeded<'a, L: JoinLit>(
 /// tracker deduplicates by an engine-chosen relation key, issues the
 /// physical [`Relation::build_index`], and counts the requests that
 /// passed the size gate. The count is computed from the dedup + gate
-/// decision, never from whether the physical build won a race with a
-/// sibling component sharing the relation — which is what keeps
-/// `index.composite_built` identical at any thread count.
+/// decision, never from whether an earlier evaluation already built the
+/// index on a shared relation — which is what keeps
+/// `index.composite_built` a function of the program and the data.
 #[derive(Debug, Default)]
 pub struct IndexTracker<K: Ord> {
     built: BTreeMap<K, BTreeSet<Box<[usize]>>>,
@@ -496,8 +490,7 @@ impl<K: Ord + Clone> IndexTracker<K> {
     /// True iff `request(key, _, cols)` has been granted since the last
     /// `invalidate(key)`. This is the deterministic `indexed_of` source for
     /// [`eval_plan_stats`]: it reflects the engine's decision, not the
-    /// physical cache, so it answers identically at any thread count.
-    /// Alloc-free — called once per (plan step, job).
+    /// physical cache. Alloc-free — called once per plan step.
     pub fn contains(&self, key: &K, cols: &[usize]) -> bool {
         self.built.get(key).is_some_and(|sigs| sigs.contains(cols))
     }

@@ -6,20 +6,11 @@
 //! derived in that round), so already-explored derivations are not repeated.
 //! Negative literals always refer to lower strata (guaranteed by
 //! stratification) and are therefore static during the fixpoint.
-//!
-//! Evaluation is parallelized across a [`Pool`]: round 0 runs one job per
-//! rule, and each differential round runs one job per (rule, recursive
-//! occurrence, delta chunk) — large deltas are split into contiguous
-//! chunks so a single hot rule still spreads across workers. Because every
-//! job produces a set of head tuples and the per-round reduction unions
-//! them into `BTreeSet`-backed relations **in job order**, the computed
-//! fixpoint is bit-identical for any thread count (DESIGN.md §10).
 
 use crate::analysis::cost::CostModel;
 use crate::ast::{Literal, Pred, Rule};
-use crate::eval::join::{ground_terms, Bindings, JoinStats};
+use crate::eval::join::{ground_terms, Bindings};
 use crate::eval::plan::{eval_plan_stats, IndexTracker, JoinPlan};
-use crate::eval::pool::Pool;
 use crate::eval::{body_relation, ComponentTrace, Interpretation};
 use crate::storage::database::Database;
 use crate::storage::relation::Relation;
@@ -27,82 +18,16 @@ use crate::storage::tuple::Tuple;
 use crate::stratify::Component;
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Deltas smaller than this are never split: chunking clones tuples, so
-/// it must buy enough per-chunk work to amortize.
-const CHUNK_MIN: usize = 64;
-
-/// A round's delta for one predicate, as seen by the job partitioner:
-/// either the whole relation (small, or single worker) or materialized
-/// contiguous chunks of it.
-enum DeltaView<'a> {
-    Whole(&'a Relation),
-    Parts(Vec<Relation>),
-}
-
-impl DeltaView<'_> {
-    fn build(delta: &Relation, workers: usize) -> DeltaView<'_> {
-        if workers <= 1 || delta.len() < 2 * CHUNK_MIN {
-            return DeltaView::Whole(delta);
-        }
-        let tuples: Vec<Tuple> = delta.iter().cloned().collect();
-        let parts = workers.min(tuples.len() / CHUNK_MIN).max(1);
-        let per = tuples.len().div_ceil(parts);
-        DeltaView::Parts(
-            tuples
-                .chunks(per)
-                .map(|c| Relation::from_tuples(c.iter().cloned()))
-                .collect(),
-        )
-    }
-
-    fn count(&self) -> usize {
-        match self {
-            DeltaView::Whole(_) => 1,
-            DeltaView::Parts(ps) => ps.len(),
-        }
-    }
-
-    fn get(&self, i: usize) -> &Relation {
-        match self {
-            DeltaView::Whole(r) => r,
-            DeltaView::Parts(ps) => &ps[i],
-        }
-    }
-}
-
-/// Evaluates `component` to fixpoint semi-naively with the process-default
-/// pool (sequential unless `--threads`/`DDUF_THREADS` raised it).
+/// Evaluates `component` to fixpoint semi-naively, returning the extension
+/// of each of its predicates and the component's evaluation trace.
+/// `interp` must already contain every lower component. The trace carries
+/// only semantic counters (rounds, derivation and delta cardinalities,
+/// join work, plan/index accounting), each a function of the program and
+/// the data (DESIGN.md §12).
 pub fn eval_component(
     db: &Database,
     interp: &Interpretation,
     component: &Component,
-) -> Vec<(Pred, Relation)> {
-    eval_component_pooled(db, interp, component, &Pool::current())
-}
-
-/// Evaluates `component` to fixpoint semi-naively across `pool`.
-pub fn eval_component_pooled(
-    db: &Database,
-    interp: &Interpretation,
-    component: &Component,
-    pool: &Pool,
-) -> Vec<(Pred, Relation)> {
-    eval_component_traced(db, interp, component, pool).0
-}
-
-/// [`eval_component_pooled`], also returning the component's evaluation
-/// trace. The trace carries only semantic counters (rounds, derivation
-/// and delta cardinalities, join work, plan/index accounting), all of
-/// which are independent of the worker count: per-round derivation
-/// counts are binding counts, which partition exactly across delta
-/// chunks, and probe counts are partition-exact in every round because
-/// the compiled plan's literal order is static and the delta scan counts
-/// per tuple (DESIGN.md §12).
-pub fn eval_component_traced(
-    db: &Database,
-    interp: &Interpretation,
-    component: &Component,
-    pool: &Pool,
 ) -> (Vec<(Pred, Relation)>, ComponentTrace) {
     let program = db.program();
     let members: Vec<Pred> = component.preds.clone();
@@ -116,9 +41,7 @@ pub fn eval_component_traced(
     // relation can never match, and non-member relations are fixed for
     // the duration of this component's evaluation — so the rule is
     // unreachable and no plan is compiled for it. Skipping cannot change
-    // results (the rule contributes nothing either way), and the decision
-    // reads only pre-fan-out state, so it is identical at any thread
-    // count.
+    // results: the rule contributes nothing either way.
     let dead: Vec<bool> = rules
         .iter()
         .map(|rule| {
@@ -137,8 +60,8 @@ pub fn eval_component_traced(
     // binding pattern, never on relation contents. A rule with a positive
     // member occurrence gets no full plan either: members start empty, so
     // its round-0 evaluation is vacuous and every later derivation goes
-    // through a delta plan. Each list is also its rounds' job list: a rule
-    // or occurrence without a plan gets no job at all.
+    // through a delta plan. A rule or occurrence without a plan is never
+    // evaluated.
     let full: Vec<(usize, JoinPlan)> = rules
         .iter()
         .enumerate()
@@ -171,10 +94,9 @@ pub fn eval_component_traced(
     let mut indexes: IndexTracker<Pred> = IndexTracker::new();
 
     // Round 0: full evaluation (recursive predicates are empty, so this
-    // costs the same as the non-recursive case). One job per rule; job
-    // results are merged in rule order. Indexes the plans declare are
-    // built here, before fan-out, so workers only ever take the shared
-    // read lock.
+    // costs the same as the non-recursive case). Every index the round's
+    // plans declare is requested before the first plan runs, so each plan
+    // of a round sees the same index decisions.
     let mut delta: BTreeMap<Pred, Relation> =
         members.iter().map(|&p| (p, Relation::new())).collect();
     for (ri, pl) in &full {
@@ -197,33 +119,27 @@ pub fn eval_component_traced(
             }
         }
     }
-    let round0: Vec<(Vec<Tuple>, JoinStats)> = pool.map(full.len(), |k| {
-        let (ri, pl) = &full[k];
+    let mut round_tuples = 0u64;
+    for (ri, pl) in &full {
         let rule = rules[*ri];
         let rel_of = |i: usize| -> &Relation {
             body_relation(db, interp, &current, program, rule.body[i].atom.pred)
         };
-        let mut stats = JoinStats::default();
         let bindings = eval_plan_stats(
             pl,
             &rule.body,
             &rel_of,
             &|i, cols| indexes.contains(&rule.body[i].atom.pred, cols),
             &Bindings::new(),
-            &mut stats,
+            &mut trace.stats,
         );
-        let tuples = bindings
-            .iter()
-            .map(|b| ground_terms(&rule.head.terms, b).expect("ground head"))
-            .collect();
-        (tuples, stats)
-    });
-    let mut round_tuples = 0u64;
-    for (k, (tuples, stats)) in round0.into_iter().enumerate() {
-        round_tuples += tuples.len() as u64;
-        trace.stats.merge(stats);
-        let rel = delta.get_mut(&rules[full[k].0].head.pred).expect("member");
-        rel.extend(tuples);
+        round_tuples += bindings.len() as u64;
+        let rel = delta.get_mut(&rule.head.pred).expect("member");
+        rel.extend(
+            bindings
+                .iter()
+                .map(|b| ground_terms(&rule.head.terms, b).expect("ground head")),
+        );
     }
     merge_delta(&mut current, &mut delta, &mut indexes);
     trace.push_round(round_tuples, fresh_count(&delta));
@@ -233,21 +149,19 @@ pub fn eval_component_traced(
         return (current.into_iter().collect(), trace);
     }
 
-    // Differential rounds: one job per (rule, recursive occurrence, delta
-    // chunk). All jobs read the same `current`/`delta` from the previous
-    // round, so they are independent; the reduction below is a union of
-    // sets and therefore independent of the partition and of scheduling.
+    // Differential rounds: each (rule, recursive occurrence) plan runs
+    // with the occurrence bound to the previous round's delta. Every plan
+    // reads the same `current`/`delta`; the new tuples are merged after
+    // the last one.
     while delta.values().any(|r| !r.is_empty()) {
-        // Pre-build this round's composite indexes before fan-out.
-        // Pinned (delta) occurrences never appear in a plan's
-        // signatures, so chunk relations are never indexed. The gate
-        // reads the *whole* delta length, before chunking, so it is
-        // identical for every chunk and at any thread count.
+        // Request this round's composite indexes first, gated by the
+        // delta that drives each plan. Pinned (delta) occurrences never
+        // appear in a plan's signatures, so a delta is never indexed.
         for (&(ri, occ), pl) in &delta_plans {
             let rule = rules[ri];
             let dlen = delta[&rule.body[occ].atom.pred].len();
             if dlen == 0 {
-                continue; // no jobs for this occurrence this round
+                continue; // the plan derives nothing this round
             }
             for (lit, cols) in pl.sigs() {
                 let pred = rule.body[*lit].atom.pred;
@@ -257,54 +171,37 @@ pub fn eval_component_traced(
                 }
             }
         }
-        let views: BTreeMap<Pred, DeltaView<'_>> = delta
-            .iter()
-            .map(|(&p, d)| (p, DeltaView::build(d, pool.threads())))
-            .collect();
-        let mut jobs: Vec<(usize, usize, usize)> = Vec::new();
-        for &(ri, occ) in delta_plans.keys() {
-            for ci in 0..views[&rules[ri].body[occ].atom.pred].count() {
-                jobs.push((ri, occ, ci));
-            }
-        }
-        let results: Vec<(Vec<Tuple>, JoinStats)> = pool.map(jobs.len(), |k| {
-            let (ri, occ, ci) = jobs[k];
+        let mut next: BTreeMap<Pred, Relation> =
+            members.iter().map(|&p| (p, Relation::new())).collect();
+        let mut round_tuples = 0u64;
+        for (&(ri, occ), pl) in &delta_plans {
             let rule = rules[ri];
             let rel_of = |i: usize| -> &Relation {
+                let pred = rule.body[i].atom.pred;
                 if i == occ {
-                    views[&rule.body[occ].atom.pred].get(ci)
+                    &delta[&pred]
                 } else {
-                    body_relation(db, interp, &current, program, rule.body[i].atom.pred)
+                    body_relation(db, interp, &current, program, pred)
                 }
             };
-            let head_rel = &current[&rule.head.pred];
-            let mut stats = JoinStats::default();
             let bindings = eval_plan_stats(
-                &delta_plans[&(ri, occ)],
+                pl,
                 &rule.body,
                 &rel_of,
                 &|i, cols| indexes.contains(&rule.body[i].atom.pred, cols),
                 &Bindings::new(),
-                &mut stats,
+                &mut trace.stats,
             );
-            let tuples = bindings
+            let head_rel = &current[&rule.head.pred];
+            let tuples: Vec<Tuple> = bindings
                 .iter()
-                .filter_map(|b| {
-                    let t = ground_terms(&rule.head.terms, b).expect("ground head");
-                    (!head_rel.contains(&t)).then_some(t)
-                })
+                .map(|b| ground_terms(&rule.head.terms, b).expect("ground head"))
+                .filter(|t| !head_rel.contains(t))
                 .collect();
-            (tuples, stats)
-        });
-        drop(views);
-        let mut next: BTreeMap<Pred, Relation> =
-            members.iter().map(|&p| (p, Relation::new())).collect();
-        let mut round_tuples = 0u64;
-        for (k, (tuples, stats)) in results.into_iter().enumerate() {
             round_tuples += tuples.len() as u64;
-            trace.stats.merge(stats);
-            let rel = next.get_mut(&rules[jobs[k].0].head.pred).expect("member");
-            rel.extend(tuples);
+            next.get_mut(&rule.head.pred)
+                .expect("member")
+                .extend(tuples);
         }
         delta = next;
         merge_delta(&mut current, &mut delta, &mut indexes);
@@ -348,7 +245,7 @@ fn merge_delta(
 mod tests {
     use super::*;
     use crate::ast::{Atom, Const, Term};
-    use crate::eval::{materialize_with, materialize_with_threads, Strategy};
+    use crate::eval::{materialize_with, Strategy};
     use crate::schema::Program;
 
     fn atom(name: &str, vars: &[&str]) -> Atom {
@@ -387,19 +284,6 @@ mod tests {
         assert_eq!(a, b);
         // n*(n+1)/2 pairs for a chain of n edges
         assert_eq!(a.relation(Pred::new("tc", 2)).len(), 12 * 13 / 2);
-    }
-
-    #[test]
-    fn parallel_matches_sequential_on_chunked_deltas() {
-        // Large enough that differential deltas exceed CHUNK_MIN and get
-        // partitioned across workers.
-        let db = chain_db(200);
-        let seq = materialize_with_threads(&db, Strategy::SemiNaive, 1).unwrap();
-        for threads in [2, 4, 8] {
-            let par = materialize_with_threads(&db, Strategy::SemiNaive, threads).unwrap();
-            assert_eq!(seq, par, "threads = {threads}");
-        }
-        assert_eq!(seq.relation(Pred::new("tc", 2)).len(), 200 * 201 / 2);
     }
 
     #[test]

@@ -31,8 +31,9 @@ const INDEX_MIN: usize = 16;
 pub struct Relation {
     tuples: Runs<()>,
     /// Composite indexes keyed by the (sorted) indexed column set. Behind
-    /// an `RwLock` so the steady state — all workers probing an
-    /// already-built index — takes only a shared read lock; the exclusive
+    /// an `RwLock` so the steady state — session threads probing an
+    /// already-built index of a shared snapshot relation — takes only a
+    /// shared read lock; the exclusive
     /// write lock is held just once per column set to build. Clones share
     /// the cache (same tuple set, same indexes, whichever of them builds
     /// one); a mutation *detaches* the mutated relation onto an empty
@@ -122,9 +123,8 @@ impl Relation {
     }
 
     /// Eagerly builds the composite index for the column set `cols`
-    /// (which must be strictly ascending), so subsequent parallel probes
-    /// all hit the shared-read fast path without ever contending on the
-    /// write lock. Returns `true` iff an index was freshly built; no-op
+    /// (which must be strictly ascending), so subsequent probes all hit
+    /// the shared-read fast path without ever taking the write lock. Returns `true` iff an index was freshly built; no-op
     /// (returning `false`) when the relation is too small for indexing to
     /// pay off, the column set is empty or out of range, or the index
     /// already exists (built through this relation or through a clone
@@ -225,8 +225,8 @@ impl Relation {
     /// matches and whether an index answered the probe (`false` = the
     /// relation was below the indexing threshold and was scanned).
     ///
-    /// Fast path: a shared read lock, so concurrent probes from the worker
-    /// pool never serialize once the index exists. Only a probe that finds
+    /// Fast path: a shared read lock, so concurrent probes from session
+    /// threads never serialize once the index exists. Only a probe that finds
     /// the column set unindexed upgrades to the write lock; the re-check
     /// under the write lock makes a racing double-build harmless (last
     /// build wins, both are identical).

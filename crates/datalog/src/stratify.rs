@@ -20,11 +20,6 @@ pub struct Stratification {
     /// first). Components with more than one member — or a self-loop — are
     /// recursive.
     components: Vec<Component>,
-    /// For each component (by index in `components`), the indices of the
-    /// derived components it depends on — the edges of the condensation,
-    /// restricted to derived predicates. Always ascending and self-free;
-    /// the basis of the parallel wavefront schedule (DESIGN.md §10).
-    deps: Vec<Vec<usize>>,
     /// Numeric stratum per derived predicate (base predicates are stratum 0).
     stratum_of: BTreeMap<Pred, usize>,
 }
@@ -98,35 +93,8 @@ impl Stratification {
             }
         }
 
-        // Condensation edges between derived components, for the parallel
-        // wavefront scheduler: comp_of maps every derived predicate to its
-        // component index.
-        let comp_of: BTreeMap<Pred, usize> = components
-            .iter()
-            .enumerate()
-            .flat_map(|(i, c)| c.preds.iter().map(move |&p| (p, i)))
-            .collect();
-        let deps: Vec<Vec<usize>> = components
-            .iter()
-            .enumerate()
-            .map(|(i, c)| {
-                let mut ds: BTreeSet<usize> = BTreeSet::new();
-                for &p in &c.preds {
-                    for (q, _sign) in graph.deps(p) {
-                        if let Some(&j) = comp_of.get(&q) {
-                            if j != i {
-                                ds.insert(j);
-                            }
-                        }
-                    }
-                }
-                ds.into_iter().collect()
-            })
-            .collect();
-
         Ok(Stratification {
             components,
-            deps,
             stratum_of,
         })
     }
@@ -134,14 +102,6 @@ impl Stratification {
     /// Derived-predicate components in evaluation order.
     pub fn components(&self) -> &[Component] {
         &self.components
-    }
-
-    /// The indices (into [`components`](Self::components)) of the derived
-    /// components that component `i` depends on. Components whose
-    /// dependencies have all been evaluated are independent of each other
-    /// and may be evaluated concurrently.
-    pub fn component_deps(&self, i: usize) -> &[usize] {
-        &self.deps[i]
     }
 
     /// The numeric stratum of a predicate (0 for base/unknown predicates).

@@ -9,15 +9,12 @@
 //! every call site reduces to one thread-local `is_some()` check, so
 //! tracing costs nothing on the hot path.
 //!
-//! The central design rule, inherited from the parallel evaluator
-//! (DESIGN.md §10–§11): recording happens only on the orchestrating
-//! thread. Worker jobs return plain counter structs which the
-//! sequential merge code records, so the recorder needs no
-//! synchronization (`Rc`, not `Arc`) and — more importantly — every
-//! *semantic* counter (everything except wall time) is bit-identical at
-//! any worker count. [`Report::semantic_fingerprint`] projects exactly
-//! that deterministic subset; the test suite and CI diff it across
-//! thread counts.
+//! The central design rule (DESIGN.md §11): an evaluation records on the
+//! thread that runs it, so the recorder needs no synchronization (`Rc`,
+//! not `Arc`), and every *semantic* counter (everything except wall
+//! time) is a function of the program and the data.
+//! [`Report::semantic_fingerprint`] projects exactly that deterministic
+//! subset; the test suite and CI diff it across runs.
 
 #![forbid(unsafe_code)]
 use std::cell::RefCell;
@@ -218,11 +215,11 @@ impl Recorder for Collector {
 /// participating thread installs a lightweight handle to it via
 /// [`install_shared`].
 ///
-/// The single-writer recording rule that makes *evaluation* counters
-/// deterministic (module docs) is unchanged — each evaluation still
-/// records only on its orchestrating thread. What this type adds is a
-/// place for *independent* orchestrating threads (one per client
-/// session, plus the writer) to aggregate into one report. Counters
+/// The recording rule that makes *evaluation* counters deterministic
+/// (module docs) is unchanged — each evaluation still records only on
+/// the thread that runs it. What this type adds is a place for
+/// *independent* threads (one per client session, plus the writer) to
+/// aggregate into one report. Counters
 /// summed here are deterministic per run of a deterministic workload;
 /// their interleaving never matters because merging is commutative.
 #[derive(Default)]
@@ -323,9 +320,8 @@ impl Report {
 
     /// Stable projection of the deterministic subset: every phase,
     /// label, span count, and counter sum — wall times excluded. Two
-    /// runs of the same work at different thread counts must produce
-    /// byte-identical fingerprints; the suite and CI assert exactly
-    /// that.
+    /// runs of the same work must produce byte-identical fingerprints;
+    /// the suite and CI assert exactly that.
     pub fn semantic_fingerprint(&self) -> String {
         let mut out = String::new();
         for ((phase, label), node) in &self.spans {
@@ -375,7 +371,7 @@ impl Report {
 
     /// Hand-rolled JSON rendering. With `include_time` false (the
     /// default for comparisons) the output contains only semantic
-    /// counters and is bit-identical across thread counts.
+    /// counters and is bit-identical across runs.
     pub fn render_json(&self, include_time: bool) -> String {
         let mut out = String::from("{\"dduf_trace\":1,\"semantic_only\":");
         out.push_str(if include_time { "false" } else { "true" });

@@ -15,6 +15,11 @@
 //! connection stays usable after an `err` — exactly like the local
 //! REPL, where an error does not end the session.
 //!
+//! A request line holds at most [`MAX_RECORD`](dduf_persist::MAX_RECORD)
+//! bytes before its newline, the most one journal record can take. The
+//! server never buffers more of a longer line: it answers `err` and
+//! reads on past the newline.
+//!
 //! Body lines are escaped on the wire (`\` → `\\`, CR → `\r`), because a
 //! line's *content* can contain framing bytes: a quoted symbol may embed
 //! a carriage return, and multi-line span-diagnostic errors forwarded
@@ -23,7 +28,42 @@
 //! the reconstructed body silently differed from what the server sent.
 
 use std::borrow::Cow;
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
+
+/// How [`read_request`] ended.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) enum Request {
+    /// The buffer holds one request line: its newline included, unless
+    /// the peer closed the connection right after it.
+    Line,
+    /// The line ran past the limit. Its bytes were dropped as they
+    /// arrived, up to and including its newline.
+    TooLong,
+    /// The peer closed the connection before another byte.
+    Closed,
+}
+
+/// Reads one request line into `buf` (cleared first), keeping at most
+/// `limit` bytes of it before the newline. The bytes are copied once,
+/// from the reader's buffer into `buf`.
+pub(crate) fn read_request(
+    r: &mut impl BufRead,
+    buf: &mut Vec<u8>,
+    limit: usize,
+) -> io::Result<Request> {
+    buf.clear();
+    // One byte past the limit is room for the newline of a line of
+    // exactly `limit` bytes, and proof that any other line is too long.
+    if r.by_ref().take(limit as u64 + 1).read_until(b'\n', buf)? == 0 {
+        return Ok(Request::Closed);
+    }
+    if buf.len() <= limit || buf.ends_with(b"\n") {
+        return Ok(Request::Line);
+    }
+    buf.clear();
+    r.skip_until(b'\n')?;
+    Ok(Request::TooLong)
+}
 
 /// Writes one framed response: the status header, then the body split
 /// into lines, each escaped so its content cannot collide with the
@@ -278,6 +318,64 @@ mod tests {
             io::ErrorKind::UnexpectedEof,
             "stream must be exactly consumed"
         );
+    }
+
+    /// Every request `read_request` finds in `wire`, with its bytes.
+    fn requests(wire: &[u8], limit: usize) -> Vec<(Request, Vec<u8>)> {
+        // A small reader buffer, so lines span several refills.
+        let mut r = BufReader::with_capacity(3, wire);
+        let mut buf = Vec::new();
+        let mut out = Vec::new();
+        loop {
+            let got = read_request(&mut r, &mut buf, limit).unwrap();
+            if got == Request::Closed {
+                return out;
+            }
+            out.push((got, buf.clone()));
+        }
+    }
+
+    #[test]
+    fn a_request_of_exactly_the_limit_is_read() {
+        assert_eq!(
+            requests(b"12345678\n1234\n", 8),
+            [
+                (Request::Line, b"12345678\n".to_vec()),
+                (Request::Line, b"1234\n".to_vec())
+            ]
+        );
+    }
+
+    #[test]
+    fn an_oversized_request_is_dropped_through_its_newline() {
+        assert_eq!(
+            requests(b"123456789\n:ping\n0123456789abcdef\n", 8),
+            [
+                (Request::TooLong, Vec::new()),
+                (Request::Line, b":ping\n".to_vec()),
+                (Request::TooLong, Vec::new())
+            ]
+        );
+    }
+
+    #[test]
+    fn eof_mid_line_ends_the_last_request() {
+        assert_eq!(
+            requests(b":ping\n:sta", 8),
+            [
+                (Request::Line, b":ping\n".to_vec()),
+                (Request::Line, b":sta".to_vec())
+            ]
+        );
+        // Past the limit, the unterminated tail is dropped too.
+        assert_eq!(
+            requests(b":ping\n123456789", 8),
+            [
+                (Request::Line, b":ping\n".to_vec()),
+                (Request::TooLong, Vec::new())
+            ]
+        );
+        assert_eq!(requests(b"", 8), []);
     }
 
     #[test]

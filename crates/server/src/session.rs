@@ -13,15 +13,16 @@
 //! (reads settle all of the connection's outstanding mutations first,
 //! and the writer publishes before it acknowledges).
 
-use crate::proto::write_response;
+use crate::proto::{read_request, write_response, Request};
 use crate::state::StateCell;
 use crate::writer::{Job, JobQueue, Reply};
 use dduf_core::problems::ic_checking;
 use dduf_core::transaction::Transaction;
 use dduf_datalog::ast::Pred;
 use dduf_datalog::eval::StateView;
+use dduf_persist::MAX_RECORD;
 use std::fmt::Write as _;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
@@ -104,19 +105,30 @@ pub(crate) fn serve(stream: TcpStream, ctx: &SessionCtx) -> std::io::Result<()> 
     stream.set_nodelay(true)?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = std::io::BufWriter::new(stream);
-    let mut line = String::new();
+    let mut buf: Vec<u8> = Vec::new();
     let mut owed: Vec<Owed> = Vec::new();
     loop {
         // Replies are owed and the peer has no complete line already
-        // buffered: settle before reading again, because `read_line`
+        // buffered: settle before reading again, because the read
         // blocks and a synchronous peer is itself blocked on us.
         if !owed.is_empty() && !reader.buffer().contains(&b'\n') {
             settle(&mut writer, &mut owed)?;
         }
-        line.clear();
-        if reader.read_line(&mut line)? == 0 {
-            return settle(&mut writer, &mut owed); // peer closed
+        match read_request(&mut reader, &mut buf, MAX_RECORD as usize)? {
+            Request::Line => {}
+            Request::Closed => return settle(&mut writer, &mut owed),
+            Request::TooLong => {
+                settle(&mut writer, &mut owed)?;
+                write_response(
+                    &mut writer,
+                    false,
+                    &format!("request line longer than {MAX_RECORD} bytes; discarded"),
+                )?;
+                continue;
+            }
         }
+        let line = std::str::from_utf8(&buf)
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
         let trimmed = line.trim();
         if trimmed.is_empty() || trimmed.starts_with('%') {
             settle(&mut writer, &mut owed)?;

@@ -29,27 +29,12 @@ enum TraceFormat {
 }
 
 fn real_main() -> i32 {
-    // Strip the global `--threads N` and `--trace[=json]` flags (any
-    // position before the verb's own operands); the former sets the
-    // process-wide evaluation pool, the latter selects the run report.
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let mut rest: Vec<String> = Vec::with_capacity(raw.len());
+    // Strip the global `--trace[=json]` flag (any position before the
+    // verb's own operands), which selects the run report.
+    let mut rest: Vec<String> = Vec::new();
     let mut trace: Option<TraceFormat> = None;
-    let mut it = raw.into_iter();
-    while let Some(a) = it.next() {
-        if a == "--threads" || a == "-j" {
-            let Some(n) = it.next().and_then(|v| v.trim().parse::<usize>().ok()) else {
-                eprint!("dduf: --threads expects a number (0 = auto)\n{USAGE}");
-                return 2;
-            };
-            dduf_datalog::eval::pool::set_default_threads(n);
-        } else if let Some(v) = a.strip_prefix("--threads=") {
-            let Ok(n) = v.trim().parse::<usize>() else {
-                eprint!("dduf: --threads expects a number (0 = auto)\n{USAGE}");
-                return 2;
-            };
-            dduf_datalog::eval::pool::set_default_threads(n);
-        } else if a == "--trace" {
+    for a in std::env::args().skip(1) {
+        if a == "--trace" {
             trace = Some(TraceFormat::Text);
         } else if let Some(v) = a.strip_prefix("--trace=") {
             match v {

@@ -83,7 +83,6 @@ impl Session {
             // here too keeps scripted/embedded use (`session.run`) from
             // erroring on a perfectly reasonable goodbye.
             ":quit" | ":q" | ":exit" => Ok("bye".into()),
-            ":threads" => Self::threads(rest),
             ":do" => self.commit_pending(rest),
             other => Err(Error::Datalog(dduf_datalog::error::Error::Parse(
                 dduf_datalog::error::ParseError {
@@ -328,27 +327,6 @@ impl Session {
         out
     }
 
-    /// `:threads [N]` — show or set the evaluation worker count for the
-    /// whole process (0 = all available cores). Results are identical at
-    /// any setting; only wall-clock time changes.
-    fn threads(rest: &str) -> Result<String> {
-        if rest.is_empty() {
-            return Ok(format!(
-                "evaluation threads: {}",
-                dduf_datalog::eval::pool::default_threads()
-            ));
-        }
-        let n: usize = rest
-            .trim()
-            .parse()
-            .map_err(|_| parse_err("usage: :threads [N]   (0 = auto)"))?;
-        dduf_datalog::eval::pool::set_default_threads(n);
-        Ok(format!(
-            "evaluation threads: {}",
-            dduf_datalog::eval::pool::default_threads()
-        ))
-    }
-
     /// `:checkpoint` — write a snapshot covering the journal so far
     /// (durable sessions only).
     fn checkpoint(&mut self) -> Result<String> {
@@ -438,7 +416,6 @@ commands:
   :save <path>            write the database back to a file
   :checkpoint             write a snapshot (durable sessions only)
   :stats                  evaluation counters recorded so far this session
-  :threads [N]            show/set evaluation worker count (0 = auto)
   :do <n>                 commit alternative n of the last listing
   :help                   this text
   :quit | :q | :exit      leave
@@ -460,9 +437,7 @@ usage: dduf <database.dl>                          interactive shell over a file
        dduf --connect <addr>                       interactive client for a server
        dduf --help | -h                            this text
        dduf --version | -V                         print the version
-global flags: --threads N | -j N   evaluation worker count (0 = auto;
-              also DDUF_THREADS); results are identical at any setting
-              --trace[=text|json]  print a run report to stderr on exit
+global flags: --trace[=text|json]  print a run report to stderr on exit
                                    (counters deterministic, times not)
 ";
 

@@ -8,8 +8,8 @@
 //! back onto the commit path allocates in proportion to the database, and
 //! this test — a counting allocator around one commit, at two database
 //! sizes — fails. Bytes, not time: the numbers repeat exactly. One test
-//! function, and CI runs it with `DDUF_THREADS=1`, so nothing else
-//! allocates while it counts.
+//! function, and evaluation runs on the thread that asks for it, so
+//! nothing else allocates while it counts.
 
 mod common;
 

@@ -5,15 +5,13 @@
 //! `critical`; a check of a firewall or patch toggle used to recompute the
 //! recursive `exec_code` component to learn that the constraint, which
 //! cannot see either, still holds. The `upward.apply` counters say what was
-//! evaluated — counts, not times, so the numbers repeat exactly, at any
-//! thread count.
+//! evaluated — counts, not times, so the numbers repeat exactly.
 
 mod common;
 
 use common::{topology, Topology, ATTACK_GRAPH};
 use dduf::core::problems::ic_checking::{self, check_transaction};
-use dduf::core::upward::{incremental, interpret_with};
-use dduf::datalog::eval::pool::Pool;
+use dduf::core::upward::interpret_with;
 use dduf::obs::Report;
 use dduf::prelude::*;
 
@@ -124,27 +122,5 @@ fn a_cone_across_the_recursion_is_pruned_by_sign_or_recomputed() {
         assert_eq!(report.count("eval.scc", "exec_code/2"), 1, "{src}");
         // exposed_zone and the global ic; ic1 is in the cone and skipped.
         assert_eq!(counter(&report, "components_pruned"), 2, "{src}");
-
-        // The counters do not depend on the worker count.
-        let txn = Transaction::parse(&db, &src).unwrap();
-        let goals = [
-            (Pred::new("ic1", 0), EventKind::Ins),
-            (Pred::new("ic2", 0), EventKind::Ins),
-        ]
-        .into();
-        let run = |threads| {
-            dduf::obs::capture(|| {
-                incremental::interpret_pooled(&db, &old, &txn, Some(&goals), &Pool::new(threads))
-                    .unwrap()
-            })
-        };
-        let ((one, report_1), (eight, report_8)) = (run(1), run(8));
-        assert_eq!(one, eight, "{src}");
-        assert_eq!(
-            report_1.semantic_fingerprint(),
-            report_8.semantic_fingerprint(),
-            "{src}"
-        );
-        assert_eq!(counter(&report_1, "components_pruned"), 2, "{src}");
     }
 }

@@ -65,10 +65,13 @@ fn errors_go_to_stderr_and_session_survives() {
     let (stdout, stderr) = run_script(
         EMPLOYMENT,
         ":nonsense
+:threads 2
 :check +works(dolors).
 ",
     );
-    assert!(stderr.contains("unknown command"), "{stderr}");
+    assert!(stderr.contains("unknown command `:nonsense`"), "{stderr}");
+    // Evaluation is sequential; there is no worker count to set.
+    assert!(stderr.contains("unknown command `:threads`"), "{stderr}");
     assert!(stdout.contains("ok"), "{stdout}");
 }
 
@@ -140,6 +143,22 @@ fn usage_errors_exit_two_not_file_not_found() {
     let out = dduf(&["db", "bogus"]);
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("usage:"));
+}
+
+/// Evaluation is sequential: a worker-count flag is a usage error like
+/// any other unrecognized flag.
+#[test]
+fn thread_count_flags_are_unrecognized() {
+    for args in [&["--threads", "2"][..], &["-j", "2"], &["--threads=2"]] {
+        let out = dduf(&[args, &["db.dl"]].concat());
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unrecognized flag `{}`", args[0])),
+            "{args:?}: {stderr}"
+        );
+        assert!(!stderr.contains("--threads N"), "{args:?}: {stderr}");
+    }
 }
 
 #[test]

@@ -8,24 +8,23 @@
 //! put back. With ranks (DESIGN.md §15) a candidate that still has a
 //! derivation over lower-ranked tuples is kept and the cascade stops
 //! there. The `upward.maintain` counters say which of the two ran — counts,
-//! not times, so the numbers repeat exactly, at any thread count.
+//! not times, so the numbers repeat exactly.
 
 mod common;
 
 use common::{topology, ATTACK_GRAPH};
 use dduf::core::rng::Rng;
 use dduf::core::upward::maintain::MaintenanceEngine;
-use dduf::datalog::eval::pool::Pool;
 use dduf::datalog::storage::tuple::syms;
 use dduf::obs::Report;
 use dduf::prelude::*;
 
-/// Replays `txns` through a fresh maintenance engine built across
-/// `threads` workers, returning the engine and what it recorded.
-fn replay<S: AsRef<str>>(db: &Database, txns: &[S], threads: usize) -> (MaintenanceEngine, Report) {
+/// Replays `txns` through a fresh maintenance engine, returning the
+/// engine and what it recorded.
+fn replay<S: AsRef<str>>(db: &Database, txns: &[S]) -> (MaintenanceEngine, Report) {
     let mut db = db.clone();
     let old = materialize(&db).unwrap();
-    let mut engine = MaintenanceEngine::new_pooled(&db, &old, &Pool::new(threads)).unwrap();
+    let mut engine = MaintenanceEngine::new(&db, &old).unwrap();
     let ((), report) = dduf::obs::capture(|| {
         for src in txns {
             let txn = Transaction::parse(&db, src.as_ref()).unwrap();
@@ -60,7 +59,7 @@ fn churn(commits: usize) -> (Database, Vec<String>) {
 #[test]
 fn churn_overdeletes_in_proportion_to_what_it_deletes() {
     let (db, txns) = churn(200);
-    let (_, report) = replay(&db, &txns, 1);
+    let (_, report) = replay(&db, &txns);
     let total = |name| report.total("upward.maintain", name);
     let (overdeleted, rederived) = (total("overdeleted"), total("rederived"));
     let deleted = overdeleted - rederived;
@@ -74,13 +73,6 @@ fn churn_overdeletes_in_proportion_to_what_it_deletes() {
     assert!(
         overdeleted <= 3 * deleted,
         "{overdeleted} tuples overdeleted to delete {deleted}"
-    );
-
-    let (_, pooled) = replay(&db, &txns, 8);
-    assert_eq!(
-        report.semantic_fingerprint(),
-        pooled.semantic_fingerprint(),
-        "the counters depend on the thread count"
     );
 }
 
@@ -103,7 +95,7 @@ fn a_patch_behind_a_diamond_overdeletes_one_tuple_once_ranked() {
 
     // Without ranks: `b`, `d` and `e` go, `d` and `e` come back — and that
     // is the evidence the ranks are built on.
-    let (engine, first) = replay(&db, &[patch], 1);
+    let (engine, first) = replay(&db, &[patch]);
     assert_eq!(counters(&first), (3, 2));
     let exec_code = Pred::new("exec_code", 2);
     let rank = |host: &str| engine.rank(exec_code, &syms(&["eve", host]));
@@ -113,7 +105,7 @@ fn a_patch_behind_a_diamond_overdeletes_one_tuple_once_ranked() {
     );
 
     // With them: `d` has `c`, one rank below it, so only `b` goes.
-    let (_, all) = replay(&db, &[patch, rollback, patch], 1);
+    let (_, all) = replay(&db, &[patch, rollback, patch]);
     let (overdeleted, rederived) = counters(&all);
     assert_eq!((overdeleted - 3, rederived - 2), (1, 0));
 }

@@ -35,24 +35,18 @@ fn make_db(dir: &Path) {
 /// address from its stdout. The returned reader keeps the stdout pipe
 /// open for the child's lifetime (dropping it would turn the server's
 /// final status prints into broken-pipe panics).
-fn spawn_server(
-    dir: &Path,
-    threads: &str,
-) -> (Child, SocketAddr, BufReader<std::process::ChildStdout>) {
-    spawn_server_with(dir, threads, &[], &[])
+fn spawn_server(dir: &Path) -> (Child, SocketAddr, BufReader<std::process::ChildStdout>) {
+    spawn_server_with(dir, &[], &[])
 }
 
 /// `spawn_server` plus extra `dduf serve` flags and environment
 /// variables (fault hooks like `DDUF_SYNC_DELAY_US`).
 fn spawn_server_with(
     dir: &Path,
-    threads: &str,
     extra_args: &[&str],
     envs: &[(&str, &str)],
 ) -> (Child, SocketAddr, BufReader<std::process::ChildStdout>) {
     let mut args = vec![
-        "--threads",
-        threads,
         "serve",
         dir.to_str().unwrap(),
         "--addr",
@@ -128,69 +122,66 @@ fn assert_serial_equivalence_over(dir: &Path, schema: &str) -> String {
 
 /// Four concurrent clients mixing commits, queries, and checks; the
 /// final state must equal the serial replay of the journal and contain
-/// every acknowledged fact. Runs the whole exercise at 1 and at 8
-/// evaluation threads — results must not depend on the pool size.
+/// every acknowledged fact.
 #[test]
 fn concurrent_clients_end_in_a_serially_equivalent_state() {
-    for threads in ["1", "8"] {
-        let dir = tmpdir(&format!("conc{threads}"));
-        make_db(&dir);
-        let (mut child, addr, _stdout) = spawn_server(&dir, threads);
+    let dir = tmpdir("conc");
+    make_db(&dir);
+    let (mut child, addr, _stdout) = spawn_server(&dir);
 
-        let workers: Vec<_> = (0..4)
-            .map(|c| {
-                std::thread::spawn(move || {
-                    let mut client = Client::connect(addr);
-                    let mut acked = Vec::new();
-                    for i in 0..12 {
-                        let fact = format!("item(c{c}, i{i})");
-                        let (ok, lines) = client.send(&format!(":apply +{fact}."));
-                        assert!(ok, "client {c} commit {i}: {lines:?}");
-                        assert!(lines[0].starts_with("applied"), "{lines:?}");
-                        acked.push(fact);
-                        // Read-your-writes on the same connection.
-                        let (ok, lines) = client.send(&format!(":query view(c{c})"));
-                        assert!(ok, "{lines:?}");
-                        assert!(
-                            lines.iter().any(|l| l == &format!("view(c{c})")),
-                            "client {c} step {i}: own write invisible: {lines:?}"
-                        );
-                        // Reads never fail mid-stream.
-                        let (ok, _) = client.send(":check +item(probe, p).");
-                        assert!(ok);
-                    }
-                    let (ok, _) = client.send(":quit");
+    let workers: Vec<_> = (0..4)
+        .map(|c| {
+            std::thread::spawn(move || {
+                let mut client = Client::connect(addr);
+                let mut acked = Vec::new();
+                for i in 0..12 {
+                    let fact = format!("item(c{c}, i{i})");
+                    let (ok, lines) = client.send(&format!(":apply +{fact}."));
+                    assert!(ok, "client {c} commit {i}: {lines:?}");
+                    assert!(lines[0].starts_with("applied"), "{lines:?}");
+                    acked.push(fact);
+                    // Read-your-writes on the same connection.
+                    let (ok, lines) = client.send(&format!(":query view(c{c})"));
+                    assert!(ok, "{lines:?}");
+                    assert!(
+                        lines.iter().any(|l| l == &format!("view(c{c})")),
+                        "client {c} step {i}: own write invisible: {lines:?}"
+                    );
+                    // Reads never fail mid-stream.
+                    let (ok, _) = client.send(":check +item(probe, p).");
                     assert!(ok);
-                    acked
-                })
+                }
+                let (ok, _) = client.send(":quit");
+                assert!(ok);
+                acked
             })
-            .collect();
-        let acked: Vec<String> = workers
-            .into_iter()
-            .flat_map(|w| w.join().expect("client thread"))
-            .collect();
-        assert_eq!(acked.len(), 48);
+        })
+        .collect();
+    let acked: Vec<String> = workers
+        .into_iter()
+        .flat_map(|w| w.join().expect("client thread"))
+        .collect();
+    assert_eq!(acked.len(), 48);
 
-        let mut admin = Client::connect(addr);
-        let (ok, lines) = admin.send(":stats");
-        assert!(ok);
+    let mut admin = Client::connect(addr);
+    let (ok, lines) = admin.send(":stats");
+    assert!(ok);
+    assert!(
+        lines.iter().any(|l| l.starts_with("journal: durable")),
+        "{lines:?}"
+    );
+    let (ok, _) = admin.send(":shutdown");
+    assert!(ok);
+    assert!(child.wait().unwrap().success());
+
+    let state = assert_serial_equivalence(&dir);
+    for fact in &acked {
         assert!(
-            lines.iter().any(|l| l.starts_with("journal: durable")),
-            "{lines:?}"
+            state.contains(fact.as_str()),
+            "{fact} missing after shutdown"
         );
-        let (ok, _) = admin.send(":shutdown");
-        assert!(ok);
-        assert!(child.wait().unwrap().success());
-
-        let state = assert_serial_equivalence(&dir);
-        for fact in &acked {
-            assert!(
-                state.contains(fact.as_str()),
-                "{fact} missing after shutdown"
-            );
-        }
-        std::fs::remove_dir_all(&dir).unwrap();
     }
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// SIGKILL mid-run: the journal recovers to a clean prefix that
@@ -199,7 +190,7 @@ fn concurrent_clients_end_in_a_serially_equivalent_state() {
 fn sigkill_recovers_every_acknowledged_commit() {
     let dir = tmpdir("kill");
     make_db(&dir);
-    let (mut child, addr, _stdout) = spawn_server(&dir, "1");
+    let (mut child, addr, _stdout) = spawn_server(&dir);
 
     let mut client = Client::connect(addr);
     let mut acked = Vec::new();
@@ -235,7 +226,7 @@ fn framing_bytes_in_content_survive_the_wire() {
     // is split across two wire lines, the first ending in '\r'.
     let schema = "item('win\r\nstyle', s9). item(seed, s0). view(X) :- item(X, Y).";
     drop(dduf::persist::DurableDb::init(&dir, schema).unwrap());
-    let (mut child, addr, _stdout) = spawn_server(&dir, "1");
+    let (mut child, addr, _stdout) = spawn_server(&dir);
     let mut client = Client::connect(addr);
 
     // A symbol with an embedded CR commits over the wire and queries
@@ -297,7 +288,7 @@ fn framing_bytes_in_content_survive_the_wire() {
 fn query_reads_the_maintained_state_and_rejects_other_shapes() {
     let dir = tmpdir("query");
     make_db(&dir);
-    let (mut child, addr, _stdout) = spawn_server(&dir, "1");
+    let (mut child, addr, _stdout) = spawn_server(&dir);
     let mut client = Client::connect(addr);
 
     let (ok, lines) = client.send(":apply +item(k1, s1).");
@@ -361,7 +352,7 @@ fn rejected_apply_inside_a_batch_leaves_no_trace() {
     );
     let dir = tmpdir("rejected");
     drop(dduf::persist::DurableDb::init(&dir, EMPLOYMENT).unwrap());
-    let (mut child, addr, _stdout) = spawn_server(&dir, "1");
+    let (mut child, addr, _stdout) = spawn_server(&dir);
     let mut client = Client::connect(addr);
     let mut shell = Session::from_source(EMPLOYMENT).unwrap();
     let records = || dduf::persist::read_log(&dir).unwrap().1.records.len();
@@ -410,7 +401,7 @@ fn rejected_apply_inside_a_batch_leaves_no_trace() {
     child.kill().unwrap();
     child.wait().unwrap();
     assert_serial_equivalence_over(&dir, EMPLOYMENT);
-    let (mut child, addr, _stdout) = spawn_server(&dir, "1");
+    let (mut child, addr, _stdout) = spawn_server(&dir);
     let mut client = Client::connect(addr);
     assert_eq!(show(&mut client), shown);
     assert_eq!(client.send(CHECK.0), (true, vec![CHECK.1.to_string()]));
@@ -432,7 +423,6 @@ fn backpressure_rejects_overflow_and_loses_no_accepted_commit() {
     // two-job high-water mark: a burst must overflow.
     let (mut child, addr, _stdout) = spawn_server_with(
         &dir,
-        "1",
         &[
             "--max-batch",
             "1",
@@ -517,7 +507,7 @@ fn backpressure_rejects_overflow_and_loses_no_accepted_commit() {
 fn concurrent_process_is_locked_out_while_serving() {
     let dir = tmpdir("lockout");
     make_db(&dir);
-    let (mut child, addr, _stdout) = spawn_server(&dir, "1");
+    let (mut child, addr, _stdout) = spawn_server(&dir);
 
     let out = Command::new(env!("CARGO_BIN_EXE_dduf"))
         .args(["db", "stats", dir.to_str().unwrap()])

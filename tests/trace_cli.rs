@@ -2,7 +2,7 @@
 //! `--trace` / `--trace=json` run reports on stderr, the `:stats` shell
 //! command, `dduf db stats`, and — crucially — that tracing changes
 //! nothing else: the default output stays byte-identical and the JSON
-//! report's semantic counters are identical at any thread count.
+//! report's semantic counters are identical from process to process.
 
 use std::io::Write as _;
 use std::process::{Command, Stdio};
@@ -26,14 +26,10 @@ fn db_file(name: &str) -> std::path::PathBuf {
     path
 }
 
-/// Runs the binary with `args` and environment overrides, piping `script`
-/// to stdin when given.
-fn dduf(args: &[&str], envs: &[(&str, &str)], script: Option<&str>) -> std::process::Output {
+/// Runs the binary with `args`, piping `script` to stdin when given.
+fn dduf(args: &[&str], script: Option<&str>) -> std::process::Output {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_dduf"));
     cmd.args(args).stdout(Stdio::piped()).stderr(Stdio::piped());
-    for (k, v) in envs {
-        cmd.env(k, v);
-    }
     match script {
         None => {
             cmd.stdin(Stdio::null());
@@ -59,8 +55,8 @@ fn dduf(args: &[&str], envs: &[(&str, &str)], script: Option<&str>) -> std::proc
 #[test]
 fn default_output_is_untouched_by_tracing() {
     let path = db_file("default");
-    let plain = dduf(&[path.to_str().unwrap()], &[], Some(SCRIPT));
-    let traced = dduf(&["--trace", path.to_str().unwrap()], &[], Some(SCRIPT));
+    let plain = dduf(&[path.to_str().unwrap()], Some(SCRIPT));
+    let traced = dduf(&["--trace", path.to_str().unwrap()], Some(SCRIPT));
     assert!(plain.status.success());
     assert!(traced.status.success());
     assert!(
@@ -86,7 +82,7 @@ fn default_output_is_untouched_by_tracing() {
 #[test]
 fn trace_json_has_the_documented_shape() {
     let path = db_file("json");
-    let out = dduf(&["--trace=json", path.to_str().unwrap()], &[], Some(SCRIPT));
+    let out = dduf(&["--trace=json", path.to_str().unwrap()], Some(SCRIPT));
     assert!(out.status.success());
     let json = String::from_utf8(out.stderr).expect("stderr is UTF-8");
     assert!(
@@ -113,27 +109,19 @@ fn trace_json_has_the_documented_shape() {
 }
 
 /// The determinism contract, end to end: the full JSON report (which
-/// holds only semantic counters) is byte-identical at 1 and 8 worker
-/// threads, via the `DDUF_THREADS` environment variable CI uses.
+/// holds only semantic counters) is byte-identical in two separate
+/// processes, whose hash maps are seeded differently.
 #[test]
-fn trace_json_identical_across_thread_counts() {
-    let path = db_file("threads");
-    let one = dduf(
-        &["--trace=json", path.to_str().unwrap()],
-        &[("DDUF_THREADS", "1")],
-        Some(SCRIPT),
-    );
-    let eight = dduf(
-        &["--trace=json", path.to_str().unwrap()],
-        &[("DDUF_THREADS", "8")],
-        Some(SCRIPT),
-    );
-    assert!(one.status.success() && eight.status.success());
-    assert_eq!(one.stdout, eight.stdout);
+fn trace_json_identical_across_processes() {
+    let path = db_file("processes");
+    let run = || dduf(&["--trace=json", path.to_str().unwrap()], Some(SCRIPT));
+    let (first, second) = (run(), run());
+    assert!(first.status.success() && second.status.success());
+    assert_eq!(first.stdout, second.stdout);
     assert_eq!(
-        String::from_utf8_lossy(&one.stderr),
-        String::from_utf8_lossy(&eight.stderr),
-        "semantic trace diverges across thread counts"
+        String::from_utf8_lossy(&first.stderr),
+        String::from_utf8_lossy(&second.stderr),
+        "semantic trace diverges between processes"
     );
     let _ = std::fs::remove_file(&path);
 }
@@ -142,7 +130,7 @@ fn trace_json_identical_across_thread_counts() {
 #[test]
 fn bad_trace_value_is_a_usage_error() {
     let path = db_file("badvalue");
-    let out = dduf(&["--trace=bogus", path.to_str().unwrap()], &[], None);
+    let out = dduf(&["--trace=bogus", path.to_str().unwrap()], None);
     assert_eq!(out.status.code(), Some(2));
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("--trace expects"), "{err}");
@@ -158,7 +146,6 @@ fn stats_command_reports_in_session() {
     let path = db_file("stats");
     let out = dduf(
         &[path.to_str().unwrap()],
-        &[],
         Some(":apply +works(dolors).\n:stats\n:quit\n"),
     );
     assert!(out.status.success());
@@ -193,13 +180,11 @@ fn db_stats_summary_and_exit_codes() {
             schema.to_str().unwrap(),
             dir.to_str().unwrap(),
         ],
-        &[],
         None,
     );
     assert!(init.status.success());
     let open = dduf(
         &["db", "open", dir.to_str().unwrap()],
-        &[],
         Some(":apply +works(dolors).\n:stats\n:quit\n"),
     );
     assert!(open.status.success());
@@ -209,7 +194,7 @@ fn db_stats_summary_and_exit_codes() {
     assert!(stdout.contains("upward.maintain\n  ·  x1  "), "{stdout}");
     assert!(!stdout.contains("upward.apply"), "{stdout}");
 
-    let stats = dduf(&["db", "stats", dir.to_str().unwrap()], &[], None);
+    let stats = dduf(&["db", "stats", dir.to_str().unwrap()], None);
     assert_eq!(stats.status.code(), Some(0));
     let stdout = String::from_utf8_lossy(&stats.stdout);
     assert!(stdout.contains("journal end at byte"), "{stdout}");
@@ -217,9 +202,9 @@ fn db_stats_summary_and_exit_codes() {
     assert!(stdout.contains("recovery.open"), "{stdout}");
     assert!(stdout.contains("journal.scan"), "{stdout}");
 
-    let missing = dduf(&["db", "stats", "/nonexistent_dduf_db"], &[], None);
+    let missing = dduf(&["db", "stats", "/nonexistent_dduf_db"], None);
     assert_eq!(missing.status.code(), Some(1));
-    let usage = dduf(&["db", "stats"], &[], None);
+    let usage = dduf(&["db", "stats"], None);
     assert_eq!(usage.status.code(), Some(2));
 
     let _ = std::fs::remove_dir_all(&dir);
