@@ -1,19 +1,16 @@
 //! C-F10 — Maintenance throughput over a transaction *stream*: the
 //! stateful maintenance engine (support counts after [GMS93], cited in
 //! §5.1.3; every stratum here is non-recursive, so all of it is
-//! counting) vs. the stateless incremental event-rule engine vs.
-//! rematerialization.
+//! counting) vs. rematerialization.
 //!
 //! Counting pays its count store once and then answers deletions without
-//! re-derivation checks; the incremental engine re-checks derivability of
-//! deletion candidates each time; rematerialization recomputes everything.
-//! Expected shape: counting ≤ incremental ≪ rematerialize per step, with
-//! the counting gap largest on deletion-heavy multi-support workloads.
+//! re-derivation checks; rematerialization recomputes everything.
+//! Expected shape: counting ≪ rematerialize per step, with the gap
+//! largest on deletion-heavy multi-support workloads.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dduf_core::transaction::Transaction;
 use dduf_core::upward::maintain::MaintenanceEngine;
-use dduf_core::upward::{self, Engine};
 use dduf_datalog::eval::materialize;
 use dduf_datalog::parser::parse_database;
 use dduf_datalog::storage::database::Database;
@@ -67,31 +64,6 @@ fn bench_counting_stream(c: &mut Criterion) {
                     let r = engine.apply(&db, txn).expect("counting");
                     std::hint::black_box(r);
                     db = txn.apply(&db);
-                }
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("incremental", n), &n, |b, _| {
-            b.iter(|| {
-                let mut db = db0.clone();
-                let mut old = old0.clone();
-                for txn in &txns {
-                    let r = upward::interpret_with(&db, &old, txn, Engine::Incremental)
-                        .expect("incremental");
-                    // Advance the state like a processor would.
-                    db = txn.apply(&db);
-                    for (pred, _role) in db.program().predicates() {
-                        if !db.program().is_derived(pred) {
-                            continue;
-                        }
-                        let ins = r.derived.relation(dduf_events::event::EventKind::Ins, pred);
-                        let del = r.derived.relation(dduf_events::event::EventKind::Del, pred);
-                        if ins.is_empty() && del.is_empty() {
-                            continue;
-                        }
-                        let rel = old.relation(pred).difference(del).union(ins);
-                        old.set(pred, rel);
-                    }
-                    std::hint::black_box(&old);
                 }
             })
         });

@@ -8,7 +8,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dduf_bench::constraint_db;
 use dduf_core::problems::ic_checking;
 use dduf_core::transaction::Transaction;
-use dduf_core::upward::{interpret_with, Engine};
+use dduf_core::upward::maintain::MaintenanceEngine;
+use dduf_core::upward::semantic;
 use dduf_datalog::eval::materialize;
 use std::time::Duration;
 
@@ -25,21 +26,22 @@ fn bench_ic_checking(c: &mut Criterion) {
         // A transaction that violates: p1 becomes unemployed w/o benefit
         // (p1 has u_benefit in the generator; use a fresh person instead).
         let txn = Transaction::parse(&db, "+la(newguy).").expect("txn");
+        let engine = MaintenanceEngine::new(&db, &old).expect("stratified");
 
         // The production path: `:check` of the shell and the server.
         group.bench_with_input(BenchmarkId::new("incremental_check", n), &n, |b, _| {
-            b.iter(|| ic_checking::check_transaction(&db, &old, &txn).expect("check"))
+            b.iter(|| ic_checking::check_transaction(&db, &engine, &txn).expect("check"))
         });
         // The same path for a transaction no constraint can see violated:
         // a deletion of `la` can only delete `unemp`, hence `ic1`. Decided
         // off the dependency graph — flat in n.
         let harmless = Transaction::parse(&db, "-la(p1).").expect("txn");
         group.bench_with_input(BenchmarkId::new("outside_cone_check", n), &n, |b, _| {
-            b.iter(|| ic_checking::check_transaction(&db, &old, &harmless).expect("check"))
+            b.iter(|| ic_checking::check_transaction(&db, &engine, &harmless).expect("check"))
         });
         group.bench_with_input(BenchmarkId::new("semantic_check", n), &n, |b, _| {
             b.iter(|| {
-                let up = interpret_with(&db, &old, &txn, Engine::Semantic).expect("upward");
+                let up = semantic::interpret(&db, &old, &txn).expect("upward");
                 ic_checking::check(&db, &old, &up)
             })
         });

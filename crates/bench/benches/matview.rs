@@ -7,7 +7,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dduf_bench::{random_toggle_txn, wide_db};
 use dduf_core::problems::view_maintenance;
-use dduf_core::upward::{interpret_with, Engine};
+use dduf_core::upward::maintain::MaintenanceEngine;
 use dduf_datalog::eval::materialize;
 use std::time::Duration;
 
@@ -22,10 +22,11 @@ fn bench_matview(c: &mut Criterion) {
         let db = wide_db(n);
         let old = materialize(&db).expect("old");
         let txn = random_toggle_txn(&db, 4, 7);
+        let engine = MaintenanceEngine::new(&db, &old).expect("stratified");
 
         group.bench_with_input(BenchmarkId::new("apply_delta", n), &n, |b, _| {
             b.iter(|| {
-                let up = interpret_with(&db, &old, &txn, Engine::Incremental).expect("upward");
+                let up = engine.interpret_for(&db, &txn, None).expect("upward");
                 view_maintenance::maintain(&db, &up)
             })
         });

@@ -1,14 +1,15 @@
 //! C-F1 — Incremental upward interpretation vs. full recomputation.
 //!
 //! Fixes a small transaction (4 toggles) and scales the extensional
-//! database. Expected shape: the incremental (event-rule driven) engine is
-//! roughly flat in |EDB| (it touches only event-adjacent tuples), the
-//! semantic engine and full recomputation grow linearly; the gap widens
-//! with database size.
+//! database. Expected shape: the maintenance engine's read (the pass a
+//! commit runs, staged state dropped) is roughly flat in |EDB| (it joins
+//! only from the changed tuples), the semantic oracle and full
+//! recomputation grow linearly; the gap widens with database size.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dduf_bench::{random_toggle_txn, wide_db};
-use dduf_core::upward::{self, Engine};
+use dduf_core::upward::maintain::MaintenanceEngine;
+use dduf_core::upward::semantic;
 use dduf_datalog::eval::materialize;
 use std::time::Duration;
 
@@ -23,12 +24,13 @@ fn bench_upward_scaling(c: &mut Criterion) {
         let db = wide_db(n);
         let old = materialize(&db).expect("old state");
         let txn = random_toggle_txn(&db, 4, 42);
+        let engine = MaintenanceEngine::new(&db, &old).expect("stratified");
 
-        group.bench_with_input(BenchmarkId::new("incremental", n), &n, |b, _| {
-            b.iter(|| upward::interpret_with(&db, &old, &txn, Engine::Incremental).expect("upward"))
+        group.bench_with_input(BenchmarkId::new("read", n), &n, |b, _| {
+            b.iter(|| engine.interpret_for(&db, &txn, None).expect("upward"))
         });
         group.bench_with_input(BenchmarkId::new("semantic_diff", n), &n, |b, _| {
-            b.iter(|| upward::interpret_with(&db, &old, &txn, Engine::Semantic).expect("upward"))
+            b.iter(|| semantic::interpret(&db, &old, &txn).expect("upward"))
         });
         group.bench_with_input(BenchmarkId::new("full_recompute", n), &n, |b, _| {
             b.iter(|| {

@@ -11,7 +11,8 @@ use dduf_core::downward::{self, DownwardOptions, Request};
 use dduf_core::problems::{ic_checking, view_maintenance};
 use dduf_core::processor::UpdateProcessor;
 use dduf_core::transaction::Transaction;
-use dduf_core::upward::{self, Engine};
+use dduf_core::upward::maintain::MaintenanceEngine;
+use dduf_core::upward::semantic;
 use dduf_datalog::ast::{Atom, Const, Literal, Pred, Rule, Term};
 use dduf_datalog::eval::{materialize, materialize_with, Strategy};
 use dduf_datalog::parser::parse_database;
@@ -29,15 +30,12 @@ fn main() {
         let db = wide_db(n);
         let old = materialize(&db).unwrap();
         let txn = random_toggle_txn(&db, 4, 42);
+        let engine = MaintenanceEngine::new(&db, &old).unwrap();
         let iters = if n >= 10_000 { 3 } else { 10 };
-        let inc = time_us(iters, || {
-            upward::interpret_with(&db, &old, &txn, Engine::Incremental).unwrap()
-        });
-        let sem = time_us(iters, || {
-            upward::interpret_with(&db, &old, &txn, Engine::Semantic).unwrap()
-        });
+        let read = time_us(iters, || engine.interpret_for(&db, &txn, None).unwrap());
+        let sem = time_us(iters, || semantic::interpret(&db, &old, &txn).unwrap());
         let full = time_us(iters, || materialize(&txn.apply(&db)).unwrap());
-        println!("C-F1,n={n},incremental_us,{inc:.1}");
+        println!("C-F1,n={n},read_us,{read:.1}");
         println!("C-F1,n={n},semantic_us,{sem:.1}");
         println!("C-F1,n={n},full_recompute_us,{full:.1}");
     }
@@ -109,18 +107,18 @@ fn main() {
     for n in [100usize, 1_000, 10_000] {
         let db = constraint_db(n);
         let old = materialize(&db).unwrap();
+        let engine = MaintenanceEngine::new(&db, &old).unwrap();
         let txn = Transaction::parse(&db, "+la(newguy).").unwrap();
         let iters = if n >= 10_000 { 3 } else { 10 };
-        let inc = time_us(iters, || {
-            let up = upward::interpret_with(&db, &old, &txn, Engine::Incremental).unwrap();
-            ic_checking::check(&db, &old, &up)
+        let check = time_us(iters, || {
+            ic_checking::check_transaction(&db, &engine, &txn).unwrap()
         });
         let full = time_us(iters, || {
             let new = materialize(&txn.apply(&db)).unwrap();
             let ic = db.program().global_ic().unwrap();
             !new.relation(ic).is_empty()
         });
-        println!("C-F4,n={n},incremental_check_us,{inc:.1}");
+        println!("C-F4,n={n},read_check_us,{check:.1}");
         println!("C-F4,n={n},full_reeval_us,{full:.1}");
     }
 
@@ -153,10 +151,11 @@ fn main() {
     for n in [100usize, 1_000, 10_000] {
         let db = wide_db(n);
         let old = materialize(&db).unwrap();
+        let engine = MaintenanceEngine::new(&db, &old).unwrap();
         let txn = random_toggle_txn(&db, 4, 7);
         let iters = if n >= 10_000 { 3 } else { 10 };
         let apply = time_us(iters, || {
-            let up = upward::interpret_with(&db, &old, &txn, Engine::Incremental).unwrap();
+            let up = engine.interpret_for(&db, &txn, None).unwrap();
             view_maintenance::maintain(&db, &up)
         });
         let remat = time_us(iters, || materialize(&txn.apply(&db)).unwrap());

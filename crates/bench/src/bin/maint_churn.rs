@@ -26,7 +26,7 @@
 use dduf_core::rng::Rng;
 use dduf_core::transaction::Transaction;
 use dduf_core::upward::maintain::MaintenanceEngine;
-use dduf_core::upward::{self, Engine};
+use dduf_core::upward::semantic;
 use dduf_datalog::ast::{Const, Pred};
 use dduf_datalog::eval::materialize;
 use dduf_datalog::parser::parse_database;
@@ -180,7 +180,7 @@ fn run_churn(chains: usize, len: usize, steps: usize) -> ChurnResult {
     let mut recompute_s = 0.0;
     for (step, txn) in txns.iter().enumerate() {
         let t = Instant::now();
-        let res = upward::interpret_with(&db2, &old, txn, Engine::Semantic).expect("semantic step");
+        let res = semantic::interpret(&db2, &old, txn).expect("semantic step");
         recompute_s += t.elapsed().as_secs_f64();
         assert_eq!(
             res, inc_events[step],
@@ -192,7 +192,7 @@ fn run_churn(chains: usize, len: usize, steps: usize) -> ChurnResult {
 
     // Final states: maintained extensions == from-scratch recompute.
     assert_eq!(
-        pretty::derived(&engine.interpretation()),
+        pretty::derived(engine.interpretation()),
         pretty::derived(&old),
         "final maintained state diverges from full recompute"
     );

@@ -41,4 +41,4 @@ pub use downward::{Alternative, DownwardOptions, DownwardResult, Request};
 pub use error::{Error, Result};
 pub use processor::UpdateProcessor;
 pub use transaction::Transaction;
-pub use upward::{Engine as UpwardEngine, UpwardResult};
+pub use upward::UpwardResult;

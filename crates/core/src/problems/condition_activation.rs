@@ -13,6 +13,7 @@
 use crate::downward::{self, DownwardOptions, DownwardResult, Request};
 use crate::error::Result;
 use crate::problems::view_updating::{validate as validate_derived, ValidationWitness};
+use crate::upward::maintain::MaintenanceEngine;
 use dduf_datalog::ast::{Atom, Pred};
 use dduf_datalog::eval::Interpretation;
 use dduf_datalog::storage::database::Database;
@@ -33,17 +34,18 @@ pub fn enforce(
 }
 
 /// Condition validation: one witness instantiation for which the
-/// condition can be activated (or deactivated), if any.
+/// condition can be activated (or deactivated), if any. `engine` must
+/// maintain `db`.
 pub fn validate(
     db: &Database,
-    old: &Interpretation,
+    engine: &MaintenanceEngine,
     cond: Pred,
     kind: EventKind,
     opts: &DownwardOptions,
 ) -> Result<Option<ValidationWitness>> {
     // Structurally the same search as view validation (§5.2.1); the only
     // difference is the role given to the derived predicate.
-    validate_derived(db, old, cond, kind, opts)
+    validate_derived(db, engine, cond, kind, opts)
 }
 
 #[cfg(test)]
@@ -121,7 +123,7 @@ mod tests {
         let (db, old) = monitored_db();
         let w = validate(
             &db,
-            &old,
+            &MaintenanceEngine::new(&db, &old).unwrap(),
             Pred::new("alert", 1),
             EventKind::Ins,
             &DownwardOptions::default(),
@@ -137,7 +139,7 @@ mod tests {
         let old = materialize(&db).unwrap();
         let w = validate(
             &db,
-            &old,
+            &MaintenanceEngine::new(&db, &old).unwrap(),
             Pred::new("ghost", 1),
             EventKind::Ins,
             &DownwardOptions::default(),

@@ -9,7 +9,8 @@
 
 use crate::error::Result;
 use crate::transaction::Transaction;
-use crate::upward::{self, UpwardResult};
+use crate::upward::maintain::MaintenanceEngine;
+use crate::upward::UpwardResult;
 use dduf_datalog::ast::Pred;
 use dduf_datalog::eval::Interpretation;
 use dduf_datalog::schema::DerivedRole;
@@ -96,27 +97,41 @@ fn constraints(db: &Database) -> impl Iterator<Item = Pred> + '_ {
 
 /// `:check`: does `txn` violate the integrity constraints? The upward
 /// interpretation of `ins Ic1 … ins Icn` and nothing else
-/// ([`upward::interpret_for`]), read by [`check`]. `old` must be the
-/// materialization of `db`.
+/// ([`MaintenanceEngine::interpret_for`]), read by [`check`]. `engine`
+/// must maintain `db`. A database without constraints, or one that is
+/// already inconsistent, is answered before anything is interpreted.
 pub fn check_transaction(
     db: &Database,
-    old: &Interpretation,
+    engine: &MaintenanceEngine,
     txn: &Transaction,
 ) -> Result<CheckOutcome> {
+    let old = engine.interpretation();
+    if let Some(outcome) = precondition(db, old) {
+        return Ok(outcome);
+    }
     let goals = constraints(db).map(|p| (p, EventKind::Ins)).collect();
-    let up = upward::interpret_for(db, old, txn, &goals)?;
+    let up = engine.interpret_for(db, txn, Some(&goals))?;
     Ok(check(db, old, &up))
+}
+
+/// The answers [`check`] gives whatever the transaction: no constraints,
+/// or `Ic°` already holds.
+fn precondition(db: &Database, old: &Interpretation) -> Option<CheckOutcome> {
+    if db.program().global_ic().is_none() {
+        Some(CheckOutcome::NoConstraints)
+    } else if is_inconsistent(db, old) {
+        Some(CheckOutcome::AlreadyInconsistent)
+    } else {
+        None
+    }
 }
 
 /// Reads off `up` whether its transaction violates the integrity
 /// constraints: the upward interpretation of `ins Ic` (§5.1.1). `up` must
 /// be an upward interpretation over `db` and its materialization `old`.
 pub fn check(db: &Database, old: &Interpretation, up: &UpwardResult) -> CheckOutcome {
-    if db.program().global_ic().is_none() {
-        return CheckOutcome::NoConstraints;
-    }
-    if is_inconsistent(db, old) {
-        return CheckOutcome::AlreadyInconsistent;
+    if let Some(outcome) = precondition(db, old) {
+        return outcome;
     }
     let violated: Vec<GroundEvent> = constraints(db)
         .flat_map(|ic| {
@@ -173,7 +188,7 @@ pub fn restores_consistency(
 mod tests {
     use super::*;
     use crate::transaction::Transaction;
-    use crate::upward::{interpret_with, Engine};
+    use crate::upward::semantic;
     use dduf_datalog::eval::materialize;
     use dduf_datalog::parser::parse_database;
 
@@ -191,16 +206,15 @@ mod tests {
     ";
 
     /// The database, its materialization, and the interpretation of
-    /// `txn` every reading below is taken off.
-    fn interpreted(
-        src: &str,
-        txn: &str,
-        engine: Engine,
-    ) -> (Database, Interpretation, UpwardResult) {
+    /// `txn` every reading below is taken off: the engine's read, which
+    /// must be the oracle's.
+    fn interpreted(src: &str, txn: &str) -> (Database, Interpretation, UpwardResult) {
         let db = parse_database(src).unwrap();
         let old = materialize(&db).unwrap();
         let txn = Transaction::parse(&db, txn).unwrap();
-        let up = interpret_with(&db, &old, &txn, engine).unwrap();
+        let engine = MaintenanceEngine::new(&db, &old).unwrap();
+        let up = engine.interpret_for(&db, &txn, None).unwrap();
+        assert_eq!(up, semantic::interpret(&db, &old, &txn).unwrap());
         (db, old, up)
     }
 
@@ -208,23 +222,21 @@ mod tests {
     /// and must be rejected.
     #[test]
     fn example_5_1_violation_detected() {
-        for engine in [Engine::Semantic, Engine::Incremental] {
-            let (db, old, up) = interpreted(EMPLOYMENT, "-u_benefit(dolors).", engine);
-            let out = check(&db, &old, &up);
-            match &out {
-                CheckOutcome::Violated(events) => {
-                    assert_eq!(events.len(), 1);
-                    assert_eq!(events[0].to_string(), "+ic1");
-                }
-                other => panic!("expected violation, got {other:?}"),
+        let (db, old, up) = interpreted(EMPLOYMENT, "-u_benefit(dolors).");
+        let out = check(&db, &old, &up);
+        match &out {
+            CheckOutcome::Violated(events) => {
+                assert_eq!(events.len(), 1);
+                assert_eq!(events[0].to_string(), "+ic1");
             }
-            assert!(!out.accepts());
+            other => panic!("expected violation, got {other:?}"),
         }
+        assert!(!out.accepts());
     }
 
     #[test]
     fn harmless_transaction_accepted() {
-        let (db, old, up) = interpreted(EMPLOYMENT, "+works(dolors).", Engine::Incremental);
+        let (db, old, up) = interpreted(EMPLOYMENT, "+works(dolors).");
         let out = check(&db, &old, &up);
         assert_eq!(out, CheckOutcome::Consistent);
         assert!(out.accepts());
@@ -232,29 +244,25 @@ mod tests {
 
     #[test]
     fn no_constraints_short_circuits() {
-        let (db, old, up) = interpreted("q(a). p(X) :- q(X).", "-q(a).", Engine::Incremental);
+        let (db, old, up) = interpreted("q(a). p(X) :- q(X).", "-q(a).");
         assert_eq!(check(&db, &old, &up), CheckOutcome::NoConstraints);
     }
 
     #[test]
     fn inconsistent_precondition_reported() {
-        let (db, old, up) = interpreted(INCONSISTENT, "+la(maria).", Engine::Incremental);
+        let (db, old, up) = interpreted(INCONSISTENT, "+la(maria).");
         assert!(is_inconsistent(&db, &old));
         assert_eq!(check(&db, &old, &up), CheckOutcome::AlreadyInconsistent);
     }
 
     #[test]
     fn restoration_detected() {
-        let (db, old, good) = interpreted(INCONSISTENT, "+u_benefit(dolors).", Engine::Incremental);
+        let (db, old, good) = interpreted(INCONSISTENT, "+u_benefit(dolors).");
         assert_eq!(
             restores_consistency(&db, &old, &good),
             RestoreOutcome::Restored
         );
-        let (db, old, useless) = interpreted(
-            INCONSISTENT,
-            "+la(maria). +u_benefit(maria).",
-            Engine::Incremental,
-        );
+        let (db, old, useless) = interpreted(INCONSISTENT, "+la(maria). +u_benefit(maria).");
         assert_eq!(
             restores_consistency(&db, &old, &useless),
             RestoreOutcome::StillInconsistent
@@ -263,7 +271,7 @@ mod tests {
 
     #[test]
     fn restore_on_consistent_db_is_noop() {
-        let (db, old, up) = interpreted(EMPLOYMENT, "+works(dolors).", Engine::Incremental);
+        let (db, old, up) = interpreted(EMPLOYMENT, "+works(dolors).");
         assert_eq!(
             restores_consistency(&db, &old, &up),
             RestoreOutcome::AlreadyConsistent
@@ -273,7 +281,7 @@ mod tests {
     /// The replies both frontends send, word for word.
     #[test]
     fn outcomes_render_the_wire_replies() {
-        let (db, old, up) = interpreted(EMPLOYMENT, "-u_benefit(dolors).", Engine::Incremental);
+        let (db, old, up) = interpreted(EMPLOYMENT, "-u_benefit(dolors).");
         let CheckOutcome::Violated(events) = check(&db, &old, &up) else {
             panic!("expected a violation");
         };

@@ -89,7 +89,7 @@ pub fn maintain_inconsistency(
 mod tests {
     use super::*;
     use crate::problems::ic_checking::{self, CheckOutcome};
-    use crate::upward::{interpret_with, Engine};
+    use crate::upward::semantic;
     use dduf_datalog::eval::materialize;
     use dduf_datalog::parser::parse_database;
 
@@ -109,7 +109,7 @@ mod tests {
         let (db, old) = employment();
         // Adding maria in labour age would make her unemployed w/o benefit.
         let txn = Transaction::parse(&db, "+la(maria).").unwrap();
-        let up = interpret_with(&db, &old, &txn, Engine::Incremental).unwrap();
+        let up = semantic::interpret(&db, &old, &txn).unwrap();
         let CheckOutcome::Violated(_) = ic_checking::check(&db, &old, &up) else {
             panic!("transaction should violate ic1");
         };
@@ -124,7 +124,7 @@ mod tests {
             let shown = alt.to_do.to_string();
             assert!(shown.contains("+la(maria)"), "{shown}");
             let t2 = alt.to_transaction(&db).unwrap();
-            let up = interpret_with(&db, &old, &t2, Engine::Incremental).unwrap();
+            let up = semantic::interpret(&db, &old, &t2).unwrap();
             let out = ic_checking::check(&db, &old, &up);
             assert!(out.accepts(), "resulting transaction {alt} still violates");
         }

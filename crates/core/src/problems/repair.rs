@@ -117,7 +117,7 @@ pub fn violating_transactions(
 mod tests {
     use super::*;
     use crate::problems::ic_checking;
-    use crate::upward::{interpret_with, Engine};
+    use crate::upward::semantic;
     use dduf_datalog::eval::materialize;
     use dduf_datalog::parser::parse_database;
 
@@ -144,7 +144,7 @@ mod tests {
         // Every repair, applied, yields a consistent database.
         for alt in &res.alternatives {
             let txn = alt.to_transaction(&db).unwrap();
-            let up = interpret_with(&db, &old, &txn, Engine::Incremental).unwrap();
+            let up = semantic::interpret(&db, &old, &txn).unwrap();
             assert_eq!(
                 ic_checking::restores_consistency(&db, &old, &up),
                 ic_checking::RestoreOutcome::Restored,
@@ -189,7 +189,7 @@ mod tests {
         assert!(!res.alternatives.is_empty(), "retry must find repairs");
         for alt in &res.alternatives {
             let txn = alt.to_transaction(&db).unwrap();
-            let up = interpret_with(&db, &old, &txn, Engine::Incremental).unwrap();
+            let up = semantic::interpret(&db, &old, &txn).unwrap();
             let out = ic_checking::restores_consistency(&db, &old, &up);
             assert_eq!(out, ic_checking::RestoreOutcome::Restored, "{alt}");
         }

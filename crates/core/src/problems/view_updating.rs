@@ -11,6 +11,7 @@
 
 use crate::downward::{self, Alternative, DownwardOptions, DownwardResult, Request};
 use crate::error::Result;
+use crate::upward::maintain::MaintenanceEngine;
 use dduf_datalog::ast::{Atom, Pred, Term};
 use dduf_datalog::eval::Interpretation;
 use dduf_datalog::storage::database::Database;
@@ -58,10 +59,11 @@ pub struct ValidationWitness {
 /// (`$new`): validation asks whether *some* reachable state changes the
 /// view, and a state mentioning a previously unseen constant is reachable
 /// — without this, a view already satisfied by every known constant would
-/// wrongly validate as frozen.
+/// wrongly validate as frozen. `engine` must maintain `db`; the witness
+/// is read off its upward interpretation of each alternative.
 pub fn validate(
     db: &Database,
-    old: &Interpretation,
+    engine: &MaintenanceEngine,
     view: Pred,
     kind: EventKind,
     opts: &DownwardOptions,
@@ -85,12 +87,13 @@ pub fn validate(
     };
     let opts = &opts;
     let req = Request::new().achieve(kind, atom.clone());
-    let res = downward::interpret_with(db, old, &req, opts)?;
+    let res = downward::interpret_with(db, engine.interpretation(), &req, opts)?;
     // Each alternative realizes the event for at least one instantiation;
     // recover a witness by replaying the first alternative upward.
+    let goals = [(view, kind)].into();
     for alt in &res.alternatives {
         let txn = alt.to_transaction(db)?;
-        let up = crate::upward::interpret_with(db, old, &txn, crate::upward::Engine::Incremental)?;
+        let up = engine.interpret_for(db, &txn, Some(&goals))?;
         let witness = up.derived.relation(kind, view).iter().next().cloned();
         if let Some(tuple) = witness {
             return Ok(Some(ValidationWitness {
@@ -168,7 +171,7 @@ mod tests {
         // active domain instantiation uses existing constants.
         let w = validate(
             &db,
-            &old,
+            &MaintenanceEngine::new(&db, &old).unwrap(),
             Pred::new("unemp", 1),
             EventKind::Ins,
             &DownwardOptions::default(),
@@ -184,7 +187,7 @@ mod tests {
         let old = materialize(&db).unwrap();
         let w = validate(
             &db,
-            &old,
+            &MaintenanceEngine::new(&db, &old).unwrap(),
             Pred::new("v", 1),
             EventKind::Ins,
             &DownwardOptions::default(),
@@ -198,7 +201,7 @@ mod tests {
         let (db, old) = employment();
         let w = validate(
             &db,
-            &old,
+            &MaintenanceEngine::new(&db, &old).unwrap(),
             Pred::new("unemp", 1),
             EventKind::Del,
             &DownwardOptions::default(),

@@ -2,11 +2,11 @@
 //!
 //! "Deductive databases include an update processing system that provides
 //! the users with a uniform interface." [`UpdateProcessor`] is that
-//! interface: it owns a database and its materialized old state, exposes
-//! every problem of Table 4.1 as a method, and implements the combinations
-//! of §5.3 — upward sets, downward sets, and downward-then-upward
-//! pipelines (e.g. view updating with maintained *and* checked
-//! constraints).
+//! interface: it owns a database and the maintenance engine that holds
+//! its derived state, exposes every problem of Table 4.1 as a method, and
+//! implements the combinations of §5.3 — upward sets, downward sets, and
+//! downward-then-upward pipelines (e.g. view updating with maintained
+//! *and* checked constraints).
 
 use crate::downward::{Alternative, DownwardOptions, DownwardResult, Request};
 use crate::error::{Error, Result};
@@ -16,13 +16,12 @@ use crate::problems::{
 };
 use crate::transaction::Transaction;
 use crate::upward::maintain::MaintenanceEngine;
-use crate::upward::{self, Engine, UpwardResult};
+use crate::upward::UpwardResult;
 use dduf_datalog::ast::{Atom, Pred};
 use dduf_datalog::eval::{materialize, Interpretation, StateView};
 use dduf_datalog::schema::DerivedRole;
 use dduf_datalog::storage::database::Database;
 use dduf_events::event::{EventAtom, EventKind};
-use std::collections::BTreeSet;
 
 /// Condition monitoring and view maintenance ask for both event kinds.
 const BOTH_KINDS: [EventKind; 2] = [EventKind::Ins, EventKind::Del];
@@ -31,13 +30,12 @@ const BOTH_KINDS: [EventKind; 2] = [EventKind::Ins, EventKind::Del];
 #[derive(Clone, Debug)]
 pub struct UpdateProcessor {
     db: Database,
-    old: Interpretation,
     opts: DownwardOptions,
-    /// Stateful maintenance engine (counting / DRed per stratum). When
-    /// present, [`apply`](Self::apply) interprets transactions through it
-    /// — it has to run anyway to keep the counts — instead of the
-    /// stateless engine.
-    maint: Option<MaintenanceEngine>,
+    /// The derived state — extensions, support counts, ranks — and the
+    /// upward interpretation over it (counting / DRed per stratum): every
+    /// commit goes through its pass, and every read runs the same pass
+    /// and drops it.
+    maint: MaintenanceEngine,
 }
 
 /// The full published state of a processor — what
@@ -49,38 +47,39 @@ pub struct UpdateProcessor {
 pub struct ProcessorState {
     /// The extensional database (facts + program).
     pub db: Database,
-    /// The materialized current state of the derived predicates.
+    /// The materialized current state of the derived predicates: the
+    /// engine's extensions, sharing their runs.
     pub interp: Interpretation,
-    /// The maintenance state (support counts + extensions, no ranks),
-    /// when maintenance was enabled.
+    /// The maintenance state (support counts + extensions, no ranks).
+    /// [`UpdateProcessor::into_state`] always sets it; a state without
+    /// one is rebuilt from `interp` by [`UpdateProcessor::from_state`].
     pub maint: Option<MaintenanceEngine>,
 }
 
 impl UpdateProcessor {
-    /// Creates a processor, materializing the current state.
+    /// Creates a processor, materializing the current state and building
+    /// its maintenance engine: counting for non-recursive strata, DRed
+    /// for recursive ones, selected per stratum.
     pub fn new(db: Database) -> Result<UpdateProcessor> {
         let old = materialize(&db).map_err(Error::from)?;
+        let maint = MaintenanceEngine::new(&db, &old)?;
         Ok(UpdateProcessor {
             db,
-            old,
             opts: DownwardOptions::default(),
-            maint: None,
+            maint,
         })
     }
 
-    /// Enables stateful view maintenance: builds a
-    /// [`MaintenanceEngine`] (counting for non-recursive strata, DRed for
-    /// recursive ones — the strategy is selected per stratum, recursion is
-    /// no longer an error) from the current state, and routes every
-    /// subsequent commit through it.
-    pub fn with_maintenance(mut self) -> Result<UpdateProcessor> {
-        self.maint = Some(MaintenanceEngine::new(&self.db, &self.old)?);
+    /// The processor itself: every processor maintains its derived state
+    /// through a [`MaintenanceEngine`]. Kept so callers that enabled
+    /// maintenance explicitly still build.
+    pub fn with_maintenance(self) -> Result<UpdateProcessor> {
         Ok(self)
     }
 
-    /// The maintenance engine, when enabled.
+    /// The maintenance engine; always `Some`.
     pub fn maintenance(&self) -> Option<&MaintenanceEngine> {
-        self.maint.as_ref()
+        Some(&self.maint)
     }
 
     /// Sets the downward options.
@@ -94,17 +93,21 @@ impl UpdateProcessor {
     /// (`dduf serve`) and recovery: rebuilding the next staging processor
     /// from a published state is a clone, not a fixpoint evaluation.
     ///
-    /// Trusted: `state.interp` must be the materialization of `state.db`
-    /// and `state.maint` (when present) its consistent maintenance state,
-    /// as [`into_state`](Self::into_state) of a live processor guarantees.
+    /// Trusted: `state.maint` must be the maintenance state of
+    /// `state.db` — or, when it is `None`, `state.interp` its
+    /// materialization, from which the engine is built — as
+    /// [`into_state`](Self::into_state) of a live processor guarantees.
     /// Handing in anything else produces a processor whose upward
     /// interpretations are silently wrong.
     pub fn from_state(state: ProcessorState) -> UpdateProcessor {
+        let maint = state.maint.unwrap_or_else(|| {
+            MaintenanceEngine::new(&state.db, &state.interp)
+                .expect("a materialized database is stratified")
+        });
         UpdateProcessor {
             db: state.db,
-            old: state.interp,
             opts: DownwardOptions::default(),
-            maint: state.maint,
+            maint,
         }
     }
 
@@ -117,8 +120,8 @@ impl UpdateProcessor {
     pub fn into_state(self) -> ProcessorState {
         ProcessorState {
             db: self.db,
-            interp: self.old,
-            maint: self.maint.map(MaintenanceEngine::without_ranks),
+            interp: self.maint.interpretation().clone(),
+            maint: Some(self.maint.without_ranks()),
         }
     }
 
@@ -127,14 +130,15 @@ impl UpdateProcessor {
         &self.db
     }
 
-    /// The materialized current state of the derived predicates.
+    /// The materialized current state of the derived predicates: the
+    /// maintenance engine's extensions.
     pub fn interpretation(&self) -> &Interpretation {
-        &self.old
+        self.maint.interpretation()
     }
 
     /// The full current state (base + derived).
     pub fn state(&self) -> StateView<'_> {
-        StateView::new(&self.db, &self.old)
+        StateView::new(&self.db, self.interpretation())
     }
 
     /// Parses a transaction against this database.
@@ -145,14 +149,14 @@ impl UpdateProcessor {
     // ----- upward problems (§5.1) -----
 
     /// The raw upward interpretation of a transaction — every induced
-    /// event — by the stateless engine.
+    /// event — read off the maintenance engine's pass.
     pub fn upward(&self, txn: &Transaction) -> Result<UpwardResult> {
-        upward::interpret_with(&self.db, &self.old, txn, Engine::default())
+        self.maint.interpret_for(&self.db, txn, None)
     }
 
     /// The upward interpretation of the `kinds` events on `preds`: the
     /// cell of Table 4.1 a read-only upward problem below is, which is all
-    /// the stateless engine then evaluates.
+    /// the engine's pass then runs for.
     fn upward_for(
         &self,
         txn: &Transaction,
@@ -163,18 +167,22 @@ impl UpdateProcessor {
             .into_iter()
             .flat_map(|p| kinds.iter().map(move |&kind| (p, kind)))
             .collect();
-        upward::interpret_for(&self.db, &self.old, txn, &goals)
+        self.maint.interpret_for(&self.db, txn, Some(&goals))
     }
 
     /// §5.1.1 — does `txn` violate the integrity constraints?
     pub fn check_integrity(&self, txn: &Transaction) -> Result<ic_checking::CheckOutcome> {
-        ic_checking::check_transaction(&self.db, &self.old, txn)
+        ic_checking::check_transaction(&self.db, &self.maint, txn)
     }
 
     /// §5.1.1 — does `txn` restore a currently inconsistent database?
     pub fn restores_consistency(&self, txn: &Transaction) -> Result<ic_checking::RestoreOutcome> {
         let up = self.upward_for(txn, self.db.program().global_ic(), &[EventKind::Del])?;
-        Ok(ic_checking::restores_consistency(&self.db, &self.old, &up))
+        Ok(ic_checking::restores_consistency(
+            &self.db,
+            self.interpretation(),
+            &up,
+        ))
     }
 
     /// §5.1.2 — changes induced on monitored conditions.
@@ -198,7 +206,7 @@ impl UpdateProcessor {
 
     /// §5.2.1 — translate a view update request.
     pub fn translate_view_update(&self, request: &Request) -> Result<DownwardResult> {
-        view_updating::translate(&self.db, &self.old, request, &self.opts)
+        view_updating::translate(&self.db, self.interpretation(), request, &self.opts)
     }
 
     /// §5.2.1 — view validation.
@@ -207,7 +215,7 @@ impl UpdateProcessor {
         view: Pred,
         kind: EventKind,
     ) -> Result<Option<view_updating::ValidationWitness>> {
-        view_updating::validate(&self.db, &self.old, view, kind, &self.opts)
+        view_updating::validate(&self.db, &self.maint, view, kind, &self.opts)
     }
 
     /// §5.2.2 — prevent given side effects of `txn`.
@@ -216,22 +224,22 @@ impl UpdateProcessor {
         txn: &Transaction,
         unwanted: &[EventAtom],
     ) -> Result<DownwardResult> {
-        side_effects::prevent(&self.db, &self.old, txn, unwanted, &self.opts)
+        side_effects::prevent(&self.db, self.interpretation(), txn, unwanted, &self.opts)
     }
 
     /// §5.2.3 — repairs of an inconsistent database.
     pub fn repairs(&self) -> Result<repair::RepairOutcome> {
-        repair::repairs(&self.db, &self.old, &self.opts)
+        repair::repairs(&self.db, self.interpretation(), &self.opts)
     }
 
     /// §5.2.3 — integrity-constraint satisfiability.
     pub fn satisfiable(&self) -> Result<repair::Satisfiability> {
-        repair::satisfiable(&self.db, &self.old, &self.opts)
+        repair::satisfiable(&self.db, self.interpretation(), &self.opts)
     }
 
     /// §5.2.3 — ways the database could become inconsistent.
     pub fn violating_transactions(&self) -> Result<Option<DownwardResult>> {
-        repair::violating_transactions(&self.db, &self.old, &self.opts)
+        repair::violating_transactions(&self.db, self.interpretation(), &self.opts)
     }
 
     /// §5.2.4 — integrity maintenance of `txn`.
@@ -239,7 +247,7 @@ impl UpdateProcessor {
         &self,
         txn: &Transaction,
     ) -> Result<ic_maintenance::MaintenanceOutcome> {
-        ic_maintenance::maintain(&self.db, &self.old, txn, &self.opts)
+        ic_maintenance::maintain(&self.db, self.interpretation(), txn, &self.opts)
     }
 
     /// §5.2.4 — maintaining inconsistency under `txn`.
@@ -247,12 +255,12 @@ impl UpdateProcessor {
         &self,
         txn: &Transaction,
     ) -> Result<ic_maintenance::MaintenanceOutcome> {
-        ic_maintenance::maintain_inconsistency(&self.db, &self.old, txn, &self.opts)
+        ic_maintenance::maintain_inconsistency(&self.db, self.interpretation(), txn, &self.opts)
     }
 
     /// §5.2.5 — enforce a condition (de)activation.
     pub fn enforce_condition(&self, kind: EventKind, cond_atom: Atom) -> Result<DownwardResult> {
-        condition_activation::enforce(&self.db, &self.old, kind, cond_atom, &self.opts)
+        condition_activation::enforce(&self.db, self.interpretation(), kind, cond_atom, &self.opts)
     }
 
     /// §5.2.5 — condition validation.
@@ -261,7 +269,7 @@ impl UpdateProcessor {
         cond: Pred,
         kind: EventKind,
     ) -> Result<Option<view_updating::ValidationWitness>> {
-        condition_activation::validate(&self.db, &self.old, cond, kind, &self.opts)
+        condition_activation::validate(&self.db, &self.maint, cond, kind, &self.opts)
     }
 
     /// §5.2.6 — prevent condition activation under `txn`.
@@ -271,7 +279,14 @@ impl UpdateProcessor {
         cond: Pred,
         kinds: condition_prevention::PreventKinds,
     ) -> Result<DownwardResult> {
-        condition_prevention::prevent_activation(&self.db, &self.old, txn, cond, kinds, &self.opts)
+        condition_prevention::prevent_activation(
+            &self.db,
+            self.interpretation(),
+            txn,
+            cond,
+            kinds,
+            &self.opts,
+        )
     }
 
     // ----- combinations (§5.3) -----
@@ -291,7 +306,7 @@ impl UpdateProcessor {
                 },
             );
         }
-        crate::downward::interpret_with(&self.db, &self.old, &req, &self.opts)
+        crate::downward::interpret_with(&self.db, self.interpretation(), &req, &self.opts)
     }
 
     /// View updating combined with integrity *checking*: translate the
@@ -336,7 +351,8 @@ impl UpdateProcessor {
                 },
             );
         }
-        let mut res = crate::downward::interpret_with(&self.db, &self.old, &req, &self.opts)?;
+        let mut res =
+            crate::downward::interpret_with(&self.db, self.interpretation(), &req, &self.opts)?;
         let mut kept = Vec::new();
         for alt in res.alternatives.drain(..) {
             let txn = alt.to_transaction(&self.db)?;
@@ -373,8 +389,8 @@ impl UpdateProcessor {
     }
 
     /// The one commit sequence (§5.3): `txn` is upward-interpreted
-    /// **once** (read-only) — by the maintenance engine when the processor
-    /// has one, by the stateless engine otherwise; when `checked`, the
+    /// **once**, by the maintenance engine, which stages the new state
+    /// without installing it; when `checked`, the
     /// integrity check is read off that interpretation and a violating
     /// transaction is returned as the [`Rejection`](ic_checking::Rejection)
     /// (a database without constraints, or one that is already
@@ -391,48 +407,17 @@ impl UpdateProcessor {
         checked: bool,
         hook: &mut dyn FnMut(&Transaction) -> Result<()>,
     ) -> Result<std::result::Result<UpwardResult, ic_checking::Rejection>> {
-        let (result, staged) = match &self.maint {
-            Some(maint) => {
-                let (result, staged) = maint.interpret(&self.db, txn)?;
-                (result, Some(staged))
-            }
-            None => (self.upward(txn)?, None),
-        };
+        let (result, staged) = self.maint.interpret(&self.db, txn)?;
         if checked {
             if let ic_checking::CheckOutcome::Violated(events) =
-                ic_checking::check(&self.db, &self.old, &result)
+                ic_checking::check(&self.db, self.interpretation(), &result)
             {
                 return Ok(Err(ic_checking::Rejection(events)));
             }
         }
         hook(txn)?;
         txn.apply_in_place(&mut self.db);
-        match staged {
-            Some(staged) => {
-                for (pred, rel) in &staged.new_exts {
-                    self.old.set(*pred, rel.clone());
-                }
-                self.maint
-                    .as_mut()
-                    .expect("it staged this above")
-                    .commit_staged(staged);
-            }
-            None => {
-                // Only the derived relations the events touch, and of
-                // those only the runs the events fall in.
-                let derived = &result.derived;
-                let touched: BTreeSet<Pred> = derived
-                    .predicates(EventKind::Del)
-                    .chain(derived.predicates(EventKind::Ins))
-                    .collect();
-                for pred in touched {
-                    let mut rel = self.old.relation(pred).clone();
-                    rel.remove_all(derived.relation(EventKind::Del, pred).iter());
-                    rel.merge(derived.relation(EventKind::Ins, pred));
-                    self.old.set(pred, rel);
-                }
-            }
-        }
+        self.maint.commit_staged(staged);
         Ok(Ok(result))
     }
 
@@ -497,14 +482,14 @@ impl UpdateProcessor {
         let rule_changes = crate::evolution::diff_event_rules(self.db.program(), &program);
         let new_db = crate::evolution::rebind_database(&self.db, program)?;
         let new_interp = materialize(&new_db).map_err(Error::from)?;
-        let induced =
-            crate::upward::semantic::diff_interpretations(&new_db, &self.old, &new_interp);
-        self.db = new_db;
-        self.old = new_interp;
+        let induced = crate::upward::semantic::diff_interpretations(
+            &new_db,
+            self.interpretation(),
+            &new_interp,
+        );
         // The strategy plan and counts are program-dependent: rebuild.
-        if self.maint.is_some() {
-            self.maint = Some(MaintenanceEngine::new(&self.db, &self.old)?);
-        }
+        self.maint = MaintenanceEngine::new(&new_db, &new_interp)?;
+        self.db = new_db;
         Ok(crate::evolution::EvolutionResult {
             induced,
             rule_changes,
@@ -622,6 +607,9 @@ mod tests {
         assert_eq!(p.interpretation(), &fresh2);
     }
 
+    /// Commits and reads agree with the semantic oracle, on a processor
+    /// and on one rebuilt from a state that carries no engine (which
+    /// `from_state` builds from the interpretation).
     #[test]
     fn maintained_commit_matches_stateless_commit() {
         let src = "e(a, b). e(b, c). e(a, c).
@@ -633,16 +621,17 @@ mod tests {
             .unwrap()
             .with_maintenance()
             .unwrap();
-        let mut plain = UpdateProcessor::new(db).unwrap();
+        let mut plain = UpdateProcessor::from_state(ProcessorState {
+            interp: materialize(&db).unwrap(),
+            db,
+            maint: None,
+        });
         for t in &txns {
             let txn = maintained.transaction(t).unwrap();
-            let expected = upward::interpret_with(
-                plain.database(),
-                plain.interpretation(),
-                &txn,
-                Engine::Semantic,
-            )
-            .unwrap();
+            let expected =
+                crate::upward::semantic::interpret(plain.database(), plain.interpretation(), &txn)
+                    .unwrap();
+            assert_eq!(maintained.upward(&txn).unwrap(), expected, "{t}");
             assert_eq!(maintained.commit(&txn).unwrap(), expected, "{t}");
             assert_eq!(plain.commit(&txn).unwrap(), expected, "{t}");
             assert_eq!(maintained.interpretation(), plain.interpretation(), "{t}");
@@ -672,10 +661,7 @@ mod tests {
              :- tc(X, X).",
         )
         .unwrap();
-        let mut p = UpdateProcessor::new(db)
-            .unwrap()
-            .with_maintenance()
-            .unwrap();
+        let mut p = UpdateProcessor::new(db).unwrap();
         let before = (
             dduf_datalog::pretty::database(p.database()),
             p.interpretation().clone(),
@@ -724,10 +710,7 @@ mod tests {
              tc(X, Y) :- e(X, Y). tc(X, Y) :- e(X, Z), tc(Z, Y).",
         )
         .unwrap();
-        let mut p = UpdateProcessor::new(db)
-            .unwrap()
-            .with_maintenance()
-            .unwrap();
+        let mut p = UpdateProcessor::new(db).unwrap();
         let tc = Pred::new("tc", 2);
         let ranked = |p: &UpdateProcessor| {
             let engine = p.maintenance().unwrap();
@@ -737,14 +720,14 @@ mod tests {
                 .iter()
                 .all(|t| engine.rank(tc, t).is_some())
         };
-        let before = p.maintenance().unwrap().extensions().clone();
+        let before = p.interpretation().clone();
         // tc(a, d) goes with b → d and comes back through c.
         let txn = p.transaction("-e(b, d).").unwrap();
         let vetoed = p.apply(&txn, true, &mut |_| {
             Err(Error::Storage("journal full".into()))
         });
         assert!(matches!(vetoed, Err(Error::Storage(_))));
-        assert_eq!(p.maintenance().unwrap().extensions(), &before);
+        assert_eq!(p.interpretation(), &before);
         assert!(!ranked(&p), "a vetoed transaction installed its ranks");
         p.apply(&txn, true, &mut |_| Ok(())).unwrap().unwrap();
         assert!(ranked(&p), "the committed one did not");
@@ -758,41 +741,31 @@ mod tests {
     }
 
     /// One upward interpretation per commit, checked or not, accepted or
-    /// rejected: by the maintenance engine when there is one, by the
-    /// stateless engine otherwise — never both.
+    /// rejected: the maintenance engine's, never a read besides it.
     #[test]
     fn checked_commit_interprets_once() {
-        for maintained in [true, false] {
-            for (src, accepted) in [("+works(dolors).", true), ("-u_benefit(dolors).", false)] {
-                let mut p = processor();
-                if maintained {
-                    p = p.with_maintenance().unwrap();
-                }
-                let txn = p.transaction(src).unwrap();
-                let (out, report) = dduf_obs::capture(|| p.apply(&txn, true, &mut |_| Ok(())));
-                assert_eq!(out.unwrap().is_ok(), accepted, "{src}");
-                let spans = |phase: &str| {
-                    report
-                        .iter()
-                        .filter(|(p, _, _)| *p == phase)
-                        .map(|(_, _, node)| node.count)
-                        .sum::<u64>()
-                };
-                let (maintain, apply) = if maintained { (1, 0) } else { (0, 1) };
-                assert_eq!(spans("upward.maintain"), maintain, "{src}");
-                assert_eq!(report.total("upward.maintain", "transactions"), maintain);
-                assert_eq!(spans("upward.apply"), apply, "{src}");
-            }
+        for (src, accepted) in [("+works(dolors).", true), ("-u_benefit(dolors).", false)] {
+            let mut p = processor();
+            let txn = p.transaction(src).unwrap();
+            let (out, report) = dduf_obs::capture(|| p.apply(&txn, true, &mut |_| Ok(())));
+            assert_eq!(out.unwrap().is_ok(), accepted, "{src}");
+            let spans = |phase: &str| {
+                report
+                    .iter()
+                    .filter(|(p, _, _)| *p == phase)
+                    .map(|(_, _, node)| node.count)
+                    .sum::<u64>()
+            };
+            assert_eq!(spans("upward.maintain"), 1, "{src}");
+            assert_eq!(report.total("upward.maintain", "transactions"), 1);
+            assert_eq!(spans("upward.apply"), 0, "{src}");
         }
     }
 
     #[test]
     fn rule_updates_rebuild_maintenance() {
         let db = parse_database("e(a, b). e(b, c). v(X) :- e(X, Y).").unwrap();
-        let mut p = UpdateProcessor::new(db)
-            .unwrap()
-            .with_maintenance()
-            .unwrap();
+        let mut p = UpdateProcessor::new(db).unwrap();
         let rule = dduf_datalog::parser::parse_program("w(X) :- e(Y, X).")
             .unwrap()
             .program

@@ -75,13 +75,29 @@
 //! proportional to the change, not the database — the same compiled join
 //! plans as the evaluator ([`JoinPlan`]) serve the rederivation and
 //! propagation joins. Induced events fall out as the diff between the
-//! old extension and the new fixpoint. The whole pass records an
+//! old extension and the new fixpoint. A commit's pass records an
 //! `upward.maintain` span with per-phase counters.
+//!
+//! The engine is also the read path. A read-only upward problem
+//! ([`MaintenanceEngine::interpret_for`]) runs the same pass and drops
+//! its staged state, so nothing it computed can be committed. Asked for
+//! some events only (`ιIc` for integrity checking, §5.1.1), it first
+//! decides off the dependency graph, by sign, whether one of them can
+//! follow from the transaction at all — an insertion only comes from an
+//! insertion below a positive literal or a deletion below a negated one,
+//! a deletion the other way round — and otherwise runs only the units
+//! with a member in the goals' cone: the goal predicates and everything
+//! they depend on. The result is exact on the goals and a subset of the
+//! full interpretation elsewhere. The sign is used only in that test: a
+//! unit the pass runs computes both kinds of event (DESIGN.md §4.1 has
+//! the reason). A read never builds ranks; on an engine without them, a
+//! recursive component runs plain DRed.
 
 use crate::error::{Error, Result};
 use crate::transaction::Transaction;
-use crate::upward::UpwardResult;
+use crate::upward::{Goals, UpwardResult};
 use dduf_datalog::ast::{Literal, Pred, Rule};
+use dduf_datalog::depgraph::{DepGraph, EdgeSign};
 use dduf_datalog::eval::join::{ground_terms, match_tuple, Bindings};
 use dduf_datalog::eval::plan::{eval_seeded, JoinPlan};
 use dduf_datalog::eval::Interpretation;
@@ -125,6 +141,9 @@ pub enum Strategy {
 struct Unit {
     preds: Vec<Pred>,
     strategy: Strategy,
+    /// The predicates the unit's rule bodies read: a pass whose events
+    /// miss all of them leaves the unit as it is.
+    inputs: BTreeSet<Pred>,
 }
 
 /// The staged effect of one transaction on the maintenance state, as
@@ -151,14 +170,14 @@ pub struct StagedMaintenance {
 /// Holds the support counts of every counting-strategy predicate and the
 /// materialized extension of **every** derived predicate (the counting
 /// extensions are redundant with the count keys but kept uniform: they
-/// are what persists, what recovery restores, and what the old-state
-/// joins read).
+/// are what persists, what recovery restores, what the old-state joins
+/// read, and what [`interpretation`](Self::interpretation) hands out).
 #[derive(Clone, Debug)]
 pub struct MaintenanceEngine {
     /// Support counts, counting-strategy predicates only.
     counts: BTreeMap<Pred, Counts>,
     /// Current extension of every derived predicate.
-    exts: BTreeMap<Pred, Relation>,
+    exts: Interpretation,
     /// Ranks of the members of every recursive component that has shown
     /// an alternative derivation (all members of a component or none).
     /// Same keys as the member's extension; every tuple has a rule
@@ -184,6 +203,12 @@ fn compute_units(program: &dduf_datalog::schema::Program) -> Result<Vec<Unit>> {
             } else {
                 Strategy::Counting
             },
+            inputs: c
+                .preds
+                .iter()
+                .flat_map(|&p| program.rules_for(p))
+                .flat_map(|r| r.body.iter().map(|l| l.atom.pred))
+                .collect(),
         })
         .collect())
 }
@@ -223,14 +248,13 @@ impl MaintenanceEngine {
                 (pred, Counts::from_sorted(counted))
             })
             .collect();
-        let exts: BTreeMap<Pred, Relation> = units
-            .iter()
-            .flat_map(|u| u.preds.iter())
-            .map(|&p| (p, old.relation(p).clone()))
-            .collect();
+        let mut exts = Interpretation::default();
+        for &p in units.iter().flat_map(|u| u.preds.iter()) {
+            exts.set(p, old.relation(p).clone());
+        }
         debug_assert!(counts
             .iter()
-            .all(|(p, m)| m.len() == exts.get(p).map_or(0, Relation::len)));
+            .all(|(&p, m)| m.len() == exts.relation(p).len()));
         Ok(MaintenanceEngine {
             counts,
             exts,
@@ -243,8 +267,8 @@ impl MaintenanceEngine {
     /// re-deriving anything** — the recovery constructor. `counts` must
     /// hold the support counts of every counting-strategy predicate and
     /// `dred_exts` the extensions of the recursive (DRed) predicates, as
-    /// [`counts`](Self::counts) and [`extensions`](Self::extensions) of a
-    /// live engine produced them. The split is validated against the
+    /// [`counts`](Self::counts) and [`interpretation`](Self::interpretation)
+    /// of a live engine produced them. The split is validated against the
     /// program's stratification; a mismatch (e.g. a saved file from a
     /// different program) is an error so callers can fall back to a full
     /// recompute.
@@ -274,19 +298,17 @@ impl MaintenanceEngine {
                 )));
             }
         }
-        let exts: BTreeMap<Pred, Relation> = strategy_of
-            .iter()
-            .map(|(&p, &s)| {
-                let rel = match s {
-                    Strategy::Counting => counts
-                        .get(&p)
-                        .map(|m| m.iter().map(|(t, _)| t.clone()).collect())
-                        .unwrap_or_default(),
-                    Strategy::DRed => dred_exts.get(&p).cloned().unwrap_or_default(),
-                };
-                (p, rel)
-            })
-            .collect();
+        let mut exts = Interpretation::default();
+        for (&p, &s) in &strategy_of {
+            let rel = match s {
+                Strategy::Counting => counts
+                    .get(&p)
+                    .map(|m| m.iter().map(|(t, _)| t.clone()).collect())
+                    .unwrap_or_default(),
+                Strategy::DRed => dred_exts.get(&p).cloned().unwrap_or_default(),
+            };
+            exts.set(p, rel);
+        }
         Ok(MaintenanceEngine {
             counts,
             exts,
@@ -315,10 +337,7 @@ impl MaintenanceEngine {
 
     /// The current extension of a derived predicate.
     pub fn extension(&self, pred: Pred) -> &Relation {
-        static EMPTY: std::sync::OnceLock<Relation> = std::sync::OnceLock::new();
-        self.exts
-            .get(&pred)
-            .unwrap_or_else(|| EMPTY.get_or_init(Relation::new))
+        self.exts.relation(pred)
     }
 
     /// The rank of a tuple of a recursive component, once the component
@@ -341,29 +360,21 @@ impl MaintenanceEngine {
         &self.counts
     }
 
-    /// The current extension of every derived predicate, for persistence.
-    pub fn extensions(&self) -> &BTreeMap<Pred, Relation> {
+    /// Total number of maintained derived tuples.
+    pub fn tuple_count(&self) -> usize {
+        self.exts.fact_count()
+    }
+
+    /// The current extension of every derived predicate: the state the
+    /// engine maintains, what persists and what recovery publishes
+    /// instead of re-materializing.
+    pub fn interpretation(&self) -> &Interpretation {
         &self.exts
     }
 
-    /// Total number of maintained derived tuples.
-    pub fn tuple_count(&self) -> usize {
-        self.exts.values().map(Relation::len).sum()
-    }
-
-    /// The maintained extensions as an [`Interpretation`] — what recovery
-    /// publishes instead of re-materializing.
-    pub fn interpretation(&self) -> Interpretation {
-        let mut interp = Interpretation::default();
-        for (&p, rel) in &self.exts {
-            interp.set(p, rel.clone());
-        }
-        interp
-    }
-
     /// Computes the induced events of `txn` and the staged maintenance
-    /// state, without mutating the engine. Records an `upward.maintain`
-    /// span with per-strategy counters.
+    /// state, without mutating the engine — a commit's interpretation.
+    /// Records an `upward.maintain` span with per-strategy counters.
     pub fn interpret(
         &self,
         db: &Database,
@@ -371,40 +382,8 @@ impl MaintenanceEngine {
     ) -> Result<(UpwardResult, StagedMaintenance)> {
         let timer = dduf_obs::timer();
         let (effective, _noops) = txn.normalize(db);
-        let new_db = effective.apply(db);
-
-        let mut events = effective.events().clone();
-        let mut derived_events = EventStore::new();
-        let mut staged = StagedMaintenance::default();
         let mut ctrs = DredCounters::default();
-
-        for unit in &self.units {
-            match unit.strategy {
-                Strategy::Counting => {
-                    ctrs.counting += 1;
-                    self.counting_pred(
-                        unit.preds[0],
-                        db,
-                        &new_db,
-                        &mut events,
-                        &mut derived_events,
-                        &mut staged,
-                    );
-                }
-                Strategy::DRed => {
-                    ctrs.dred += 1;
-                    self.dred_component(
-                        &unit.preds,
-                        db,
-                        &new_db,
-                        &mut events,
-                        &mut derived_events,
-                        &mut staged,
-                        &mut ctrs,
-                    );
-                }
-            }
-        }
+        let (derived_events, staged) = self.pass(db, &effective, None, true, &mut ctrs);
         dduf_obs::record_timed(
             "upward.maintain",
             "",
@@ -428,6 +407,132 @@ impl MaintenanceEngine {
             },
             staged,
         ))
+    }
+
+    /// The upward interpretation of `txn` as a read: every induced event
+    /// when `goals` is `None`, and otherwise the upward problem `goals`
+    /// states — exact on the goal events, a subset of the full
+    /// interpretation elsewhere (the module documentation has the
+    /// contract, DESIGN.md §4.1 the argument). The pass is
+    /// [`interpret`](Self::interpret)'s, its staged state is dropped, and
+    /// it never builds ranks. Records an `upward.apply` span labelled
+    /// `maintain`, which tells a read from a commit.
+    pub fn interpret_for(
+        &self,
+        db: &Database,
+        txn: &Transaction,
+        goals: Option<&Goals>,
+    ) -> Result<UpwardResult> {
+        let timer = dduf_obs::timer();
+        let (effective, _noops) = txn.normalize(db);
+        let base = effective.events();
+
+        // The possibility test, before anything is built: when no goal
+        // event is among what the base events can cause, the answer is
+        // known. The same closure, unsigned, is the cone.
+        let mut possible = !base.is_empty();
+        let mut cone: Option<BTreeSet<Pred>> = None;
+        if let (Some(goals), true) = (goals, possible) {
+            let causes = DepGraph::build(db.program())
+                .signed_closure(goals.iter().map(|&(p, kind)| (p, change(kind))));
+            possible = [EventKind::Ins, EventKind::Del].into_iter().any(|kind| {
+                base.predicates(kind)
+                    .any(|p| causes.contains(&(p, change(kind))))
+            });
+            cone = Some(causes.into_iter().map(|(p, _)| p).collect());
+        }
+        let mut ctrs = DredCounters::default();
+        let derived = if possible {
+            self.pass(db, &effective, cone.as_ref(), false, &mut ctrs).0
+        } else {
+            EventStore::new()
+        };
+
+        let derived_ins = derived.iter().filter(|e| e.kind == EventKind::Ins).count() as u64;
+        let mut counters = vec![
+            ("base_events", base.len() as u64),
+            ("derived_ins", derived_ins),
+            ("derived_del", derived.len() as u64 - derived_ins),
+            ("components_skipped", ctrs.skipped),
+            ("checked", ctrs.checked),
+            ("overdeleted", ctrs.overdeleted),
+            ("rederived", ctrs.rederived),
+            ("inserted", ctrs.inserted),
+        ];
+        if goals.is_some() {
+            counters.push(("components_pruned", ctrs.pruned));
+            counters.push(("decided_statically", u64::from(!possible)));
+        }
+        dduf_obs::record_timed("upward.apply", "maintain", &counters, timer.elapsed_us());
+        Ok(UpwardResult {
+            base: base.clone(),
+            derived,
+        })
+    }
+
+    /// One pass over the units in dependency order — over those with a
+    /// member in `cone`, when there is one — returning the induced
+    /// derived events and the staged state. Ranks are built only when
+    /// `may_rank`.
+    ///
+    /// The cone is closed under dependency, so a unit inside it reads only
+    /// units inside it: each one the pass runs sees the events it would
+    /// see with no cone at all.
+    fn pass(
+        &self,
+        db: &Database,
+        effective: &Transaction,
+        cone: Option<&BTreeSet<Pred>>,
+        may_rank: bool,
+        ctrs: &mut DredCounters,
+    ) -> (EventStore, StagedMaintenance) {
+        let new_db = effective.apply(db);
+        let mut events = effective.events().clone();
+        let mut derived_events = EventStore::new();
+        let mut staged = StagedMaintenance::default();
+
+        for unit in &self.units {
+            match unit.strategy {
+                Strategy::Counting => ctrs.counting += 1,
+                Strategy::DRed => ctrs.dred += 1,
+            }
+            if cone.is_some_and(|cone| !unit.preds.iter().any(|p| cone.contains(p))) {
+                ctrs.pruned += 1;
+                continue; // nobody asked
+            }
+            // Anything relevant changed? Events cover base predicates and
+            // every lower unit (processed first); members have no events
+            // yet by construction.
+            let touched = unit.inputs.iter().any(|&p| {
+                !events.relation(EventKind::Ins, p).is_empty()
+                    || !events.relation(EventKind::Del, p).is_empty()
+            });
+            if !touched {
+                ctrs.skipped += 1;
+                continue; // the old extension remains valid
+            }
+            match unit.strategy {
+                Strategy::Counting => self.counting_pred(
+                    unit.preds[0],
+                    db,
+                    &new_db,
+                    &mut events,
+                    &mut derived_events,
+                    &mut staged,
+                ),
+                Strategy::DRed => self.dred_component(
+                    &unit.preds,
+                    db,
+                    &new_db,
+                    &mut events,
+                    &mut derived_events,
+                    &mut staged,
+                    may_rank,
+                    ctrs,
+                ),
+            }
+        }
+        (derived_events, staged)
     }
 
     /// Computes the induced events and commits the staged state.
@@ -457,7 +562,9 @@ impl MaintenanceEngine {
                 }
             }
         }
-        self.exts.extend(staged.new_exts);
+        for (pred, rel) in staged.new_exts {
+            self.exts.set(pred, rel);
+        }
         self.ranks.extend(staged.new_ranks);
     }
 
@@ -521,7 +628,9 @@ impl MaintenanceEngine {
         staged.count_deltas.insert(pred, delta);
     }
 
-    /// One recursive component: overdelete → rederive → insert.
+    /// One recursive component: overdelete → rederive → insert. Ranks the
+    /// component, when it has none and the pass rederived, only if
+    /// `may_rank`.
     #[allow(clippy::too_many_arguments)]
     fn dred_component(
         &self,
@@ -531,24 +640,12 @@ impl MaintenanceEngine {
         events: &mut EventStore,
         derived_events: &mut EventStore,
         staged: &mut StagedMaintenance,
+        may_rank: bool,
         ctrs: &mut DredCounters,
     ) {
         let program = db.program();
         let member_set: BTreeSet<Pred> = members.iter().copied().collect();
         let rules: Vec<&Rule> = members.iter().flat_map(|&m| program.rules_for(m)).collect();
-        // Anything relevant changed? Events cover base predicates and
-        // every lower component (processed first); members have no events
-        // yet by construction.
-        let touched = rules.iter().any(|r| {
-            r.body.iter().any(|l| {
-                let p = l.atom.pred;
-                !events.relation(EventKind::Ins, p).is_empty()
-                    || !events.relation(EventKind::Del, p).is_empty()
-            })
-        });
-        if !touched {
-            return;
-        }
         let mut plans = SeededPlans::new();
         // All members of a component have ranks or none has.
         let ranked = self.ranks.contains_key(&members[0]);
@@ -782,7 +879,7 @@ impl MaintenanceEngine {
         if ranked {
             // A rederived tuple may have a new rank and nothing else.
             rank.retain(|m, _| !over[m].is_empty() || !fresh[m].is_empty());
-        } else if rederived > 0 {
+        } else if rederived > 0 && may_rank {
             // The first evidence that the component has alternative
             // derivations: from here on it pays to know which of them
             // cannot run through a cycle.
@@ -842,16 +939,30 @@ impl MaintenanceEngine {
     }
 }
 
-/// Per-interpret counters for the `upward.maintain` span.
+/// Per-pass counters for the `upward.maintain` span of a commit and the
+/// `upward.apply` span of a read.
 #[derive(Default)]
 struct DredCounters {
     counting: u64,
     dred: u64,
+    /// Units run past: nothing in their bodies changed.
+    skipped: u64,
+    /// Units outside a read's cone.
+    pruned: u64,
     checked: u64,
     overdeleted: u64,
     rederived: u64,
     inserted: u64,
     ranks_built: u64,
+}
+
+/// An event kind as the dependency graph's sign of a change: an
+/// insertion grows the predicate's extension, a deletion shrinks it.
+fn change(kind: EventKind) -> EdgeSign {
+    match kind {
+        EventKind::Ins => EdgeSign::Positive,
+        EventKind::Del => EdgeSign::Negative,
+    }
 }
 
 /// Adds one rule's finite-difference contribution to `delta`.
@@ -868,7 +979,7 @@ fn rule_count_delta(
     db: &Database,
     new_db: &Database,
     events: &EventStore,
-    old_exts: &BTreeMap<Pred, Relation>,
+    old_exts: &Interpretation,
     new_exts: &BTreeMap<Pred, Relation>,
     delta: &mut HashMap<Tuple, i64>,
 ) {
@@ -894,7 +1005,7 @@ fn rule_count_delta(
             let new_side = k < i;
             if program.is_derived(q) {
                 let changed = if new_side { new_exts.get(&q) } else { None };
-                changed.unwrap_or_else(|| old_exts.get(&q).expect("every derived predicate"))
+                changed.unwrap_or_else(|| old_exts.relation(q))
             } else if new_side {
                 new_db.relation(q)
             } else {
@@ -1146,21 +1257,24 @@ fn rest_of(rule: &Rule, i: usize) -> Vec<&Literal> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::upward::{self, Engine};
+    use crate::upward::semantic;
     use dduf_datalog::eval::materialize;
     use dduf_datalog::parser::parse_database;
     use dduf_datalog::storage::tuple::syms;
 
     /// Drives `txns` through a fresh engine, checking every step against
-    /// the semantic oracle (events AND maintained extensions), at the
-    /// end returning the engine for further assertions.
+    /// the semantic oracle (the read's events, the commit's events AND the
+    /// maintained extensions), at the end returning the engine for
+    /// further assertions.
     fn check_against_semantic(src: &str, txns: &[&str]) -> (Database, MaintenanceEngine) {
         let mut db = parse_database(src).unwrap();
         let mut old = materialize(&db).unwrap();
         let mut engine = MaintenanceEngine::new(&db, &old).unwrap();
         for (step, t) in txns.iter().enumerate() {
             let txn = Transaction::parse(&db, t).unwrap();
-            let expected = upward::interpret_with(&db, &old, &txn, Engine::Semantic).unwrap();
+            let expected = semantic::interpret(&db, &old, &txn).unwrap();
+            let read = engine.interpret_for(&db, &txn, None).unwrap();
+            assert_eq!(read, expected, "step {step}: {t} (read)");
             let got = engine.apply(&db, &txn).unwrap();
             assert_eq!(got, expected, "step {step}: {t}");
             db = txn.apply(&db);
@@ -1185,6 +1299,160 @@ mod tests {
             }
         }
         (db, engine)
+    }
+
+    /// [`check_against_semantic`] on one transaction, returning what a
+    /// read of it on the fresh engine answers.
+    fn read_once(src: &str, txn: &str) -> UpwardResult {
+        check_against_semantic(src, &[txn]);
+        let db = parse_database(src).unwrap();
+        let engine = MaintenanceEngine::new(&db, &materialize(&db).unwrap()).unwrap();
+        let txn = Transaction::parse(&db, txn).unwrap();
+        engine.interpret_for(&db, &txn, None).unwrap()
+    }
+
+    #[test]
+    fn example_4_1() {
+        let res = read_once("q(a). q(b). r(b). p(X) :- q(X), not r(X).", "-r(b).");
+        assert_eq!(res.derived.len(), 1);
+        assert!(res
+            .derived
+            .contains(&GroundEvent::ins(Pred::new("p", 1), syms(&["b"]))));
+    }
+
+    #[test]
+    fn insertion_through_negation() {
+        // +works(dolors) deletes unemp(dolors) and raises nothing else.
+        let res = read_once(
+            "la(dolors). u_benefit(dolors).
+             unemp(X) :- la(X), not works(X).
+             :- unemp(X), not u_benefit(X).",
+            "+works(dolors).",
+        );
+        assert!(res
+            .derived
+            .contains(&GroundEvent::del(Pred::new("unemp", 1), syms(&["dolors"]))));
+    }
+
+    #[test]
+    fn constraint_violation_propagates() {
+        let res = read_once(
+            "la(dolors). u_benefit(dolors).
+             unemp(X) :- la(X), not works(X).
+             :- unemp(X), not u_benefit(X).",
+            "-u_benefit(dolors).",
+        );
+        assert!(res
+            .derived
+            .contains(&GroundEvent::ins(Pred::new("ic1", 0), syms(&[]))));
+        assert!(res
+            .derived
+            .contains(&GroundEvent::ins(Pred::new("ic", 0), syms(&[]))));
+    }
+
+    #[test]
+    fn multi_rule_view_needs_all_supports_broken() {
+        // v(X) :- a(X).  v(X) :- b(X).  Deleting a(k) alone does not delete
+        // v(k) while b(k) still holds.
+        let res = read_once("a(k). b(k). v(X) :- a(X). v(X) :- b(X).", "-a(k).");
+        assert!(res.derived.is_empty());
+        let res = read_once("a(k). v(X) :- a(X). v(X) :- b(X).", "-a(k).");
+        assert!(res
+            .derived
+            .contains(&GroundEvent::del(Pred::new("v", 1), syms(&["k"]))));
+    }
+
+    #[test]
+    fn recursive_component_incremental() {
+        let res = read_once(
+            "e(a, b). e(b, c).
+             tc(X, Y) :- e(X, Y).
+             tc(X, Y) :- e(X, Z), tc(Z, Y).",
+            "+e(c, d). -e(a, b).",
+        );
+        let ins = res.derived.relation(EventKind::Ins, Pred::new("tc", 2));
+        let del = res.derived.relation(EventKind::Del, Pred::new("tc", 2));
+        // gains: (c,d), (b,d); loses: (a,b), (a,c) — and (a,d) never existed.
+        assert!(ins.contains(&syms(&["c", "d"])));
+        assert!(ins.contains(&syms(&["b", "d"])));
+        assert_eq!(ins.len(), 2);
+        assert!(del.contains(&syms(&["a", "b"])));
+        assert!(del.contains(&syms(&["a", "c"])));
+        assert_eq!(del.len(), 2);
+    }
+
+    #[test]
+    fn mixed_recursive_and_nonrecursive_strata() {
+        let res = read_once(
+            "e(a, b). node(a). node(b). node(c).
+             tc(X, Y) :- e(X, Y).
+             tc(X, Y) :- e(X, Z), tc(Z, Y).
+             isolated(X) :- node(X), not reaches(X).
+             reaches(X) :- tc(X, _).",
+            "+e(b, c).",
+        );
+        assert!(res
+            .derived
+            .contains(&GroundEvent::del(Pred::new("isolated", 1), syms(&["b"]))));
+    }
+
+    #[test]
+    fn simultaneous_insert_and_delete_on_same_view() {
+        let res = read_once("q(a). r(a). q(b). p(X) :- q(X), not r(X).", "-r(a). +r(b).");
+        assert!(res
+            .derived
+            .contains(&GroundEvent::ins(Pred::new("p", 1), syms(&["a"]))));
+        assert!(res
+            .derived
+            .contains(&GroundEvent::del(Pred::new("p", 1), syms(&["b"]))));
+    }
+
+    #[test]
+    fn constant_head_rules() {
+        // any_unemp is a 0-ary-style flag via a constant head argument.
+        let res = read_once(
+            "la(dolors).
+             alarm(red) :- la(X), not works(X).",
+            "+works(dolors).",
+        );
+        assert!(res
+            .derived
+            .contains(&GroundEvent::del(Pred::new("alarm", 1), syms(&["red"]))));
+        let res = read_once(
+            "la(dolors). works(dolors).
+             alarm(red) :- la(X), not works(X).",
+            "-works(dolors).",
+        );
+        assert!(res
+            .derived
+            .contains(&GroundEvent::ins(Pred::new("alarm", 1), syms(&["red"]))));
+    }
+
+    #[test]
+    fn repeated_predicate_in_body() {
+        // sibling-style self join: e occurs twice in one body.
+        let res = read_once(
+            "e(a, b). e(a, c).
+             sib(X, Y) :- e(Z, X), e(Z, Y).",
+            "+e(a, d).",
+        );
+        let ins = res.derived.relation(EventKind::Ins, Pred::new("sib", 2));
+        // New pairs involving d: (b,d),(c,d),(d,b),(d,c),(d,d).
+        assert_eq!(ins.len(), 5);
+    }
+
+    #[test]
+    fn two_argument_join_views() {
+        let res = read_once(
+            "emp(john, sales). dept(sales, bcn).
+             emp_city(E, C) :- emp(E, D), dept(D, C).",
+            "+emp(mary, sales). +dept(hr, madrid).",
+        );
+        let ins = res
+            .derived
+            .relation(EventKind::Ins, Pred::new("emp_city", 2));
+        assert!(ins.contains(&syms(&["mary", "bcn"])));
+        assert_eq!(ins.len(), 1); // hr has no employees yet
     }
 
     #[test]
@@ -1519,6 +1787,33 @@ mod tests {
         assert!(engine2.tuple_count() < before);
     }
 
+    /// A read whose pass rederives on an engine without ranks runs plain
+    /// DRed and builds none: the engine is left as it was, and the answer
+    /// is the oracle's. The same transaction committed does rank.
+    #[test]
+    fn a_read_that_rederives_builds_no_ranks() {
+        let tc = Pred::new("tc", 2);
+        let (db, engine) = check_against_semantic(&format!("{DIAMOND}\n{TC}"), &[]);
+        let before = engine.clone();
+        let txn = Transaction::parse(&db, RANK_UP[0]).unwrap();
+        let (got, report) = dduf_obs::capture(|| engine.interpret_for(&db, &txn, None).unwrap());
+        let oracle = semantic::interpret(&db, &materialize(&db).unwrap(), &txn).unwrap();
+        assert_eq!(got, oracle);
+        // tc(w1, w3) and tc(w0, w3) go, and tc(w0, w3) comes back via w2.
+        let total = |name| report.total("upward.apply", name);
+        assert_eq!((total("overdeleted"), total("rederived")), (2, 1));
+        assert!(report
+            .iter()
+            .all(|(phase, _, _)| phase != "upward.maintain"));
+        assert_eq!(engine.rank(tc, &syms(&["w0", "w3"])), None);
+        assert!(engine.ranks.is_empty());
+        assert_eq!(engine.interpretation(), before.interpretation());
+        assert_eq!(engine.counts(), before.counts());
+        let mut committed = engine.clone();
+        committed.apply(&db, &txn).unwrap();
+        assert_eq!(committed.rank(tc, &syms(&["w0", "w3"])), Some(1));
+    }
+
     #[test]
     fn from_saved_round_trips() {
         let db = parse_database(
@@ -1530,14 +1825,14 @@ mod tests {
         let old = materialize(&db).unwrap();
         let engine = MaintenanceEngine::new(&db, &old).unwrap();
         let dred_exts: BTreeMap<Pred, Relation> = engine
-            .extensions()
+            .interpretation()
             .iter()
-            .filter(|(p, _)| engine.strategy(**p) == Some(Strategy::DRed))
-            .map(|(p, r)| (*p, r.clone()))
+            .filter(|&(p, _)| engine.strategy(p) == Some(Strategy::DRed))
+            .map(|(p, r)| (p, r.clone()))
             .collect();
         let restored =
             MaintenanceEngine::from_saved(&db, engine.counts().clone(), dred_exts).unwrap();
-        assert_eq!(restored.extensions(), engine.extensions());
+        assert_eq!(restored.interpretation(), engine.interpretation());
         assert_eq!(restored.counts(), engine.counts());
         // And the restored engine keeps maintaining correctly.
         let txn = Transaction::parse(&db, "-e(b, c).").unwrap();
@@ -1566,7 +1861,7 @@ mod tests {
         .unwrap();
         let old = materialize(&db).unwrap();
         let engine = MaintenanceEngine::new(&db, &old).unwrap();
-        assert_eq!(engine.interpretation(), old);
+        assert_eq!(engine.interpretation(), &old);
     }
 
     #[test]

@@ -9,31 +9,29 @@
 //! del P(x̄) ← P°(x̄) ∧ ¬Pⁿ(x̄)
 //! ```
 //!
-//! Three engines implement the interpretation (the paper separates the
-//! interpretation from its implementations, §4 preamble), one per job:
+//! The paper separates the interpretation from its implementations (§4
+//! preamble). Here there is one implementation and one oracle:
 //!
-//! * [`Engine::Semantic`] materializes the new state and takes set
-//!   differences — it is definitionally correct (it *is* the event
-//!   definitions (1)/(2)) and serves as the oracle;
-//! * [`Engine::Incremental`] evaluates the (simplified) event rules
-//!   stratum-by-stratum, driving joins from event literals, and never
-//!   materializes the new state of unaffected predicates — the stateless
-//!   production engine;
-//! * [`maintain::MaintenanceEngine`] (stateful, the commit path) keeps
-//!   support counts for non-recursive strata, after \[GMS93\] — the
-//!   maintenance algorithm the paper cites in §5.1.3 — and
-//!   delete-and-rederives recursive ones.
+//! * [`maintain::MaintenanceEngine`] keeps support counts for
+//!   non-recursive strata, after \[GMS93\] — the maintenance algorithm
+//!   the paper cites in §5.1.3 — and delete-and-rederives recursive ones.
+//!   A commit runs its pass and installs the result; a read-only upward
+//!   problem runs the same pass ([`MaintenanceEngine::interpret_for`]),
+//!   restricted to the events it asks for, and drops it.
+//! * [`semantic`] materializes the new state and takes set differences —
+//!   it is definitionally correct (it *is* the event definitions (1)/(2))
+//!   and serves as the oracle the engine is differentially tested
+//!   against on random programs.
 //!
-//! All are differentially tested for equality on random programs.
+//! [`MaintenanceEngine::interpret_for`]: maintain::MaintenanceEngine::interpret_for
 
-pub mod incremental;
 pub mod maintain;
 pub mod semantic;
 
 use crate::error::Result;
 use crate::transaction::Transaction;
 use dduf_datalog::ast::Pred;
-use dduf_datalog::eval::{materialize, Interpretation};
+use dduf_datalog::eval::materialize;
 use dduf_datalog::storage::database::Database;
 use dduf_datalog::storage::relation::Relation;
 use dduf_events::event::{EventKind, GroundEvent};
@@ -41,15 +39,9 @@ use dduf_events::store::EventStore;
 use std::collections::BTreeSet;
 use std::fmt;
 
-/// Which upward implementation to use.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum Engine {
-    /// Materialize old and new states; diff (oracle).
-    Semantic,
-    /// Stratified delta-driven evaluation of the event rules (default).
-    #[default]
-    Incremental,
-}
+/// The events an upward problem asks for: the cell of Table 4.1 it is
+/// (§5.1.1 *is* "the upward interpretation of `ιIc`").
+pub type Goals = BTreeSet<(Pred, EventKind)>;
 
 /// The result of upward-interpreting a transaction: the effective base
 /// events plus every induced derived event.
@@ -93,44 +85,13 @@ impl fmt::Display for UpwardResult {
     }
 }
 
-/// Upward-interprets `txn` against `db`, materializing the old state
-/// internally and using the default (incremental) engine.
+/// Upward-interprets `txn` against `db`: every induced event, read by a
+/// maintenance engine built over the materialized old state. A caller
+/// that keeps state ([`UpdateProcessor`](crate::processor::UpdateProcessor))
+/// reads through its own engine instead of building one per call.
 pub fn interpret(db: &Database, txn: &Transaction) -> Result<UpwardResult> {
     let old = materialize(db).map_err(crate::error::Error::from)?;
-    interpret_with(db, &old, txn, Engine::default())
-}
-
-/// Upward-interprets `txn` with an explicit old-state interpretation and
-/// engine. `old` must be the materialization of `db`.
-pub fn interpret_with(
-    db: &Database,
-    old: &Interpretation,
-    txn: &Transaction,
-    engine: Engine,
-) -> Result<UpwardResult> {
-    match engine {
-        Engine::Semantic => semantic::interpret(db, old, txn),
-        Engine::Incremental => incremental::interpret(db, old, txn),
-    }
-}
-
-/// The upward interpretation of the events in `goals` — an upward
-/// problem as Table 4.1 states it (§5.1.1 *is* "the upward interpretation
-/// of `ιIc`"), by the incremental engine. The result is **exact on the
-/// goals** — for each `(P, kind)` among them, the `kind` events on `P` are
-/// those of [`interpret_with`] — and a subset of the full interpretation
-/// elsewhere: when no goal event can follow from the effective base
-/// events (an insertion only comes from an insertion below a positive
-/// literal or a deletion below a negated one, a deletion the other way
-/// round) nothing is evaluated at all, and otherwise only the components
-/// a goal predicate depends on are (DESIGN.md §4.1).
-pub fn interpret_for(
-    db: &Database,
-    old: &Interpretation,
-    txn: &Transaction,
-    goals: &BTreeSet<(Pred, EventKind)>,
-) -> Result<UpwardResult> {
-    incremental::interpret_for(db, old, txn, Some(goals))
+    maintain::MaintenanceEngine::new(db, &old)?.interpret_for(db, txn, None)
 }
 
 #[cfg(test)]
@@ -140,7 +101,8 @@ mod tests {
     use dduf_datalog::storage::tuple::syms;
 
     /// Example 4.1 of the paper: T = {del R(B)} induces exactly
-    /// {ins P(B)} on P(x) ← Q(x) ∧ ¬R(x) with Q = {A, B}, R = {B}.
+    /// {ins P(B)} on P(x) ← Q(x) ∧ ¬R(x) with Q = {A, B}, R = {B} — by
+    /// the oracle and by the engine's read.
     #[test]
     fn example_4_1_both_engines() {
         let db = parse_database(
@@ -150,10 +112,12 @@ mod tests {
         .unwrap();
         let txn = Transaction::parse(&db, "-r(b).").unwrap();
         let old = materialize(&db).unwrap();
-        for engine in [Engine::Semantic, Engine::Incremental] {
-            let res = interpret_with(&db, &old, &txn, engine).unwrap();
+        for res in [
+            semantic::interpret(&db, &old, &txn).unwrap(),
+            interpret(&db, &txn).unwrap(),
+        ] {
             let induced: Vec<String> = res.derived.iter().map(|e| e.to_string()).collect();
-            assert_eq!(induced, vec!["+p(b)"], "engine {engine:?}");
+            assert_eq!(induced, vec!["+p(b)"]);
         }
     }
 

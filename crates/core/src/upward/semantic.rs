@@ -1,23 +1,29 @@
-//! The semantic (state-diff) upward engine.
+//! The semantic (state-diff) upward oracle.
 //!
 //! Directly applies the event definitions (1)/(2) of §3.1: apply the
 //! transaction, materialize the new state, and compute
 //! `ins P = Pⁿ \ P°`, `del P = P° \ Pⁿ` for every derived predicate. This
-//! engine is the specification itself — the incremental engine is tested
-//! against it.
+//! is the specification itself — the maintenance engine is tested
+//! against it. [`new_state_holds`] is the other half of the
+//! specification: the transition rule of §3.2, evaluated literally.
 //!
-//! Join planning reaches this engine through the materialization call,
+//! Join planning reaches [`interpret`] through the materialization call,
 //! which compiles per-rule
-//! [`JoinPlan`](dduf_datalog::eval::plan::JoinPlan)s, so the semantic
-//! engine needs no plan wiring of its own.
+//! [`JoinPlan`](dduf_datalog::eval::plan::JoinPlan)s, so the oracle needs
+//! no plan wiring of its own.
 
 use crate::error::Result;
 use crate::transaction::Transaction;
 use crate::upward::UpwardResult;
+use dduf_datalog::eval::join::{eval_conjunct, match_tuple, Bindings};
 use dduf_datalog::eval::{materialize, Interpretation};
 use dduf_datalog::storage::database::Database;
+use dduf_datalog::storage::relation::Relation;
+use dduf_datalog::storage::tuple::Tuple;
 use dduf_events::event::GroundEvent;
+use dduf_events::formula::TrLit;
 use dduf_events::store::EventStore;
+use dduf_events::transition::TransitionRule;
 
 /// Upward-interprets `txn` by materializing the new state and diffing.
 pub fn interpret(db: &Database, old: &Interpretation, txn: &Transaction) -> Result<UpwardResult> {
@@ -71,6 +77,46 @@ pub fn diff_interpretations(
         }
     }
     events
+}
+
+/// True iff `Pⁿ(tuple)` holds: some disjunctand of the transition rule is
+/// satisfiable with the head unified to `tuple`, old literals evaluated
+/// against the old state (`db` and `old`) and event literals against
+/// `events`. This is the executable form of the transition rule of §3.2,
+/// for verification: `Pⁿ(c̄)` must coincide with membership of `c̄` in
+/// the materialized new state (property-tested in
+/// `tests/transition_semantics.rs`). It evaluates with the reference
+/// loop, independent of the plan compiler every engine runs on.
+pub fn new_state_holds(
+    tr: &TransitionRule,
+    tuple: &Tuple,
+    db: &Database,
+    old: &Interpretation,
+    events: &EventStore,
+) -> bool {
+    tr.branches.iter().any(|branch| {
+        match_tuple(&branch.head.terms, tuple, &Bindings::new()).is_some_and(|seed| {
+            branch.dnf.0.iter().any(|conj| {
+                let rel_of = |i: usize| trlit_relation(&conj.0[i], db, old, events);
+                !eval_conjunct(&conj.0, &rel_of, &seed).is_empty()
+            })
+        })
+    })
+}
+
+/// The relation backing a transition literal: old literals read the old
+/// state, event literals the events.
+fn trlit_relation<'a>(
+    lit: &TrLit,
+    db: &'a Database,
+    old: &'a Interpretation,
+    events: &'a EventStore,
+) -> &'a Relation {
+    match lit {
+        TrLit::Old(l) if db.program().is_derived(l.atom.pred) => old.relation(l.atom.pred),
+        TrLit::Old(l) => db.relation(l.atom.pred),
+        TrLit::Event { event, .. } => events.relation(event.kind, event.pred()),
+    }
 }
 
 #[cfg(test)]

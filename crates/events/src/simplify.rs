@@ -4,9 +4,7 @@
 //! [Oli91, UO92, UO94]". This module implements the logic-level core of
 //! those simplifications; each transformation is justified next to its
 //! code. All transformations preserve the set of transitions that satisfy
-//! the formula (they are equivalences under the event definitions (1)/(2)),
-//! except [`for_insertion`], which is only equivalent *in the context of
-//! rule (6)* — see its documentation.
+//! the formula (they are equivalences under the event definitions (1)/(2)).
 
 use crate::event::EventKind;
 use crate::formula::{Conjunct, Dnf, TrLit};
@@ -132,24 +130,6 @@ pub fn simplify_dnf(dnf: &Dnf) -> Dnf {
         .collect())
 }
 
-/// Restricts a transition DNF to the disjuncts able to derive a *new*
-/// tuple: those containing at least one positive event literal.
-///
-/// Justification: a disjunct with no positive event literal consists of old
-/// literals, and negative event literals. Its old part is exactly the rule's
-/// old body (every literal of the source rule contributes its old form), so
-/// whenever it holds, `P°` already held — and rule (6) conjoins `¬P°`,
-/// making the disjunct's contribution to `ins P` empty. Only valid in the
-/// insertion-event-rule context.
-pub fn for_insertion(dnf: &Dnf) -> Dnf {
-    Dnf(dnf
-        .0
-        .iter()
-        .filter(|c| c.has_positive_event())
-        .cloned()
-        .collect())
-}
-
 /// Simplifies every branch of a transition rule.
 pub fn simplify_transition(tr: &TransitionRule) -> TransitionRule {
     TransitionRule {
@@ -260,27 +240,6 @@ mod tests {
         let c = Conjunct(vec![TrLit::old_pos(atom("a", &[]))]);
         let s = simplify_dnf(&Dnf(vec![c.clone(), c]));
         assert_eq!(s.len(), 1);
-    }
-
-    #[test]
-    fn for_insertion_prunes_eventless() {
-        use dduf_datalog::ast::{Literal, Rule};
-        use dduf_datalog::schema::Program;
-        let mut b = Program::builder();
-        b.rule(Rule::new(
-            atom("p", &["X"]),
-            vec![
-                Literal::pos(atom("q", &["X"])),
-                Literal::neg(atom("r", &["X"])),
-            ],
-        ));
-        let prog = b.build().unwrap();
-        let tr =
-            crate::transition::TransitionRule::build(&prog, dduf_datalog::ast::Pred::new("p", 1));
-        let pruned = for_insertion(&tr.branches[0].dnf);
-        // The all-old disjunct is dropped; 3 remain.
-        assert_eq!(pruned.len(), 3);
-        assert!(pruned.0.iter().all(Conjunct::has_positive_event));
     }
 
     #[test]

@@ -78,7 +78,7 @@ pub fn write(dir: &Path, engine: &MaintenanceEngine, journal_pos: u64) -> Result
             tuples += 1;
         }
     }
-    for (&pred, rel) in engine.extensions() {
+    for (pred, rel) in engine.interpretation().iter() {
         if engine.counts().contains_key(&pred) {
             continue; // counting extensions are implied by the counts
         }
@@ -250,10 +250,7 @@ mod tests {
     }
 
     fn engine() -> MaintenanceEngine {
-        let proc = UpdateProcessor::new(parse_database(SCHEMA).unwrap())
-            .unwrap()
-            .with_maintenance()
-            .unwrap();
+        let proc = UpdateProcessor::new(parse_database(SCHEMA).unwrap()).unwrap();
         proc.maintenance().unwrap().clone()
     }
 
@@ -269,7 +266,7 @@ mod tests {
         // The restored state rebuilds an identical engine.
         let db = parse_database(SCHEMA).unwrap();
         let restored = MaintenanceEngine::from_saved(&db, state.counts, state.dred_exts).unwrap();
-        assert_eq!(restored.extensions(), engine.extensions());
+        assert_eq!(restored.interpretation(), engine.interpretation());
         assert!(!dir.join(format!("{COUNTS_FILE}.tmp")).exists());
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -161,12 +161,12 @@ impl DurableDb {
         }
         let db = dduf_datalog::parser::parse_database(schema_src)
             .map_err(|e| PersistError::Core(e.into()))?;
-        let proc = UpdateProcessor::new(db)?.with_maintenance()?;
+        let proc = UpdateProcessor::new(db)?;
         let journal = Journal::create(&dir.join(JOURNAL_FILE))?;
         snapshot::write(dir, proc.database(), journal.end())?;
         counts::write(
             dir,
-            proc.maintenance().expect("enabled above"),
+            proc.maintenance().expect("every processor maintains"),
             journal.end(),
         )?;
         Ok(DurableDb {
@@ -214,7 +214,7 @@ impl DurableDb {
                         ("restored_tuples", engine.tuple_count() as u64),
                     ],
                 );
-                let interp = engine.interpretation();
+                let interp = engine.interpretation().clone();
                 UpdateProcessor::from_state(ProcessorState {
                     db: snap.db,
                     interp,
@@ -223,7 +223,7 @@ impl DurableDb {
             }
             None => {
                 dduf_obs::record("counts.persist", "", &[("recompute", 1)]);
-                UpdateProcessor::new(snap.db)?.with_maintenance()?
+                UpdateProcessor::new(snap.db)?
             }
         };
         let mut replayed = 0usize;

@@ -258,12 +258,17 @@ fn query(ctx: &SessionCtx, rest: &str) -> dduf_core::Result<String> {
 }
 
 /// `:check <txn>` — integrity check against the snapshot, shell-identical
-/// wording. Purely advisory: the authoritative check happens on the
-/// writer when the transaction is actually applied.
+/// wording, read off the snapshot's maintenance engine. Purely advisory:
+/// the authoritative check happens on the writer when the transaction is
+/// actually applied.
 fn check(ctx: &SessionCtx, txn_src: &str) -> dduf_core::Result<String> {
     let cur = &ctx.cell.load().state;
+    let engine = cur
+        .maint
+        .as_ref()
+        .expect("a published state carries the writer's engine");
     let txn = Transaction::parse(&cur.db, txn_src)?;
-    Ok(ic_checking::check_transaction(&cur.db, &cur.interp, &txn)?.to_string())
+    Ok(ic_checking::check_transaction(&cur.db, engine, &txn)?.to_string())
 }
 
 /// `:stats` — the aggregated server trace report plus the snapshot's

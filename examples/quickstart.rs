@@ -34,7 +34,8 @@ fn main() -> Result<()> {
     // ---- §4.1: upward interpretation (example 4.1) ----
     let txn = Transaction::parse(&db, "-r(b).")?;
     let old = materialize(&db)?;
-    let up = dduf::core::upward::interpret_with(&db, &old, &txn, UpwardEngine::Incremental)?;
+    let engine = MaintenanceEngine::new(&db, &old)?;
+    let up = engine.interpret_for(&db, &txn, None)?;
     println!("\nupward({txn}) induces: {}", up.derived);
     assert_eq!(up.derived.to_string(), "{+p(b)}"); // the paper's answer
 
@@ -50,7 +51,7 @@ fn main() -> Result<()> {
     // ---- The intro figure's round trip: downward, then upward ----
     let chosen = &down.alternatives[0];
     let replay = chosen.to_transaction(&db)?;
-    let up2 = dduf::core::upward::interpret_with(&db, &old, &replay, UpwardEngine::Incremental)?;
+    let up2 = engine.interpret_for(&db, &replay, None)?;
     assert!(up2.derived.contains(&GroundEvent::ins(
         Pred::new("p", 1),
         Tuple::new(vec![Const::sym("b")])

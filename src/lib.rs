@@ -66,7 +66,8 @@ pub mod prelude {
     pub use dduf_core::explain::{explain_event, EventExplanation};
     pub use dduf_core::processor::UpdateProcessor;
     pub use dduf_core::transaction::Transaction;
-    pub use dduf_core::upward::{Engine as UpwardEngine, UpwardResult};
+    pub use dduf_core::upward::maintain::MaintenanceEngine;
+    pub use dduf_core::upward::UpwardResult;
     pub use dduf_core::{Domain, Error, Result};
     pub use dduf_datalog::ast::{Atom, Const, Literal, Pred, Rule, Term, Var};
     pub use dduf_datalog::eval::{materialize, Interpretation, StateView};

@@ -75,10 +75,7 @@ fn commit_and_publish(
 /// whatever is built on first use.
 fn worst_commit(db: Database, warm_up: &str, commits: &[String]) -> (usize, u64) {
     let facts = db.fact_count();
-    let mut staging = UpdateProcessor::new(db)
-        .unwrap()
-        .with_maintenance()
-        .unwrap();
+    let mut staging = UpdateProcessor::new(db).unwrap();
     let mut published = staging.clone().into_state();
     commit_and_publish(&mut staging, &mut published, warm_up);
     let worst = commits

@@ -33,7 +33,7 @@ fn replay<S: AsRef<str>>(db: &Database, txns: &[S]) -> (MaintenanceEngine, Repor
         }
     });
     engine.check_ranks(&db).unwrap();
-    assert_eq!(engine.interpretation(), materialize(&db).unwrap());
+    assert_eq!(engine.interpretation(), &materialize(&db).unwrap());
     (engine, report)
 }
 

@@ -1,8 +1,8 @@
-//! Differential testing: the incremental upward engine must agree with
-//! the semantic (state-diff) oracle on random stratified programs and
-//! random transactions — the central correctness property of the upward
-//! interpretation (the semantic engine *is* the event definitions
-//! (1)/(2) of §3.1).
+//! Differential testing: the maintenance engine — its read path and its
+//! commits — must agree with the semantic (state-diff) oracle on random
+//! stratified programs and random transactions — the central correctness
+//! property of the upward interpretation (the oracle *is* the event
+//! definitions (1)/(2) of §3.1).
 //!
 //! Uses deterministic fuzz loops over the in-tree PRNG instead of
 //! proptest so the suite builds offline; seeds are fixed, so every run
@@ -10,6 +10,7 @@
 
 use dduf::core::rng::Rng;
 use dduf::core::upward::maintain::{MaintenanceEngine, Strategy};
+use dduf::core::upward::{semantic, Goals};
 use dduf::prelude::*;
 use std::fmt::Write as _;
 
@@ -110,8 +111,21 @@ fn gen_txn(rng: &mut Rng, db: &Database) -> Transaction {
     Transaction::from_events(db, events).expect("validated")
 }
 
-/// Engine B (incremental) ≡ engine A (semantic diff) on random
-/// stratified programs and transactions.
+/// The engine's read of `txn` — the events of `goals`, every induced
+/// event when `None` — on a fresh engine over `db` and its
+/// materialization `old`.
+fn read(
+    db: &Database,
+    old: &Interpretation,
+    txn: &Transaction,
+    goals: Option<&Goals>,
+) -> UpwardResult {
+    let engine = MaintenanceEngine::new(db, old).expect("stratified");
+    engine.interpret_for(db, txn, goals).expect("read")
+}
+
+/// The engine's read ≡ the semantic oracle on random stratified programs
+/// and transactions.
 #[test]
 fn incremental_equals_semantic() {
     let mut rng = Rng::new(0xE9E1);
@@ -120,10 +134,8 @@ fn incremental_equals_semantic() {
         let db = parse_database(&prog.to_source()).expect("generated program parses");
         let old = materialize(&db).expect("stratified");
         let txn = gen_txn(&mut rng, &db);
-        let a = dduf::core::upward::interpret_with(&db, &old, &txn, UpwardEngine::Semantic)
-            .expect("semantic");
-        let b = dduf::core::upward::interpret_with(&db, &old, &txn, UpwardEngine::Incremental)
-            .expect("incremental");
+        let a = semantic::interpret(&db, &old, &txn).expect("semantic");
+        let b = read(&db, &old, &txn, None);
         assert_eq!(a, b, "case {case}: {}", prog.to_source());
     }
 }
@@ -138,8 +150,7 @@ fn events_reconstruct_new_state() {
         let db = parse_database(&prog.to_source()).expect("parses");
         let old = materialize(&db).expect("stratified");
         let txn = gen_txn(&mut rng, &db);
-        let res = dduf::core::upward::interpret_with(&db, &old, &txn, UpwardEngine::Incremental)
-            .expect("incremental");
+        let res = read(&db, &old, &txn, None);
         let new = materialize(&txn.apply(&db)).expect("new state");
         for (pred, _role) in db.program().predicates() {
             if !db.program().is_derived(pred) {
@@ -188,7 +199,9 @@ fn naive_and_seminaive_materializations_are_identical() {
 /// The trace counters are part of the determinism contract too: the
 /// semantic fingerprint (every counter the recorder marks deterministic,
 /// wall-times excluded) is bit-identical from run to run, for both
-/// evaluation strategies, over embedded and random programs.
+/// evaluation strategies, over embedded and random programs — and so is
+/// the engine's read of a random transaction, whose answer is the
+/// oracle's.
 #[test]
 fn trace_counters_identical_across_runs() {
     use dduf::datalog::eval::{materialize_with, Strategy};
@@ -222,6 +235,28 @@ fn trace_counters_identical_across_runs() {
             );
         }
     }
+
+    let mut rng = Rng::new(0x0B5E03);
+    for case in 0..16 {
+        let prog = RandProgram::gen(&mut rng);
+        let db = parse_database(&prog.to_source()).expect("generated program parses");
+        let old = materialize(&db).expect("stratified");
+        let txn = gen_txn(&mut rng, &db);
+        let engine = MaintenanceEngine::new(&db, &old).expect("stratified");
+        let run = || dduf::obs::capture(|| engine.interpret_for(&db, &txn, None).expect("read"));
+        let ((first, report), (second, again)) = (run(), run());
+        assert_eq!(
+            first,
+            semantic::interpret(&db, &old, &txn).expect("semantic")
+        );
+        assert_eq!(first, second, "case {case}");
+        assert!(!report.is_empty(), "case {case}: no spans recorded");
+        assert_eq!(
+            report.semantic_fingerprint(),
+            again.semantic_fingerprint(),
+            "case {case}: the read's trace diverges between runs"
+        );
+    }
 }
 
 /// Runs `f` on `threads` threads at once and collects what each
@@ -238,8 +273,11 @@ fn on_threads<T: Send>(threads: usize, f: impl Fn() -> T + Sync) -> Vec<T> {
     })
 }
 
-/// The upward engines give the semantic oracle's answer to 1, 2 and 8
-/// threads calling them at once over one database, state and
+/// A call of the oracle or of the engine's read, by name.
+type UpwardCall<'a> = (&'static str, &'a (dyn Fn() -> UpwardResult + Sync));
+
+/// The oracle and the engine's read give the oracle's answer to 1, 2 and
+/// 8 threads calling them at once over one database, state, engine and
 /// transaction.
 #[test]
 fn parallel_upward_matches_sequential_across_thread_counts() {
@@ -249,18 +287,18 @@ fn parallel_upward_matches_sequential_across_thread_counts() {
         let db = parse_database(&prog.to_source()).expect("parses");
         let old = materialize(&db).expect("stratified");
         let txn = gen_txn(&mut rng, &db);
-        let expected = dduf::core::upward::interpret_with(&db, &old, &txn, UpwardEngine::Semantic)
-            .expect("semantic");
-        for engine in [UpwardEngine::Semantic, UpwardEngine::Incremental] {
+        let engine = MaintenanceEngine::new(&db, &old).expect("stratified");
+        let oracle = || semantic::interpret(&db, &old, &txn).expect("semantic");
+        let read = || engine.interpret_for(&db, &txn, None).expect("read");
+        let expected = oracle();
+        let calls: [UpwardCall<'_>; 2] = [("semantic", &oracle), ("read", &read)];
+        for (name, upward) in calls {
             for threads in [1usize, 2, 8] {
-                let runs = on_threads(threads, || {
-                    dduf::core::upward::interpret_with(&db, &old, &txn, engine).expect("upward")
-                });
-                for got in runs {
+                for got in on_threads(threads, upward) {
                     assert_eq!(
                         expected,
                         got,
-                        "case {case}: {engine:?} with {threads} concurrent callers diverges\n{}",
+                        "case {case}: {name} with {threads} concurrent callers diverges\n{}",
                         prog.to_source()
                     );
                 }
@@ -269,7 +307,7 @@ fn parallel_upward_matches_sequential_across_thread_counts() {
     }
 }
 
-/// Each upward engine's counter fingerprint on `cases` random
+/// The oracle's and the read's counter fingerprints on `cases` random
 /// program/transaction pairs drawn from `seed`: the one recorded on the
 /// test thread equals the one every caller records when 2 or 8 threads
 /// run the same interpretation at once.
@@ -280,11 +318,13 @@ fn assert_upward_fingerprints_invariant(seed: u64, cases: usize) {
         let db = parse_database(&prog.to_source()).expect("parses");
         let old = materialize(&db).expect("stratified");
         let txn = gen_txn(&mut rng, &db);
-        for engine in [UpwardEngine::Semantic, UpwardEngine::Incremental] {
+        let engine = MaintenanceEngine::new(&db, &old).expect("stratified");
+        let oracle = || semantic::interpret(&db, &old, &txn).expect("semantic");
+        let read = || engine.interpret_for(&db, &txn, None).expect("read");
+        let calls: [UpwardCall<'_>; 2] = [("semantic", &oracle), ("read", &read)];
+        for (name, upward) in calls {
             let fingerprint = || {
-                let (_, report) = dduf::obs::capture(|| {
-                    dduf::core::upward::interpret_with(&db, &old, &txn, engine).expect("upward")
-                });
+                let (_, report) = dduf::obs::capture(upward);
                 assert!(!report.is_empty(), "case {case}: no spans recorded");
                 report.semantic_fingerprint()
             };
@@ -294,7 +334,7 @@ fn assert_upward_fingerprints_invariant(seed: u64, cases: usize) {
                     assert_eq!(
                         baseline,
                         got,
-                        "seed {seed:#x} case {case}: {engine:?} trace diverges with \
+                        "seed {seed:#x} case {case}: {name} trace diverges with \
                          {threads} concurrent callers\n{}",
                         prog.to_source()
                     );
@@ -304,7 +344,7 @@ fn assert_upward_fingerprints_invariant(seed: u64, cases: usize) {
     }
 }
 
-/// Same contract for the upward engines: each engine's counter
+/// Same contract for the oracle and the read: each one's counter
 /// fingerprint is identical whether 1, 2 or 8 threads run it.
 #[test]
 fn upward_trace_counters_identical_across_thread_counts() {
@@ -478,11 +518,9 @@ fn goal_events(res: &UpwardResult, goals: &Goals) -> Vec<(Pred, EventKind, Relat
         .collect()
 }
 
-type Goals = std::collections::BTreeSet<(Pred, EventKind)>;
-
-/// The contract of `upward::interpret_for` on one case: exact on the
-/// goals, a subset of the full interpretation elsewhere. Returns its
-/// result.
+/// The contract of `MaintenanceEngine::interpret_for` on one case: exact
+/// on the goals, a subset of the full interpretation elsewhere. Returns
+/// its result.
 fn assert_exact_on_goals(
     label: &str,
     db: &Database,
@@ -490,10 +528,8 @@ fn assert_exact_on_goals(
     txn: &Transaction,
     goals: &Goals,
 ) -> UpwardResult {
-    use dduf::core::upward::{interpret_for, interpret_with};
-
-    let full = interpret_with(db, old, txn, UpwardEngine::Semantic).expect("semantic");
-    let got = interpret_for(db, old, txn, goals).expect("goal-directed");
+    let full = semantic::interpret(db, old, txn).expect("semantic");
+    let got = read(db, old, txn, Some(goals));
     assert_eq!(got.base, full.base, "{label}");
     assert_eq!(
         goal_events(&got, goals),
@@ -527,12 +563,10 @@ fn gen_goals(rng: &mut Rng, all: &Goals) -> Goals {
 /// stratified programs (non-recursive layers, and a recursive component
 /// under counting-maintained layers) × random goal sets × random
 /// transactions against the semantic oracle's full result — and with
-/// every derived event as the goal, the result *is* the stateless
-/// engine's.
+/// every derived event as the goal, the result *is* the read with no
+/// goals.
 #[test]
 fn goal_directed_equals_semantic_on_the_goals() {
-    use dduf::core::upward::{interpret_for, interpret_with};
-
     let mut rng = Rng::new(0x60A1);
     let mut pruned = 0;
     for case in 0..192 {
@@ -545,10 +579,10 @@ fn goal_directed_equals_semantic_on_the_goals() {
         let db = parse_database(&source).expect("parses");
         let old = materialize(&db).expect("stratified");
         let txn = txn_of(&mut rng, &db);
-        let everything = interpret_with(&db, &old, &txn, UpwardEngine::Incremental).unwrap();
+        let everything = read(&db, &old, &txn, None);
         let all = every_derived_event(&db);
         assert_eq!(
-            interpret_for(&db, &old, &txn, &all).unwrap(),
+            read(&db, &old, &txn, Some(&all)),
             everything,
             "{label}: asking for everything"
         );
@@ -568,18 +602,18 @@ fn goal_directed_equals_semantic_on_the_goals() {
 /// kind. `ιgoal` needs `p(a)` and `p(b)`; the transaction inserts `p(a)`
 /// and deletes `p(b)`. An engine that, asked for insertions, skipped the
 /// deletions on `p` would read `Pⁿ = P° ∨ ιP` and invent `+goal(k)`:
-/// `ιC` is blocked by `δP`. Once through the event rules, once through a
-/// recursive component recomputed above `p`.
+/// `ιC` is blocked by `δP`. Once through a counted view, once through a
+/// recursive component maintained above `p`.
 #[test]
 fn an_insertion_blocked_by_a_deletion_below_is_not_invented() {
-    let event_rules = "b(b). m(k).
+    let counted = "b(b). m(k).
         p(X) :- b(X).
         goal(X) :- m(X), p(a), p(b).";
-    let recompute = "b(b). m(k). e(k, k).
+    let recursive = "b(b). m(k). e(k, k).
         p(X) :- b(X).
         goal(X) :- m(X), p(a), p(b).
         goal(X) :- goal(Y), e(Y, X).";
-    for src in [event_rules, recompute] {
+    for src in [counted, recursive] {
         let db = parse_database(src).unwrap();
         let txn = Transaction::parse(&db, "+b(a). -b(b).").unwrap();
         let goals: Goals = [(Pred::new("goal", 1), EventKind::Ins)].into();
@@ -616,8 +650,7 @@ fn maintained_stream_matches_semantic(
 
     for step in 0..steps {
         let txn = gen(rng, &db);
-        let expected = dduf::core::upward::interpret_with(&db, &old, &txn, UpwardEngine::Semantic)
-            .expect("semantic");
+        let expected = semantic::interpret(&db, &old, &txn).expect("semantic");
         let got = engine.apply(&db, &txn).expect("maintained");
         assert_eq!(
             got,
@@ -632,7 +665,7 @@ fn maintained_stream_matches_semantic(
         }
         // Full-recompute equality of the carried state, every step.
         assert_eq!(
-            dduf::datalog::pretty::derived(&engine.interpretation()),
+            dduf::datalog::pretty::derived(engine.interpretation()),
             dduf::datalog::pretty::derived(&old),
             "{label} step {step}: maintained extensions drifted"
         );
@@ -782,7 +815,7 @@ fn maintained_stream_fingerprints_are_deterministic() {
                 }
             });
             (
-                dduf::datalog::pretty::derived(&engine.interpretation()),
+                dduf::datalog::pretty::derived(engine.interpretation()),
                 report.semantic_fingerprint(),
             )
         };

@@ -80,16 +80,16 @@ fn example_5_1_integrity_checking() {
 #[test]
 fn example_5_1_is_the_upward_interpretation_of_ins_ic1() {
     let db = testkit::employment_db();
-    let old = materialize(&db).unwrap();
+    let engine = MaintenanceEngine::new(&db, &materialize(&db).unwrap()).unwrap();
     let txn = Transaction::parse(&db, "-u_benefit(dolors).").unwrap();
     let goals = [(Pred::new("ic1", 0), EventKind::Ins)].into();
-    let res = dduf::core::upward::interpret_for(&db, &old, &txn, &goals).unwrap();
+    let res = engine.interpret_for(&db, &txn, Some(&goals)).unwrap();
     assert_eq!(res.base.to_string(), "{-u_benefit(dolors)}");
     assert_eq!(res.derived.to_string(), "{+ic1}");
     // +works(dolors) can only delete unemp(dolors), and a deletion below
     // a positive literal inserts nothing: decided without evaluating.
     let txn = Transaction::parse(&db, "+works(dolors).").unwrap();
-    let res = dduf::core::upward::interpret_for(&db, &old, &txn, &goals).unwrap();
+    let res = engine.interpret_for(&db, &txn, Some(&goals)).unwrap();
     assert_eq!(res.derived.to_string(), "{}");
 }
 

@@ -152,11 +152,10 @@ fn stats_command_reports_in_session() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("trace report"), "{stdout}");
     assert!(stdout.contains("eval.materialize"), "{stdout}");
-    // A checked `:apply` is one upward interpretation, not two.
-    assert!(
-        stdout.contains("upward.apply\n  incremental  x1  "),
-        "{stdout}"
-    );
+    // A checked `:apply` is one upward interpretation, not two: the
+    // maintenance engine's, and no read besides it.
+    assert!(stdout.contains("upward.maintain\n  ·  x1  "), "{stdout}");
+    assert!(!stdout.contains("upward.apply"), "{stdout}");
     // No --trace flag: nothing on stderr.
     assert!(
         out.stderr.is_empty(),

@@ -9,7 +9,7 @@
 //! seeds, same scenarios every run.
 
 use dduf::core::rng::Rng;
-use dduf::core::upward::incremental::new_state_holds;
+use dduf::core::upward::semantic::new_state_holds;
 use dduf::prelude::*;
 use dduf_events::simplify::simplify_transition;
 use dduf_events::transition::TransitionRule;
@@ -121,8 +121,8 @@ fn transition_rule_matches_new_state() {
         let (db, txn) = build(&s);
         let old = materialize(&db).unwrap();
         // The upward result supplies the event sets TR literals refer to.
-        let up =
-            dduf::core::upward::interpret_with(&db, &old, &txn, UpwardEngine::Incremental).unwrap();
+        let engine = MaintenanceEngine::new(&db, &old).unwrap();
+        let up = engine.interpret_for(&db, &txn, None).unwrap();
         let mut all_events = up.base.clone();
         all_events.extend(&up.derived);
         let new = materialize(&txn.apply(&db)).unwrap();
