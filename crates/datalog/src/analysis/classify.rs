@@ -18,9 +18,9 @@
 //!   *deletion-sensitive*: the event rules carry both polarities and the
 //!   incremental engine must evaluate deletion candidates.
 //! * **Monitoring** (§5.1.2): *direct* when the predicate's event rules
-//!   localize a transaction's effect; *recomputed* for members of
-//!   recursive SCCs, where the incremental engine re-runs the component
-//!   fixpoint and diffs (DESIGN.md §4.1).
+//!   localize a transaction's effect; *DRed* for members of recursive
+//!   SCCs, which the maintenance engine keeps current by delete and
+//!   rederive from the changed tuples (DESIGN.md §4.1, §15).
 //!
 //! The classification is surfaced two ways: as a typed table
 //! ([`Classification`]) consumed by [`super::report::ProgramReport`], and
@@ -82,8 +82,9 @@ pub enum Maintenance {
 pub enum Monitoring {
     /// Event rules localize the change.
     Direct,
-    /// Recursive: the component is recomputed and diffed.
-    Recomputed,
+    /// Recursive: the component is maintained by DRed (delete and
+    /// rederive) from the changed tuples.
+    Dred,
 }
 
 /// One derived predicate's classification.
@@ -144,7 +145,7 @@ impl Classification {
                 Maintenance::Monotone
             };
             let monitoring = if flow.is_recursive(pred) {
-                Monitoring::Recomputed
+                Monitoring::Dred
             } else {
                 Monitoring::Direct
             };
@@ -163,7 +164,7 @@ impl Classification {
 
 /// The classification pass: one `I001`/`I002` per derived predicate, plus
 /// `I003` for deletion-sensitive maintenance and `I004` for recursive
-/// (recompute-and-diff) monitoring.
+/// (DRed-maintained) monitoring.
 pub struct Classify;
 
 impl Pass for Classify {
@@ -224,12 +225,12 @@ impl Pass for Classify {
                     ),
                 ));
             }
-            if class.monitoring == Monitoring::Recomputed {
+            if class.monitoring == Monitoring::Dred {
                 push(Diagnostic::info(
                     "I004",
                     format!(
-                        "{kind} `{}`: recursive — incremental monitoring recomputes the \
-                         component and diffs (DESIGN.md §4.1)",
+                        "{kind} `{}`: recursive — monitoring maintains the component by DRed, \
+                         deleting and rederiving from the changed tuples (DESIGN.md §15)",
                         pred.name
                     ),
                 ));
@@ -290,11 +291,8 @@ mod tests {
     }
 
     #[test]
-    fn recursion_monitors_by_recompute() {
+    fn recursion_monitors_by_dred() {
         let t = classify("tc(X, Y) :- e(X, Y).\ntc(X, Y) :- e(X, Z), tc(Z, Y).\n");
-        assert_eq!(
-            t.preds[&Pred::new("tc", 2)].monitoring,
-            Monitoring::Recomputed
-        );
+        assert_eq!(t.preds[&Pred::new("tc", 2)].monitoring, Monitoring::Dred);
     }
 }

@@ -254,8 +254,8 @@ impl Pass for CostBounds {
             cross_product(rule, out);
         }
         // W010: a guard predicate (constraint or condition) positively
-        // over a recursive one — every relevant transaction recomputes
-        // the recursive component to keep the guard current. (Negative
+        // over a recursive one — every relevant transaction maintains the
+        // recursive component by DRed to keep the guard current. (Negative
         // occurrences are W005's, reported by the recursion pass.)
         for rule in input.program.rules() {
             let guard = matches!(
@@ -272,8 +272,8 @@ impl Pass for CostBounds {
                 let mut d = Diagnostic::warning(
                     "W010",
                     format!(
-                        "constraint or condition `{}` guards recursive `{}`: incremental \
-                         monitoring recomputes the recursive component on every relevant update",
+                        "constraint or condition `{}` guards recursive `{}`: every relevant \
+                         update maintains the recursive component by DRed before the guard is read",
                         rule.head.pred.name, lit.atom.pred.name
                     ),
                 )

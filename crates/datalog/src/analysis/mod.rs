@@ -31,7 +31,7 @@
 //! | I001 | info     | update translation is deterministic (§5.2) |
 //! | I002 | info     | update translation is ambiguous (§5.2) |
 //! | I003 | info     | maintenance is deletion-sensitive (§3.2) |
-//! | I004 | info     | recursive: monitoring recomputes the component |
+//! | I004 | info     | recursive: monitoring maintains the component by DRed |
 //!
 //! `I0xx` classification facts come from the *report* pipeline behind
 //! `dduf analyze` ([`Analyzer::with_report_passes`]); `dduf lint` runs only
@@ -280,7 +280,7 @@ pub const CODES: &[(&str, &str)] = &[
     ),
     (
         "W010",
-        "constraint or condition guards a recursive predicate (monitoring recomputes)",
+        "constraint or condition guards a recursive predicate (monitoring maintains it by DRed)",
     ),
     (
         "I001",
@@ -296,7 +296,7 @@ pub const CODES: &[(&str, &str)] = &[
     ),
     (
         "I004",
-        "recursive predicate: incremental monitoring recomputes the component and diffs",
+        "recursive predicate: monitoring maintains the component by DRed (delete and rederive)",
     ),
 ];
 

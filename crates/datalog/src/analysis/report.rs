@@ -173,7 +173,7 @@ fn summarize(c: &PredClass) -> String {
     };
     let mon = match c.monitoring {
         Monitoring::Direct => "direct",
-        Monitoring::Recomputed => "recomputed",
+        Monitoring::Dred => "dred",
     };
     format!("{t}, {m}, {mon}")
 }
@@ -229,7 +229,7 @@ fn pred_json(r: &PredReport) -> String {
             ",\"monitoring\":{}",
             json_str(match c.monitoring {
                 Monitoring::Direct => "direct",
-                Monitoring::Recomputed => "recomputed",
+                Monitoring::Dred => "dred",
             })
         ));
     }

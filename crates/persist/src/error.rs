@@ -10,6 +10,10 @@
 //!   would discard acknowledged commits, so this is a hard error carrying
 //!   the record index and byte offset, rendered as a span-style
 //!   diagnostic like the analyzer's.
+//! * a **bad start position** — recovery reads only the records after the
+//!   snapshot's `journal_pos`, so a position that does not start a record
+//!   would skip or tear acknowledged commits. It is a hard error naming the
+//!   position; nothing is replayed or truncated.
 
 use std::fmt;
 
@@ -31,11 +35,28 @@ pub enum PersistError {
     Corrupt {
         /// The journal file.
         path: String,
-        /// 0-based index of the damaged record.
+        /// Byte offset the scan started at: the first record
+        /// (`journal::FIRST_RECORD`) for `verify` and `dduf db log`, the
+        /// snapshot's position for recovery.
+        from: u64,
+        /// 0-based index of the damaged record, counted from `from`.
         record: usize,
         /// Byte offset of the damaged record's header.
         offset: u64,
         /// What exactly is wrong.
+        detail: String,
+    },
+    /// A scan was asked to start at a byte that does not begin a record:
+    /// before the first one, inside one, or past the last intact one.
+    /// Recovery starts at the snapshot's `journal_pos`, whose header field
+    /// no checksum covers, so this names a snapshot that disagrees with its
+    /// journal.
+    BadPosition {
+        /// The journal file.
+        path: String,
+        /// The position that is not a record boundary.
+        pos: u64,
+        /// Where the position falls instead.
         detail: String,
     },
     /// `Journal::append` refused a payload over the `MAX_RECORD` cap.
@@ -73,8 +94,11 @@ pub enum PersistError {
     /// A journal record re-parsed and re-validated fine but failed to
     /// commit through the upward path during replay.
     Replay {
-        /// 0-based index of the record that failed.
+        /// 0-based index of the record that failed, counted from the
+        /// snapshot's position.
         record: usize,
+        /// Byte offset of the record's header.
+        offset: u64,
         /// The evaluation error.
         source: dduf_core::Error,
     },
@@ -89,12 +113,31 @@ impl PersistError {
         match self {
             PersistError::Corrupt {
                 path,
+                from,
                 record,
                 offset,
                 detail,
-            } => format!(
-                "error: journal corrupt: {detail}\n  --> {path}:record {record} (byte {offset})\n  = note: records before record {record} are intact; refusing to truncate \
-                 acknowledged commits — repair or restore the journal manually\n"
+            } => {
+                let start = if *from == crate::journal::FIRST_RECORD {
+                    "the first record".to_string()
+                } else {
+                    format!(
+                        "byte {from}, the snapshot's position (record numbers count from there; \
+                         `dduf db verify` checks the history before it)"
+                    )
+                };
+                format!(
+                    "error: journal corrupt: {detail}\n  --> {path}:record {record} (byte {offset})\n  \
+                     = note: this scan started at {start}; the {record} record(s) it read before \
+                     byte {offset} passed their checksums\n  = note: refusing to truncate \
+                     acknowledged commits — repair or restore the journal manually\n"
+                )
+            }
+            PersistError::BadPosition { path, pos, detail } => format!(
+                "error: no journal record starts at byte {pos}: {detail}\n  --> {path} (byte {pos})\n  \
+                 = note: recovery replays from the snapshot's journal_pos; starting anywhere else \
+                 would skip or tear acknowledged commits, so nothing was replayed or truncated — \
+                 `dduf db log` lists where each record starts\n"
             ),
             PersistError::Snapshot { path, detail } => {
                 format!("error: snapshot unreadable: {detail}\n  --> {path}\n")
@@ -116,13 +159,21 @@ impl fmt::Display for PersistError {
             }
             PersistError::Corrupt {
                 path,
+                from,
                 record,
                 offset,
                 detail,
             } => write!(
                 f,
-                "journal {path} corrupt at record {record} (byte {offset}): {detail}"
+                "journal {path} corrupt at record {record} counted from byte {from} \
+                 (byte {offset}): {detail}"
             ),
+            PersistError::BadPosition { path, pos, detail } => {
+                write!(
+                    f,
+                    "no record of journal {path} starts at byte {pos}: {detail}"
+                )
+            }
             PersistError::RecordTooLarge { path, bytes, max } => write!(
                 f,
                 "record of {bytes} bytes exceeds the {max}-byte journal record cap of {path}; \
@@ -146,9 +197,14 @@ impl fmt::Display for PersistError {
             PersistError::AlreadyExists(dir) => {
                 write!(f, "{dir} already holds a durable database")
             }
-            PersistError::Replay { record, source } => {
-                write!(f, "replay of journal record {record} failed: {source}")
-            }
+            PersistError::Replay {
+                record,
+                offset,
+                source,
+            } => write!(
+                f,
+                "replay of tail record {record} (journal byte {offset}) failed: {source}"
+            ),
             PersistError::Core(e) => write!(f, "{e}"),
         }
     }
@@ -193,6 +249,7 @@ mod tests {
     fn corrupt_renders_span_style() {
         let e = PersistError::Corrupt {
             path: "journal.log".into(),
+            from: crate::journal::FIRST_RECORD,
             record: 3,
             offset: 128,
             detail: "checksum mismatch (stored 0xdeadbeef, computed 0x12345678)".into(),
@@ -200,7 +257,27 @@ mod tests {
         let r = e.render();
         assert!(r.contains("--> journal.log:record 3 (byte 128)"), "{r}");
         assert!(r.contains("checksum mismatch"), "{r}");
+        assert!(r.contains("started at the first record"), "{r}");
         assert!(e.to_string().contains("record 3"), "{e}");
+    }
+
+    #[test]
+    fn corrupt_tail_render_names_where_the_scan_started() {
+        let e = PersistError::Corrupt {
+            path: "journal.log".into(),
+            from: 96,
+            record: 1,
+            offset: 128,
+            detail: "checksum mismatch (stored 0xdeadbeef, computed 0x12345678)".into(),
+        };
+        let r = e.render();
+        assert!(r.contains("--> journal.log:record 1 (byte 128)"), "{r}");
+        assert!(
+            r.contains("started at byte 96, the snapshot's position"),
+            "{r}"
+        );
+        assert!(r.contains("`dduf db verify`"), "{r}");
+        assert!(!r.contains("records before record"), "{r}");
     }
 
     #[test]

@@ -30,6 +30,10 @@ pub const MAGIC: &[u8; 8] = b"ddufjnl1";
 /// Bytes of framing before each payload (`u32` length + `u32` CRC).
 pub const RECORD_HEADER: usize = 8;
 
+/// Byte offset of the first record, just past [`MAGIC`]: where a scan of
+/// the whole journal starts.
+pub const FIRST_RECORD: u64 = MAGIC.len() as u64;
+
 /// Sanity bound on a single record, enforced symmetrically: [`Journal::append`]
 /// rejects larger payloads before any bytes hit disk, and scanning treats a
 /// larger length prefix as corruption. It also caps the scanner's per-record
@@ -39,12 +43,22 @@ pub const MAX_RECORD: u32 = 1 << 30;
 /// One decoded journal record.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Record {
-    /// 0-based position in the journal.
+    /// 0-based position among the records the scan read, counted from
+    /// where it started: the record's index in the journal for a scan from
+    /// [`FIRST_RECORD`] (`verify`, `dduf db log`), its index in the tail
+    /// for recovery's scan from the snapshot's position.
     pub index: usize,
     /// Byte offset of the record's header in the file.
     pub offset: u64,
     /// The transaction in event surface syntax.
     pub payload: String,
+}
+
+impl Record {
+    /// Byte offset just past the record: where the next one starts.
+    pub(crate) fn end(&self) -> u64 {
+        self.offset + RECORD_HEADER as u64 + self.payload.len() as u64
+    }
 }
 
 /// A torn final record: the file ends before the record completes.
@@ -56,7 +70,7 @@ pub struct TornTail {
     pub bytes: u64,
 }
 
-/// The result of scanning a journal file.
+/// The result of scanning a whole journal file into memory: see [`scan`].
 #[derive(Clone, Debug)]
 pub struct Scan {
     /// Every intact record, in append order.
@@ -81,9 +95,22 @@ pub struct ScanSummary {
 }
 
 /// Reads and validates a journal file record-by-record with bounded
-/// memory, handing each intact record to `visit` as it is decoded. At
-/// most one record body (≤ [`MAX_RECORD`] bytes) is buffered at a time,
-/// so a journal of any size can be verified on a small machine.
+/// memory, from byte `start` to the end, handing each intact record to
+/// `visit` as it is decoded. The magic header at byte 0 is always
+/// checked; the bytes between it and `start` are never read. At most one
+/// record body (≤ [`MAX_RECORD`] bytes) is buffered at a time, so a
+/// journal of any size can be verified on a small machine. The
+/// `journal.scan` span counts the records and bytes this scan read.
+///
+/// `start` must be where a record starts (or where the last one ends):
+/// [`FIRST_RECORD`] for the whole journal, a snapshot's position for its
+/// tail. A `start` before the first record or past the end of the file is
+/// a [`PersistError::BadPosition`]. One inside a record cannot be told
+/// from the bytes at `start` alone, so when a scan from anywhere but
+/// [`FIRST_RECORD`] fails at its very first record (torn or corrupt), it
+/// walks the journal from its first record to confirm `start` is a
+/// boundary before it reports that failure — the only case in which it
+/// reads bytes before `start`.
 ///
 /// An incomplete *final* record is reported via [`ScanSummary::torn`];
 /// anything else that fails validation — checksum mismatch, implausible
@@ -91,23 +118,22 @@ pub struct ScanSummary {
 /// error returned by `visit` aborts the scan.
 pub fn scan_records(
     path: &Path,
+    start: u64,
     visit: &mut dyn FnMut(Record) -> Result<()>,
 ) -> Result<ScanSummary> {
     let disp = path.display().to_string();
-    let file = File::open(path).map_err(io_err(path, "read"))?;
+    let mut file = File::open(path).map_err(io_err(path, "read"))?;
     let file_len = file.metadata().map_err(io_err(path, "read"))?.len();
-    let mut reader = BufReader::new(file);
 
     let mut magic = [0u8; MAGIC.len()];
-    let magic_ok = file_len >= MAGIC.len() as u64 && {
-        reader
-            .read_exact(&mut magic)
-            .map_err(io_err(path, "read"))?;
+    let magic_ok = file_len >= FIRST_RECORD && {
+        file.read_exact(&mut magic).map_err(io_err(path, "read"))?;
         &magic == MAGIC
     };
     if !magic_ok {
         return Err(PersistError::Corrupt {
             path: disp,
+            from: start,
             record: 0,
             offset: 0,
             detail: format!(
@@ -116,43 +142,27 @@ pub fn scan_records(
             ),
         });
     }
+    Boundary::new(start).check(path, file_len)?;
+    file.seek(SeekFrom::Start(start))
+        .map_err(io_err(path, "seek"))?;
+    let mut reader = BufReader::new(file);
 
     let mut index = 0usize;
-    let mut pos = MAGIC.len() as u64;
+    let mut pos = start;
     let mut body = Vec::new();
-    let record_scan = |records: usize, end: u64| {
-        dduf_obs::record(
-            "journal.scan",
-            "",
-            &[
-                ("records", records as u64),
-                ("bytes", end - MAGIC.len() as u64),
-            ],
-        );
-    };
-    loop {
+    // How the scan stopped: at the end of the file, at a torn final
+    // record, or (`Err`) at a damaged record, all at `index` / `pos`.
+    let outcome: std::result::Result<Option<TornTail>, String> = loop {
         if pos == file_len {
-            record_scan(index, pos);
-            return Ok(ScanSummary {
-                records: index,
-                end: pos,
-                torn: None,
-            });
+            break Ok(None);
         }
         let remaining = file_len - pos;
-        let torn = |pos: u64| {
-            record_scan(index, pos);
-            Ok(ScanSummary {
-                records: index,
-                end: pos,
-                torn: Some(TornTail {
-                    offset: pos,
-                    bytes: file_len - pos,
-                }),
-            })
-        };
+        let torn = Some(TornTail {
+            offset: pos,
+            bytes: remaining,
+        });
         if remaining < RECORD_HEADER as u64 {
-            return torn(pos);
+            break Ok(torn);
         }
         let mut header = [0u8; RECORD_HEADER];
         reader
@@ -161,54 +171,118 @@ pub fn scan_records(
         let len = u32::from_le_bytes(header[..4].try_into().unwrap());
         let stored = u32::from_le_bytes(header[4..].try_into().unwrap());
         if len > MAX_RECORD {
-            return Err(PersistError::Corrupt {
-                path: disp,
-                record: index,
-                offset: pos,
-                detail: format!("implausible record length {len}"),
-            });
+            break Err(format!("implausible record length {len}"));
         }
         if remaining - (RECORD_HEADER as u64) < len as u64 {
-            return torn(pos);
+            break Ok(torn);
         }
         // Bounded by the MAX_RECORD check above.
         body.resize(len as usize, 0);
         reader.read_exact(&mut body).map_err(io_err(path, "read"))?;
         let computed = crc32(&body);
         if computed != stored {
-            return Err(PersistError::Corrupt {
-                path: disp,
-                record: index,
-                offset: pos,
-                detail: format!(
-                    "checksum mismatch (stored {stored:#010x}, computed {computed:#010x})"
-                ),
-            });
+            break Err(format!(
+                "checksum mismatch (stored {stored:#010x}, computed {computed:#010x})"
+            ));
         }
-        let payload = std::str::from_utf8(&body)
-            .map_err(|_| PersistError::Corrupt {
-                path: disp.clone(),
-                record: index,
-                offset: pos,
-                detail: "payload is not valid UTF-8".into(),
-            })?
-            .to_string();
+        let Ok(payload) = std::str::from_utf8(&body) else {
+            break Err("payload is not valid UTF-8".into());
+        };
         visit(Record {
             index,
             offset: pos,
-            payload,
+            payload: payload.to_string(),
         })?;
         pos += RECORD_HEADER as u64 + len as u64;
         index += 1;
+    };
+    if index == 0 && outcome != Ok(None) && start != FIRST_RECORD {
+        check_boundary(path, start)?;
+    }
+    match outcome {
+        Ok(torn) => {
+            dduf_obs::record(
+                "journal.scan",
+                "",
+                &[("records", index as u64), ("bytes", pos - start)],
+            );
+            Ok(ScanSummary {
+                records: index,
+                end: pos,
+                torn,
+            })
+        }
+        Err(detail) => Err(PersistError::Corrupt {
+            path: disp,
+            from: start,
+            record: index,
+            offset: pos,
+            detail,
+        }),
     }
 }
 
-/// Reads and validates a journal file without modifying it, collecting
-/// every record. Convenience wrapper over [`scan_records`] for callers
-/// (recovery, `dduf db log`) that want the payloads in memory anyway.
+/// Confirms that a record starts at `pos` (or that the last intact one
+/// ends there) by scanning the journal from its first record.
+fn check_boundary(path: &Path, pos: u64) -> Result<()> {
+    let mut boundary = Boundary::new(pos);
+    match scan_records(path, FIRST_RECORD, &mut |r| {
+        boundary.visit(&r);
+        Ok(())
+    }) {
+        Ok(summary) => boundary.check(path, summary.end),
+        // The records before the damage tile the journal up to it.
+        Err(PersistError::Corrupt { offset, .. }) if pos <= offset => boundary.check(path, offset),
+        Err(e) => Err(e),
+    }
+}
+
+/// Whether a byte position is a record boundary, decided from a scan
+/// that starts at [`FIRST_RECORD`] and is shown every intact record.
+pub(crate) struct Boundary {
+    pos: u64,
+    /// The record that spans `pos`: index, start, end.
+    split: Option<(usize, u64, u64)>,
+}
+
+impl Boundary {
+    pub(crate) fn new(pos: u64) -> Boundary {
+        Boundary { pos, split: None }
+    }
+
+    pub(crate) fn visit(&mut self, r: &Record) {
+        if r.offset < self.pos && self.pos < r.end() {
+            self.split = Some((r.index, r.offset, r.end()));
+        }
+    }
+
+    /// `Ok` when a record visited so far starts at the position, or the
+    /// position is `end`, where the records stop; otherwise the
+    /// [`PersistError::BadPosition`] saying where the position falls.
+    pub(crate) fn check(&self, path: &Path, end: u64) -> Result<()> {
+        let detail = if self.pos < FIRST_RECORD {
+            format!("it falls inside the {FIRST_RECORD}-byte magic header")
+        } else if let Some((index, from, to)) = self.split {
+            format!("it falls inside record {index}, which spans bytes {from}..{to}")
+        } else if self.pos > end {
+            format!("it falls past byte {end}, where the journal's records end")
+        } else {
+            return Ok(());
+        };
+        Err(PersistError::BadPosition {
+            path: path.display().to_string(),
+            pos: self.pos,
+            detail,
+        })
+    }
+}
+
+/// Reads and validates a whole journal file without modifying it,
+/// collecting every record: [`scan_records`] from [`FIRST_RECORD`], for
+/// callers (`dduf db log`, audits) that want the whole history in memory.
 pub fn scan(path: &Path) -> Result<Scan> {
     let mut records = Vec::new();
-    let summary = scan_records(path, &mut |r| {
+    let summary = scan_records(path, FIRST_RECORD, &mut |r| {
         records.push(r);
         Ok(())
     })?;
@@ -262,27 +336,34 @@ impl Journal {
         })
     }
 
-    /// Validates an existing journal and opens it for appending. A torn
-    /// final record is **truncated away** (it was never acknowledged);
-    /// mid-log corruption is a hard error. Returns the journal plus the
-    /// scan that recovery replays from.
-    pub fn open(path: &Path) -> Result<(Journal, Scan)> {
-        let scan = scan(path)?;
+    /// Validates an existing journal from byte `start` on and opens it for
+    /// appending, handing each intact record to `visit` as the scan
+    /// decodes it ([`scan_records`]). A torn final record is **truncated
+    /// away** after the scan (it was never acknowledged); mid-log
+    /// corruption is a hard error. Returns the journal plus the scan's
+    /// summary.
+    pub fn open(
+        path: &Path,
+        start: u64,
+        visit: &mut dyn FnMut(Record) -> Result<()>,
+    ) -> Result<(Journal, ScanSummary)> {
+        let summary = scan_records(path, start, visit)?;
         let file = OpenOptions::new()
             .write(true)
             .open(path)
             .map_err(io_err(path, "open"))?;
-        if scan.torn.is_some() {
-            file.set_len(scan.end).map_err(io_err(path, "truncate"))?;
+        if summary.torn.is_some() {
+            file.set_len(summary.end)
+                .map_err(io_err(path, "truncate"))?;
             file.sync_all().map_err(io_err(path, "sync"))?;
         }
         Ok((
             Journal {
                 file,
                 path: path.to_path_buf(),
-                end: scan.end,
+                end: summary.end,
             },
-            scan,
+            summary,
         ))
     }
 
@@ -415,7 +496,8 @@ mod tests {
             })
         );
         // Open truncates the dangling bytes and can append again.
-        let (mut j, s) = Journal::open(&path).unwrap();
+        let (mut j, s) = Journal::open(&path, FIRST_RECORD, &mut |_| Ok(())).unwrap();
+        assert_eq!(s.records, 1);
         assert_eq!(s.end, keep);
         assert_eq!(std::fs::metadata(&path).unwrap().len(), keep);
         j.append("+p(c).").unwrap();
@@ -444,7 +526,7 @@ mod tests {
             }
             other => panic!("expected corruption, got {other:?}"),
         }
-        assert!(Journal::open(&path).is_err());
+        assert!(Journal::open(&path, FIRST_RECORD, &mut |_| Ok(())).is_err());
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -489,7 +571,7 @@ mod tests {
         drop(j);
         let collected = scan(&path).unwrap();
         let mut seen = Vec::new();
-        let summary = scan_records(&path, &mut |r| {
+        let summary = scan_records(&path, FIRST_RECORD, &mut |r| {
             seen.push(r);
             Ok(())
         })
@@ -510,7 +592,7 @@ mod tests {
         j.append("+p(b).").unwrap();
         drop(j);
         let mut visited = 0;
-        let res = scan_records(&path, &mut |_| {
+        let res = scan_records(&path, FIRST_RECORD, &mut |_| {
             visited += 1;
             Err(PersistError::NotADatabase("stop".into()))
         });
@@ -585,6 +667,98 @@ mod tests {
         });
         assert_eq!(j.end(), before);
         assert_eq!(report.count("journal.append", ""), 0, "no fsync");
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn scan_from_a_record_boundary_reads_only_the_tail() {
+        let path = tmp("tail");
+        let _ = std::fs::remove_file(&path);
+        let mut j = Journal::create(&path).unwrap();
+        for i in 0..10 {
+            j.append(&format!("+p(c{i}).")).unwrap();
+        }
+        let start = j.end();
+        j.append("+q(a).").unwrap();
+        j.append("+q(b).").unwrap();
+        drop(j);
+        let whole = scan(&path).unwrap();
+        let mut tail = Vec::new();
+        let (summary, report) = dduf_obs::capture(|| {
+            scan_records(&path, start, &mut |r| {
+                tail.push(r);
+                Ok(())
+            })
+            .unwrap()
+        });
+        // Indices count from the scan start; offsets stay absolute.
+        assert_eq!(tail.len(), 2);
+        assert_eq!((tail[0].index, tail[1].index), (0, 1));
+        assert_eq!(tail[0].offset, start);
+        assert_eq!(
+            tail[1],
+            Record {
+                index: 1,
+                ..whole.records[11].clone()
+            }
+        );
+        assert_eq!(tail[0].end(), tail[1].offset);
+        assert_eq!(summary.end, whole.end);
+        assert_eq!(report.counter("journal.scan", "", "records"), 2);
+        assert_eq!(
+            report.counter("journal.scan", "", "bytes"),
+            whole.end - start
+        );
+        // A scan from the end reads nothing.
+        let summary = scan_records(&path, whole.end, &mut |_| Ok(())).unwrap();
+        assert_eq!((summary.records, summary.end), (0, whole.end));
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn scan_start_off_a_record_boundary_is_a_bad_position() {
+        let path = tmp("badpos");
+        let _ = std::fs::remove_file(&path);
+        let mut j = Journal::create(&path).unwrap();
+        j.append("+p(a).").unwrap();
+        let second = j.end();
+        j.append("+p(b).").unwrap();
+        let end = j.end();
+        drop(j);
+        let before = std::fs::read(&path).unwrap();
+        // Inside the last record the bytes look like a torn tail; inside the
+        // first, like a damaged record; before the first record or past
+        // the end, nothing at all. Every one names the position, and open
+        // truncates nothing.
+        for start in [
+            0,
+            4,
+            FIRST_RECORD + 1,
+            second - 1,
+            second + 1,
+            end - 1,
+            end + 1,
+            end + 100,
+        ] {
+            match Journal::open(&path, start, &mut |_| Ok(())) {
+                Err(PersistError::BadPosition { pos, .. }) => assert_eq!(pos, start),
+                other => panic!("start {start}: expected BadPosition, got {other:?}"),
+            }
+            assert_eq!(std::fs::read(&path).unwrap(), before, "start {start}");
+        }
+        // A torn record right at a true boundary is still a torn tail.
+        let mut torn = before.clone();
+        torn.extend_from_slice(&[7, 0, 0]);
+        std::fs::write(&path, &torn).unwrap();
+        let (_, s) = Journal::open(&path, end, &mut |_| Ok(())).unwrap();
+        assert_eq!(
+            s.torn,
+            Some(TornTail {
+                offset: end,
+                bytes: 3
+            })
+        );
+        assert_eq!(std::fs::read(&path).unwrap(), before);
         std::fs::remove_file(&path).unwrap();
     }
 

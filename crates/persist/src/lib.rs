@@ -23,6 +23,17 @@
 //! open recovers exactly the longest acknowledged prefix. Corruption
 //! *before* the final record is never truncated silently: it is a hard
 //! error naming the damaged record.
+//!
+//! Recovery is O(tail). The snapshot *is* the state after every record
+//! before its `journal_pos`, so [`DurableDb::open`] checks the journal's
+//! magic, seeks to that position and replays each record as soon as it
+//! passes its checksum; it never reads the history the snapshot covers.
+//! Open checks every byte it uses, and a position that does not start a
+//! record is a hard [`PersistError::BadPosition`], never a skipped or torn
+//! commit. The integrity of the covered history is [`verify`]'s job: it
+//! (like [`read_log`] and `dduf db log`) scans the whole file. The journal
+//! is never truncated at a checkpoint, so the full history stays on disk
+//! for those audits.
 
 #![forbid(unsafe_code)]
 pub mod counts;
@@ -34,7 +45,7 @@ pub mod snapshot;
 
 pub use counts::{CountsState, COUNTS_FILE};
 pub use error::{PersistError, Result};
-pub use journal::{Journal, Record, Scan, ScanSummary, TornTail, MAX_RECORD};
+pub use journal::{Journal, Record, Scan, ScanSummary, TornTail, FIRST_RECORD, MAX_RECORD};
 pub use lock::{DirLock, LOCK_FILE};
 pub use snapshot::{Snapshot, JOURNAL_FILE, SNAPSHOT_FILE};
 
@@ -56,7 +67,9 @@ pub fn serialize_transaction(txn: &Transaction) -> String {
 pub struct Recovery {
     /// Journal byte offset the snapshot covered.
     pub snapshot_pos: u64,
-    /// Journal records replayed through the upward/commit path.
+    /// Journal records replayed through the upward/commit path: every
+    /// record past the snapshot's position, i.e. every commit since the
+    /// last checkpoint.
     pub replayed: usize,
     /// Dangling bytes of a torn final record that were truncated.
     pub truncated_bytes: u64,
@@ -180,9 +193,11 @@ impl DurableDb {
         })
     }
 
-    /// Opens a durable database: loads the latest snapshot, truncates a
-    /// torn final journal record if a crash left one, and replays the
-    /// journal tail through the normal upward/commit path.
+    /// Opens a durable database: loads the latest snapshot, then streams
+    /// the journal from the snapshot's position, replaying each record
+    /// through the normal upward/commit path as soon as it passes its
+    /// checksum, and truncates a torn final record if a crash left one.
+    /// The records before the snapshot's position are never read.
     pub fn open(dir: impl AsRef<Path>) -> Result<DurableDb> {
         let dir = dir.as_ref();
         if !dir.is_dir() {
@@ -194,7 +209,6 @@ impl DurableDb {
         if !journal_path.exists() {
             return Err(PersistError::NotADatabase(dir.display().to_string()));
         }
-        let (journal, scan) = Journal::open(&journal_path)?;
         // Restore the maintenance state from the counts file when it
         // exactly matches the snapshot (same covered journal position and
         // a split that fits the program); anything else falls back to a
@@ -226,29 +240,22 @@ impl DurableDb {
                 UpdateProcessor::new(snap.db)?
             }
         };
-        let mut replayed = 0usize;
-        for rec in &scan.records {
-            if rec.offset < snap.journal_pos {
-                continue; // covered by the snapshot
-            }
-            let txn = proc
-                .transaction(&rec.payload)
-                .map_err(|e| PersistError::Replay {
-                    record: rec.index,
-                    source: e,
-                })?;
-            proc.commit(&txn).map_err(|e| PersistError::Replay {
+        let (journal, tail) = Journal::open(&journal_path, snap.journal_pos, &mut |rec| {
+            let failed = |source| PersistError::Replay {
                 record: rec.index,
-                source: e,
-            })?;
-            replayed += 1;
-        }
-        let truncated_bytes = scan.torn.map_or(0, |t| t.bytes);
+                offset: rec.offset,
+                source,
+            };
+            let txn = proc.transaction(&rec.payload).map_err(failed)?;
+            proc.commit(&txn).map_err(failed)?;
+            Ok(())
+        })?;
+        let truncated_bytes = tail.torn.map_or(0, |t| t.bytes);
         dduf_obs::record(
             "recovery.open",
             "",
             &[
-                ("replayed", replayed as u64),
+                ("replayed", tail.records as u64),
                 ("truncated_bytes", truncated_bytes),
             ],
         );
@@ -261,7 +268,7 @@ impl DurableDb {
             proc,
             recovery: Recovery {
                 snapshot_pos: snap.journal_pos,
-                replayed,
+                replayed: tail.records,
                 truncated_bytes,
                 counts_restored,
             },
@@ -334,10 +341,12 @@ pub struct VerifyReport {
 }
 
 /// Verifies a durable database without opening it for writing: the
-/// snapshot must parse and pass its checksum, and every journal record
-/// must pass its checksum and re-parse as event syntax. A torn final
-/// record is reported (it is recoverable); mid-log corruption is the
-/// usual hard error.
+/// snapshot must parse and pass its checksum, every journal record —
+/// including the history the snapshot covers, which open never reads —
+/// must pass its checksum and re-parse as event syntax, and the
+/// snapshot's position must be where a record starts (or where the last
+/// one ends). A torn final record is reported (it is recoverable);
+/// mid-log corruption and a bad position are the usual hard errors.
 ///
 /// The journal is checked record-by-record via [`journal::scan_records`]
 /// with bounded buffering — no payload is retained after its check — so a
@@ -349,21 +358,26 @@ pub fn verify(dir: impl AsRef<Path>) -> Result<VerifyReport> {
     if !journal_path.exists() {
         return Err(PersistError::NotADatabase(dir.display().to_string()));
     }
+    let pos = snap.journal_pos;
     let mut tail_records = 0usize;
-    let summary = journal::scan_records(&journal_path, &mut |rec| {
+    let mut boundary = journal::Boundary::new(pos);
+    let summary = journal::scan_records(&journal_path, FIRST_RECORD, &mut |rec| {
         dduf_datalog::parser::parse_events(&rec.payload).map_err(|e| PersistError::Corrupt {
             path: journal_path.display().to_string(),
+            from: FIRST_RECORD,
             record: rec.index,
             offset: rec.offset,
             detail: format!("payload is not event syntax: {e}"),
         })?;
-        if rec.offset >= snap.journal_pos {
+        if rec.offset >= pos {
             tail_records += 1;
         }
+        boundary.visit(&rec);
         Ok(())
     })?;
+    boundary.check(&journal_path, summary.end)?;
     Ok(VerifyReport {
-        snapshot_pos: snap.journal_pos,
+        snapshot_pos: pos,
         snapshot_facts: snap.db.fact_count(),
         records: summary.records,
         tail_records,
@@ -372,8 +386,9 @@ pub fn verify(dir: impl AsRef<Path>) -> Result<VerifyReport> {
     })
 }
 
-/// Reads the journal for display: the snapshot's covered position plus
-/// every record. Used by `dduf db log`.
+/// Reads the whole journal for display: the snapshot's covered position
+/// plus every record, the covered history included. Used by `dduf db
+/// log` and by audits that compare the history with what was committed.
 pub fn read_log(dir: impl AsRef<Path>) -> Result<(u64, Scan)> {
     let dir = dir.as_ref();
     let snap = snapshot::read(dir)?;

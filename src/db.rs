@@ -15,6 +15,7 @@
 
 use crate::cli::Session;
 use dduf_persist::{DurableDb, PersistError};
+use std::io::Write;
 
 /// Usage string for the db verb family.
 pub const DB_USAGE: &str = "\
@@ -106,11 +107,15 @@ fn checkpoint(dir: &str) -> i32 {
         Ok(db) => db,
         Err(e) => return persist_err(&e),
     };
+    // Open replayed exactly the records past the previous snapshot; the
+    // new one folds them in and covers the whole journal.
+    let rec = db.recovery();
     match db.checkpoint() {
         Ok(pos) => {
             println!(
-                "checkpoint written: snapshot covers {} journal record(s), through byte {pos}",
-                db.recovery().replayed,
+                "checkpoint written: snapshot covers the journal through byte {pos}; \
+                 folded in {} record(s) since the previous checkpoint (byte {})",
+                rec.replayed, rec.snapshot_pos,
             );
             0
         }
@@ -119,30 +124,48 @@ fn checkpoint(dir: &str) -> i32 {
 }
 
 fn log(dir: &str) -> i32 {
-    match dduf_persist::read_log(dir) {
-        Ok((snapshot_pos, scan)) => {
-            println!(
-                "journal: {} record(s), snapshot covers through byte {snapshot_pos}",
-                scan.records.len()
-            );
-            for r in &scan.records {
-                let mark = if r.offset < snapshot_pos {
-                    " %= in snapshot"
-                } else {
-                    ""
-                };
-                println!("[{}] @{} {}{mark}", r.index, r.offset, r.payload);
-            }
-            if let Some(t) = scan.torn {
-                println!(
-                    "torn tail: {} dangling byte(s) at offset {} (truncated on next open)",
-                    t.bytes, t.offset
-                );
-            }
-            0
+    let (snapshot_pos, scan) = match dduf_persist::read_log(dir) {
+        Ok(log) => log,
+        Err(e) => return persist_err(&e),
+    };
+    // A reader that stops early (`| head`) closes the pipe: that ends the
+    // dump, it is not an error.
+    match print_log(&mut std::io::stdout().lock(), snapshot_pos, &scan) {
+        Ok(()) => 0,
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => 0,
+        Err(e) => {
+            eprintln!("dduf db log: cannot write the dump: {e}");
+            2
         }
-        Err(e) => persist_err(&e),
     }
+}
+
+fn print_log(
+    out: &mut impl Write,
+    snapshot_pos: u64,
+    scan: &dduf_persist::Scan,
+) -> std::io::Result<()> {
+    writeln!(
+        out,
+        "journal: {} record(s), snapshot covers through byte {snapshot_pos}",
+        scan.records.len()
+    )?;
+    for r in &scan.records {
+        let mark = if r.offset < snapshot_pos {
+            " %= in snapshot"
+        } else {
+            ""
+        };
+        writeln!(out, "[{}] @{} {}{mark}", r.index, r.offset, r.payload)?;
+    }
+    if let Some(t) = scan.torn {
+        writeln!(
+            out,
+            "torn tail: {} dangling byte(s) at offset {} (truncated on next open)",
+            t.bytes, t.offset
+        )?;
+    }
+    out.flush()
 }
 
 fn verify(dir: &str) -> i32 {

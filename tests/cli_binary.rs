@@ -222,8 +222,14 @@ fn db_verbs_round_trip_a_durable_session() {
     let out = dduf(&["db", "verify", dir]);
     assert!(out.status.success());
 
-    // Corrupt one journal payload byte: verify must fail naming record 0.
+    // One commit past the checkpoint: the recovery tail.
     let journal = std::path::Path::new(dir).join("journal.log");
+    let tail_start = std::fs::metadata(&journal).unwrap().len() as usize;
+    let out = dduf_piped(&["db", "open", dir], ":force +la(maria).\n:quit\n");
+    assert!(out.status.success());
+
+    // Corrupt one payload byte of record 0, which the snapshot covers:
+    // verify must fail naming record 0 ...
     let mut bytes = std::fs::read(&journal).unwrap();
     let flip = 8 + 8 + 1; // magic + record header + 1 byte into the payload
     bytes[flip] ^= 0x40;
@@ -233,10 +239,121 @@ fn db_verbs_round_trip_a_durable_session() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("record 0"), "{stderr}");
     assert!(stderr.contains("checksum mismatch"), "{stderr}");
-    // And open refuses too (mid-log damage is never truncated silently).
+    // ... while open, which reads only the tail, recovers the full state.
+    let out = dduf_piped(&["db", "open", dir], ":show\n:quit\n");
+    assert_eq!(out.status.code(), Some(0));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("1 replayed journal record(s)"), "{stdout}");
+    assert!(stdout.contains("works(dolors)."), "{stdout}");
+    assert!(stdout.contains("la(maria)."), "{stdout}");
+
+    // Damage in the tail: open refuses (mid-log damage is never truncated
+    // silently).
+    bytes[tail_start + 8 + 1] ^= 0x40;
+    std::fs::write(&journal, &bytes).unwrap();
     let out = dduf_piped(&["db", "open", dir], ":quit\n");
     assert_eq!(out.status.code(), Some(1));
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("journal corrupt"),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 
+    std::fs::remove_dir_all(&base).unwrap();
+}
+
+/// `dduf db checkpoint` reports the byte its snapshot covers and the
+/// records it folded in since the previous checkpoint — over two
+/// checkpoints, where the second one covers every record but folds in one.
+#[test]
+fn db_checkpoint_reports_the_byte_it_covers_and_the_records_it_folds_in() {
+    let base = std::env::temp_dir().join(format!("dduf_bin_ckpt_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&base);
+    std::fs::create_dir_all(&base).unwrap();
+    let schema = base.join("schema.dl");
+    std::fs::write(&schema, EMPLOYMENT).unwrap();
+    let dir = base.join("db");
+    let journal = dir.join("journal.log");
+    let (schema, dir) = (schema.to_str().unwrap(), dir.to_str().unwrap());
+    assert!(dduf(&["db", "init", schema, dir]).status.success());
+
+    let script = ":force +la(ana).\n:force +la(ben).\n:force +works(ana).\n:quit\n";
+    assert!(dduf_piped(&["db", "open", dir], script).status.success());
+    let first = std::fs::metadata(&journal).unwrap().len();
+    let out = dduf(&["db", "checkpoint", dir]);
+    assert!(out.status.success());
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains(&format!(
+            "snapshot covers the journal through byte {first}; folded in 3 record(s) \
+             since the previous checkpoint (byte 8)"
+        )),
+        "{stdout}"
+    );
+
+    let script = ":force +works(ben).\n:quit\n";
+    assert!(dduf_piped(&["db", "open", dir], script).status.success());
+    let second = std::fs::metadata(&journal).unwrap().len();
+    let out = dduf(&["db", "checkpoint", dir]);
+    assert!(out.status.success());
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains(&format!(
+            "snapshot covers the journal through byte {second}; folded in 1 record(s) \
+             since the previous checkpoint (byte {first})"
+        )),
+        "{stdout}"
+    );
+    let out = dduf(&["db", "log", dir]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains(&format!(
+            "4 record(s), snapshot covers through byte {second}"
+        )),
+        "{stdout}"
+    );
+    std::fs::remove_dir_all(&base).unwrap();
+}
+
+/// A reader that stops early (`dduf db log <dir> | head -2`) closes the
+/// pipe mid-dump: the dump ends quietly with exit 0, no panic.
+#[test]
+fn db_log_into_a_closed_pipe_exits_zero() {
+    use std::io::BufRead as _;
+    let base = std::env::temp_dir().join(format!("dduf_bin_pipe_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&base);
+    let dir = base.join("db");
+    let (proc, mut store) = dduf::persist::DurableDb::init(&dir, EMPLOYMENT)
+        .unwrap()
+        .into_parts();
+    // Far more dump than a pipe buffers, so the writer meets the closed end.
+    let payloads: Vec<String> = (0..10_000).map(|i| format!("+la(p{i}).")).collect();
+    store.record_commit_batch(&payloads).unwrap();
+    drop((proc, store));
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_dduf"))
+        .args(["db", "log", dir.to_str().unwrap()])
+        .stdin(Stdio::null())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut lines = std::io::BufReader::new(child.stdout.take().unwrap()).lines();
+    assert!(lines
+        .next()
+        .unwrap()
+        .unwrap()
+        .starts_with("journal: 10000 record(s)"));
+    assert!(lines
+        .next()
+        .unwrap()
+        .unwrap()
+        .starts_with("[0] @8 +la(p0)."));
+    drop(lines);
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(stderr.is_empty(), "{stderr}");
     std::fs::remove_dir_all(&base).unwrap();
 }
 

@@ -144,8 +144,9 @@ fn batched_append_crash_recovers_clean_record_prefix() {
     }
 
     let journal_path = dir.join(JOURNAL_FILE);
-    let (mut j, scan) = journal::Journal::open(&journal_path).unwrap();
-    assert_eq!(scan.records.len(), 1);
+    let (mut j, scan) =
+        journal::Journal::open(&journal_path, journal::FIRST_RECORD, &mut |_| Ok(())).unwrap();
+    assert_eq!(scan.records, 1);
     let batch_start = j.end();
     j.append_batch(&payloads).unwrap();
     drop(j);
@@ -237,8 +238,9 @@ fn pipelined_two_batch_tail_crash_sweep_keeps_counts_restore() {
     }
 
     let journal_path = dir.join(JOURNAL_FILE);
-    let (mut j, scan) = journal::Journal::open(&journal_path).unwrap();
-    assert_eq!(scan.records.len(), 1);
+    let (mut j, scan) =
+        journal::Journal::open(&journal_path, journal::FIRST_RECORD, &mut |_| Ok(())).unwrap();
+    assert_eq!(scan.records, 1);
     let tail_start = j.end();
     j.append_batch(&payloads[..2]).unwrap();
     j.append_batch(&payloads[2..]).unwrap();
@@ -355,6 +357,224 @@ fn midlog_byte_flip_is_a_named_corruption_error() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// The same damage after a checkpoint: open scans from the snapshot's
+/// position, so the error counts records from there and says so, while
+/// `verify` names the same bytes counted from the first record.
+#[test]
+fn midlog_byte_flip_after_a_checkpoint_is_a_named_corruption_error() {
+    let dir = tmpdir("flip_ckpt");
+    let mut db = DurableDb::init(&dir, SCHEMA).unwrap();
+    let txn = db.transaction(TXNS[0]).unwrap();
+    db.commit(&txn).unwrap();
+    let pos = db.checkpoint().unwrap();
+    for src in &TXNS[1..] {
+        let txn = db.transaction(src).unwrap();
+        db.commit(&txn).unwrap();
+    }
+    drop(db);
+    let journal_path = dir.join(JOURNAL_FILE);
+    let clean = std::fs::read(&journal_path).unwrap();
+    let scan = journal::scan(&journal_path).unwrap();
+    assert_eq!(scan.records[1].offset, pos);
+
+    // Flip one payload byte of record 2: the tail's record 1, and record 3
+    // follows it.
+    let damaged = scan.records[2].offset;
+    let mut bytes = clean.clone();
+    bytes[damaged as usize + journal::RECORD_HEADER + 3] ^= 0x20;
+    std::fs::write(&journal_path, &bytes).unwrap();
+    let err = DurableDb::open(&dir).unwrap_err();
+    match &err {
+        PersistError::Corrupt {
+            from,
+            record,
+            offset,
+            detail,
+            ..
+        } => {
+            assert_eq!(*from, pos, "open scans from the snapshot's position");
+            assert_eq!(*record, 1, "counted from the snapshot's position");
+            assert_eq!(*offset, damaged);
+            assert!(detail.contains("checksum mismatch"), "{detail}");
+        }
+        other => panic!("expected corruption at tail record 1, got {other:?}"),
+    }
+    let rendered = err.render();
+    assert!(
+        rendered.contains(&format!("record 1 (byte {damaged})")),
+        "{rendered}"
+    );
+    assert!(
+        rendered.contains(&format!("started at byte {pos}, the snapshot's position")),
+        "{rendered}"
+    );
+    match dduf::persist::verify(&dir) {
+        Err(PersistError::Corrupt {
+            from,
+            record,
+            offset,
+            ..
+        }) => {
+            assert_eq!(from, journal::FIRST_RECORD);
+            assert_eq!((record, offset), (2, damaged));
+        }
+        other => panic!("expected verify to name record 2, got {other:?}"),
+    }
+
+    // The stored checksum of the tail's last record: also corruption.
+    let mut bytes = clean.clone();
+    bytes[scan.records[3].offset as usize + 5] ^= 0xFF;
+    std::fs::write(&journal_path, &bytes).unwrap();
+    match DurableDb::open(&dir) {
+        Err(PersistError::Corrupt { record, offset, .. }) => {
+            assert_eq!((record, offset), (2, scan.records[3].offset))
+        }
+        other => panic!("expected corruption at tail record 2, got {other:?}"),
+    }
+
+    std::fs::write(&journal_path, &clean).unwrap();
+    let db = DurableDb::open(&dir).unwrap();
+    assert_eq!(
+        fingerprint(db.processor()),
+        reference_fingerprint(TXNS.len())
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Damage inside the history a snapshot covers: open never reads those
+/// bytes and recovers the full state; `verify` reads the whole journal and
+/// fails naming the damaged record.
+#[test]
+fn covered_history_damage_opens_and_fails_verify() {
+    let dir = tmpdir("flip_covered");
+    let mut db = DurableDb::init(&dir, SCHEMA).unwrap();
+    for src in &TXNS[..2] {
+        let txn = db.transaction(src).unwrap();
+        db.commit(&txn).unwrap();
+    }
+    let pos = db.checkpoint().unwrap();
+    for src in &TXNS[2..] {
+        let txn = db.transaction(src).unwrap();
+        db.commit(&txn).unwrap();
+    }
+    let end = db.store().journal_end();
+    drop(db);
+    let journal_path = dir.join(JOURNAL_FILE);
+    let mut bytes = std::fs::read(&journal_path).unwrap();
+    bytes[journal::FIRST_RECORD as usize + journal::RECORD_HEADER + 1] ^= 0x40;
+    std::fs::write(&journal_path, &bytes).unwrap();
+
+    let (db, report) = dduf::obs::capture(|| DurableDb::open(&dir).unwrap());
+    assert_eq!(
+        fingerprint(db.processor()),
+        reference_fingerprint(TXNS.len())
+    );
+    assert_eq!(db.recovery().replayed, 2);
+    assert_eq!(report.counter("journal.scan", "", "records"), 2);
+    assert_eq!(report.counter("journal.scan", "", "bytes"), end - pos);
+    drop(db);
+    assert_eq!(
+        std::fs::read(&journal_path).unwrap(),
+        bytes,
+        "open wrote nothing"
+    );
+
+    let err = dduf::persist::verify(&dir).unwrap_err();
+    match &err {
+        PersistError::Corrupt { record, detail, .. } => {
+            assert_eq!(*record, 0, "verify must name the damaged record");
+            assert!(detail.contains("checksum mismatch"), "{detail}");
+        }
+        other => panic!("expected corruption at record 0, got {other:?}"),
+    }
+    assert!(err.render().contains("record 0"), "{}", err.render());
+    assert!(dduf::persist::read_log(&dir).is_err());
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Rewrites the `journal_pos` field of a snapshot's header. The header is
+/// outside the body checksum, so the snapshot still reads back.
+fn set_snapshot_pos(dir: &Path, pos: u64) {
+    let path = dir.join(SNAPSHOT_FILE);
+    let content = std::fs::read_to_string(&path).unwrap();
+    let (header, body) = content.split_once('\n').unwrap();
+    let header: Vec<String> = header
+        .split(' ')
+        .map(|field| match field.strip_prefix("journal_pos=") {
+            Some(_) => format!("journal_pos={pos}"),
+            None => field.to_string(),
+        })
+        .collect();
+    std::fs::write(&path, format!("{}\n{body}", header.join(" "))).unwrap();
+}
+
+/// A snapshot position that does not start a record — one byte past the
+/// true one, inside the record before it, past the end of the journal, or
+/// any other byte that no record starts at — is a hard error naming the
+/// position, from open and from `verify`. Open must neither skip a
+/// committed record nor truncate one as if it were a torn tail.
+#[test]
+fn snapshot_position_off_a_record_boundary_is_a_hard_error() {
+    let dir = tmpdir("badpos");
+    let mut db = DurableDb::init(&dir, SCHEMA).unwrap();
+    for src in &TXNS[..2] {
+        let txn = db.transaction(src).unwrap();
+        db.commit(&txn).unwrap();
+    }
+    let pos = db.checkpoint().unwrap();
+    let txn = db.transaction(TXNS[2]).unwrap();
+    db.commit(&txn).unwrap();
+    drop(db);
+    let journal_path = dir.join(JOURNAL_FILE);
+    let clean = std::fs::read(&journal_path).unwrap();
+    let scan = journal::scan(&journal_path).unwrap();
+    let boundaries: Vec<u64> = scan
+        .records
+        .iter()
+        .map(|r| r.offset)
+        .chain([scan.end])
+        .collect();
+    let inside_previous = scan.records[1].offset + journal::RECORD_HEADER as u64 + 2;
+    assert!(inside_previous < pos);
+    let named = [pos + 1, inside_previous, scan.end + 100];
+    let every_other = (0..=scan.end + 1).filter(|p| !boundaries.contains(p));
+    for bad in named.into_iter().chain(every_other) {
+        set_snapshot_pos(&dir, bad);
+        match DurableDb::open(&dir) {
+            Err(e @ PersistError::BadPosition { .. }) => {
+                assert!(
+                    e.render().contains(&format!("byte {bad}")),
+                    "journal_pos={bad}: {}",
+                    e.render()
+                );
+            }
+            Err(other) => panic!("journal_pos={bad}: expected BadPosition, got {other:?}"),
+            Ok(db) => panic!(
+                "journal_pos={bad}: opened with {} replayed record(s)",
+                db.recovery().replayed
+            ),
+        }
+        assert_eq!(
+            std::fs::read(&journal_path).unwrap(),
+            clean,
+            "journal_pos={bad}: open must not truncate the journal"
+        );
+        match dduf::persist::verify(&dir) {
+            Err(PersistError::BadPosition { pos, .. }) => assert_eq!(pos, bad),
+            other => panic!("journal_pos={bad}: verify must report it, got {other:?}"),
+        }
+    }
+
+    // The true position opens with every acknowledged commit.
+    set_snapshot_pos(&dir, pos);
+    let db = DurableDb::open(&dir).unwrap();
+    assert_eq!(db.recovery().replayed, 1);
+    assert_eq!(fingerprint(db.processor()), reference_fingerprint(3));
+    drop(db);
+    assert!(dduf::persist::verify(&dir).is_ok());
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn checkpoint_then_crash_recovers_through_snapshot_plus_tail() {
     let dir = tmpdir("ckpt");
@@ -392,8 +612,9 @@ fn oversized_append_fails_cleanly_with_no_bytes_written() {
 
     let journal_path = dir.join(JOURNAL_FILE);
     let before = std::fs::read(&journal_path).unwrap();
-    let (mut j, scan) = journal::Journal::open(&journal_path).unwrap();
-    assert_eq!(scan.records.len(), 1);
+    let (mut j, scan) =
+        journal::Journal::open(&journal_path, journal::FIRST_RECORD, &mut |_| Ok(())).unwrap();
+    assert_eq!(scan.records, 1);
 
     let oversized = "x".repeat(journal::MAX_RECORD as usize + 1);
     match j.append(&oversized) {

@@ -98,6 +98,67 @@ fn analyze_json_clean_program() {
     );
 }
 
+const RECURSIVE: &str = "\
+e(a, b). e(b, c).
+tc(X, Y) :- e(X, Y).
+tc(X, Y) :- e(X, Z), tc(Z, Y).
+";
+
+const GUARDED: &str = "\
+e(a, b). e(b, c).
+tc(X, Y) :- e(X, Y).
+tc(X, Y) :- e(X, Z), tc(Z, Y).
+:- tc(X, X).
+";
+
+/// A recursive view is monitored by DRed over its component
+/// (`"monitoring":"dred"`, I004).
+#[test]
+fn analyze_json_recursive_program() {
+    let r = analyze_file("golden.dl", RECURSIVE, &analyze_opts());
+    assert_eq!(r.exit_code, 0);
+    assert_eq!(
+        r.output,
+        concat!(
+            "{\"file\":\"golden.dl\",\"report\":{\"predicates\":[",
+            "{\"pred\":\"e/2\",\"role\":\"base\",\"rules\":0,\"facts\":2,\"bound\":2,",
+            "\"class\":\"tiny\",\"sigs\":[[0],[0,1],[1]],\"patterns\":[\"bb\",\"bf\",\"fb\",\"ff\"]},",
+            "{\"pred\":\"tc/2\",\"role\":\"view\",\"rules\":2,\"facts\":0,\"bound\":null,",
+            "\"class\":\"large\",\"sigs\":[[0],[0,1]],\"patterns\":[\"bb\",\"bf\",\"ff\"],",
+            "\"translation\":\"ambiguous\",\"ambiguity\":[\"multiple_rules\",\"existential_variables\"],",
+            "\"maintenance\":\"monotone\",\"monitoring\":\"dred\"}",
+            "],\"plans_considered\":8,\"recursive\":true},",
+            "\"diagnostics\":[",
+            "{\"code\":\"I002\",\"severity\":\"info\",",
+            "\"message\":\"view `tc`: update translation is ambiguous (multiple_rules, existential_variables) — requests expand to alternative base transactions (§5.2)\",",
+            "\"spans\":[{\"line\":2,\"col\":1,\"width\":2,\"primary\":true,\"label\":\"defined here\"}]},",
+            "{\"code\":\"I004\",\"severity\":\"info\",",
+            "\"message\":\"view `tc`: recursive — monitoring maintains the component by DRed, deleting and rederiving from the changed tuples (DESIGN.md §15)\",",
+            "\"spans\":[{\"line\":2,\"col\":1,\"width\":2,\"primary\":true,\"label\":\"defined here\"}]}",
+            "],\"errors\":0,\"warnings\":0,\"infos\":2}\n"
+        )
+    );
+}
+
+/// A constraint over a recursive predicate (W010) costs DRed over the
+/// component on every relevant update.
+#[test]
+fn lint_json_recursive_guard() {
+    let r = lint_source("golden.dl", GUARDED, &lint_opts());
+    assert_eq!(r.exit_code, 0);
+    assert_eq!(
+        r.output,
+        concat!(
+            "{\"file\":\"golden.dl\",\"diagnostics\":[",
+            "{\"code\":\"W010\",\"severity\":\"warning\",",
+            "\"message\":\"constraint or condition `ic1` guards recursive `tc`: every relevant update maintains the recursive component by DRed before the guard is read\",",
+            "\"spans\":[{\"line\":4,\"col\":4,\"width\":2,\"primary\":true,\"label\":\"recursive predicate guarded here\"}],",
+            "\"help\":\"bound the recursion (materialize a non-recursive summary) if the guard must stay cheap to monitor\"}",
+            "],\"errors\":0,\"warnings\":1}\n"
+        )
+    );
+}
+
 #[test]
 fn analyze_json_parse_failure_keeps_shape() {
     let r = analyze_file("golden.dl", "v(X :-\n", &analyze_opts());

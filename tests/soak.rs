@@ -160,38 +160,40 @@ fn durable_soak_journal_metrics_and_recovery() {
     let base_preds = ["la", "works", "u_benefit"];
     let mut rng = Rng::new(20260807);
 
-    let ((commits, checkpoints, final_end, saved), report) = dduf::obs::capture(|| {
-        let mut db = DurableDb::init(&dir, SCHEMA).unwrap();
-        let mut prev_end = db.store().journal_end();
-        let mut commits = 0u64;
-        let mut checkpoints = 0u64;
-        for step in 0..60 {
-            let pred = *rng.choose(&base_preds);
-            let person = *rng.choose(&PEOPLE);
-            let p = Pred::new(pred, 1);
-            let t = Tuple::new(vec![Const::sym(person)]);
-            let sign = if db.processor().database().holds(p, &t) {
-                '-'
-            } else {
-                '+'
-            };
-            let txn = db.transaction(&format!("{sign}{pred}({person}).")).unwrap();
-            db.commit(&txn).unwrap();
-            commits += 1;
-            let end = db.store().journal_end();
-            assert!(
-                end > prev_end,
-                "step {step}: journal end {end} did not advance past {prev_end}"
-            );
-            prev_end = end;
-            if step % 20 == 19 {
-                db.checkpoint().unwrap();
-                checkpoints += 1;
+    let ((commits, checkpoints, snapshot_pos, final_end, saved), report) =
+        dduf::obs::capture(|| {
+            let mut db = DurableDb::init(&dir, SCHEMA).unwrap();
+            let mut prev_end = db.store().journal_end();
+            let mut commits = 0u64;
+            let mut checkpoints = 0u64;
+            let mut snapshot_pos = prev_end;
+            for step in 0..60 {
+                let pred = *rng.choose(&base_preds);
+                let person = *rng.choose(&PEOPLE);
+                let p = Pred::new(pred, 1);
+                let t = Tuple::new(vec![Const::sym(person)]);
+                let sign = if db.processor().database().holds(p, &t) {
+                    '-'
+                } else {
+                    '+'
+                };
+                let txn = db.transaction(&format!("{sign}{pred}({person}).")).unwrap();
+                db.commit(&txn).unwrap();
+                commits += 1;
+                let end = db.store().journal_end();
+                assert!(
+                    end > prev_end,
+                    "step {step}: journal end {end} did not advance past {prev_end}"
+                );
+                prev_end = end;
+                if step % 20 == 9 {
+                    snapshot_pos = db.checkpoint().unwrap();
+                    checkpoints += 1;
+                }
             }
-        }
-        let saved = dduf::datalog::pretty::database(db.processor().database());
-        (commits, checkpoints, prev_end, saved)
-    });
+            let saved = dduf::datalog::pretty::database(db.processor().database());
+            (commits, checkpoints, snapshot_pos, prev_end, saved)
+        });
 
     // Counters vs ground truth: every commit appended one fsynced record,
     // and the bytes recorded are exactly the journal growth past the
@@ -220,8 +222,18 @@ fn durable_soak_journal_metrics_and_recovery() {
         first_recovery.replayed as u64
     );
     assert_eq!(rep1.counter("recovery.open", "", "truncated_bytes"), 0);
-    assert_eq!(rep1.counter("journal.scan", "", "records"), commits);
-    assert_eq!(rep1.counter("journal.scan", "", "bytes"), final_end - 8);
+    // Open reads the tail past the last checkpoint and nothing before it.
+    assert_eq!(first_recovery.snapshot_pos, snapshot_pos);
+    assert_eq!(
+        first_recovery.replayed, 10,
+        "commits since the last checkpoint"
+    );
+    assert_eq!(rep1.counter("journal.scan", "", "records"), 10);
+    assert_eq!(
+        rep1.counter("journal.scan", "", "bytes"),
+        final_end - snapshot_pos
+    );
+    assert!(commits > 10);
     assert_eq!(
         first_saved, saved,
         "recovered state differs from the committed one"
