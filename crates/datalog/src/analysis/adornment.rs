@@ -1,5 +1,5 @@
-//! Adornment (binding-pattern) inference: which bound-pattern index
-//! signatures can any compiled plan ever request, per predicate?
+//! Adornment (binding-pattern) inference: which bound-column signatures
+//! can any compiled plan ever probe, per predicate?
 //!
 //! The engines compile [`crate::eval::plan::JoinPlan`]s from four seed
 //! families, and plan compilation is deterministic in (literal list, seed
@@ -10,13 +10,16 @@
 //!    evaluation and ad-hoc queries);
 //! 2. **delta** — each recursive positive occurrence pinned first
 //!    (differential rounds);
-//! 3. **breaking** — each body occurrence flipped to its breaking event
-//!    and pinned (the upward engine's deletion-candidate plans, §3.2);
-//! 4. **holds** — each rule body with the head variables seed-bound (the
-//!    `Pⁿ` satisfiability check behind `del P ← P° ∧ ¬Pⁿ`).
+//! 3. **firing** — each body occurrence flipped to the polarity of the
+//!    change that reaches it and pinned: the maintenance engine's
+//!    counting and DRed firings, which bind one occurrence to a changed
+//!    tuple and join the rest of the body;
+//! 4. **head-bound** — each rule body with the head variables seed-bound:
+//!    DRed's rederive check and keep-check (`Pⁿ` still derivable?).
 //!
-//! The union of probe signatures over those plans is the set of composite
-//! indexes evaluation can ask for, and the bound/free strings (`"bf"`,
+//! The union of probe signatures over those plans is the set of column
+//! sets evaluation can probe (those that are not a prefix are the hash
+//! indexes it can build), and the bound/free strings (`"bf"`,
 //! `"bb"`, …) are the classic magic-sets adornments of the same
 //! information. The result is advisory — consumers use it to *report* and
 //! to *skip* work (plans whose seeds are provably empty), never to change
@@ -32,8 +35,8 @@ use super::dataflow::Dataflow;
 /// The inferred binding patterns of a program.
 #[derive(Clone, Debug, Default)]
 pub struct AdornmentInfo {
-    /// Per predicate: every composite-index signature (strictly ascending
-    /// bound-column set) some plan may probe it with.
+    /// Per predicate: every signature (strictly ascending bound-column
+    /// set) some plan may probe it with.
     pub sigs: BTreeMap<Pred, BTreeSet<Box<[usize]>>>,
     /// Per predicate: every adornment string (`'b'` = bound, `'f'` = free)
     /// under which it can be visited, including all-free scans and
@@ -64,9 +67,9 @@ impl AdornmentInfo {
                     );
                 }
             }
-            // 3. Breaking events: every body occurrence, flipped positive
-            // (the breaking event of a negative literal is an insertion
-            // event on the same atom) and pinned like a delta.
+            // 3. Firings: every body occurrence, flipped positive (a
+            // change to a negative literal's atom fires it too) and pinned
+            // like a delta.
             for occ in 0..rule.body.len() {
                 let mut lits: Vec<Literal> = rule.body.clone();
                 if !lits[occ].positive {
@@ -74,7 +77,7 @@ impl AdornmentInfo {
                 }
                 info.absorb(&lits, &JoinPlan::compile(&lits, &no_bound, Some(occ)));
             }
-            // 4. New-state satisfiability: head variables seed-bound.
+            // 4. Head-bound checks: head variables seed-bound.
             let head_bound = rule.head.vars().into_iter().collect();
             info.absorb(
                 &rule.body,
@@ -144,7 +147,7 @@ mod tests {
         let e = Pred::new("e", 2);
         let sigs = &info.sigs[&e];
         // The delta-pinned plan (tc(Z,Y) first) probes e on column 1; the
-        // breaking-event plans probe it on column 0 (tc delta binds Z).
+        // firing plans probe it on column 0 (tc delta binds Z).
         assert!(sigs.contains([1usize].as_slice()), "{sigs:?}");
         assert!(info.patterns[&e].contains("fb"), "{:?}", info.patterns[&e]);
         assert!(info.patterns[&e].contains("ff"));

@@ -1,5 +1,6 @@
 //! Static cardinality and cost bounds — pass codes `W009`/`W010`, and the
-//! [`CostModel`] the evaluation engines consult to gate index builds.
+//! [`CostModel`] behind `dduf analyze`'s per-predicate bound and size
+//! class.
 //!
 //! Every predicate gets a sound upper bound on its extension, propagated
 //! over the dependency SCCs in topological order:
@@ -13,11 +14,9 @@
 //! * members of recursive SCCs are unbounded (the fixpoint can square
 //!   through the cycle), as is any bound exceeding [`BOUND_CAP`].
 //!
-//! Bounds collapse into a [`SizeClass`], the static half of the planner's
-//! index gate: [`CostModel::index_worthwhile`] replaces the engines' blind
-//! `len >= 16` check with *class + runtime driving cardinality*, so a
-//! relation a few hundred tuples large is only hash-indexed when enough
-//! probes are coming to amortize the build (DESIGN.md §13).
+//! Bounds collapse into a [`SizeClass`] for the report. Evaluation does
+//! not consult the model: whether a probe uses an index is decided by the
+//! probed relation alone (`Relation::probe_cols`, DESIGN.md §13).
 
 use super::{AnalysisInput, Diagnostic, Label, Pass};
 use crate::ast::{Pred, Rule, Term, Var};
@@ -30,13 +29,8 @@ use super::dataflow::Dataflow;
 /// machinery's own floor in `storage::relation` (`INDEX_MIN`).
 pub const TINY_MAX: usize = 16;
 
-/// Upper edge of [`SizeClass::Small`]: below it, an eager index build only
-/// pays off when the driving side is large enough ([`PROBE_MIN_DRIVING`]).
+/// Upper edge of [`SizeClass::Small`].
 pub const SMALL_MAX: usize = 256;
-
-/// A small-class relation is worth indexing once at least this many probe
-/// seeds (delta tuples, event tuples, deletion candidates) will hit it.
-pub const PROBE_MIN_DRIVING: usize = 8;
 
 /// Bounds above this are treated as unbounded: the product form would
 /// otherwise overflow and the distinction carries no planning signal.
@@ -49,7 +43,7 @@ pub enum SizeClass {
     Empty,
     /// Bound below [`TINY_MAX`]: scanning always beats indexing.
     Tiny,
-    /// Bound below [`SMALL_MAX`]: index only under enough driving probes.
+    /// Bound below [`SMALL_MAX`].
     Small,
     /// Large or unbounded (recursive, or above [`BOUND_CAP`]).
     Large,
@@ -85,8 +79,7 @@ impl std::fmt::Display for SizeClass {
 
 /// Per-predicate cardinality bounds and size classes for one program +
 /// EDB snapshot. Cheap to compute (linear in the program over the SCC
-/// order), so engines rebuild it per evaluation call against the current
-/// fact counts.
+/// order).
 #[derive(Clone, Debug, Default)]
 pub struct CostModel {
     /// Static upper bound on each predicate's extension; `None` when
@@ -156,19 +149,8 @@ impl CostModel {
         CostModel { bounds, classes }
     }
 
-    /// Computes the model from a live database: the program plus exact
-    /// per-predicate EDB counts.
-    pub fn from_database(db: &crate::storage::database::Database) -> CostModel {
-        let counts: BTreeMap<Pred, usize> = db
-            .extensional_predicates()
-            .map(|p| (p, db.relation(p).len()))
-            .collect();
-        CostModel::compute(db.program(), &counts)
-    }
-
     /// The size class of `pred`; unknown predicates default to
-    /// [`SizeClass::Large`] (the conservative choice — it reproduces the
-    /// old always-index behavior).
+    /// [`SizeClass::Large`] (the conservative choice).
     pub fn class(&self, pred: Pred) -> SizeClass {
         self.classes.get(&pred).copied().unwrap_or(SizeClass::Large)
     }
@@ -176,20 +158,6 @@ impl CostModel {
     /// The static bound of `pred` (`None` = unbounded or unknown).
     pub fn bound(&self, pred: Pred) -> Option<u64> {
         self.bounds.get(&pred).copied().flatten()
-    }
-
-    /// The index gate: should a composite index be eagerly built on
-    /// `pred`'s relation (current length `len`) when roughly `driving`
-    /// probe seeds are about to hit it? Decided from static class plus
-    /// two runtime scalars only, both known before the plan runs.
-    pub fn index_worthwhile(&self, pred: Pred, len: usize, driving: usize) -> bool {
-        match self.class(pred) {
-            // Static analysis says the relation stays trivial; only a
-            // runtime length that clearly refutes the bound overrides it.
-            SizeClass::Empty | SizeClass::Tiny => len >= SMALL_MAX,
-            SizeClass::Small => index_worthwhile_dynamic(len, driving),
-            SizeClass::Large => len >= TINY_MAX,
-        }
     }
 
     /// Worst-case cost estimate for one rule's full (all-free) plan: the
@@ -205,12 +173,6 @@ impl CostModel {
         }
         Some(cost)
     }
-}
-
-/// The purely dynamic gate, for relations without a static class (event
-/// relations, whose contents exist only within one transaction).
-pub fn index_worthwhile_dynamic(len: usize, driving: usize) -> bool {
-    len >= TINY_MAX && (len >= SMALL_MAX || driving >= PROBE_MIN_DRIVING)
 }
 
 /// Bound for one rule: the smallest covering positive literal when one
@@ -408,22 +370,6 @@ mod tests {
             .program
             .rules()[0]
             .clone()
-    }
-
-    #[test]
-    fn index_gate_combines_class_and_driving() {
-        let m = model("v(X, Y) :- a(X), c(Y).\n", &[("a", 1, 10), ("c", 1, 10)]);
-        let v = Pred::new("v", 2);
-        assert_eq!(m.class(v), SizeClass::Small);
-        assert!(!m.index_worthwhile(v, 100, 2), "few probes: scan");
-        assert!(m.index_worthwhile(v, 100, 50), "many probes: build");
-        assert!(!m.index_worthwhile(v, 8, 50), "below the floor: scan");
-        // Tiny class ignores driving unless the runtime length refutes it.
-        let a = Pred::new("a", 1);
-        assert!(!m.index_worthwhile(a, 100, 1000));
-        assert!(m.index_worthwhile(a, 300, 0));
-        // Unknown predicates behave like the old blind gate.
-        assert!(m.index_worthwhile(Pred::new("zzz", 1), 16, 0));
     }
 
     #[test]

@@ -30,7 +30,7 @@ pub struct PredReport {
     pub bound: Option<u64>,
     /// The bound's size class.
     pub class: SizeClass,
-    /// Inferred composite-index signatures (ascending column sets).
+    /// Inferred probe signatures (ascending bound-column sets).
     pub sigs: Vec<Vec<usize>>,
     /// Inferred adornment strings (`'b'`/`'f'` per column).
     pub patterns: Vec<String>,

@@ -324,14 +324,7 @@ mod tests {
         let plan = JoinPlan::compile(&lits, &BTreeSet::new(), None);
         let mut stats = JoinStats::default();
         let run = |stats: &mut JoinStats| {
-            eval_plan_stats(
-                &plan,
-                &lits,
-                &|i| rels[i],
-                &|_, _| true,
-                &Bindings::new(),
-                stats,
-            )
+            eval_plan_stats(&plan, &lits, &|i| rels[i], &Bindings::new(), stats)
         };
         assert_eq!(
             run(&mut stats),

@@ -33,9 +33,6 @@ pub struct ComponentTrace {
     /// Join plans compiled for this component (one per live round-0 rule
     /// plus one per live (rule, delta-occurrence) pair).
     pub plans: u64,
-    /// Gate-passing composite-index pre-build requests issued by those
-    /// plans across all rounds (see [`plan::IndexTracker`]).
-    pub indexes: u64,
     /// Per-round derivation and delta counts, in round order.
     pub rounds: Vec<RoundTrace>,
 }
@@ -80,9 +77,6 @@ pub fn record_component_trace(label: &str, trace: &ComponentTrace) {
     );
     if trace.plans > 0 {
         dduf_obs::record("plan.compile", label, &[("compiled", trace.plans)]);
-    }
-    if trace.indexes > 0 {
-        dduf_obs::record("index.build", label, &[("composite_built", trace.indexes)]);
     }
     for (i, round) in trace.rounds.iter().enumerate() {
         dduf_obs::record(
@@ -365,6 +359,71 @@ mod tests {
             };
             assert_eq!(fingerprint(), fingerprint(), "{strategy:?}");
         }
+    }
+
+    /// One index policy: the materializer probes through
+    /// `Relation::probe_cols` alone, so it indexes only the non-prefix
+    /// column sets it probes, and a probe counts as indexed exactly when
+    /// its relation has at least `INDEX_MIN` tuples, whatever the shared
+    /// index cache holds.
+    #[test]
+    fn materialize_indexes_only_the_non_prefix_sets_it_probes() {
+        use crate::storage::relation::INDEX_MIN;
+        use std::fmt::Write as _;
+        let mut src = String::from(
+            "exploitable(H) :- vuln(H).
+             exposed_zone(Z) :- host(H, Z), exploitable(H).
+             patched_zone(Z) :- host(H, Z), patched(H).
+             hot_host(H) :- hot(Z), host(H, Z).
+             owner(O) :- exposed_zone(Z), owns(O, Z).
+             hot(z0).\n",
+        );
+        for i in 0..32 {
+            let _ = writeln!(src, "host(h{i}, z{}).", i % 4);
+        }
+        for i in 0..10 {
+            let _ = writeln!(src, "vuln(h{i}).");
+        }
+        for i in 0..3 {
+            let _ = writeln!(src, "patched(h{i}).");
+        }
+        for z in 0..4 {
+            let _ = writeln!(src, "owns(o{z}, z{z}).");
+        }
+        let db = parse_database(&src).unwrap();
+        let host = db.relation(Pred::new("host", 2));
+        let owns = db.relation(Pred::new("owns", 2));
+        assert!(host.len() >= INDEX_MIN && owns.len() < INDEX_MIN);
+
+        let (_, first) = dduf_obs::capture(|| materialize(&db).unwrap());
+        // `exposed_zone` and `patched_zone` probe `host` on its prefix
+        // column: the sorted runs answer, nothing is built. Only
+        // `hot_host`'s probe on column 1 builds an index; `owns` is small.
+        assert_eq!(host.indexed_cols(), [Box::from([1usize])]);
+        assert!(owns.indexed_cols().is_empty());
+        // (indexed, scan) per component: one scan of the driving literal,
+        // then one probe per driving tuple, indexed iff the probed
+        // relation is large enough.
+        let probes = |n: u64, rel: &Relation| {
+            let indexed = rel.len() >= INDEX_MIN;
+            (n * u64::from(indexed), 1 + n * u64::from(!indexed))
+        };
+        for (label, expected) in [
+            ("exploitable/1", (0, 1)),
+            ("exposed_zone/1", probes(10, host)),
+            ("patched_zone/1", probes(3, host)),
+            ("hot_host/1", probes(1, host)),
+            ("owner/1", probes(4, owns)),
+        ] {
+            let split = (
+                first.counter("eval.scc", label, "indexed_probes"),
+                first.counter("eval.scc", label, "scan_probes"),
+            );
+            assert_eq!(split, expected, "{label}");
+        }
+        // A second run finds the index built: the counters do not move.
+        let (_, second) = dduf_obs::capture(|| materialize(&db).unwrap());
+        assert_eq!(second.semantic_fingerprint(), first.semantic_fingerprint());
     }
 
     #[test]

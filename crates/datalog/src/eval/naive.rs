@@ -7,7 +7,7 @@
 
 use crate::ast::Pred;
 use crate::eval::join::{ground_terms, Bindings};
-use crate::eval::plan::{eval_plan_stats, IndexTracker, JoinPlan};
+use crate::eval::plan::{eval_plan_stats, JoinPlan};
 use crate::eval::{body_relation, ComponentTrace, Interpretation};
 use crate::storage::database::Database;
 use crate::storage::relation::Relation;
@@ -44,25 +44,12 @@ pub fn eval_component(
         .iter()
         .map(|r| JoinPlan::compile(&r.body, &BTreeSet::new(), None))
         .collect();
-    let mut indexes: IndexTracker<Pred> = IndexTracker::new();
 
     let mut trace = ComponentTrace {
         plans: plans.len() as u64,
         ..ComponentTrace::default()
     };
     loop {
-        // Request this round's composite indexes before the first rule
-        // runs, so every rule of the round sees the same index decisions.
-        for (rule, plan) in rules.iter().zip(&plans) {
-            for (lit, cols) in plan.sigs() {
-                let pred = rule.body[*lit].atom.pred;
-                indexes.request(
-                    pred,
-                    body_relation(db, interp, &current, program, pred),
-                    cols,
-                );
-            }
-        }
         let mut derived: Vec<(Pred, Tuple)> = Vec::new();
         for (rule, plan) in rules.iter().zip(&plans) {
             let rel_of = |i: usize| -> &Relation {
@@ -72,7 +59,6 @@ pub fn eval_component(
                 plan,
                 &rule.body,
                 &rel_of,
-                &|i, cols| indexes.contains(&rule.body[i].atom.pred, cols),
                 &Bindings::new(),
                 &mut trace.stats,
             );
@@ -84,7 +70,6 @@ pub fn eval_component(
         }
         let round_tuples = derived.len() as u64;
         let mut fresh = 0u64;
-        let mut mutated: BTreeSet<Pred> = BTreeSet::new();
         for (pred, tuple) in derived {
             if current
                 .get_mut(&pred)
@@ -92,18 +77,13 @@ pub fn eval_component(
                 .insert(tuple)
             {
                 fresh += 1;
-                mutated.insert(pred);
             }
-        }
-        for pred in &mutated {
-            indexes.invalidate(pred);
         }
         trace.push_round(round_tuples, fresh);
         if fresh == 0 {
             break;
         }
     }
-    trace.indexes = indexes.count();
     (current.into_iter().collect(), trace)
 }
 

@@ -25,14 +25,15 @@
 //!
 //! Each positive (and partially-bound negative) step is annotated with its
 //! *bound-pattern signature*: the set of columns whose terms are constants
-//! or already-bound variables when the step is reached. Signatures are
-//! exactly the composite indexes ([`Relation::probe_cols`]) the plan will
-//! probe, and [`JoinPlan::sigs`] declares them up front so engines can
-//! decide and build them once per round, before the round's first plan
-//! runs, instead of lazily.
+//! or already-bound variables when the step is reached. A step probes its
+//! signature through [`Relation::probe_cols`], the one index policy: a
+//! bound prefix is answered from the sorted runs, any other column set
+//! from a hash index the relation builds on first use, and a relation
+//! below the indexing floor is scanned.
 //!
 //! Because such a plan depends only on the rule and the static binding
-//! pattern — never on frontier or relation contents — every [`JoinStats`]
+//! pattern — never on frontier or relation contents — and a probe is
+//! indexed exactly when its relation is large enough, every [`JoinStats`]
 //! counter is a function of the program and the data (DESIGN.md §12).
 //!
 //! The plans [`eval_seeded`] compiles lazily, for callers whose counters
@@ -42,10 +43,11 @@
 //! `exec(A, H) :- exec(A, S), hacl(S, H), open(H)` would enumerate what
 //! `A` reaches before asking which three hosts reach `H`.
 
-use crate::ast::{Term, Var};
+use crate::ast::{Const, Term, Var};
 use crate::eval::join::{ground_terms, match_tuple, resolve, Bindings, JoinLit, JoinStats};
 use crate::storage::relation::Relation;
-use std::collections::{BTreeMap, BTreeSet};
+use crate::storage::tuple::Tuple;
+use std::collections::BTreeSet;
 
 /// One step of a compiled plan.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -108,10 +110,6 @@ impl Step {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct JoinPlan {
     steps: Vec<Step>,
-    /// The composite-index signatures the plan will probe: (body position,
-    /// bound column set). Declared so engines can pre-build them before
-    /// the plan runs.
-    sigs: Vec<(usize, Box<[usize]>)>,
 }
 
 impl JoinPlan {
@@ -140,35 +138,30 @@ impl JoinPlan {
     ) -> JoinPlan {
         let mut bound = seed_bound.clone();
         let mut steps = Vec::with_capacity(lits.len());
-        let mut sigs = Vec::new();
         let mut remaining: Vec<usize> = (0..lits.len()).collect();
 
-        let emit_positive = |i: usize,
-                             is_delta: bool,
-                             bound: &mut BTreeSet<Var>,
-                             steps: &mut Vec<Step>,
-                             sigs: &mut Vec<(usize, Box<[usize]>)>| {
-            let cols = bound_cols(lits[i].terms(), bound);
-            if is_delta {
-                steps.push(Step::DeltaScan { lit: i });
-            } else if cols.is_empty() {
-                steps.push(Step::Scan { lit: i });
-            } else {
-                sigs.push((i, cols.clone()));
-                steps.push(Step::Probe { lit: i, cols });
-            }
-            for t in lits[i].terms() {
-                if let Term::Var(v) = t {
-                    bound.insert(*v);
+        let emit_positive =
+            |i: usize, is_delta: bool, bound: &mut BTreeSet<Var>, steps: &mut Vec<Step>| {
+                let cols = bound_cols(lits[i].terms(), bound);
+                if is_delta {
+                    steps.push(Step::DeltaScan { lit: i });
+                } else if cols.is_empty() {
+                    steps.push(Step::Scan { lit: i });
+                } else {
+                    steps.push(Step::Probe { lit: i, cols });
                 }
-            }
-        };
+                for t in lits[i].terms() {
+                    if let Term::Var(v) = t {
+                        bound.insert(*v);
+                    }
+                }
+            };
 
         // The delta drives: every differential derivation passes through it.
         if let Some(d) = pinned {
             debug_assert!(lits[d].positive(), "pinned occurrence must be positive");
             remaining.retain(|&i| i != d);
-            emit_positive(d, true, &mut bound, &mut steps, &mut sigs);
+            emit_positive(d, true, &mut bound, &mut steps);
         }
 
         loop {
@@ -201,7 +194,7 @@ impl JoinPlan {
                 .map(|(pos, _)| pos);
             let Some(pos) = best else { break };
             let i = remaining.remove(pos);
-            emit_positive(i, false, &mut bound, &mut steps, &mut sigs);
+            emit_positive(i, false, &mut bound, &mut steps);
         }
 
         // Only non-ground negatives remain: ¬∃ semantics, evaluated after
@@ -212,22 +205,16 @@ impl JoinPlan {
             if cols.is_empty() {
                 steps.push(Step::NegScan { lit: i });
             } else {
-                sigs.push((i, cols.clone()));
                 steps.push(Step::NegProbe { lit: i, cols });
             }
         }
 
-        JoinPlan { steps, sigs }
+        JoinPlan { steps }
     }
 
     /// The ordered steps.
     pub fn steps(&self) -> &[Step] {
         &self.steps
-    }
-
-    /// The composite-index signatures the plan probes, for pre-building.
-    pub fn sigs(&self) -> &[(usize, Box<[usize]>)] {
-        &self.sigs
     }
 }
 
@@ -274,23 +261,16 @@ fn free_vars(terms: &[Term], bound: &BTreeSet<Var>) -> usize {
 /// engine output is unaffected).
 ///
 /// Counting: every step except [`Step::DeltaScan`] counts one probe per
-/// frontier binding, classified as indexed (a composite-index or
-/// membership lookup) or scan (an unindexed iteration).
-///
-/// `indexed_of(lit, cols)` is the engine's *deterministic* record of which
-/// (occurrence, signature) pairs it decided to index — normally
-/// [`IndexTracker::contains`]. Probes on signatures the engine declined
-/// route through [`Relation::probe_scan`], so a cost-model "don't index"
-/// decision cannot be undone by the lazy build inside
-/// [`Relation::probe_cols`]; and because the classification reads the
-/// decision rather than the physical cache, the indexed/scan counters do
-/// not depend on what an earlier evaluation left in a shared relation's
-/// index cache.
+/// frontier binding, classified as indexed (a [`Relation::probe_cols`]
+/// lookup it reports as indexed, or a membership test) or scan (an
+/// iteration). `probe_cols` reports a probe as indexed exactly when the
+/// relation has at least `INDEX_MIN` tuples — never by what its shared
+/// index cache holds — so the split does not depend on what an earlier
+/// evaluation built.
 pub fn eval_plan_stats<'a, L: JoinLit>(
     plan: &JoinPlan,
     lits: &[L],
     rel_of: &dyn Fn(usize) -> &'a Relation,
-    indexed_of: &dyn Fn(usize, &[usize]) -> bool,
     seed: &Bindings,
     stats: &mut JoinStats,
 ) -> Vec<Bindings> {
@@ -316,9 +296,8 @@ pub fn eval_plan_stats<'a, L: JoinLit>(
             }
             Step::Probe { lit, cols } => {
                 let terms = lits[*lit].terms();
-                let use_index = indexed_of(*lit, cols);
                 let mut next = Vec::new();
-                let mut key: Vec<crate::ast::Const> = Vec::with_capacity(cols.len());
+                let mut key: Vec<Const> = Vec::with_capacity(cols.len());
                 for b in &frontier {
                     key.clear();
                     key.extend(cols.iter().map(|&c| {
@@ -326,19 +305,7 @@ pub fn eval_plan_stats<'a, L: JoinLit>(
                             .as_const()
                             .expect("plan invariant: signature columns are bound")
                     }));
-                    stats.probes += 1;
-                    let tuples = if use_index {
-                        let (tuples, indexed) = rel.probe_cols(cols, &key);
-                        if indexed {
-                            stats.indexed_probes += 1;
-                        } else {
-                            stats.scan_probes += 1;
-                        }
-                        tuples
-                    } else {
-                        stats.scan_probes += 1;
-                        rel.probe_scan(cols, &key)
-                    };
+                    let tuples = probe(rel, cols, &key, stats);
                     for t in &tuples {
                         if let Some(ext) = match_tuple(terms, t, b) {
                             stats.matches += 1;
@@ -376,8 +343,7 @@ pub fn eval_plan_stats<'a, L: JoinLit>(
             }
             Step::NegProbe { lit, cols } => {
                 let terms = lits[*lit].terms();
-                let use_index = indexed_of(*lit, cols);
-                let mut key: Vec<crate::ast::Const> = Vec::with_capacity(cols.len());
+                let mut key: Vec<Const> = Vec::with_capacity(cols.len());
                 frontier.retain(|b| {
                     key.clear();
                     key.extend(cols.iter().map(|&c| {
@@ -385,19 +351,7 @@ pub fn eval_plan_stats<'a, L: JoinLit>(
                             .as_const()
                             .expect("plan invariant: signature columns are bound")
                     }));
-                    stats.probes += 1;
-                    let tuples = if use_index {
-                        let (tuples, indexed) = rel.probe_cols(cols, &key);
-                        if indexed {
-                            stats.indexed_probes += 1;
-                        } else {
-                            stats.scan_probes += 1;
-                        }
-                        tuples
-                    } else {
-                        stats.scan_probes += 1;
-                        rel.probe_scan(cols, &key)
-                    };
+                    let tuples = probe(rel, cols, &key, stats);
                     let keep = !tuples.iter().any(|t| match_tuple(terms, t, b).is_some());
                     stats.matches += u64::from(keep);
                     keep
@@ -418,10 +372,18 @@ pub fn eval_plan_stats<'a, L: JoinLit>(
     frontier
 }
 
+/// One counted [`Relation::probe_cols`] lookup.
+fn probe(rel: &Relation, cols: &[usize], key: &[Const], stats: &mut JoinStats) -> Vec<Tuple> {
+    let (tuples, indexed) = rel.probe_cols(cols, key);
+    stats.probes += 1;
+    stats.indexed_probes += u64::from(indexed);
+    stats.scan_probes += u64::from(!indexed);
+    tuples
+}
+
 /// Evaluates `lits` from `seed` for a caller outside the fixpoint engines
-/// — a query, an explanation, a maintenance firing — which has no index
-/// accounting of its own: every signature probes through the relation's
-/// lazily built index and the join counters are discarded.
+/// — a query, an explanation, a maintenance firing — whose join counters
+/// are discarded.
 ///
 /// `plan` is the caller's slot for this conjunction. It is compiled on
 /// first use for the variable set `seed` binds — and for the sizes the
@@ -440,80 +402,15 @@ pub fn eval_seeded<'a, L: JoinLit>(
         let bound = seed.keys().copied().collect();
         JoinPlan::compile_sized(lits, &bound, None, &|i| rel_of(i).len())
     });
-    eval_plan_stats(
-        plan,
-        lits,
-        rel_of,
-        &|_, _| true,
-        seed,
-        &mut JoinStats::default(),
-    )
-}
-
-/// Deterministic accounting for composite-index pre-builds. An engine
-/// requests every signature its plans declare, once per round; the
-/// tracker deduplicates by an engine-chosen relation key, issues the
-/// physical [`Relation::build_index`], and counts the requests that
-/// passed the size gate. The count is computed from the dedup + gate
-/// decision, never from whether an earlier evaluation already built the
-/// index on a shared relation — which is what keeps
-/// `index.composite_built` a function of the program and the data.
-#[derive(Debug, Default)]
-pub struct IndexTracker<K: Ord> {
-    built: BTreeMap<K, BTreeSet<Box<[usize]>>>,
-    count: u64,
-}
-
-impl<K: Ord + Clone> IndexTracker<K> {
-    /// Creates an empty tracker.
-    pub fn new() -> IndexTracker<K> {
-        IndexTracker {
-            built: BTreeMap::new(),
-            count: 0,
-        }
-    }
-
-    /// Requests the composite index `cols` on `rel` (keyed by `key` for
-    /// dedup). Counts and builds only first-time requests on relations
-    /// large enough to index.
-    pub fn request(&mut self, key: K, rel: &Relation, cols: &[usize]) {
-        if cols.is_empty() || !rel.indexable() {
-            return;
-        }
-        let sigs = self.built.entry(key).or_default();
-        if !sigs.contains(cols) && sigs.insert(cols.into()) {
-            self.count += 1;
-            rel.build_index(cols);
-        }
-    }
-
-    /// True iff `request(key, _, cols)` has been granted since the last
-    /// `invalidate(key)`. This is the deterministic `indexed_of` source for
-    /// [`eval_plan_stats`]: it reflects the engine's decision, not the
-    /// physical cache. Alloc-free — called once per plan step.
-    pub fn contains(&self, key: &K, cols: &[usize]) -> bool {
-        self.built.get(key).is_some_and(|sigs| sigs.contains(cols))
-    }
-
-    /// Forgets every index on relations keyed by `key` — call after the
-    /// backing relation mutates (mutation invalidates its index cache, so
-    /// the next request is a genuine rebuild).
-    pub fn invalidate(&mut self, key: &K) {
-        self.built.remove(key);
-    }
-
-    /// Gate-passing first-time requests so far.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
+    eval_plan_stats(plan, lits, rel_of, seed, &mut JoinStats::default())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ast::{Atom, Const, Literal};
+    use crate::ast::{Atom, Literal};
     use crate::eval::join::eval_conjunct;
-    use crate::storage::tuple::{syms, Tuple};
+    use crate::storage::relation::INDEX_MIN;
 
     fn lit(pos: bool, name: &str, terms: Vec<Term>) -> Literal {
         let atom = Atom::new(name, terms);
@@ -526,10 +423,6 @@ mod tests {
 
     fn vars(names: &[&str]) -> Vec<Term> {
         names.iter().map(|v| Term::var(v)).collect()
-    }
-
-    fn rel(rows: &[&[&str]]) -> Relation {
-        rows.iter().map(|r| syms(r)).collect()
     }
 
     #[test]
@@ -549,7 +442,6 @@ mod tests {
                 cols: Box::from([1usize]),
             }
         );
-        assert_eq!(plan.sigs(), &[(0, Box::from([1usize]))]);
     }
 
     #[test]
@@ -692,9 +584,9 @@ mod tests {
 
     /// Seeded sweep of random conjunctions: the compiled plan and the
     /// reference loop return the same bindings whatever the delta
-    /// occurrence, the seed, the literal shapes, the relation sizes, the
-    /// engine's index decisions and the size tie-break of the lazily
-    /// compiled plans, and every probe is classified.
+    /// occurrence, the seed, the literal shapes, the relation sizes and
+    /// the size tie-break of the lazily compiled plans, and every probe is
+    /// classified the same whatever the relations' index caches hold.
     #[test]
     fn planned_answers_match_greedy_answers() {
         const DOMAIN: usize = 6;
@@ -750,20 +642,12 @@ mod tests {
             let positives: Vec<usize> = (0..n).filter(|&i| lits[i].positive).collect();
             let pinned = (!positives.is_empty() && rng.below(2) == 0)
                 .then(|| positives[rng.below(positives.len())]);
-            let index_mask = rng.below(1 << n);
 
             let rel_of = |i: usize| -> &Relation { &rels[backing[i]].1 };
             let bound: BTreeSet<Var> = seed.keys().copied().collect();
             let plan = JoinPlan::compile(&lits, &bound, pinned);
             let mut stats = JoinStats::default();
-            let mut planned = eval_plan_stats(
-                &plan,
-                &lits,
-                &rel_of,
-                &|i, _| index_mask >> i & 1 == 1,
-                &seed,
-                &mut stats,
-            );
+            let mut planned = eval_plan_stats(&plan, &lits, &rel_of, &seed, &mut stats);
             let mut reference = eval_conjunct(&lits, &rel_of, &seed);
             planned.sort();
             reference.sort();
@@ -786,14 +670,12 @@ mod tests {
                 "case {case}: {lits:?} seed {seed:?} ordered by size"
             );
             reordered += usize::from(slot != Some(JoinPlan::compile(&lits, &bound, None)));
-            // Index decisions move probes between the two classes and
-            // change nothing else.
-            let mut declined = JoinStats::default();
-            eval_plan_stats(&plan, &lits, &rel_of, &|_, _| false, &seed, &mut declined);
+            // A rerun over the indexes the runs above built counts the same.
+            let mut rerun = JoinStats::default();
+            eval_plan_stats(&plan, &lits, &rel_of, &seed, &mut rerun);
             assert_eq!(
-                (declined.probes, declined.matches),
-                (stats.probes, stats.matches),
-                "case {case}: the index decision changed the work"
+                rerun, stats,
+                "case {case}: the index cache changed the counts"
             );
 
             total.merge(stats);
@@ -816,7 +698,7 @@ mod tests {
                     Step::NegScan { .. } => 5,
                 };
                 steps_seen[kind] += 1;
-                if rel_of(step.lit()).indexable() {
+                if rel_of(step.lit()).len() >= INDEX_MIN {
                     large += 1;
                 } else {
                     small += 1;
@@ -838,31 +720,5 @@ mod tests {
         ] {
             assert!(seen > 100, "only {seen} {what}");
         }
-    }
-
-    #[test]
-    fn index_tracker_counts_gate_passing_first_requests() {
-        let big: Relation = (0..40i64)
-            .map(|i| crate::storage::tuple::Tuple::new(vec![Const::Int(i % 5), Const::Int(i)]))
-            .collect();
-        let small = rel(&[&["a", "b"]]);
-        let mut tracker: IndexTracker<u32> = IndexTracker::new();
-        tracker.request(0, &big, &[0]);
-        tracker.request(0, &big, &[0]); // dedup
-        tracker.request(0, &small, &[0]); // below gate
-        tracker.request(0, &big, &[]); // empty signature
-        tracker.request(1, &big, &[0]); // distinct key
-        assert_eq!(tracker.count(), 2);
-        assert!(tracker.contains(&0, &[0]));
-        assert!(!tracker.contains(&0, &[1]));
-        assert!(
-            !tracker.contains(&0, &[]),
-            "empty signatures are never granted"
-        );
-        tracker.invalidate(&0);
-        assert!(!tracker.contains(&0, &[0]), "invalidate forgets the key");
-        assert!(tracker.contains(&1, &[0]), "other keys survive");
-        tracker.request(0, &big, &[0]); // genuine rebuild after mutation
-        assert_eq!(tracker.count(), 3);
     }
 }

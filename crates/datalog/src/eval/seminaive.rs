@@ -7,10 +7,9 @@
 //! Negative literals always refer to lower strata (guaranteed by
 //! stratification) and are therefore static during the fixpoint.
 
-use crate::analysis::cost::CostModel;
 use crate::ast::{Literal, Pred, Rule};
 use crate::eval::join::{ground_terms, Bindings};
-use crate::eval::plan::{eval_plan_stats, IndexTracker, JoinPlan};
+use crate::eval::plan::{eval_plan_stats, JoinPlan};
 use crate::eval::{body_relation, ComponentTrace, Interpretation};
 use crate::storage::database::Database;
 use crate::storage::relation::Relation;
@@ -22,8 +21,8 @@ use std::collections::{BTreeMap, BTreeSet};
 /// of each of its predicates and the component's evaluation trace.
 /// `interp` must already contain every lower component. The trace carries
 /// only semantic counters (rounds, derivation and delta cardinalities,
-/// join work, plan/index accounting), each a function of the program and
-/// the data (DESIGN.md §12).
+/// join work, compiled plans), each a function of the program and the
+/// data (DESIGN.md §12).
 pub fn eval_component(
     db: &Database,
     interp: &Interpretation,
@@ -87,52 +86,18 @@ pub fn eval_component(
         }
     }
     trace.plans = (full.len() + delta_plans.len()) as u64;
-    // The static cost model: per-predicate cardinality bounds from the
-    // program shape plus exact EDB counts, consulted to gate every eager
-    // index build below.
-    let cost = CostModel::from_database(db);
-    let mut indexes: IndexTracker<Pred> = IndexTracker::new();
 
     // Round 0: full evaluation (recursive predicates are empty, so this
-    // costs the same as the non-recursive case). Every index the round's
-    // plans declare is requested before the first plan runs, so each plan
-    // of a round sees the same index decisions.
+    // costs the same as the non-recursive case).
     let mut delta: BTreeMap<Pred, Relation> =
         members.iter().map(|&p| (p, Relation::new())).collect();
-    for (ri, pl) in &full {
-        let rule = rules[*ri];
-        // Driving cardinality: the plan's first step enumerates its
-        // relation once per seed, so its length bounds how many
-        // probes reach the later steps.
-        let driving = pl
-            .steps()
-            .first()
-            .map(|s| {
-                body_relation(db, interp, &current, program, rule.body[s.lit()].atom.pred).len()
-            })
-            .unwrap_or(0);
-        for (lit, cols) in pl.sigs() {
-            let pred = rule.body[*lit].atom.pred;
-            let rel = body_relation(db, interp, &current, program, pred);
-            if cost.index_worthwhile(pred, rel.len(), driving) {
-                indexes.request(pred, rel, cols);
-            }
-        }
-    }
     let mut round_tuples = 0u64;
     for (ri, pl) in &full {
         let rule = rules[*ri];
         let rel_of = |i: usize| -> &Relation {
             body_relation(db, interp, &current, program, rule.body[i].atom.pred)
         };
-        let bindings = eval_plan_stats(
-            pl,
-            &rule.body,
-            &rel_of,
-            &|i, cols| indexes.contains(&rule.body[i].atom.pred, cols),
-            &Bindings::new(),
-            &mut trace.stats,
-        );
+        let bindings = eval_plan_stats(pl, &rule.body, &rel_of, &Bindings::new(), &mut trace.stats);
         round_tuples += bindings.len() as u64;
         let rel = delta.get_mut(&rule.head.pred).expect("member");
         rel.extend(
@@ -141,11 +106,10 @@ pub fn eval_component(
                 .map(|b| ground_terms(&rule.head.terms, b).expect("ground head")),
         );
     }
-    merge_delta(&mut current, &mut delta, &mut indexes);
+    merge_delta(&mut current, &mut delta);
     trace.push_round(round_tuples, fresh_count(&delta));
 
     if !component.recursive {
-        trace.indexes = indexes.count();
         return (current.into_iter().collect(), trace);
     }
 
@@ -154,23 +118,6 @@ pub fn eval_component(
     // reads the same `current`/`delta`; the new tuples are merged after
     // the last one.
     while delta.values().any(|r| !r.is_empty()) {
-        // Request this round's composite indexes first, gated by the
-        // delta that drives each plan. Pinned (delta) occurrences never
-        // appear in a plan's signatures, so a delta is never indexed.
-        for (&(ri, occ), pl) in &delta_plans {
-            let rule = rules[ri];
-            let dlen = delta[&rule.body[occ].atom.pred].len();
-            if dlen == 0 {
-                continue; // the plan derives nothing this round
-            }
-            for (lit, cols) in pl.sigs() {
-                let pred = rule.body[*lit].atom.pred;
-                let rel = body_relation(db, interp, &current, program, pred);
-                if cost.index_worthwhile(pred, rel.len(), dlen) {
-                    indexes.request(pred, rel, cols);
-                }
-            }
-        }
         let mut next: BTreeMap<Pred, Relation> =
             members.iter().map(|&p| (p, Relation::new())).collect();
         let mut round_tuples = 0u64;
@@ -184,14 +131,8 @@ pub fn eval_component(
                     body_relation(db, interp, &current, program, pred)
                 }
             };
-            let bindings = eval_plan_stats(
-                pl,
-                &rule.body,
-                &rel_of,
-                &|i, cols| indexes.contains(&rule.body[i].atom.pred, cols),
-                &Bindings::new(),
-                &mut trace.stats,
-            );
+            let bindings =
+                eval_plan_stats(pl, &rule.body, &rel_of, &Bindings::new(), &mut trace.stats);
             let head_rel = &current[&rule.head.pred];
             let tuples: Vec<Tuple> = bindings
                 .iter()
@@ -204,11 +145,10 @@ pub fn eval_component(
                 .extend(tuples);
         }
         delta = next;
-        merge_delta(&mut current, &mut delta, &mut indexes);
+        merge_delta(&mut current, &mut delta);
         trace.push_round(round_tuples, fresh_count(&delta));
     }
 
-    trace.indexes = indexes.count();
     (current.into_iter().collect(), trace)
 }
 
@@ -224,19 +164,10 @@ fn is_recursive_occurrence(lit: &Literal, members: &[Pred]) -> bool {
 }
 
 /// Adds `delta` into `current` (one bulk merge, one index invalidation
-/// per mutated relation), shrinking `delta` to the genuinely new tuples
-/// and dropping the tracker's record of indexes the mutation invalidated.
-fn merge_delta(
-    current: &mut BTreeMap<Pred, Relation>,
-    delta: &mut BTreeMap<Pred, Relation>,
-    indexes: &mut IndexTracker<Pred>,
-) {
+/// per mutated relation), shrinking `delta` to the genuinely new tuples.
+fn merge_delta(current: &mut BTreeMap<Pred, Relation>, delta: &mut BTreeMap<Pred, Relation>) {
     for (pred, d) in delta.iter_mut() {
-        let cur = current.get_mut(pred).expect("member");
-        let fresh: Vec<Tuple> = cur.merge(d);
-        if !fresh.is_empty() {
-            indexes.invalidate(pred);
-        }
+        let fresh: Vec<Tuple> = current.get_mut(pred).expect("member").merge(d);
         *d = fresh.into_iter().collect();
     }
 }

@@ -5,7 +5,7 @@
 //! is that query facility: match an atom (or a conjunction of literals)
 //! against a [`StateView`].
 
-use crate::ast::{Atom, Literal};
+use crate::ast::{Atom, Literal, Pred};
 use crate::error::{Error, ParseError, Span};
 use crate::eval::join::{ground_terms, Bindings};
 use crate::eval::plan::eval_seeded;
@@ -80,6 +80,36 @@ pub fn command(state: StateView<'_>, src: &str) -> Result<String, Error> {
     };
     let _ = writeln!(text, "({} answer(s) via {path})", tuples.len());
     Ok(text)
+}
+
+/// The `:show [pred]` command of the shell and of the server: every fact
+/// of `state`, or only those of the predicates named `pred`, one per line
+/// — the extensional predicates first, then the non-empty derived ones,
+/// each derived fact marked `%= derived`.
+pub fn show(state: StateView<'_>, pred: &str) -> String {
+    let mut preds: Vec<(Pred, bool)> = state
+        .db
+        .extensional_predicates()
+        .map(|p| (p, false))
+        .collect();
+    preds.extend(
+        state
+            .interp
+            .iter()
+            .filter(|(_, r)| !r.is_empty())
+            .map(|(p, _)| (p, true)),
+    );
+    let mut out = String::new();
+    for (p, derived) in preds {
+        if !pred.is_empty() && pred != p.name.as_str() {
+            continue;
+        }
+        let mark = if derived { " %= derived" } else { "" };
+        for t in state.relation(p).iter() {
+            let _ = writeln!(out, "{}.{mark}", t.to_atom(p));
+        }
+    }
+    out
 }
 
 #[cfg(test)]

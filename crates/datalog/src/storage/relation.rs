@@ -14,7 +14,7 @@ type CompositeIndex = HashMap<Box<[Const]>, Vec<Tuple>>;
 
 /// Below this size, indexing never pays off: selects and probes fall back
 /// to scanning the (tiny) tuple set directly.
-const INDEX_MIN: usize = 16;
+pub(crate) const INDEX_MIN: usize = 16;
 
 /// A set of ground tuples of a single arity.
 ///
@@ -26,7 +26,8 @@ const INDEX_MIN: usize = 16;
 /// columns go through an internal composite index keyed by the bound
 /// column *set*: one hash map per distinct column set, mapping the key
 /// tuple (the values of those columns) to the matching tuples. Indexes
-/// are built on first use (or eagerly via [`Relation::build_index`]).
+/// are built on first use, and only for column sets that are not a
+/// prefix of the column order ([`Relation::probe_cols`]).
 #[derive(Clone, Debug, Default)]
 pub struct Relation {
     tuples: Runs<()>,
@@ -122,39 +123,6 @@ impl Relation {
         removed
     }
 
-    /// Eagerly builds the composite index for the column set `cols`
-    /// (which must be strictly ascending), so subsequent probes all hit
-    /// the shared-read fast path without ever taking the write lock. Returns `true` iff an index was freshly built; no-op
-    /// (returning `false`) when the relation is too small for indexing to
-    /// pay off, the column set is empty or out of range, or the index
-    /// already exists (built through this relation or through a clone
-    /// sharing its cache).
-    pub fn build_index(&self, cols: &[usize]) -> bool {
-        debug_assert!(cols.windows(2).all(|w| w[0] < w[1]), "cols must be sorted");
-        if cols.is_empty() || self.tuples.len() < INDEX_MIN {
-            return false;
-        }
-        if self
-            .iter()
-            .next()
-            .is_some_and(|t| cols.last().is_some_and(|&c| c >= t.arity()))
-        {
-            return false;
-        }
-        {
-            let cache = self.index.read().expect("index lock");
-            if cache.contains_key(cols) {
-                return false;
-            }
-        }
-        let mut cache = self.index.write().expect("index lock");
-        if cache.contains_key(cols) {
-            return false; // lost the build race; the other build is identical
-        }
-        cache.insert(cols.into(), self.build_composite(cols));
-        true
-    }
-
     fn build_composite(&self, cols: &[usize]) -> CompositeIndex {
         let mut idx: CompositeIndex = HashMap::new();
         for t in self.iter() {
@@ -162,13 +130,6 @@ impl Relation {
             idx.entry(key).or_default().push(t.clone());
         }
         idx
-    }
-
-    /// True iff the relation is large enough that building a hash index
-    /// beats scanning it (the gate [`Relation::build_index`] and
-    /// [`Relation::probe_cols`] apply).
-    pub fn indexable(&self) -> bool {
-        self.tuples.len() >= INDEX_MIN
     }
 
     /// Membership test.
@@ -220,10 +181,12 @@ impl Relation {
     }
 
     /// Looks up the tuples whose columns `cols` (strictly ascending) equal
-    /// `key`, via the cached composite index for that column set — building
-    /// it first if absent and the relation is large enough. Returns the
-    /// matches and whether an index answered the probe (`false` = the
-    /// relation was below the indexing threshold and was scanned).
+    /// `key`: every evaluator's one way to an index. A bound prefix is
+    /// answered from the sorted runs; any other column set from the cached
+    /// composite index for it, built first if absent. Returns the matches
+    /// and whether the probe was indexed, which is exactly "the relation
+    /// has at least `INDEX_MIN` tuples" (`false` = it was scanned) and
+    /// never depends on what the shared index cache holds.
     ///
     /// Fast path: a shared read lock, so concurrent probes from session
     /// threads never serialize once the index exists. Only a probe that finds
@@ -238,12 +201,9 @@ impl Relation {
         (self.probe(cols, key), true)
     }
 
-    /// Like [`Relation::probe_cols`] but always scans, never building (or
-    /// consulting) an index. The planner routes probes here when the cost
-    /// model decided an index on this column set is not worth building —
-    /// the decision must then not leak back in through the lazy build.
-    pub fn probe_scan(&self, cols: &[usize], key: &[Const]) -> Vec<Tuple> {
-        debug_assert_eq!(cols.len(), key.len());
+    /// [`Relation::probe_cols`] on a relation below the indexing floor: a
+    /// scan that neither builds nor consults an index.
+    fn probe_scan(&self, cols: &[usize], key: &[Const]) -> Vec<Tuple> {
         self.iter()
             .filter(|t| cols.iter().zip(key).all(|(&c, &k)| t[c] == k))
             .cloned()
@@ -280,6 +240,20 @@ impl Relation {
             .entry(cols.into())
             .or_insert_with(|| self.build_composite(cols));
         idx.get(key).cloned().unwrap_or_default()
+    }
+
+    /// The column sets the shared index cache holds, ascending.
+    #[cfg(test)]
+    pub(crate) fn indexed_cols(&self) -> Vec<Box<[usize]>> {
+        let mut cols: Vec<_> = self
+            .index
+            .read()
+            .expect("index lock")
+            .keys()
+            .cloned()
+            .collect();
+        cols.sort_unstable();
+        cols
     }
 
     /// Set union (self ∪ other); shares with `self` every run `other`
@@ -413,32 +387,35 @@ mod tests {
         for i in 0..50i64 {
             r.insert(Tuple::new(vec![Const::Int(i % 5), Const::Int(i)]));
         }
-        let scanned = r.probe_scan(&[0], &[Const::Int(2)]);
-        let (probed, indexed) = r.probe_cols(&[0], &[Const::Int(2)]);
+        let scanned = r.probe_scan(&[1], &[Const::Int(2)]);
+        assert!(r.indexed_cols().is_empty(), "a scan builds nothing");
+        let (probed, indexed) = r.probe_cols(&[1], &[Const::Int(2)]);
         assert!(indexed);
         assert_eq!(scanned, probed);
     }
 
     #[test]
-    fn build_index_is_idempotent_and_gated() {
+    fn lazy_index_is_built_once_per_non_prefix_column_set() {
         let mut r = Relation::new();
-        assert!(!r.build_index(&[0]), "empty relation: no index");
         for i in 0..40i64 {
             r.insert(Tuple::new(vec![Const::Int(i % 3), Const::Int(i)]));
         }
-        assert!(r.build_index(&[0, 1]), "first build is fresh");
-        assert!(!r.build_index(&[0, 1]), "second build is a no-op");
-        assert!(r.build_index(&[1]));
+        // A bound prefix reads the sorted runs: no index, however often.
+        for cols in [&[0][..], &[0, 1]] {
+            let key: Vec<Const> = cols.iter().map(|&c| Const::Int(c as i64)).collect();
+            assert!(r.probe_cols(cols, &key).1);
+        }
+        assert!(r.indexed_cols().is_empty(), "prefix probes index nothing");
+        assert_eq!(r.probe_cols(&[1], &[Const::Int(4)]).0.len(), 1);
+        assert_eq!(r.probe_cols(&[1], &[Const::Int(5)]).0.len(), 1);
+        assert_eq!(r.indexed_cols(), [Box::from([1usize])], "built once");
+        // Small relations are scanned and never indexed.
+        let small = rel(&[&["a", "b"]]);
         assert_eq!(
-            r.select(&[None, Some(Const::Int(4))]),
-            vec![Tuple::new(vec![Const::Int(1), Const::Int(4)])],
-            "the prebuilt index answers reads"
+            small.probe_cols(&[1], &[Const::sym("b")]),
+            (vec![syms(&["a", "b"])], false)
         );
-        assert!(!r.build_index(&[]), "empty column set never indexes");
-        assert!(!r.build_index(&[7]), "out-of-range column never indexes");
-        // Small relations decline.
-        let small = rel(&[&["a"]]);
-        assert!(!small.build_index(&[0]));
+        assert!(small.indexed_cols().is_empty());
     }
 
     #[test]
@@ -682,29 +659,30 @@ mod tests {
 
     #[test]
     fn clones_share_indexes_until_one_is_mutated() {
+        let threes = |r: &Relation| r.probe_cols(&[1], &[Const::Int(3)]).0.len();
         let origin = numbered(200);
         let mut copy = origin.clone();
-        assert!(origin.build_index(&[1]));
-        assert!(!copy.build_index(&[1]), "built through the origin");
-        assert!(copy.build_index(&[0, 1]));
-        assert!(!origin.build_index(&[0, 1]), "built through the clone");
-        // A mutation detaches the clone; the origin keeps both indexes.
-        copy.insert(Tuple::new(vec![Const::Int(1000), Const::Int(3)]));
-        assert!(!origin.build_index(&[1]));
-        assert!(!origin.build_index(&[0, 1]));
-        let threes = origin.select(&[None, Some(Const::Int(3))]);
-        assert_eq!(threes.len(), 200 / 7 + usize::from(3 < 200 % 7));
+        let n = threes(&origin);
+        assert_eq!(n, 200 / 7 + usize::from(3 < 200 % 7));
         assert_eq!(
-            copy.select(&[None, Some(Const::Int(3))]).len(),
-            threes.len() + 1
+            copy.indexed_cols(),
+            [Box::from([1usize])],
+            "built through the origin"
         );
-        assert!(!copy.build_index(&[1]), "the select above rebuilt it");
-        assert!(copy.build_index(&[0, 1]), "detached from the shared cache");
+        // A mutation detaches the clone; the origin keeps its index.
+        copy.insert(Tuple::new(vec![Const::Int(1000), Const::Int(3)]));
+        assert!(
+            copy.indexed_cols().is_empty(),
+            "detached from the shared cache"
+        );
+        assert_eq!(origin.indexed_cols(), [Box::from([1usize])]);
+        assert_eq!(threes(&copy), n + 1);
+        assert_eq!(threes(&origin), n);
         // A relation that owns its cache alone clears it in place.
         let mut alone = numbered(50);
-        assert!(alone.build_index(&[1]));
+        threes(&alone);
         alone.remove(&Tuple::new(vec![Const::Int(3), Const::Int(3)]));
-        assert!(alone.build_index(&[1]));
+        assert!(alone.indexed_cols().is_empty());
     }
 
     #[test]

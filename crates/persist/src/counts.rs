@@ -17,10 +17,10 @@
 //! ```
 //!
 //! Tuples render in the same event surface syntax the journal uses, so
-//! they round-trip through the existing event parser. The body is
-//! CRC-32-covered and the file is written with the same temp + fsync +
-//! rename + directory-fsync dance as the snapshot: a crash leaves either
-//! the old complete file or the new complete file.
+//! they round-trip through the existing event parser. The header, the
+//! CRC-32 over the body and the atomic write are the snapshot's (the
+//! private `framed` module): a crash leaves either the old complete file
+//! or the new complete file.
 //!
 //! The `journal_pos` header field ties the file to a snapshot: recovery
 //! only restores from a counts file whose position **equals** the
@@ -29,22 +29,19 @@
 //! — makes [`read`] fail, and the caller falls back to recomputing the
 //! maintenance state from scratch. Partial state is never loaded.
 
-use crate::crc32::crc32;
 use crate::error::{io_err, PersistError, Result};
+use crate::framed::{read_framed, write_framed};
 use dduf_core::upward::maintain::{Counts, MaintenanceEngine};
 use dduf_datalog::ast::Pred;
 use dduf_datalog::storage::relation::Relation;
 use dduf_datalog::storage::tuple::Tuple;
 use dduf_events::event::GroundEvent;
 use std::collections::BTreeMap;
-use std::io::Write;
 use std::path::Path;
 
 /// File name of the persisted maintenance state inside a durable-database
 /// directory.
 pub const COUNTS_FILE: &str = "counts.state";
-
-const HEADER_PREFIX: &str = "% dduf-counts v1 ";
 
 /// Maintenance state read back from disk.
 #[derive(Clone, Debug)]
@@ -87,27 +84,11 @@ pub fn write(dir: &Path, engine: &MaintenanceEngine, journal_pos: u64) -> Result
             tuples += 1;
         }
     }
-    let crc = crc32(body.as_bytes());
-    let content = format!("{HEADER_PREFIX}journal_pos={journal_pos} crc={crc:08x}\n{body}");
-    let tmp = dir.join(format!("{COUNTS_FILE}.tmp"));
-    let target = dir.join(COUNTS_FILE);
-    let mut f = std::fs::File::create(&tmp).map_err(io_err(&tmp, "create"))?;
-    f.write_all(content.as_bytes())
-        .map_err(io_err(&tmp, "write"))?;
-    f.sync_all().map_err(io_err(&tmp, "sync"))?;
-    drop(f);
-    std::fs::rename(&tmp, &target).map_err(io_err(&target, "rename into"))?;
-    if let Ok(d) = std::fs::File::open(dir) {
-        let _ = d.sync_all();
-    }
+    let bytes = write_framed(dir, COUNTS_FILE, "counts", journal_pos, &body)?;
     dduf_obs::record_timed(
         "counts.persist",
         "",
-        &[
-            ("writes", 1),
-            ("tuples", tuples),
-            ("bytes", content.len() as u64),
-        ],
+        &[("writes", 1), ("tuples", tuples), ("bytes", bytes)],
         timer.elapsed_us(),
     );
     Ok(())
@@ -129,50 +110,14 @@ pub fn remove(dir: &Path) -> Result<()> {
 /// mode — missing file, bad header, checksum mismatch, unparsable line —
 /// is an error; the caller decides whether to fall back to a recompute.
 pub fn read(dir: &Path) -> Result<CountsState> {
-    let path = dir.join(COUNTS_FILE);
-    let disp = path.display().to_string();
-    let content = std::fs::read_to_string(&path).map_err(|e| {
-        if e.kind() == std::io::ErrorKind::NotFound {
-            PersistError::Snapshot {
-                path: disp.clone(),
-                detail: "no persisted maintenance state".into(),
-            }
-        } else {
-            PersistError::Io {
-                path: disp.clone(),
-                op: "read",
-                source: e,
-            }
-        }
-    })?;
+    let disp = dir.join(COUNTS_FILE).display().to_string();
     let bad = |detail: String| PersistError::Snapshot {
         path: disp.clone(),
         detail,
     };
-    let (header, body) = content
-        .split_once('\n')
-        .ok_or_else(|| bad("empty file".into()))?;
-    let header = header
-        .strip_prefix(HEADER_PREFIX)
-        .ok_or_else(|| bad(format!("missing `{}` header", HEADER_PREFIX.trim())))?;
-    let mut journal_pos = None;
-    let mut stored_crc = None;
-    for field in header.split_whitespace() {
-        match field.split_once('=') {
-            Some(("journal_pos", v)) => journal_pos = v.parse::<u64>().ok(),
-            Some(("crc", v)) => stored_crc = u32::from_str_radix(v, 16).ok(),
-            _ => {}
-        }
-    }
-    let journal_pos =
-        journal_pos.ok_or_else(|| bad("header is missing a numeric journal_pos".into()))?;
-    let stored_crc = stored_crc.ok_or_else(|| bad("header is missing a hex crc".into()))?;
-    let computed = crc32(body.as_bytes());
-    if computed != stored_crc {
-        return Err(bad(format!(
-            "checksum mismatch (stored {stored_crc:#010x}, computed {computed:#010x})"
-        )));
-    }
+    let (journal_pos, body) = read_framed(dir, COUNTS_FILE, "counts", || {
+        bad("no persisted maintenance state".into())
+    })?;
     let mut counts: BTreeMap<Pred, Counts> = BTreeMap::new();
     let mut dred_exts: BTreeMap<Pred, Relation> = BTreeMap::new();
     for (ln, line) in body.lines().enumerate() {

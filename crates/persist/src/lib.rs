@@ -39,6 +39,7 @@
 pub mod counts;
 pub mod crc32;
 pub mod error;
+mod framed;
 pub mod journal;
 pub mod lock;
 pub mod snapshot;
@@ -126,14 +127,9 @@ impl DurableStore {
             .map_err(|e| dduf_core::Error::Storage(e.to_string()))
     }
 
-    /// Writes a snapshot of `db` covering the whole journal so far.
-    pub fn checkpoint(&mut self, db: &dduf_datalog::storage::database::Database) -> Result<u64> {
-        self.checkpoint_with_maint(db, None)
-    }
-
-    /// [`checkpoint`](Self::checkpoint) that also persists the maintenance
-    /// state next to the snapshot (or removes a stale counts file when the
-    /// session runs without maintenance). The snapshot is renamed into
+    /// Writes a snapshot of `db` covering the whole journal so far, and
+    /// persists the maintenance state next to it (or removes a stale
+    /// counts file when there is none). The snapshot is renamed into
     /// place first: a crash between the two renames leaves a counts file
     /// whose `journal_pos` disagrees with the snapshot's, which recovery
     /// rejects and recomputes — never a torn restore.

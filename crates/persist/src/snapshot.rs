@@ -11,15 +11,13 @@
 //! ```
 //!
 //! The header is a `%` comment, so the file is *also* a plain loadable
-//! database source. Atomicity is temp-file + rename: the snapshot is
-//! written to `snapshot.dl.tmp`, fsynced, then renamed over
-//! `snapshot.dl` — a crash at any point leaves either the old complete
-//! snapshot or the new complete snapshot, never a mix.
+//! database source. The frame and its atomic write (temp file, fsync,
+//! rename, directory fsync) are the private `framed` module's, shared
+//! with the counts file.
 
-use crate::crc32::crc32;
-use crate::error::{io_err, PersistError, Result};
+use crate::error::{PersistError, Result};
+use crate::framed::{read_framed, write_framed};
 use dduf_datalog::storage::database::Database;
-use std::io::Write;
 use std::path::Path;
 
 /// File name of the snapshot inside a durable-database directory.
@@ -27,8 +25,6 @@ pub const SNAPSHOT_FILE: &str = "snapshot.dl";
 
 /// File name of the journal inside a durable-database directory.
 pub const JOURNAL_FILE: &str = "journal.log";
-
-const HEADER_PREFIX: &str = "% dduf-snapshot v1 ";
 
 /// A snapshot read back from disk.
 #[derive(Clone, Debug)]
@@ -44,23 +40,13 @@ pub struct Snapshot {
 pub fn write(dir: &Path, db: &Database, journal_pos: u64) -> Result<()> {
     let timer = dduf_obs::timer();
     let body = dduf_datalog::pretty::database(db);
-    let crc = crc32(body.as_bytes());
-    let content = format!("{HEADER_PREFIX}journal_pos={journal_pos} crc={crc:08x}\n{body}");
-    let tmp = dir.join(format!("{SNAPSHOT_FILE}.tmp"));
-    let target = dir.join(SNAPSHOT_FILE);
-    let mut f = std::fs::File::create(&tmp).map_err(io_err(&tmp, "create"))?;
-    f.write_all(content.as_bytes())
-        .map_err(io_err(&tmp, "write"))?;
-    f.sync_all().map_err(io_err(&tmp, "sync"))?;
-    drop(f);
-    std::fs::rename(&tmp, &target).map_err(io_err(&target, "rename into"))?;
-    sync_dir(dir);
+    let bytes = write_framed(dir, SNAPSHOT_FILE, "snapshot", journal_pos, &body)?;
     dduf_obs::record_timed(
         "snapshot.write",
         "",
         &[
             ("writes", 1),
-            ("bytes", content.len() as u64),
+            ("bytes", bytes),
             ("facts", db.fact_count() as u64),
         ],
         timer.elapsed_us(),
@@ -68,59 +54,15 @@ pub fn write(dir: &Path, db: &Database, journal_pos: u64) -> Result<()> {
     Ok(())
 }
 
-/// Fsyncs a directory so a rename is durable (best-effort; not all
-/// platforms allow opening a directory for sync).
-fn sync_dir(dir: &Path) {
-    if let Ok(d) = std::fs::File::open(dir) {
-        let _ = d.sync_all();
-    }
-}
-
 /// Reads and validates the snapshot of a durable-database directory.
 pub fn read(dir: &Path) -> Result<Snapshot> {
-    let path = dir.join(SNAPSHOT_FILE);
-    let disp = path.display().to_string();
-    let content = std::fs::read_to_string(&path).map_err(|e| {
-        if e.kind() == std::io::ErrorKind::NotFound {
-            PersistError::NotADatabase(dir.display().to_string())
-        } else {
-            PersistError::Io {
-                path: disp.clone(),
-                op: "read",
-                source: e,
-            }
-        }
+    let (journal_pos, body) = read_framed(dir, SNAPSHOT_FILE, "snapshot", || {
+        PersistError::NotADatabase(dir.display().to_string())
     })?;
-    let bad = |detail: String| PersistError::Snapshot {
-        path: disp.clone(),
-        detail,
-    };
-    let (header, body) = content
-        .split_once('\n')
-        .ok_or_else(|| bad("empty file".into()))?;
-    let header = header
-        .strip_prefix(HEADER_PREFIX)
-        .ok_or_else(|| bad(format!("missing `{}` header", HEADER_PREFIX.trim())))?;
-    let mut journal_pos = None;
-    let mut stored_crc = None;
-    for field in header.split_whitespace() {
-        match field.split_once('=') {
-            Some(("journal_pos", v)) => journal_pos = v.parse::<u64>().ok(),
-            Some(("crc", v)) => stored_crc = u32::from_str_radix(v, 16).ok(),
-            _ => {}
-        }
-    }
-    let journal_pos =
-        journal_pos.ok_or_else(|| bad("header is missing a numeric journal_pos".into()))?;
-    let stored_crc = stored_crc.ok_or_else(|| bad("header is missing a hex crc".into()))?;
-    let computed = crc32(body.as_bytes());
-    if computed != stored_crc {
-        return Err(bad(format!(
-            "checksum mismatch (stored {stored_crc:#010x}, computed {computed:#010x})"
-        )));
-    }
-    let db = dduf_datalog::parser::parse_database(body)
-        .map_err(|e| bad(format!("body does not parse: {e}")))?;
+    let db = dduf_datalog::parser::parse_database(&body).map_err(|e| PersistError::Snapshot {
+        path: dir.join(SNAPSHOT_FILE).display().to_string(),
+        detail: format!("body does not parse: {e}"),
+    })?;
     Ok(Snapshot { db, journal_pos })
 }
 

@@ -18,7 +18,6 @@ use crate::state::StateCell;
 use crate::writer::{Job, JobQueue, Reply};
 use dduf_core::problems::ic_checking;
 use dduf_core::transaction::Transaction;
-use dduf_datalog::ast::Pred;
 use dduf_datalog::eval::StateView;
 use dduf_persist::MAX_RECORD;
 use std::fmt::Write as _;
@@ -175,7 +174,7 @@ pub(crate) fn serve(stream: TcpStream, ctx: &SessionCtx) -> std::io::Result<()> 
             }
             ":ping" => write_response(&mut writer, true, "pong")?,
             ":help" => write_response(&mut writer, true, HELP)?,
-            ":show" => respond(&mut writer, show(ctx, rest))?,
+            ":show" => write_response(&mut writer, true, &show(ctx, rest))?,
             ":query" => respond(&mut writer, query(ctx, rest))?,
             ":check" => respond(&mut writer, check(ctx, rest))?,
             ":stats" => write_response(&mut writer, true, &stats(ctx))?,
@@ -219,34 +218,10 @@ fn apply_job(src: &str, checked: bool) -> impl FnOnce(mpsc::Sender<Reply>) -> Jo
     }
 }
 
-/// `:show [pred]` over the session's snapshot — same output as the
-/// local shell, including the `%= derived` marks.
-fn show(ctx: &SessionCtx, pred: &str) -> dduf_core::Result<String> {
+/// `:show [pred]` over the session's snapshot — the local shell's output.
+fn show(ctx: &SessionCtx, pred: &str) -> String {
     let cur = &ctx.cell.load().state;
-    let state = StateView::new(&cur.db, &cur.interp);
-    let wanted: Option<&str> = (!pred.is_empty()).then_some(pred);
-    let mut out = String::new();
-    let mut preds: Vec<(Pred, bool)> = cur
-        .db
-        .extensional_predicates()
-        .map(|p| (p, false))
-        .collect();
-    preds.extend(
-        cur.interp
-            .iter()
-            .filter(|(_, r)| !r.is_empty())
-            .map(|(p, _)| (p, true)),
-    );
-    for (p, derived) in preds {
-        if wanted.is_some_and(|w| w != p.name.as_str()) {
-            continue;
-        }
-        for t in state.relation(p).iter() {
-            let mark = if derived { " %= derived" } else { "" };
-            let _ = writeln!(out, "{}.{mark}", t.to_atom(p));
-        }
-    }
-    Ok(out)
+    dduf_datalog::query::show(StateView::new(&cur.db, &cur.interp), pred)
 }
 
 /// `:query <atom>` — the atom's instances in the snapshot: a read of the

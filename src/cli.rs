@@ -63,7 +63,7 @@ impl Session {
         };
         match cmd {
             ":help" => Ok(HELP.to_string()),
-            ":show" => self.show(rest),
+            ":show" => Ok(dduf_datalog::query::show(self.proc.state(), rest)),
             ":rules" => Ok(self.rules()),
             ":check" => self.check(rest),
             ":apply" => self.apply(rest, true),
@@ -91,35 +91,6 @@ impl Session {
                 },
             ))),
         }
-    }
-
-    fn show(&self, pred: &str) -> Result<String> {
-        let mut out = String::new();
-        let state = self.proc.state();
-        let wanted: Option<&str> = (!pred.is_empty()).then_some(pred);
-        let mut preds: Vec<(Pred, bool)> = self
-            .proc
-            .database()
-            .extensional_predicates()
-            .map(|p| (p, false))
-            .collect();
-        preds.extend(
-            self.proc
-                .interpretation()
-                .iter()
-                .filter(|(_, r)| !r.is_empty())
-                .map(|(p, _)| (p, true)),
-        );
-        for (p, derived) in preds {
-            if wanted.is_some_and(|w| w != p.name.as_str()) {
-                continue;
-            }
-            for t in state.relation(p).iter() {
-                let mark = if derived { " %= derived" } else { "" };
-                let _ = writeln!(out, "{}.{mark}", t.to_atom(p));
-            }
-        }
-        Ok(out)
     }
 
     fn rules(&self) -> String {

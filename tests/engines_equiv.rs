@@ -351,9 +351,9 @@ fn upward_trace_counters_identical_across_thread_counts() {
     assert_upward_fingerprints_invariant(0x0B5E02, 24);
 }
 
-/// The planner's counters (`plan.compiled`, `index.composite_built`,
-/// probe splits) are part of that fingerprint and thread-count invariant
-/// too: they depend only on the program and static binding patterns.
+/// The planner's counters (`plan.compiled`, the indexed/scan probe split)
+/// are part of that fingerprint and thread-count invariant too: they
+/// depend only on the program, static binding patterns and relation sizes.
 #[test]
 fn planned_trace_fingerprints_invariant_across_thread_counts() {
     assert_upward_fingerprints_invariant(0x914C, 12);
