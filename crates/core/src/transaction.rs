@@ -116,6 +116,22 @@ impl Transaction {
         (Transaction { events: effective }, noops)
     }
 
+    /// Sequential composition: folds `next` into `self`, which becomes the
+    /// one transaction `self; next`. A transaction is a set of base events
+    /// (§3.1) and applying one sets each fact it names, so for every base
+    /// fact the last event on it wins and facts neither names keep their
+    /// value: on any state, applying the composition equals applying
+    /// `self` and then `next`. The composition is still conflict-free;
+    /// [`normalize`](Self::normalize) against the state it will be applied
+    /// to then drops the events that change nothing there (an insertion
+    /// and a later deletion of a fact absent from it, say).
+    pub fn then(&mut self, next: &Transaction) {
+        for e in next.events.iter() {
+            self.events.remove(&e.inverse());
+            self.events.insert(e);
+        }
+    }
+
     /// Applies the transaction to a clone of `db`, producing the new
     /// state `Dⁿ` beside the old one. The two share every relation the
     /// transaction does not touch and, of the touched ones, every run its
@@ -242,6 +258,87 @@ mod tests {
         assert!(t
             .events()
             .contains(&GroundEvent::del(Pred::new("r", 1), syms(&["b"]))));
+    }
+
+    /// Folds `srcs` in order and checks the composition law on `db`: the
+    /// normalized fold applied once equals the transactions applied one
+    /// after the other. Returns the normalized fold.
+    fn fold_matches_serial(db: &Database, srcs: &[&str]) -> Transaction {
+        let mut serial = db.clone();
+        let mut net = Transaction::new();
+        for src in srcs {
+            let t = Transaction::parse(db, src).unwrap();
+            t.apply_in_place(&mut serial);
+            net.then(&t);
+        }
+        let (net, _) = net.normalize(db);
+        assert_eq!(
+            dduf_datalog::pretty::database(&net.apply(db)),
+            dduf_datalog::pretty::database(&serial),
+            "{srcs:?}: the fold {net} disagrees with serial application"
+        );
+        net
+    }
+
+    #[test]
+    fn fold_keeps_the_last_event_per_fact() {
+        let db = db();
+        let net = fold_matches_serial(&db, &["+q(z). -r(b).", "+r(b). +q(y).", "-q(z)."]);
+        assert_eq!(net.to_string(), "{+q(y)}");
+    }
+
+    #[test]
+    fn fold_drops_noops_against_the_old_state() {
+        let db = db();
+        // Each event is a no-op on the old state, alone or together.
+        let net = fold_matches_serial(&db, &["+q(a).", "-q(z).", "-r(a). +r(b)."]);
+        assert!(net.is_empty(), "{net}");
+        // Insert-then-delete of an absent fact, delete-then-reinsert of a
+        // present one: both cancel.
+        let net = fold_matches_serial(&db, &["+q(z).", "-q(z).", "-q(a).", "+q(a)."]);
+        assert!(net.is_empty(), "{net}");
+    }
+
+    #[test]
+    fn fold_delete_then_reinsert_nets_to_the_last_event() {
+        let db = db();
+        let net = fold_matches_serial(&db, &["-r(b).", "+r(b).", "-r(b)."]);
+        assert_eq!(net.to_string(), "{-r(b)}");
+        let net = fold_matches_serial(&db, &["+r(a).", "-r(a).", "+r(a). -q(b)."]);
+        assert_eq!(net.to_string(), "{+r(a), -q(b)}");
+    }
+
+    #[test]
+    fn fold_matches_serial_on_seeded_random_tails() {
+        let db = db();
+        let atoms = ["q(a)", "q(b)", "q(z)", "r(a)", "r(b)", "r(z)"];
+        let mut rng = crate::rng::Rng::new(0xF01D);
+        for _ in 0..200 {
+            let tail: Vec<String> = (0..rng.usize(8))
+                .map(|_| {
+                    // A multi-event transaction over distinct atoms.
+                    let mut picked: Vec<&str> = Vec::new();
+                    for _ in 0..1 + rng.usize(3) {
+                        let atom = atoms[rng.usize(atoms.len())];
+                        if !picked.contains(&atom) {
+                            picked.push(atom);
+                        }
+                    }
+                    picked
+                        .iter()
+                        .map(|a| format!("{}{a}.", if rng.chance(0.5) { '+' } else { '-' }))
+                        .collect::<Vec<_>>()
+                        .join(" ")
+                })
+                .collect();
+            let srcs: Vec<&str> = tail.iter().map(String::as_str).collect();
+            let net = fold_matches_serial(&db, &srcs);
+            let (again, noops) = net.normalize(&db);
+            assert!(
+                noops.is_empty() && again == net,
+                "{srcs:?}: {net} is not net"
+            );
+        }
     }
 
     #[test]

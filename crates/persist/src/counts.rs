@@ -26,8 +26,10 @@
 //! only restores from a counts file whose position **equals** the
 //! snapshot's. Anything else — missing file, stale position, checksum
 //! mismatch, unparsable body, or a split that no longer fits the program
-//! — makes [`read`] fail, and the caller falls back to recomputing the
-//! maintenance state from scratch. Partial state is never loaded.
+//! — makes the caller fall back to recomputing the maintenance state from
+//! scratch; [`read`] tells a missing file (`Ok(None)`) from a damaged one
+//! (an error) so that the fallback can say which it was. Partial state is
+//! never loaded.
 
 use crate::error::{io_err, PersistError, Result};
 use crate::framed::{read_framed, write_framed};
@@ -106,18 +108,25 @@ pub fn remove(dir: &Path) -> Result<()> {
     }
 }
 
-/// Reads and validates the persisted maintenance state. Every failure
-/// mode — missing file, bad header, checksum mismatch, unparsable line —
-/// is an error; the caller decides whether to fall back to a recompute.
-pub fn read(dir: &Path) -> Result<CountsState> {
+/// Reads and validates the persisted maintenance state: `Ok(None)` when
+/// there is no counts file, and an error for every kind of damage — I/O,
+/// bad header, checksum mismatch, unparsable line. The caller decides
+/// whether to fall back to a recompute.
+pub fn read(dir: &Path) -> Result<Option<CountsState>> {
     let disp = dir.join(COUNTS_FILE).display().to_string();
     let bad = |detail: String| PersistError::Snapshot {
         path: disp.clone(),
         detail,
     };
-    let (journal_pos, body) = read_framed(dir, COUNTS_FILE, "counts", || {
+    let mut missing = false;
+    let framed = read_framed(dir, COUNTS_FILE, "counts", || {
+        missing = true;
         bad("no persisted maintenance state".into())
-    })?;
+    });
+    if missing {
+        return Ok(None);
+    }
+    let (journal_pos, body) = framed?;
     let mut counts: BTreeMap<Pred, Counts> = BTreeMap::new();
     let mut dred_exts: BTreeMap<Pred, Relation> = BTreeMap::new();
     for (ln, line) in body.lines().enumerate() {
@@ -157,11 +166,11 @@ pub fn read(dir: &Path) -> Result<CountsState> {
             }
         }
     }
-    Ok(CountsState {
+    Ok(Some(CountsState {
         journal_pos,
         counts,
         dred_exts,
-    })
+    }))
 }
 
 /// Parses one `+atom.` payload back into its predicate and tuple.
@@ -204,7 +213,7 @@ mod tests {
         let dir = tmpdir("roundtrip");
         let engine = engine();
         write(&dir, &engine, 7).unwrap();
-        let state = read(&dir).unwrap();
+        let state = read(&dir).unwrap().unwrap();
         assert_eq!(state.journal_pos, 7);
         assert_eq!(&state.counts, engine.counts());
         assert_eq!(state.tuple_count(), engine.tuple_count());
@@ -251,6 +260,7 @@ mod tests {
         write(&dir, &engine(), 7).unwrap();
         remove(&dir).unwrap();
         assert!(!dir.join(COUNTS_FILE).exists());
+        assert!(read(&dir).unwrap().is_none(), "a missing file is no state");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

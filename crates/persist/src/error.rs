@@ -91,15 +91,17 @@ pub enum PersistError {
     NotADatabase(String),
     /// `init` refused to overwrite an existing durable database.
     AlreadyExists(String),
-    /// A journal record re-parsed and re-validated fine but failed to
-    /// commit through the upward path during replay.
+    /// A journal record past the snapshot passed its checksum but does not
+    /// parse or validate as a transaction of the database's program. Open
+    /// checks every record before it commits the tail's net transaction,
+    /// so nothing was committed.
     Replay {
         /// 0-based index of the record that failed, counted from the
         /// snapshot's position.
         record: usize,
         /// Byte offset of the record's header.
         offset: u64,
-        /// The evaluation error.
+        /// The parse or validation error.
         source: dduf_core::Error,
     },
     /// An error from the framework itself (evaluation, validation).

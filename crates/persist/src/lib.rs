@@ -5,9 +5,10 @@
 //! which is precisely the content of a write-ahead log record. This crate
 //! persists committed transactions as an append-only **event journal**
 //! ([`journal`]) plus periodic atomic **snapshots** ([`snapshot`]), so
-//! that crash **recovery** is nothing new: reopening a database replays
+//! that crash **recovery** is nothing new: reopening a database commits
 //! the journal tail through the same upward/commit path live sessions
-//! use — a chain of upward evaluations (DESIGN.md §9).
+//! use — as **one** upward interpretation of the tail's net transaction
+//! (DESIGN.md §9).
 //!
 //! On-disk layout of a durable database directory:
 //!
@@ -26,8 +27,17 @@
 //!
 //! Recovery is O(tail). The snapshot *is* the state after every record
 //! before its `journal_pos`, so [`DurableDb::open`] checks the journal's
-//! magic, seeks to that position and replays each record as soon as it
+//! magic, seeks to that position and parses each record as soon as it
 //! passes its checksum; it never reads the history the snapshot covers.
+//! A transaction is a set of base events (§3.1), so the tail
+//! `T1; …; Tn` is itself one transaction: the last event per base fact,
+//! without the events that change nothing in the snapshot's state
+//! ([`Transaction::then`], [`Transaction::normalize`]). Open folds the
+//! records into it and commits it once, after the scan — one maintenance
+//! pass over the net change, not one per record. The recovered state is
+//! the serial one because derived extensions and support counts are
+//! functions of the final base facts; ranks are not persisted, so the
+//! recovered engine starts unranked either way.
 //! Open checks every byte it uses, and a position that does not start a
 //! record is a hard [`PersistError::BadPosition`], never a skipped or torn
 //! commit. The integrity of the covered history is [`verify`]'s job: it
@@ -68,10 +78,15 @@ pub fn serialize_transaction(txn: &Transaction) -> String {
 pub struct Recovery {
     /// Journal byte offset the snapshot covered.
     pub snapshot_pos: u64,
-    /// Journal records replayed through the upward/commit path: every
-    /// record past the snapshot's position, i.e. every commit since the
-    /// last checkpoint.
+    /// Journal records replayed: every record past the snapshot's
+    /// position, i.e. every commit since the last checkpoint, each parsed
+    /// and validated, then folded into the one net transaction that open
+    /// commits.
     pub replayed: usize,
+    /// Base events of that net transaction: what the tail changed in the
+    /// snapshot's state (zero when it cancels itself, and then open runs
+    /// no upward interpretation at all).
+    pub net_events: usize,
     /// Dangling bytes of a torn final record that were truncated.
     pub truncated_bytes: u64,
     /// Whether the maintenance state (support counts + extensions) was
@@ -190,10 +205,13 @@ impl DurableDb {
     }
 
     /// Opens a durable database: loads the latest snapshot, then streams
-    /// the journal from the snapshot's position, replaying each record
-    /// through the normal upward/commit path as soon as it passes its
-    /// checksum, and truncates a torn final record if a crash left one.
-    /// The records before the snapshot's position are never read.
+    /// the journal from the snapshot's position, parsing and validating
+    /// each record as soon as it passes its checksum and folding it into
+    /// the tail's net transaction, and truncates a torn final record if a
+    /// crash left one. Then it commits the net transaction, if it changes
+    /// anything, through the normal upward/commit path: one maintenance
+    /// pass for the whole tail. The records before the snapshot's position
+    /// are never read.
     pub fn open(dir: impl AsRef<Path>) -> Result<DurableDb> {
         let dir = dir.as_ref();
         if !dir.is_dir() {
@@ -208,14 +226,18 @@ impl DurableDb {
         // Restore the maintenance state from the counts file when it
         // exactly matches the snapshot (same covered journal position and
         // a split that fits the program); anything else falls back to a
-        // full recompute. Partial or stale state is never loaded.
-        let saved = counts::read(dir)
-            .ok()
-            .filter(|c| c.journal_pos == snap.journal_pos)
-            .and_then(|c| MaintenanceEngine::from_saved(&snap.db, c.counts, c.dred_exts).ok());
-        let counts_restored = saved.is_some();
+        // full recompute and counts why. Partial or stale state is never
+        // loaded.
+        let saved = match counts::read(dir) {
+            Ok(None) => Err("missing"),
+            Err(_) => Err("damaged"),
+            Ok(Some(c)) if c.journal_pos != snap.journal_pos => Err("stale"),
+            Ok(Some(c)) => MaintenanceEngine::from_saved(&snap.db, c.counts, c.dred_exts)
+                .map_err(|_| "mismatch"),
+        };
+        let counts_restored = saved.is_ok();
         let mut proc = match saved {
-            Some(engine) => {
+            Ok(engine) => {
                 dduf_obs::record(
                     "counts.persist",
                     "",
@@ -231,27 +253,34 @@ impl DurableDb {
                     maint: Some(engine),
                 })
             }
-            None => {
-                dduf_obs::record("counts.persist", "", &[("recompute", 1)]);
+            Err(reason) => {
+                dduf_obs::record("counts.persist", "", &[("recompute", 1), (reason, 1)]);
                 UpdateProcessor::new(snap.db)?
             }
         };
+        let mut tail_txn = Transaction::new();
         let (journal, tail) = Journal::open(&journal_path, snap.journal_pos, &mut |rec| {
-            let failed = |source| PersistError::Replay {
-                record: rec.index,
-                offset: rec.offset,
-                source,
-            };
-            let txn = proc.transaction(&rec.payload).map_err(failed)?;
-            proc.commit(&txn).map_err(failed)?;
+            let txn = proc
+                .transaction(&rec.payload)
+                .map_err(|source| PersistError::Replay {
+                    record: rec.index,
+                    offset: rec.offset,
+                    source,
+                })?;
+            tail_txn.then(&txn);
             Ok(())
         })?;
+        let (net, _noops) = tail_txn.normalize(proc.database());
+        if !net.is_empty() {
+            proc.commit(&net)?;
+        }
         let truncated_bytes = tail.torn.map_or(0, |t| t.bytes);
         dduf_obs::record(
             "recovery.open",
             "",
             &[
                 ("replayed", tail.records as u64),
+                ("net_events", net.len() as u64),
                 ("truncated_bytes", truncated_bytes),
             ],
         );
@@ -265,6 +294,7 @@ impl DurableDb {
             recovery: Recovery {
                 snapshot_pos: snap.journal_pos,
                 replayed: tail.records,
+                net_events: net.len(),
                 truncated_bytes,
                 counts_restored,
             },
@@ -421,6 +451,7 @@ mod tests {
 
         let db = DurableDb::open(&dir).unwrap();
         assert_eq!(db.recovery().replayed, 1);
+        assert_eq!(db.recovery().net_events, 1);
         assert!(db
             .processor()
             .state()

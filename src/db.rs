@@ -95,8 +95,8 @@ fn open(dir: &str) -> i32 {
         );
     }
     println!(
-        "opened {dir}: snapshot + {} replayed journal record(s)",
-        rec.replayed
+        "opened {dir}: snapshot + {} replayed journal record(s) as {} net base event(s)",
+        rec.replayed, rec.net_events
     );
     let mut session = Session::durable(db);
     crate::cli::run_repl(&mut session)
@@ -114,8 +114,9 @@ fn checkpoint(dir: &str) -> i32 {
         Ok(pos) => {
             println!(
                 "checkpoint written: snapshot covers the journal through byte {pos}; \
-                 folded in {} record(s) since the previous checkpoint (byte {})",
-                rec.replayed, rec.snapshot_pos,
+                 folded in {} record(s) since the previous checkpoint (byte {}) \
+                 as {} net base event(s)",
+                rec.replayed, rec.snapshot_pos, rec.net_events,
             );
             0
         }
@@ -206,12 +207,13 @@ fn stats(dir: &str) -> i32 {
     let d = db.processor().database();
     println!(
         "{dir}: {} fact(s), {} rule(s); journal end at byte {}; snapshot covers through byte {}; \
-         {} record(s) replayed on open",
+         {} record(s) replayed on open as {} net base event(s)",
         d.fact_count(),
         d.program().rules().len(),
         db.store().journal_end(),
         rec.snapshot_pos,
         rec.replayed,
+        rec.net_events,
     );
     print!("{}", report.render_text());
     0

@@ -107,8 +107,8 @@ pub fn run(args: impl IntoIterator<Item = String>) -> i32 {
     };
     let rec = db.recovery();
     println!(
-        "opened {dir}: snapshot + {} replayed journal record(s)",
-        rec.replayed
+        "opened {dir}: snapshot + {} replayed journal record(s) as {} net base event(s)",
+        rec.replayed, rec.net_events
     );
     let handle: ServerHandle = match dduf_server::start(db, config) {
         Ok(h) => h,

@@ -244,6 +244,10 @@ fn db_verbs_round_trip_a_durable_session() {
     assert_eq!(out.status.code(), Some(0));
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("1 replayed journal record(s)"), "{stdout}");
+    assert!(
+        stdout.contains("1 replayed journal record(s) as 1 net base event(s)"),
+        "{stdout}"
+    );
     assert!(stdout.contains("works(dolors)."), "{stdout}");
     assert!(stdout.contains("la(maria)."), "{stdout}");
 
@@ -290,6 +294,10 @@ fn db_checkpoint_reports_the_byte_it_covers_and_the_records_it_folds_in() {
         )),
         "{stdout}"
     );
+    assert!(
+        stdout.contains("(byte 8) as 3 net base event(s)"),
+        "{stdout}"
+    );
 
     let script = ":force +works(ben).\n:quit\n";
     assert!(dduf_piped(&["db", "open", dir], script).status.success());
@@ -302,6 +310,10 @@ fn db_checkpoint_reports_the_byte_it_covers_and_the_records_it_folds_in() {
             "snapshot covers the journal through byte {second}; folded in 1 record(s) \
              since the previous checkpoint (byte {first})"
         )),
+        "{stdout}"
+    );
+    assert!(
+        stdout.contains(&format!("(byte {first}) as 1 net base event(s)")),
         "{stdout}"
     );
     let out = dduf(&["db", "log", dir]);

@@ -51,6 +51,23 @@ fn reference_fingerprint(k: usize) -> String {
     fingerprint(&proc)
 }
 
+/// Why open recomputed the maintenance state instead of restoring it:
+/// the one reason `counts.persist` counted beside `recompute`, or `None`
+/// when it restored.
+fn fallback_reason(report: &dduf::obs::Report) -> Option<&'static str> {
+    let reasons: Vec<&'static str> = ["missing", "stale", "damaged", "mismatch"]
+        .into_iter()
+        .filter(|r| report.total("counts.persist", r) > 0)
+        .collect();
+    assert!(reasons.len() <= 1, "more than one reason: {reasons:?}");
+    assert_eq!(
+        report.total("counts.persist", "recompute"),
+        reasons.len() as u64,
+        "a recompute counts exactly one reason"
+    );
+    reasons.first().copied()
+}
+
 /// Copies a durable database, truncating its journal to `cut` bytes —
 /// the on-disk picture a crash at that byte would leave.
 fn crashed_copy(src_dir: &Path, name: &str, cut: u64) -> PathBuf {
@@ -688,6 +705,7 @@ fn counts_restore_after_checkpoint_skips_the_recompute() {
     assert!(recovered.recovery().counts_restored, "counts must restore");
     assert_eq!(report.total("counts.persist", "loaded"), 1);
     assert_eq!(report.total("counts.persist", "recompute"), 0);
+    assert_eq!(fallback_reason(&report), None);
     assert!(recovered.processor().maintenance().is_some());
     assert_eq!(fingerprint(recovered.processor()), reference_fingerprint(3));
     // The restored engine is live: the next commit lands correctly.
@@ -728,6 +746,7 @@ fn damaged_counts_file_falls_back_to_recompute_never_partial() {
             "cut at byte {cut}: a truncated counts file must not restore"
         );
         assert_eq!(report.total("counts.persist", "recompute"), 1, "cut {cut}");
+        assert_eq!(fallback_reason(&report), Some("damaged"), "cut {cut}");
         assert!(
             recovered.processor().maintenance().is_some(),
             "cut {cut}: recompute still enables maintenance"
@@ -745,8 +764,13 @@ fn damaged_counts_file_falls_back_to_recompute_never_partial() {
     let mid = clean.len() / 2;
     bytes[mid] ^= 0x08;
     std::fs::write(&counts_path, &bytes).unwrap();
-    let recovered = DurableDb::open(&dir).unwrap();
+    let (recovered, report) = dduf::obs::capture(|| DurableDb::open(&dir).unwrap());
     assert!(!recovered.recovery().counts_restored, "flipped byte {mid}");
+    assert_eq!(
+        fallback_reason(&report),
+        Some("damaged"),
+        "flipped byte {mid}"
+    );
     assert_eq!(fingerprint(recovered.processor()), expected);
     drop(recovered);
 
@@ -783,12 +807,44 @@ fn stale_counts_file_is_rejected_on_journal_position_mismatch() {
     drop(db);
     std::fs::write(dir.join(dduf::persist::COUNTS_FILE), &stale).unwrap();
 
-    let recovered = DurableDb::open(&dir).unwrap();
+    let (recovered, report) = dduf::obs::capture(|| DurableDb::open(&dir).unwrap());
     assert!(
         !recovered.recovery().counts_restored,
         "stale counts must not restore"
     );
+    assert_eq!(fallback_reason(&report), Some("stale"));
     assert_eq!(fingerprint(recovered.processor()), reference_fingerprint(3));
+    drop(recovered);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// No counts file at all, and one whose split does not fit the program
+/// (written by an engine of another program at the right position): both
+/// recompute, and `counts.persist` names which it was.
+#[test]
+fn missing_and_mismatched_counts_fall_back_naming_the_reason() {
+    let dir = tmpdir("counts_reason");
+    let mut db = DurableDb::init(&dir, SCHEMA).unwrap();
+    let txn = db.transaction(TXNS[0]).unwrap();
+    db.commit(&txn).unwrap();
+    let pos = db.checkpoint().unwrap();
+    drop(db);
+    let counts_path = dir.join(dduf::persist::COUNTS_FILE);
+
+    std::fs::remove_file(&counts_path).unwrap();
+    let (recovered, report) = dduf::obs::capture(|| DurableDb::open(&dir).unwrap());
+    assert!(!recovered.recovery().counts_restored);
+    assert_eq!(fallback_reason(&report), Some("missing"));
+    assert_eq!(fingerprint(recovered.processor()), reference_fingerprint(1));
+    drop(recovered);
+
+    let other = format!("{SCHEMA}extra(X) :- la(X).\n");
+    let other = UpdateProcessor::new(parse_database(&other).unwrap()).unwrap();
+    dduf::persist::counts::write(&dir, other.maintenance().unwrap(), pos).unwrap();
+    let (recovered, report) = dduf::obs::capture(|| DurableDb::open(&dir).unwrap());
+    assert!(!recovered.recovery().counts_restored);
+    assert_eq!(fallback_reason(&report), Some("mismatch"));
+    assert_eq!(fingerprint(recovered.processor()), reference_fingerprint(1));
     drop(recovered);
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -198,6 +198,11 @@ fn db_stats_summary_and_exit_codes() {
     let stdout = String::from_utf8_lossy(&stats.stdout);
     assert!(stdout.contains("journal end at byte"), "{stdout}");
     assert!(stdout.contains("1 record(s) replayed"), "{stdout}");
+    assert!(
+        stdout.contains("1 record(s) replayed on open as 1 net base event(s)"),
+        "{stdout}"
+    );
+    assert!(stdout.contains("net_events=1"), "{stdout}");
     assert!(stdout.contains("recovery.open"), "{stdout}");
     assert!(stdout.contains("journal.scan"), "{stdout}");
 
