@@ -52,10 +52,9 @@ fn bench_counting_stream(c: &mut Criterion) {
 
     for &n in &[100usize, 1_000] {
         let db0 = multi_support_db(n);
-        let old0 = materialize(&db0).expect("old");
         let txns = stream(&db0, n);
 
-        let engine0 = MaintenanceEngine::new(&db0, &old0).expect("stratified");
+        let engine0 = MaintenanceEngine::new(&db0).expect("stratified");
         group.bench_with_input(BenchmarkId::new("counting", n), &n, |b, _| {
             b.iter(|| {
                 let mut db = db0.clone();

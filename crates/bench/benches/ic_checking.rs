@@ -26,7 +26,7 @@ fn bench_ic_checking(c: &mut Criterion) {
         // A transaction that violates: p1 becomes unemployed w/o benefit
         // (p1 has u_benefit in the generator; use a fresh person instead).
         let txn = Transaction::parse(&db, "+la(newguy).").expect("txn");
-        let engine = MaintenanceEngine::new(&db, &old).expect("stratified");
+        let engine = MaintenanceEngine::new(&db).expect("stratified");
 
         // The production path: `:check` of the shell and the server.
         group.bench_with_input(BenchmarkId::new("incremental_check", n), &n, |b, _| {

@@ -20,9 +20,8 @@ fn bench_matview(c: &mut Criterion) {
 
     for &n in &[100usize, 1_000, 10_000] {
         let db = wide_db(n);
-        let old = materialize(&db).expect("old");
         let txn = random_toggle_txn(&db, 4, 7);
-        let engine = MaintenanceEngine::new(&db, &old).expect("stratified");
+        let engine = MaintenanceEngine::new(&db).expect("stratified");
 
         group.bench_with_input(BenchmarkId::new("apply_delta", n), &n, |b, _| {
             b.iter(|| {

@@ -24,7 +24,7 @@ fn bench_upward_scaling(c: &mut Criterion) {
         let db = wide_db(n);
         let old = materialize(&db).expect("old state");
         let txn = random_toggle_txn(&db, 4, 42);
-        let engine = MaintenanceEngine::new(&db, &old).expect("stratified");
+        let engine = MaintenanceEngine::new(&db).expect("stratified");
 
         group.bench_with_input(BenchmarkId::new("read", n), &n, |b, _| {
             b.iter(|| engine.interpret_for(&db, &txn, None).expect("upward"))

@@ -30,7 +30,7 @@ fn main() {
         let db = wide_db(n);
         let old = materialize(&db).unwrap();
         let txn = random_toggle_txn(&db, 4, 42);
-        let engine = MaintenanceEngine::new(&db, &old).unwrap();
+        let engine = MaintenanceEngine::new(&db).unwrap();
         let iters = if n >= 10_000 { 3 } else { 10 };
         let read = time_us(iters, || engine.interpret_for(&db, &txn, None).unwrap());
         let sem = time_us(iters, || semantic::interpret(&db, &old, &txn).unwrap());
@@ -106,8 +106,7 @@ fn main() {
     // ---- C-F4: integrity checking ----
     for n in [100usize, 1_000, 10_000] {
         let db = constraint_db(n);
-        let old = materialize(&db).unwrap();
-        let engine = MaintenanceEngine::new(&db, &old).unwrap();
+        let engine = MaintenanceEngine::new(&db).unwrap();
         let txn = Transaction::parse(&db, "+la(newguy).").unwrap();
         let iters = if n >= 10_000 { 3 } else { 10 };
         let check = time_us(iters, || {
@@ -150,8 +149,7 @@ fn main() {
     // ---- C-F6: materialized views ----
     for n in [100usize, 1_000, 10_000] {
         let db = wide_db(n);
-        let old = materialize(&db).unwrap();
-        let engine = MaintenanceEngine::new(&db, &old).unwrap();
+        let engine = MaintenanceEngine::new(&db).unwrap();
         let txn = random_toggle_txn(&db, 4, 7);
         let iters = if n >= 10_000 { 3 } else { 10 };
         let apply = time_us(iters, || {

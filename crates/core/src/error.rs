@@ -37,6 +37,8 @@ pub enum Error {
     },
     /// A request referenced a predicate with no definition or declaration.
     UnknownPredicate(Pred),
+    /// A removal names a rule or constraint the program lacks (rendered).
+    NotInProgram(String),
     /// A durable-storage hook refused a commit (e.g. the journal append
     /// failed), so the in-memory state was left unchanged.
     Storage(String),
@@ -71,6 +73,7 @@ impl fmt::Display for Error {
                 write!(f, "downward search limit exceeded: {what} > {limit}")
             }
             Error::UnknownPredicate(p) => write!(f, "unknown predicate {p}"),
+            Error::NotInProgram(what) => write!(f, "the program has no {what}"),
             Error::Storage(msg) => write!(f, "durable storage rejected the commit: {msg}"),
         }
     }

@@ -8,16 +8,19 @@
 //! caused by the update and apply then our approach in the same way."
 //!
 //! Transition and event rules are *derived* structures in this
-//! implementation (never stored), so a rule update is: rebuild the
-//! program, rediff the event-rule systems (reporting which predicates'
-//! rules changed), rematerialize the affected predicates, and report the
-//! induced derived events exactly as a base-fact transaction would.
+//! implementation (never stored), built from a predicate's own rules
+//! alone. So a rule update is: rebuild the program, compare its rules
+//! predicate by predicate with the old ones ([`rule_changes`]), and let
+//! the maintenance engine re-evaluate the components of the changed
+//! predicates and of the readers of a changed extension, keeping the
+//! rest ([`MaintenanceEngine::build`]); the induced derived events are
+//! the re-evaluated extensions' differences, as a transaction's would be.
+//!
+//! [`MaintenanceEngine::build`]: crate::upward::maintain::MaintenanceEngine::build
 
-use crate::error::{Error, Result};
+use crate::error::Result;
 use dduf_datalog::ast::{Literal, Pred, Rule};
-use dduf_datalog::schema::{Program, Role};
-use dduf_datalog::storage::database::Database;
-use dduf_events::rules::EventRuleSystem;
+use dduf_datalog::schema::Program;
 use dduf_events::store::EventStore;
 use std::fmt;
 
@@ -31,6 +34,14 @@ pub enum EventRuleChange {
     /// The predicate's definition changed; its transition and event rules
     /// were rebuilt.
     Rebuilt(Pred),
+}
+
+impl EventRuleChange {
+    /// The predicate whose event rules changed.
+    pub fn pred(&self) -> Pred {
+        let (Self::Added(p) | Self::Removed(p) | Self::Rebuilt(p)) = self;
+        *p
+    }
 }
 
 impl fmt::Display for EventRuleChange {
@@ -64,27 +75,22 @@ pub fn rebuild_program(old: &Program, added: &[Rule], removed: &[Rule]) -> Resul
     for (pred, dom) in old.pred_domains() {
         b.pred_domain(pred, dom.iter().copied());
     }
-    for (pred, role) in old.predicates() {
-        if Some(pred) == global {
-            continue;
-        }
-        b.declare(pred, role).map_err(Error::from)?;
+    for (pred, role) in old.predicates().filter(|&(p, _)| Some(p) != global) {
+        b.declare(pred, role)?;
     }
     let mut to_remove: Vec<&Rule> = removed.iter().collect();
-    for rule in old.rules() {
-        if Some(rule.head.pred) == global {
-            continue; // synthesized; rebuilt by the builder
-        }
+    // The global-`ic` rules are synthesized; the builder makes them again.
+    for rule in old.rules().iter().filter(|r| Some(r.head.pred) != global) {
         if let Some(i) = to_remove.iter().position(|r| *r == rule) {
             to_remove.remove(i);
-            continue;
+        } else {
+            b.rule(rule.clone());
         }
-        b.rule(rule.clone());
     }
     for rule in added {
         b.rule(rule.clone());
     }
-    b.build().map_err(Error::from)
+    Ok(b.build()?)
 }
 
 /// Rebuilds with an added denial constraint, returning the synthesized
@@ -101,42 +107,25 @@ pub fn rebuild_with_denial(old: &Program, body: Vec<Literal>) -> Result<(Program
     let head = dduf_datalog::ast::Atom::new(&format!("ic{n}"), vec![]);
     let pred = head.pred;
     let rule = Rule::new(head, body);
-    let prog = rebuild_program(old, std::slice::from_ref(&rule), &[])?;
-    // Role may have been inferred as Ic already via the `ic` prefix; make
-    // sure (for odd names this would matter).
-    if !matches!(prog.role(pred), Some(Role::Derived(_))) {
-        return Err(Error::UnknownPredicate(pred));
-    }
-    Ok((prog, pred))
+    Ok((rebuild_program(old, &[rule], &[])?, pred))
 }
 
-/// Compares the event-rule systems of two programs, reporting per-predicate
-/// changes (the §5.3 "changes on the transition and event rules").
-pub fn diff_event_rules(old: &Program, new: &Program) -> Vec<EventRuleChange> {
-    let old_sys = EventRuleSystem::build(old);
-    let new_sys = EventRuleSystem::build(new);
-    let mut out = Vec::new();
-    for (pred, rules) in new_sys.iter() {
-        match old_sys.get(*pred) {
-            None => out.push(EventRuleChange::Added(*pred)),
-            Some(prev) if prev.transition != rules.transition => {
-                out.push(EventRuleChange::Rebuilt(*pred));
-            }
-            Some(_) => {}
-        }
+/// The §5.3 "changes on the transition and event rules" of a rule update
+/// from `old` to `new`, per derived predicate: its event rules are built
+/// from its own rules alone, so they changed exactly when those did.
+pub fn rule_changes(old: &Program, new: &Program) -> Vec<EventRuleChange> {
+    use EventRuleChange::*;
+    fn derived(p: &Program) -> impl Iterator<Item = Pred> + '_ {
+        p.predicates()
+            .filter(|&(q, _)| p.is_derived(q))
+            .map(|(q, _)| q)
     }
-    for (pred, _) in old_sys.iter() {
-        if new_sys.get(*pred).is_none() {
-            out.push(EventRuleChange::Removed(*pred));
-        }
-    }
-    out
-}
-
-/// Validates that `db`'s facts are compatible with `program` and returns
-/// the rebuilt database.
-pub fn rebind_database(db: &Database, program: Program) -> Result<Database> {
-    db.with_program(program).map_err(Error::from)
+    let changed = |p: Pred| match old.is_derived(p) {
+        false => Some(Added(p)),
+        true => (old.rules_for(p) != new.rules_for(p)).then_some(Rebuilt(p)),
+    };
+    let removed = derived(old).filter(|&p| !new.is_derived(p)).map(Removed);
+    derived(new).filter_map(changed).chain(removed).collect()
 }
 
 #[cfg(test)]
@@ -202,17 +191,23 @@ mod tests {
             &[],
         )
         .unwrap();
-        let changes = diff_event_rules(db1.program(), &db2_prog);
+        let changes = rule_changes(db1.program(), &db2_prog);
         assert!(changes.contains(&EventRuleChange::Rebuilt(Pred::new("p", 1))));
         assert!(changes.contains(&EventRuleChange::Added(Pred::new("w", 1))));
-        let back = diff_event_rules(&db2_prog, db1.program());
+        let back = rule_changes(&db2_prog, db1.program());
         assert!(back.contains(&EventRuleChange::Removed(Pred::new("w", 1))));
+        // A predicate whose rules stayed is not reported.
+        let same = rule_changes(
+            db1.program(),
+            &rebuild_program(db1.program(), &[], &[]).unwrap(),
+        );
+        assert!(same.is_empty(), "{same:?}");
     }
 
     #[test]
     fn rebind_rejects_fact_on_newly_derived_pred() {
         let db = parse_database("s(a). p(X) :- q(X).").unwrap();
         let prog = rebuild_program(db.program(), &[rule("s(X)", "q(X)")], &[]).unwrap();
-        assert!(rebind_database(&db, prog).is_err());
+        assert!(db.with_program(prog).is_err());
     }
 }

@@ -7,9 +7,10 @@
 //! derivation survives the transition (case a.2). Derivation trees come
 //! from [`dduf_datalog::provenance`].
 
-use crate::error::{Error, Result};
+use crate::error::Result;
 use crate::transaction::Transaction;
-use dduf_datalog::eval::{materialize, Interpretation, StateView};
+use crate::upward::maintain::MaintenanceEngine;
+use dduf_datalog::eval::StateView;
 use dduf_datalog::provenance::{explain, Derivation};
 use dduf_datalog::storage::database::Database;
 use dduf_events::event::{EventKind, GroundEvent};
@@ -57,45 +58,44 @@ impl fmt::Display for EventExplanation {
     }
 }
 
-/// Explains one induced event of `txn` on `db`. Returns `None` when the
-/// event does not actually occur in the transition (the caller asked about
-/// a non-event).
+/// Explains one induced event of `txn` on `db`, whose derived state
+/// `engine` maintains: the new state is its interpretation with the
+/// extensions its pass over `txn` stages laid over it. Returns `None` when
+/// the event does not actually occur in the transition (the caller asked
+/// about a non-event).
 pub fn explain_event(
     db: &Database,
-    old: &Interpretation,
+    engine: &MaintenanceEngine,
     txn: &Transaction,
     event: &GroundEvent,
 ) -> Result<Option<EventExplanation>> {
     let new_db = txn.apply(db);
-    let new = materialize(&new_db).map_err(Error::from)?;
-    let old_state = StateView::new(db, old);
-    let new_state = StateView::new(&new_db, &new);
-    let held_before = old_state.holds(event.pred, &event.tuple);
-    let holds_after = new_state.holds(event.pred, &event.tuple);
-    match event.kind {
-        EventKind::Ins => {
-            if held_before || !holds_after {
-                return Ok(None);
-            }
-            let derivation =
-                explain(new_state, event.pred, &event.tuple).expect("fact holds in the new state");
-            Ok(Some(EventExplanation::Insertion {
-                event: event.clone(),
-                derivation,
-            }))
-        }
-        EventKind::Del => {
-            if !held_before || holds_after {
-                return Ok(None);
-            }
-            let old_derivation =
-                explain(old_state, event.pred, &event.tuple).expect("fact held in the old state");
-            Ok(Some(EventExplanation::Deletion {
-                event: event.clone(),
-                old_derivation,
-            }))
-        }
+    let mut staged = engine.interpretation().clone();
+    for (pred, rel) in engine.interpret(db, txn)?.1.new_exts {
+        staged.set(pred, rel);
     }
+    let old = StateView::new(db, engine.interpretation());
+    let new = StateView::new(&new_db, &staged);
+    let (before, after) = (
+        old.holds(event.pred, &event.tuple),
+        new.holds(event.pred, &event.tuple),
+    );
+    let (occurs, state) = match event.kind {
+        EventKind::Ins => (after && !before, new),
+        EventKind::Del => (before && !after, old),
+    };
+    if !occurs {
+        return Ok(None);
+    }
+    let derivation = explain(state, event.pred, &event.tuple).expect("the fact holds there");
+    let event = event.clone();
+    Ok(Some(match event.kind {
+        EventKind::Ins => EventExplanation::Insertion { event, derivation },
+        EventKind::Del => EventExplanation::Deletion {
+            event,
+            old_derivation: derivation,
+        },
+    }))
 }
 
 #[cfg(test)]
@@ -105,15 +105,15 @@ mod tests {
     use dduf_datalog::parser::parse_database;
     use dduf_datalog::storage::tuple::syms;
 
-    fn setup() -> (Database, Interpretation) {
+    fn setup() -> (Database, MaintenanceEngine) {
         let db = parse_database(
             "la(dolors). u_benefit(dolors).
              unemp(X) :- la(X), not works(X).
              :- unemp(X), not u_benefit(X).",
         )
         .unwrap();
-        let old = materialize(&db).unwrap();
-        (db, old)
+        let engine = MaintenanceEngine::new(&db).unwrap();
+        (db, engine)
     }
 
     #[test]

@@ -120,10 +120,10 @@ mod tests {
 
     #[test]
     fn validation_finds_activation_witness() {
-        let (db, old) = monitored_db();
+        let (db, _) = monitored_db();
         let w = validate(
             &db,
-            &MaintenanceEngine::new(&db, &old).unwrap(),
+            &MaintenanceEngine::new(&db).unwrap(),
             Pred::new("alert", 1),
             EventKind::Ins,
             &DownwardOptions::default(),
@@ -136,10 +136,9 @@ mod tests {
     #[test]
     fn unactivatable_condition_detected() {
         let db = parse_database("#cond ghost/1. q(a). p(X) :- q(X).").unwrap();
-        let old = materialize(&db).unwrap();
         let w = validate(
             &db,
-            &MaintenanceEngine::new(&db, &old).unwrap(),
+            &MaintenanceEngine::new(&db).unwrap(),
             Pred::new("ghost", 1),
             EventKind::Ins,
             &DownwardOptions::default(),

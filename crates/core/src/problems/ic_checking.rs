@@ -212,7 +212,7 @@ mod tests {
         let db = parse_database(src).unwrap();
         let old = materialize(&db).unwrap();
         let txn = Transaction::parse(&db, txn).unwrap();
-        let engine = MaintenanceEngine::new(&db, &old).unwrap();
+        let engine = MaintenanceEngine::new(&db).unwrap();
         let up = engine.interpret_for(&db, &txn, None).unwrap();
         assert_eq!(up, semantic::interpret(&db, &old, &txn).unwrap());
         (db, old, up)

@@ -166,12 +166,12 @@ mod tests {
 
     #[test]
     fn validation_finds_witness() {
-        let (db, old) = employment();
+        let (db, _) = employment();
         // Can unemp gain an instance? Yes: e.g. insert la(x) for fresh x —
         // active domain instantiation uses existing constants.
         let w = validate(
             &db,
-            &MaintenanceEngine::new(&db, &old).unwrap(),
+            &MaintenanceEngine::new(&db).unwrap(),
             Pred::new("unemp", 1),
             EventKind::Ins,
             &DownwardOptions::default(),
@@ -184,10 +184,9 @@ mod tests {
     fn validation_reports_unreachable() {
         // v has no rules: no state with a v-instance is reachable.
         let db = parse_database("#view v/1. q(a). p(X) :- q(X).").unwrap();
-        let old = materialize(&db).unwrap();
         let w = validate(
             &db,
-            &MaintenanceEngine::new(&db, &old).unwrap(),
+            &MaintenanceEngine::new(&db).unwrap(),
             Pred::new("v", 1),
             EventKind::Ins,
             &DownwardOptions::default(),
@@ -198,10 +197,10 @@ mod tests {
 
     #[test]
     fn deletion_validation() {
-        let (db, old) = employment();
+        let (db, _) = employment();
         let w = validate(
             &db,
-            &MaintenanceEngine::new(&db, &old).unwrap(),
+            &MaintenanceEngine::new(&db).unwrap(),
             Pred::new("unemp", 1),
             EventKind::Del,
             &DownwardOptions::default(),

@@ -10,6 +10,7 @@
 
 use crate::downward::{Alternative, DownwardOptions, DownwardResult, Request};
 use crate::error::{Error, Result};
+use crate::evolution::{self, EvolutionResult};
 use crate::problems::{
     condition_activation, condition_monitoring, condition_prevention, ic_checking, ic_maintenance,
     repair, side_effects, view_maintenance, view_updating,
@@ -17,9 +18,9 @@ use crate::problems::{
 use crate::transaction::Transaction;
 use crate::upward::maintain::MaintenanceEngine;
 use crate::upward::UpwardResult;
-use dduf_datalog::ast::{Atom, Pred};
-use dduf_datalog::eval::{materialize, Interpretation, StateView};
-use dduf_datalog::schema::DerivedRole;
+use dduf_datalog::ast::{Atom, Literal, Pred, Rule};
+use dduf_datalog::eval::{Interpretation, StateView};
+use dduf_datalog::schema::{DerivedRole, Program, Role};
 use dduf_datalog::storage::database::Database;
 use dduf_events::event::{EventAtom, EventKind};
 
@@ -57,12 +58,11 @@ pub struct ProcessorState {
 }
 
 impl UpdateProcessor {
-    /// Creates a processor, materializing the current state and building
-    /// its maintenance engine: counting for non-recursive strata, DRed
-    /// for recursive ones, selected per stratum.
+    /// Creates a processor over `db`, its maintenance engine building the
+    /// derived state ([`MaintenanceEngine::new`]: every rule evaluated
+    /// once, counting for non-recursive strata, DRed for recursive ones).
     pub fn new(db: Database) -> Result<UpdateProcessor> {
-        let old = materialize(&db).map_err(Error::from)?;
-        let maint = MaintenanceEngine::new(&db, &old)?;
+        let maint = MaintenanceEngine::new(&db)?;
         Ok(UpdateProcessor {
             db,
             opts: DownwardOptions::default(),
@@ -93,16 +93,13 @@ impl UpdateProcessor {
     /// (`dduf serve`) and recovery: rebuilding the next staging processor
     /// from a published state is a clone, not a fixpoint evaluation.
     ///
-    /// Trusted: `state.maint` must be the maintenance state of
-    /// `state.db` — or, when it is `None`, `state.interp` its
-    /// materialization, from which the engine is built — as
-    /// [`into_state`](Self::into_state) of a live processor guarantees.
-    /// Handing in anything else produces a processor whose upward
-    /// interpretations are silently wrong.
+    /// Trusted: `state.maint` must be the maintenance state of `state.db`,
+    /// as [`into_state`](Self::into_state) guarantees; anything else gives
+    /// silently wrong upward interpretations. A state without one gets an
+    /// engine built in full from `state.db` ([`MaintenanceEngine::new`]).
     pub fn from_state(state: ProcessorState) -> UpdateProcessor {
         let maint = state.maint.unwrap_or_else(|| {
-            MaintenanceEngine::new(&state.db, &state.interp)
-                .expect("a materialized database is stratified")
+            MaintenanceEngine::new(&state.db).expect("a published database is stratified")
         });
         UpdateProcessor {
             db: state.db,
@@ -432,65 +429,48 @@ impl UpdateProcessor {
     /// Adds a deductive rule, reporting the changed event rules and the
     /// derived events the schema change induces (derived facts appearing
     /// although no base fact changed).
-    pub fn add_rule(
-        &mut self,
-        rule: dduf_datalog::ast::Rule,
-    ) -> Result<crate::evolution::EvolutionResult> {
-        let program = crate::evolution::rebuild_program(self.db.program(), &[rule], &[])?;
-        self.swap_program(program)
+    pub fn add_rule(&mut self, rule: Rule) -> Result<EvolutionResult> {
+        self.evolve(evolution::rebuild_program(self.db.program(), &[rule], &[])?)
     }
 
-    /// Removes the first rule equal to `rule`.
-    pub fn remove_rule(
-        &mut self,
-        rule: &dduf_datalog::ast::Rule,
-    ) -> Result<crate::evolution::EvolutionResult> {
-        let program =
-            crate::evolution::rebuild_program(self.db.program(), &[], std::slice::from_ref(rule))?;
-        self.swap_program(program)
+    /// Removes the first rule equal to `rule`; a rule the program lacks
+    /// is an error, and the processor stays as it was.
+    pub fn remove_rule(&mut self, rule: &Rule) -> Result<EvolutionResult> {
+        if !self.db.program().rules().contains(rule) {
+            return Err(Error::NotInProgram(format!("rule `{rule}`")));
+        }
+        let removed = std::slice::from_ref(rule);
+        self.evolve(evolution::rebuild_program(self.db.program(), &[], removed)?)
     }
 
     /// Adds an integrity constraint in denial form; returns the outcome
     /// plus the synthesized inconsistency predicate.
-    pub fn add_constraint(
-        &mut self,
-        body: Vec<dduf_datalog::ast::Literal>,
-    ) -> Result<(crate::evolution::EvolutionResult, Pred)> {
-        let (program, pred) = crate::evolution::rebuild_with_denial(self.db.program(), body)?;
-        Ok((self.swap_program(program)?, pred))
+    pub fn add_constraint(&mut self, body: Vec<Literal>) -> Result<(EvolutionResult, Pred)> {
+        let (program, pred) = evolution::rebuild_with_denial(self.db.program(), body)?;
+        Ok((self.evolve(program)?, pred))
     }
 
     /// Removes every rule defining the given inconsistency predicate
-    /// (dropping the constraint).
-    pub fn remove_constraint(&mut self, ic: Pred) -> Result<crate::evolution::EvolutionResult> {
-        let doomed: Vec<dduf_datalog::ast::Rule> = self
-            .db
-            .program()
-            .rules_for(ic)
-            .into_iter()
-            .cloned()
-            .collect();
-        let program = crate::evolution::rebuild_program(self.db.program(), &[], &doomed)?;
-        self.swap_program(program)
+    /// (dropping the constraint). A predicate that is not a constraint's
+    /// is an error, and the processor stays as it was.
+    pub fn remove_constraint(&mut self, ic: Pred) -> Result<EvolutionResult> {
+        let program = self.db.program();
+        if program.role(ic) != Some(Role::Derived(DerivedRole::Ic)) {
+            return Err(Error::NotInProgram(format!("constraint {ic}")));
+        }
+        let doomed: Vec<Rule> = program.rules_for(ic).into_iter().cloned().collect();
+        self.evolve(evolution::rebuild_program(program, &[], &doomed)?)
     }
 
-    /// Installs a new program: rebinds the facts, rematerializes, diffs.
-    fn swap_program(
-        &mut self,
-        program: dduf_datalog::schema::Program,
-    ) -> Result<crate::evolution::EvolutionResult> {
-        let rule_changes = crate::evolution::diff_event_rules(self.db.program(), &program);
-        let new_db = crate::evolution::rebind_database(&self.db, program)?;
-        let new_interp = materialize(&new_db).map_err(Error::from)?;
-        let induced = crate::upward::semantic::diff_interpretations(
-            &new_db,
-            self.interpretation(),
-            &new_interp,
-        );
-        // The strategy plan and counts are program-dependent: rebuild.
-        self.maint = MaintenanceEngine::new(&new_db, &new_interp)?;
-        self.db = new_db;
-        Ok(crate::evolution::EvolutionResult {
+    /// Installs a new program: rebinds the facts; the engine re-evaluates
+    /// what the update reaches ([`MaintenanceEngine::build`]).
+    fn evolve(&mut self, program: Program) -> Result<EvolutionResult> {
+        let rule_changes = evolution::rule_changes(self.db.program(), &program);
+        let db = self.db.with_program(program).map_err(Error::from)?;
+        let changed = rule_changes.iter().map(|c| c.pred()).collect();
+        let (maint, induced) = MaintenanceEngine::build(&db, Some((&self.maint, &changed)))?;
+        (self.db, self.maint) = (db, maint);
+        Ok(EvolutionResult {
             induced,
             rule_changes,
         })
@@ -501,6 +481,7 @@ impl UpdateProcessor {
 mod tests {
     use super::*;
     use dduf_datalog::ast::Const;
+    use dduf_datalog::eval::materialize;
     use dduf_datalog::parser::parse_database;
 
     fn processor() -> UpdateProcessor {

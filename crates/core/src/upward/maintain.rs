@@ -99,13 +99,14 @@ use crate::upward::{Goals, UpwardResult};
 use dduf_datalog::ast::{Literal, Pred, Rule};
 use dduf_datalog::depgraph::{DepGraph, EdgeSign};
 use dduf_datalog::eval::join::{ground_terms, match_tuple, Bindings};
-use dduf_datalog::eval::plan::{eval_seeded, JoinPlan};
-use dduf_datalog::eval::Interpretation;
+use dduf_datalog::eval::plan::{eval_plan_stats, eval_seeded, JoinPlan};
+use dduf_datalog::eval::{component_label, record_component_trace, seminaive};
+use dduf_datalog::eval::{ComponentTrace, Interpretation, StateView};
 use dduf_datalog::storage::database::Database;
 use dduf_datalog::storage::relation::Relation;
 use dduf_datalog::storage::runs::Runs;
 use dduf_datalog::storage::tuple::Tuple;
-use dduf_datalog::stratify::Stratification;
+use dduf_datalog::stratify::{Component, Stratification};
 use dduf_events::event::{EventKind, GroundEvent};
 use dduf_events::store::EventStore;
 use std::cmp::Reverse;
@@ -172,7 +173,7 @@ pub struct StagedMaintenance {
 /// extensions are redundant with the count keys but kept uniform: they
 /// are what persists, what recovery restores, what the old-state joins
 /// read, and what [`interpretation`](Self::interpretation) hands out).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct MaintenanceEngine {
     /// Support counts, counting-strategy predicates only.
     counts: BTreeMap<Pred, Counts>,
@@ -214,53 +215,105 @@ fn compute_units(program: &dduf_datalog::schema::Program) -> Result<Vec<Unit>> {
 }
 
 impl MaintenanceEngine {
-    /// Builds the engine from the current state: counting predicates are
-    /// counted against the old interpretation; extensions are snapshots
-    /// of `old`.
-    pub fn new(db: &Database, old: &Interpretation) -> Result<MaintenanceEngine> {
-        let program = db.program();
-        let units = compute_units(program)?;
-        let counting: Vec<Pred> = units
-            .iter()
-            .filter(|u| u.strategy == Strategy::Counting)
-            .flat_map(|u| u.preds.iter().copied())
-            .collect();
-        let counts: BTreeMap<Pred, Counts> = counting
-            .iter()
-            .map(|&pred| {
-                let mut map: HashMap<Tuple, i64> = HashMap::new();
-                for rule in program.rules_for(pred) {
-                    let rel_of = |i: usize| -> &Relation {
-                        let p = rule.body[i].atom.pred;
-                        if program.is_derived(p) {
-                            old.relation(p)
-                        } else {
-                            db.relation(p)
-                        }
-                    };
-                    for b in eval_seeded(&mut None, &rule.body, &rel_of, &Bindings::new()) {
-                        let t = ground_terms(&rule.head.terms, &b).expect("allowed heads");
-                        *map.entry(t).or_insert(0) += 1;
-                    }
-                }
-                let mut counted: Vec<(Tuple, i64)> = map.into_iter().collect();
-                counted.sort_unstable();
-                (pred, Counts::from_sorted(counted))
-            })
-            .collect();
-        let mut exts = Interpretation::default();
-        for &p in units.iter().flat_map(|u| u.preds.iter()) {
-            exts.set(p, old.relation(p).clone());
+    /// Builds the engine for `db` from its facts alone, every unit
+    /// evaluated once. Raises what materialization raises: a rule that is
+    /// not allowed, a program that is not stratifiable.
+    pub fn new(db: &Database) -> Result<MaintenanceEngine> {
+        Ok(Self::build(db, None)?.0)
+    }
+
+    /// The engine for `db`, and the events its rule update induces when
+    /// `prev` holds the engine under the old program and the predicates
+    /// whose rules changed. A unit with a `prev` unit's predicates, none
+    /// changed and no input that changed extension, shares that unit's
+    /// state; any other is evaluated once, and its events are the
+    /// difference of its old and new extension (DESIGN.md §15). Records
+    /// `eval.materialize` and one `eval.scc` per evaluated unit.
+    pub fn build(
+        db: &Database,
+        prev: Option<(&MaintenanceEngine, &BTreeSet<Pred>)>,
+    ) -> Result<(MaintenanceEngine, EventStore)> {
+        dduf_datalog::safety::check_program(db.program())?;
+        let units = compute_units(db.program())?;
+        let timer = dduf_obs::timer();
+        let mut engine = MaintenanceEngine::default();
+        let mut events = EventStore::new();
+        // A predicate whose last rule went holds nothing any more.
+        for (p, rel) in prev.iter().flat_map(|(old, _)| old.exts.iter()) {
+            if !units.iter().any(|u| u.preds.contains(&p)) {
+                events.add_difference(p, rel, &Relation::new());
+            }
         }
-        debug_assert!(counts
-            .iter()
-            .all(|(&p, m)| m.len() == exts.relation(p).len()));
-        Ok(MaintenanceEngine {
-            counts,
-            exts,
-            ranks: BTreeMap::new(),
-            units,
-        })
+        let mut evaluated = 0;
+        for unit in &units {
+            let kept = prev.filter(|(old, changed)| {
+                let members = |u: &Unit| u.preds.iter().copied().collect::<BTreeSet<_>>();
+                old.units.iter().any(|u| members(u) == members(unit))
+                    && !unit.preds.iter().any(|p| changed.contains(p))
+                    && !unit.inputs.iter().any(|&p| events.touches(p))
+            });
+            if let Some((old, _)) = kept {
+                for &p in &unit.preds {
+                    engine.exts.set(p, old.extension(p).clone());
+                    let (counts, ranks) = (old.counts.get(&p), old.ranks.get(&p));
+                    engine.counts.extend(counts.map(|c| (p, c.clone())));
+                    engine.ranks.extend(ranks.map(|r| (p, r.clone())));
+                }
+                continue;
+            }
+            evaluated += 1;
+            let (exts, trace) = engine.evaluate(db, unit);
+            if dduf_obs::enabled() {
+                record_component_trace(&component_label(&unit.preds), &trace);
+            }
+            for (p, rel) in exts {
+                if let Some((old, _)) = prev {
+                    events.add_difference(p, old.extension(p), &rel);
+                }
+                engine.exts.set(p, rel);
+            }
+        }
+        let (kept, facts) = (units.len() as u64 - evaluated, engine.tuple_count() as u64);
+        let counters = [
+            ("components", evaluated),
+            ("skipped", kept),
+            ("facts", facts),
+        ];
+        dduf_obs::record_timed("eval.materialize", "", &counters, timer.elapsed_us());
+        engine.units = units;
+        Ok((engine, events))
+    }
+
+    /// Evaluates one unit over the lower units' extensions; a counting
+    /// unit's support counts go into the engine on the way.
+    fn evaluate(&mut self, db: &Database, unit: &Unit) -> (Vec<(Pred, Relation)>, ComponentTrace) {
+        if unit.strategy == Strategy::DRed {
+            let component = Component {
+                preds: unit.preds.clone(),
+                recursive: true,
+            };
+            return seminaive::eval_component(db, &self.exts, &component);
+        }
+        let (pred, state) = (unit.preds[0], StateView::new(db, &self.exts));
+        let mut trace = ComponentTrace::default();
+        let mut counted: HashMap<Tuple, i64> = HashMap::new();
+        for rule in db.program().rules_for(pred) {
+            let plan = JoinPlan::compile(&rule.body, &BTreeSet::new(), None);
+            let rel_of = |i: usize| state.relation(rule.body[i].atom.pred);
+            let stats = &mut trace.stats;
+            for b in eval_plan_stats(&plan, &rule.body, &rel_of, &Bindings::new(), stats) {
+                let t = ground_terms(&rule.head.terms, &b).expect("allowed heads");
+                *counted.entry(t).or_insert(0) += 1;
+            }
+            trace.plans += 1;
+        }
+        let derivations = counted.values().sum::<i64>() as u64;
+        trace.push_round(derivations, counted.len() as u64);
+        let mut counted: Vec<(Tuple, i64)> = counted.into_iter().collect();
+        counted.sort_unstable();
+        let rel = counted.iter().map(|(t, _)| t.clone()).collect();
+        self.counts.insert(pred, Counts::from_sorted(counted));
+        (vec![(pred, rel)], trace)
     }
 
     /// Rebuilds the engine from previously persisted state **without
@@ -503,11 +556,7 @@ impl MaintenanceEngine {
             // Anything relevant changed? Events cover base predicates and
             // every lower unit (processed first); members have no events
             // yet by construction.
-            let touched = unit.inputs.iter().any(|&p| {
-                !events.relation(EventKind::Ins, p).is_empty()
-                    || !events.relation(EventKind::Del, p).is_empty()
-            });
-            if !touched {
+            if !unit.inputs.iter().any(|&p| events.touches(p)) {
                 ctrs.skipped += 1;
                 continue; // the old extension remains valid
             }
@@ -666,13 +715,8 @@ impl MaintenanceEngine {
         // that has to go is in `over` for good.
         let mut candidates = Candidates::new(members);
         {
-            let old_rel_of = |p: Pred| -> &Relation {
-                if program.is_derived(p) {
-                    self.extension(p)
-                } else {
-                    db.relation(p)
-                }
-            };
+            let old = StateView::new(db, &self.exts);
+            let old_rel_of = |p: Pred| old.relation(p);
             // What the keep-check reads: the component as it was, the
             // rest as it will be.
             let kept_rel_of = |p: Pred| -> &Relation {
@@ -903,13 +947,8 @@ impl MaintenanceEngine {
     #[doc(hidden)]
     pub fn check_ranks(&self, db: &Database) -> std::result::Result<(), String> {
         let program = db.program();
-        let rel_of = |p: Pred| -> &Relation {
-            if program.is_derived(p) {
-                self.extension(p)
-            } else {
-                db.relation(p)
-            }
-        };
+        let state = StateView::new(db, &self.exts);
+        let rel_of = |p: Pred| state.relation(p);
         for unit in self.units.iter().filter(|u| u.strategy == Strategy::DRed) {
             let ranked = unit.preds.iter().filter(|p| self.ranks.contains_key(p));
             match ranked.count() {
@@ -1269,7 +1308,7 @@ mod tests {
     fn check_against_semantic(src: &str, txns: &[&str]) -> (Database, MaintenanceEngine) {
         let mut db = parse_database(src).unwrap();
         let mut old = materialize(&db).unwrap();
-        let mut engine = MaintenanceEngine::new(&db, &old).unwrap();
+        let mut engine = MaintenanceEngine::new(&db).unwrap();
         for (step, t) in txns.iter().enumerate() {
             let txn = Transaction::parse(&db, t).unwrap();
             let expected = semantic::interpret(&db, &old, &txn).unwrap();
@@ -1306,7 +1345,7 @@ mod tests {
     fn read_once(src: &str, txn: &str) -> UpwardResult {
         check_against_semantic(src, &[txn]);
         let db = parse_database(src).unwrap();
-        let engine = MaintenanceEngine::new(&db, &materialize(&db).unwrap()).unwrap();
+        let engine = MaintenanceEngine::new(&db).unwrap();
         let txn = Transaction::parse(&db, txn).unwrap();
         engine.interpret_for(&db, &txn, None).unwrap()
     }
@@ -1526,8 +1565,7 @@ mod tests {
              tc(X, Y) :- e(X, Y). tc(X, Y) :- e(X, Z), tc(Z, Y).",
         )
         .unwrap();
-        let old = materialize(&db).unwrap();
-        let engine = MaintenanceEngine::new(&db, &old).unwrap();
+        let engine = MaintenanceEngine::new(&db).unwrap();
         assert_eq!(engine.strategy(Pred::new("v", 1)), Some(Strategy::Counting));
         assert_eq!(engine.strategy(Pred::new("tc", 2)), Some(Strategy::DRed));
         assert_eq!(engine.strategy(Pred::new("e", 2)), None);
@@ -1774,8 +1812,7 @@ mod tests {
              tc(X, Y) :- e(X, Y). tc(X, Y) :- e(X, Z), tc(Z, Y).",
         )
         .unwrap();
-        let old = materialize(&db).unwrap();
-        let engine = MaintenanceEngine::new(&db, &old).unwrap();
+        let engine = MaintenanceEngine::new(&db).unwrap();
         let txn = Transaction::parse(&db, "-e(a, b).").unwrap();
         let before = engine.tuple_count();
         let (res, staged) = engine.interpret(&db, &txn).unwrap();
@@ -1822,8 +1859,7 @@ mod tests {
              tc(X, Y) :- e(X, Y). tc(X, Y) :- e(X, Z), tc(Z, Y).",
         )
         .unwrap();
-        let old = materialize(&db).unwrap();
-        let engine = MaintenanceEngine::new(&db, &old).unwrap();
+        let engine = MaintenanceEngine::new(&db).unwrap();
         let dred_exts: BTreeMap<Pred, Relation> = engine
             .interpretation()
             .iter()
@@ -1860,7 +1896,7 @@ mod tests {
         )
         .unwrap();
         let old = materialize(&db).unwrap();
-        let engine = MaintenanceEngine::new(&db, &old).unwrap();
+        let engine = MaintenanceEngine::new(&db).unwrap();
         assert_eq!(engine.interpretation(), &old);
     }
 
@@ -1872,8 +1908,7 @@ mod tests {
              tc(X, Y) :- e(X, Y). tc(X, Y) :- e(X, Z), tc(Z, Y).",
         )
         .unwrap();
-        let old = materialize(&db).unwrap();
-        let engine = MaintenanceEngine::new(&db, &old).unwrap();
+        let engine = MaintenanceEngine::new(&db).unwrap();
         let txn = Transaction::parse(&db, "+f(y).").unwrap();
         let (_, staged) = engine.interpret(&db, &txn).unwrap();
         assert!(!staged.new_exts.contains_key(&Pred::new("tc", 2)));

@@ -31,7 +31,6 @@ pub mod semantic;
 use crate::error::Result;
 use crate::transaction::Transaction;
 use dduf_datalog::ast::Pred;
-use dduf_datalog::eval::materialize;
 use dduf_datalog::storage::database::Database;
 use dduf_datalog::storage::relation::Relation;
 use dduf_events::event::{EventKind, GroundEvent};
@@ -86,17 +85,17 @@ impl fmt::Display for UpwardResult {
 }
 
 /// Upward-interprets `txn` against `db`: every induced event, read by a
-/// maintenance engine built over the materialized old state. A caller
+/// throwaway maintenance engine that builds the old state itself. A caller
 /// that keeps state ([`UpdateProcessor`](crate::processor::UpdateProcessor))
 /// reads through its own engine instead of building one per call.
 pub fn interpret(db: &Database, txn: &Transaction) -> Result<UpwardResult> {
-    let old = materialize(db).map_err(crate::error::Error::from)?;
-    maintain::MaintenanceEngine::new(db, &old)?.interpret_for(db, txn, None)
+    maintain::MaintenanceEngine::new(db)?.interpret_for(db, txn, None)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dduf_datalog::eval::materialize;
     use dduf_datalog::parser::parse_database;
     use dduf_datalog::storage::tuple::syms;
 

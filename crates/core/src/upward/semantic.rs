@@ -20,7 +20,6 @@ use dduf_datalog::eval::{materialize, Interpretation};
 use dduf_datalog::storage::database::Database;
 use dduf_datalog::storage::relation::Relation;
 use dduf_datalog::storage::tuple::Tuple;
-use dduf_events::event::GroundEvent;
 use dduf_events::formula::TrLit;
 use dduf_events::store::EventStore;
 use dduf_events::transition::TransitionRule;
@@ -63,18 +62,9 @@ pub fn diff_interpretations(
     new: &Interpretation,
 ) -> EventStore {
     let mut events = EventStore::new();
-    for (pred, _role) in db.program().predicates() {
-        if !db.program().is_derived(pred) {
-            continue;
-        }
-        let o = old.relation(pred);
-        let n = new.relation(pred);
-        for t in n.difference(o).iter() {
-            events.insert(GroundEvent::ins(pred, t.clone()));
-        }
-        for t in o.difference(n).iter() {
-            events.insert(GroundEvent::del(pred, t.clone()));
-        }
+    let program = db.program();
+    for (pred, _) in program.predicates().filter(|&(p, _)| program.is_derived(p)) {
+        events.add_difference(pred, old.relation(pred), new.relation(pred));
     }
     events
 }
@@ -126,7 +116,7 @@ mod tests {
     use dduf_datalog::eval::materialize;
     use dduf_datalog::parser::parse_database;
     use dduf_datalog::storage::tuple::syms;
-    use dduf_events::event::EventKind;
+    use dduf_events::event::{EventKind, GroundEvent};
 
     #[test]
     fn deletion_induces_derived_deletion() {

@@ -101,6 +101,24 @@ impl EventStore {
             .map(|(&p, _)| p)
     }
 
+    /// True iff some event, of either kind, is on `pred`.
+    pub fn touches(&self, pred: Pred) -> bool {
+        !self.relation(EventKind::Ins, pred).is_empty()
+            || !self.relation(EventKind::Del, pred).is_empty()
+    }
+
+    /// Adds the events that turn `old`, an extension of `pred`, into
+    /// `new`: insertions of `new \ old`, deletions of `old \ new`
+    /// (definitions (1)/(2) of §3.1).
+    pub fn add_difference(&mut self, pred: Pred, old: &Relation, new: &Relation) {
+        for t in new.difference(old).iter() {
+            self.insert(GroundEvent::ins(pred, t.clone()));
+        }
+        for t in old.difference(new).iter() {
+            self.insert(GroundEvent::del(pred, t.clone()));
+        }
+    }
+
     /// Adds every event of `other`.
     pub fn extend(&mut self, other: &EventStore) {
         for e in other.iter() {
@@ -177,6 +195,18 @@ impl fmt::Display for EventStore {
 mod tests {
     use super::*;
     use dduf_datalog::storage::tuple::syms;
+
+    #[test]
+    fn difference_of_two_extensions_is_their_events() {
+        let (p, q) = (Pred::new("v", 1), Pred::new("w", 1));
+        let old: Relation = [syms(&["a"]), syms(&["b"])].into_iter().collect();
+        let new: Relation = [syms(&["b"]), syms(&["c"])].into_iter().collect();
+        let mut s = EventStore::new();
+        s.add_difference(p, &old, &new);
+        s.add_difference(q, &old, &old);
+        assert_eq!(s.to_string(), "{+v(c), -v(a)}");
+        assert!(s.touches(p) && !s.touches(q));
+    }
 
     #[test]
     fn insert_query_relation() {

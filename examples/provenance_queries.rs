@@ -41,7 +41,8 @@ fn main() -> Result<()> {
     // ---- Event explanation: why would a transfer change things? ----
     let txn = Transaction::parse(&db, "-emp(ben, sales). +emp(ben, hr).")?;
     let ev = GroundEvent::del(Pred::new("covered", 1), Tuple::new(vec![Const::sym("ben")]));
-    let ex = explain_event(&db, &model, &txn, &ev)?.expect("event occurs");
+    let engine = MaintenanceEngine::new(&db)?;
+    let ex = explain_event(&db, &engine, &txn, &ev)?.expect("event occurs");
     println!("{ex}");
 
     Ok(())

@@ -34,7 +34,7 @@ fn main() -> Result<()> {
     // ---- §4.1: upward interpretation (example 4.1) ----
     let txn = Transaction::parse(&db, "-r(b).")?;
     let old = materialize(&db)?;
-    let engine = MaintenanceEngine::new(&db, &old)?;
+    let engine = MaintenanceEngine::new(&db)?;
     let up = engine.interpret_for(&db, &txn, None)?;
     println!("\nupward({txn}) induces: {}", up.derived);
     assert_eq!(up.derived.to_string(), "{+p(b)}"); // the paper's answer

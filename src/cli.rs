@@ -181,28 +181,34 @@ impl Session {
                 .as_tuple()
                 .ok_or_else(|| parse_err("event to explain must be ground"))?;
             let event = dduf_events::event::GroundEvent::new(kind, first.atom.pred, tuple.into());
-            let txn = dduf_core::transaction::Transaction::from_events(
-                self.proc.database(),
-                txn_events.iter().map(|pe| {
-                    let k = if pe.insert {
-                        dduf_events::event::EventKind::Ins
-                    } else {
-                        dduf_events::event::EventKind::Del
-                    };
-                    dduf_events::event::GroundEvent::new(
-                        k,
-                        pe.atom.pred,
-                        pe.atom.as_tuple().expect("ground").into(),
-                    )
-                }),
-            )?;
+            let mut events = Vec::with_capacity(txn_events.len());
+            for pe in txn_events {
+                let k = if pe.insert {
+                    dduf_events::event::EventKind::Ins
+                } else {
+                    dduf_events::event::EventKind::Del
+                };
+                let tuple = pe.atom.as_tuple().ok_or_else(|| {
+                    parse_err(&format!(
+                        "usage: :why <ev>. <txn>; the transaction must be ground, not {}",
+                        pe.atom
+                    ))
+                })?;
+                events.push(dduf_events::event::GroundEvent::new(
+                    k,
+                    pe.atom.pred,
+                    tuple.into(),
+                ));
+            }
+            let txn =
+                dduf_core::transaction::Transaction::from_events(self.proc.database(), events)?;
+            let engine = self
+                .proc
+                .maintenance()
+                .expect("every processor has an engine");
             return Ok(
-                match dduf_core::explain::explain_event(
-                    self.proc.database(),
-                    self.proc.interpretation(),
-                    &txn,
-                    &event,
-                )? {
+                match dduf_core::explain::explain_event(self.proc.database(), engine, &txn, &event)?
+                {
                     Some(ex) => ex.to_string(),
                     None => format!("{event} is not induced by that transaction"),
                 },
@@ -605,6 +611,28 @@ mod tests {
         assert!(out.contains("does not hold"), "{out}");
         let out = s.run(":why -unemp(dolors). +la(maria).").unwrap();
         assert!(out.contains("not induced"), "{out}");
+    }
+
+    /// `:why` of an event reads the new state off the engine's staged
+    /// interpretation: nothing is materialized.
+    #[test]
+    fn why_of_an_event_materializes_nothing() {
+        let mut s = session();
+        let (out, report) = dduf_obs::capture(|| s.run(":why +ic1. -u_benefit(dolors).").unwrap());
+        assert!(out.contains("newly derivable"), "{out}");
+        assert_eq!(report.count("eval.materialize", ""), 0);
+        assert_eq!(report.total("eval.scc", "rounds"), 0);
+    }
+
+    #[test]
+    fn why_of_a_non_ground_transaction_is_a_usage_error() {
+        let mut s = session();
+        let err = s.run(":why -unemp(dolors). +works(X).").unwrap_err();
+        assert!(err.to_string().contains("usage: :why"), "{err}");
+        assert!(err.to_string().contains("works(X)"), "{err}");
+        // Session still alive.
+        let out = s.run(":why -unemp(dolors). +works(dolors).").unwrap();
+        assert!(out.contains("no derivation survives"), "{out}");
     }
 
     #[test]

@@ -29,7 +29,7 @@ fn check(db: &Database, engine: &MaintenanceEngine, src: &str) -> (String, Repor
 
 /// The engine over `db` and its materialization.
 fn engine_over(db: &Database) -> MaintenanceEngine {
-    MaintenanceEngine::new(db, &materialize(db).unwrap()).unwrap()
+    MaintenanceEngine::new(db).unwrap()
 }
 
 fn counter(report: &Report, name: &str) -> u64 {

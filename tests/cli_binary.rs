@@ -75,6 +75,21 @@ fn errors_go_to_stderr_and_session_survives() {
     assert!(stdout.contains("ok"), "{stdout}");
 }
 
+/// A `:why` whose transaction is not ground is a usage error, and the
+/// session goes on.
+#[test]
+fn why_of_a_non_ground_transaction_is_a_usage_error() {
+    let (stdout, stderr) = run_script(
+        EMPLOYMENT,
+        ":why -unemp(dolors). +works(X).
+:why -unemp(dolors). +works(dolors).
+",
+    );
+    assert!(stderr.contains("usage: :why"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(stdout.contains("no derivation survives"), "{stdout}");
+}
+
 fn dduf(args: &[&str]) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_dduf"))
         .args(args)

@@ -23,8 +23,7 @@ use dduf::prelude::*;
 /// engine and what it recorded.
 fn replay<S: AsRef<str>>(db: &Database, txns: &[S]) -> (MaintenanceEngine, Report) {
     let mut db = db.clone();
-    let old = materialize(&db).unwrap();
-    let mut engine = MaintenanceEngine::new(&db, &old).unwrap();
+    let mut engine = MaintenanceEngine::new(&db).unwrap();
     let ((), report) = dduf::obs::capture(|| {
         for src in txns {
             let txn = Transaction::parse(&db, src.as_ref()).unwrap();

@@ -8,119 +8,19 @@
 //! proptest so the suite builds offline; seeds are fixed, so every run
 //! explores the same program/transaction pairs.
 
+mod common;
+
+use common::{gen_churn_txn, gen_txn, RandProgram, RecProgram, NODES};
 use dduf::core::rng::Rng;
 use dduf::core::upward::maintain::{MaintenanceEngine, Strategy};
 use dduf::core::upward::{semantic, Goals};
 use dduf::prelude::*;
 use std::fmt::Write as _;
 
-const CONSTS: [&str; 4] = ["a", "b", "c", "d"];
-const BASES: [&str; 3] = ["b1", "b2", "b3"];
-
-#[derive(Clone, Debug)]
-struct RandLit {
-    pred: usize, // index: 0..3 base, 3.. derived of lower layer
-    positive: bool,
-}
-
-#[derive(Clone, Debug)]
-struct RandProgram {
-    /// facts[i] = set of constants for base predicate i.
-    facts: Vec<Vec<usize>>,
-    /// layers[k] = body literals of derived predicate v{k+1}; references
-    /// base preds (0..3) and derived preds of strictly lower layers
-    /// (3 + j for layer j).
-    layers: Vec<Vec<RandLit>>,
-}
-
-impl RandProgram {
-    fn gen(rng: &mut Rng) -> RandProgram {
-        let facts = (0..BASES.len())
-            .map(|_| (0..rng.usize(5)).map(|_| rng.usize(CONSTS.len())).collect())
-            .collect();
-        let depth = 1 + rng.usize(3);
-        let layers = (0..depth)
-            .map(|layer| {
-                (0..1 + rng.usize(3))
-                    .map(|_| RandLit {
-                        pred: rng.usize(3 + layer),
-                        positive: rng.bool(),
-                    })
-                    .collect()
-            })
-            .collect();
-        RandProgram { facts, layers }
-    }
-
-    fn to_source(&self) -> String {
-        let mut src = String::new();
-        for (i, cs) in self.facts.iter().enumerate() {
-            for &c in cs {
-                let _ = writeln!(src, "{}({}).", BASES[i], CONSTS[c]);
-            }
-        }
-        // Declare base preds so empty relations still typecheck.
-        for b in BASES {
-            let _ = writeln!(src, "#base {b}/1.");
-        }
-        for (k, body) in self.layers.iter().enumerate() {
-            let name = format!("v{}", k + 1);
-            let mut lits: Vec<String> = Vec::new();
-            // Guarantee allowedness: ensure at least one positive literal
-            // by forcing the first literal positive.
-            for (j, lit) in body.iter().enumerate() {
-                let pname = if lit.pred < 3 {
-                    BASES[lit.pred].to_string()
-                } else {
-                    format!("v{}", lit.pred - 2) // lower layer: 3 -> v1, 4 -> v2
-                };
-                let positive = lit.positive || j == 0;
-                lits.push(if positive {
-                    format!("{pname}(X)")
-                } else {
-                    format!("not {pname}(X)")
-                });
-            }
-            let _ = writeln!(src, "{name}(X) :- {}.", lits.join(", "));
-        }
-        src
-    }
-}
-
-/// Random transaction: deduplicated base-event toggles.
-fn gen_txn(rng: &mut Rng, db: &Database) -> Transaction {
-    let n = 1 + rng.usize(5);
-    let mut events = Vec::new();
-    let mut seen = std::collections::BTreeSet::new();
-    for _ in 0..n {
-        let p = rng.usize(BASES.len());
-        let c = rng.usize(CONSTS.len());
-        if seen.insert((p, c)) {
-            let kind = if rng.bool() {
-                EventKind::Ins
-            } else {
-                EventKind::Del
-            };
-            events.push(GroundEvent::new(
-                kind,
-                Pred::new(BASES[p], 1),
-                Tuple::new(vec![Const::sym(CONSTS[c])]),
-            ));
-        }
-    }
-    Transaction::from_events(db, events).expect("validated")
-}
-
 /// The engine's read of `txn` — the events of `goals`, every induced
-/// event when `None` — on a fresh engine over `db` and its
-/// materialization `old`.
-fn read(
-    db: &Database,
-    old: &Interpretation,
-    txn: &Transaction,
-    goals: Option<&Goals>,
-) -> UpwardResult {
-    let engine = MaintenanceEngine::new(db, old).expect("stratified");
+/// event when `None` — on a fresh engine over `db`.
+fn read(db: &Database, txn: &Transaction, goals: Option<&Goals>) -> UpwardResult {
+    let engine = MaintenanceEngine::new(db).expect("stratified");
     engine.interpret_for(db, txn, goals).expect("read")
 }
 
@@ -135,7 +35,7 @@ fn incremental_equals_semantic() {
         let old = materialize(&db).expect("stratified");
         let txn = gen_txn(&mut rng, &db);
         let a = semantic::interpret(&db, &old, &txn).expect("semantic");
-        let b = read(&db, &old, &txn, None);
+        let b = read(&db, &txn, None);
         assert_eq!(a, b, "case {case}: {}", prog.to_source());
     }
 }
@@ -150,7 +50,7 @@ fn events_reconstruct_new_state() {
         let db = parse_database(&prog.to_source()).expect("parses");
         let old = materialize(&db).expect("stratified");
         let txn = gen_txn(&mut rng, &db);
-        let res = read(&db, &old, &txn, None);
+        let res = read(&db, &txn, None);
         let new = materialize(&txn.apply(&db)).expect("new state");
         for (pred, _role) in db.program().predicates() {
             if !db.program().is_derived(pred) {
@@ -242,7 +142,7 @@ fn trace_counters_identical_across_runs() {
         let db = parse_database(&prog.to_source()).expect("generated program parses");
         let old = materialize(&db).expect("stratified");
         let txn = gen_txn(&mut rng, &db);
-        let engine = MaintenanceEngine::new(&db, &old).expect("stratified");
+        let engine = MaintenanceEngine::new(&db).expect("stratified");
         let run = || dduf::obs::capture(|| engine.interpret_for(&db, &txn, None).expect("read"));
         let ((first, report), (second, again)) = (run(), run());
         assert_eq!(
@@ -287,7 +187,7 @@ fn parallel_upward_matches_sequential_across_thread_counts() {
         let db = parse_database(&prog.to_source()).expect("parses");
         let old = materialize(&db).expect("stratified");
         let txn = gen_txn(&mut rng, &db);
-        let engine = MaintenanceEngine::new(&db, &old).expect("stratified");
+        let engine = MaintenanceEngine::new(&db).expect("stratified");
         let oracle = || semantic::interpret(&db, &old, &txn).expect("semantic");
         let read = || engine.interpret_for(&db, &txn, None).expect("read");
         let expected = oracle();
@@ -318,7 +218,7 @@ fn assert_upward_fingerprints_invariant(seed: u64, cases: usize) {
         let db = parse_database(&prog.to_source()).expect("parses");
         let old = materialize(&db).expect("stratified");
         let txn = gen_txn(&mut rng, &db);
-        let engine = MaintenanceEngine::new(&db, &old).expect("stratified");
+        let engine = MaintenanceEngine::new(&db).expect("stratified");
         let oracle = || semantic::interpret(&db, &old, &txn).expect("semantic");
         let read = || engine.interpret_for(&db, &txn, None).expect("read");
         let calls: [UpwardCall<'_>; 2] = [("semantic", &oracle), ("read", &read)];
@@ -405,111 +305,6 @@ fn same_generation_deltas_outgrowing_their_joins_stay_planned_and_counted() {
     );
 }
 
-const NODES: [&str; 5] = ["n0", "n1", "n2", "n3", "n4"];
-
-/// Random *recursive* program: a random edge relation, a recursive SCC
-/// over it (plain transitive closure or a mutually recursive pair with
-/// stratified negation), and counting-maintained layers above the
-/// recursion — the shape that forces the maintenance engine to mix both
-/// strategies in one program.
-#[derive(Clone, Debug)]
-struct RecProgram {
-    mutual: bool,
-    edges: Vec<(usize, usize)>,
-    marks: Vec<usize>,
-}
-
-impl RecProgram {
-    fn gen(rng: &mut Rng) -> RecProgram {
-        RecProgram {
-            mutual: rng.bool(),
-            edges: (0..3 + rng.usize(8))
-                .map(|_| (rng.usize(NODES.len()), rng.usize(NODES.len())))
-                .collect(),
-            marks: (0..rng.usize(4)).map(|_| rng.usize(NODES.len())).collect(),
-        }
-    }
-
-    /// Head predicate of the recursive SCC.
-    fn scc_head(&self) -> &'static str {
-        if self.mutual {
-            "p"
-        } else {
-            "tc"
-        }
-    }
-
-    fn to_source(&self) -> String {
-        let mut src = String::from("#base e/2.\n#base m/1.\n");
-        for &(a, b) in &self.edges {
-            let _ = writeln!(src, "e({}, {}).", NODES[a], NODES[b]);
-        }
-        for &a in &self.marks {
-            let _ = writeln!(src, "m({}).", NODES[a]);
-        }
-        if self.mutual {
-            src.push_str("p(X, Y) :- e(X, Y).\n");
-            src.push_str("p(X, Y) :- e(X, Z), q(Z, Y).\n");
-            src.push_str("q(X, Y) :- p(X, Y), not m(X).\n");
-        } else {
-            src.push_str("tc(X, Y) :- e(X, Y).\n");
-            src.push_str("tc(X, Y) :- e(X, Z), tc(Z, Y).\n");
-        }
-        let h = self.scc_head();
-        let _ = writeln!(src, "cyc(X) :- {h}(X, X).");
-        src.push_str("lone(X) :- m(X), not cyc(X).\n");
-        src
-    }
-}
-
-/// Random deletion-heavy transaction: ~70% of events delete a currently
-/// *live* base fact (so deletions actually tear derivations down), the
-/// rest insert random edges and marks.
-fn gen_churn_txn(rng: &mut Rng, db: &Database) -> Transaction {
-    let e = Pred::new("e", 2);
-    let m = Pred::new("m", 1);
-    let mut events = Vec::new();
-    let mut seen = std::collections::BTreeSet::new();
-    for _ in 0..2 + rng.usize(5) {
-        let (kind, pred, tuple) = if rng.usize(10) < 7 {
-            // Delete a live fact (falling back to an insert when the
-            // chosen relation is empty).
-            let pred = if rng.bool() { e } else { m };
-            let live: Vec<Tuple> = db.relation(pred).iter().cloned().collect();
-            match live.get(rng.usize(live.len().max(1))) {
-                Some(t) => (EventKind::Del, pred, t.clone()),
-                None => (
-                    EventKind::Ins,
-                    e,
-                    Tuple::new(vec![
-                        Const::sym(NODES[rng.usize(NODES.len())]),
-                        Const::sym(NODES[rng.usize(NODES.len())]),
-                    ]),
-                ),
-            }
-        } else if rng.bool() {
-            (
-                EventKind::Ins,
-                e,
-                Tuple::new(vec![
-                    Const::sym(NODES[rng.usize(NODES.len())]),
-                    Const::sym(NODES[rng.usize(NODES.len())]),
-                ]),
-            )
-        } else {
-            (
-                EventKind::Ins,
-                m,
-                Tuple::new(vec![Const::sym(NODES[rng.usize(NODES.len())])]),
-            )
-        };
-        if seen.insert((pred, tuple.clone())) {
-            events.push(GroundEvent::new(kind, pred, tuple));
-        }
-    }
-    Transaction::from_events(db, events).expect("validated")
-}
-
 /// The `kind` events on `pred` for every goal, in goal order.
 fn goal_events(res: &UpwardResult, goals: &Goals) -> Vec<(Pred, EventKind, Relation)> {
     goals
@@ -529,7 +324,7 @@ fn assert_exact_on_goals(
     goals: &Goals,
 ) -> UpwardResult {
     let full = semantic::interpret(db, old, txn).expect("semantic");
-    let got = read(db, old, txn, Some(goals));
+    let got = read(db, txn, Some(goals));
     assert_eq!(got.base, full.base, "{label}");
     assert_eq!(
         goal_events(&got, goals),
@@ -579,10 +374,10 @@ fn goal_directed_equals_semantic_on_the_goals() {
         let db = parse_database(&source).expect("parses");
         let old = materialize(&db).expect("stratified");
         let txn = txn_of(&mut rng, &db);
-        let everything = read(&db, &old, &txn, None);
+        let everything = read(&db, &txn, None);
         let all = every_derived_event(&db);
         assert_eq!(
-            read(&db, &old, &txn, Some(&all)),
+            read(&db, &txn, Some(&all)),
             everything,
             "{label}: asking for everything"
         );
@@ -645,7 +440,7 @@ fn maintained_stream_matches_semantic(
 ) {
     let mut db = parse_database(src).expect("parses");
     let mut old = materialize(&db).expect("stratified");
-    let mut engine = MaintenanceEngine::new(&db, &old).expect("mixed strategies");
+    let mut engine = MaintenanceEngine::new(&db).expect("mixed strategies");
     expect_strategies(&db, &engine);
 
     for step in 0..steps {
@@ -795,7 +590,6 @@ fn maintained_stream_fingerprints_are_deterministic() {
     for case in 0..8 {
         let prog = RecProgram::gen(&mut rng);
         let db0 = parse_database(&prog.to_source()).expect("parses");
-        let old0 = materialize(&db0).expect("stratified");
         // Pre-generate the stream so every run replays the same one.
         let mut txns = Vec::new();
         let mut db = db0.clone();
@@ -806,7 +600,7 @@ fn maintained_stream_fingerprints_are_deterministic() {
         }
 
         let run = || {
-            let mut engine = MaintenanceEngine::new(&db0, &old0).expect("engine");
+            let mut engine = MaintenanceEngine::new(&db0).expect("engine");
             let mut db = db0.clone();
             let (_, report) = dduf::obs::capture(|| {
                 for txn in &txns {

@@ -131,3 +131,19 @@ fn fact_on_derived_predicate_rejected_by_loader() {
         DlError::Schema(SchemaError::FactOnDerivedPredicate(_))
     ));
 }
+
+/// The processor builds its derived state itself and raises what
+/// materialization raises: an unstratifiable program, an unsafe rule.
+#[test]
+fn processor_construction_raises_what_materialization_raises() {
+    for src in [
+        "p(X) :- b(X), not q(X). q(X) :- b(X), p(X). b(a).",
+        "p(X) :- not q(X).",
+    ] {
+        let db = parse_database(src).unwrap();
+        let expected = materialize(&db).unwrap_err();
+        assert!(matches!(expected, DlError::Schema(_)), "{src}");
+        let err = UpdateProcessor::new(db).unwrap_err();
+        assert_eq!(err, CoreError::Datalog(expected), "{src}");
+    }
+}

@@ -136,3 +136,39 @@ fn incompatible_rule_update_rejected() {
         .state()
         .holds(Pred::new("s", 1), &Tuple::new(vec![Const::sym("a")])));
 }
+
+/// A removal names what the program has: a rule it lacks, or a
+/// predicate that is not a constraint's, is an error naming it, and the
+/// processor stays as it was.
+#[test]
+fn removing_what_the_program_lacks_is_refused() {
+    let mut proc = UpdateProcessor::new(testkit::employment_db()).unwrap();
+    let before = (
+        dduf::datalog::pretty::database(proc.database()),
+        proc.interpretation().clone(),
+        proc.maintenance().unwrap().counts().clone(),
+    );
+    let err = proc.remove_rule(&rule("unemp(X) :- la(X).")).unwrap_err();
+    assert!(matches!(err, Error::NotInProgram(_)), "{err}");
+    assert!(err.to_string().contains("unemp(X) :- la(X)"), "{err}");
+    for pred in [
+        Pred::new("unemp", 1),
+        Pred::new("la", 1),
+        Pred::new("ic9", 0),
+    ] {
+        let err = proc.remove_constraint(pred).unwrap_err();
+        assert!(matches!(err, Error::NotInProgram(_)), "{err}");
+        assert!(err.to_string().contains(&pred.to_string()), "{err}");
+    }
+    assert_eq!(dduf::datalog::pretty::database(proc.database()), before.0);
+    assert_eq!(proc.interpretation(), &before.1);
+    assert_eq!(proc.maintenance().unwrap().counts(), &before.2);
+    // The real ones still go.
+    proc.remove_constraint(Pred::new("ic1", 0)).unwrap();
+    proc.remove_rule(&rule("unemp(X) :- la(X), not works(X)."))
+        .unwrap();
+    assert!(proc
+        .interpretation()
+        .relation(Pred::new("unemp", 1))
+        .is_empty());
+}

@@ -80,7 +80,7 @@ fn example_5_1_integrity_checking() {
 #[test]
 fn example_5_1_is_the_upward_interpretation_of_ins_ic1() {
     let db = testkit::employment_db();
-    let engine = MaintenanceEngine::new(&db, &materialize(&db).unwrap()).unwrap();
+    let engine = MaintenanceEngine::new(&db).unwrap();
     let txn = Transaction::parse(&db, "-u_benefit(dolors).").unwrap();
     let goals = [(Pred::new("ic1", 0), EventKind::Ins)].into();
     let res = engine.interpret_for(&db, &txn, Some(&goals)).unwrap();

@@ -121,7 +121,7 @@ fn transition_rule_matches_new_state() {
         let (db, txn) = build(&s);
         let old = materialize(&db).unwrap();
         // The upward result supplies the event sets TR literals refer to.
-        let engine = MaintenanceEngine::new(&db, &old).unwrap();
+        let engine = MaintenanceEngine::new(&db).unwrap();
         let up = engine.interpret_for(&db, &txn, None).unwrap();
         let mut all_events = up.base.clone();
         all_events.extend(&up.derived);
