@@ -360,8 +360,8 @@ impl<'a> Translator<'a> {
                         .iter()
                         .map(|&t| resolve(t, b).as_const())
                         .collect();
-                    // `select` serves multi-column patterns from a
-                    // composite index on large relations, so these
+                    // `select` serves multi-column patterns from an
+                    // index on large relations, so these
                     // restricted materializations probe instead of scan.
                     for t in rel.select(&pattern) {
                         if let Some(b2) = match_tuple(&l.atom.terms, &t, b) {

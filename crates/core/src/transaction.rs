@@ -146,8 +146,8 @@ impl Transaction {
     /// [`apply`](Self::apply) on `db` itself, for a caller that no longer
     /// needs the old state: the commit path and journal replay.
     pub fn apply_in_place(&self, db: &mut Database) {
-        // Group per (kind, pred) so each relation is mutated — and
-        // detached from its indexes — once, not once per event.
+        // Group per (kind, pred) so each relation is mutated in one bulk
+        // call, not once per event.
         let mut ins: BTreeMap<Pred, Vec<Tuple>> = BTreeMap::new();
         let mut del: BTreeMap<Pred, Vec<Tuple>> = BTreeMap::new();
         for e in self.events.iter() {

@@ -96,10 +96,10 @@
 use crate::error::{Error, Result};
 use crate::transaction::Transaction;
 use crate::upward::{Goals, UpwardResult};
-use dduf_datalog::ast::{Literal, Pred, Rule};
+use dduf_datalog::ast::{Const, Literal, Pred, Rule};
 use dduf_datalog::depgraph::{DepGraph, EdgeSign};
-use dduf_datalog::eval::join::{ground_terms, match_tuple, Bindings};
-use dduf_datalog::eval::plan::{eval_plan_stats, eval_seeded, JoinPlan};
+use dduf_datalog::eval::join::JoinStats;
+use dduf_datalog::eval::plan::{eval_heads, JoinPlan, Pattern};
 use dduf_datalog::eval::{component_label, record_component_trace, seminaive};
 use dduf_datalog::eval::{ComponentTrace, Interpretation, StateView};
 use dduf_datalog::storage::database::Database;
@@ -110,7 +110,8 @@ use dduf_datalog::stratify::{Component, Stratification};
 use dduf_events::event::{EventKind, GroundEvent};
 use dduf_events::store::EventStore;
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap};
+use std::ops::ControlFlow;
 
 /// Support-count deltas per counting-strategy predicate, as staged by
 /// [`MaintenanceEngine::interpret`].
@@ -300,9 +301,7 @@ impl MaintenanceEngine {
         for rule in db.program().rules_for(pred) {
             let plan = JoinPlan::compile(&rule.body, &BTreeSet::new(), None);
             let rel_of = |i: usize| state.relation(rule.body[i].atom.pred);
-            let stats = &mut trace.stats;
-            for b in eval_plan_stats(&plan, &rule.body, &rel_of, &Bindings::new(), stats) {
-                let t = ground_terms(&rule.head.terms, &b).expect("allowed heads");
+            for t in eval_heads(&plan, &rule.head.terms, &rel_of, &mut trace.stats) {
                 *counted.entry(t).or_insert(0) += 1;
             }
             trace.plans += 1;
@@ -395,7 +394,7 @@ impl MaintenanceEngine {
 
     /// The rank of a tuple of a recursive component, once the component
     /// has ranks (`None` before that, and for any other tuple).
-    pub fn rank(&self, pred: Pred, tuple: &Tuple) -> Option<i64> {
+    pub fn rank(&self, pred: Pred, tuple: &[Const]) -> Option<i64> {
         self.ranks.get(&pred)?.get(tuple).copied()
     }
 
@@ -695,7 +694,9 @@ impl MaintenanceEngine {
         let program = db.program();
         let member_set: BTreeSet<Pred> = members.iter().copied().collect();
         let rules: Vec<&Rule> = members.iter().flat_map(|&m| program.rules_for(m)).collect();
-        let mut plans = SeededPlans::new();
+        let mut firings = Firings::new();
+        // Scratch for the head and the member body tuples of an instance.
+        let (mut head, mut body) = (Vec::new(), Vec::new());
         // All members of a component have ranks or none has.
         let ranked = self.ranks.contains_key(&members[0]);
         // The new state of everything outside the component: final, lower
@@ -716,10 +717,10 @@ impl MaintenanceEngine {
         let mut candidates = Candidates::new(members);
         {
             let old = StateView::new(db, &self.exts);
-            let old_rel_of = |p: Pred| old.relation(p);
+            let old_rel_of = |_: usize, p: Pred| old.relation(p);
             // What the keep-check reads: the component as it was, the
             // rest as it will be.
-            let kept_rel_of = |p: Pred| -> &Relation {
+            let kept_rel_of = |_: usize, p: Pred| -> &Relation {
                 if member_set.contains(&p) {
                     self.extension(p)
                 } else {
@@ -738,9 +739,11 @@ impl MaintenanceEngine {
                         EventKind::Ins
                     };
                     for t in events.relation(kind, lit.atom.pred).iter() {
-                        let slot = plans.entry((ri, i)).or_default();
-                        fire(rule, i, t, &old_rel_of, slot, &mut |h, _| {
-                            candidates.push(self, rule.head.pred, h)
+                        let f = firing(&mut firings, &rules, (ri, i), &member_set, &old_rel_of);
+                        let _ = f.run(t, &old_rel_of, &mut |inst| {
+                            inst.head(&mut head);
+                            candidates.push(self, inst.head_pred(), &head);
+                            ControlFlow::Continue(())
                         });
                     }
                 }
@@ -750,12 +753,20 @@ impl MaintenanceEngine {
                     ctrs.checked += 1;
                     // Kept, with its rank: an instance over tuples of
                     // lower rank that all stay cannot pass through `t`.
-                    let kept = rules_for(&rules, p).any(|(ri, rule)| {
-                        let slot = plans.entry((ri, usize::MAX)).or_default();
-                        head_bound(rule, &t, &kept_rel_of, slot).iter().any(|b| {
-                            member_body(rule, b, &member_set, &self.ranks)
-                                .all(|(q, bt, r)| r < rank && !candidates.over[&q].contains(&bt))
+                    // The first such instance settles it.
+                    let kept = rules_for(&rules, p).any(|(ri, _)| {
+                        let f = firing(&mut firings, &rules, (ri, HEAD), &member_set, &kept_rel_of);
+                        let over = &candidates.over;
+                        let stays =
+                            |q: Pred, bt: &[Const], r: i64| r < rank && !over[&q].contains(bt);
+                        f.run(&t, &kept_rel_of, &mut |inst| {
+                            if inst.members_all(&self.ranks, &mut body, stays) {
+                                ControlFlow::Break(())
+                            } else {
+                                ControlFlow::Continue(())
+                            }
                         })
+                        .is_break()
                     });
                     if kept {
                         candidates.keep(p, t);
@@ -767,9 +778,11 @@ impl MaintenanceEngine {
                         // Negative member occurrences cannot exist in a
                         // stratified component.
                         if lit.positive && lit.atom.pred == p {
-                            let slot = plans.entry((ri, i)).or_default();
-                            fire(rule, i, &t, &old_rel_of, slot, &mut |h, _| {
-                                candidates.push(self, rule.head.pred, h)
+                            let f = firing(&mut firings, &rules, (ri, i), &member_set, &old_rel_of);
+                            let _ = f.run(&t, &old_rel_of, &mut |inst| {
+                                inst.head(&mut head);
+                                candidates.push(self, inst.head_pred(), &head);
+                                ControlFlow::Continue(())
                             });
                         }
                     }
@@ -813,18 +826,27 @@ impl MaintenanceEngine {
         {
             // New-state view: members from `cur`, everything else final.
             let new_rel_of =
-                |p: Pred| -> &Relation { cur.get(&p).unwrap_or_else(|| new_outside(p)) };
+                |_: usize, p: Pred| -> &Relation { cur.get(&p).unwrap_or_else(|| new_outside(p)) };
             // Rederive scan: each overdeleted tuple, head-bound, against
             // the underestimate. Tuples whose support arrives later are
-            // caught by propagation.
+            // caught by propagation. The first rule with an instance
+            // gives the lowest rank among its instances; no instance
+            // ranks below 0.
             for &m in members {
                 for t in over[&m].iter() {
-                    let derived = rules_for(&rules, m).find_map(|(ri, rule)| {
-                        let slot = plans.entry((ri, usize::MAX)).or_default();
-                        head_bound(rule, t, &new_rel_of, slot)
-                            .iter()
-                            .map(|b| instance_rank(rule, b, &member_set, &rank))
-                            .min()
+                    let derived = rules_for(&rules, m).find_map(|(ri, _)| {
+                        let f = firing(&mut firings, &rules, (ri, HEAD), &member_set, &new_rel_of);
+                        let mut lowest: Option<i64> = None;
+                        let _ = f.run(t, &new_rel_of, &mut |inst| {
+                            let r = inst.rank(&rank, &mut body);
+                            lowest = Some(lowest.map_or(r, |l| l.min(r)));
+                            if r == 0 {
+                                ControlFlow::Break(())
+                            } else {
+                                ControlFlow::Continue(())
+                            }
+                        });
+                        lowest
                     });
                     if let Some(r) = derived {
                         pending.insert((m, t.clone()), r);
@@ -845,12 +867,14 @@ impl MaintenanceEngine {
                         EventKind::Del
                     };
                     for t in events.relation(kind, lit.atom.pred).iter() {
-                        let slot = plans.entry((ri, i)).or_default();
-                        fire(rule, i, t, &new_rel_of, slot, &mut |h, b| {
-                            if !cur[&rule.head.pred].contains(&h) {
-                                let r = instance_rank(rule, b, &member_set, &rank);
-                                lower(&mut pending, (rule.head.pred, h), r);
+                        let f = firing(&mut firings, &rules, (ri, i), &member_set, &new_rel_of);
+                        let _ = f.run(t, &new_rel_of, &mut |inst| {
+                            inst.head(&mut head);
+                            if !cur[&inst.head_pred()].contains(&head) {
+                                let r = inst.rank(&rank, &mut body);
+                                lower(&mut pending, (inst.head_pred(), Tuple::from(&head[..])), r);
                             }
+                            ControlFlow::Continue(())
                         });
                     }
                 }
@@ -873,17 +897,20 @@ impl MaintenanceEngine {
                 }
             }
             let new_rel_of =
-                |p: Pred| -> &Relation { cur.get(&p).unwrap_or_else(|| new_outside(p)) };
+                |_: usize, p: Pred| -> &Relation { cur.get(&p).unwrap_or_else(|| new_outside(p)) };
             for ((p, t), _) in &batch {
                 for (ri, rule) in rules.iter().enumerate() {
                     for (i, lit) in rule.body.iter().enumerate() {
                         if lit.positive && lit.atom.pred == *p {
-                            let slot = plans.entry((ri, i)).or_default();
-                            fire(rule, i, t, &new_rel_of, slot, &mut |h, b| {
-                                if !cur[&rule.head.pred].contains(&h) {
-                                    let r = instance_rank(rule, b, &member_set, &rank);
-                                    lower(&mut pending, (rule.head.pred, h), r);
+                            let f = firing(&mut firings, &rules, (ri, i), &member_set, &new_rel_of);
+                            let _ = f.run(t, &new_rel_of, &mut |inst| {
+                                inst.head(&mut head);
+                                if !cur[&inst.head_pred()].contains(&head) {
+                                    let r = inst.rank(&rank, &mut body);
+                                    let key = (inst.head_pred(), Tuple::from(&head[..]));
+                                    lower(&mut pending, key, r);
                                 }
+                                ControlFlow::Continue(())
                             });
                         }
                     }
@@ -948,7 +975,7 @@ impl MaintenanceEngine {
     pub fn check_ranks(&self, db: &Database) -> std::result::Result<(), String> {
         let program = db.program();
         let state = StateView::new(db, &self.exts);
-        let rel_of = |p: Pred| state.relation(p);
+        let rel_of = |_: usize, p: Pred| state.relation(p);
         for unit in self.units.iter().filter(|u| u.strategy == Strategy::DRed) {
             let ranked = unit.preds.iter().filter(|p| self.ranks.contains_key(p));
             match ranked.count() {
@@ -962,11 +989,20 @@ impl MaintenanceEngine {
                 if !keys.eq(self.extension(m).iter()) {
                     return Err(format!("ranks of {m} are not over its extension"));
                 }
+                let rules: Vec<&Rule> = program.rules_for(m).to_vec();
+                let mut firings = Firings::new();
+                let mut body = Vec::new();
                 for (t, r) in self.ranks[&m].iter() {
-                    let witnessed = program.rules_for(m).iter().any(|rule| {
-                        head_bound(rule, t, &rel_of, &mut None)
-                            .iter()
-                            .any(|b| instance_rank(rule, b, &members, &self.ranks) <= *r)
+                    let witnessed = (0..rules.len()).any(|ri| {
+                        let f = firing(&mut firings, &rules, (ri, HEAD), &members, &rel_of);
+                        f.run(t, &rel_of, &mut |inst| {
+                            if inst.rank(&self.ranks, &mut body) <= *r {
+                                ControlFlow::Break(())
+                            } else {
+                                ControlFlow::Continue(())
+                            }
+                        })
+                        .is_break()
                     });
                     if !witnessed {
                         return Err(format!("{m}{t} has no instance below its rank {r}"));
@@ -1023,6 +1059,7 @@ fn rule_count_delta(
     delta: &mut HashMap<Tuple, i64>,
 ) {
     let program = db.program();
+    let mut head = Vec::new();
     for (i, lit) in rule.body.iter().enumerate() {
         let p = lit.atom.pred;
         let ins = events.relation(EventKind::Ins, p);
@@ -1038,10 +1075,8 @@ fn rule_count_delta(
 
         // Remaining literals: before `i` on the new side, after it on the
         // old side.
-        let rest = rest_of(rule, i);
-        let rel_of = |k: usize| -> &Relation {
-            let q = rest[k].atom.pred;
-            let new_side = k < i;
+        let rel_of = |j: usize, q: Pred| -> &Relation {
+            let new_side = j < i;
             if program.is_derived(q) {
                 let changed = if new_side { new_exts.get(&q) } else { None };
                 changed.unwrap_or_else(|| old_exts.relation(q))
@@ -1052,29 +1087,183 @@ fn rule_count_delta(
             }
         };
 
-        // Every seed binds the variables of `lit`: one plan per occurrence.
-        let mut plan = None;
+        // Every seed binds the variables of `lit`: one firing per
+        // occurrence.
+        let mut firing: Option<Firing> = None;
         for (t, sign) in signed {
-            let Some(seed) = match_tuple(&lit.atom.terms, t, &Bindings::new()) else {
-                continue;
-            };
-            for b in eval_seeded(&mut plan, &rest, &rel_of, &seed) {
-                let head = ground_terms(&rule.head.terms, &b).expect("allowed heads");
-                *delta.entry(head).or_insert(0) += sign;
-            }
+            let f = firing.get_or_insert_with(|| Firing::new(rule, i, &BTreeSet::new(), &rel_of));
+            let _ = f.run(t, &rel_of, &mut |inst| {
+                inst.head(&mut head);
+                *delta.entry(Tuple::from(&head[..])).or_insert(0) += sign;
+                ControlFlow::Continue(())
+            });
         }
     }
 }
 
-/// One DRed pass's [`eval_seeded`] slots: one per (rule, occurrence) that
-/// fired, plus one per rule — under occurrence `usize::MAX`, which is no
-/// body position — for the head-bound evaluations (keep-check and
-/// rederive check). Every firing of an occurrence seeds the variables of
-/// that occurrence's literal, so each slot compiles once per pass.
-type SeededPlans = HashMap<(usize, usize), Option<JoinPlan>>;
+/// The occurrence of a [`Firing`] seeded by a head tuple — the
+/// keep-check and the rederive check — rather than by a body literal.
+const HEAD: usize = usize::MAX;
+
+/// One pass's compiled firings, one per (rule position, occurrence) that
+/// fired.
+type Firings = HashMap<(usize, usize), Firing>;
+
+/// The firing of `rules[ri]` at occurrence `occ` from `firings`, compiled
+/// on first use for the relation sizes `rel_of` gives then.
+fn firing<'f, 'a>(
+    firings: &'f mut Firings,
+    rules: &[&Rule],
+    (ri, occ): (usize, usize),
+    members: &BTreeSet<Pred>,
+    rel_of: &dyn Fn(usize, Pred) -> &'a Relation,
+) -> &'f mut Firing {
+    firings
+        .entry((ri, occ))
+        .or_insert_with(|| Firing::new(rules[ri], occ, members, rel_of))
+}
+
+/// One compiled firing of a rule: the join of its body from a seed — a
+/// tuple at one body occurrence, which the join then skips, or a head
+/// tuple ([`HEAD`]) — as a kernel plan over a slot row. Every firing of
+/// one occurrence seeds the same variables, so it compiles once per
+/// pass; its plan orders equally bound literals by the sizes the
+/// relations have at that first firing.
+struct Firing {
+    /// Body position and predicate of each literal the plan joins.
+    lits: Vec<(usize, Pred)>,
+    plan: JoinPlan,
+    seed: Pattern,
+    shape: Shape,
+    row: Vec<Const>,
+}
+
+/// What an instance of a firing's rule is read for: its head and its
+/// positive member literals (the seeded occurrence included).
+struct Shape {
+    head_pred: Pred,
+    head: Pattern,
+    members: Vec<(Pred, Pattern)>,
+}
+
+impl Firing {
+    fn new<'a>(
+        rule: &Rule,
+        occ: usize,
+        members: &BTreeSet<Pred>,
+        rel_of: &dyn Fn(usize, Pred) -> &'a Relation,
+    ) -> Firing {
+        let seed_terms = match occ {
+            HEAD => &rule.head.terms,
+            i => &rule.body[i].atom.terms,
+        };
+        let bound = seed_terms.iter().filter_map(|t| t.as_var()).collect();
+        let lits: Vec<(usize, &Literal)> = rule
+            .body
+            .iter()
+            .enumerate()
+            .filter(|&(j, _)| j != occ)
+            .collect();
+        let body: Vec<&Literal> = lits.iter().map(|&(_, l)| l).collect();
+        let size_of = |k: usize| rel_of(lits[k].0, body[k].atom.pred).len();
+        let plan = JoinPlan::compile_sized(&body, &bound, None, &size_of);
+        let member = |l: &&Literal| l.positive && members.contains(&l.atom.pred);
+        let shape = Shape {
+            head_pred: rule.head.pred,
+            head: plan.project(&rule.head.terms),
+            members: (rule.body.iter().filter(member))
+                .map(|l| (l.atom.pred, plan.project(&l.atom.terms)))
+                .collect(),
+        };
+        Firing {
+            lits: lits.iter().map(|&(j, l)| (j, l.atom.pred)).collect(),
+            seed: plan.seed(seed_terms),
+            row: plan.row(),
+            plan,
+            shape,
+        }
+    }
+
+    /// Fires from `t` in the state `rel_of` describes (by body position
+    /// and predicate), handing every instance to `visit` until it breaks;
+    /// returns whether it did.
+    fn run<'a>(
+        &mut self,
+        t: &[Const],
+        rel_of: &dyn Fn(usize, Pred) -> &'a Relation,
+        visit: &mut dyn FnMut(Instance<'_>) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        let Firing {
+            lits,
+            plan,
+            seed,
+            shape,
+            row,
+        } = self;
+        if !seed.bind(t, row) {
+            return ControlFlow::Continue(());
+        }
+        let rel_of = |k: usize| rel_of(lits[k].0, lits[k].1);
+        let mut stats = JoinStats::default();
+        plan.run(&rel_of, row, &mut stats, &mut |row| {
+            visit(Instance { shape, row })
+        })
+    }
+}
+
+/// One instance of a firing's rule: a solution row.
+#[derive(Clone, Copy)]
+struct Instance<'f> {
+    shape: &'f Shape,
+    row: &'f [Const],
+}
+
+impl Instance<'_> {
+    fn head_pred(&self) -> Pred {
+        self.shape.head_pred
+    }
+
+    /// The head tuple, into `out`.
+    fn head(&self, out: &mut Vec<Const>) {
+        self.shape.head.ground(self.row, out);
+    }
+
+    /// Whether `ok` holds of every member body tuple, with its rank in
+    /// `ranks` (which must rank every member; none at all when it ranks
+    /// no predicate). `buf` is scratch.
+    fn members_all(
+        &self,
+        ranks: &BTreeMap<Pred, Ranks>,
+        buf: &mut Vec<Const>,
+        mut ok: impl FnMut(Pred, &[Const], i64) -> bool,
+    ) -> bool {
+        self.shape.members.iter().all(|(q, pattern)| {
+            let Some(map) = ranks.get(q) else {
+                return true;
+            };
+            pattern.ground(self.row, buf);
+            let r = *map
+                .get(buf)
+                .expect("every member tuple of the state is ranked");
+            ok(*q, buf, r)
+        })
+    }
+
+    /// The rank the instance gives its head: one more than the highest
+    /// rank among its member body tuples, 0 for a member-free rule (and
+    /// throughout a component that has no ranks).
+    fn rank(&self, ranks: &BTreeMap<Pred, Ranks>, buf: &mut Vec<Const>) -> i64 {
+        let mut rank = 0;
+        self.members_all(ranks, buf, |_, _, r| {
+            rank = rank.max(r + 1);
+            true
+        });
+        rank
+    }
+}
 
 /// The rules of `rules` with head predicate `p`, each with its position —
-/// the first half of its plan-slot key.
+/// the first half of its firing key.
 fn rules_for<'r, 'a>(
     rules: &'r [&'a Rule],
     p: Pred,
@@ -1091,28 +1280,27 @@ fn rules_for<'r, 'a>(
 /// out again, into `kept`, if its own check keeps it.
 struct Candidates {
     over: BTreeMap<Pred, Relation>,
-    kept: HashSet<(Pred, Tuple)>,
+    kept: BTreeMap<Pred, Relation>,
     queue: BinaryHeap<Reverse<(i64, Pred, Tuple)>>,
 }
 
 impl Candidates {
     fn new(members: &[Pred]) -> Candidates {
+        let empty = || members.iter().map(|&m| (m, Relation::new())).collect();
         Candidates {
-            over: members.iter().map(|&m| (m, Relation::new())).collect(),
-            kept: HashSet::new(),
+            over: empty(),
+            kept: empty(),
             queue: BinaryHeap::new(),
         }
     }
 
-    fn push(&mut self, engine: &MaintenanceEngine, p: Pred, t: Tuple) {
-        if engine.extension(p).contains(&t)
-            && !self.kept.contains(&(p, t.clone()))
-            && self
-                .over
-                .get_mut(&p)
-                .expect("member head")
-                .insert(t.clone())
-        {
+    /// Queues `t` if it is an old tuple not yet queued or kept; a tuple is
+    /// allocated only then.
+    fn push(&mut self, engine: &MaintenanceEngine, p: Pred, t: &[Const]) {
+        let over = self.over.get_mut(&p).expect("member head");
+        if engine.extension(p).contains(t) && !self.kept[&p].contains(t) && !over.contains(t) {
+            let t = Tuple::from(t);
+            over.insert(t.clone());
             let rank = engine.rank(p, &t).unwrap_or(0);
             self.queue.push(Reverse((rank, p, t)));
         }
@@ -1124,81 +1312,8 @@ impl Candidates {
 
     fn keep(&mut self, p: Pred, t: Tuple) {
         self.over.get_mut(&p).expect("member").remove(&t);
-        self.kept.insert((p, t));
+        self.kept.get_mut(&p).expect("member").insert(t);
     }
-}
-
-/// One firing: delta tuple `t` at occurrence `i` of `rule`, the rest of
-/// the body joined in the state `rel_of` describes; `emit` receives every
-/// head with the instance that derives it.
-fn fire<'a>(
-    rule: &'a Rule,
-    i: usize,
-    t: &Tuple,
-    rel_of: &dyn Fn(Pred) -> &'a Relation,
-    plan: &mut Option<JoinPlan>,
-    emit: &mut dyn FnMut(Tuple, &Bindings),
-) {
-    let Some(seed) = match_tuple(&rule.body[i].atom.terms, t, &Bindings::new()) else {
-        return;
-    };
-    let rest: Vec<&Literal> = rest_of(rule, i);
-    let rel_of = |k: usize| -> &'a Relation { rel_of(rest[k].atom.pred) };
-    for b in eval_seeded(plan, &rest, &rel_of, &seed) {
-        let h = ground_terms(&rule.head.terms, &b).expect("allowed heads");
-        emit(h, &b);
-    }
-}
-
-/// Head-bound evaluation: the instances of `rule` that derive `t` in the
-/// state `rel_of` describes.
-fn head_bound<'a>(
-    rule: &'a Rule,
-    t: &Tuple,
-    rel_of: &dyn Fn(Pred) -> &'a Relation,
-    plan: &mut Option<JoinPlan>,
-) -> Vec<Bindings> {
-    let Some(seed) = match_tuple(&rule.head.terms, t, &Bindings::new()) else {
-        return Vec::new();
-    };
-    let lits: Vec<&Literal> = rule.body.iter().collect();
-    let rel_of = |k: usize| -> &'a Relation { rel_of(lits[k].atom.pred) };
-    eval_seeded(plan, &lits, &rel_of, &seed)
-}
-
-/// The member body tuples of instance `b` of `rule`, each with its rank
-/// in `ranks` (which must rank every member; none at all when it ranks no
-/// predicate).
-fn member_body<'r>(
-    rule: &'r Rule,
-    b: &'r Bindings,
-    members: &'r BTreeSet<Pred>,
-    ranks: &'r BTreeMap<Pred, Ranks>,
-) -> impl Iterator<Item = (Pred, Tuple, i64)> + 'r {
-    let member = |l: &&Literal| l.positive && members.contains(&l.atom.pred);
-    rule.body.iter().filter(member).filter_map(move |l| {
-        let map = ranks.get(&l.atom.pred)?;
-        let t = ground_terms(&l.atom.terms, b).expect("instances are ground");
-        let r = *map
-            .get(&t)
-            .expect("every member tuple of the state is ranked");
-        Some((l.atom.pred, t, r))
-    })
-}
-
-/// The rank instance `b` of `rule` gives its head: one more than the
-/// highest rank among its member body tuples, 0 for a member-free rule
-/// (and throughout a component that has no ranks).
-fn instance_rank(
-    rule: &Rule,
-    b: &Bindings,
-    members: &BTreeSet<Pred>,
-    ranks: &BTreeMap<Pred, Ranks>,
-) -> i64 {
-    member_body(rule, b, members, ranks)
-        .map(|(_, _, r)| r + 1)
-        .max()
-        .unwrap_or(0)
 }
 
 /// Queues `key` with rank `r`, or lowers the rank it is queued with.
@@ -1229,15 +1344,18 @@ fn build_ranks<'a>(
             (m, Ranks::from_sorted(unranked))
         })
         .collect();
-    let mut plans = SeededPlans::new();
+    let by_pred = |_: usize, p: Pred| rel_of(p);
+    let mut firings = Firings::new();
+    let (mut head, mut body) = (Vec::new(), Vec::new());
     let mut batch: Vec<(Pred, Tuple)> = Vec::new();
     let mut round = 0;
     let is_member = |l: &Literal| l.positive && members.contains(&l.atom.pred);
     for rule in rules.iter().filter(|r| !r.body.iter().any(is_member)) {
         let lits: Vec<&Literal> = rule.body.iter().collect();
+        let size_of = |k: usize| rel_of(lits[k].atom.pred).len();
+        let plan = JoinPlan::compile_sized(&lits, &BTreeSet::new(), None, &size_of);
         let rel_of = |k: usize| -> &'a Relation { rel_of(lits[k].atom.pred) };
-        for b in eval_seeded(&mut None, &lits, &rel_of, &Bindings::new()) {
-            let h = ground_terms(&rule.head.terms, &b).expect("allowed heads");
+        for h in eval_heads(&plan, &rule.head.terms, &rel_of, &mut JoinStats::default()) {
             let map = ranks.get_mut(&rule.head.pred).expect("member");
             let r = map.get_mut(&h).expect("the fixpoint holds every head");
             if *r == UNRANKED {
@@ -1255,22 +1373,22 @@ fn build_ranks<'a>(
                     if !(lit.positive && lit.atom.pred == *p) {
                         continue;
                     }
-                    let slot = plans.entry((ri, i)).or_default();
-                    fire(rule, i, t, rel_of, slot, &mut |h, b| {
+                    let f = firing(&mut firings, rules, (ri, i), members, &by_pred);
+                    let _ = f.run(t, &by_pred, &mut |inst| {
                         // An instance counts in the round after the last
                         // of its member body tuples was ranked; it fires
                         // once from each of them.
-                        let mut body = member_body(rule, b, members, &ranks);
-                        if !body.all(|(_, _, r)| r != UNRANKED && r < round) {
-                            return;
+                        let ready = |_: Pred, _: &[Const], r: i64| r != UNRANKED && r < round;
+                        if inst.members_all(&ranks, &mut body, ready) {
+                            inst.head(&mut head);
+                            let map = ranks.get_mut(&inst.head_pred()).expect("member");
+                            let r = map.get_mut(&head).expect("the fixpoint holds every head");
+                            if *r == UNRANKED {
+                                *r = round;
+                                next.push((inst.head_pred(), Tuple::from(&head[..])));
+                            }
                         }
-                        drop(body);
-                        let map = ranks.get_mut(&rule.head.pred).expect("member");
-                        let r = map.get_mut(&h).expect("the fixpoint holds every head");
-                        if *r == UNRANKED {
-                            *r = round;
-                            next.push((rule.head.pred, h));
-                        }
+                        ControlFlow::Continue(())
                     });
                 }
             }
@@ -1281,16 +1399,6 @@ fn build_ranks<'a>(
         .values()
         .all(|map| map.iter().all(|(_, r)| *r != UNRANKED)));
     ranks
-}
-
-/// The body of `rule` without occurrence `i`.
-fn rest_of(rule: &Rule, i: usize) -> Vec<&Literal> {
-    rule.body
-        .iter()
-        .enumerate()
-        .filter(|&(j, _)| j != i)
-        .map(|(_, l)| l)
-        .collect()
 }
 
 #[cfg(test)]

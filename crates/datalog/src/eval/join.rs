@@ -1,7 +1,7 @@
 //! Conjunction evaluation, shared vocabulary and reference: the binding
 //! and literal types every evaluator speaks, and [`eval_conjunct`], the
 //! greedy loop kept as the *reference* the production evaluator
-//! ([`crate::eval::plan::eval_plan_stats`]) is tested against.
+//! ([`crate::eval::plan::JoinPlan::run`]) is tested against.
 //!
 //! This is deliberately generic over the literal type: the datalog fixpoint
 //! engines evaluate [`crate::ast::Literal`] conjunctions, while the event
@@ -90,12 +90,13 @@ fn pattern(terms: &[Term], b: &Bindings) -> Vec<Option<Const>> {
     terms.iter().map(|&t| resolve(t, b).as_const()).collect()
 }
 
-/// Join-level work counters of [`crate::eval::plan::eval_plan_stats`]:
+/// Join-level work counters of [`crate::eval::plan::JoinPlan::run`]:
 /// one `probe` per relation lookup (an index probe, a scan or a ground
-/// membership test), one `match` per frontier binding the lookup retained
+/// membership test), one `match` per partial solution the lookup kept
 /// or extended. Every probe is classified as *indexed* (answered through
-/// a composite index or a keyed membership test) or *scan* (an unindexed
-/// iteration), so `indexed_probes + scan_probes == probes`.
+/// the sorted runs, a secondary index or a keyed membership test) or
+/// *scan* (an unindexed iteration), so `indexed_probes + scan_probes ==
+/// probes`.
 ///
 /// The plan is static, so the counters are a function of the program
 /// and the data (DESIGN.md §12).
@@ -105,8 +106,7 @@ pub struct JoinStats {
     pub probes: u64,
     /// Lookups that retained or extended a binding.
     pub matches: u64,
-    /// Lookups answered through a composite index (or a keyed
-    /// membership test).
+    /// Lookups answered through an index (or a keyed membership test).
     pub indexed_probes: u64,
     /// Lookups that iterated the relation.
     pub scan_probes: u64,
@@ -323,9 +323,8 @@ mod tests {
         let rels = [&q, &r];
         let plan = JoinPlan::compile(&lits, &BTreeSet::new(), None);
         let mut stats = JoinStats::default();
-        let run = |stats: &mut JoinStats| {
-            eval_plan_stats(&plan, &lits, &|i| rels[i], &Bindings::new(), stats)
-        };
+        let run =
+            |stats: &mut JoinStats| eval_plan_stats(&plan, &|i| rels[i], &Bindings::new(), stats);
         assert_eq!(
             run(&mut stats),
             eval_conjunct(&lits, &|i| rels[i], &Bindings::new())

@@ -362,10 +362,10 @@ mod tests {
     }
 
     /// One index policy: the materializer probes through
-    /// `Relation::probe_cols` alone, so it indexes only the non-prefix
-    /// column sets it probes, and a probe counts as indexed exactly when
-    /// its relation has at least `INDEX_MIN` tuples, whatever the shared
-    /// index cache holds.
+    /// `Relation::probe` alone, so it indexes only the non-prefix column
+    /// sets it probes, and a probe counts as indexed exactly when its
+    /// relation has at least `INDEX_MIN` tuples, whatever indexes the
+    /// relation already holds.
     #[test]
     fn materialize_indexes_only_the_non_prefix_sets_it_probes() {
         use crate::storage::relation::INDEX_MIN;

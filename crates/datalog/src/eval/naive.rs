@@ -6,8 +6,7 @@
 //! engine is differentially tested.
 
 use crate::ast::Pred;
-use crate::eval::join::{ground_terms, Bindings};
-use crate::eval::plan::{eval_plan_stats, JoinPlan};
+use crate::eval::plan::{eval_heads, JoinPlan};
 use crate::eval::{body_relation, ComponentTrace, Interpretation};
 use crate::storage::database::Database;
 use crate::storage::relation::Relation;
@@ -55,16 +54,8 @@ pub fn eval_component(
             let rel_of = |i: usize| -> &Relation {
                 body_relation(db, interp, &current, program, rule.body[i].atom.pred)
             };
-            let bindings = eval_plan_stats(
-                plan,
-                &rule.body,
-                &rel_of,
-                &Bindings::new(),
-                &mut trace.stats,
-            );
-            derived.extend(bindings.iter().filter_map(|b| {
-                let tuple =
-                    ground_terms(&rule.head.terms, b).expect("allowedness guarantees ground heads");
+            let heads = eval_heads(plan, &rule.head.terms, &rel_of, &mut trace.stats);
+            derived.extend(heads.into_iter().filter_map(|tuple| {
                 (!current[&rule.head.pred].contains(&tuple)).then_some((rule.head.pred, tuple))
             }));
         }

@@ -1,21 +1,23 @@
 //! Compiled join plans: adorned literal orders computed once per (rule,
 //! delta-occurrence) pair, in the style of Ullman's bound/free adornments
 //! (the same machinery underlying the magic-sets transform in
-//! [`crate::magic`]).
+//! [`crate::magic`]), and the one kernel that runs them.
 //!
 //! This is the one conjunction evaluator: every engine and every one-shot
-//! query compiles a [`JoinPlan`] and runs it through [`eval_plan_stats`]
-//! (or its stats-discarding wrapper [`eval_seeded`]). The greedy loop in
-//! [`crate::eval::join`] is only the reference it is tested against. A
-//! plan fixes the literal order ahead of time, for the fixpoint engines
-//! from static information only — the literal list, the variables bound by
-//! the seed, and which occurrence (if any) is the semi-naive delta:
+//! query compiles a [`JoinPlan`] and runs it — through [`JoinPlan::run`],
+//! which hands each solution to a visitor that may stop the join, or
+//! through the collecting wrappers [`eval_plan_stats`] and
+//! [`eval_seeded`]. The greedy loop in [`crate::eval::join`] is only the
+//! reference it is tested against. A plan fixes the literal order ahead
+//! of time, for the fixpoint engines from static information only — the
+//! literal list, the variables bound by the seed, and which occurrence
+//! (if any) is the semi-naive delta:
 //!
 //! * the delta occurrence is pinned first (differential evaluation wants
 //!   every derivation to pass through the delta);
 //! * fully-ground negative literals are hoisted as early as safety allows
-//!   (they are pure filters, so evaluating them sooner only shrinks the
-//!   frontier);
+//!   (they are pure filters, so evaluating them sooner only prunes the
+//!   search);
 //! * remaining positive literals are chosen by bound-column count (the
 //!   static selectivity proxy: more bound columns means a tighter probe),
 //!   ties broken by fewest free variables, then by body position;
@@ -26,15 +28,24 @@
 //! Each positive (and partially-bound negative) step is annotated with its
 //! *bound-pattern signature*: the set of columns whose terms are constants
 //! or already-bound variables when the step is reached. A step probes its
-//! signature through [`Relation::probe_cols`], the one index policy: a
-//! bound prefix is answered from the sorted runs, any other column set
-//! from a hash index the relation builds on first use, and a relation
-//! below the indexing floor is scanned.
+//! signature through [`Relation::probe`], the one index policy: a bound
+//! prefix is answered from the sorted runs, any other column set from a
+//! secondary index the relation builds on first use and maintains from
+//! then on, and a relation below the indexing floor is scanned.
+//!
+//! The plan also numbers the conjunction's variables once: the seed's
+//! first, then each in the order a step binds it. The kernel runs
+//! depth-first over one *slot row*: matching a tuple writes the slots its
+//! literal binds, and the next candidate overwrites them, so nothing is
+//! allocated per binding. A probe iterates the matches in place, borrowed
+//! from the relation — an index entry is bound through the index's column
+//! permutation, never copied back into column order.
 //!
 //! Because such a plan depends only on the rule and the static binding
-//! pattern — never on frontier or relation contents — and a probe is
-//! indexed exactly when its relation is large enough, every [`JoinStats`]
-//! counter is a function of the program and the data (DESIGN.md §12).
+//! pattern — never on relation contents — and a probe is indexed exactly
+//! when its relation is large enough, every [`JoinStats`] counter of a
+//! full enumeration is a function of the program and the data (DESIGN.md
+//! §12).
 //!
 //! The plans [`eval_seeded`] compiles lazily, for callers whose counters
 //! are discarded, take one dynamic input as well: among equally bound
@@ -44,10 +55,11 @@
 //! `A` reaches before asking which three hosts reach `H`.
 
 use crate::ast::{Const, Term, Var};
-use crate::eval::join::{ground_terms, match_tuple, resolve, Bindings, JoinLit, JoinStats};
+use crate::eval::join::{Bindings, JoinLit, JoinStats};
 use crate::storage::relation::Relation;
 use crate::storage::tuple::Tuple;
 use std::collections::BTreeSet;
+use std::ops::ControlFlow;
 
 /// One step of a compiled plan.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -58,8 +70,7 @@ pub enum Step {
         /// Body position of the delta occurrence.
         lit: usize,
     },
-    /// Probe a positive literal through the composite index on `cols`
-    /// (its bound-pattern signature).
+    /// Probe a positive literal on `cols` (its bound-pattern signature).
     Probe {
         /// Body position of the literal.
         lit: usize,
@@ -105,11 +116,34 @@ impl Step {
     }
 }
 
+/// How one column of a step's literal meets the slot row.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Arg {
+    /// A constant: the column must equal it.
+    Const(Const),
+    /// A variable bound before the column is reached: the column must
+    /// equal its slot.
+    Bound(usize),
+    /// A free variable's first occurrence: the column's value goes into
+    /// its slot.
+    Bind(usize),
+}
+
 /// A compiled join plan for one conjunction under one static binding
 /// pattern.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct JoinPlan {
     steps: Vec<Step>,
+    /// The variable each solution slot holds: the seed's, ascending, then
+    /// each variable a positive step binds, in binding order.
+    vars: Vec<Var>,
+    /// How many of `vars` the seed binds.
+    seeded: usize,
+    /// Slots in a row: `vars`, then room for the existential variables
+    /// of the trailing negative literal that has the most.
+    slots: usize,
+    /// Per step, how each column of its literal meets the row.
+    args: Vec<Box<[Arg]>>,
 }
 
 impl JoinPlan {
@@ -127,10 +161,11 @@ impl JoinPlan {
     /// [`compile`](Self::compile) with one dynamic input: `size_of(i)`, the
     /// number of tuples literal `i` ranges over, breaks ties among equally
     /// bound positive literals (the smaller relation first; a fully bound
-    /// literal is a membership test and counts as 0). Only
-    /// [`eval_seeded`]'s lazily compiled plans pass real sizes: their join
-    /// counters are discarded, so nothing observable depends on the order.
-    fn compile_sized<L: JoinLit>(
+    /// literal is a membership test and counts as 0). Only lazily compiled
+    /// plans — [`eval_seeded`]'s and the maintenance engine's — pass real
+    /// sizes: their join counters are discarded, so nothing observable
+    /// depends on the order.
+    pub fn compile_sized<L: JoinLit>(
         lits: &[L],
         seed_bound: &BTreeSet<Var>,
         pinned: Option<usize>,
@@ -209,13 +244,267 @@ impl JoinPlan {
             }
         }
 
-        JoinPlan { steps }
+        // Number the variables. A trailing negative literal's free
+        // variables are its own (¬∃ each), so each compiles against the
+        // solution slots alone and they share the room after them.
+        let mut vars: Vec<Var> = seed_bound.iter().copied().collect();
+        let seeded = vars.len();
+        let mut slots = 0;
+        let args = steps
+            .iter()
+            .map(|step| {
+                let terms = lits[step.lit()].terms();
+                if matches!(step, Step::NegProbe { .. } | Step::NegScan { .. }) {
+                    let mut own = vars.clone();
+                    let args = compile_args(terms, &mut own);
+                    slots = slots.max(own.len());
+                    args
+                } else {
+                    compile_args(terms, &mut vars)
+                }
+            })
+            .collect();
+        JoinPlan {
+            steps,
+            slots: slots.max(vars.len()),
+            vars,
+            seeded,
+            args,
+        }
     }
 
     /// The ordered steps.
     pub fn steps(&self) -> &[Step] {
         &self.steps
     }
+
+    /// The slot of variable `v` in a solution, if the seed or a positive
+    /// step binds it.
+    pub fn slot(&self, v: Var) -> Option<usize> {
+        self.vars.iter().position(|&w| w == v)
+    }
+
+    /// A fresh slot row for [`run`](Self::run).
+    pub fn row(&self) -> Vec<Const> {
+        vec![Const::Int(0); self.slots]
+    }
+
+    /// `terms` as the plan's seed: [`Pattern::bind`] matches a tuple
+    /// against them and writes the seed slots. Every variable of `terms`
+    /// must be a seed variable.
+    pub fn seed(&self, terms: &[Term]) -> Pattern {
+        self.pattern(terms, true)
+    }
+
+    /// `terms` over a solution: [`Pattern::ground`] reads their values
+    /// off the row. Every variable of `terms` must be one the plan binds.
+    pub fn project(&self, terms: &[Term]) -> Pattern {
+        self.pattern(terms, false)
+    }
+
+    fn pattern(&self, terms: &[Term], seeding: bool) -> Pattern {
+        let arg = |(j, t): (usize, &Term)| match *t {
+            Term::Const(c) => Arg::Const(c),
+            Term::Var(v) => {
+                let s = self
+                    .slot(v)
+                    .expect("the plan binds every variable of the pattern");
+                debug_assert!(!seeding || s < self.seeded, "{v:?} is not a seed variable");
+                if seeding && !terms[..j].contains(t) {
+                    Arg::Bind(s)
+                } else {
+                    Arg::Bound(s)
+                }
+            }
+        };
+        Pattern(terms.iter().enumerate().map(arg).collect())
+    }
+
+    /// Runs the plan depth-first from the seed `row` holds, handing every
+    /// solution to `visit` until it breaks; returns whether it did.
+    /// `row` must have [`row`](Self::row)'s length, its seed slots
+    /// written; a solution is the row, variable `v` in slot
+    /// [`slot(v)`](Self::slot).
+    ///
+    /// Counting: every step except [`Step::DeltaScan`] counts one probe
+    /// per partial solution that reaches it, classified as indexed (a
+    /// [`Relation::probe`] it reports as indexed, or a membership test)
+    /// or scan (an iteration); every step counts one match per partial
+    /// solution it extends or keeps. A probe is indexed exactly when the
+    /// relation has at least `INDEX_MIN` tuples — never by what indexes
+    /// it holds — so the split does not depend on what an earlier
+    /// evaluation built. A visitor that runs to the end sees the
+    /// solutions, and the counters come out, exactly as a breadth-first
+    /// evaluation step by step would produce them.
+    pub fn run<'a>(
+        &self,
+        rel_of: &dyn Fn(usize) -> &'a Relation,
+        row: &mut [Const],
+        stats: &mut JoinStats,
+        visit: &mut dyn FnMut(&[Const]) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        debug_assert_eq!(row.len(), self.slots);
+        self.step(0, rel_of, row, stats, visit)
+    }
+
+    fn step<'a>(
+        &self,
+        k: usize,
+        rel_of: &dyn Fn(usize) -> &'a Relation,
+        row: &mut [Const],
+        stats: &mut JoinStats,
+        visit: &mut dyn FnMut(&[Const]) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        let Some(step) = self.steps.get(k) else {
+            return visit(row);
+        };
+        let (args, rel) = (&*self.args[k], rel_of(step.lit()));
+        let mut extend =
+            |t: &Tuple, at: Option<&[usize]>, row: &mut [Const], stats: &mut JoinStats| {
+                if bind(args, t, at, row) {
+                    stats.matches += 1;
+                    return self.step(k + 1, rel_of, row, stats, visit);
+                }
+                ControlFlow::Continue(())
+            };
+        match step {
+            Step::DeltaScan { .. } => {
+                for t in rel.iter() {
+                    extend(t, None, row, stats)?;
+                }
+            }
+            Step::Probe { cols, .. } => {
+                let key = cols.iter().map(|&c| value(args[c], row));
+                let probe = with_key(key, |key| rel.probe(cols, key));
+                count(stats, probe.indexed);
+                let at = probe.at;
+                for t in probe {
+                    extend(t, at, row, stats)?;
+                }
+            }
+            Step::Scan { .. } => {
+                count(stats, false);
+                for t in rel.iter() {
+                    extend(t, None, row, stats)?;
+                }
+            }
+            Step::NegGround { .. } => {
+                count(stats, true);
+                let tuple = args.iter().map(|&a| value(a, row));
+                if !with_key(tuple, |t| rel.contains(t)) {
+                    stats.matches += 1;
+                    return self.step(k + 1, rel_of, row, stats, visit);
+                }
+            }
+            Step::NegProbe { cols, .. } => {
+                let key = cols.iter().map(|&c| value(args[c], row));
+                let mut probe = with_key(key, |key| rel.probe(cols, key));
+                count(stats, probe.indexed);
+                let at = probe.at;
+                if !probe.any(|t| bind(args, t, at, row)) {
+                    stats.matches += 1;
+                    return self.step(k + 1, rel_of, row, stats, visit);
+                }
+            }
+            Step::NegScan { .. } => {
+                count(stats, false);
+                if !rel.iter().any(|t| bind(args, t, None, row)) {
+                    stats.matches += 1;
+                    return self.step(k + 1, rel_of, row, stats, visit);
+                }
+            }
+        }
+        ControlFlow::Continue(())
+    }
+}
+
+/// An atom's terms compiled against a [`JoinPlan`]'s slots: a seed to
+/// match a tuple into a row ([`JoinPlan::seed`]), or a projection of a
+/// solution ([`JoinPlan::project`]).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Pattern(Box<[Arg]>);
+
+impl Pattern {
+    /// Matches `t` against the terms, writing the slots they bind;
+    /// `false` on a mismatch (a constant or a repeated variable).
+    pub fn bind(&self, t: &[Const], row: &mut [Const]) -> bool {
+        bind(&self.0, t, None, row)
+    }
+
+    /// The terms' values under `row`, into `out` (cleared first).
+    pub fn ground(&self, row: &[Const], out: &mut Vec<Const>) {
+        out.clear();
+        out.extend(self.0.iter().map(|&a| value(a, row)));
+    }
+
+    /// The terms' values under `row`, as a tuple.
+    pub fn tuple(&self, row: &[Const]) -> Tuple {
+        self.0.iter().map(|&a| value(a, row)).collect()
+    }
+}
+
+/// Compiles `terms` against the slots `vars` numbers, numbering the
+/// variables it meets first.
+fn compile_args(terms: &[Term], vars: &mut Vec<Var>) -> Box<[Arg]> {
+    let arg = |t: &Term| match *t {
+        Term::Const(c) => Arg::Const(c),
+        Term::Var(v) => match vars.iter().position(|&w| w == v) {
+            Some(s) => Arg::Bound(s),
+            None => {
+                vars.push(v);
+                Arg::Bind(vars.len() - 1)
+            }
+        },
+    };
+    terms.iter().map(arg).collect()
+}
+
+/// Matches `t` — column `c` at position `at[c]` when it is an index
+/// entry — against `args`, writing the slots they bind.
+fn bind(args: &[Arg], t: &[Const], at: Option<&[usize]>, row: &mut [Const]) -> bool {
+    debug_assert_eq!(args.len(), t.len());
+    args.iter().enumerate().all(|(c, &arg)| {
+        let x = t[at.map_or(c, |at| at[c])];
+        match arg {
+            Arg::Const(k) => x == k,
+            Arg::Bound(s) => row[s] == x,
+            Arg::Bind(s) => {
+                row[s] = x;
+                true
+            }
+        }
+    })
+}
+
+/// The value of a constant or bound argument under `row`.
+fn value(arg: Arg, row: &[Const]) -> Const {
+    match arg {
+        Arg::Const(k) => k,
+        Arg::Bound(s) => row[s],
+        Arg::Bind(_) => unreachable!("plan invariant: probed columns are bound"),
+    }
+}
+
+/// Calls `f` with `values` — a probe key, a ground tuple — from a stack
+/// buffer when they fit in one.
+fn with_key<R>(values: impl ExactSizeIterator<Item = Const>, f: impl FnOnce(&[Const]) -> R) -> R {
+    const INLINE: usize = 8;
+    if values.len() > INLINE {
+        return f(&values.collect::<Vec<_>>());
+    }
+    let mut buf = [Const::Int(0); INLINE];
+    let n = values.len();
+    for (slot, x) in buf.iter_mut().zip(values) {
+        *slot = x;
+    }
+    f(&buf[..n])
+}
+
+/// Counts one probe, indexed or scanned.
+fn count(stats: &mut JoinStats, indexed: bool) {
+    stats.probes += 1;
+    stats.indexed_probes += u64::from(indexed);
+    stats.scan_probes += u64::from(!indexed);
 }
 
 /// The bound-pattern signature of a literal under `bound`: the strictly
@@ -254,143 +543,59 @@ fn free_vars(terms: &[Term], bound: &BTreeSet<Var>) -> usize {
         .len()
 }
 
-/// Evaluates `lits` under a compiled `plan`, returning every extension of
-/// `seed` that satisfies the conjunction — the same answer set as the
-/// reference loop in [`crate::eval::join`], in a possibly different
-/// order (callers deduplicate through `BTreeSet`-backed relations, so
-/// engine output is unaffected).
-///
-/// Counting: every step except [`Step::DeltaScan`] counts one probe per
-/// frontier binding, classified as indexed (a [`Relation::probe_cols`]
-/// lookup it reports as indexed, or a membership test) or scan (an
-/// iteration). `probe_cols` reports a probe as indexed exactly when the
-/// relation has at least `INDEX_MIN` tuples — never by what its shared
-/// index cache holds — so the split does not depend on what an earlier
-/// evaluation built.
-pub fn eval_plan_stats<'a, L: JoinLit>(
+/// Runs `plan` from `seed` and collects every extension of `seed` that
+/// satisfies the conjunction — the same answer set as the reference loop
+/// in [`crate::eval::join`] — counting into `stats` as
+/// [`JoinPlan::run`] does. The seed must bind the variables the plan was
+/// compiled for.
+pub fn eval_plan_stats<'a>(
     plan: &JoinPlan,
-    lits: &[L],
     rel_of: &dyn Fn(usize) -> &'a Relation,
     seed: &Bindings,
     stats: &mut JoinStats,
 ) -> Vec<Bindings> {
-    let mut frontier = vec![seed.clone()];
-    for step in &plan.steps {
-        if frontier.is_empty() {
-            return frontier;
-        }
-        let rel = rel_of(step.lit());
-        match step {
-            Step::DeltaScan { lit } => {
-                let terms = lits[*lit].terms();
-                let mut next = Vec::new();
-                for b in &frontier {
-                    for t in rel.iter() {
-                        if let Some(ext) = match_tuple(terms, t, b) {
-                            stats.matches += 1;
-                            next.push(ext);
-                        }
-                    }
-                }
-                frontier = next;
-            }
-            Step::Probe { lit, cols } => {
-                let terms = lits[*lit].terms();
-                let mut next = Vec::new();
-                let mut key: Vec<Const> = Vec::with_capacity(cols.len());
-                for b in &frontier {
-                    key.clear();
-                    key.extend(cols.iter().map(|&c| {
-                        resolve(terms[c], b)
-                            .as_const()
-                            .expect("plan invariant: signature columns are bound")
-                    }));
-                    let tuples = probe(rel, cols, &key, stats);
-                    for t in &tuples {
-                        if let Some(ext) = match_tuple(terms, t, b) {
-                            stats.matches += 1;
-                            next.push(ext);
-                        }
-                    }
-                }
-                frontier = next;
-            }
-            Step::Scan { lit } => {
-                let terms = lits[*lit].terms();
-                let mut next = Vec::new();
-                for b in &frontier {
-                    stats.probes += 1;
-                    stats.scan_probes += 1;
-                    for t in rel.iter() {
-                        if let Some(ext) = match_tuple(terms, t, b) {
-                            stats.matches += 1;
-                            next.push(ext);
-                        }
-                    }
-                }
-                frontier = next;
-            }
-            Step::NegGround { lit } => {
-                let terms = lits[*lit].terms();
-                frontier.retain(|b| {
-                    let t = ground_terms(terms, b).expect("plan invariant: literal is ground");
-                    stats.probes += 1;
-                    stats.indexed_probes += 1;
-                    let keep = !rel.contains(&t);
-                    stats.matches += u64::from(keep);
-                    keep
-                });
-            }
-            Step::NegProbe { lit, cols } => {
-                let terms = lits[*lit].terms();
-                let mut key: Vec<Const> = Vec::with_capacity(cols.len());
-                frontier.retain(|b| {
-                    key.clear();
-                    key.extend(cols.iter().map(|&c| {
-                        resolve(terms[c], b)
-                            .as_const()
-                            .expect("plan invariant: signature columns are bound")
-                    }));
-                    let tuples = probe(rel, cols, &key, stats);
-                    let keep = !tuples.iter().any(|t| match_tuple(terms, t, b).is_some());
-                    stats.matches += u64::from(keep);
-                    keep
-                });
-            }
-            Step::NegScan { lit } => {
-                let terms = lits[*lit].terms();
-                frontier.retain(|b| {
-                    stats.probes += 1;
-                    stats.scan_probes += 1;
-                    let keep = !rel.iter().any(|t| match_tuple(terms, t, b).is_some());
-                    stats.matches += u64::from(keep);
-                    keep
-                });
-            }
-        }
+    let mut row = plan.row();
+    let seeded = &plan.vars[..plan.seeded];
+    for (s, v) in seeded.iter().enumerate() {
+        row[s] = seed[v];
     }
-    frontier
+    let mut out = Vec::new();
+    let _ = plan.run(rel_of, &mut row, stats, &mut |row| {
+        let mut b = seed.clone();
+        let bound = plan.vars.iter().zip(row).skip(plan.seeded);
+        b.extend(bound.map(|(&v, &c)| (v, c)));
+        out.push(b);
+        ControlFlow::Continue(())
+    });
+    out
 }
 
-/// One counted [`Relation::probe_cols`] lookup.
-fn probe(rel: &Relation, cols: &[usize], key: &[Const], stats: &mut JoinStats) -> Vec<Tuple> {
-    let (tuples, indexed) = rel.probe_cols(cols, key);
-    stats.probes += 1;
-    stats.indexed_probes += u64::from(indexed);
-    stats.scan_probes += u64::from(!indexed);
-    tuples
+/// Runs `plan` from an empty seed and collects the head `head` of every
+/// solution — a rule's derivations, one per instance — counting into
+/// `stats` as [`JoinPlan::run`] does.
+pub fn eval_heads<'a>(
+    plan: &JoinPlan,
+    head: &[Term],
+    rel_of: &dyn Fn(usize) -> &'a Relation,
+    stats: &mut JoinStats,
+) -> Vec<Tuple> {
+    let head = plan.project(head);
+    let mut out = Vec::new();
+    let _ = plan.run(rel_of, &mut plan.row(), stats, &mut |row| {
+        out.push(head.tuple(row));
+        ControlFlow::Continue(())
+    });
+    out
 }
 
 /// Evaluates `lits` from `seed` for a caller outside the fixpoint engines
-/// — a query, an explanation, a maintenance firing — whose join counters
-/// are discarded.
+/// — a query, an explanation — whose join counters are discarded.
 ///
 /// `plan` is the caller's slot for this conjunction. It is compiled on
 /// first use for the variable set `seed` binds — and for the sizes the
 /// relations have then, which break ties among equally bound literals —
 /// and reused for as long as the caller keeps the slot, so every seed
-/// passed with one slot must bind the same variables: a caller firing one
-/// (rule, occurrence) per delta tuple compiles once, a one-shot caller
+/// passed with one slot must bind the same variables; a one-shot caller
 /// passes `&mut None`.
 pub fn eval_seeded<'a, L: JoinLit>(
     plan: &mut Option<JoinPlan>,
@@ -402,7 +607,7 @@ pub fn eval_seeded<'a, L: JoinLit>(
         let bound = seed.keys().copied().collect();
         JoinPlan::compile_sized(lits, &bound, None, &|i| rel_of(i).len())
     });
-    eval_plan_stats(plan, lits, rel_of, seed, &mut JoinStats::default())
+    eval_plan_stats(plan, rel_of, seed, &mut JoinStats::default())
 }
 
 #[cfg(test)]
@@ -570,6 +775,80 @@ mod tests {
         assert_eq!(order(&slot.unwrap()), [2, 1, 0]);
     }
 
+    fn ints(rows: &[&[i64]]) -> Relation {
+        rows.iter()
+            .map(|r| r.iter().map(|&i| Const::Int(i)).collect::<Tuple>())
+            .collect()
+    }
+
+    /// The sorted solutions of `lits` over `rels`, projected on `var`.
+    fn solve(lits: &[Literal], rels: &[Relation], var: &str) -> (JoinPlan, Vec<Const>) {
+        let plan = JoinPlan::compile(lits, &BTreeSet::new(), None);
+        let rel_of = |i: usize| -> &Relation { &rels[i] };
+        let mut out: Vec<Const> =
+            eval_plan_stats(&plan, &rel_of, &Bindings::new(), &mut JoinStats::default())
+                .iter()
+                .map(|b| b[&Var::new(var)])
+                .collect();
+        out.sort();
+        (plan, out)
+    }
+
+    #[test]
+    fn trailing_negatives_keep_their_not_exists_reading() {
+        // q(X), not r(X, Y), not s(Y, Y): each negative is ¬∃ over its own
+        // free variables — `Y` of one is not `Y` of the other — whether it
+        // probes a bound column or scans.
+        let lits = vec![
+            lit(true, "q", vars(&["X"])),
+            lit(false, "r", vars(&["X", "Y"])),
+            lit(false, "s", vars(&["Y", "Y"])),
+        ];
+        let q = ints(&[&[1], &[2], &[3]]);
+        let r = ints(&[&[1, 7], &[3, 3]]);
+        let s_none = ints(&[&[4, 5]]);
+        let s_some = ints(&[&[4, 5], &[6, 6]]);
+        let (plan, xs) = solve(&lits, &[q.clone(), r.clone(), s_none], "X");
+        assert!(matches!(plan.steps()[1], Step::NegProbe { lit: 1, .. }));
+        assert_eq!(plan.steps()[2], Step::NegScan { lit: 2 });
+        assert_eq!(xs, [Const::Int(2)], "r(1, _) and r(3, _) exist");
+        // One s(Y, Y) exists: ¬∃Y s(Y, Y) fails for every X.
+        assert_eq!(solve(&lits, &[q, r, s_some], "X").1, []);
+    }
+
+    #[test]
+    fn a_visitor_that_breaks_stops_the_join() {
+        // e(X, Y), e(Y, Z) over a chain: three solutions, one visited.
+        let lits = vec![
+            lit(true, "e", vars(&["X", "Y"])),
+            lit(true, "e", vars(&["Y", "Z"])),
+        ];
+        let e = ints(&[&[1, 2], &[2, 3], &[3, 4], &[4, 5]]);
+        let rel_of = |_: usize| -> &Relation { &e };
+        let plan = JoinPlan::compile(&lits, &BTreeSet::new(), None);
+        let mut all = JoinStats::default();
+        assert_eq!(
+            eval_plan_stats(&plan, &rel_of, &Bindings::new(), &mut all).len(),
+            3
+        );
+        let (mut seen, mut stats) = (Vec::new(), JoinStats::default());
+        let z = plan.project(&vars(&["Z"]));
+        let flow = plan.run(&rel_of, &mut plan.row(), &mut stats, &mut |row| {
+            seen.push(z.tuple(row));
+            ControlFlow::Break(())
+        });
+        assert!(flow.is_break());
+        assert_eq!(
+            seen,
+            [Tuple::new(vec![Const::Int(3)])],
+            "the first solution only"
+        );
+        assert!(
+            stats.probes < all.probes,
+            "the join stopped: {stats:?} vs {all:?}"
+        );
+    }
+
     /// Xorshift64: `dduf_core::rng` sits above this crate.
     struct XorShift(u64);
 
@@ -586,7 +865,7 @@ mod tests {
     /// reference loop return the same bindings whatever the delta
     /// occurrence, the seed, the literal shapes, the relation sizes and
     /// the size tie-break of the lazily compiled plans, and every probe is
-    /// classified the same whatever the relations' index caches hold.
+    /// classified the same whatever indexes the relations hold.
     #[test]
     fn planned_answers_match_greedy_answers() {
         const DOMAIN: usize = 6;
@@ -647,7 +926,7 @@ mod tests {
             let bound: BTreeSet<Var> = seed.keys().copied().collect();
             let plan = JoinPlan::compile(&lits, &bound, pinned);
             let mut stats = JoinStats::default();
-            let mut planned = eval_plan_stats(&plan, &lits, &rel_of, &seed, &mut stats);
+            let mut planned = eval_plan_stats(&plan, &rel_of, &seed, &mut stats);
             let mut reference = eval_conjunct(&lits, &rel_of, &seed);
             planned.sort();
             reference.sort();
@@ -660,6 +939,18 @@ mod tests {
                 stats.probes,
                 "case {case}: unclassified probe"
             );
+            // A visitor that breaks at its first solution sees exactly one.
+            let mut row = plan.row();
+            for (&v, &c) in &seed {
+                row[plan.slot(v).expect("a seed slot")] = c;
+            }
+            let mut seen = 0;
+            let broke = plan.run(&rel_of, &mut row, &mut JoinStats::default(), &mut |_| {
+                seen += 1;
+                ControlFlow::Break(())
+            });
+            assert_eq!(seen, usize::from(!planned.is_empty()), "case {case}");
+            assert_eq!(broke.is_break(), !planned.is_empty(), "case {case}");
             // A lazily compiled plan orders equally bound literals by the
             // size of their relations: another order, the same answers.
             let mut slot = None;
@@ -672,10 +963,10 @@ mod tests {
             reordered += usize::from(slot != Some(JoinPlan::compile(&lits, &bound, None)));
             // A rerun over the indexes the runs above built counts the same.
             let mut rerun = JoinStats::default();
-            eval_plan_stats(&plan, &lits, &rel_of, &seed, &mut rerun);
+            eval_plan_stats(&plan, &rel_of, &seed, &mut rerun);
             assert_eq!(
                 rerun, stats,
-                "case {case}: the index cache changed the counts"
+                "case {case}: the indexes built changed the counts"
             );
 
             total.merge(stats);
@@ -705,6 +996,15 @@ mod tests {
                 }
             }
         }
+        // What the breadth-first evaluator this kernel replaced counted
+        // over the same cases: a full enumeration counts the same.
+        let parent = JoinStats {
+            probes: 12063,
+            matches: 19176,
+            indexed_probes: 6413,
+            scan_probes: 5650,
+        };
+        assert_eq!(total, parent, "the join counters moved");
         for (kind, &seen) in steps_seen.iter().enumerate() {
             assert!(seen > 100, "step kind {kind} planned only {seen} times");
         }

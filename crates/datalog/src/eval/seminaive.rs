@@ -8,8 +8,7 @@
 //! stratification) and are therefore static during the fixpoint.
 
 use crate::ast::{Literal, Pred, Rule};
-use crate::eval::join::{ground_terms, Bindings};
-use crate::eval::plan::{eval_plan_stats, JoinPlan};
+use crate::eval::plan::{eval_heads, JoinPlan};
 use crate::eval::{body_relation, ComponentTrace, Interpretation};
 use crate::storage::database::Database;
 use crate::storage::relation::Relation;
@@ -97,14 +96,12 @@ pub fn eval_component(
         let rel_of = |i: usize| -> &Relation {
             body_relation(db, interp, &current, program, rule.body[i].atom.pred)
         };
-        let bindings = eval_plan_stats(pl, &rule.body, &rel_of, &Bindings::new(), &mut trace.stats);
-        round_tuples += bindings.len() as u64;
-        let rel = delta.get_mut(&rule.head.pred).expect("member");
-        rel.extend(
-            bindings
-                .iter()
-                .map(|b| ground_terms(&rule.head.terms, b).expect("ground head")),
-        );
+        let heads = eval_heads(pl, &rule.head.terms, &rel_of, &mut trace.stats);
+        round_tuples += heads.len() as u64;
+        delta
+            .get_mut(&rule.head.pred)
+            .expect("member")
+            .extend(heads);
     }
     merge_delta(&mut current, &mut delta);
     trace.push_round(round_tuples, fresh_count(&delta));
@@ -131,14 +128,9 @@ pub fn eval_component(
                     body_relation(db, interp, &current, program, pred)
                 }
             };
-            let bindings =
-                eval_plan_stats(pl, &rule.body, &rel_of, &Bindings::new(), &mut trace.stats);
+            let mut tuples = eval_heads(pl, &rule.head.terms, &rel_of, &mut trace.stats);
             let head_rel = &current[&rule.head.pred];
-            let tuples: Vec<Tuple> = bindings
-                .iter()
-                .map(|b| ground_terms(&rule.head.terms, b).expect("ground head"))
-                .filter(|t| !head_rel.contains(t))
-                .collect();
+            tuples.retain(|t| !head_rel.contains(t));
             round_tuples += tuples.len() as u64;
             next.get_mut(&rule.head.pred)
                 .expect("member")

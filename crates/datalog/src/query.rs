@@ -7,11 +7,12 @@
 
 use crate::ast::{Atom, Literal, Pred};
 use crate::error::{Error, ParseError, Span};
-use crate::eval::join::{ground_terms, Bindings};
-use crate::eval::plan::eval_seeded;
+use crate::eval::join::{Bindings, JoinStats};
+use crate::eval::plan::{eval_heads, eval_seeded, JoinPlan};
 use crate::eval::StateView;
 use crate::storage::relation::Relation;
 use crate::storage::tuple::Tuple;
+use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
 /// All bindings satisfying `atom` in `state`.
@@ -23,10 +24,10 @@ pub fn query_atom(state: StateView<'_>, atom: &Atom) -> Vec<Bindings> {
 
 /// All tuples of `atom`'s instantiations that hold in `state`.
 pub fn answers(state: StateView<'_>, atom: &Atom) -> Vec<Tuple> {
-    query_atom(state, atom)
-        .into_iter()
-        .map(|b| ground_terms(&atom.terms, &b).expect("query bindings ground the atom"))
-        .collect()
+    let lits = [Literal::pos(atom.clone())];
+    let plan = JoinPlan::compile(&lits, &BTreeSet::new(), None);
+    let rel_of = |_: usize| -> &Relation { state.relation(atom.pred) };
+    eval_heads(&plan, &atom.terms, &rel_of, &mut JoinStats::default())
 }
 
 /// True iff the (possibly non-ground) atom has at least one instance in

@@ -74,8 +74,8 @@ impl Database {
         self.edb.get_mut(&pred).is_some_and(|r| r.remove(tuple))
     }
 
-    /// Bulk-asserts base facts for one predicate, mutating the relation
-    /// (and detaching it from its indexes) once. Returns the number of fresh
+    /// Bulk-asserts base facts for one predicate in one call on its
+    /// relation (which updates its indexes). Returns the number of fresh
     /// tuples. Validates like [`Database::assert_tuple`], before touching
     /// the relation.
     pub fn extend_tuples(
@@ -96,8 +96,8 @@ impl Database {
         Ok(self.edb.entry(pred).or_default().extend(tuples).len())
     }
 
-    /// Bulk-retracts base facts for one predicate, mutating the relation
-    /// (and detaching it from its indexes) once. Returns the number removed.
+    /// Bulk-retracts base facts for one predicate in one call on its
+    /// relation (which updates its indexes). Returns the number removed.
     pub fn remove_tuples<'a>(
         &mut self,
         pred: Pred,

@@ -1,16 +1,11 @@
 //! In-memory relations: ordered tuple sets with pattern selection and
-//! composite (multi-column) hash indexes for the hot lookup paths of the
-//! join pipeline.
+//! secondary indexes for the probes of the join kernel.
 
 use crate::ast::Const;
-use crate::storage::runs::Runs;
+use crate::storage::runs::{Iter, Runs};
 use crate::storage::tuple::Tuple;
-use std::collections::{BTreeSet, HashMap};
-use std::sync::{Arc, RwLock};
-
-/// A composite index: key tuple (values of the indexed columns, in
-/// column order) → matching tuples.
-type CompositeIndex = HashMap<Box<[Const]>, Vec<Tuple>>;
+use std::collections::BTreeSet;
+use std::sync::{Arc, OnceLock};
 
 /// Below this size, indexing never pays off: selects and probes fall back
 /// to scanning the (tiny) tuple set directly.
@@ -22,25 +17,124 @@ pub(crate) const INDEX_MIN: usize = 16;
 /// in ascending tuple order — and therefore every answer the engine
 /// produces is deterministic — while `clone()` copies nothing: a clone
 /// shares every run with its origin until one of them is mutated, and a
-/// mutation copies only the runs it touches. Joins that probe bound
-/// columns go through an internal composite index keyed by the bound
-/// column *set*: one hash map per distinct column set, mapping the key
-/// tuple (the values of those columns) to the matching tuples. Indexes
-/// are built on first use, and only for column sets that are not a
-/// prefix of the column order ([`Relation::probe_cols`]).
+/// mutation copies only the runs it touches.
+///
+/// A probe on a bound *prefix* of the column order is one contiguous
+/// range of the runs. A probe on any other column set goes through a
+/// secondary index for that set: the same container again, holding each
+/// tuple with its columns permuted so the set comes first, which turns
+/// the probe into a prefix range too. An index is built on the first
+/// probe of its column set and from then on kept up to date by every
+/// insertion and removal, so a commit that changes a few tuples changes a
+/// few index entries instead of dropping the index for the next probe to
+/// rebuild. A clone shares the index runs exactly as it shares the tuple
+/// runs.
 #[derive(Clone, Debug, Default)]
 pub struct Relation {
     tuples: Runs<()>,
-    /// Composite indexes keyed by the (sorted) indexed column set. Behind
-    /// an `RwLock` so the steady state — session threads probing an
-    /// already-built index of a shared snapshot relation — takes only a
-    /// shared read lock; the exclusive
-    /// write lock is held just once per column set to build. Clones share
-    /// the cache (same tuple set, same indexes, whichever of them builds
-    /// one); a mutation *detaches* the mutated relation onto an empty
-    /// cache and leaves the others theirs. It does not participate in
-    /// equality.
-    index: Arc<RwLock<HashMap<Box<[usize]>, CompositeIndex>>>,
+    /// The secondary indexes of this tuple set. Every relation sharing
+    /// the `Arc` has the same tuples, so an index one of them builds
+    /// through `&self` serves them all; a mutation first takes its own
+    /// copy (the index runs stay shared), even of an empty list, so no
+    /// index a sibling builds later from other tuples reaches it. It does
+    /// not participate in equality.
+    index: Arc<Indexes>,
+}
+
+/// The secondary indexes of one tuple set, as an append-only list: a
+/// probe through `&self` adds an index at the end, and a lookup that
+/// finds it never takes a lock.
+#[derive(Clone, Debug, Default)]
+struct Indexes(OnceLock<Box<Index>>);
+
+/// One secondary index.
+#[derive(Clone, Debug)]
+struct Index {
+    /// The indexed column set, strictly ascending.
+    cols: Box<[usize]>,
+    /// Column `j` of an entry is column `perm[j]` of its tuple: `cols`
+    /// first, the other columns after them, ascending.
+    perm: Box<[usize]>,
+    /// The inverse of `perm`: where column `c` of a tuple sits in its
+    /// entry.
+    at: Box<[usize]>,
+    /// Every tuple of the relation, permuted; nothing else.
+    entries: Runs<()>,
+    next: Indexes,
+}
+
+impl Indexes {
+    /// The index on `cols`, appended (built from `tuples`) if absent. Two
+    /// threads appending at once both succeed: the loser finds the
+    /// winner's index in the slot and appends after it.
+    fn get_or_build(&self, cols: &[usize], tuples: &Runs<()>) -> &Index {
+        let mut list = self;
+        loop {
+            let idx = list.0.get_or_init(|| Box::new(Index::build(cols, tuples)));
+            if *idx.cols == *cols {
+                return idx;
+            }
+            list = &idx.next;
+        }
+    }
+
+    /// Applies `f` to every index's entries and permutation.
+    fn for_each_mut(&mut self, mut f: impl FnMut(&mut Runs<()>, &[usize])) {
+        let mut list = self;
+        while let Some(idx) = list.0.get_mut() {
+            f(&mut idx.entries, &idx.perm);
+            list = &mut idx.next;
+        }
+    }
+}
+
+impl Index {
+    fn build(cols: &[usize], tuples: &Runs<()>) -> Index {
+        let arity = tuples.iter().next().map_or(0, |(t, ())| t.arity());
+        let perm: Box<[usize]> = cols
+            .iter()
+            .copied()
+            .chain((0..arity).filter(|c| !cols.contains(c)))
+            .collect();
+        let mut at = vec![0; perm.len()];
+        for (j, &c) in perm.iter().enumerate() {
+            at[c] = j;
+        }
+        let mut entries: Vec<Tuple> = tuples.iter().map(|(t, ())| permute(t, &perm)).collect();
+        entries.sort_unstable();
+        Index {
+            cols: cols.into(),
+            perm,
+            at: at.into(),
+            entries: Runs::from_sorted(entries.into_iter().map(|t| (t, ()))),
+            next: Indexes::default(),
+        }
+    }
+}
+
+/// `t` with its columns in the order `perm` lists them.
+fn permute(t: &[Const], perm: &[usize]) -> Tuple {
+    perm.iter().map(|&c| t[c]).collect()
+}
+
+/// The candidates of one [`Relation::probe`], borrowed from the relation.
+pub struct Probe<'a> {
+    /// Whether the probe was indexed: exactly "the relation has at least
+    /// `INDEX_MIN` tuples", never what its indexes hold.
+    pub indexed: bool,
+    /// Where column `c` of the relation sits in a yielded tuple: `None`
+    /// when the tuples come in their own column order, `Some(at)` when
+    /// they are index entries and column `c` is entry column `at[c]`.
+    pub at: Option<&'a [usize]>,
+    entries: Iter<'a, ()>,
+}
+
+impl<'a> Iterator for Probe<'a> {
+    type Item = &'a Tuple;
+
+    fn next(&mut self) -> Option<&'a Tuple> {
+        self.entries.next().map(|(t, ())| t)
+    }
 }
 
 impl Relation {
@@ -65,75 +159,54 @@ impl Relation {
         }
     }
 
-    /// Leaves the index cache to the clones that still have this
-    /// relation's previous tuple set; called after every change to it.
-    fn detach_index(&mut self) {
-        match Arc::get_mut(&mut self.index) {
-            Some(own) => own.get_mut().expect("index lock").clear(),
-            None => self.index = Arc::default(),
-        }
+    /// The indexes, to change along with the tuples: this relation's own
+    /// copy of the list, taken if it is shared.
+    fn indexes_mut(&mut self) -> &mut Indexes {
+        Arc::make_mut(&mut self.index)
     }
 
     /// Inserts a tuple; returns `true` if it was not already present.
     pub fn insert(&mut self, t: Tuple) -> bool {
-        let fresh = self.tuples.insert(t, ());
+        let fresh = self.tuples.insert(t.clone(), ());
         if fresh {
-            self.detach_index();
+            self.indexes_mut().for_each_mut(|entries, perm| {
+                entries.insert(permute(&t, perm), ());
+            });
         }
         fresh
     }
 
     /// Removes a tuple; returns `true` if it was present.
-    pub fn remove(&mut self, t: &Tuple) -> bool {
+    pub fn remove(&mut self, t: &[Const]) -> bool {
         let removed = self.tuples.remove(t).is_some();
         if removed {
-            self.detach_index();
+            let mut key = Vec::new();
+            self.indexes_mut().for_each_mut(|entries, perm| {
+                key.clear();
+                key.extend(perm.iter().map(|&c| t[c]));
+                entries.remove(&key);
+            });
         }
         removed
     }
 
-    /// Bulk insertion: adds every tuple, detaching the index cache at
-    /// most once. Returns the tuples that were genuinely new, in input
-    /// order.
+    /// Bulk insertion: adds every tuple, and its entry to every index.
+    /// Returns the tuples that were genuinely new, in input order.
     pub fn extend(&mut self, tuples: impl IntoIterator<Item = Tuple>) -> Vec<Tuple> {
-        let mut fresh = Vec::new();
-        for t in tuples {
-            if self.tuples.insert(t.clone(), ()) {
-                fresh.push(t);
-            }
-        }
-        if !fresh.is_empty() {
-            self.detach_index();
-        }
-        fresh
+        tuples
+            .into_iter()
+            .filter(|t| self.insert(t.clone()))
+            .collect()
     }
 
-    /// Bulk removal: removes every tuple, detaching the index cache at
-    /// most once. Returns the number of tuples actually removed.
+    /// Bulk removal: removes every tuple, and its entry from every index.
+    /// Returns the number of tuples actually removed.
     pub fn remove_all<'a>(&mut self, tuples: impl IntoIterator<Item = &'a Tuple>) -> usize {
-        let mut removed = 0;
-        for t in tuples {
-            if self.tuples.remove(t).is_some() {
-                removed += 1;
-            }
-        }
-        if removed > 0 {
-            self.detach_index();
-        }
-        removed
-    }
-
-    fn build_composite(&self, cols: &[usize]) -> CompositeIndex {
-        let mut idx: CompositeIndex = HashMap::new();
-        for t in self.iter() {
-            let key: Box<[Const]> = cols.iter().map(|&c| t[c]).collect();
-            idx.entry(key).or_default().push(t.clone());
-        }
-        idx
+        tuples.into_iter().filter(|t| self.remove(t)).count()
     }
 
     /// Membership test.
-    pub fn contains(&self, t: &Tuple) -> bool {
+    pub fn contains(&self, t: &[Const]) -> bool {
         self.tuples.get(t).is_some()
     }
 
@@ -153,56 +226,72 @@ impl Relation {
     }
 
     /// The tuples matching a binding pattern (`Some(c)` = column must equal
-    /// `c`, `None` = free). Uses a composite index over *all* bound columns
-    /// when the relation is large enough for indexing to pay off (built on
-    /// first use and cached until mutation).
+    /// `c`, `None` = free), ascending.
     pub fn select(&self, pattern: &[Option<Const>]) -> Vec<Tuple> {
         debug_assert!(self
             .iter()
             .next()
             .is_none_or(|t| t.arity() == pattern.len()));
-        let bound: Vec<(usize, Const)> = pattern
+        let (cols, key): (Vec<usize>, Vec<Const>) = pattern
             .iter()
             .enumerate()
             .filter_map(|(i, c)| c.map(|c| (i, c)))
-            .collect();
-        if bound.is_empty() {
+            .unzip();
+        if cols.is_empty() {
             return self.iter().cloned().collect();
         }
-        if self.tuples.len() >= INDEX_MIN {
-            let cols: Vec<usize> = bound.iter().map(|&(i, _)| i).collect();
-            let key: Vec<Const> = bound.iter().map(|&(_, c)| c).collect();
-            return self.probe(&cols, &key);
-        }
-        self.iter()
-            .filter(|t| bound.iter().all(|&(i, c)| t[i] == c))
-            .cloned()
-            .collect()
+        self.probe_cols(&cols, &key).0
     }
 
-    /// Looks up the tuples whose columns `cols` (strictly ascending) equal
-    /// `key`: every evaluator's one way to an index. A bound prefix is
-    /// answered from the sorted runs; any other column set from the cached
-    /// composite index for it, built first if absent. Returns the matches
-    /// and whether the probe was indexed, which is exactly "the relation
-    /// has at least `INDEX_MIN` tuples" (`false` = it was scanned) and
-    /// never depends on what the shared index cache holds.
-    ///
-    /// Fast path: a shared read lock, so concurrent probes from session
-    /// threads never serialize once the index exists. Only a probe that finds
-    /// the column set unindexed upgrades to the write lock; the re-check
-    /// under the write lock makes a racing double-build harmless (last
-    /// build wins, both are identical).
-    pub fn probe_cols(&self, cols: &[usize], key: &[Const]) -> (Vec<Tuple>, bool) {
+    /// The candidates for a lookup of the tuples whose columns `cols`
+    /// (strictly ascending) equal `key`: every evaluator's one way to an
+    /// index. On a relation of at least `INDEX_MIN` tuples the probe is
+    /// indexed and yields exactly the matches — a bound prefix from the
+    /// sorted runs, any other column set from its secondary index, built
+    /// on this first probe if absent, as permuted entries ([`Probe::at`]
+    /// maps them back). A smaller relation is scanned: the probe yields
+    /// every tuple and the caller's match is the filter.
+    pub fn probe(&self, cols: &[usize], key: &[Const]) -> Probe<'_> {
         debug_assert_eq!(cols.len(), key.len());
         if self.tuples.len() < INDEX_MIN {
-            return (self.probe_scan(cols, key), false);
+            return Probe {
+                indexed: false,
+                at: None,
+                entries: self.tuples.iter(),
+            };
         }
-        (self.probe(cols, key), true)
+        if cols.iter().copied().eq(0..cols.len()) {
+            return Probe {
+                indexed: true,
+                at: None,
+                entries: self.tuples.prefix(key),
+            };
+        }
+        let idx = self.index.get_or_build(cols, &self.tuples);
+        Probe {
+            indexed: true,
+            at: Some(&idx.at),
+            entries: idx.entries.prefix(key),
+        }
     }
 
-    /// [`Relation::probe_cols`] on a relation below the indexing floor: a
-    /// scan that neither builds nor consults an index.
+    /// [`probe`](Self::probe), collected: the matching tuples in ascending
+    /// order, and whether the probe was indexed.
+    pub fn probe_cols(&self, cols: &[usize], key: &[Const]) -> (Vec<Tuple>, bool) {
+        let probe = self.probe(cols, key);
+        match probe.at {
+            _ if !probe.indexed => (self.probe_scan(cols, key), false),
+            None => (probe.cloned().collect(), true),
+            Some(at) => {
+                let mut hits: Vec<Tuple> =
+                    probe.map(|e| at.iter().map(|&j| e[j]).collect()).collect();
+                hits.sort_unstable();
+                (hits, true)
+            }
+        }
+    }
+
+    /// The matches of a lookup by scanning: builds and consults no index.
     fn probe_scan(&self, cols: &[usize], key: &[Const]) -> Vec<Tuple> {
         self.iter()
             .filter(|t| cols.iter().zip(key).all(|(&c, &k)| t[c] == k))
@@ -210,48 +299,11 @@ impl Relation {
             .collect()
     }
 
-    fn probe(&self, cols: &[usize], key: &[Const]) -> Vec<Tuple> {
-        // Bound columns forming a *prefix* of the column order need no
-        // index at all: tuples sort lexicographically, so the matches
-        // are one contiguous range of the ordered set (a shorter tuple
-        // sorts before every tuple extending it). This keeps probes
-        // change-proportional on a relation a transaction has just
-        // mutated and thereby detached from its indexes — the incremental
-        // maintenance engine does that to its materialized extensions
-        // every transaction, and an O(n) index rebuild per transaction
-        // would swallow the incrementality.
-        if cols.iter().copied().eq(0..cols.len()) {
-            return self
-                .tuples
-                .range_from(key)
-                .map(|(t, ())| t)
-                .take_while(|t| t[..key.len()] == *key)
-                .cloned()
-                .collect();
-        }
-        {
-            let cache = self.index.read().expect("index lock");
-            if let Some(idx) = cache.get(cols) {
-                return idx.get(key).cloned().unwrap_or_default();
-            }
-        }
-        let mut cache = self.index.write().expect("index lock");
-        let idx = cache
-            .entry(cols.into())
-            .or_insert_with(|| self.build_composite(cols));
-        idx.get(key).cloned().unwrap_or_default()
-    }
-
-    /// The column sets the shared index cache holds, ascending.
+    /// The column sets this relation has indexes on, ascending.
     #[cfg(test)]
     pub(crate) fn indexed_cols(&self) -> Vec<Box<[usize]>> {
-        let mut cols: Vec<_> = self
-            .index
-            .read()
-            .expect("index lock")
-            .keys()
-            .cloned()
-            .collect();
+        let list = std::iter::successors(self.index.0.get(), |idx| idx.next.0.get());
+        let mut cols: Vec<_> = list.map(|idx| idx.cols.clone()).collect();
         cols.sort_unstable();
         cols
     }
@@ -274,8 +326,8 @@ impl Relation {
         Relation::from_sorted(self.iter().filter(|t| other.contains(t)).cloned())
     }
 
-    /// Inserts all tuples of `other`; returns the tuples that were new.
-    /// Bulk operation: the index cache is detached once, not per tuple.
+    /// Inserts all tuples of `other`, updating every index as
+    /// [`extend`](Self::extend) does; returns the tuples that were new.
     pub fn merge(&mut self, other: &Relation) -> Vec<Tuple> {
         self.extend(other.iter().cloned())
     }
@@ -343,7 +395,7 @@ mod tests {
         }
         let hits = r.select(&[None, Some(Const::Int(3))]);
         assert_eq!(hits.len(), 100 / 7 + usize::from(3 < 100 % 7));
-        // Mutation invalidates the index.
+        // A mutation updates the index.
         r.insert(Tuple::new(vec![Const::Int(1000), Const::Int(3)]));
         assert_eq!(r.select(&[None, Some(Const::Int(3))]).len(), hits.len() + 1);
     }
@@ -657,32 +709,81 @@ mod tests {
             .all(|(a, b)| std::ptr::eq(&a[..], &b[..])));
     }
 
+    /// The runs of `r`'s index on `cols`.
+    fn index_runs<'a>(r: &'a Relation, cols: &[usize]) -> &'a [Arc<Vec<(Tuple, ())>>] {
+        let list = std::iter::successors(r.index.0.get(), |idx| idx.next.0.get());
+        let idx = list.into_iter().find(|idx| *idx.cols == *cols);
+        idx.expect("indexed").entries.runs()
+    }
+
+    fn threes(r: &Relation) -> Vec<Tuple> {
+        r.probe_cols(&[1], &[Const::Int(3)]).0
+    }
+
     #[test]
-    fn clones_share_indexes_until_one_is_mutated() {
-        let threes = |r: &Relation| r.probe_cols(&[1], &[Const::Int(3)]).0.len();
-        let origin = numbered(200);
+    fn a_mutated_clone_keeps_its_indexes_and_shares_untouched_runs() {
+        let origin = numbered(1000);
+        let n = threes(&origin).len();
+        assert_eq!(n, 1000 / 7 + usize::from(3 < 1000 % 7));
         let mut copy = origin.clone();
-        let n = threes(&origin);
-        assert_eq!(n, 200 / 7 + usize::from(3 < 200 % 7));
         assert_eq!(
             copy.indexed_cols(),
             [Box::from([1usize])],
             "built through the origin"
         );
-        // A mutation detaches the clone; the origin keeps its index.
-        copy.insert(Tuple::new(vec![Const::Int(1000), Const::Int(3)]));
-        assert!(
-            copy.indexed_cols().is_empty(),
-            "detached from the shared cache"
+        // A mutation updates the clone's index instead of dropping it.
+        let (new, gone) = (
+            Tuple::new(vec![Const::Int(1000), Const::Int(3)]),
+            Tuple::new(vec![Const::Int(3), Const::Int(3)]),
         );
+        copy.insert(new.clone());
+        copy.remove(&gone);
+        assert_eq!(copy.indexed_cols(), [Box::from([1usize])], "kept");
+        let mut expected: Vec<Tuple> = threes(&origin);
+        expected.retain(|t| *t != gone);
+        expected.push(new);
+        expected.sort();
+        assert_eq!(threes(&copy), expected);
+        // The threes span two index runs, the removal lands in the first
+        // and the insertion in the last: those two are copied, the clone
+        // shares every other index run with its origin.
+        let (old, new) = (index_runs(&origin, &[1]), index_runs(&copy, &[1]));
+        assert_eq!(old.len(), new.len());
+        assert!(old.len() > 10);
+        let copied = old.iter().zip(new).filter(|(a, b)| !Arc::ptr_eq(a, b));
+        assert_eq!(
+            copied.count(),
+            2,
+            "the clone shares its untouched index runs"
+        );
+        // The origin is unaffected.
+        assert_eq!(threes(&origin).len(), n);
+        assert!(threes(&origin).contains(&gone));
         assert_eq!(origin.indexed_cols(), [Box::from([1usize])]);
-        assert_eq!(threes(&copy), n + 1);
-        assert_eq!(threes(&origin), n);
-        // A relation that owns its cache alone clears it in place.
+        // A relation that owns its indexes alone updates them in place.
         let mut alone = numbered(50);
-        threes(&alone);
+        let before = threes(&alone).len();
         alone.remove(&Tuple::new(vec![Const::Int(3), Const::Int(3)]));
-        assert!(alone.indexed_cols().is_empty());
+        assert_eq!(alone.indexed_cols(), [Box::from([1usize])]);
+        assert_eq!(threes(&alone).len(), before - 1);
+    }
+
+    #[test]
+    fn a_clone_mutated_before_any_index_never_sees_one_a_sibling_builds() {
+        let origin = numbered(200);
+        let n = threes(&origin).len();
+        let fresh = numbered(200);
+        // Cloned while the shared list is still empty, then mutated.
+        let mut mutated = fresh.clone();
+        mutated.insert(Tuple::new(vec![Const::Int(1000), Const::Int(3)]));
+        // A sibling with the old tuples builds the index.
+        let sibling = fresh.clone();
+        assert_eq!(threes(&sibling).len(), n);
+        assert_eq!(fresh.indexed_cols(), [Box::from([1usize])], "shared");
+        // The mutated clone builds its own, from its own tuples.
+        assert!(mutated.indexed_cols().is_empty(), "not the sibling's index");
+        assert_eq!(threes(&mutated).len(), n + 1);
+        assert_eq!(threes(&sibling).len(), n);
     }
 
     #[test]

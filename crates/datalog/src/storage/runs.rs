@@ -13,7 +13,8 @@
 //! many tiny runs. Iteration is ascending tuple order.
 //!
 //! [`Relation`](super::relation::Relation) is this container with no
-//! value plus an index cache; the maintenance engine's support counts are
+//! value, plus one more of it per secondary index (the tuples with their
+//! columns permuted); the maintenance engine's support counts are
 //! the same container with an `i64` per tuple.
 
 use crate::ast::Const;
@@ -168,25 +169,78 @@ impl<V: Clone> Runs<V> {
     }
 
     /// All entries in ascending tuple order.
-    pub fn iter(&self) -> impl Iterator<Item = &(Tuple, V)> + '_ {
-        self.spine.iter().flat_map(|run| run.iter())
+    pub fn iter(&self) -> Iter<'_, V> {
+        Iter {
+            spine: &self.spine,
+            run: 0,
+            pos: 0,
+            end_run: self.spine.len(),
+            end: 0,
+        }
     }
 
-    /// The entries `>= key` in ascending order. With a key shorter than
-    /// the tuples this starts at the first tuple having `key` as a prefix.
-    pub fn range_from<'a>(&'a self, key: &[Const]) -> impl Iterator<Item = &'a (Tuple, V)> + 'a {
-        let i = self.locate(key);
-        let (first, rest): (&[(Tuple, V)], &[Run<V>]) = match self.spine[i..].split_first() {
-            Some((run, rest)) => (&run[run.partition_point(|(k, _)| k[..] < *key)..], rest),
-            None => (&[], &[]),
-        };
-        first.iter().chain(rest.iter().flat_map(|run| run.iter()))
+    /// The entries whose tuples start with `key`, in ascending order: one
+    /// contiguous stretch, since a shorter key sorts before every tuple
+    /// extending it. Both ends are found up front, so the iterator does
+    /// not borrow `key`.
+    pub fn prefix(&self, key: &[Const]) -> Iter<'_, V> {
+        let n = key.len();
+        let run = self.locate(key);
+        let pos = self
+            .spine
+            .get(run)
+            .map_or(0, |r| r.partition_point(|(k, _)| k[..] < *key));
+        let end_run = self
+            .spine
+            .partition_point(|r| r.last().expect("no run is empty").0[..n] <= *key);
+        let end = self
+            .spine
+            .get(end_run)
+            .map_or(0, |r| r.partition_point(|(k, _)| k[..n] <= *key));
+        Iter {
+            spine: &self.spine,
+            run,
+            pos,
+            end_run,
+            end,
+        }
     }
 
     /// The runs, for tests of the size invariant and of sharing.
     #[cfg(test)]
     pub(crate) fn runs(&self) -> &[Run<V>] {
         &self.spine
+    }
+}
+
+/// An ascending stretch of a [`Runs`]: from entry `pos` of run `run` up
+/// to, not including, entry `end` of run `end_run`. Positions are kept
+/// inside their run (or at the spine's end), so equal positions are the
+/// same entry.
+#[derive(Clone, Debug)]
+pub struct Iter<'a, V> {
+    spine: &'a [Run<V>],
+    run: usize,
+    pos: usize,
+    end_run: usize,
+    end: usize,
+}
+
+impl<'a, V> Iterator for Iter<'a, V> {
+    type Item = &'a (Tuple, V);
+
+    fn next(&mut self) -> Option<&'a (Tuple, V)> {
+        if (self.run, self.pos) >= (self.end_run, self.end) {
+            return None;
+        }
+        let run = &self.spine[self.run];
+        let entry = &run[self.pos];
+        self.pos += 1;
+        if self.pos == run.len() {
+            self.run += 1;
+            self.pos = 0;
+        }
+        Some(entry)
     }
 }
 

@@ -46,6 +46,12 @@ impl Deref for Tuple {
     }
 }
 
+impl From<&[Const]> for Tuple {
+    fn from(consts: &[Const]) -> Tuple {
+        Tuple(consts.into())
+    }
+}
+
 impl From<Vec<Const>> for Tuple {
     fn from(v: Vec<Const>) -> Tuple {
         Tuple::new(v)

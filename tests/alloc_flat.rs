@@ -1,34 +1,58 @@
 //! The O(change) gate: what a commit and the publication of its state
-//! allocate must not depend on the size of the database.
+//! allocate must not depend on the size of the database — and the
+//! join-kernel gate: how often a commit on the attack graph calls the
+//! allocator at all.
 //!
 //! Relations are persistent sorted runs (DESIGN.md §15), so the new state
 //! `Dⁿ` of a transaction, the staged extensions and the snapshot the
 //! server publishes share everything the transaction did not touch. A
 //! copy of a relation, an extension or the support counts that sneaks
 //! back onto the commit path allocates in proportion to the database, and
-//! this test — a counting allocator around one commit, at two database
-//! sizes — fails. Bytes, not time: the numbers repeat exactly. One test
-//! function, and evaluation runs on the thread that asks for it, so
-//! nothing else allocates while it counts.
+//! the first test — a counting allocator around one commit, at two
+//! database sizes — fails. Bytes and calls, not time: the numbers repeat
+//! exactly. Evaluation runs on the thread that asks for it and the
+//! counters are per thread, so nothing another test allocates is
+//! counted.
 
 mod common;
 
-use common::{topology, ATTACK_GRAPH, INVENTORY};
+use common::{churn, topology, ATTACK_GRAPH, INVENTORY};
 use dduf::core::processor::ProcessorState;
 use dduf::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-/// Bytes requested from the allocator since the process started.
-static REQUESTED: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Bytes this thread requested from the allocator.
+    static REQUESTED: Cell<u64> = const { Cell::new(0) };
+    /// Allocation and reallocation calls this thread made.
+    static CALLS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Counts one call asking for `bytes` (nothing once the thread's
+/// counters are gone, at its exit).
+fn count(bytes: usize) {
+    let add = |counter: &Cell<u64>, n: u64| counter.set(counter.get() + n);
+    let _ = REQUESTED.try_with(|r| add(r, bytes as u64));
+    let _ = CALLS.try_with(|c| add(c, 1));
+}
+
+fn requested() -> u64 {
+    REQUESTED.with(Cell::get)
+}
+
+fn calls() -> u64 {
+    CALLS.with(Cell::get)
+}
 
 struct Counting;
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds
-// the `GlobalAlloc` contract; the counter is a relaxed statistic.
+// the `GlobalAlloc` contract; the counters are const-initialized
+// thread-locals without destructors, so counting never allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        REQUESTED.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        count(layout.size());
         // SAFETY: the caller's obligations are `System.alloc`'s.
         unsafe { System.alloc(layout) }
     }
@@ -39,7 +63,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        REQUESTED.fetch_add(new_size as u64, Ordering::Relaxed);
+        count(new_size);
         // SAFETY: `ptr` came from `System` with this layout.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -62,11 +86,11 @@ fn commit_and_publish(
     src: &str,
 ) -> u64 {
     let txn = staging.transaction(src).unwrap();
-    let before = REQUESTED.load(Ordering::Relaxed);
+    let before = requested();
     let applied = staging.apply(&txn, true, &mut |_| Ok(())).unwrap();
     let state = staging.clone().into_state();
     drop(std::mem::replace(published, state));
-    let bytes = REQUESTED.load(Ordering::Relaxed) - before;
+    let bytes = requested() - before;
     assert!(applied.is_ok(), "{src} is rejected");
     bytes
 }
@@ -135,5 +159,41 @@ fn a_commit_allocates_the_same_on_a_small_and_a_large_database() {
         large <= small + SLACK,
         "a firewall toggle allocates {small} B on {small_facts} facts \
          and {large} B on {large_facts}"
+    );
+}
+
+/// Allocator calls per checked commit of the 200-commit churn stream over
+/// the breadth-first joins the kernel replaced (a `Bindings` map per
+/// partial solution, a `Vec` per probe, an index rebuilt per commit),
+/// measured with this test on the last commit that had them.
+const BREADTH_FIRST_CALLS: u64 = 10_233;
+
+/// The join-kernel gate: a checked commit of `dred_prune`'s churn stream
+/// makes at most half the allocator calls it made over breadth-first
+/// joins. The kernel binds into a slot row, probes borrowed runs, stops
+/// the keep-check at its first witness and allocates a head tuple only
+/// once it is known to be new; a relation keeps its indexes across the
+/// commit instead of rebuilding them.
+#[test]
+fn a_churn_commit_makes_half_the_allocator_calls_of_breadth_first_joins() {
+    let (db, txns) = churn(200);
+    let mut staging = UpdateProcessor::new(db).unwrap();
+    let mut total = 0;
+    for src in &txns {
+        let txn = staging.transaction(src).unwrap();
+        let before = calls();
+        let applied = staging.apply(&txn, true, &mut |_| Ok(())).unwrap();
+        total += calls() - before;
+        assert!(applied.is_ok(), "{src} is rejected");
+    }
+    let per_commit = total / txns.len() as u64;
+    println!(
+        "churn commit: {per_commit} allocator calls over {} commits",
+        txns.len()
+    );
+    assert!(
+        per_commit <= BREADTH_FIRST_CALLS / 2,
+        "a churn commit makes {per_commit} allocator calls, \
+         breadth-first joins made {BREADTH_FIRST_CALLS}"
     );
 }

@@ -71,6 +71,26 @@ pub fn topology(program: &str, hosts_per_zone: usize) -> Topology {
     }
 }
 
+/// `ag_churn`'s cycle on the attack graph at 60 hosts per zone, one event
+/// per commit: a firewall rule goes down, a host is patched, the rule
+/// comes back, the patch is rolled back.
+pub fn churn(commits: usize) -> (Database, Vec<String>) {
+    let topo = topology(ATTACK_GRAPH, 60);
+    let mut rng = Rng::new(18);
+    let mut txns = Vec::new();
+    while txns.len() < commits {
+        let (from, to) = rng.choose(&topo.firewall);
+        let (host, vuln) = rng.choose(&topo.vulnerable);
+        txns.extend([
+            format!("-hacl({from}, {to})."),
+            format!("+patched({host}, {vuln})."),
+            format!("+hacl({from}, {to})."),
+            format!("-patched({host}, {vuln})."),
+        ]);
+    }
+    (topo.db, txns)
+}
+
 /// Commits `txn` the way a view-maintaining caller does: asks for the
 /// view events first, commits, and checks that those events turn the old
 /// stored extension of every view into the one the processor now stores
