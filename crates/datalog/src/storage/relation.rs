@@ -11,6 +11,10 @@ use std::sync::{Arc, OnceLock};
 /// to scanning the (tiny) tuple set directly.
 pub(crate) const INDEX_MIN: usize = 16;
 
+/// The widest tuple whose permuted index key [`Relation::remove`] builds
+/// on the stack instead of allocating.
+const STACK_KEY: usize = 8;
+
 /// A set of ground tuples of a single arity.
 ///
 /// Tuples are kept in persistent sorted runs ([`Runs`]), so iteration is
@@ -180,11 +184,22 @@ impl Relation {
     pub fn remove(&mut self, t: &[Const]) -> bool {
         let removed = self.tuples.remove(t).is_some();
         if removed {
-            let mut key = Vec::new();
+            // Each index's key is permuted into one buffer, on the stack
+            // unless the arity is unusually wide.
+            let mut stack = [Const::Int(0); STACK_KEY];
+            let mut heap = Vec::new();
             self.indexes_mut().for_each_mut(|entries, perm| {
-                key.clear();
-                key.extend(perm.iter().map(|&c| t[c]));
-                entries.remove(&key);
+                let key = match stack.get_mut(..perm.len()) {
+                    Some(key) => key,
+                    None => {
+                        heap.resize(perm.len(), Const::Int(0));
+                        &mut heap[..]
+                    }
+                };
+                for (k, &c) in key.iter_mut().zip(perm) {
+                    *k = t[c];
+                }
+                entries.remove(key);
             });
         }
         removed
@@ -546,6 +561,19 @@ mod tests {
         assert_eq!(sizes.iter().sum::<usize>(), r.len());
     }
 
+    /// Every run's fence is its last key, in the tuples and in every index.
+    fn assert_fences(r: &Relation) {
+        let list = std::iter::successors(r.index.0.get(), |idx| idx.next.0.get());
+        for runs in std::iter::once(&r.tuples).chain(list.map(|idx| &idx.entries)) {
+            let last_keys: Vec<Const> = runs
+                .runs()
+                .iter()
+                .flat_map(|run| run.last().expect("no run is empty").0.iter().copied())
+                .collect();
+            assert_eq!(runs.fences(), last_keys, "fences");
+        }
+    }
+
     /// Everything a reader can ask of `r` answers as the model does.
     fn assert_matches_model(r: &Relation, model: &Model, rng: &mut u64) {
         assert_eq!(r.len(), model.len());
@@ -673,6 +701,7 @@ mod tests {
                     _ => slots[i] = (other, other_model),
                 }
                 for (k, (r, model)) in slots.iter().enumerate() {
+                    assert_fences(r);
                     if k == i {
                         assert_matches_model(r, model, &mut rng);
                     } else {
@@ -766,6 +795,24 @@ mod tests {
         alone.remove(&Tuple::new(vec![Const::Int(3), Const::Int(3)]));
         assert_eq!(alone.indexed_cols(), [Box::from([1usize])]);
         assert_eq!(threes(&alone).len(), before - 1);
+    }
+
+    #[test]
+    fn removing_a_tuple_wider_than_the_stack_key_updates_its_index() {
+        let arity = STACK_KEY as i64 + 2;
+        let wide = |i: i64| -> Tuple {
+            (0..arity)
+                .map(|c| Const::Int(if c == arity - 1 { i % 3 } else { i + c }))
+                .collect()
+        };
+        let mut r: Relation = (0..40).map(wide).collect();
+        let last = [arity as usize - 1];
+        assert_eq!(r.probe_cols(&last, &[Const::Int(0)]).0.len(), 14);
+        assert!(r.remove(&wide(3)));
+        let (hits, indexed) = r.probe_cols(&last, &[Const::Int(0)]);
+        assert!(indexed);
+        assert_eq!(hits.len(), 13);
+        assert!(!hits.contains(&wide(3)));
     }
 
     #[test]
