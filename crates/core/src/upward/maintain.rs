@@ -106,7 +106,8 @@ use dduf_datalog::storage::database::Database;
 use dduf_datalog::storage::relation::Relation;
 use dduf_datalog::storage::runs::Runs;
 use dduf_datalog::storage::tuple::Tuple;
-use dduf_datalog::stratify::{Component, Stratification};
+pub use dduf_datalog::stratify::Strategy;
+use dduf_datalog::stratify::{stratify, Component};
 use dduf_events::event::{EventKind, GroundEvent};
 use dduf_events::store::EventStore;
 use std::cmp::Reverse;
@@ -125,17 +126,6 @@ pub type Counts = Runs<i64>;
 /// The stored ranks of one member predicate of a recursive component: the
 /// same container again, with the tuple's rank as its value.
 pub type Ranks = Runs<i64>;
-
-/// The maintenance strategy chosen for one stratification component.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Strategy {
-    /// Support counts by finite differencing (\[GMS93\]); exact deletion
-    /// answers with no re-derivation. Non-recursive components only.
-    Counting,
-    /// Delete-and-rederive: overestimate deletions through the component,
-    /// then re-derive survivors. Handles recursion.
-    DRed,
-}
 
 /// One stratification component with its chosen strategy, in dependency
 /// order.
@@ -193,24 +183,19 @@ pub struct MaintenanceEngine {
 
 /// Computes the per-component strategy plan for a program.
 fn compute_units(program: &dduf_datalog::schema::Program) -> Result<Vec<Unit>> {
-    let strat = Stratification::compute(program)
-        .map_err(|e| Error::from(dduf_datalog::error::Error::from(e)))?;
-    Ok(strat
-        .components()
-        .iter()
+    let components =
+        stratify(program).map_err(|e| Error::from(dduf_datalog::error::Error::from(e)))?;
+    Ok(components
+        .into_iter()
         .map(|c| Unit {
-            preds: c.preds.clone(),
-            strategy: if c.recursive {
-                Strategy::DRed
-            } else {
-                Strategy::Counting
-            },
+            strategy: c.strategy().expect("a stratified component has a strategy"),
             inputs: c
                 .preds
                 .iter()
                 .flat_map(|&p| program.rules_for(p))
                 .flat_map(|r| r.body.iter().map(|l| l.atom.pred))
                 .collect(),
+            preds: c.preds,
         })
         .collect())
 }
@@ -292,6 +277,7 @@ impl MaintenanceEngine {
             let component = Component {
                 preds: unit.preds.clone(),
                 recursive: true,
+                negative_edges: Vec::new(),
             };
             return seminaive::eval_component(db, &self.exts, &component);
         }

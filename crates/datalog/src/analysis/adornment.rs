@@ -28,9 +28,9 @@
 
 use crate::ast::{Literal, Pred};
 use crate::eval::plan::{JoinPlan, Step};
+use crate::schema::Program;
+use crate::stratify::Component;
 use std::collections::{BTreeMap, BTreeSet};
-
-use super::dataflow::Dataflow;
 
 /// The inferred binding patterns of a program.
 #[derive(Clone, Debug, Default)]
@@ -47,20 +47,22 @@ pub struct AdornmentInfo {
 }
 
 impl AdornmentInfo {
-    /// Infers adornments for `flow`'s program.
-    pub fn infer(flow: &Dataflow<'_>) -> AdornmentInfo {
+    /// Infers adornments for `program`, whose
+    /// [components](crate::stratify::components) are `components`.
+    pub fn infer(program: &Program, components: &[Component]) -> AdornmentInfo {
         let mut info = AdornmentInfo::default();
         let no_bound = BTreeSet::new();
-        for rule in flow.program.rules() {
+        for rule in program.rules() {
             // 1. Full evaluation: nothing bound, no pin.
             info.absorb(&rule.body, &JoinPlan::compile(&rule.body, &no_bound, None));
-            // 2. Differential rounds: each recursive occurrence pinned.
-            let head_scc = flow.scc_index(rule.head.pred);
+            // 2. Differential rounds: each occurrence of a member of the
+            // head's recursive component pinned.
+            let members: &[Pred] = components
+                .iter()
+                .find(|c| c.recursive && c.preds.contains(&rule.head.pred))
+                .map_or(&[], |c| &c.preds);
             for (occ, lit) in rule.body.iter().enumerate() {
-                if lit.positive
-                    && flow.is_recursive(lit.atom.pred)
-                    && flow.scc_index(lit.atom.pred) == head_scc
-                {
+                if lit.positive && members.contains(&lit.atom.pred) {
                     info.absorb(
                         &rule.body,
                         &JoinPlan::compile(&rule.body, &no_bound, Some(occ)),
@@ -136,9 +138,8 @@ mod tests {
     use crate::parser::parse_program_lenient;
 
     fn infer(src: &str) -> AdornmentInfo {
-        let lp = parse_program_lenient(src).unwrap();
-        let flow = Dataflow::new(&lp.output.program);
-        AdornmentInfo::infer(&flow)
+        let program = parse_program_lenient(src).unwrap().output.program;
+        AdornmentInfo::infer(&program, &crate::stratify::components(&program))
     }
 
     #[test]

@@ -13,14 +13,17 @@
 //!   Otherwise *ambiguous*, with the reasons recorded: multiple rules
 //!   (disjunctive choice), existential variables (instantiation choice),
 //!   or negation (deletion-by-insertion choice).
-//! * **Upward maintenance** (§3.2): *monotone* when no definition passes
-//!   through negation — insertions only induce insertions — otherwise
-//!   *deletion-sensitive*: the event rules carry both polarities and the
-//!   incremental engine must evaluate deletion candidates.
-//! * **Monitoring** (§5.1.2): *direct* when the predicate's event rules
-//!   localize a transaction's effect; *DRed* for members of recursive
-//!   SCCs, which the maintenance engine keeps current by delete and
-//!   rederive from the changed tuples (DESIGN.md §4.1, §15).
+//! * **Upward maintenance** (§3.2): *deletion-sensitive* when an
+//!   insertion into some base predicate can delete one of its tuples — the
+//!   base predicate is in the [signed closure](DepGraph::signed_closure)
+//!   of the predicate's deletions with a positive sign, the same sign
+//!   analysis the maintenance engine's possibility test runs — otherwise
+//!   *monotone*: insertions only induce insertions.
+//! * **Strategy** (§5.1.2): the engine's own [`Strategy`] for the
+//!   predicate's component — *counting* for a non-recursive one, *DRed*
+//!   (delete and rederive from the changed tuples, DESIGN.md §4.1, §15)
+//!   for a recursive one, and none for a component that negates itself,
+//!   which the engine refuses.
 //!
 //! The classification is surfaced two ways: as a typed table
 //! ([`Classification`]) consumed by [`super::report::ProgramReport`], and
@@ -30,11 +33,11 @@
 
 use super::{AnalysisInput, Diagnostic, Pass};
 use crate::ast::{Pred, Term, Var};
-use crate::schema::{DerivedRole, Role};
+use crate::depgraph::{DepGraph, EdgeSign};
+use crate::schema::{DerivedRole, Program, Role};
+use crate::stratify::{components, Component, Strategy};
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
-
-use super::dataflow::Dataflow;
 
 /// Why an insertion request on a view admits several base translations.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
@@ -71,20 +74,10 @@ pub enum Translation {
 /// The upward (maintenance) character of a predicate.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Maintenance {
-    /// No negation anywhere below: insertions only induce insertions.
+    /// Insertions only induce insertions, deletions only deletions.
     Monotone,
-    /// Negation below: both event polarities are live.
+    /// Some base insertion can induce a deletion (and vice versa).
     DeletionSensitive,
-}
-
-/// How a transaction's effect on the predicate is monitored.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Monitoring {
-    /// Event rules localize the change.
-    Direct,
-    /// Recursive: the component is maintained by DRed (delete and
-    /// rederive) from the changed tuples.
-    Dred,
 }
 
 /// One derived predicate's classification.
@@ -94,8 +87,9 @@ pub struct PredClass {
     pub translation: Translation,
     /// Upward maintenance character.
     pub maintenance: Maintenance,
-    /// Monitoring strategy.
-    pub monitoring: Monitoring,
+    /// The engine's maintenance strategy, `None` when the predicate's
+    /// component negates itself.
+    pub strategy: Option<Strategy>,
 }
 
 /// The full classification table.
@@ -106,9 +100,15 @@ pub struct Classification {
 }
 
 impl Classification {
-    /// Classifies every derived predicate of `flow`'s program.
-    pub fn compute(flow: &Dataflow<'_>) -> Classification {
-        let program = flow.program;
+    /// Classifies every derived predicate of `program`, whose
+    /// [`components`] are `components`.
+    pub fn compute(program: &Program, components: &[Component]) -> Classification {
+        let graph = DepGraph::build(program);
+        let strategy: BTreeMap<Pred, Strategy> = components
+            .iter()
+            .filter_map(|c| Some((c, c.strategy()?)))
+            .flat_map(|(c, s)| c.preds.iter().map(move |&p| (p, s)))
+            .collect();
         let mut preds = BTreeMap::new();
         for (pred, role) in program.predicates() {
             if !matches!(role, Role::Derived(_)) {
@@ -139,22 +139,21 @@ impl Classification {
             } else {
                 Translation::Ambiguous(reasons.into_iter().collect())
             };
-            let maintenance = if flow.negation_tainted(pred) {
+            let deletion_sensitive = graph
+                .signed_closure([(pred, EdgeSign::Negative)])
+                .into_iter()
+                .any(|(q, sign)| sign == EdgeSign::Positive && !program.is_derived(q));
+            let maintenance = if deletion_sensitive {
                 Maintenance::DeletionSensitive
             } else {
                 Maintenance::Monotone
-            };
-            let monitoring = if flow.is_recursive(pred) {
-                Monitoring::Dred
-            } else {
-                Monitoring::Direct
             };
             preds.insert(
                 pred,
                 PredClass {
                     translation,
                     maintenance,
-                    monitoring,
+                    strategy: strategy.get(&pred).copied(),
                 },
             );
         }
@@ -163,8 +162,8 @@ impl Classification {
 }
 
 /// The classification pass: one `I001`/`I002` per derived predicate, plus
-/// `I003` for deletion-sensitive maintenance and `I004` for recursive
-/// (DRed-maintained) monitoring.
+/// `I003` for deletion-sensitive maintenance and `I004` for the DRed
+/// strategy.
 pub struct Classify;
 
 impl Pass for Classify {
@@ -173,8 +172,7 @@ impl Pass for Classify {
     }
 
     fn run(&self, input: &AnalysisInput<'_>, out: &mut Vec<Diagnostic>) {
-        let flow = Dataflow::new(input.program);
-        let table = Classification::compute(&flow);
+        let table = Classification::compute(input.program, &components(input.program));
         for (pred, class) in &table.preds {
             let kind = match input.program.role(*pred) {
                 Some(Role::Derived(DerivedRole::Ic)) => "constraint",
@@ -225,7 +223,7 @@ impl Pass for Classify {
                     ),
                 ));
             }
-            if class.monitoring == Monitoring::Dred {
+            if class.strategy == Some(Strategy::DRed) {
                 push(Diagnostic::info(
                     "I004",
                     format!(
@@ -245,9 +243,8 @@ mod tests {
     use crate::parser::parse_program_lenient;
 
     fn classify(src: &str) -> Classification {
-        let lp = parse_program_lenient(src).unwrap();
-        let flow = Dataflow::new(&lp.output.program);
-        Classification::compute(&flow)
+        let program = parse_program_lenient(src).unwrap().output.program;
+        Classification::compute(&program, &components(&program))
     }
 
     #[test]
@@ -256,7 +253,7 @@ mod tests {
         let c = &t.preds[&Pred::new("couple", 2)];
         assert_eq!(c.translation, Translation::Deterministic);
         assert_eq!(c.maintenance, Maintenance::Monotone);
-        assert_eq!(c.monitoring, Monitoring::Direct);
+        assert_eq!(c.strategy, Some(Strategy::Counting));
     }
 
     #[test]
@@ -282,17 +279,22 @@ mod tests {
     fn negation_below_makes_dependents_deletion_sensitive() {
         let t = classify(
             "unemp(X) :- la(X), not works(X).\n\
-             needy(X) :- unemp(X).\n",
+             needy(X) :- unemp(X), person(X).\n\
+             plain(X) :- person(X).\n",
         );
         assert_eq!(
             t.preds[&Pred::new("needy", 1)].maintenance,
             Maintenance::DeletionSensitive
+        );
+        assert_eq!(
+            t.preds[&Pred::new("plain", 1)].maintenance,
+            Maintenance::Monotone
         );
     }
 
     #[test]
     fn recursion_monitors_by_dred() {
         let t = classify("tc(X, Y) :- e(X, Y).\ntc(X, Y) :- e(X, Z), tc(Z, Y).\n");
-        assert_eq!(t.preds[&Pred::new("tc", 2)].monitoring, Monitoring::Dred);
+        assert_eq!(t.preds[&Pred::new("tc", 2)].strategy, Some(Strategy::DRed));
     }
 }

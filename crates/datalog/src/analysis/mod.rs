@@ -52,7 +52,6 @@ pub mod allowedness;
 pub mod classify;
 pub mod conflicts;
 pub mod cost;
-pub mod dataflow;
 pub mod diagnostic;
 pub mod events_check;
 pub mod predicates;
@@ -65,8 +64,6 @@ pub mod variables;
 
 pub use adornment::AdornmentInfo;
 pub use classify::Classification;
-pub use cost::{CostModel, SizeClass};
-pub use dataflow::Dataflow;
 pub use diagnostic::{json_str, Diagnostic, Label, Severity};
 pub use report::ProgramReport;
 
@@ -129,7 +126,7 @@ impl Analyzer {
         a.add_pass(Box::new(recursion::NegatedRecursion));
         a.add_pass(Box::new(conflicts::Conflicts));
         a.add_pass(Box::new(events_check::EventDomains));
-        a.add_pass(Box::new(cost::CostBounds));
+        a.add_pass(Box::new(cost::CostShapes));
         a
     }
 

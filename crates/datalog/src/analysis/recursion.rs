@@ -11,8 +11,18 @@
 
 use super::{AnalysisInput, Diagnostic, Label, Pass};
 use crate::ast::Pred;
-use crate::depgraph::DepGraph;
+use crate::schema::Program;
+use crate::stratify::components;
 use std::collections::BTreeSet;
+
+/// The members of `program`'s recursive components.
+pub(super) fn recursive_preds(program: &Program) -> BTreeSet<Pred> {
+    components(program)
+        .into_iter()
+        .filter(|c| c.recursive)
+        .flat_map(|c| c.preds)
+        .collect()
+}
 
 /// The negated-recursion pass.
 pub struct NegatedRecursion;
@@ -23,19 +33,7 @@ impl Pass for NegatedRecursion {
     }
 
     fn run(&self, input: &AnalysisInput<'_>, out: &mut Vec<Diagnostic>) {
-        let graph = DepGraph::build(input.program);
-        // Predicates inside a recursive SCC (self-loop or larger cycle).
-        let mut recursive: BTreeSet<Pred> = BTreeSet::new();
-        for comp in graph.sccs() {
-            let members: BTreeSet<Pred> = comp.iter().copied().collect();
-            let internal = comp
-                .iter()
-                .any(|&p| graph.deps(p).any(|(q, _)| members.contains(&q)));
-            if internal {
-                recursive.extend(comp);
-            }
-        }
-
+        let recursive = recursive_preds(input.program);
         for rule in input.program.rules() {
             for lit in &rule.body {
                 if lit.positive || !recursive.contains(&lit.atom.pred) {

@@ -1,18 +1,18 @@
 //! The machine-readable [`ProgramReport`]: everything the semantic
-//! dataflow analyses (adornment inference, cost bounds, update
-//! classification) decided about a program, in one table keyed by
-//! predicate. The `dduf analyze` verb renders it as text or JSON; the
-//! JSON shape is covered by golden tests so downstream tooling can rely
-//! on it.
+//! analyses (adornment inference, update classification) decided about a
+//! program, in one table keyed by predicate. Both read the program's
+//! [`components`], so the strategy the report gives a predicate is the one
+//! the maintenance engine runs. The `dduf analyze` verb renders it as text
+//! or JSON; the JSON shape is covered by golden tests so downstream
+//! tooling can rely on it.
 
 use crate::ast::{Atom, Pred};
 use crate::schema::{DerivedRole, Program, Role};
+use crate::stratify::components;
 use std::collections::{BTreeMap, BTreeSet};
 
 use super::adornment::AdornmentInfo;
-use super::classify::{Classification, Maintenance, Monitoring, PredClass, Translation};
-use super::cost::{CostModel, SizeClass};
-use super::dataflow::Dataflow;
+use super::classify::{Classification, Maintenance, PredClass, Translation};
 use super::json_str;
 
 /// One predicate's row of the report.
@@ -26,10 +26,6 @@ pub struct PredReport {
     pub rules: usize,
     /// EDB facts (base predicates; 0 for derived).
     pub facts: usize,
-    /// Static cardinality bound (`None` = unbounded).
-    pub bound: Option<u64>,
-    /// The bound's size class.
-    pub class: SizeClass,
     /// Inferred probe signatures (ascending bound-column sets).
     pub sigs: Vec<Vec<usize>>,
     /// Inferred adornment strings (`'b'`/`'f'` per column).
@@ -50,18 +46,17 @@ pub struct ProgramReport {
 }
 
 impl ProgramReport {
-    /// Runs the three semantic analyses over `program` (+ EDB `facts`)
-    /// and assembles the table.
+    /// Runs the semantic analyses over `program` (+ EDB `facts`) and
+    /// assembles the table.
     pub fn build(program: &Program, facts: &[Atom]) -> ProgramReport {
-        let flow = Dataflow::new(program);
+        let components = components(program);
         let mut counts: BTreeMap<Pred, BTreeSet<&Atom>> = BTreeMap::new();
         for f in facts {
             counts.entry(f.pred).or_default().insert(f);
         }
         let counts: BTreeMap<Pred, usize> = counts.into_iter().map(|(p, s)| (p, s.len())).collect();
-        let cost = CostModel::compute_with(&flow, &counts);
-        let adornments = AdornmentInfo::infer(&flow);
-        let classes = Classification::compute(&flow);
+        let adornments = AdornmentInfo::infer(program, &components);
+        let classes = Classification::compute(program, &components);
 
         let mut preds: BTreeMap<Pred, Role> = program.predicates().collect();
         for &p in counts.keys() {
@@ -74,8 +69,6 @@ impl ProgramReport {
                 role: role_name(role),
                 rules: program.rules_for(pred).len(),
                 facts: counts.get(&pred).copied().unwrap_or(0),
-                bound: cost.bound(pred),
-                class: cost.class(pred),
                 sigs: adornments
                     .sigs
                     .get(&pred)
@@ -97,10 +90,7 @@ impl ProgramReport {
         ProgramReport {
             preds: rows,
             plans_considered: adornments.plans_considered,
-            recursive: flow
-                .sccs
-                .iter()
-                .any(|c| c.iter().any(|&p| flow.is_recursive(p))),
+            recursive: components.iter().any(|c| c.recursive),
         }
     }
 
@@ -108,19 +98,18 @@ impl ProgramReport {
     pub fn render_text(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
-            "{:<16} {:<10} {:>5} {:>8} {:<6} {:<18} {}\n",
-            "predicate", "role", "rules", "bound", "class", "patterns", "classification"
+            "{:<16} {:<10} {:>5} {:<8} {:<18} {}\n",
+            "predicate", "role", "rules", "strategy", "patterns", "classification"
         ));
         for r in &self.preds {
-            let bound = r.bound.map_or("∞".to_string(), |b| b.to_string());
+            let strategy = r.class_info.as_ref().and_then(|c| c.strategy);
             let classification = r.class_info.as_ref().map_or(String::new(), summarize);
             out.push_str(&format!(
-                "{:<16} {:<10} {:>5} {:>8} {:<6} {:<18} {}\n",
+                "{:<16} {:<10} {:>5} {:<8} {:<18} {}\n",
                 r.pred.to_string(),
                 r.role,
                 r.rules,
-                bound,
-                r.class.name(),
+                strategy.map_or("", |s| s.name()),
                 r.patterns.join(","),
                 classification
             ));
@@ -171,11 +160,7 @@ fn summarize(c: &PredClass) -> String {
         Maintenance::Monotone => "monotone",
         Maintenance::DeletionSensitive => "deletion-sensitive",
     };
-    let mon = match c.monitoring {
-        Monitoring::Direct => "direct",
-        Monitoring::Dred => "dred",
-    };
-    format!("{t}, {m}, {mon}")
+    format!("{t}, {m}")
 }
 
 fn pred_json(r: &PredReport) -> String {
@@ -184,11 +169,6 @@ fn pred_json(r: &PredReport) -> String {
     s.push_str(&format!("\"role\":{},", json_str(r.role)));
     s.push_str(&format!("\"rules\":{},", r.rules));
     s.push_str(&format!("\"facts\":{},", r.facts));
-    match r.bound {
-        Some(b) => s.push_str(&format!("\"bound\":{b},")),
-        None => s.push_str("\"bound\":null,"),
-    }
-    s.push_str(&format!("\"class\":{},", json_str(r.class.name())));
     let sigs: Vec<String> = r
         .sigs
         .iter()
@@ -226,11 +206,9 @@ fn pred_json(r: &PredReport) -> String {
             })
         ));
         s.push_str(&format!(
-            ",\"monitoring\":{}",
-            json_str(match c.monitoring {
-                Monitoring::Direct => "direct",
-                Monitoring::Dred => "dred",
-            })
+            ",\"strategy\":{}",
+            c.strategy
+                .map_or("null".to_string(), |s| json_str(s.name()))
         ));
     }
     s.push('}');
@@ -256,10 +234,10 @@ mod tests {
         let names: Vec<String> = r.preds.iter().map(|p| p.pred.to_string()).collect();
         assert_eq!(names, ["la/1", "unemp/1", "works/1"]);
         let la = &r.preds[0];
-        assert_eq!((la.role, la.facts, la.bound), ("base", 2, Some(2)));
+        assert_eq!((la.role, la.facts), ("base", 2));
+        assert!(la.class_info.is_none());
         let unemp = &r.preds[1];
         assert_eq!(unemp.role, "view");
-        assert_eq!(unemp.bound, Some(2), "covered by la");
         assert!(unemp.class_info.is_some());
     }
 

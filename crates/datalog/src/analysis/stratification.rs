@@ -2,14 +2,13 @@
 //!
 //! A program is stratifiable iff no predicate depends *negatively* on
 //! itself through a cycle; the engines compute the perfect model stratum by
-//! stratum and reject anything else. The strict check lives in
-//! [`crate::stratify::Stratification::compute`] (unchanged, still used by the
-//! evaluators); this pass re-runs the same SCC condition but reports *every*
-//! offending negative edge, pointing at the negated body literals.
+//! stratum and reject anything else. The engine's [`crate::stratify::stratify`]
+//! stops at the first component with an internal negative edge; this pass
+//! reads the same [`crate::stratify::components`] but reports *every* such
+//! component, pointing at its negated body literals.
 
 use super::{AnalysisInput, Diagnostic, Label, Pass};
-use crate::depgraph::{DepGraph, EdgeSign};
-use std::collections::BTreeSet;
+use crate::stratify::components;
 
 /// The stratification pass.
 pub struct StratificationCheck;
@@ -20,26 +19,18 @@ impl Pass for StratificationCheck {
     }
 
     fn run(&self, input: &AnalysisInput<'_>, out: &mut Vec<Diagnostic>) {
-        let graph = DepGraph::build(input.program);
-        // Every SCC with an internal negative edge breaks stratification.
-        for comp in graph.sccs() {
-            let members: BTreeSet<_> = comp.iter().copied().collect();
-            let has_negative_cycle = comp.iter().any(|&p| {
-                graph
-                    .deps(p)
-                    .any(|(q, sign)| sign == EdgeSign::Negative && members.contains(&q))
-            });
-            if !has_negative_cycle {
+        // Every component with an internal negative edge breaks
+        // stratification.
+        for comp in components(input.program) {
+            if comp.negative_edges.is_empty() {
                 continue;
             }
             // Point at every negated literal inside the component.
             let mut labels = Vec::new();
             for rule in input.program.rules() {
-                if !members.contains(&rule.head.pred) {
-                    continue;
-                }
                 for lit in &rule.body {
-                    if !lit.positive && members.contains(&lit.atom.pred) {
+                    let edge = (rule.head.pred, lit.atom.pred);
+                    if !lit.positive && comp.negative_edges.contains(&edge) {
                         if let Some(l) = Label::of_atom(
                             &lit.atom,
                             format!("`{}` negated inside its own cycle", lit.atom.pred.name),
@@ -49,7 +40,7 @@ impl Pass for StratificationCheck {
                     }
                 }
             }
-            let cycle: Vec<String> = comp.iter().map(|p| format!("`{}`", p.name)).collect();
+            let cycle: Vec<String> = comp.preds.iter().map(|p| format!("`{}`", p.name)).collect();
             let mut d = Diagnostic::error(
                 "E002",
                 format!(

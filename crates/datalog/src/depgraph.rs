@@ -1,8 +1,9 @@
 //! Predicate dependency graph: which predicates (transitively) depend on
-//! which, through positive or negative body occurrences. This underlies
-//! stratification, recursion detection, and the ordering of both upward
-//! interpretation (compute events bottom-up) and downward interpretation
-//! (descend through definitions).
+//! which, through positive or negative body occurrences. Its SCCs underlie
+//! stratification and recursion detection ([`crate::stratify`]); its
+//! reachability restricts evaluation to what a query needs; its signed
+//! closure is the sign analysis behind the maintenance engine's
+//! possibility test and the analyzer's deletion sensitivity.
 
 use crate::ast::Pred;
 use crate::schema::Program;
@@ -110,13 +111,10 @@ impl DepGraph {
         seen
     }
 
-    /// True iff `pred`'s definition is recursive (it can reach itself).
-    pub fn is_recursive(&self, pred: Pred) -> bool {
-        self.reachable(pred).contains(&pred)
-    }
-
     /// Strongly connected components in reverse topological order
     /// (dependencies before dependents), computed with Tarjan's algorithm.
+    /// [`crate::stratify::components`] is the one reader: it decides which
+    /// components are recursive and how each is maintained.
     pub fn sccs(&self) -> Vec<Vec<Pred>> {
         // Iterative Tarjan over the deterministic node order.
         #[derive(Default)]
@@ -235,9 +233,11 @@ mod tests {
                 ],
             ),
         ]);
-        let g = DepGraph::build(&p);
-        assert!(g.is_recursive(Pred::new("tc", 2)));
-        assert!(!g.is_recursive(Pred::new("e", 2)));
+        // The base predicate forms no component; tc's is recursive.
+        let comps = crate::stratify::components(&p);
+        assert_eq!(comps.len(), 1);
+        assert_eq!(comps[0].preds, [Pred::new("tc", 2)]);
+        assert!(comps[0].recursive);
     }
 
     #[test]
@@ -271,7 +271,6 @@ mod tests {
             .find(|c| c.contains(&Pred::new("p", 1)))
             .unwrap();
         assert!(comp.contains(&Pred::new("q", 1)));
-        assert!(g.is_recursive(Pred::new("p", 1)));
     }
 
     /// The signed closure of `root` over the rules in `src`, rendered

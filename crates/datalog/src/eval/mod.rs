@@ -13,7 +13,7 @@ use crate::schema::Program;
 use crate::storage::database::Database;
 use crate::storage::relation::Relation;
 use crate::storage::tuple::Tuple;
-use crate::stratify::Stratification;
+use crate::stratify::stratify;
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
@@ -214,7 +214,7 @@ fn materialize_restricted(
 ) -> Result<Interpretation, Error> {
     let program = db.program();
     safety::check_program(program)?;
-    let strat = Stratification::compute(program)?;
+    let components = stratify(program)?;
 
     let relevant: Option<std::collections::BTreeSet<Pred>> = roots.map(|roots| {
         let graph = crate::depgraph::DepGraph::build(program);
@@ -228,12 +228,11 @@ fn materialize_restricted(
     // Components come in dependency order, so each one reads only
     // extensions that are already complete. A relevant component's
     // dependencies are reachable from the roots, hence relevant too.
-    let components = strat.components();
     let tracing = dduf_obs::enabled();
     let timer = dduf_obs::timer();
     let mut evaluated = 0u64;
     let mut interp = Interpretation::default();
-    for component in components {
+    for component in &components {
         if relevant
             .as_ref()
             .is_some_and(|rel| !component.preds.iter().any(|p| rel.contains(p)))

@@ -1,117 +1,110 @@
-//! Stratification analysis.
+//! Stratification analysis: the one place that decides which strongly
+//! connected components a program's derived predicates form, which of
+//! them are recursive, how the maintenance engine keeps each one current,
+//! and whether negation is stratified.
 //!
 //! The engine computes the perfect (stratified) model: negation is only
 //! permitted on predicates fully defined in earlier strata. A program is
 //! stratifiable iff no predicate depends *negatively* on itself through a
-//! cycle. This module checks that condition and produces an evaluation
-//! order: the strongly connected components of the dependency graph,
-//! restricted to derived predicates, in dependency order.
+//! cycle, i.e. no component has an internal negative edge. [`components`]
+//! never fails — the analyzer reads it for programs the engine refuses —
+//! and [`stratify`] layers the engine's condition on it.
 
 use crate::ast::Pred;
 use crate::depgraph::{DepGraph, EdgeSign};
 use crate::error::SchemaError;
 use crate::schema::Program;
-use std::collections::{BTreeMap, BTreeSet};
 
-/// A validated stratification of a program.
-#[derive(Clone, Debug)]
-pub struct Stratification {
-    /// Derived-predicate components in evaluation order (dependencies
-    /// first). Components with more than one member — or a self-loop — are
-    /// recursive.
-    components: Vec<Component>,
-    /// Numeric stratum per derived predicate (base predicates are stratum 0).
-    stratum_of: BTreeMap<Pred, usize>,
+/// How the maintenance engine keeps one component's extensions current.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Strategy {
+    /// Support counts by finite differencing (\[GMS93\]); exact deletion
+    /// answers with no re-derivation. Non-recursive components only.
+    Counting,
+    /// Delete-and-rederive: overestimate deletions through the component,
+    /// then re-derive survivors. Handles recursion.
+    DRed,
+}
+
+impl Strategy {
+    /// Stable lowercase name (`dduf analyze`'s report).
+    pub fn name(self) -> &'static str {
+        match self {
+            Strategy::Counting => "counting",
+            Strategy::DRed => "dred",
+        }
+    }
 }
 
 /// One evaluation unit: an SCC of mutually recursive derived predicates.
 #[derive(Clone, Debug)]
 pub struct Component {
-    /// Members of the component.
+    /// Members of the component, sorted.
     pub preds: Vec<Pred>,
     /// True iff evaluation of this component requires a fixpoint (the
     /// component has an internal edge).
     pub recursive: bool,
+    /// The internal negative edges `(head, negated member)`, in member
+    /// then dependency order: non-empty iff the component negates itself,
+    /// which makes the program not stratifiable.
+    pub negative_edges: Vec<(Pred, Pred)>,
 }
 
-impl Stratification {
-    /// Computes the stratification of `program`, or reports the offending
-    /// predicate if the program is not stratifiable.
-    pub fn compute(program: &Program) -> Result<Stratification, SchemaError> {
-        let graph = DepGraph::build(program);
-        let sccs = graph.sccs();
+impl Component {
+    /// The strategy maintaining this component, `None` when it negates
+    /// itself (the engine refuses such a program).
+    pub fn strategy(&self) -> Option<Strategy> {
+        match (self.negative_edges.is_empty(), self.recursive) {
+            (false, _) => None,
+            (true, true) => Some(Strategy::DRed),
+            (true, false) => Some(Strategy::Counting),
+        }
+    }
+}
 
-        // Reject negation inside a component.
-        for comp in &sccs {
-            let members: BTreeSet<Pred> = comp.iter().copied().collect();
-            for &p in comp {
-                for (q, sign) in graph.deps(p) {
-                    if sign == EdgeSign::Negative && members.contains(&q) {
-                        return Err(SchemaError::NotStratifiable(q));
+/// The derived-predicate components of `program` in evaluation order
+/// (dependencies first), whether or not the program is stratifiable.
+pub fn components(program: &Program) -> Vec<Component> {
+    let graph = DepGraph::build(program);
+    let mut out = Vec::new();
+    for comp in graph.sccs() {
+        // A predicate with an out-edge heads a rule, so it is derived; a
+        // base predicate is a singleton without edges and is left out.
+        let preds: Vec<Pred> = comp
+            .into_iter()
+            .filter(|&p| program.is_derived(p))
+            .collect();
+        if preds.is_empty() {
+            continue;
+        }
+        let mut recursive = false;
+        let mut negative_edges = Vec::new();
+        for &p in &preds {
+            for (q, sign) in graph.deps(p) {
+                if preds.contains(&q) {
+                    recursive = true;
+                    if sign == EdgeSign::Negative {
+                        negative_edges.push((p, q));
                     }
                 }
             }
         }
-
-        // Numeric strata: base = 0; positive dep — same stratum allowed;
-        // negative dep — strictly higher. Computed over the (acyclic)
-        // condensation, so a single pass in SCC order suffices.
-        let mut stratum_of: BTreeMap<Pred, usize> = BTreeMap::new();
-        let mut components = Vec::new();
-        for comp in &sccs {
-            // Base predicates are singleton components with no out-edges.
-            let derived: Vec<Pred> = comp
-                .iter()
-                .copied()
-                .filter(|p| program.is_derived(*p))
-                .collect();
-            let members: BTreeSet<Pred> = comp.iter().copied().collect();
-            let mut stratum = if derived.is_empty() { 0 } else { 1 };
-            let mut recursive = false;
-            for &p in comp {
-                for (q, sign) in graph.deps(p) {
-                    if members.contains(&q) {
-                        recursive = true;
-                        continue;
-                    }
-                    let qs = stratum_of.get(&q).copied().unwrap_or(0);
-                    let need = match sign {
-                        EdgeSign::Positive => qs,
-                        EdgeSign::Negative => qs + 1,
-                    };
-                    stratum = stratum.max(need.max(if derived.is_empty() { 0 } else { 1 }));
-                }
-            }
-            for &p in comp {
-                stratum_of.insert(p, if program.is_derived(p) { stratum } else { 0 });
-            }
-            if !derived.is_empty() {
-                components.push(Component {
-                    preds: derived,
-                    recursive,
-                });
-            }
-        }
-
-        Ok(Stratification {
-            components,
-            stratum_of,
-        })
+        out.push(Component {
+            preds,
+            recursive,
+            negative_edges,
+        });
     }
+    out
+}
 
-    /// Derived-predicate components in evaluation order.
-    pub fn components(&self) -> &[Component] {
-        &self.components
-    }
-
-    /// The numeric stratum of a predicate (0 for base/unknown predicates).
-    pub fn stratum(&self, pred: Pred) -> usize {
-        self.stratum_of.get(&pred).copied().unwrap_or(0)
-    }
-
-    /// Derived predicates in evaluation order (flattened components).
-    pub fn derived_order(&self) -> impl Iterator<Item = Pred> + '_ {
-        self.components.iter().flat_map(|c| c.preds.iter().copied())
+/// The program's [`components`], or the first negated member of the first
+/// component that negates itself if the program is not stratifiable.
+pub fn stratify(program: &Program) -> Result<Vec<Component>, SchemaError> {
+    let components = components(program);
+    match components.iter().find_map(|c| c.negative_edges.first()) {
+        Some(&(_, q)) => Err(SchemaError::NotStratifiable(q)),
+        None => Ok(components),
     }
 }
 
@@ -139,10 +132,15 @@ mod tests {
             Rule::new(atom("p", &["X"]), vec![Literal::neg(atom("q", &["X"]))]),
             Rule::new(atom("q", &["X"]), vec![Literal::pos(atom("p", &["X"]))]),
         ]);
-        assert!(matches!(
-            Stratification::compute(&p),
-            Err(SchemaError::NotStratifiable(_))
-        ));
+        assert!(matches!(stratify(&p), Err(SchemaError::NotStratifiable(_))));
+        // The components themselves are still there, without a strategy.
+        let comps = components(&p);
+        assert_eq!(comps.len(), 1);
+        assert_eq!(
+            comps[0].negative_edges,
+            [(Pred::new("p", 1), Pred::new("q", 1))]
+        );
+        assert_eq!(comps[0].strategy(), None);
     }
 
     #[test]
@@ -164,16 +162,22 @@ mod tests {
                 ],
             ),
         ]);
-        let s = Stratification::compute(&p).unwrap();
-        assert_eq!(s.stratum(Pred::new("la", 1)), 0);
-        let su = s.stratum(Pred::new("unemp", 1));
-        let si = s.stratum(Pred::new("ic1", 0));
-        assert!(su >= 1);
-        // ic1 depends positively on unemp (same stratum allowed) and
-        // negatively on base u_benefit (stratum 0), so si >= su suffices.
-        assert!(si >= su);
-        // global ic above ic1 (positive dep, same stratum allowed)
-        assert!(s.stratum(Pred::new("ic", 0)) >= si);
+        // Base predicates form no component; every derived one is its own
+        // counting component, below the ones that read it.
+        let order: Vec<Pred> = stratify(&p)
+            .unwrap()
+            .iter()
+            .inspect(|c| assert_eq!(c.strategy(), Some(Strategy::Counting)))
+            .flat_map(|c| c.preds.iter().copied())
+            .collect();
+        assert_eq!(
+            order,
+            [
+                Pred::new("unemp", 1),
+                Pred::new("ic1", 0),
+                Pred::new("ic", 0)
+            ]
+        );
     }
 
     #[test]
@@ -191,13 +195,13 @@ mod tests {
                 ],
             ),
         ]);
-        let s = Stratification::compute(&p).unwrap();
-        let comp = s
-            .components()
+        let comps = stratify(&p).unwrap();
+        let comp = comps
             .iter()
             .find(|c| c.preds.contains(&Pred::new("tc", 2)))
             .unwrap();
         assert!(comp.recursive);
+        assert_eq!(comp.strategy(), Some(Strategy::DRed));
     }
 
     #[test]
@@ -206,9 +210,9 @@ mod tests {
             atom("v", &["X"]),
             vec![Literal::pos(atom("b", &["X"]))],
         )]);
-        let s = Stratification::compute(&p).unwrap();
-        assert_eq!(s.components().len(), 1);
-        assert!(!s.components()[0].recursive);
+        let comps = stratify(&p).unwrap();
+        assert_eq!(comps.len(), 1);
+        assert!(!comps[0].recursive);
     }
 
     #[test]
@@ -217,8 +221,11 @@ mod tests {
             Rule::new(atom("w", &["X"]), vec![Literal::pos(atom("v", &["X"]))]),
             Rule::new(atom("v", &["X"]), vec![Literal::pos(atom("b", &["X"]))]),
         ]);
-        let s = Stratification::compute(&p).unwrap();
-        let order: Vec<Pred> = s.derived_order().collect();
+        let order: Vec<Pred> = stratify(&p)
+            .unwrap()
+            .iter()
+            .flat_map(|c| c.preds.iter().copied())
+            .collect();
         let vi = order.iter().position(|&p| p == Pred::new("v", 1)).unwrap();
         let wi = order.iter().position(|&p| p == Pred::new("w", 1)).unwrap();
         assert!(vi < wi);
@@ -236,6 +243,6 @@ mod tests {
                 ],
             ),
         ]);
-        assert!(Stratification::compute(&p).is_ok());
+        assert!(stratify(&p).is_ok());
     }
 }

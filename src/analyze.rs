@@ -1,6 +1,6 @@
-//! The `dduf analyze` verb: run the semantic dataflow analyses over a
-//! program file and print the per-predicate report — adornments, static
-//! cardinality bounds, and the update-problem classification — alongside
+//! The `dduf analyze` verb: run the semantic analyses over a program file
+//! and print the per-predicate report — adornments, the maintenance
+//! engine's strategy, and the update-problem classification — alongside
 //! any diagnostics.
 //!
 //! ```sh

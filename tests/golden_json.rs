@@ -77,14 +77,14 @@ fn analyze_json_clean_program() {
         r.output,
         concat!(
             "{\"file\":\"golden.dl\",\"report\":{\"predicates\":[",
-            "{\"pred\":\"la/1\",\"role\":\"base\",\"rules\":0,\"facts\":2,\"bound\":2,",
-            "\"class\":\"tiny\",\"sigs\":[[0]],\"patterns\":[\"b\",\"f\"]},",
-            "{\"pred\":\"unemp/1\",\"role\":\"view\",\"rules\":1,\"facts\":0,\"bound\":2,",
-            "\"class\":\"tiny\",\"sigs\":[],\"patterns\":[\"b\"],",
+            "{\"pred\":\"la/1\",\"role\":\"base\",\"rules\":0,\"facts\":2,",
+            "\"sigs\":[[0]],\"patterns\":[\"b\",\"f\"]},",
+            "{\"pred\":\"unemp/1\",\"role\":\"view\",\"rules\":1,\"facts\":0,",
+            "\"sigs\":[],\"patterns\":[\"b\"],",
             "\"translation\":\"ambiguous\",\"ambiguity\":[\"negation\"],",
-            "\"maintenance\":\"deletion_sensitive\",\"monitoring\":\"direct\"},",
-            "{\"pred\":\"works/1\",\"role\":\"base\",\"rules\":0,\"facts\":1,\"bound\":1,",
-            "\"class\":\"tiny\",\"sigs\":[],\"patterns\":[\"b\",\"f\"]}",
+            "\"maintenance\":\"deletion_sensitive\",\"strategy\":\"counting\"},",
+            "{\"pred\":\"works/1\",\"role\":\"base\",\"rules\":0,\"facts\":1,",
+            "\"sigs\":[],\"patterns\":[\"b\",\"f\"]}",
             "],\"plans_considered\":4,\"recursive\":false},",
             "\"diagnostics\":[",
             "{\"code\":\"I002\",\"severity\":\"info\",",
@@ -111,8 +111,8 @@ tc(X, Y) :- e(X, Z), tc(Z, Y).
 :- tc(X, X).
 ";
 
-/// A recursive view is monitored by DRed over its component
-/// (`"monitoring":"dred"`, I004).
+/// A recursive view is maintained by DRed over its component
+/// (`"strategy":"dred"`, I004).
 #[test]
 fn analyze_json_recursive_program() {
     let r = analyze_file("golden.dl", RECURSIVE, &analyze_opts());
@@ -121,12 +121,12 @@ fn analyze_json_recursive_program() {
         r.output,
         concat!(
             "{\"file\":\"golden.dl\",\"report\":{\"predicates\":[",
-            "{\"pred\":\"e/2\",\"role\":\"base\",\"rules\":0,\"facts\":2,\"bound\":2,",
-            "\"class\":\"tiny\",\"sigs\":[[0],[0,1],[1]],\"patterns\":[\"bb\",\"bf\",\"fb\",\"ff\"]},",
-            "{\"pred\":\"tc/2\",\"role\":\"view\",\"rules\":2,\"facts\":0,\"bound\":null,",
-            "\"class\":\"large\",\"sigs\":[[0],[0,1]],\"patterns\":[\"bb\",\"bf\",\"ff\"],",
+            "{\"pred\":\"e/2\",\"role\":\"base\",\"rules\":0,\"facts\":2,",
+            "\"sigs\":[[0],[0,1],[1]],\"patterns\":[\"bb\",\"bf\",\"fb\",\"ff\"]},",
+            "{\"pred\":\"tc/2\",\"role\":\"view\",\"rules\":2,\"facts\":0,",
+            "\"sigs\":[[0],[0,1]],\"patterns\":[\"bb\",\"bf\",\"ff\"],",
             "\"translation\":\"ambiguous\",\"ambiguity\":[\"multiple_rules\",\"existential_variables\"],",
-            "\"maintenance\":\"monotone\",\"monitoring\":\"dred\"}",
+            "\"maintenance\":\"monotone\",\"strategy\":\"dred\"}",
             "],\"plans_considered\":8,\"recursive\":true},",
             "\"diagnostics\":[",
             "{\"code\":\"I002\",\"severity\":\"info\",",
@@ -138,6 +138,43 @@ fn analyze_json_recursive_program() {
             "],\"errors\":0,\"warnings\":0,\"infos\":2}\n"
         )
     );
+}
+
+const NOT_STRATIFIABLE: &str = "\
+p(X) :- b(X), not q(X).
+q(X) :- p(X).
+";
+
+/// The engine refuses a program whose component negates itself, so the
+/// report gives its members no strategy (`"strategy":null`) and no I004.
+#[test]
+fn analyze_json_not_stratifiable_has_no_strategy() {
+    let r = analyze_file("golden.dl", NOT_STRATIFIABLE, &analyze_opts());
+    assert_eq!(r.exit_code, 1);
+    let report = concat!(
+        "{\"file\":\"golden.dl\",\"report\":{\"predicates\":[",
+        "{\"pred\":\"b/1\",\"role\":\"base\",\"rules\":0,\"facts\":0,",
+        "\"sigs\":[[0]],\"patterns\":[\"b\",\"f\"]},",
+        "{\"pred\":\"p/1\",\"role\":\"view\",\"rules\":1,\"facts\":0,",
+        "\"sigs\":[[0]],\"patterns\":[\"b\",\"f\"],",
+        "\"translation\":\"ambiguous\",\"ambiguity\":[\"negation\"],",
+        "\"maintenance\":\"deletion_sensitive\",\"strategy\":null},",
+        "{\"pred\":\"q/1\",\"role\":\"view\",\"rules\":1,\"facts\":0,",
+        "\"sigs\":[],\"patterns\":[\"b\",\"f\"],",
+        "\"translation\":\"deterministic\",\"ambiguity\":[],",
+        "\"maintenance\":\"deletion_sensitive\",\"strategy\":null}",
+        "],\"plans_considered\":8,\"recursive\":true},",
+        "\"diagnostics\":["
+    );
+    assert!(r.output.starts_with(report), "{}", r.output);
+    assert!(r.output.contains(concat!(
+        "{\"code\":\"E002\",\"severity\":\"error\",",
+        "\"message\":\"program is not stratifiable: `p`, `q` depend negatively on each other\","
+    )));
+    assert!(!r.output.contains("\"code\":\"I004\""), "{}", r.output);
+    assert!(r
+        .output
+        .ends_with("\"errors\":1,\"warnings\":3,\"infos\":4}\n"));
 }
 
 /// A constraint over a recursive predicate (W010) costs DRed over the
