@@ -40,8 +40,6 @@ pub struct DownwardOptions {
     pub max_groundings: usize,
     /// Maximum definition-unfolding depth.
     pub max_depth: usize,
-    /// Keep only subset-minimal translations (by their `to_do` sets).
-    pub minimal_only: bool,
     /// Use the paper-literal exhaustive negation (per-literal branching of
     /// every negation clause) instead of the default greedy strategy. See
     /// [`translate`] module docs: exhaustive enumerates every alternative
@@ -59,7 +57,6 @@ impl Default for DownwardOptions {
             max_alternatives: 20_000,
             max_groundings: 10_000,
             max_depth: 64,
-            minimal_only: false,
             exhaustive_negation: false,
             domain: None,
         }
@@ -309,10 +306,6 @@ fn interpret_once(
     let before_prune = total.len() as u64;
     let mut pruned = nf::prune_subsumed(total);
     pruned.sort();
-    if opts.minimal_only {
-        let sets: Vec<_> = pruned.iter().map(|a| a.pos.clone()).collect();
-        pruned.retain(|a| !sets.iter().any(|s| s != &a.pos && s.is_subset(&a.pos)));
-    }
 
     if dduf_obs::enabled() {
         let stats = tr.stats();
@@ -575,21 +568,6 @@ mod tests {
         for alt in &res.alternatives {
             assert!(verify(&db, &old, &req, alt).unwrap(), "{alt}");
         }
-    }
-
-    #[test]
-    fn minimal_only_filters_supersets() {
-        let db = employment_db();
-        let req = Request::new().achieve(
-            EventKind::Del,
-            Atom::ground("unemp", vec![Const::sym("dolors")]),
-        );
-        let opts = DownwardOptions {
-            minimal_only: true,
-            ..DownwardOptions::default()
-        };
-        let res = interpret(&db, &req, &opts).unwrap();
-        assert_eq!(res.alternatives.len(), 2); // both singletons are minimal
     }
 
     #[test]

@@ -29,17 +29,6 @@ pub fn translate(
     downward::interpret_with(db, old, request, opts)
 }
 
-/// Convenience: translate a single derived event request.
-pub fn translate_one(
-    db: &Database,
-    old: &Interpretation,
-    kind: EventKind,
-    atom: Atom,
-    opts: &DownwardOptions,
-) -> Result<DownwardResult> {
-    translate(db, old, &Request::new().achieve(kind, atom), opts)
-}
-
 /// A view-validation witness: an instantiation plus one translation
 /// realizing the event on it.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -127,14 +116,11 @@ mod tests {
     #[test]
     fn example_5_2_via_problem_api() {
         let (db, old) = employment();
-        let res = translate_one(
-            &db,
-            &old,
+        let req = Request::new().achieve(
             EventKind::Del,
             Atom::ground("unemp", vec![Const::sym("dolors")]),
-            &DownwardOptions::default(),
-        )
-        .unwrap();
+        );
+        let res = translate(&db, &old, &req, &DownwardOptions::default()).unwrap();
         assert_eq!(res.alternatives.len(), 2);
     }
 

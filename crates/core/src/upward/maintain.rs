@@ -43,33 +43,31 @@
 //!    underestimate `old \ D` plus the new state of everything outside
 //!    the component; survivors are put back.
 //! 3. **Insert**: the transaction's enabling deltas fire each rule once
-//!    per occurrence, and newly added member tuples propagate
-//!    semi-naively (round-batched) to the new fixpoint.
+//!    per occurrence, and the added member tuples propagate round by
+//!    round to the new fixpoint. This propagation is the engine's one
+//!    fixpoint loop: run from nothing, seeded with the heads of the exit
+//!    rules (those without a member literal), it also builds a recursive
+//!    component for [`MaintenanceEngine::new`] and ranks one.
 //!
-//! Textbook phase 1 takes out everything downstream of the change, which
-//! on a well-connected graph is most of the component, nearly all of it
-//! put back by phase 2. What it cannot know is whether a tuple's other
-//! derivations support it from outside or only through a cycle that
-//! passes through the deleted tuple. A **rank** per tuple says so: the
-//! engine keeps, for every tuple `t` of a ranked component, a number with
-//! the invariant that *`t` has a rule instance, true in the current
-//! state, whose member body tuples all have a rank below `t`'s* (the
-//! fixpoint round that first derived it is such a number; ranks need not
-//! stay minimal). Phase 1 then pops its candidates in ascending rank and
-//! **keeps** one that still has an instance whose literals outside the
-//! component hold in the new state and whose member body tuples are old,
-//! not overdeleted and of strictly lower rank. By induction on the rank
-//! those body tuples stay — everything of lower rank that has to go went
-//! before — so the kept tuple is derivable without itself, keeps its rank,
-//! and the cascade stops there; a candidate without such an instance is
-//! overdeleted and goes through phases 2 and 3, which give whatever they
-//! put back or insert `1 + max` rank of the member body tuples of the
-//! instance that produced it. Ranks are built, from the new state, at the
-//! end of the first pass over the component that rederives a tuple — the
-//! first evidence that there are alternative derivations to tell apart —
-//! staged and committed like the extensions, maintained from then on and
-//! never persisted. A component without ranks runs the same loop with the
-//! keep-check skipped.
+//! Textbook phase 1 takes out everything downstream of the change, most
+//! of a well-connected component, nearly all of it put back by phase 2:
+//! it cannot tell whether a tuple's other derivations support it from
+//! outside or only through a cycle through the deleted tuple. A **rank**
+//! per tuple can, with the invariant that *`t` has a rule instance, true
+//! in the current state, whose member body tuples all have a rank below
+//! `t`'s*. Phase 1 pops its candidates in ascending rank and **keeps** one
+//! that still has an instance whose literals outside the component hold
+//! in the new state and whose member body tuples are old, not overdeleted
+//! and of lower rank; by induction on the rank those stay, so the kept
+//! tuple is derivable without itself and the cascade stops there. What
+//! phases 2 and 3 put back or insert gets the loop's rank: `1 + max` rank
+//! of the member body tuples of the instance that produced it, the lowest
+//! over the instances seen — from nothing, the round that derives it.
+//! The first pass over a component that rederives a tuple (the first
+//! evidence of alternative derivations) ranks it by running the loop from
+//! nothing in the new state with ranks on. Ranks are staged and committed
+//! like the extensions, maintained from then on and never persisted; a
+//! component without them runs the same loop, every rank read as 0.
 //!
 //! Every phase drives its joins from a delta tuple, so the work is
 //! proportional to the change, not the database — the same compiled join
@@ -100,14 +98,14 @@ use dduf_datalog::ast::{Const, Literal, Pred, Rule};
 use dduf_datalog::depgraph::{DepGraph, EdgeSign};
 use dduf_datalog::eval::join::JoinStats;
 use dduf_datalog::eval::plan::{eval_heads, JoinPlan, Pattern};
-use dduf_datalog::eval::{component_label, record_component_trace, seminaive};
+use dduf_datalog::eval::{component_label, record_component_trace};
 use dduf_datalog::eval::{ComponentTrace, Interpretation, StateView};
 use dduf_datalog::storage::database::Database;
 use dduf_datalog::storage::relation::Relation;
 use dduf_datalog::storage::runs::Runs;
 use dduf_datalog::storage::tuple::Tuple;
+use dduf_datalog::stratify::stratify;
 pub use dduf_datalog::stratify::Strategy;
-use dduf_datalog::stratify::{stratify, Component};
 use dduf_events::event::{EventKind, GroundEvent};
 use dduf_events::store::EventStore;
 use std::cmp::Reverse;
@@ -274,12 +272,10 @@ impl MaintenanceEngine {
     /// unit's support counts go into the engine on the way.
     fn evaluate(&mut self, db: &Database, unit: &Unit) -> (Vec<(Pred, Relation)>, ComponentTrace) {
         if unit.strategy == Strategy::DRed {
-            let component = Component {
-                preds: unit.preds.clone(),
-                recursive: true,
-                negative_edges: Vec::new(),
-            };
-            return seminaive::eval_component(db, &self.exts, &component);
+            let state = StateView::new(db, &self.exts);
+            let mut firings = Firings::new(db.program(), &unit.preds);
+            let (cur, _, trace) = firings.fixpoint(&|p| state.relation(p), false);
+            return (cur.into_iter().collect(), trace);
         }
         let (pred, state) = (unit.preds[0], StateView::new(db, &self.exts));
         let mut trace = ComponentTrace::default();
@@ -555,7 +551,7 @@ impl MaintenanceEngine {
                     &mut staged,
                 ),
                 Strategy::DRed => self.dred_component(
-                    &unit.preds,
+                    unit,
                     db,
                     &new_db,
                     &mut events,
@@ -668,7 +664,7 @@ impl MaintenanceEngine {
     #[allow(clippy::too_many_arguments)]
     fn dred_component(
         &self,
-        members: &[Pred],
+        unit: &Unit,
         db: &Database,
         new_db: &Database,
         events: &mut EventStore,
@@ -678,9 +674,8 @@ impl MaintenanceEngine {
         ctrs: &mut DredCounters,
     ) {
         let program = db.program();
-        let member_set: BTreeSet<Pred> = members.iter().copied().collect();
-        let rules: Vec<&Rule> = members.iter().flat_map(|&m| program.rules_for(m)).collect();
-        let mut firings = Firings::new();
+        let members = &unit.preds;
+        let mut firings = Firings::new(program, members);
         // Scratch for the head and the member body tuples of an instance.
         let (mut head, mut body) = (Vec::new(), Vec::new());
         // All members of a component have ranks or none has.
@@ -701,79 +696,57 @@ impl MaintenanceEngine {
         // ascending rank, so when one is checked every tuple of lower rank
         // that has to go is in `over` for good.
         let mut candidates = Candidates::new(members);
-        {
-            let old = StateView::new(db, &self.exts);
-            let old_rel_of = |_: usize, p: Pred| old.relation(p);
-            // What the keep-check reads: the component as it was, the
-            // rest as it will be.
-            let kept_rel_of = |_: usize, p: Pred| -> &Relation {
-                if member_set.contains(&p) {
-                    self.extension(p)
-                } else {
-                    new_outside(p)
-                }
-            };
-            // Breaking deltas from outside the component: deletions on
-            // positive occurrences, insertions on negated ones. Member
-            // predicates have no events yet, so their relations are empty
-            // here and only the candidates drive them.
-            for (ri, rule) in rules.iter().enumerate() {
-                for (i, lit) in rule.body.iter().enumerate() {
-                    let kind = if lit.positive {
-                        EventKind::Del
-                    } else {
-                        EventKind::Ins
-                    };
-                    for t in events.relation(kind, lit.atom.pred).iter() {
-                        let f = firing(&mut firings, &rules, (ri, i), &member_set, &old_rel_of);
-                        let _ = f.run(t, &old_rel_of, &mut |inst| {
-                            inst.head(&mut head);
-                            candidates.push(self, inst.head_pred(), &head);
-                            ControlFlow::Continue(())
-                        });
-                    }
-                }
+        let old = StateView::new(db, &self.exts);
+        let old_rel_of = |_: usize, p: Pred| old.relation(p);
+        // What the keep-check reads: the component as it was, the rest as
+        // it will be.
+        let kept_rel_of = |_: usize, p: Pred| -> &Relation {
+            if members.contains(&p) {
+                self.extension(p)
+            } else {
+                new_outside(p)
             }
-            while let Some((rank, p, t)) = candidates.pop() {
-                if ranked {
-                    ctrs.checked += 1;
-                    // Kept, with its rank: an instance over tuples of
-                    // lower rank that all stay cannot pass through `t`.
-                    // The first such instance settles it.
-                    let kept = rules_for(&rules, p).any(|(ri, _)| {
-                        let f = firing(&mut firings, &rules, (ri, HEAD), &member_set, &kept_rel_of);
-                        let over = &candidates.over;
-                        let stays =
-                            |q: Pred, bt: &[Const], r: i64| r < rank && !over[&q].contains(bt);
-                        f.run(&t, &kept_rel_of, &mut |inst| {
-                            if inst.members_all(&self.ranks, &mut body, stays) {
-                                ControlFlow::Break(())
-                            } else {
-                                ControlFlow::Continue(())
-                            }
-                        })
-                        .is_break()
+        };
+        // Breaking deltas: deletions on positive occurrences, insertions on
+        // negated ones. Members have no events yet: candidates drive them.
+        for &q in &unit.inputs {
+            for (kind, positive) in [(EventKind::Del, true), (EventKind::Ins, false)] {
+                for t in events.relation(kind, q).iter() {
+                    firings.fire((q, positive), t, &old_rel_of, &mut |inst| {
+                        inst.head(&mut head);
+                        candidates.push(self, inst.head_pred(), &head);
                     });
-                    if kept {
-                        candidates.keep(p, t);
-                        continue;
-                    }
-                }
-                for (ri, rule) in rules.iter().enumerate() {
-                    for (i, lit) in rule.body.iter().enumerate() {
-                        // Negative member occurrences cannot exist in a
-                        // stratified component.
-                        if lit.positive && lit.atom.pred == p {
-                            let f = firing(&mut firings, &rules, (ri, i), &member_set, &old_rel_of);
-                            let _ = f.run(&t, &old_rel_of, &mut |inst| {
-                                inst.head(&mut head);
-                                candidates.push(self, inst.head_pred(), &head);
-                                ControlFlow::Continue(())
-                            });
-                        }
-                    }
                 }
             }
+        }
+        while let Some((rank, p, t)) = candidates.pop() {
+            if ranked {
+                ctrs.checked += 1;
+                // Kept, with its rank: an instance over tuples of lower rank
+                // that all stay cannot pass through `t`. The first settles it.
+                let over = &candidates.over;
+                let stays = |q: Pred, bt: &[Const], r: i64| r < rank && !over[&q].contains(bt);
+                let kept = firings.find_head(p, &kept_rel_of, |f| {
+                    f.run(&t, &kept_rel_of, &mut |inst| {
+                        if inst.members_all(&self.ranks, &mut body, stays) {
+                            ControlFlow::Break(())
+                        } else {
+                            ControlFlow::Continue(())
+                        }
+                    })
+                    .is_break()
+                    .then_some(())
+                });
+                if kept.is_some() {
+                    candidates.keep(p, t);
+                    continue;
+                }
+            }
+            // A stratified component has no negated member occurrence.
+            firings.fire((p, true), &t, &old_rel_of, &mut |inst| {
+                inst.head(&mut head);
+                candidates.push(self, inst.head_pred(), &head);
+            });
         }
         let over = candidates.over;
         for rel in over.values() {
@@ -782,9 +755,8 @@ impl MaintenanceEngine {
 
         // ---- phase 2+3: rederive survivors, fire insertions, propagate ----
         // `cur` is the running underestimate: old \ over, grown to the
-        // new fixpoint. `fresh` tracks genuinely new tuples (ins events).
-        // `rank` holds the rank of every tuple of `cur` when the component
-        // has ranks and stays empty when it has none.
+        // new fixpoint; `rank` holds the rank of every tuple of `cur` when
+        // the component has ranks and stays empty when it has none.
         let mut cur: BTreeMap<Pred, Relation> = members
             .iter()
             .map(|&m| {
@@ -803,113 +775,60 @@ impl MaintenanceEngine {
                 Some((m, map))
             })
             .collect();
-        let mut fresh: BTreeMap<Pred, Relation> =
-            members.iter().map(|&m| (m, Relation::new())).collect();
-        // Tuples to add in the next round, each with the rank the instance
-        // that produced it gives it (the lowest, if several did).
-        let mut pending: BTreeMap<(Pred, Tuple), i64> = BTreeMap::new();
-
-        {
-            // New-state view: members from `cur`, everything else final.
-            let new_rel_of =
-                |_: usize, p: Pred| -> &Relation { cur.get(&p).unwrap_or_else(|| new_outside(p)) };
-            // Rederive scan: each overdeleted tuple, head-bound, against
-            // the underestimate. Tuples whose support arrives later are
-            // caught by propagation. The first rule with an instance
-            // gives the lowest rank among its instances; no instance
-            // ranks below 0.
-            for &m in members {
-                for t in over[&m].iter() {
-                    let derived = rules_for(&rules, m).find_map(|(ri, _)| {
-                        let f = firing(&mut firings, &rules, (ri, HEAD), &member_set, &new_rel_of);
-                        let mut lowest: Option<i64> = None;
-                        let _ = f.run(t, &new_rel_of, &mut |inst| {
-                            let r = inst.rank(&rank, &mut body);
-                            lowest = Some(lowest.map_or(r, |l| l.min(r)));
-                            if r == 0 {
-                                ControlFlow::Break(())
-                            } else {
-                                ControlFlow::Continue(())
-                            }
-                        });
-                        lowest
-                    });
-                    if let Some(r) = derived {
-                        pending.insert((m, t.clone()), r);
-                    }
-                }
-            }
-            // Enabling deltas from outside the component: insertions on
-            // positive occurrences, deletions on negated ones, joined
-            // against the new state.
-            for (ri, rule) in rules.iter().enumerate() {
-                for (i, lit) in rule.body.iter().enumerate() {
-                    if member_set.contains(&lit.atom.pred) {
-                        continue; // member insertions arrive via `pending`
-                    }
-                    let kind = if lit.positive {
-                        EventKind::Ins
-                    } else {
-                        EventKind::Del
-                    };
-                    for t in events.relation(kind, lit.atom.pred).iter() {
-                        let f = firing(&mut firings, &rules, (ri, i), &member_set, &new_rel_of);
-                        let _ = f.run(t, &new_rel_of, &mut |inst| {
-                            inst.head(&mut head);
-                            if !cur[&inst.head_pred()].contains(&head) {
-                                let r = inst.rank(&rank, &mut body);
-                                lower(&mut pending, (inst.head_pred(), Tuple::from(&head[..])), r);
-                            }
-                            ControlFlow::Continue(())
-                        });
-                    }
-                }
-            }
-        }
-        // Round-batched propagation: apply a whole batch, then fire each
-        // member of it. Batching keeps `cur` immutable while its lazy
-        // join indexes are hot, and a derivation using several same-batch
-        // tuples still fires (they are all applied before any firing).
-        while !pending.is_empty() {
-            let batch: Vec<((Pred, Tuple), i64)> =
-                std::mem::take(&mut pending).into_iter().collect();
-            for ((p, t), r) in &batch {
-                cur.get_mut(p).expect("member").insert(t.clone());
-                if let Some(map) = rank.get_mut(p) {
-                    map.insert(t.clone(), *r);
-                }
-                if !self.extension(*p).contains(t) {
-                    fresh.get_mut(p).expect("member").insert(t.clone());
-                }
-            }
-            let new_rel_of =
-                |_: usize, p: Pred| -> &Relation { cur.get(&p).unwrap_or_else(|| new_outside(p)) };
-            for ((p, t), _) in &batch {
-                for (ri, rule) in rules.iter().enumerate() {
-                    for (i, lit) in rule.body.iter().enumerate() {
-                        if lit.positive && lit.atom.pred == *p {
-                            let f = firing(&mut firings, &rules, (ri, i), &member_set, &new_rel_of);
-                            let _ = f.run(t, &new_rel_of, &mut |inst| {
-                                inst.head(&mut head);
-                                if !cur[&inst.head_pred()].contains(&head) {
-                                    let r = inst.rank(&rank, &mut body);
-                                    let key = (inst.head_pred(), Tuple::from(&head[..]));
-                                    lower(&mut pending, key, r);
-                                }
-                                ControlFlow::Continue(())
-                            });
-                        }
-                    }
-                }
-            }
-        }
-
-        // ---- events: diff(old, fixpoint) ----
-        let mut rederived = 0;
-        let mut changed: Vec<Pred> = Vec::new();
+        let mut pending = Pending::default();
+        // New-state view: members from `cur`, everything else final.
+        let new_rel_of =
+            |_: usize, p: Pred| -> &Relation { cur.get(&p).unwrap_or_else(|| new_outside(p)) };
+        // Rederive scan: each overdeleted tuple, head-bound, against the
+        // underestimate. Tuples whose support arrives later are caught by
+        // propagation. The first rule with an instance gives the lowest rank
+        // among its instances; no instance ranks below 0.
         for &m in members {
-            let old = self.extension(m);
-            let before = derived_events.len();
+            for t in over[&m].iter() {
+                let derived = firings.find_head(m, &new_rel_of, |f| {
+                    let mut lowest: Option<i64> = None;
+                    let _ = f.run(t, &new_rel_of, &mut |inst| {
+                        let r = inst.rank(&rank, &mut body);
+                        lowest = Some(lowest.map_or(r, |l| l.min(r)));
+                        if r == 0 {
+                            ControlFlow::Break(())
+                        } else {
+                            ControlFlow::Continue(())
+                        }
+                    });
+                    lowest
+                });
+                if let Some(r) = derived {
+                    pending.queue((m, t.clone()), r);
+                }
+            }
+        }
+        // Enabling deltas: insertions on positive occurrences, deletions on
+        // negated ones, joined against the new state.
+        for &q in &unit.inputs {
+            for (kind, positive) in [(EventKind::Ins, true), (EventKind::Del, false)] {
+                for t in events.relation(kind, q).iter() {
+                    firings.fire((q, positive), t, &new_rel_of, &mut |inst| {
+                        pending.derive(inst, &cur, &rank);
+                    });
+                }
+            }
+        }
+        // ---- events: what the fixpoint added and did not hold, what was
+        // overdeleted and not put back ----
+        let mut changed: BTreeSet<Pred> = BTreeSet::new();
+        let mut added = |p: Pred, t: &Tuple| {
+            if !self.extension(p).contains(t) {
+                let e = GroundEvent::ins(p, t.clone());
+                events.insert(e.clone());
+                derived_events.insert(e);
+                changed.insert(p);
+                ctrs.inserted += 1;
+            }
+        };
+        firings.propagate(&mut cur, &mut rank, pending, &new_outside, &mut added);
+        let mut rederived = 0;
+        for &m in members {
             for t in over[&m].iter() {
                 if cur[&m].contains(t) {
                     rederived += 1;
@@ -917,17 +836,8 @@ impl MaintenanceEngine {
                     let e = GroundEvent::del(m, t.clone());
                     events.insert(e.clone());
                     derived_events.insert(e);
+                    changed.insert(m);
                 }
-            }
-            for t in fresh[&m].iter() {
-                debug_assert!(!old.contains(t));
-                let e = GroundEvent::ins(m, t.clone());
-                events.insert(e.clone());
-                derived_events.insert(e);
-                ctrs.inserted += 1;
-            }
-            if derived_events.len() > before {
-                changed.push(m);
             }
         }
         ctrs.rederived += rederived;
@@ -935,14 +845,15 @@ impl MaintenanceEngine {
         // ---- staged ranks and extensions ----
         if ranked {
             // A rederived tuple may have a new rank and nothing else.
-            rank.retain(|m, _| !over[m].is_empty() || !fresh[m].is_empty());
+            rank.retain(|m, _| !over[m].is_empty() || changed.contains(m));
         } else if rederived > 0 && may_rank {
             // The first evidence that the component has alternative
             // derivations: from here on it pays to know which of them
-            // cannot run through a cycle.
-            let new_rel_of =
-                |p: Pred| -> &Relation { cur.get(&p).unwrap_or_else(|| new_outside(p)) };
-            rank = build_ranks(&rules, &member_set, &cur, &new_rel_of);
+            // cannot run through a cycle. The fixpoint from nothing ranks
+            // every tuple with the round that derives it.
+            let (fixpoint, ranks, _) = Firings::new(program, members).fixpoint(&new_outside, true);
+            debug_assert_eq!(fixpoint, cur);
+            rank = ranks;
             ctrs.ranks_built += rank.values().map(|map| map.len() as u64).sum::<u64>();
         }
         staged.new_ranks.append(&mut rank);
@@ -969,18 +880,15 @@ impl MaintenanceEngine {
                 n if n == unit.preds.len() => {}
                 n => return Err(format!("{n} of {:?} have ranks", unit.preds)),
             }
-            let members: BTreeSet<Pred> = unit.preds.iter().copied().collect();
+            let mut firings = Firings::new(program, &unit.preds);
+            let mut body = Vec::new();
             for &m in &unit.preds {
                 let keys = self.ranks[&m].iter().map(|(t, _)| t);
                 if !keys.eq(self.extension(m).iter()) {
                     return Err(format!("ranks of {m} are not over its extension"));
                 }
-                let rules: Vec<&Rule> = program.rules_for(m).to_vec();
-                let mut firings = Firings::new();
-                let mut body = Vec::new();
                 for (t, r) in self.ranks[&m].iter() {
-                    let witnessed = (0..rules.len()).any(|ri| {
-                        let f = firing(&mut firings, &rules, (ri, HEAD), &members, &rel_of);
+                    let witnessed = firings.find_head(m, &rel_of, |f| {
                         f.run(t, &rel_of, &mut |inst| {
                             if inst.rank(&self.ranks, &mut body) <= *r {
                                 ControlFlow::Break(())
@@ -989,8 +897,9 @@ impl MaintenanceEngine {
                             }
                         })
                         .is_break()
+                        .then_some(())
                     });
-                    if !witnessed {
+                    if witnessed.is_none() {
                         return Err(format!("{m}{t} has no instance below its rank {r}"));
                     }
                 }
@@ -1091,29 +1000,210 @@ fn rule_count_delta(
 /// keep-check and the rederive check — rather than by a body literal.
 const HEAD: usize = usize::MAX;
 
-/// One pass's compiled firings, one per (rule position, occurrence) that
-/// fired.
-type Firings = HashMap<(usize, usize), Firing>;
+/// A recursive component's rules with their firings, one per (rule
+/// position, occurrence) that fired, each compiled on first use for the
+/// relation sizes of that moment.
+struct Firings<'p> {
+    rules: Vec<&'p Rule>,
+    members: BTreeSet<Pred>,
+    compiled: HashMap<(usize, usize), Firing>,
+    /// The fixpoint loop's rounds.
+    trace: ComponentTrace,
+}
 
-/// The firing of `rules[ri]` at occurrence `occ` from `firings`, compiled
-/// on first use for the relation sizes `rel_of` gives then.
-fn firing<'f, 'a>(
-    firings: &'f mut Firings,
-    rules: &[&Rule],
-    (ri, occ): (usize, usize),
-    members: &BTreeSet<Pred>,
-    rel_of: &dyn Fn(usize, Pred) -> &'a Relation,
-) -> &'f mut Firing {
-    firings
-        .entry((ri, occ))
-        .or_insert_with(|| Firing::new(rules[ri], occ, members, rel_of))
+impl<'p> Firings<'p> {
+    fn new(program: &'p dduf_datalog::schema::Program, members: &[Pred]) -> Firings<'p> {
+        Firings {
+            rules: members.iter().flat_map(|&m| program.rules_for(m)).collect(),
+            members: members.iter().copied().collect(),
+            compiled: HashMap::new(),
+            trace: ComponentTrace::default(),
+        }
+    }
+
+    /// The firing of rule `ri` at occurrence `occ`, compiled for the
+    /// relation sizes `rel_of` gives if it is the first.
+    fn get<'a>(
+        &mut self,
+        (ri, occ): (usize, usize),
+        rel_of: &dyn Fn(usize, Pred) -> &'a Relation,
+    ) -> &mut Firing {
+        let (rule, members) = (self.rules[ri], &self.members);
+        self.compiled
+            .entry((ri, occ))
+            .or_insert_with(|| Firing::new(rule, occ, members, rel_of))
+    }
+
+    /// The first `Some` that `f` makes of the head-seeded firing of a
+    /// rule of `p`, in rule order.
+    fn find_head<'a, T>(
+        &mut self,
+        p: Pred,
+        rel_of: &dyn Fn(usize, Pred) -> &'a Relation,
+        mut f: impl FnMut(&mut Firing) -> Option<T>,
+    ) -> Option<T> {
+        for ri in 0..self.rules.len() {
+            if self.rules[ri].head.pred != p {
+                continue;
+            }
+            if let Some(found) = f(self.get((ri, HEAD), rel_of)) {
+                return Some(found);
+            }
+        }
+        None
+    }
+
+    /// Fires every rule from `t` at each of its body literals over `p`
+    /// with sign `positive`, handing every instance true in the state
+    /// `rel_of` describes to `visit`: the one occurrence walk, for the
+    /// transaction's deltas, the overdelete cascade and the fixpoint loop.
+    fn fire<'a>(
+        &mut self,
+        (p, positive): (Pred, bool),
+        t: &[Const],
+        rel_of: &dyn Fn(usize, Pred) -> &'a Relation,
+        visit: &mut dyn FnMut(Instance<'_>),
+    ) {
+        for ri in 0..self.rules.len() {
+            for i in 0..self.rules[ri].body.len() {
+                let lit = &self.rules[ri].body[i];
+                if lit.positive == positive && lit.atom.pred == p {
+                    let _ = self.get((ri, i), rel_of).run(t, rel_of, &mut |inst| {
+                        visit(inst);
+                        ControlFlow::Continue(())
+                    });
+                }
+            }
+        }
+    }
+
+    /// The component's fixpoint loop. Round by round, adds what is
+    /// pending to `cur` — and its rank to `rank`, unless `rank` is empty
+    /// — telling `added`, then fires every tuple of the round from its
+    /// positive occurrences against `cur` and the state `outside`
+    /// describes, queueing each head `cur` lacks with `1 + max` rank of
+    /// the instance's member body tuples, the lowest over the instances
+    /// that queued it. Applying a whole round before firing any of it keeps
+    /// `cur` unchanged while its lazy join indexes are hot, and an
+    /// instance over several tuples of one round still fires.
+    fn propagate<'a>(
+        &mut self,
+        cur: &mut BTreeMap<Pred, Relation>,
+        rank: &mut BTreeMap<Pred, Ranks>,
+        mut pending: Pending,
+        outside: &dyn Fn(Pred) -> &'a Relation,
+        added: &mut dyn FnMut(Pred, &Tuple),
+    ) {
+        while !pending.next.is_empty() {
+            let round = std::mem::take(&mut pending.next);
+            pending.derivations = 0;
+            for ((p, t), r) in &round {
+                cur.get_mut(p).expect("member").insert(t.clone());
+                if let Some(map) = rank.get_mut(p) {
+                    map.insert(t.clone(), *r);
+                }
+                added(*p, t);
+            }
+            let rel_of =
+                |_: usize, p: Pred| -> &Relation { cur.get(&p).unwrap_or_else(|| outside(p)) };
+            for (p, t) in round.keys() {
+                self.fire((*p, true), t, &rel_of, &mut |inst| {
+                    pending.derive(inst, cur, rank);
+                });
+            }
+            self.trace
+                .push_round(pending.derivations, pending.next.len() as u64);
+        }
+    }
+
+    /// The component's fixpoint in the state `outside` describes, from
+    /// nothing: the heads of its exit rules — the rules without a member
+    /// literal — at rank 0, then [`propagate`](Self::propagate). With
+    /// `ranked`, every tuple comes with its rank, which is the round that
+    /// derives it. Also returns the evaluation's trace.
+    fn fixpoint<'a>(
+        &mut self,
+        outside: &dyn Fn(Pred) -> &'a Relation,
+        ranked: bool,
+    ) -> (
+        BTreeMap<Pred, Relation>,
+        BTreeMap<Pred, Ranks>,
+        ComponentTrace,
+    ) {
+        let mut pending = Pending::default();
+        let is_member = |l: &Literal| self.members.contains(&l.atom.pred);
+        for rule in self.rules.iter().filter(|r| !r.body.iter().any(is_member)) {
+            let size_of = |k: usize| outside(rule.body[k].atom.pred).len();
+            let plan = JoinPlan::compile_sized(&rule.body, &BTreeSet::new(), None, &size_of);
+            let rel_of = |k: usize| outside(rule.body[k].atom.pred);
+            for h in eval_heads(&plan, &rule.head.terms, &rel_of, &mut self.trace.stats) {
+                pending.queue((rule.head.pred, h), 0);
+            }
+            self.trace.plans += 1;
+        }
+        self.trace
+            .push_round(pending.derivations, pending.next.len() as u64);
+        let members = self.members.iter().copied();
+        let mut cur = members.clone().map(|m| (m, Relation::new())).collect();
+        let mut rank = members
+            .filter(|_| ranked)
+            .map(|m| (m, Ranks::default()))
+            .collect();
+        self.propagate(&mut cur, &mut rank, pending, outside, &mut |_, _| {});
+        let mut trace = std::mem::take(&mut self.trace);
+        trace.plans += self.compiled.len() as u64;
+        for firing in self.compiled.values() {
+            trace.stats.merge(firing.stats);
+        }
+        (cur, rank, trace)
+    }
+}
+
+/// What a component's fixpoint loop adds in its next round: each tuple
+/// with the rank the instance that produced it gives it, the lowest if
+/// several did.
+#[derive(Default)]
+struct Pending {
+    next: BTreeMap<(Pred, Tuple), i64>,
+    /// Instances that queued a tuple since the round began, duplicates
+    /// included.
+    derivations: u64,
+    /// Scratch for an instance's head and member body tuples.
+    head: Vec<Const>,
+    body: Vec<Const>,
+}
+
+impl Pending {
+    /// Queues `key` with rank `r`, or lowers the rank it is queued with.
+    fn queue(&mut self, key: (Pred, Tuple), r: i64) {
+        self.derivations += 1;
+        self.next
+            .entry(key)
+            .and_modify(|queued| *queued = r.min(*queued))
+            .or_insert(r);
+    }
+
+    /// Queues the head of `inst` unless `cur` holds it, with the rank the
+    /// instance gives it over `rank`.
+    fn derive(
+        &mut self,
+        inst: Instance<'_>,
+        cur: &BTreeMap<Pred, Relation>,
+        rank: &BTreeMap<Pred, Ranks>,
+    ) {
+        inst.head(&mut self.head);
+        if !cur[&inst.head_pred()].contains(&self.head) {
+            let r = inst.rank(rank, &mut self.body);
+            self.queue((inst.head_pred(), Tuple::from(&self.head[..])), r);
+        }
+    }
 }
 
 /// One compiled firing of a rule: the join of its body from a seed — a
 /// tuple at one body occurrence, which the join then skips, or a head
 /// tuple ([`HEAD`]) — as a kernel plan over a slot row. Every firing of
 /// one occurrence seeds the same variables, so it compiles once per
-/// pass; its plan orders equally bound literals by the sizes the
+/// [`Firings`]; its plan orders equally bound literals by the sizes the
 /// relations have at that first firing.
 struct Firing {
     /// Body position and predicate of each literal the plan joins.
@@ -1122,6 +1212,8 @@ struct Firing {
     seed: Pattern,
     shape: Shape,
     row: Vec<Const>,
+    /// Join work of every run so far.
+    stats: JoinStats,
 }
 
 /// What an instance of a firing's rule is read for: its head and its
@@ -1167,6 +1259,7 @@ impl Firing {
             row: plan.row(),
             plan,
             shape,
+            stats: JoinStats::default(),
         }
     }
 
@@ -1185,13 +1278,13 @@ impl Firing {
             seed,
             shape,
             row,
+            stats,
         } = self;
         if !seed.bind(t, row) {
             return ControlFlow::Continue(());
         }
         let rel_of = |k: usize| rel_of(lits[k].0, lits[k].1);
-        let mut stats = JoinStats::default();
-        plan.run(&rel_of, row, &mut stats, &mut |row| {
+        plan.run(&rel_of, row, stats, &mut |row| {
             visit(Instance { shape, row })
         })
     }
@@ -1248,16 +1341,6 @@ impl Instance<'_> {
     }
 }
 
-/// The rules of `rules` with head predicate `p`, each with its position —
-/// the first half of its firing key.
-fn rules_for<'r, 'a>(
-    rules: &'r [&'a Rule],
-    p: Pred,
-) -> impl Iterator<Item = (usize, &'a Rule)> + 'r {
-    let heads_p = move |&(_, rule): &(usize, &'a Rule)| rule.head.pred == p;
-    rules.iter().copied().enumerate().filter(heads_p)
-}
-
 /// Phase 1's working set: the old tuples a breaking firing reached, each
 /// queued once and popped in ascending rank (every rank is 0 while the
 /// component has none). A candidate is in `over` from the moment it is
@@ -1300,91 +1383,6 @@ impl Candidates {
         self.over.get_mut(&p).expect("member").remove(&t);
         self.kept.get_mut(&p).expect("member").insert(t);
     }
-}
-
-/// Queues `key` with rank `r`, or lowers the rank it is queued with.
-fn lower(pending: &mut BTreeMap<(Pred, Tuple), i64>, key: (Pred, Tuple), r: i64) {
-    pending
-        .entry(key)
-        .and_modify(|queued| *queued = r.min(*queued))
-        .or_insert(r);
-}
-
-/// Ranks a whole component from scratch: `cur` is its fixpoint in the
-/// state `rel_of` describes. Round-batched propagation from the
-/// member-free rules, a tuple's rank being the round that first derives
-/// it from tuples of earlier rounds — so it has an instance over strictly
-/// lower ranks by construction. The maps are bulk-built from the
-/// extensions' own tuples, in their order, and filled in place.
-fn build_ranks<'a>(
-    rules: &[&'a Rule],
-    members: &BTreeSet<Pred>,
-    cur: &BTreeMap<Pred, Relation>,
-    rel_of: &dyn Fn(Pred) -> &'a Relation,
-) -> BTreeMap<Pred, Ranks> {
-    const UNRANKED: i64 = -1;
-    let mut ranks: BTreeMap<Pred, Ranks> = cur
-        .iter()
-        .map(|(&m, rel)| {
-            let unranked = rel.iter().map(|t| (t.clone(), UNRANKED));
-            (m, Ranks::from_sorted(unranked))
-        })
-        .collect();
-    let by_pred = |_: usize, p: Pred| rel_of(p);
-    let mut firings = Firings::new();
-    let (mut head, mut body) = (Vec::new(), Vec::new());
-    let mut batch: Vec<(Pred, Tuple)> = Vec::new();
-    let mut round = 0;
-    let is_member = |l: &Literal| l.positive && members.contains(&l.atom.pred);
-    for rule in rules.iter().filter(|r| !r.body.iter().any(is_member)) {
-        let lits: Vec<&Literal> = rule.body.iter().collect();
-        let size_of = |k: usize| rel_of(lits[k].atom.pred).len();
-        let plan = JoinPlan::compile_sized(&lits, &BTreeSet::new(), None, &size_of);
-        let rel_of = |k: usize| -> &'a Relation { rel_of(lits[k].atom.pred) };
-        for h in eval_heads(&plan, &rule.head.terms, &rel_of, &mut JoinStats::default()) {
-            let map = ranks.get_mut(&rule.head.pred).expect("member");
-            let r = map.get_mut(&h).expect("the fixpoint holds every head");
-            if *r == UNRANKED {
-                *r = round;
-                batch.push((rule.head.pred, h));
-            }
-        }
-    }
-    while !batch.is_empty() {
-        round += 1;
-        let mut next: Vec<(Pred, Tuple)> = Vec::new();
-        for (p, t) in &batch {
-            for (ri, rule) in rules.iter().enumerate() {
-                for (i, lit) in rule.body.iter().enumerate() {
-                    if !(lit.positive && lit.atom.pred == *p) {
-                        continue;
-                    }
-                    let f = firing(&mut firings, rules, (ri, i), members, &by_pred);
-                    let _ = f.run(t, &by_pred, &mut |inst| {
-                        // An instance counts in the round after the last
-                        // of its member body tuples was ranked; it fires
-                        // once from each of them.
-                        let ready = |_: Pred, _: &[Const], r: i64| r != UNRANKED && r < round;
-                        if inst.members_all(&ranks, &mut body, ready) {
-                            inst.head(&mut head);
-                            let map = ranks.get_mut(&inst.head_pred()).expect("member");
-                            let r = map.get_mut(&head).expect("the fixpoint holds every head");
-                            if *r == UNRANKED {
-                                *r = round;
-                                next.push((inst.head_pred(), Tuple::from(&head[..])));
-                            }
-                        }
-                        ControlFlow::Continue(())
-                    });
-                }
-            }
-        }
-        batch = next;
-    }
-    debug_assert!(ranks
-        .values()
-        .all(|map| map.iter().all(|(_, r)| *r != UNRANKED)));
-    ranks
 }
 
 #[cfg(test)]
@@ -1982,16 +1980,26 @@ mod tests {
         assert!(err.to_string().contains("tc/2"), "{err}");
     }
 
+    /// The engine's build and the oracle's materialization are two
+    /// evaluators: linear, mutual and nonlinear recursion agree.
     #[test]
     fn interpretation_matches_materialize() {
-        let db = parse_database(
+        let sources = [
             "e(a, b). e(b, c). v(X) :- e(X, Y).
              tc(X, Y) :- e(X, Y). tc(X, Y) :- e(X, Z), tc(Z, Y).",
-        )
-        .unwrap();
-        let old = materialize(&db).unwrap();
-        let engine = MaintenanceEngine::new(&db).unwrap();
-        assert_eq!(engine.interpretation(), &old);
+            "z(zero). s(zero, one). s(one, two). s(two, three). s(zero, two).
+             even(X) :- z(X).
+             even(X) :- s(Y, X), odd(Y).
+             odd(X) :- s(Y, X), even(Y).",
+            "e(a, b). e(b, c). e(c, d). e(a, c). e(d, a).
+             tc(X, Y) :- e(X, Y). tc(X, Y) :- tc(X, Z), tc(Z, Y).",
+        ];
+        for src in sources {
+            let db = parse_database(src).unwrap();
+            let old = materialize(&db).unwrap();
+            let engine = MaintenanceEngine::new(&db).unwrap();
+            assert_eq!(engine.interpretation(), &old, "{src}");
+        }
     }
 
     #[test]

@@ -2,15 +2,18 @@
 //!
 //! The problem catalog only ever evaluates predicates reachable from a
 //! *root*: an explicitly declared view/IC/condition, the (synthesized)
-//! global inconsistency predicate, or a top-of-hierarchy derived predicate
-//! (one no other rule references — the thing a user queries). A rule whose
-//! head is reachable from no root is dead weight: no update, check, or
-//! query can ever touch it. The classic case is an orphan cycle
-//! (`p :- q. q :- p.`) referenced by nothing.
+//! global inconsistency predicate, or the top of a rule hierarchy — a
+//! component of the stratification that no other component reads and that
+//! has an exit rule (one with no positive literal over the component
+//! itself), the thing a user queries. A rule whose head is reachable from
+//! no root is dead weight: no update, check, or query can ever touch it.
+//! The classic case is an orphan cycle (`p :- q. q :- p.`, or `p :- p.`)
+//! referenced by nothing: without an exit rule it derives nothing either.
 
 use super::{AnalysisInput, Diagnostic, Label, Pass};
-use crate::ast::Pred;
+use crate::ast::{Pred, Rule};
 use crate::depgraph::DepGraph;
+use crate::stratify::components;
 use std::collections::BTreeSet;
 
 /// The reachability pass.
@@ -25,26 +28,19 @@ impl Pass for Reachability {
         let program = input.program;
         let graph = DepGraph::build(program);
 
-        // A self-reference inside a predicate's own definition (direct
-        // recursion, e.g. transitive closure) does not count: a standalone
-        // recursive view is still the top of its own hierarchy.
-        let mut referenced: BTreeSet<Pred> = BTreeSet::new();
-        for rule in program.rules() {
-            referenced.extend(
-                rule.body
-                    .iter()
-                    .map(|l| l.atom.pred)
-                    .filter(|p| *p != rule.head.pred),
-            );
-        }
-
-        // Roots: declared predicates, the global ic, and unreferenced
-        // derived predicates (exported tops of the rule hierarchy).
+        // Roots: declared predicates, the global ic, and every component
+        // that no other component reads and that has an exit rule (one
+        // that does not recurse through a positive member literal).
         let mut roots: BTreeSet<Pred> = program.declared_preds().clone();
         roots.extend(program.global_ic());
-        for (pred, _) in program.predicates() {
-            if program.is_derived(pred) && !referenced.contains(&pred) {
-                roots.insert(pred);
+        for component in components(program) {
+            let member = |p: &Pred| component.preds.contains(p);
+            let reads = |r: &&Rule| r.body.iter().any(|l| member(&l.atom.pred));
+            let recurses = |r: &&Rule| r.body.iter().any(|l| l.positive && member(&l.atom.pred));
+            let (own, others): (Vec<&Rule>, Vec<&Rule>) =
+                program.rules().iter().partition(|r| member(&r.head.pred));
+            if !others.iter().any(reads) && !own.iter().all(recurses) {
+                roots.extend(&component.preds);
             }
         }
 
@@ -114,6 +110,23 @@ mod tests {
             "{:?}",
             a.diagnostics
         );
+    }
+
+    #[test]
+    fn recursive_pair_with_an_exit_rule_is_its_own_root() {
+        let a = analyze_source("e(a).\np(X) :- e(X).\np(X) :- q(X).\nq(X) :- p(X), e(X).\n");
+        assert!(
+            a.diagnostics.iter().all(|d| d.code != "W004"),
+            "{:?}",
+            a.diagnostics
+        );
+    }
+
+    #[test]
+    fn self_loop_without_exit_rule_flagged() {
+        let a = analyze_source("p(X) :- p(X).\n");
+        let w004: Vec<_> = a.diagnostics.iter().filter(|d| d.code == "W004").collect();
+        assert_eq!(w004.len(), 1, "{:?}", a.diagnostics);
     }
 
     #[test]

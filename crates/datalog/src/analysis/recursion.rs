@@ -33,10 +33,16 @@ impl Pass for NegatedRecursion {
     }
 
     fn run(&self, input: &AnalysisInput<'_>, out: &mut Vec<Diagnostic>) {
+        let components = components(input.program);
+        let component_of = |p: Pred| components.iter().position(|c| c.preds.contains(&p));
         let recursive = recursive_preds(input.program);
         for rule in input.program.rules() {
             for lit in &rule.body {
                 if lit.positive || !recursive.contains(&lit.atom.pred) {
+                    continue;
+                }
+                // Negation inside the head's own component is E002's.
+                if component_of(lit.atom.pred) == component_of(rule.head.pred) {
                     continue;
                 }
                 let mut d = Diagnostic::warning(
@@ -82,6 +88,17 @@ mod tests {
     fn positive_recursion_silent() {
         let a = analyze_source(TC);
         assert!(a.diagnostics.iter().all(|d| d.code != "W005"));
+    }
+
+    #[test]
+    fn negation_inside_its_own_component_is_e002_only() {
+        let a = analyze_source("p(X) :- b(X), not q(X).\nq(X) :- p(X).\n");
+        assert!(a.diagnostics.iter().any(|d| d.code == "E002"));
+        assert!(
+            a.diagnostics.iter().all(|d| d.code != "W005"),
+            "{:?}",
+            a.diagnostics
+        );
     }
 
     #[test]

@@ -163,8 +163,9 @@ impl JoinPlan {
     /// bound positive literals (the smaller relation first; a fully bound
     /// literal is a membership test and counts as 0). Only lazily compiled
     /// plans — [`eval_seeded`]'s and the maintenance engine's — pass real
-    /// sizes: their join counters are discarded, so nothing observable
-    /// depends on the order.
+    /// sizes. The first discard their join counters; the engine records
+    /// those of its build, compiled at a point of its fixpoint loop that
+    /// the program and the data fix, so they stay a function of both.
     pub fn compile_sized<L: JoinLit>(
         lits: &[L],
         seed_bound: &BTreeSet<Var>,

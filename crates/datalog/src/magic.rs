@@ -23,7 +23,7 @@ use crate::eval::{materialize_for, StateView, Strategy};
 use crate::schema::Program;
 use crate::storage::database::Database;
 use crate::storage::tuple::Tuple;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 
 /// An adornment: for each argument position, whether it is bound at call
 /// time.
@@ -237,18 +237,6 @@ pub fn query(db: &Database, query: &Atom) -> Result<MagicAnswers, Error> {
     })
 }
 
-/// The number of derived facts the magic evaluation would compute for a
-/// query, vs. the full model — the "relevance ratio" used by the bench
-/// harness. (Diagnostic helper; the ratio is what magic sets is *for*.)
-pub fn relevance_stats(db: &Database, q: &Atom) -> Result<BTreeMap<&'static str, usize>, Error> {
-    let mut out = BTreeMap::new();
-    let full = crate::eval::materialize(db)?;
-    out.insert("full_facts", full.fact_count());
-    let ans = query(db, q)?;
-    out.insert("answers", ans.tuples.len());
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -373,15 +361,6 @@ mod tests {
         // Mismatching bound constant yields nothing.
         let q2 = Atom::new("status", vec![Term::sym("idle"), Term::var("X")]);
         assert!(query(&db, &q2).unwrap().tuples.is_empty());
-    }
-
-    #[test]
-    fn relevance_stats_reports() {
-        let db = chain(10);
-        let q = Atom::new("tc", vec![Term::sym("n8"), Term::var("Y")]);
-        let stats = relevance_stats(&db, &q).unwrap();
-        assert_eq!(stats["answers"], 2);
-        assert_eq!(stats["full_facts"], 10 * 11 / 2);
     }
 
     #[test]

@@ -442,6 +442,11 @@ fn maintained_stream_matches_semantic(
     let mut old = materialize(&db).expect("stratified");
     let mut engine = MaintenanceEngine::new(&db).expect("mixed strategies");
     expect_strategies(&db, &engine);
+    assert_eq!(
+        dduf::datalog::pretty::derived(engine.interpretation()),
+        dduf::datalog::pretty::derived(&old),
+        "{label}: the engine's build differs from materialize\n{src}"
+    );
 
     for step in 0..steps {
         let txn = gen(rng, &db);

@@ -174,7 +174,7 @@ fn analyze_json_not_stratifiable_has_no_strategy() {
     assert!(!r.output.contains("\"code\":\"I004\""), "{}", r.output);
     assert!(r
         .output
-        .ends_with("\"errors\":1,\"warnings\":3,\"infos\":4}\n"));
+        .ends_with("\"errors\":1,\"warnings\":0,\"infos\":4}\n"));
 }
 
 /// A constraint over a recursive predicate (W010) costs DRed over the
