@@ -38,7 +38,11 @@
 //!    (deletions on positive occurrences, insertions on negated ones),
 //!    propagate deletions through the component's rules to a fixpoint,
 //!    joining the remaining body literals against the **old** state. The
-//!    result `D` overestimates the real deletions.
+//!    result `D` overestimates the real deletions. Every head such a
+//!    firing reaches holds in the old state, whose fixpoint the old
+//!    extension is, so it is a candidate without a test; one map per
+//!    member holds each candidate with whether it was kept (below), and
+//!    `D` is read off it once, when the phase ends.
 //! 2. **Rederive**: each tuple of `D` is checked head-bound against the
 //!    underestimate `old \ D` plus the new state of everything outside
 //!    the component; survivors are put back.
@@ -72,9 +76,14 @@
 //! Every phase drives its joins from a delta tuple, so the work is
 //! proportional to the change, not the database — the same compiled join
 //! plans as the evaluator ([`JoinPlan`]) serve the rederivation and
-//! propagation joins. Induced events fall out as the diff between the
-//! old extension and the new fixpoint. A commit's pass records an
-//! `upward.maintain` span with per-phase counters.
+//! propagation joins. The unit of their work is a search of the sorted
+//! runs, and the pass makes as few as it can: a fully bound body literal
+//! is one membership test, and phase 1 looks a candidate up once in its
+//! working set. Induced events fall out as the diff between the old
+//! extension and the new fixpoint, into the one event store the pass
+//! keeps (each unit reads the events of the units below it there); the
+//! derived predicates' part of it is the result. A commit's pass records
+//! an `upward.maintain` span with per-phase counters.
 //!
 //! The engine is also the read path. A read-only upward problem
 //! ([`MaintenanceEngine::interpret_for`]) runs the same pass and drops
@@ -113,8 +122,9 @@ use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap};
 use std::ops::ControlFlow;
 
 /// Support-count deltas per counting-strategy predicate, as staged by
-/// [`MaintenanceEngine::interpret`].
-pub type CountDeltas = BTreeMap<Pred, HashMap<Tuple, i64>>;
+/// [`MaintenanceEngine::interpret`]: non-zero, in tuple order, so a
+/// commit inserts and removes counts in the same order in every process.
+pub type CountDeltas = BTreeMap<Pred, Vec<(Tuple, i64)>>;
 
 /// The stored support counts of one counting-strategy predicate: the
 /// container the relations are made of, with the count as each tuple's
@@ -522,7 +532,6 @@ impl MaintenanceEngine {
     ) -> (EventStore, StagedMaintenance) {
         let new_db = effective.apply(db);
         let mut events = effective.events().clone();
-        let mut derived_events = EventStore::new();
         let mut staged = StagedMaintenance::default();
 
         for unit in &self.units {
@@ -542,27 +551,18 @@ impl MaintenanceEngine {
                 continue; // the old extension remains valid
             }
             match unit.strategy {
-                Strategy::Counting => self.counting_pred(
-                    unit.preds[0],
-                    db,
-                    &new_db,
-                    &mut events,
-                    &mut derived_events,
-                    &mut staged,
-                ),
-                Strategy::DRed => self.dred_component(
-                    unit,
-                    db,
-                    &new_db,
-                    &mut events,
-                    &mut derived_events,
-                    &mut staged,
-                    may_rank,
-                    ctrs,
-                ),
+                Strategy::Counting => {
+                    self.counting_pred(unit.preds[0], db, &new_db, &mut events, &mut staged)
+                }
+                Strategy::DRed => {
+                    self.dred_component(unit, db, &new_db, &mut events, &mut staged, may_rank, ctrs)
+                }
             }
         }
-        (derived_events, staged)
+        // The transaction's events are on base predicates, so the derived
+        // predicates' are exactly the induced ones.
+        let (derived, _base) = events.partition(|p| db.program().is_derived(p));
+        (derived, staged)
     }
 
     /// Computes the induced events and commits the staged state.
@@ -606,7 +606,6 @@ impl MaintenanceEngine {
         db: &Database,
         new_db: &Database,
         events: &mut EventStore,
-        derived_events: &mut EventStore,
         staged: &mut StagedMaintenance,
     ) {
         let program = db.program();
@@ -622,10 +621,11 @@ impl MaintenanceEngine {
                 &mut delta,
             );
         }
-        delta.retain(|_, d| *d != 0);
+        let mut delta: Vec<(Tuple, i64)> = delta.into_iter().filter(|&(_, d)| d != 0).collect();
         if delta.is_empty() {
             return;
         }
+        delta.sort_unstable();
         // Count transitions → events; materialize the new extension only
         // if membership actually changed.
         let mut new_rel: Option<Relation> = None;
@@ -634,14 +634,10 @@ impl MaintenanceEngine {
             let after = before + d;
             debug_assert!(after >= 0, "negative count for {pred}{t}");
             let rel = if before == 0 && after > 0 {
-                let e = GroundEvent::ins(pred, t.clone());
-                events.insert(e.clone());
-                derived_events.insert(e);
+                events.insert(GroundEvent::ins(pred, t.clone()));
                 new_rel.get_or_insert_with(|| self.extension(pred).clone())
             } else if before > 0 && after == 0 {
-                let e = GroundEvent::del(pred, t.clone());
-                events.insert(e.clone());
-                derived_events.insert(e);
+                events.insert(GroundEvent::del(pred, t.clone()));
                 new_rel.get_or_insert_with(|| self.extension(pred).clone())
             } else {
                 continue;
@@ -668,7 +664,6 @@ impl MaintenanceEngine {
         db: &Database,
         new_db: &Database,
         events: &mut EventStore,
-        derived_events: &mut EventStore,
         staged: &mut StagedMaintenance,
         may_rank: bool,
         ctrs: &mut DredCounters,
@@ -692,9 +687,10 @@ impl MaintenanceEngine {
         };
 
         // ---- phase 1: overdelete to fixpoint against the OLD state ----
-        // `over[m]` ⊆ old extension of m. Candidates are popped in
-        // ascending rank, so when one is checked every tuple of lower rank
-        // that has to go is in `over` for good.
+        // Every candidate is an old tuple, overdeleted unless its check
+        // keeps it. Candidates are popped in ascending rank, so when one is
+        // checked every tuple of lower rank that has to go is overdeleted
+        // for good.
         let mut candidates = Candidates::new(members);
         let old = StateView::new(db, &self.exts);
         let old_rel_of = |_: usize, p: Pred| old.relation(p);
@@ -724,8 +720,8 @@ impl MaintenanceEngine {
                 ctrs.checked += 1;
                 // Kept, with its rank: an instance over tuples of lower rank
                 // that all stay cannot pass through `t`. The first settles it.
-                let over = &candidates.over;
-                let stays = |q: Pred, bt: &[Const], r: i64| r < rank && !over[&q].contains(bt);
+                let seen = &candidates;
+                let stays = |q: Pred, bt: &[Const], r: i64| r < rank && !seen.overdeleted(q, bt);
                 let kept = firings.find_head(p, &kept_rel_of, |f| {
                     f.run(&t, &kept_rel_of, &mut |inst| {
                         if inst.members_all(&self.ranks, &mut body, stays) {
@@ -738,7 +734,7 @@ impl MaintenanceEngine {
                     .then_some(())
                 });
                 if kept.is_some() {
-                    candidates.keep(p, t);
+                    candidates.keep(p, &t);
                     continue;
                 }
             }
@@ -748,9 +744,9 @@ impl MaintenanceEngine {
                 candidates.push(self, inst.head_pred(), &head);
             });
         }
-        let over = candidates.over;
-        for rel in over.values() {
-            ctrs.overdeleted += rel.len() as u64;
+        let over = candidates.into_over();
+        for tuples in over.values() {
+            ctrs.overdeleted += tuples.len() as u64;
         }
 
         // ---- phase 2+3: rederive survivors, fire insertions, propagate ----
@@ -819,9 +815,7 @@ impl MaintenanceEngine {
         let mut changed: BTreeSet<Pred> = BTreeSet::new();
         let mut added = |p: Pred, t: &Tuple| {
             if !self.extension(p).contains(t) {
-                let e = GroundEvent::ins(p, t.clone());
-                events.insert(e.clone());
-                derived_events.insert(e);
+                events.insert(GroundEvent::ins(p, t.clone()));
                 changed.insert(p);
                 ctrs.inserted += 1;
             }
@@ -833,9 +827,7 @@ impl MaintenanceEngine {
                 if cur[&m].contains(t) {
                     rederived += 1;
                 } else {
-                    let e = GroundEvent::del(m, t.clone());
-                    events.insert(e.clone());
-                    derived_events.insert(e);
+                    events.insert(GroundEvent::del(m, t.clone()));
                     changed.insert(m);
                 }
             }
@@ -1343,33 +1335,34 @@ impl Instance<'_> {
 
 /// Phase 1's working set: the old tuples a breaking firing reached, each
 /// queued once and popped in ascending rank (every rank is 0 while the
-/// component has none). A candidate is in `over` from the moment it is
-/// queued — whatever the keep-check of a popped candidate asks about has a
-/// lower rank than anything still queued, so it cannot tell — and is taken
-/// out again, into `kept`, if its own check keeps it.
+/// component has none). One map per member holds every tuple ever queued
+/// with whether its check kept it, so queueing, the keep-check's question
+/// and keeping each search it once. A candidate counts as overdeleted from
+/// the moment it is queued — whatever the keep-check of a popped candidate
+/// asks about has a lower rank than anything still queued, so it cannot
+/// tell — until its own check keeps it.
 struct Candidates {
-    over: BTreeMap<Pred, Relation>,
-    kept: BTreeMap<Pred, Relation>,
+    seen: BTreeMap<Pred, Runs<bool>>,
     queue: BinaryHeap<Reverse<(i64, Pred, Tuple)>>,
 }
 
 impl Candidates {
     fn new(members: &[Pred]) -> Candidates {
-        let empty = || members.iter().map(|&m| (m, Relation::new())).collect();
         Candidates {
-            over: empty(),
-            kept: empty(),
+            seen: members.iter().map(|&m| (m, Runs::default())).collect(),
             queue: BinaryHeap::new(),
         }
     }
 
-    /// Queues `t` if it is an old tuple not yet queued or kept; a tuple is
-    /// allocated only then.
+    /// Queues the head `t` of an instance true in the old state unless it
+    /// was queued before; a tuple is allocated only then. The old
+    /// extension is the old state's fixpoint, so it holds `t`.
     fn push(&mut self, engine: &MaintenanceEngine, p: Pred, t: &[Const]) {
-        let over = self.over.get_mut(&p).expect("member head");
-        if engine.extension(p).contains(t) && !self.kept[&p].contains(t) && !over.contains(t) {
+        debug_assert!(engine.extension(p).contains(t), "{p}{t:?} is not old");
+        let seen = self.seen.get_mut(&p).expect("member head");
+        if seen.get(t).is_none() {
             let t = Tuple::from(t);
-            over.insert(t.clone());
+            seen.insert(t.clone(), false);
             let rank = engine.rank(p, &t).unwrap_or(0);
             self.queue.push(Reverse((rank, p, t)));
         }
@@ -1379,9 +1372,26 @@ impl Candidates {
         self.queue.pop().map(|Reverse(candidate)| candidate)
     }
 
-    fn keep(&mut self, p: Pred, t: Tuple) {
-        self.over.get_mut(&p).expect("member").remove(&t);
-        self.kept.get_mut(&p).expect("member").insert(t);
+    /// Whether `t` is queued and not kept.
+    fn overdeleted(&self, p: Pred, t: &[Const]) -> bool {
+        self.seen[&p].get(t) == Some(&false)
+    }
+
+    fn keep(&mut self, p: Pred, t: &[Const]) {
+        let seen = self.seen.get_mut(&p).expect("member");
+        *seen.get_mut(t).expect("a popped candidate was queued") = true;
+    }
+
+    /// The overdeleted tuples of each member, ascending.
+    fn into_over(self) -> BTreeMap<Pred, Vec<Tuple>> {
+        let over = |seen: Runs<bool>| -> Vec<Tuple> {
+            let over = seen.iter().filter(|(_, kept)| !kept);
+            over.map(|(t, _)| t.clone()).collect()
+        };
+        self.seen
+            .into_iter()
+            .map(|(m, seen)| (m, over(seen)))
+            .collect()
     }
 }
 

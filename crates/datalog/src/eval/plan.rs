@@ -31,7 +31,10 @@
 //! signature through [`Relation::probe`], the one index policy: a bound
 //! prefix is answered from the sorted runs, any other column set from a
 //! secondary index the relation builds on first use and maintains from
-//! then on, and a relation below the indexing floor is scanned.
+//! then on, and a relation below the indexing floor is scanned. A
+//! positive step whose signature is every column, over a relation at the
+//! floor, is the one tuple that range could hold: the kernel asks
+//! [`Relation::contains`] instead, and counts it as the range.
 //!
 //! The plan also numbers the conjunction's variables once: the seed's
 //! first, then each in the order a step binds it. The kernel runs
@@ -56,7 +59,7 @@
 
 use crate::ast::{Const, Term, Var};
 use crate::eval::join::{Bindings, JoinLit, JoinStats};
-use crate::storage::relation::Relation;
+use crate::storage::relation::{Relation, INDEX_MIN};
 use crate::storage::tuple::Tuple;
 use std::collections::BTreeSet;
 use std::ops::ControlFlow;
@@ -374,6 +377,16 @@ impl JoinPlan {
                     extend(t, None, row, stats)?;
                 }
             }
+            // Every column bound: the one tuple the range could yield is
+            // a membership test, counted as the indexed range would be.
+            Step::Probe { cols, .. } if cols.len() == args.len() && rel.len() >= INDEX_MIN => {
+                count(stats, true);
+                let tuple = args.iter().map(|&a| value(a, row));
+                if with_key(tuple, |t| rel.contains(t)) {
+                    stats.matches += 1;
+                    return self.step(k + 1, rel_of, row, stats, visit);
+                }
+            }
             Step::Probe { cols, .. } => {
                 let key = cols.iter().map(|&c| value(args[c], row));
                 let probe = with_key(key, |key| rel.probe(cols, key));
@@ -616,7 +629,6 @@ mod tests {
     use super::*;
     use crate::ast::{Atom, Literal};
     use crate::eval::join::eval_conjunct;
-    use crate::storage::relation::INDEX_MIN;
 
     fn lit(pos: bool, name: &str, terms: Vec<Term>) -> Literal {
         let atom = Atom::new(name, terms);
@@ -848,6 +860,74 @@ mod tests {
             stats.probes < all.probes,
             "the join stopped: {stats:?} vs {all:?}"
         );
+    }
+
+    /// `q(X), e(X, c)` and `q(X), e(X, X)` with `q` the delta: after it
+    /// binds `X`, every column of `e` is bound — by a constant, and by a
+    /// variable repeated. Over a relation at the indexing floor that step
+    /// is one membership test, below it a scan; either way the solutions
+    /// and the counters are those of the range `Relation::probe` yields,
+    /// filtered by the match.
+    #[test]
+    fn a_fully_bound_literal_counts_as_its_range() {
+        let c = Const::Int(7);
+        let cases = [vec![Term::var("X"), Term::Const(c)], vars(&["X", "X"])];
+        for terms in cases {
+            let lits = vec![lit(true, "q", vars(&["X"])), lit(true, "e", terms.clone())];
+            let plan = JoinPlan::compile(&lits, &BTreeSet::new(), Some(0));
+            let full = Step::Probe {
+                lit: 1,
+                cols: Box::from([0usize, 1]),
+            };
+            assert_eq!(plan.steps()[1], full, "{terms:?}");
+            for size in [INDEX_MIN - 4, INDEX_MIN + 20] {
+                let q: Relation = (0..12).map(|i| Tuple::new(vec![Const::Int(i)])).collect();
+                // Every third x has its tuple, among pairs that match neither.
+                let e: Relation = (0..size as i64)
+                    .map(|i| {
+                        let x = Const::Int(i % 12);
+                        let hit = i % 3 == 0;
+                        let y = match (hit, terms[1]) {
+                            (true, Term::Const(c)) => c,
+                            (true, _) => x,
+                            (false, _) => Const::Int(100 + i),
+                        };
+                        Tuple::new(vec![x, y])
+                    })
+                    .collect();
+                let rels = [q.clone(), e.clone()];
+                let rel_of = |i: usize| -> &Relation { &rels[i] };
+                let mut stats = JoinStats::default();
+                let mut got: Vec<Const> =
+                    eval_plan_stats(&plan, &rel_of, &Bindings::new(), &mut stats)
+                        .iter()
+                        .map(|b| b[&Var::new("X")])
+                        .collect();
+                got.sort();
+                // The range path: probe both columns, match the key.
+                let mut range = JoinStats {
+                    matches: q.len() as u64,
+                    ..JoinStats::default()
+                };
+                let mut expected = Vec::new();
+                for x in q.iter().map(|t| t[0]) {
+                    let y = match terms[1] {
+                        Term::Const(c) => c,
+                        _ => x,
+                    };
+                    let probe = e.probe(&[0, 1], &[x, y]);
+                    count(&mut range, probe.indexed);
+                    let hits = probe.filter(|t| t[..] == [x, y]).count();
+                    range.matches += hits as u64;
+                    expected.extend(std::iter::repeat_n(x, hits));
+                }
+                assert_eq!(got, expected, "{terms:?} over {size} tuples");
+                assert!(!got.is_empty() && got.len() < q.len());
+                assert_eq!(stats, range, "{terms:?} over {size} tuples");
+                let indexed = size >= INDEX_MIN;
+                assert_eq!(stats.indexed_probes, if indexed { 12 } else { 0 });
+            }
+        }
     }
 
     /// Xorshift64: `dduf_core::rng` sits above this crate.

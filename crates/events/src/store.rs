@@ -126,6 +126,20 @@ impl EventStore {
         }
     }
 
+    /// Splits the store by predicate: the events on the predicates `f`
+    /// holds of, and the rest. Moves each predicate's relations whole.
+    pub fn partition(self, f: impl Fn(Pred) -> bool) -> (EventStore, EventStore) {
+        let split = |side: BTreeMap<Pred, Relation>| -> (BTreeMap<_, _>, BTreeMap<_, _>) {
+            side.into_iter().partition(|&(p, _)| f(p))
+        };
+        let ((ins, other_ins), (del, other_del)) = (split(self.ins), split(self.del));
+        let other = EventStore {
+            ins: other_ins,
+            del: other_del,
+        };
+        (EventStore { ins, del }, other)
+    }
+
     /// True iff this store contains `+p(t)` and `-p(t)` for the same ground
     /// atom (an internally contradictory set of events — by definitions
     /// (1)/(2) an atom cannot be both inserted and deleted in one
@@ -217,6 +231,24 @@ mod tests {
         assert_eq!(s.relation(EventKind::Ins, p).len(), 1);
         assert!(s.relation(EventKind::Del, p).is_empty());
         assert_eq!(s.len(), 1);
+    }
+
+    #[test]
+    fn partition_splits_by_predicate() {
+        let (p, q) = (Pred::new("p", 1), Pred::new("q", 1));
+        let s = EventStore::from_events([
+            GroundEvent::ins(p, syms(&["a"])),
+            GroundEvent::del(p, syms(&["b"])),
+            GroundEvent::ins(q, syms(&["c"])),
+        ]);
+        let (ps, rest) = s.clone().partition(|pred| pred == p);
+        assert_eq!(ps.to_string(), "{+p(a), -p(b)}");
+        assert_eq!(
+            rest,
+            EventStore::from_events([GroundEvent::ins(q, syms(&["c"]))])
+        );
+        let (all, none) = s.clone().partition(|_| true);
+        assert_eq!((all, none), (s, EventStore::new()));
     }
 
     #[test]

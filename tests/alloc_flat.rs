@@ -21,6 +21,7 @@ use dduf::core::processor::ProcessorState;
 use dduf::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Once;
 
 thread_local! {
     /// Bytes this thread requested from the allocator.
@@ -72,6 +73,26 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
+/// Brings the process to one state before a test measures anything. A
+/// `Sym` orders by interning, so tests that parse their databases at once
+/// on several threads would order tuples, and so fill and split runs,
+/// differently from run to run: every symbol of this file's databases is
+/// interned here first, in one order. One short churn stream then builds
+/// whatever the commit path builds once per process.
+fn settle() {
+    static SETTLED: Once = Once::new();
+    SETTLED.call_once(|| {
+        topology(INVENTORY, 2000);
+        topology(ATTACK_GRAPH, 600);
+        let (db, txns) = churn(4);
+        let mut staging = UpdateProcessor::new(db).unwrap();
+        for src in &txns {
+            let txn = staging.transaction(src).unwrap();
+            staging.apply(&txn, true, &mut |_| Ok(())).unwrap().unwrap();
+        }
+    });
+}
+
 /// A commit may allocate this much more on the large database than on the
 /// small one (spines grow by a pointer per 64 tuples).
 const SLACK: u64 = 128 * 1024;
@@ -112,6 +133,7 @@ fn worst_commit(db: Database, warm_up: &str, commits: &[String]) -> (usize, u64)
 
 #[test]
 fn a_commit_allocates_the_same_on_a_small_and_a_large_database() {
+    settle();
     // The traffic of `sync_small` / `ingest_wide`: a scanner reports a new
     // host with a vulnerability.
     let scans: Vec<String> = (1..6)
@@ -168,15 +190,11 @@ fn a_commit_allocates_the_same_on_a_small_and_a_large_database() {
 /// measured with this test on the last commit that had them.
 const BREADTH_FIRST_CALLS: u64 = 10_233;
 
-/// The join-kernel gate: a checked commit of `dred_prune`'s churn stream
-/// makes at most half the allocator calls it made over breadth-first
-/// joins. The kernel binds into a slot row, probes borrowed runs, stops
-/// the keep-check at its first witness and allocates a head tuple only
-/// once it is known to be new; a relation keeps its indexes across the
-/// commit instead of rebuilding them.
-#[test]
-fn a_churn_commit_makes_half_the_allocator_calls_of_breadth_first_joins() {
-    let (db, txns) = churn(200);
+/// Allocator calls of the checked commits of `dred_prune`'s churn stream
+/// on a fresh processor, all told.
+fn churn_calls(commits: usize) -> u64 {
+    settle();
+    let (db, txns) = churn(commits);
     let mut staging = UpdateProcessor::new(db).unwrap();
     let mut total = 0;
     for src in &txns {
@@ -186,14 +204,34 @@ fn a_churn_commit_makes_half_the_allocator_calls_of_breadth_first_joins() {
         total += calls() - before;
         assert!(applied.is_ok(), "{src} is rejected");
     }
-    let per_commit = total / txns.len() as u64;
-    println!(
-        "churn commit: {per_commit} allocator calls over {} commits",
-        txns.len()
-    );
+    total
+}
+
+/// The join-kernel gate: a checked commit of `dred_prune`'s churn stream
+/// makes at most half the allocator calls it made over breadth-first
+/// joins. The kernel binds into a slot row, probes borrowed runs, stops
+/// the keep-check at its first witness and allocates a head tuple only
+/// once it is known to be new; a relation keeps its indexes across the
+/// commit instead of rebuilding them.
+#[test]
+fn a_churn_commit_makes_half_the_allocator_calls_of_breadth_first_joins() {
+    let commits = 200;
+    let per_commit = churn_calls(commits) / commits as u64;
+    println!("churn commit: {per_commit} allocator calls over {commits} commits");
     assert!(
         per_commit <= BREADTH_FIRST_CALLS / 2,
         "a churn commit makes {per_commit} allocator calls, \
          breadth-first joins made {BREADTH_FIRST_CALLS}"
     );
+}
+
+/// The gate above reads one number on every run: two fresh processors in
+/// one process, each with hash maps of its own seeds, make the same
+/// allocator calls on the same stream. A commit applies its support-count
+/// deltas in tuple order, not in the order of the map that summed them,
+/// and [`settle`] fixes the order of the tuples themselves.
+#[test]
+fn two_fresh_processors_make_the_same_allocator_calls() {
+    let (first, second) = (churn_calls(200), churn_calls(200));
+    assert_eq!(first, second, "allocator calls of two runs of one stream");
 }
