@@ -1,22 +1,26 @@
-//! Runs every C-F* characterization of EXPERIMENTS.md in one pass and
-//! prints the measured shapes as CSV (rough wall-clock means; use the
-//! criterion benches for rigorous numbers).
+//! Runs every C-F* characterization of EXPERIMENTS.md that times a
+//! production path, in one pass, and prints the measured shapes as CSV
+//! (rough wall-clock means): C-F1 (`MaintenanceEngine::interpret_for`),
+//! C-F2 (the transition rules the `:update` translator builds), C-F3
+//! (`downward::interpret_with`), C-F4 (`ic_checking::check_transaction`),
+//! C-F5 (`view_update_with_integrity` / `view_update_checked`), C-F8
+//! (exhaustive negation) and C-F10 (`MaintenanceEngine::apply` over a
+//! transaction stream). The other C-F rows are dated records.
 //!
 //! Run with: `cargo run --release -p dduf-bench --bin experiments`
 
-use dduf_bench::{
-    chain_tc_db, constraint_db, random_toggle_txn, time_us, tower_db, wide_db, TowerShape,
-};
+use dduf_bench::{constraint_db, random_toggle_txn, time_us, tower_db, wide_db, TowerShape};
 use dduf_core::downward::{self, DownwardOptions, Request};
-use dduf_core::problems::{ic_checking, view_maintenance};
+use dduf_core::problems::ic_checking;
 use dduf_core::processor::UpdateProcessor;
 use dduf_core::transaction::Transaction;
 use dduf_core::upward::maintain::MaintenanceEngine;
 use dduf_core::upward::semantic;
 use dduf_datalog::ast::{Atom, Const, Literal, Pred, Rule, Term};
-use dduf_datalog::eval::{materialize, materialize_with, Strategy};
+use dduf_datalog::eval::materialize;
 use dduf_datalog::parser::parse_database;
 use dduf_datalog::schema::Program;
+use dduf_datalog::storage::database::Database;
 use dduf_events::event::EventKind;
 use dduf_events::simplify::simplify_transition;
 use dduf_events::transition::TransitionRule;
@@ -112,12 +116,19 @@ fn main() {
         let check = time_us(iters, || {
             ic_checking::check_transaction(&db, &engine, &txn).unwrap()
         });
+        // A deletion of `la` can only delete `unemp`, so no constraint can
+        // see it violated: decided off the dependency graph, flat in n.
+        let harmless = Transaction::parse(&db, "-la(p1).").unwrap();
+        let outside = time_us(iters, || {
+            ic_checking::check_transaction(&db, &engine, &harmless).unwrap()
+        });
         let full = time_us(iters, || {
             let new = materialize(&txn.apply(&db)).unwrap();
             let ic = db.program().global_ic().unwrap();
             !new.relation(ic).is_empty()
         });
         println!("C-F4,n={n},read_check_us,{check:.1}");
+        println!("C-F4,n={n},outside_cone_check_us,{outside:.1}");
         println!("C-F4,n={n},full_reeval_us,{full:.1}");
     }
 
@@ -144,30 +155,6 @@ fn main() {
         let b = time_us(iters, || proc.view_update_checked(&req).unwrap());
         println!("C-F5,n={n},maintain_in_search_us,{a:.1}");
         println!("C-F5,n={n},generate_and_test_us,{b:.1}");
-    }
-
-    // ---- C-F6: materialized views ----
-    for n in [100usize, 1_000, 10_000] {
-        let db = wide_db(n);
-        let engine = MaintenanceEngine::new(&db).unwrap();
-        let txn = random_toggle_txn(&db, 4, 7);
-        let iters = if n >= 10_000 { 3 } else { 10 };
-        let apply = time_us(iters, || {
-            let up = engine.interpret_for(&db, &txn, None).unwrap();
-            view_maintenance::maintain(&db, &up)
-        });
-        let remat = time_us(iters, || materialize(&txn.apply(&db)).unwrap());
-        println!("C-F6,n={n},apply_delta_us,{apply:.1}");
-        println!("C-F6,n={n},rematerialize_us,{remat:.1}");
-    }
-
-    // ---- C-F7: naive vs semi-naive ----
-    for n in [16usize, 32, 64] {
-        let db = chain_tc_db(n);
-        let naive = time_us(3, || materialize_with(&db, Strategy::Naive).unwrap());
-        let semi = time_us(3, || materialize_with(&db, Strategy::SemiNaive).unwrap());
-        println!("C-F7,n={n},naive_us,{naive:.1}");
-        println!("C-F7,n={n},seminaive_us,{semi:.1}");
     }
 
     // ---- C-F8: negation strategy ablation ----
@@ -203,25 +190,54 @@ fn main() {
         );
     }
 
-    // ---- C-F9: relevance-restricted materialization ----
-    for views in [1usize, 10, 100] {
-        let mut src = String::from(
-            "unemp(X) :- la(X), not works(X).
-             :- unemp(X), not u_benefit(X).\n",
-        );
-        for v in 0..views {
-            let _ = writeln!(src, "view{v}(X) :- base{}(X).", v % 8);
-        }
-        for i in 0..500 {
-            let _ = writeln!(src, "la(p{i}). u_benefit(p{i}). base{}(p{i}).", i % 8);
-        }
-        let db = parse_database(&src).unwrap();
-        let ic = db.program().global_ic().unwrap();
-        let full = time_us(5, || materialize(&db).unwrap());
-        let part = time_us(5, || {
-            dduf_datalog::eval::materialize_for(&db, &[ic], Strategy::SemiNaive).unwrap()
+    // ---- C-F10: maintenance over a transaction stream ----
+    for n in [100usize, 1_000] {
+        let db0 = multi_support_db(n);
+        let txns = deletion_stream(&db0, n);
+        let engine0 = MaintenanceEngine::new(&db0).unwrap();
+        let counting = time_us(3, || {
+            let mut db = db0.clone();
+            let mut engine = engine0.clone();
+            for txn in &txns {
+                std::hint::black_box(engine.apply(&db, txn).unwrap());
+                db = txn.apply(&db);
+            }
         });
-        println!("C-F9,views={views},full_us,{full:.1}");
-        println!("C-F9,views={views},restricted_us,{part:.1}");
+        let remat = time_us(3, || {
+            let mut db = db0.clone();
+            for txn in &txns {
+                db = txn.apply(&db);
+                std::hint::black_box(materialize(&db).unwrap());
+            }
+        });
+        println!("C-F10,n={n},counting_us,{counting:.1}");
+        println!("C-F10,n={n},rematerialize_us,{remat:.1}");
     }
+}
+
+/// A multi-support view over `n` items: `v(X)` has two or three supports
+/// per tuple, so most deletions kill a support without killing the tuple.
+fn multi_support_db(n: usize) -> Database {
+    let mut src = String::from(
+        "v(X) :- a(X). v(X) :- b(X). v(X) :- c(X).
+         w(X) :- v(X), not blocked(X).\n",
+    );
+    for i in 0..n {
+        let _ = writeln!(src, "a(k{i}). b(k{i}).");
+        if i % 2 == 0 {
+            let _ = writeln!(src, "c(k{i}).");
+        }
+    }
+    parse_database(&src).unwrap()
+}
+
+/// A deletion-heavy stream of (at most 64) single-event transactions, each
+/// killing one support; only some of them delete a view tuple.
+fn deletion_stream(db: &Database, n: usize) -> Vec<Transaction> {
+    (0..n.min(64))
+        .map(|i| {
+            let pred = ["a", "b", "c"][i % 3];
+            Transaction::parse(db, &format!("-{pred}(k{}).", i % n)).unwrap()
+        })
+        .collect()
 }

@@ -1,23 +1,23 @@
 //! Workload construction and measurement helpers for the `dduf`
-//! experiment harness.
+//! experiment binaries.
 //!
 //! The paper has no quantitative evaluation (it is a specification
 //! framework); the measurable artifacts are Table 4.1 and the worked
-//! examples, reproduced by the `table41` and `experiments` binaries. The
-//! criterion benches in `benches/` are the performance characterizations
-//! that §6's "efficient implementation" future work calls for — each is
-//! indexed as a C-F* row in EXPERIMENTS.md. This library hosts the shared
-//! workload builders and a tiny wall-clock measurement utility used by the
-//! `experiments` binary to print the measured shapes as CSV.
+//! examples, reproduced by the `table41` binary and
+//! `tests/paper_examples.rs`. The `experiments` binary is the one harness
+//! for the performance characterizations that §6's "efficient
+//! implementation" future work calls for: each of its sections times a
+//! production path and is indexed as a C-F* row in EXPERIMENTS.md. This
+//! library hosts the shared workload builders and the wall-clock helper
+//! it prints its CSV with.
 
 #![forbid(unsafe_code)]
 use dduf_core::rng::Rng;
-use dduf_core::testkit;
 use dduf_core::transaction::Transaction;
 use dduf_datalog::storage::database::Database;
 use std::time::Instant;
 
-pub use dduf_core::testkit::{chain_tc_db, constraint_db, tower_db, wide_db, TowerShape};
+pub use dduf_core::testkit::{constraint_db, tower_db, wide_db, TowerShape};
 
 /// A transaction of `k` random toggles over the base facts of `db`
 /// (deterministic for a given seed): present facts are deleted, absent
@@ -60,8 +60,7 @@ pub fn random_toggle_txn(db: &Database, k: usize, seed: u64) -> Transaction {
 
 /// Wall-clock measurement of `f` over `iters` runs, returning the mean in
 /// microseconds. Deliberately simple: the `experiments` binary wants rough
-/// shape numbers in CSV form, not statistically rigorous ones (criterion
-/// covers that).
+/// shape numbers in CSV form, not statistically rigorous ones.
 pub fn time_us<T>(iters: usize, mut f: impl FnMut() -> T) -> f64 {
     // Warm-up run.
     std::hint::black_box(f());
@@ -70,25 +69,6 @@ pub fn time_us<T>(iters: usize, mut f: impl FnMut() -> T) -> f64 {
         std::hint::black_box(f());
     }
     start.elapsed().as_secs_f64() * 1e6 / iters as f64
-}
-
-/// Noise-robust variant of [`time_us`]: measures `blocks` contiguous
-/// blocks of `iters` runs each and returns the *fastest* block's mean.
-/// Scheduler preemption and cache pollution only ever slow a block down,
-/// so the minimum is the best estimate of the workload's intrinsic cost;
-/// comparisons (e.g. planned vs. unplanned) stay fair as long as both
-/// sides are measured this way.
-pub fn time_us_best<T>(blocks: usize, iters: usize, mut f: impl FnMut() -> T) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..blocks.max(1) {
-        best = best.min(time_us(iters, &mut f));
-    }
-    best
-}
-
-/// The employment database of the paper (re-exported for bench binaries).
-pub fn employment_db() -> Database {
-    testkit::employment_db()
 }
 
 #[cfg(test)]

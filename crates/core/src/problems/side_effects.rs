@@ -8,7 +8,6 @@
 use crate::downward::{self, DownwardOptions, DownwardResult, Request};
 use crate::error::Result;
 use crate::transaction::Transaction;
-use dduf_datalog::ast::{Atom, Pred, Term};
 use dduf_datalog::eval::Interpretation;
 use dduf_datalog::storage::database::Database;
 use dduf_events::event::EventAtom;
@@ -31,32 +30,11 @@ pub fn prevent(
     downward::interpret_with(db, old, &req, opts)
 }
 
-/// Prevents every side effect on one derived predicate (both insertions
-/// and deletions, all instances).
-pub fn prevent_all_on(
-    db: &Database,
-    old: &Interpretation,
-    txn: &Transaction,
-    view: Pred,
-    opts: &DownwardOptions,
-) -> Result<DownwardResult> {
-    let vars: Vec<Term> = (0..view.arity)
-        .map(|i| Term::var(&format!("Vs{i}")))
-        .collect();
-    let atom = Atom {
-        pred: view,
-        terms: vars,
-        span: None,
-    };
-    let unwanted = [EventAtom::ins(atom.clone()), EventAtom::del(atom)];
-    prevent(db, old, txn, &unwanted, opts)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::upward;
-    use dduf_datalog::ast::Const;
+    use dduf_datalog::ast::{Atom, Const, Term};
     use dduf_datalog::eval::materialize;
     use dduf_datalog::parser::parse_database;
     use dduf_events::event::EventKind;
@@ -117,14 +95,10 @@ mod tests {
     fn prevent_all_instances() {
         let (db, old) = employment();
         let txn = Transaction::parse(&db, "+la(maria). +la(pere).").unwrap();
-        let res = prevent_all_on(
-            &db,
-            &old,
-            &txn,
-            Pred::new("unemp", 1),
-            &DownwardOptions::default(),
-        )
-        .unwrap();
+        // Non-ground events: every instance of either side effect.
+        let unemp = Atom::new("unemp", vec![Term::var("X")]);
+        let unwanted = [EventAtom::ins(unemp.clone()), EventAtom::del(unemp)];
+        let res = prevent(&db, &old, &txn, &unwanted, &DownwardOptions::default()).unwrap();
         // Every alternative must employ both maria and pere.
         assert!(!res.alternatives.is_empty());
         for alt in &res.alternatives {

@@ -330,6 +330,30 @@ mod tests {
     }
 
     #[test]
+    fn materialize_for_the_global_ic_matches_full() {
+        // The constraint's cone goes through negation of base predicates;
+        // the unrelated views outside it are skipped.
+        let mut src = String::from(
+            "unemp(X) :- la(X), not works(X).
+             :- unemp(X), not u_benefit(X).
+             la(p0). la(p1). la(p2). works(p1). u_benefit(p2).\n",
+        );
+        for v in 0..4 {
+            src.push_str(&format!("view{v}(X) :- base{}(X). base{v}(p{v}).\n", v % 2));
+        }
+        let db = parse_database(&src).unwrap();
+        let ic = db.program().global_ic().unwrap();
+        let full = materialize(&db).unwrap();
+        let part = materialize_for(&db, &[ic], Strategy::SemiNaive).unwrap();
+        assert!(!full.relation(ic).is_empty());
+        assert_eq!(part.relation(ic), full.relation(ic));
+        let unemp = Pred::new("unemp", 1);
+        assert_eq!(part.relation(unemp), full.relation(unemp));
+        assert!(part.relation(Pred::new("view0", 1)).is_empty());
+        assert!(!full.relation(Pred::new("view0", 1)).is_empty());
+    }
+
+    #[test]
     fn materialize_records_deterministic_spans() {
         let db = parse_database(
             "e(a, b). e(b, c). e(c, d).

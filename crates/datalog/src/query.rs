@@ -2,8 +2,7 @@
 //!
 //! Old-database literals in the event rules "correspond to a query that must
 //! be performed in the current state of the database" (§4.1). This module
-//! is that query facility: match an atom (or a conjunction of literals)
-//! against a [`StateView`].
+//! is that query facility: match an atom against a [`StateView`].
 
 use crate::ast::{Atom, Literal, Pred};
 use crate::error::{Error, ParseError, Span};
@@ -37,12 +36,6 @@ pub fn holds(state: StateView<'_>, atom: &Atom) -> bool {
         return state.holds(atom.pred, &t.into());
     }
     !query_atom(state, atom).is_empty()
-}
-
-/// All bindings satisfying the conjunction `body` in `state`.
-pub fn query_body(state: StateView<'_>, body: &[Literal], seed: &Bindings) -> Vec<Bindings> {
-    let rel_of = |i: usize| -> &Relation { state.relation(body[i].atom.pred) };
-    eval_seeded(&mut None, body, &rel_of, seed)
 }
 
 /// The `:query <atom>` command of the shell and of the server: the
@@ -183,17 +176,5 @@ mod tests {
             command(state, "unemp(joan)").unwrap(),
             "(0 answer(s) via Materialized)\n"
         );
-    }
-
-    #[test]
-    fn conjunction_query() {
-        let (db, m) = setup();
-        let state = StateView::new(&db, &m);
-        let body = vec![
-            Literal::pos(Atom::new("la", vec![Term::var("X")])),
-            Literal::neg(Atom::new("unemp", vec![Term::var("X")])),
-        ];
-        let out = query_body(state, &body, &Bindings::new());
-        assert_eq!(out.len(), 1); // joan: in labour age, not unemployed
     }
 }

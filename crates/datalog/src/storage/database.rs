@@ -141,20 +141,6 @@ impl Database {
         dom
     }
 
-    /// Bulk load of base facts; errors on the first invalid fact.
-    pub fn load_facts<'a>(
-        &mut self,
-        facts: impl IntoIterator<Item = &'a Atom>,
-    ) -> Result<usize, SchemaError> {
-        let mut n = 0;
-        for f in facts {
-            if self.assert_fact(f)? {
-                n += 1;
-            }
-        }
-        Ok(n)
-    }
-
     /// Rebuilds this database under a different intensional part, keeping
     /// the extensional facts. Fails if a stored fact's predicate is
     /// derived in the new program (§2's base/derived partition must hold

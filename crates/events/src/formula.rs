@@ -218,11 +218,6 @@ impl Dnf {
         Dnf(vec![Conjunct::default()])
     }
 
-    /// True iff this DNF is syntactically false (no disjunct).
-    pub fn is_false(&self) -> bool {
-        self.0.is_empty()
-    }
-
     /// Number of disjuncts.
     pub fn len(&self) -> usize {
         self.0.len()

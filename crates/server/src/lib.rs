@@ -67,6 +67,16 @@ pub struct ServerConfig {
     pub backpressure: Backpressure,
 }
 
+/// Most sessions [`start`] serves. Each session is one acceptor thread,
+/// spawned up front, so an unbounded count would exhaust the process's
+/// thread limit.
+pub const MAX_SESSIONS: usize = 1_024;
+
+/// Highest `queue_cap` [`start`] accepts. The bounded job channel
+/// allocates all of its slots up front, so an unbounded cap would abort
+/// the process on allocation.
+pub const MAX_QUEUE_CAP: usize = 65_536;
+
 impl Default for ServerConfig {
     fn default() -> ServerConfig {
         ServerConfig {
@@ -126,8 +136,19 @@ impl ServerHandle {
 }
 
 /// Starts serving `db` on `config.addr`. Returns once the listener is
-/// bound and the worker threads are running.
+/// bound and the worker threads are running. A config above
+/// [`MAX_SESSIONS`] or [`MAX_QUEUE_CAP`] is `InvalidInput`, refused
+/// before any thread starts.
 pub fn start(db: dduf_persist::DurableDb, config: ServerConfig) -> io::Result<ServerHandle> {
+    if config.sessions > MAX_SESSIONS || config.queue_cap > MAX_QUEUE_CAP {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!(
+                "sessions {} (at most {MAX_SESSIONS}) or queue_cap {} (at most {MAX_QUEUE_CAP}) out of range",
+                config.sessions, config.queue_cap
+            ),
+        ));
+    }
     let (proc, store) = db.into_parts();
     let journal_end = store.journal_end();
     let cell = Arc::new(StateCell::new(Published {

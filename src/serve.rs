@@ -25,9 +25,9 @@ const SERVE_USAGE: &str = "\
 usage: dduf serve <dir> [--addr HOST:PORT] [--sessions N] [--max-batch N]
                         [--queue-cap N] [--backpressure block|reject]
        --addr          address to listen on (default 127.0.0.1:7117; port 0 = ephemeral)
-       --sessions      concurrent client sessions served (default 8)
+       --sessions      concurrent client sessions served (default 8, at most 1024)
        --max-batch     most transactions one group commit may cover (default 64)
-       --queue-cap     commit-queue high-water mark in jobs (default 256)
+       --queue-cap     commit-queue high-water mark in jobs (default 256, at most 65536)
        --backpressure  policy when the queue is full: block the session or
                        answer a retryable `busy` error (default block)";
 
@@ -96,6 +96,14 @@ pub fn run(args: impl IntoIterator<Item = String>) -> i32 {
     };
     if config.sessions == 0 {
         return usage_err("--sessions must be at least 1");
+    }
+    if config.sessions > dduf_server::MAX_SESSIONS {
+        let max = dduf_server::MAX_SESSIONS;
+        return usage_err(&format!("--sessions must be at most {max}"));
+    }
+    if config.queue_cap > dduf_server::MAX_QUEUE_CAP {
+        let max = dduf_server::MAX_QUEUE_CAP;
+        return usage_err(&format!("--queue-cap must be at most {max}"));
     }
 
     let db = match dduf_persist::DurableDb::open(&dir) {
@@ -206,6 +214,11 @@ mod tests {
         assert_eq!(run(["--sessions=0".to_string(), "d".into()]), 2);
         assert_eq!(run(["--max-batch".to_string(), "x".into(), "d".into()]), 2);
         assert_eq!(run(["--queue-cap=".to_string(), "d".into()]), 2);
+        // Above the bounds: refused before the database is opened.
+        assert_eq!(run(["--sessions=1025".to_string(), "d".into()]), 2);
+        let huge = ["--queue-cap".to_string(), "10000000000".into(), "d".into()];
+        assert_eq!(run(huge), 2);
+        assert_eq!(run(["--queue-cap=65537".to_string(), "d".into()]), 2);
         let bad = ["--backpressure".to_string(), "sideways".into(), "d".into()];
         assert_eq!(run(bad), 2);
     }
