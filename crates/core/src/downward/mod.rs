@@ -21,11 +21,14 @@ pub mod translate;
 use crate::domain::Domain;
 use crate::error::{Error, Result};
 use crate::transaction::Transaction;
+use crate::upward::maintain::MaintenanceEngine;
+use crate::upward::semantic;
 use dduf_datalog::ast::Atom;
 use dduf_datalog::eval::join::{ground_terms, Bindings};
-use dduf_datalog::eval::{materialize, Interpretation, StateView};
+use dduf_datalog::eval::{Interpretation, StateView};
 use dduf_datalog::parser;
 use dduf_datalog::storage::database::Database;
+use dduf_datalog::storage::tuple::Tuple;
 use dduf_events::event::{EventAtom, EventKind, GroundEvent};
 use dduf_events::store::EventStore;
 use std::fmt;
@@ -198,19 +201,19 @@ impl DownwardResult {
     }
 }
 
-/// Downward-interprets `request` against `db`, materializing the old state
-/// internally.
+/// Downward-interprets `request` against `db`, reading the old state from
+/// a throwaway maintenance engine that builds it.
 pub fn interpret(
     db: &Database,
     request: &Request,
     opts: &DownwardOptions,
 ) -> Result<DownwardResult> {
-    let old = materialize(db).map_err(Error::from)?;
-    interpret_with(db, &old, request, opts)
+    let engine = MaintenanceEngine::new(db)?;
+    interpret_with(db, engine.interpretation(), request, opts)
 }
 
 /// Downward-interprets `request` with an explicit old-state
-/// interpretation (must be the materialization of `db`).
+/// interpretation (must be the interpretation of `db`).
 ///
 /// Uses the greedy negation strategy first (see [`translate`] module
 /// docs); if it finds *no* translation — the one case where greedy's
@@ -246,7 +249,7 @@ fn interpret_once(
     let timer = dduf_obs::timer();
     let mut domain = opts.domain.clone().unwrap_or_else(|| Domain::active(db));
     domain.extend(request.constants());
-    let mut tr = Translator::new(db, old, domain, opts);
+    let mut tr = Translator::new(StateView::new(db, old), domain, opts);
 
     let mut total = nf::verum();
     let mut already = Vec::new();
@@ -337,9 +340,10 @@ fn interpret_once(
     })
 }
 
-/// Verifies an alternative by *replaying it upward*: applies its `to_do`
-/// transaction and checks that every achieve-item holds in the new state
-/// and every prevent-item induced no event. This is the round-trip of the
+/// Verifies an alternative by *replaying it upward*: the oracle
+/// ([`semantic::interpret`]) computes the events its `to_do` transaction
+/// induces, and every achieve-item must hold in the new state and every
+/// prevent-item must have induced no event. This is the round-trip of the
 /// paper's intro figure (downward then upward).
 pub fn verify(
     db: &Database,
@@ -348,50 +352,37 @@ pub fn verify(
     alt: &Alternative,
 ) -> Result<bool> {
     let txn = alt.to_transaction(db)?;
-    let new_db = txn.apply(db);
-    let new = materialize(&new_db).map_err(Error::from)?;
+    let up = semantic::interpret(db, old, &txn)?;
     let old_view = StateView::new(db, old);
-    let new_view = StateView::new(&new_db, &new);
+    let events = |kind: EventKind, pred| {
+        if db.program().is_derived(pred) {
+            up.derived.relation(kind, pred)
+        } else {
+            up.base.relation(kind, pred)
+        }
+    };
 
     for item in &request.items {
-        let atom = &item.event.atom;
         let pred = item.event.pred();
-        let satisfied_for = |tuple: &dduf_datalog::storage::tuple::Tuple| -> bool {
-            let before = old_view.relation(pred).contains(tuple);
-            let after = new_view.relation(pred).contains(tuple);
-            match (item.achieve, item.event.kind) {
-                (true, EventKind::Ins) => after,
-                (true, EventKind::Del) => !after,
-                (false, EventKind::Ins) => !after || before,
-                (false, EventKind::Del) => !before || after,
+        let ok = match item.event.atom.as_tuple() {
+            Some(t) => {
+                let t = Tuple::from(t);
+                let before = old_view.holds(pred, &t);
+                let after = events(EventKind::Ins, pred).contains(&t)
+                    || (before && !events(EventKind::Del, pred).contains(&t));
+                match (item.achieve, item.event.kind) {
+                    (true, EventKind::Ins) => after,
+                    (true, EventKind::Del) => !after,
+                    (false, EventKind::Ins) => !after || before,
+                    (false, EventKind::Del) => !before || after,
+                }
             }
+            // Open achieve-item: some instance must have changed; open
+            // prevent-item: none may have.
+            None => events(item.event.kind, pred).is_empty() != item.achieve,
         };
-        if let Some(t) = atom.as_tuple() {
-            if !satisfied_for(&t.into()) {
-                return Ok(false);
-            }
-        } else if item.achieve {
-            // Open achieve-item: some instance must satisfy it.
-            let before = old_view.relation(pred);
-            let after = new_view.relation(pred);
-            let ok = match item.event.kind {
-                EventKind::Ins => !after.difference(before).is_empty(),
-                EventKind::Del => !before.difference(after).is_empty(),
-            };
-            if !ok {
-                return Ok(false);
-            }
-        } else {
-            // Open prevent-item: no instance may violate it.
-            let before = old_view.relation(pred);
-            let after = new_view.relation(pred);
-            let violated = match item.event.kind {
-                EventKind::Ins => !after.difference(before).is_empty(),
-                EventKind::Del => !before.difference(after).is_empty(),
-            };
-            if violated {
-                return Ok(false);
-            }
+        if !ok {
+            return Ok(false);
         }
     }
     Ok(true)
@@ -401,6 +392,7 @@ pub fn verify(
 mod tests {
     use super::*;
     use dduf_datalog::ast::{Const, Pred};
+    use dduf_datalog::eval::materialize;
     use dduf_datalog::parser::parse_database;
     use dduf_datalog::storage::tuple::syms;
 
@@ -594,5 +586,30 @@ mod tests {
         for alt in &res.alternatives {
             assert!(verify(&db, &old, &req, alt).unwrap(), "{alt}");
         }
+    }
+
+    /// A negated old literal whose variable no positive literal binds is
+    /// read as ¬∃ over the old state. Allowedness (§2) rules such a rule
+    /// out of every program the engine accepts, so the old state is given
+    /// by hand: `p = {b}`.
+    #[test]
+    fn open_negated_old_literal_is_not_exists() {
+        use dduf_datalog::storage::relation::Relation;
+        let db = parse_database("q(a). q(b). r(a, c). p(X) :- q(X), not r(X, Y).").unwrap();
+        let mut old = Interpretation::default();
+        let mut p = Relation::new();
+        p.insert(syms(&["b"]));
+        old.set(Pred::new("p", 1), p);
+        let run = |kind, c: &str| -> Vec<String> {
+            let req = Request::new().achieve(kind, Atom::ground("p", vec![Const::sym(c)]));
+            let res = interpret_with(&db, &old, &req, &DownwardOptions::default()).unwrap();
+            res.alternatives.iter().map(|a| a.to_string()).collect()
+        };
+        // ∃Y r(a, Y) holds, so p(a) needs r(a, c) gone.
+        assert_eq!(run(EventKind::Ins, "a"), ["{-r(a, c)} avoiding {-q(a)}"]);
+        assert_eq!(
+            run(EventKind::Del, "b"),
+            ["{+r(b, a)}", "{+r(b, b)}", "{+r(b, c)}", "{-q(b)}"]
+        );
     }
 }

@@ -115,31 +115,6 @@ pub fn conj(a: &Nf, b: &Nf, cap: usize) -> Result<Nf> {
     Ok(out)
 }
 
-/// Negation: ¬(A₁ ∨ ... ∨ Aₖ) as a DNF. Each `Aᵢ` contributes the clause
-/// `∨ₗ ¬l` over its literals; the clauses are conjoined. `event_possible`
-/// decides whether a *positivized* literal (from negating `¬e`) denotes a
-/// possible event in the old state — impossible ones are dropped from their
-/// clause (they are false).
-pub fn negate(nf: &Nf, cap: usize, event_possible: &dyn Fn(&GroundEvent) -> bool) -> Result<Nf> {
-    let mut out = verum();
-    for alt in nf {
-        let mut clause: Nf = Vec::new();
-        for e in &alt.pos {
-            clause.push(Alt::of_neg(e.clone()));
-        }
-        for e in &alt.neg {
-            if event_possible(e) {
-                clause.push(Alt::of_pos(e.clone()));
-            }
-        }
-        out = conj(&out, &clause, cap)?;
-        if out.is_empty() {
-            return Ok(out); // short-circuit: conjunction already false
-        }
-    }
-    Ok(out)
-}
-
 /// Removes disjunctands subsumed by another (keeping the subsumer), and
 /// exact duplicates. Preserves first-seen order among survivors.
 pub fn prune_subsumed(nf: Nf) -> Nf {
@@ -202,39 +177,6 @@ mod tests {
         assert_eq!(out.len(), 1);
         assert!(out[0].pos.contains(&ins("la", "maria")));
         assert!(out[0].pos.contains(&ins("works", "maria")));
-    }
-
-    #[test]
-    fn negate_simple() {
-        // ¬(ιLa ∧ ¬ιWorks) = ¬ιLa ∨ ιWorks (example 5.3 inner step)
-        let nf = vec![Alt {
-            pos: BTreeSet::from([ins("la", "maria")]),
-            neg: BTreeSet::from([ins("works", "maria")]),
-        }];
-        let out = negate(&nf, 100, &|_| true).unwrap();
-        assert_eq!(out.len(), 2);
-        assert!(out.contains(&Alt::of_neg(ins("la", "maria"))));
-        assert!(out.contains(&Alt::of_pos(ins("works", "maria"))));
-    }
-
-    #[test]
-    fn negate_false_is_true() {
-        let out = negate(&falsum(), 10, &|_| true).unwrap();
-        assert_eq!(out, verum());
-    }
-
-    #[test]
-    fn negate_true_is_false() {
-        let out = negate(&verum(), 10, &|_| true).unwrap();
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn negate_drops_impossible_events() {
-        let nf = vec![Alt::of_neg(ins("la", "maria"))];
-        // If ins la(maria) is impossible, its positivization vanishes.
-        let out = negate(&nf, 10, &|_| false).unwrap();
-        assert!(out.is_empty());
     }
 
     #[test]

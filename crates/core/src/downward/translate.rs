@@ -3,7 +3,11 @@
 //! Translates event literals into the normal form of [`super::nf`]:
 //!
 //! * an **old-database literal** is a query on the current state — it
-//!   decides truth and/or produces variable bindings;
+//!   decides truth and/or produces variable bindings. A conjunct's
+//!   positive old literals, with the negated ones they ground, run as one
+//!   [`eval_seeded`] plan on the join kernel; a negated one that only an
+//!   event's grounding makes ground is a membership test after that
+//!   event; one still open after every event is a ¬∃ plan;
 //! * a **base event literal** "defines different alternatives of base fact
 //!   updates to be performed, one for each possible way to instantiate this
 //!   event" — positive occurrences become `to_do` entries, negative ones
@@ -44,18 +48,17 @@ use crate::domain::Domain;
 use crate::downward::nf::{self, Alt, Nf};
 use crate::downward::DownwardOptions;
 use crate::error::{Error, Result};
-use dduf_datalog::ast::{Pred, Term, Var};
+use dduf_datalog::ast::{Atom, Literal, Pred, Term, Var};
 use dduf_datalog::eval::join::{ground_terms, match_tuple, resolve, Bindings};
-use dduf_datalog::eval::Interpretation;
-use dduf_datalog::storage::database::Database;
-use dduf_datalog::storage::relation::Relation;
+use dduf_datalog::eval::plan::{eval_seeded, JoinPlan};
+use dduf_datalog::eval::StateView;
 use dduf_datalog::storage::tuple::Tuple;
-use dduf_events::event::{EventKind, GroundEvent};
+use dduf_events::event::{EventAtom, EventKind, GroundEvent};
 use dduf_events::formula::TrLit;
 use dduf_events::simplify::simplify_transition;
 use dduf_events::transition::TransitionRule;
-use std::cell::Cell;
-use std::collections::BTreeMap;
+use std::cell::{Cell, RefCell};
+use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 
 /// Semantic counters for one downward translation. The search is
@@ -74,27 +77,103 @@ pub struct TranslateStats {
 }
 
 /// The downward translation engine. One instance per interpretation call;
-/// caches simplified transition rules across the recursion.
+/// caches simplified transition rules, with their conjuncts' schedules,
+/// across the recursion.
 pub struct Translator<'a> {
-    db: &'a Database,
-    old: &'a Interpretation,
+    old: StateView<'a>,
     domain: Domain,
     opts: &'a DownwardOptions,
-    trs: BTreeMap<Pred, Rc<TransitionRule>>,
+    trs: BTreeMap<Pred, Rc<[Branch]>>,
     visiting: Vec<Pred>,
     stats: Cell<TranslateStats>,
 }
 
+/// One branch of a simplified transition rule: the head its target tuple
+/// is matched against, and one schedule per conjunct.
+struct Branch {
+    head: Atom,
+    conjuncts: Vec<Schedule>,
+}
+
+/// The order in which [`Translator::down_conjunct`] evaluates one
+/// conjunct's literals. The head match binds the same variables for every
+/// target tuple, so the order is fixed per conjunct:
+///
+/// 1. the positive old literals, with the negated ones they ground, as
+///    one join plan;
+/// 2. the positive events, fewest unbound arguments first, each followed
+///    by the negated old literals its grounding makes ground (membership
+///    filters);
+/// 3. the negated old literals still not ground, as one ¬∃ plan;
+/// 4. the negative events, in body order (∀-quantified requirements).
+struct Schedule {
+    old: Vec<Literal>,
+    old_plan: RefCell<Option<JoinPlan>>,
+    events: Vec<(EventAtom, Vec<Atom>)>,
+    open: Vec<Literal>,
+    open_plan: RefCell<Option<JoinPlan>>,
+    forbidden: Vec<EventAtom>,
+}
+
+impl Schedule {
+    fn new(lits: &[TrLit], head: &Atom) -> Schedule {
+        let mut bound: BTreeSet<Var> = head.vars().into_iter().collect();
+        let olds = || {
+            lits.iter().filter_map(|l| match l {
+                TrLit::Old(l) => Some(l),
+                TrLit::Event { .. } => None,
+            })
+        };
+        for l in olds().filter(|l| l.positive) {
+            bound.extend(l.atom.vars());
+        }
+        let ground = |a: &Atom, bound: &BTreeSet<Var>| a.vars().iter().all(|v| bound.contains(v));
+        let (old, mut negated): (Vec<Literal>, Vec<Literal>) = olds()
+            .cloned()
+            .partition(|l| l.positive || ground(&l.atom, &bound));
+
+        let mut positive: Vec<&EventAtom> = Vec::new();
+        let mut forbidden = Vec::new();
+        for l in lits {
+            match l {
+                TrLit::Event {
+                    positive: true,
+                    event,
+                } => positive.push(event),
+                TrLit::Event { event, .. } => forbidden.push(event.clone()),
+                TrLit::Old(_) => {}
+            }
+        }
+        let unbound = |e: &EventAtom, bound: &BTreeSet<Var>| {
+            let free = |t: &&Term| matches!(t, Term::Var(v) if !bound.contains(v));
+            e.atom.terms.iter().filter(free).count()
+        };
+        let mut events = Vec::with_capacity(positive.len());
+        while let Some((pos, _)) =
+            (positive.iter().enumerate()).min_by_key(|&(_, e)| unbound(e, &bound))
+        {
+            let event = positive.remove(pos);
+            bound.extend(event.atom.vars());
+            let (now, later) = negated.into_iter().partition(|l| ground(&l.atom, &bound));
+            negated = later;
+            let filters = now.into_iter().map(|l: Literal| l.atom).collect();
+            events.push((event.clone(), filters));
+        }
+        Schedule {
+            old,
+            old_plan: RefCell::new(None),
+            events,
+            open: negated,
+            open_plan: RefCell::new(None),
+            forbidden,
+        }
+    }
+}
+
 impl<'a> Translator<'a> {
-    /// Creates a translator over the old state `old` of `db`.
-    pub fn new(
-        db: &'a Database,
-        old: &'a Interpretation,
-        domain: Domain,
-        opts: &'a DownwardOptions,
-    ) -> Translator<'a> {
+    /// Creates a translator over the old state `old`.
+    pub fn new(old: StateView<'a>, domain: Domain, opts: &'a DownwardOptions) -> Translator<'a> {
         Translator {
-            db,
             old,
             domain,
             opts,
@@ -102,11 +181,6 @@ impl<'a> Translator<'a> {
             visiting: Vec::new(),
             stats: Cell::new(TranslateStats::default()),
         }
-    }
-
-    /// The finite domain in use.
-    pub fn domain(&self) -> &Domain {
-        &self.domain
     }
 
     /// Search counters accumulated so far.
@@ -120,18 +194,6 @@ impl<'a> Translator<'a> {
         self.stats.set(s);
     }
 
-    fn old_relation(&self, pred: Pred) -> &Relation {
-        if self.db.program().is_derived(pred) {
-            self.old.relation(pred)
-        } else {
-            self.db.relation(pred)
-        }
-    }
-
-    fn old_holds(&self, pred: Pred, tuple: &Tuple) -> bool {
-        self.old_relation(pred).contains(tuple)
-    }
-
     /// True iff `e` can occur in a transition from the old state: by the
     /// event definitions (1)/(2), an insertion needs the fact absent and a
     /// deletion needs it present; additionally the tuple must lie within
@@ -142,21 +204,31 @@ impl<'a> Translator<'a> {
             return false;
         }
         match e.kind {
-            EventKind::Ins => !self.old_holds(e.pred, &e.tuple),
-            EventKind::Del => self.old_holds(e.pred, &e.tuple),
+            EventKind::Ins => !self.old.holds(e.pred, &e.tuple),
+            EventKind::Del => self.old.holds(e.pred, &e.tuple),
         }
     }
 
-    fn transition(&mut self, pred: Pred) -> Rc<TransitionRule> {
+    fn transition(&mut self, pred: Pred) -> Rc<[Branch]> {
         if let Some(tr) = self.trs.get(&pred) {
             return Rc::clone(tr);
         }
-        let tr = Rc::new(simplify_transition(&TransitionRule::build(
-            self.db.program(),
-            pred,
-        )));
-        self.trs.insert(pred, Rc::clone(&tr));
-        tr
+        let tr = simplify_transition(&TransitionRule::build(self.old.db.program(), pred));
+        let branches: Rc<[Branch]> = tr
+            .branches
+            .into_iter()
+            .map(|b| Branch {
+                conjuncts: b
+                    .dnf
+                    .0
+                    .iter()
+                    .map(|c| Schedule::new(&c.0, &b.head))
+                    .collect(),
+                head: b.head,
+            })
+            .collect();
+        self.trs.insert(pred, Rc::clone(&branches));
+        branches
     }
 
     fn cap(&self) -> usize {
@@ -223,7 +295,7 @@ impl<'a> Translator<'a> {
         if !self.event_possible(&e) {
             return Ok(nf::falsum());
         }
-        if !self.db.program().is_derived(pred) {
+        if !self.old.db.program().is_derived(pred) {
             return nf::conj(ctx, &vec![Alt::of_pos(e)], self.cap());
         }
         match kind {
@@ -254,7 +326,7 @@ impl<'a> Translator<'a> {
             // The event cannot occur at all: the requirement is vacuous.
             return Ok(ctx.clone());
         }
-        if !self.db.program().is_derived(pred) {
+        if !self.old.db.program().is_derived(pred) {
             return self.conj_clause(ctx.clone(), &[e], &[]);
         }
         match kind {
@@ -285,13 +357,13 @@ impl<'a> Translator<'a> {
         let tr = self.transition(pred);
         let mut out = nf::falsum();
         let result = (|| {
-            for branch in &tr.branches {
+            for branch in tr.iter() {
                 let Some(seed) = match_tuple(&branch.head.terms, tuple, &Bindings::new()) else {
                     continue;
                 };
                 self.bump(|s| s.branches += 1);
-                for conj in &branch.dnf.0 {
-                    let nf_c = self.down_conjunct(&conj.0, &seed, depth + 1, ctx)?;
+                for conj in &branch.conjuncts {
+                    let nf_c = self.down_conjunct(conj, &seed, depth + 1, ctx)?;
                     out = nf::union(std::mem::take(&mut out), nf_c);
                     if out.len() > self.cap() {
                         return Err(Error::LimitExceeded {
@@ -308,155 +380,67 @@ impl<'a> Translator<'a> {
     }
 
     /// Downward interpretation of one transition-rule conjunct under
-    /// `seed`, conjoined into `ctx`.
-    ///
-    /// Literal processing order: positive old literals (bind via old-state
-    /// queries), ground negative old literals (filters), positive event
-    /// literals (instantiate & translate), non-ground negative old literals
-    /// (¬∃ filters), negative event literals last (∀-quantified
-    /// requirements).
+    /// `seed`, conjoined into `ctx`, in the order `conj` fixes. The old
+    /// literals are queries on the current state, run on the join kernel;
+    /// the events translate one alternative set per binding.
     fn down_conjunct(
         &mut self,
-        lits: &[TrLit],
+        conj: &Schedule,
         seed: &Bindings,
         depth: usize,
         ctx: &Nf,
     ) -> Result<Nf> {
         self.bump(|s| s.conjuncts += 1);
-        let mut states: Vec<(Bindings, Nf)> = vec![(seed.clone(), ctx.clone())];
-        let mut remaining: Vec<usize> = (0..lits.len()).collect();
+        let old = self.old;
+        let mut states: Vec<(Bindings, Nf)> = {
+            let rel_of = |i: usize| old.relation(conj.old[i].atom.pred);
+            eval_seeded(&mut conj.old_plan.borrow_mut(), &conj.old, &rel_of, seed)
+                .into_iter()
+                .map(|b| (b, ctx.clone()))
+                .collect()
+        };
 
-        while !remaining.is_empty() {
-            if states.is_empty() {
-                return Ok(nf::falsum());
-            }
-            let probe = states[0].0.clone();
-            let bound_count = |i: usize| -> usize {
-                lits[i]
-                    .lit_terms()
-                    .iter()
-                    .filter(|&&t| resolve(t, &probe).is_ground())
-                    .count()
-            };
-            let fully_ground = |i: usize| -> bool { bound_count(i) == lits[i].lit_terms().len() };
-
-            // 1. Positive old literal with the most bound arguments.
-            let pick = remaining
-                .iter()
-                .enumerate()
-                .filter(|&(_, &i)| matches!(&lits[i], TrLit::Old(l) if l.positive))
-                .max_by_key(|&(_, &i)| bound_count(i));
-            if let Some((pos, &i)) = pick {
-                remaining.remove(pos);
-                let TrLit::Old(l) = &lits[i] else {
-                    unreachable!()
-                };
-                let rel = self.old_relation(l.atom.pred);
-                let mut next = Vec::new();
-                for (b, acc) in &states {
-                    let pattern: Vec<Option<dduf_datalog::ast::Const>> = l
-                        .atom
-                        .terms
-                        .iter()
-                        .map(|&t| resolve(t, b).as_const())
-                        .collect();
-                    // `select` serves multi-column patterns from an
-                    // index on large relations, so these
-                    // restricted materializations probe instead of scan.
-                    for t in rel.select(&pattern) {
-                        if let Some(b2) = match_tuple(&l.atom.terms, &t, b) {
-                            next.push((b2, acc.clone()));
-                        }
-                    }
-                }
-                states = next;
-                continue;
-            }
-
-            // 2. Ground negative old literal: filter.
-            let pick = remaining
-                .iter()
-                .position(|&i| matches!(&lits[i], TrLit::Old(l) if !l.positive) && fully_ground(i));
-            if let Some(pos) = pick {
-                let i = remaining.remove(pos);
-                let TrLit::Old(l) = &lits[i] else {
-                    unreachable!()
-                };
-                let pred = l.atom.pred;
-                states.retain(|(b, _)| {
-                    let t = ground_terms(&l.atom.terms, b).expect("checked ground");
-                    !self.old_holds(pred, &t)
-                });
-                continue;
-            }
-
-            // 3. Positive event literal with the fewest unbound variables.
-            let pick = remaining
-                .iter()
-                .enumerate()
-                .filter(|&(_, &i)| lits[i].is_positive_event())
-                .min_by_key(|&(_, &i)| lits[i].lit_terms().len() - bound_count(i));
-            if let Some((pos, &i)) = pick {
-                remaining.remove(pos);
-                let TrLit::Event { event, .. } = lits[i].clone() else {
-                    unreachable!()
-                };
-                let mut next = Vec::new();
-                for (b, acc) in states.clone() {
-                    for g in self.groundings(event.pred(), &event.atom.terms, &b)? {
-                        let tuple = ground_terms(&event.atom.terms, &g)
-                            .expect("groundings bind all variables");
-                        let combined =
-                            self.apply_pos_event(event.kind, event.pred(), &tuple, depth, &acc)?;
-                        if !combined.is_empty() {
-                            next.push((g, combined));
-                        }
-                    }
-                }
-                states = next;
-                if states.len() > self.cap() {
-                    return Err(Error::LimitExceeded {
-                        what: "alternatives",
-                        limit: self.cap(),
-                    });
-                }
-                continue;
-            }
-
-            // 4. Non-ground negative old literal: ¬∃ over the old state.
-            let pick = remaining
-                .iter()
-                .position(|&i| matches!(&lits[i], TrLit::Old(l) if !l.positive));
-            if let Some(pos) = pick {
-                let i = remaining.remove(pos);
-                let TrLit::Old(l) = &lits[i] else {
-                    unreachable!()
-                };
-                let pred = l.atom.pred;
-                states.retain(|(b, _)| {
-                    let pattern: Vec<Option<dduf_datalog::ast::Const>> = l
-                        .atom
-                        .terms
-                        .iter()
-                        .map(|&t| resolve(t, b).as_const())
-                        .collect();
-                    !self
-                        .old_relation(pred)
-                        .select(&pattern)
-                        .iter()
-                        .any(|t| match_tuple(&l.atom.terms, t, b).is_some())
-                });
-                continue;
-            }
-
-            // 5. Negative event literal: ∀ groundings, the event must not
-            // occur.
-            let i = remaining.remove(0);
-            let TrLit::Event { event, .. } = lits[i].clone() else {
-                unreachable!("only event literals remain")
-            };
+        // Positive events: instantiate and translate, then filter by the
+        // negated old literals the grounding made ground.
+        for (event, filters) in &conj.events {
             let mut next = Vec::new();
-            for (b, acc) in states.clone() {
+            for (b, acc) in &states {
+                for g in self.groundings(event.pred(), &event.atom.terms, b)? {
+                    let tuple =
+                        ground_terms(&event.atom.terms, &g).expect("groundings bind all variables");
+                    let combined =
+                        self.apply_pos_event(event.kind, event.pred(), &tuple, depth, acc)?;
+                    if !combined.is_empty() {
+                        next.push((g, combined));
+                    }
+                }
+            }
+            states = next;
+            if states.len() > self.cap() {
+                return Err(Error::LimitExceeded {
+                    what: "alternatives",
+                    limit: self.cap(),
+                });
+            }
+            states.retain(|(b, _)| {
+                filters.iter().all(|a| {
+                    let t = ground_terms(&a.terms, b).expect("grounded by the schedule");
+                    !old.holds(a.pred, &t)
+                })
+            });
+        }
+
+        // Negated old literals no event grounds: ¬∃ over the old state.
+        if !conj.open.is_empty() {
+            let rel_of = |i: usize| old.relation(conj.open[i].atom.pred);
+            let mut plan = conj.open_plan.borrow_mut();
+            states.retain(|(b, _)| !eval_seeded(&mut plan, &conj.open, &rel_of, b).is_empty());
+        }
+
+        // Negative events: ∀ groundings, the event must not occur.
+        for event in &conj.forbidden {
+            let mut next = Vec::new();
+            for (b, acc) in states {
                 let mut acc2 = acc;
                 for g in self.groundings(event.pred(), &event.atom.terms, &b)? {
                     let tuple =
@@ -571,14 +555,5 @@ impl<'a> Translator<'a> {
             }
         }
         Ok(out)
-    }
-
-    /// Context-free DNF negation (the paper's literal definition). Used by
-    /// tests and by callers needing the standalone negated form; the
-    /// interpreters themselves use [`Self::apply_neg_event`], which folds
-    /// the negation into the search context.
-    pub fn negate(&self, nf_in: &Nf) -> Result<Nf> {
-        let possible = |e: &GroundEvent| -> bool { self.event_possible(e) };
-        nf::negate(nf_in, self.cap(), &possible)
     }
 }

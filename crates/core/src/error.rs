@@ -13,6 +13,9 @@ pub enum Error {
     /// consists of *base* event facts; derived events are induced (upward)
     /// or requested (downward), never given directly in a transaction.
     DerivedEventInTransaction(GroundEvent),
+    /// A transaction event has a variable (rendered): §3.1 defines a
+    /// transaction as a set of base event *facts*, so every event is ground.
+    NonGroundEvent(String),
     /// A transaction contains both `+p(c̄)` and `-p(c̄)`: no transition can
     /// satisfy both event definitions for the same atom.
     ConflictingEvents {
@@ -52,6 +55,12 @@ impl fmt::Display for Error {
                 write!(
                     f,
                     "transaction event {e} targets a derived predicate; transactions consist of base fact updates (§3.1)"
+                )
+            }
+            Error::NonGroundEvent(e) => {
+                write!(
+                    f,
+                    "transaction event {e} is not ground; transactions consist of ground base fact updates (§3.1)"
                 )
             }
             Error::ConflictingEvents { pred: _, atom } => {

@@ -6,7 +6,7 @@
 //! consistent) and applicable to produce the new extensional state.
 
 use crate::error::{Error, Result};
-use dduf_datalog::ast::{Atom, Pred};
+use dduf_datalog::ast::Pred;
 use dduf_datalog::parser;
 use dduf_datalog::storage::database::Database;
 use dduf_datalog::storage::tuple::Tuple;
@@ -61,23 +61,13 @@ impl Transaction {
             } else {
                 EventKind::Del
             };
-            let tuple = pe.atom.as_tuple().ok_or({
-                Error::Datalog(dduf_datalog::error::Error::Schema(
-                    dduf_datalog::error::SchemaError::ArityMismatch {
-                        pred: pe.atom.pred,
-                        got: pe.atom.terms.len(),
-                    },
-                ))
-            })?;
+            let tuple = pe
+                .atom
+                .as_tuple()
+                .ok_or_else(|| Error::NonGroundEvent(format!("{}{}", kind.sigil(), pe.atom)))?;
             events.push(GroundEvent::new(kind, pe.atom.pred, tuple.into()));
         }
         Transaction::from_events(db, events)
-    }
-
-    /// Convenience: a single-event transaction from an atom.
-    pub fn single(db: &Database, kind: EventKind, atom: &Atom) -> Result<Transaction> {
-        let tuple = atom.as_tuple().expect("transaction atoms must be ground");
-        Transaction::from_events(db, [GroundEvent::new(kind, atom.pred, tuple.into())])
     }
 
     /// The events.
@@ -211,6 +201,10 @@ mod tests {
         let db = db();
         let err = Transaction::parse(&db, "+p(a).").unwrap_err();
         assert!(matches!(err, Error::DerivedEventInTransaction(_)));
+        let db = crate::testkit::employment_db();
+        let err = Transaction::parse(&db, "+works(X).").unwrap_err();
+        assert!(matches!(err, Error::NonGroundEvent(_)));
+        assert!(err.to_string().contains("works(X)"), "{err}");
     }
 
     #[test]
@@ -243,21 +237,6 @@ mod tests {
             .extended(&db, [GroundEvent::del(Pred::new("r", 1), syms(&["b"]))])
             .unwrap();
         assert_eq!(ok.len(), 2);
-    }
-
-    #[test]
-    fn single_event_constructor() {
-        let db = db();
-        let t = Transaction::single(
-            &db,
-            EventKind::Del,
-            &dduf_datalog::ast::Atom::ground("r", vec![dduf_datalog::ast::Const::sym("b")]),
-        )
-        .unwrap();
-        assert_eq!(t.len(), 1);
-        assert!(t
-            .events()
-            .contains(&GroundEvent::del(Pred::new("r", 1), syms(&["b"]))));
     }
 
     /// Folds `srcs` in order and checks the composition law on `db`: the

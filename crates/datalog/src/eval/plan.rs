@@ -3,8 +3,9 @@
 //! (the same machinery underlying the magic-sets transform in
 //! [`crate::magic`]), and the one kernel that runs them.
 //!
-//! This is the one conjunction evaluator: every engine and every one-shot
-//! query compiles a [`JoinPlan`] and runs it — through [`JoinPlan::run`],
+//! This is the one conjunction evaluator: every engine, every one-shot
+//! query and the downward translator's old-state literals compile a
+//! [`JoinPlan`] and run it — through [`JoinPlan::run`],
 //! which hands each solution to a visitor that may stop the join, or
 //! through the collecting wrappers [`eval_plan_stats`] and
 //! [`eval_seeded`]. The greedy loop in [`crate::eval::join`] is only the

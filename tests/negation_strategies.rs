@@ -116,3 +116,43 @@ fn greedy_is_a_sound_subset_on_guarded_updates() {
     }
     let _ = old;
 }
+
+/// One transition conjunct of `alert` mixes every kind of old literal the
+/// translator schedules: `empᵒ(X, D) ∧ deptᵒ(D, M)` is a join of two old
+/// relations, and `¬clearedᵒ(M, P)` becomes ground only once the event
+/// `ins assigned(X, P)` is instantiated, so it filters after that event.
+/// (A negated old literal that stays open after every event, read as ¬∃,
+/// needs a rule that is not allowed; the downward unit tests cover it.)
+#[test]
+fn old_literal_mix_in_one_conjunct() {
+    let db = parse_database(
+        "#domain assigned/2 {ann, p1, p2}.
+         #domain emp/2 {ann, d1}.
+         #domain dept/2 {d1, m1}.
+         #domain cleared/2 {m1, p1, p2}.
+         emp(ann, d1). emp(bob, d2).
+         dept(d1, m1). dept(d2, m2).
+         assigned(bob, p1).
+         cleared(m1, p1). cleared(m2, p1).
+         alert(X) :- emp(X, D), dept(D, M), assigned(X, P), not cleared(M, P).",
+    )
+    .unwrap();
+    let req = Request::new().achieve(
+        EventKind::Ins,
+        Atom::ground("alert", vec![Const::sym("ann")]),
+    );
+    let (g, x) = run_both(&db, &req);
+    let expected: BTreeSet<Vec<String>> = [
+        &["+assigned(ann, ann)"][..],
+        &["+assigned(ann, ann)", "+dept(d1, d1)"],
+        &["+assigned(ann, p1)", "+dept(d1, d1)"],
+        &["+assigned(ann, p1)", "-cleared(m1, p1)"],
+        &["+assigned(ann, p2)"],
+        &["+assigned(ann, p2)", "+dept(d1, d1)"],
+    ]
+    .iter()
+    .map(|s| s.iter().map(|e| e.to_string()).collect())
+    .collect();
+    assert_eq!(todo_sets(&g), expected);
+    assert_eq!(todo_sets(&x), expected);
+}
