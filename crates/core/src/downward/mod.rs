@@ -24,7 +24,7 @@ use crate::transaction::Transaction;
 use crate::upward::maintain::MaintenanceEngine;
 use crate::upward::semantic;
 use dduf_datalog::ast::Atom;
-use dduf_datalog::eval::join::{ground_terms, Bindings};
+use dduf_datalog::eval::join::{ground_terms, match_tuple, Bindings};
 use dduf_datalog::eval::{Interpretation, StateView};
 use dduf_datalog::parser;
 use dduf_datalog::storage::database::Database;
@@ -377,9 +377,16 @@ pub fn verify(
                     (false, EventKind::Del) => !before || after,
                 }
             }
-            // Open achieve-item: some instance must have changed; open
-            // prevent-item: none may have.
-            None => events(item.event.kind, pred).is_empty() != item.achieve,
+            // Open achieve-item: some event tuple matching its terms
+            // (equal constants, one value per repeated variable) must
+            // have occurred; open prevent-item: none may have.
+            None => {
+                let terms = &item.event.atom.terms;
+                let matched = events(item.event.kind, pred)
+                    .iter()
+                    .any(|t| match_tuple(terms, t, &Bindings::new()).is_some());
+                matched == item.achieve
+            }
         };
         if !ok {
             return Ok(false);
@@ -391,7 +398,7 @@ pub fn verify(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dduf_datalog::ast::{Const, Pred};
+    use dduf_datalog::ast::{Const, Pred, Term};
     use dduf_datalog::eval::materialize;
     use dduf_datalog::parser::parse_database;
     use dduf_datalog::storage::tuple::syms;
@@ -611,5 +618,46 @@ mod tests {
             run(EventKind::Del, "b"),
             ["{+r(b, a)}", "{+r(b, b)}", "{+r(b, c)}", "{-q(b)}"]
         );
+    }
+
+    /// The alternative `{+q(x, y)}`.
+    fn insert_q(x: &str, y: &str) -> Alternative {
+        Alternative {
+            to_do: [GroundEvent::ins(Pred::new("q", 2), syms(&[x, y]))]
+                .into_iter()
+                .collect(),
+            must_not: EventStore::new(),
+        }
+    }
+
+    /// An open item is met only by an event tuple that matches its
+    /// constants: `{+q(d, e)}` inserts `v(d, e)`, not any `v(c, _)`.
+    #[test]
+    fn open_item_verifies_against_its_constants() {
+        let db = parse_database("q(a, b). v(X, Y) :- q(X, Y).").unwrap();
+        let old = materialize(&db).unwrap();
+        let v_c = Atom::new("v", vec![Term::sym("c"), Term::var("Y")]);
+        let want = Request::new().achieve(EventKind::Ins, v_c.clone());
+        assert!(!verify(&db, &old, &want, &insert_q("d", "e")).unwrap());
+        assert!(verify(&db, &old, &want, &insert_q("c", "e")).unwrap());
+        // A prevent-item is violated only by a matching tuple.
+        let avoid = Request::new().prevent(EventKind::Ins, v_c);
+        assert!(verify(&db, &old, &avoid, &insert_q("d", "e")).unwrap());
+        assert!(!verify(&db, &old, &avoid, &insert_q("c", "e")).unwrap());
+    }
+
+    /// A repeated variable asks for one value in both places: `+v(X, X)`
+    /// is met by `v(d, d)` and not by `v(d, e)`.
+    #[test]
+    fn open_item_with_a_repeated_variable() {
+        let db = parse_database("q(a, b). v(X, Y) :- q(X, Y).").unwrap();
+        let old = materialize(&db).unwrap();
+        let diag = Atom::new("v", vec![Term::var("X"), Term::var("X")]);
+        let want = Request::new().achieve(EventKind::Ins, diag.clone());
+        assert!(!verify(&db, &old, &want, &insert_q("d", "e")).unwrap());
+        assert!(verify(&db, &old, &want, &insert_q("d", "d")).unwrap());
+        let avoid = Request::new().prevent(EventKind::Ins, diag);
+        assert!(verify(&db, &old, &avoid, &insert_q("d", "e")).unwrap());
+        assert!(!verify(&db, &old, &avoid, &insert_q("d", "d")).unwrap());
     }
 }

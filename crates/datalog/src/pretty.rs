@@ -1,11 +1,12 @@
 //! Pretty-printing of programs, databases and materialized states in the
 //! surface syntax (parseable round-trip output).
 
-use crate::ast::Pred;
+use crate::ast::{Const, Pred};
 use crate::eval::{Interpretation, StateView};
 use crate::schema::{DerivedRole, Program, Role};
 use crate::storage::database::Database;
-use std::fmt::Write;
+use crate::storage::relation::Relation;
+use std::fmt::{self, Write};
 
 /// Renders a program in surface syntax (directives, then rules).
 pub fn program(p: &Program) -> String {
@@ -45,14 +46,36 @@ pub fn database(db: &Database) -> String {
     format!("{}{}", program(db.program()), facts(db))
 }
 
+/// Writes the ground atom `pred(c1, ..., cn)` — what the tuple's
+/// [`to_atom`](crate::storage::tuple::Tuple::to_atom) displays, without
+/// building the atom.
+pub fn write_fact(out: &mut impl Write, pred: Pred, tuple: &[Const]) -> fmt::Result {
+    out.write_str(pred.name.as_str())?;
+    for (i, c) in tuple.iter().enumerate() {
+        out.write_str(if i == 0 { "(" } else { ", " })?;
+        write!(out, "{c}")?;
+    }
+    if !tuple.is_empty() {
+        out.write_char(')')?;
+    }
+    Ok(())
+}
+
+/// Writes one line per tuple of `rel`: the fact, `.`, then `suffix`.
+fn write_lines(out: &mut String, pred: Pred, rel: &Relation, suffix: &str) {
+    for t in rel.iter() {
+        let _ = write_fact(out, pred, t);
+        out.push('.');
+        out.push_str(suffix);
+        out.push('\n');
+    }
+}
+
 /// Renders the extensional facts of a database.
 pub fn facts(db: &Database) -> String {
     let mut out = String::new();
-    let preds: Vec<Pred> = db.extensional_predicates().collect();
-    for pred in preds {
-        for t in db.relation(pred).iter() {
-            let _ = writeln!(out, "{}.", t.to_atom(pred));
-        }
+    for pred in db.extensional_predicates() {
+        write_lines(&mut out, pred, db.relation(pred), "");
     }
     out
 }
@@ -61,9 +84,7 @@ pub fn facts(db: &Database) -> String {
 pub fn derived(interp: &Interpretation) -> String {
     let mut out = String::new();
     for (pred, rel) in interp.iter() {
-        for t in rel.iter() {
-            let _ = writeln!(out, "{}.", t.to_atom(pred));
-        }
+        write_lines(&mut out, pred, rel, "");
     }
     out
 }
@@ -72,9 +93,7 @@ pub fn derived(interp: &Interpretation) -> String {
 pub fn state(view: StateView<'_>) -> String {
     let mut out = facts(view.db);
     for (pred, rel) in view.interp.iter() {
-        for t in rel.iter() {
-            let _ = writeln!(out, "{}. %= derived", t.to_atom(pred));
-        }
+        write_lines(&mut out, pred, rel, " %= derived");
     }
     out
 }

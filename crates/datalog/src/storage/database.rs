@@ -36,6 +36,28 @@ impl Database {
         }
     }
 
+    /// A database with `program` and the relations of `facts`, one per
+    /// predicate. Validates each predicate like
+    /// [`Database::assert_tuple`], in the order given, and fails at the
+    /// first that is derived.
+    pub(crate) fn from_relations(
+        program: Program,
+        facts: impl IntoIterator<Item = (Pred, Relation)>,
+    ) -> Result<Database, SchemaError> {
+        let mut edb = BTreeMap::new();
+        for (pred, rel) in facts {
+            if program.is_derived(pred) {
+                return Err(SchemaError::FactOnDerivedPredicate(pred));
+            }
+            debug_assert!(rel.iter().all(|t| t.arity() == pred.arity));
+            edb.insert(pred, rel);
+        }
+        Ok(Database {
+            program: Arc::new(program),
+            edb,
+        })
+    }
+
     /// The intensional part.
     pub fn program(&self) -> &Program {
         &self.program

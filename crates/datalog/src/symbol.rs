@@ -103,6 +103,11 @@ impl Sym {
         Sym(interner().lock().expect("interner poisoned").intern(s))
     }
 
+    /// The interning index: symbols order as their indexes do.
+    pub(crate) fn index(self) -> u32 {
+        self.0
+    }
+
     /// The interned string.
     pub fn as_str(self) -> &'static str {
         let int = interner().lock().expect("interner poisoned");

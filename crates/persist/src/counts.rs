@@ -16,11 +16,12 @@
 //! x +atom.                (one extension tuple of a DRed stratum)
 //! ```
 //!
-//! Tuples render in the same event surface syntax the journal uses, so
-//! they round-trip through the existing event parser. The header, the
-//! CRC-32 over the body and the atomic write are the snapshot's (the
-//! private `framed` module): a crash leaves either the old complete file
-//! or the new complete file.
+//! Tuples render in the same event surface syntax the journal uses. A
+//! read lexes the whole body in one pass with the parser's
+//! [`FactReader`] and builds each predicate's counts or extension from
+//! one sorted vector. The header, the CRC-32 over the body and the atomic
+//! write are the snapshot's (the private `framed` module): a crash leaves
+//! either the old complete file or the new complete file.
 //!
 //! The `journal_pos` header field ties the file to a snapshot: recovery
 //! only restores from a counts file whose position **equals** the
@@ -34,11 +35,15 @@
 use crate::error::{io_err, PersistError, Result};
 use crate::framed::{read_framed, write_framed};
 use dduf_core::upward::maintain::{Counts, MaintenanceEngine};
-use dduf_datalog::ast::Pred;
+use dduf_datalog::ast::{Const, Pred};
+use dduf_datalog::error::ParseError;
+use dduf_datalog::parser::lexer::Tok;
+use dduf_datalog::parser::FactReader;
+use dduf_datalog::pretty;
 use dduf_datalog::storage::relation::Relation;
 use dduf_datalog::storage::tuple::Tuple;
-use dduf_events::event::GroundEvent;
 use std::collections::BTreeMap;
+use std::fmt::Write;
 use std::path::Path;
 
 /// File name of the persisted maintenance state inside a durable-database
@@ -73,7 +78,8 @@ pub fn write(dir: &Path, engine: &MaintenanceEngine, journal_pos: u64) -> Result
     let mut tuples = 0u64;
     for (&pred, map) in engine.counts() {
         for (t, c) in map.iter() {
-            body.push_str(&format!("c {c} {}.\n", GroundEvent::ins(pred, t.clone())));
+            let _ = write!(body, "c {c} +");
+            write_line(&mut body, pred, t);
             tuples += 1;
         }
     }
@@ -82,7 +88,8 @@ pub fn write(dir: &Path, engine: &MaintenanceEngine, journal_pos: u64) -> Result
             continue; // counting extensions are implied by the counts
         }
         for t in rel.iter() {
-            body.push_str(&format!("x {}.\n", GroundEvent::ins(pred, t.clone())));
+            body.push_str("x +");
+            write_line(&mut body, pred, t);
             tuples += 1;
         }
     }
@@ -127,44 +134,28 @@ pub fn read(dir: &Path) -> Result<Option<CountsState>> {
         return Ok(None);
     }
     let (journal_pos, body) = framed?;
-    let mut counts: BTreeMap<Pred, Counts> = BTreeMap::new();
-    let mut dred_exts: BTreeMap<Pred, Relation> = BTreeMap::new();
-    for (ln, line) in body.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
+    let mut reader = FactReader::new(&body);
+    let lines = read_lines(&mut reader);
+    // The header is line 1 of the file, the body's first line line 2.
+    let (counted, extensions) = reader
+        .finish(lines)
+        .map_err(|e| bad(format!("line {}: {}", e.span.line + 1, e.message)))?;
+    let mut counts = BTreeMap::new();
+    for (pred, mut entries) in counted {
+        entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        if entries.windows(2).any(|w| w[0].0 == w[1].0) {
+            return Err(bad(format!("duplicate counted tuple of {pred}")));
         }
-        let bad_line = |detail: &str| bad(format!("line {}: {detail}: {line}", ln + 2));
-        let (pred, tuple, count) = if let Some(rest) = line.strip_prefix("c ") {
-            let (count, ev) = rest
-                .split_once(' ')
-                .ok_or_else(|| bad_line("missing count"))?;
-            let count: i64 = count
-                .parse()
-                .map_err(|_| bad_line("count is not a number"))?;
-            if count <= 0 {
-                return Err(bad_line("count must be positive"));
-            }
-            let (pred, tuple) = parse_tuple(ev).map_err(|e| bad_line(&e))?;
-            (pred, tuple, Some(count))
-        } else if let Some(ev) = line.strip_prefix("x ") {
-            let (pred, tuple) = parse_tuple(ev).map_err(|e| bad_line(&e))?;
-            (pred, tuple, None)
-        } else {
-            return Err(bad_line("unknown line tag"));
-        };
-        match count {
-            Some(c) => {
-                if !counts.entry(pred).or_default().insert(tuple, c) {
-                    return Err(bad_line("duplicate counted tuple"));
-                }
-            }
-            None => {
-                if !dred_exts.entry(pred).or_default().insert(tuple) {
-                    return Err(bad_line("duplicate extension tuple"));
-                }
-            }
+        counts.insert(pred, Counts::from_sorted(entries));
+    }
+    let mut dred_exts = BTreeMap::new();
+    for (pred, tuples) in extensions {
+        let lines = tuples.len();
+        let extension = Relation::from_tuples(tuples);
+        if extension.len() < lines {
+            return Err(bad(format!("duplicate extension tuple of {pred}")));
         }
+        dred_exts.insert(pred, extension);
     }
     Ok(Some(CountsState {
         journal_pos,
@@ -173,17 +164,46 @@ pub fn read(dir: &Path) -> Result<Option<CountsState>> {
     }))
 }
 
-/// Parses one `+atom.` payload back into its predicate and tuple.
-fn parse_tuple(src: &str) -> std::result::Result<(Pred, Tuple), String> {
-    let ev = dduf_datalog::parser::parse_event(src).map_err(|e| format!("bad event: {e}"))?;
-    if !ev.insert {
-        return Err("expected an insertion-shaped tuple".into());
+/// Ends a body line: the fact, `.` and the newline.
+fn write_line(body: &mut String, pred: Pred, t: &[Const]) {
+    let _ = pretty::write_fact(body, pred, t);
+    body.push_str(".\n");
+}
+
+/// Each predicate's counted tuples and extension tuples, in file order.
+type Lines = (
+    BTreeMap<Pred, Vec<(Tuple, i64)>>,
+    BTreeMap<Pred, Vec<Tuple>>,
+);
+
+/// Reads every line of a counts body, in one pass over its tokens.
+fn read_lines(r: &mut FactReader<'_>) -> std::result::Result<Lines, ParseError> {
+    let (mut counted, mut extensions) = Lines::default();
+    loop {
+        let span = r.span();
+        let bad = |message: &str| ParseError {
+            span,
+            message: message.into(),
+        };
+        let count = match r.bump() {
+            None => break,
+            Some(Tok::Ident("c")) => match r.bump() {
+                Some(Tok::Int(c)) if c > 0 => Some(c),
+                Some(Tok::Int(_)) => return Err(bad("count must be positive")),
+                _ => return Err(bad("missing count")),
+            },
+            Some(Tok::Ident("x")) => None,
+            Some(_) => return Err(bad("unknown line tag")),
+        };
+        r.expect(&Tok::Plus)?;
+        let (pred, tuple) = r.fact()?;
+        r.expect(&Tok::Dot)?;
+        match count {
+            Some(c) => counted.entry(pred).or_default().push((tuple, c)),
+            None => extensions.entry(pred).or_default().push(tuple),
+        }
     }
-    let consts = ev
-        .atom
-        .as_tuple()
-        .ok_or_else(|| "tuple is not ground".to_string())?;
-    Ok((ev.atom.pred, Tuple::new(consts)))
+    Ok((counted, extensions))
 }
 
 #[cfg(test)]
@@ -250,6 +270,36 @@ mod tests {
         let content = std::fs::read(&path).unwrap();
         std::fs::write(&path, &content[..content.len() - 9]).unwrap();
         assert!(read(&dir).is_err());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A body that passes its checksum but is not a counts body fails
+    /// the read, naming the line, so open falls back to a recompute.
+    #[test]
+    fn malformed_bodies_fail_the_read() {
+        let dir = tmpdir("malformed");
+        for (body, detail) in [
+            ("c 0 +v(a).\n", "line 2: count must be positive"),
+            ("c 1 +v(a).\nc +v(b).\n", "line 3: missing count"),
+            ("q +v(a).\n", "line 2: unknown line tag"),
+            ("x -tc(a, b).\n", "line 2: expected `+`, found `-`"),
+            ("x +tc(X, b).\n", "line 2: fact `tc(X, b)` must be ground"),
+            ("x +tc(a, b)\n", "line 2: expected `.`, found end of input"),
+            ("x +tc('a, b).\n", "line 2: unterminated quoted symbol"),
+            (
+                "x +tc(a, b).\nx +tc(a, b).\n",
+                "duplicate extension tuple of tc/2",
+            ),
+            ("c 1 +v(a).\nc 2 +v(a).\n", "duplicate counted tuple of v/1"),
+        ] {
+            write_framed(&dir, COUNTS_FILE, "counts", 7, body).unwrap();
+            match read(&dir) {
+                Err(PersistError::Snapshot { detail: got, .. }) => {
+                    assert_eq!(got, detail, "{body:?}")
+                }
+                other => panic!("{body:?}: expected a read error, got {other:?}"),
+            }
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
