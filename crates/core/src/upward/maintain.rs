@@ -1355,14 +1355,13 @@ impl Candidates {
     }
 
     /// Queues the head `t` of an instance true in the old state unless it
-    /// was queued before; a tuple is allocated only then. The old
-    /// extension is the old state's fixpoint, so it holds `t`.
+    /// was queued before, in one search of `seen`; a tuple is allocated
+    /// only then. The old extension is the old state's fixpoint, so it
+    /// holds `t`.
     fn push(&mut self, engine: &MaintenanceEngine, p: Pred, t: &[Const]) {
         debug_assert!(engine.extension(p).contains(t), "{p}{t:?} is not old");
         let seen = self.seen.get_mut(&p).expect("member head");
-        if seen.get(t).is_none() {
-            let t = Tuple::from(t);
-            seen.insert(t.clone(), false);
+        if let Some(t) = seen.insert_new(t, false) {
             let rank = engine.rank(p, &t).unwrap_or(0);
             self.queue.push(Reverse((rank, p, t)));
         }

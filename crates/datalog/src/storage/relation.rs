@@ -2,7 +2,7 @@
 //! secondary indexes for the probes of the join kernel.
 
 use crate::ast::Const;
-use crate::storage::runs::{Iter, Runs};
+use crate::storage::runs::{self, Iter, Runs};
 use crate::storage::tuple::Tuple;
 use std::collections::BTreeSet;
 use std::sync::{Arc, OnceLock};
@@ -104,16 +104,32 @@ impl Index {
         for (j, &c) in perm.iter().enumerate() {
             at[c] = j;
         }
-        let mut entries: Vec<Tuple> = tuples.iter().map(|(t, ())| permute(t, &perm)).collect();
-        entries.sort_unstable();
+        let entries = tuples
+            .iter()
+            .map(|(t, ())| keyed(permute(t, &perm)))
+            .collect();
         Index {
             cols: cols.into(),
             perm,
             at: at.into(),
-            entries: Runs::from_sorted(entries.into_iter().map(|t| (t, ()))),
+            entries: runs_of(entries),
             next: Indexes::default(),
         }
     }
+}
+
+/// `t` with its word, the key its runs sort it by.
+fn keyed(t: Tuple) -> (u64, Tuple) {
+    (runs::word(&t), t)
+}
+
+/// The runs of `keyed` tuples, in any order and with duplicates. They
+/// sort by word, and by tuple only where words tie, so the sort reads
+/// few tuples.
+fn runs_of(mut keyed: Vec<(u64, Tuple)>) -> Runs<()> {
+    keyed.sort_unstable();
+    keyed.dedup();
+    Runs::from_sorted_words(keyed.into_iter().map(|(w, t)| (w, (t, ()))))
 }
 
 /// `t` with its columns in the order `perm` lists them.
@@ -149,45 +165,45 @@ impl Relation {
 
     /// Creates a relation from tuples.
     pub fn from_tuples(tuples: impl IntoIterator<Item = Tuple>) -> Relation {
-        let mut sorted: Vec<Tuple> = tuples.into_iter().collect();
-        sorted.sort_unstable();
-        sorted.dedup();
-        Relation::from_sorted(sorted)
+        Relation::from_runs(runs_of(tuples.into_iter().map(keyed).collect()))
     }
 
     /// Creates a relation from `rows` rows of `arity` constants each,
     /// laid end to end in `flat`, in any order and with duplicates. Rows
-    /// of one or two symbols, what a snapshot mostly holds, sort as one
-    /// `u64` key each and become tuples once sorted and deduplicated;
-    /// other rows go through [`Relation::from_tuples`].
+    /// whose words are exact ([`runs::abbreviate`]: one or two symbols or
+    /// small integers, what a snapshot mostly holds) are told apart and
+    /// ordered by their words alone, so they sort as one `u64` each and
+    /// become tuples once sorted and deduplicated; other rows go through
+    /// [`Relation::from_tuples`].
     pub(crate) fn from_rows(arity: usize, rows: usize, flat: &[Const]) -> Relation {
         debug_assert_eq!(flat.len(), arity * rows);
         if arity == 0 {
             return Relation::from_sorted((rows > 0).then(Tuple::empty));
         }
-        if arity > 2 || flat.iter().any(|c| matches!(c, Const::Int(_))) {
+        if !flat.chunks_exact(arity).all(|row| runs::abbreviate(row).1) {
             return Relation::from_tuples(flat.chunks_exact(arity).map(Tuple::from));
         }
-        // A symbol orders as its interning index.
-        let key = |row: &[Const]| {
-            row.iter().fold(0, |key, c| match c {
-                Const::Sym(s) => key << 32 | u64::from(s.index()),
-                Const::Int(_) => unreachable!("rows of symbols only"),
-            })
-        };
         let mut keyed: Vec<(u64, &[Const])> = flat
             .chunks_exact(arity)
-            .map(|row| (key(row), row))
+            .map(|row| (runs::word(row), row))
             .collect();
         keyed.sort_unstable_by_key(|&(key, _)| key);
         keyed.dedup_by_key(|&mut (key, _)| key);
-        Relation::from_sorted(keyed.into_iter().map(|(_, row)| Tuple::from(row)))
+        let entries = keyed
+            .into_iter()
+            .map(|(w, row)| (w, (Tuple::from(row), ())));
+        Relation::from_runs(Runs::from_sorted_words(entries))
     }
 
     /// Creates a relation from tuples in strictly ascending order.
     fn from_sorted(tuples: impl IntoIterator<Item = Tuple>) -> Relation {
+        Relation::from_runs(Runs::from_sorted(tuples.into_iter().map(|t| (t, ()))))
+    }
+
+    /// A relation of `tuples`, with no index yet.
+    fn from_runs(tuples: Runs<()>) -> Relation {
         Relation {
-            tuples: Runs::from_sorted(tuples.into_iter().map(|t| (t, ()))),
+            tuples,
             index: Arc::default(),
         }
     }
@@ -399,7 +415,7 @@ impl FromIterator<Tuple> for Relation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::storage::runs::RUN;
+    use crate::storage::runs::{Run, RUN};
     use crate::storage::tuple::syms;
 
     /// What the relations are checked against.
@@ -590,16 +606,12 @@ mod tests {
         assert_eq!(sizes.iter().sum::<usize>(), r.len());
     }
 
-    /// Every run's fence is its last key, in the tuples and in every index.
+    /// Every run's fence is its last key's word, and every slot holds its
+    /// tuple's, in the tuples and in every index.
     fn assert_fences(r: &Relation) {
         let list = std::iter::successors(r.index.0.get(), |idx| idx.next.0.get());
         for runs in std::iter::once(&r.tuples).chain(list.map(|idx| &idx.entries)) {
-            let last_keys: Vec<Const> = runs
-                .runs()
-                .iter()
-                .flat_map(|run| run.last().expect("no run is empty").0.iter().copied())
-                .collect();
-            assert_eq!(runs.fences(), last_keys, "fences");
+            runs.assert_words();
         }
     }
 
@@ -642,10 +654,20 @@ mod tests {
     }
 
     /// One of 6 × 12 × 30 tuples, so draws repeat and prefixes are shared.
+    /// Odd values of a column lie beyond the integers with codes of their
+    /// own (below them in the first column, above in the others), so
+    /// tuples tie on their words and the searches compare the tuples.
     fn random_tuple(rng: &mut u64) -> Tuple {
         let x = xorshift(rng);
-        let col = |shift: u32, modulus: u64| Const::Int(((x >> shift) % modulus) as i64);
-        Tuple::new(vec![col(0, 6), col(16, 12), col(32, 30)])
+        let col = |shift: u32, modulus: u64, far: i64| {
+            let v = ((x >> shift) % modulus) as i64;
+            Const::Int(if v % 2 == 1 { v + far } else { v })
+        };
+        Tuple::new(vec![
+            col(0, 6, -(1 << 40)),
+            col(16, 12, 1 << 40),
+            col(32, 30, 1 << 40),
+        ])
     }
 
     fn random_tuples(rng: &mut u64, at_most: u64) -> Vec<Tuple> {
@@ -806,7 +828,7 @@ mod tests {
     }
 
     /// The runs of `r`'s index on `cols`.
-    fn index_runs<'a>(r: &'a Relation, cols: &[usize]) -> &'a [Arc<Vec<(Tuple, ())>>] {
+    fn index_runs<'a>(r: &'a Relation, cols: &[usize]) -> &'a [Run<()>] {
         let list = std::iter::successors(r.index.0.get(), |idx| idx.next.0.get());
         let idx = list.into_iter().find(|idx| *idx.cols == *cols);
         idx.expect("indexed").entries.runs()

@@ -13,12 +13,18 @@
 //! degrade the spine into many tiny runs. Iteration is ascending tuple
 //! order.
 //!
-//! Beside the runs the spine keeps each run's last key, its *fence*, in one
-//! flat array of constants. Finding the run that can hold a key — for a
-//! lookup, a mutation or either end of a prefix range — binary-searches
-//! the fences alone and dereferences no run until it has chosen one. The
-//! fences share and copy with the spine, and change only where a run's
-//! last key does.
+//! Every key is searched by its *word*: a `u64` that abbreviates the key's
+//! first two columns and orders as the keys do ([`abbreviate`]). Each slot
+//! of a run holds its entry's word beside the entry, and the spine keeps
+//! each run's *fence*, the word of its last key, in one flat array.
+//! Finding the run that can hold a key — for a lookup, a mutation or
+//! either end of a prefix range — binary-searches the fences, and finding
+//! the key in that run binary-searches the slots' words. Two words that
+//! differ decide; a tuple is read only where a word ties the key's (the
+//! slot's own tuple, or the run's last for a fence), and not even then
+//! when the key's word is exact. So a search compares integers and
+//! follows almost no tuple pointer, while the order — and so every
+//! iteration — is exactly the tuples' order.
 //!
 //! [`Relation`](super::relation::Relation) is this container with no
 //! value, plus one more of it per secondary index (the tuples with their
@@ -34,17 +40,155 @@ use std::sync::Arc;
 /// set, or the tail of a bulk build).
 pub const RUN: usize = 64;
 
-type Run<V> = Arc<Vec<(Tuple, V)>>;
+/// The code of every symbol from this interning index on; each earlier
+/// symbol's code is its index.
+const SYM_LATE: u32 = 0x7FFF_FFFE;
+/// The code of every integer below `-INT_WINDOW`.
+const INT_BELOW: u32 = 0x7FFF_FFFF;
+/// The code of integer 0: an integer `i` with `|i| <= INT_WINDOW` has
+/// code `INT_ZERO + i`, up to `u32::MAX - 1`.
+const INT_ZERO: u32 = 0xBFFF_FFFF;
+/// The integers with a code of their own: `-INT_WINDOW..=INT_WINDOW`.
+const INT_WINDOW: i64 = (1 << 30) - 1;
+/// The code of every integer above `INT_WINDOW`.
+const INT_ABOVE: u32 = u32::MAX;
 
-/// The runs and their fences. The fence of run `i` is its last key, kept
-/// as `fences[i * arity..(i + 1) * arity]`: choosing a run searches this
-/// one flat array and dereferences no run. Every key has `arity` columns
-/// (a 0-ary container has empty fences).
+/// The 32-bit code of a constant, and whether it is *exact* (no other
+/// constant has it). Codes order as the constants do — every symbol, by
+/// interning index, before every integer, by value — and a code shared by
+/// several constants (late symbols, integers beyond the window) keeps
+/// that order weakly.
+fn code(c: Const) -> (u32, bool) {
+    match c {
+        Const::Sym(s) if s.index() < SYM_LATE => (s.index(), true),
+        Const::Sym(_) => (SYM_LATE, false),
+        Const::Int(i) if i < -INT_WINDOW => (INT_BELOW, false),
+        Const::Int(i) if i > INT_WINDOW => (INT_ABOVE, false),
+        Const::Int(i) => ((i64::from(INT_ZERO) + i) as u32, true),
+    }
+}
+
+/// The word of a key, and whether it is exact. The word holds the first
+/// column's code in its high half and the second column's in its low half
+/// when the first code is exact (0 otherwise, and for a shorter key).
+/// Words order as keys do — a shorter key, which sorts before every key
+/// extending it, too: `abbreviate(x).0 < abbreviate(y).0` implies
+/// `x < y`, so two words that differ decide the order and only a tie
+/// needs the keys. The word is *exact* when no other key of the same
+/// length has it: at most two columns, each with an exact code.
+pub(crate) fn abbreviate(key: &[Const]) -> (u64, bool) {
+    let Some(&first) = key.first() else {
+        return (0, true);
+    };
+    let (high, exact_high) = code(first);
+    let (low, exact_low) = match key.get(1) {
+        Some(&second) if exact_high => code(second),
+        _ => (0, true),
+    };
+    let word = u64::from(high) << 32 | u64::from(low);
+    (word, exact_high && exact_low && key.len() <= 2)
+}
+
+/// The word of a key ([`abbreviate`]).
+pub(crate) fn word(key: &[Const]) -> u64 {
+    abbreviate(key).0
+}
+
+/// What of a key's word its first `n` columns decide: the word of
+/// `key[..n]` is `word(key) & prefix_mask(n)`.
+fn prefix_mask(n: usize) -> u64 {
+    match n {
+        0 => 0,
+        1 => u64::MAX << 32,
+        _ => u64::MAX,
+    }
+}
+
+/// The first of `items`, in ascending key order, whose key is not below
+/// a search key of word `w`: the items' words (`word`, masked as the
+/// search needs) decide where they differ from `w`, and `below(i)` only
+/// where item `i`'s ties it.
+fn search<T>(
+    items: &[T],
+    w: u64,
+    word: impl Fn(&T) -> u64,
+    below: impl Fn(usize) -> bool,
+) -> usize {
+    let lo = items.partition_point(|x| word(x) < w);
+    match items.get(lo) {
+        Some(x) if word(x) == w && below(lo) => {}
+        _ => return lo,
+    }
+    // Several ties, the first of them below the key: rare, and short.
+    let first = lo + 1;
+    let end = first + items[first..].partition_point(|x| word(x) == w);
+    let (mut lo, mut hi) = (first, end);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if below(mid) {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
+}
+
+/// A search key, its word and whether that is exact.
+#[derive(Clone, Copy)]
+struct Key<'a> {
+    word: u64,
+    exact: bool,
+    cols: &'a [Const],
+}
+
+impl<'a> Key<'a> {
+    fn new(cols: &'a [Const]) -> Key<'a> {
+        let (word, exact) = abbreviate(cols);
+        Key { word, exact, cols }
+    }
+
+    /// Whether a stored tuple whose word ties this key's is below it.
+    /// Every tuple that ties an exact key is the key or extends it, so
+    /// none is.
+    fn tie_below(self, t: &[Const]) -> bool {
+        !self.exact && t < self.cols
+    }
+
+    /// Whether a stored tuple whose first `cols.len()` columns' word ties
+    /// this key's starts with at most the key: every such tuple starts
+    /// with an exact key.
+    fn tie_in_range(self, t: &[Const]) -> bool {
+        self.exact || t[..self.cols.len()] <= *self.cols
+    }
+
+    /// Whether a stored tuple whose word ties this key's is the key.
+    fn tie_equal(self, t: &[Const]) -> bool {
+        if self.exact {
+            t.len() == self.cols.len()
+        } else {
+            t == self.cols
+        }
+    }
+}
+
+/// One entry of a run and the word of its tuple.
+#[derive(Clone, Debug)]
+pub(crate) struct Slot<V> {
+    word: u64,
+    entry: (Tuple, V),
+}
+
+pub(crate) type Run<V> = Arc<Vec<Slot<V>>>;
+
+/// The runs and their fences. The fence of run `i` is `fences[i]`, the
+/// word of its last key: choosing a run searches this one flat array of
+/// integers and dereferences a run only where a fence ties an inexact
+/// key's word.
 #[derive(Clone, Debug)]
 struct Spine<V> {
     runs: Vec<Run<V>>,
-    fences: Vec<Const>,
-    arity: usize,
+    fences: Vec<u64>,
 }
 
 impl<V> Default for Spine<V> {
@@ -52,50 +196,47 @@ impl<V> Default for Spine<V> {
         Spine {
             runs: Vec::new(),
             fences: Vec::new(),
-            arity: 0,
         }
     }
 }
 
 impl<V> Spine<V> {
-    /// Index of the first run whose fence fails `below` (the number of
-    /// runs when every fence passes); `below` must hold for a prefix of
-    /// the runs.
-    fn partition(&self, below: impl Fn(&[Const]) -> bool) -> usize {
-        let a = self.arity;
-        let (mut lo, mut hi) = (0, self.runs.len());
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if below(&self.fences[mid * a..mid * a + a]) {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        lo
+    /// The last key of run `i`.
+    fn last_key(&self, i: usize) -> &[Const] {
+        &last(&self.runs[i]).entry.0
     }
 
-    /// Sets the fence of run `i` to its last key.
+    /// Sets the fence of run `i` to its last key's word.
     fn refence(&mut self, i: usize) {
-        let a = self.arity;
-        let last = &self.runs[i].last().expect("no run is empty").0;
-        self.fences[i * a..(i + 1) * a].copy_from_slice(last);
+        self.fences[i] = last(&self.runs[i]).word;
     }
 
     /// Inserts a non-empty run at `i`, with its fence.
-    fn insert_run(&mut self, i: usize, run: Vec<(Tuple, V)>) {
-        let a = self.arity;
-        let last = &run.last().expect("no run is empty").0;
-        self.fences.splice(i * a..i * a, last.iter().copied());
+    fn insert_run(&mut self, i: usize, run: Vec<Slot<V>>) {
+        self.fences.insert(i, last(&run).word);
         self.runs.insert(i, Arc::new(run));
     }
 
     /// Removes run `i` and its fence.
     fn remove_run(&mut self, i: usize) -> Run<V> {
-        let a = self.arity;
-        self.fences.drain(i * a..(i + 1) * a);
+        self.fences.remove(i);
         self.runs.remove(i)
     }
+}
+
+/// The last slot of a run.
+fn last<V>(run: &[Slot<V>]) -> &Slot<V> {
+    run.last().expect("no run is empty")
+}
+
+/// The first slot of `run` not below `key`.
+fn lower_bound<V>(run: &[Slot<V>], key: Key<'_>) -> usize {
+    search(
+        run,
+        key.word,
+        |s| s.word,
+        |j| key.tie_below(&run[j].entry.0),
+    )
 }
 
 /// A persistent ordered map from [`Tuple`]s to `V`.
@@ -118,20 +259,31 @@ impl<V: Clone> Runs<V> {
     /// Builds a map from entries in strictly ascending tuple order, all of
     /// one arity.
     pub fn from_sorted(entries: impl IntoIterator<Item = (Tuple, V)>) -> Runs<V> {
+        Runs::from_sorted_words(entries.into_iter().map(|e| (word(&e.0), e)))
+    }
+
+    /// [`from_sorted`](Self::from_sorted) from entries that come with
+    /// their tuples' words, as a sort by word leaves them: the tuples are
+    /// not read again.
+    pub(crate) fn from_sorted_words(
+        entries: impl IntoIterator<Item = (u64, (Tuple, V))>,
+    ) -> Runs<V> {
         let mut spine = Spine::default();
-        let mut run = Vec::with_capacity(RUN);
-        let mut len = 0;
-        for e in entries {
-            debug_assert!(run.last().is_none_or(|(k, _): &(Tuple, V)| *k < e.0));
-            if len == 0 {
-                spine.arity = e.0.arity();
-            }
-            debug_assert_eq!(e.0.arity(), spine.arity, "one arity per container");
+        let mut run: Vec<Slot<V>> = Vec::with_capacity(RUN);
+        let (mut len, mut arity) = (0, None);
+        for (word, entry) in entries {
+            debug_assert!(run.last().is_none_or(|s| s.entry.0 < entry.0));
+            debug_assert_eq!(word, self::word(&entry.0));
+            debug_assert_eq!(
+                *arity.get_or_insert(entry.0.arity()),
+                entry.0.arity(),
+                "one arity per container"
+            );
             if run.len() == RUN {
                 let full = std::mem::replace(&mut run, Vec::with_capacity(RUN));
                 spine.insert_run(spine.runs.len(), full);
             }
-            run.push(e);
+            run.push(Slot { word, entry });
             len += 1;
         }
         if !run.is_empty() {
@@ -155,74 +307,111 @@ impl<V: Clone> Runs<V> {
 
     /// Index of the first run whose fence (last key) is `>= key`, i.e. the
     /// only run that can hold `key` (the number of runs when every key is
-    /// smaller): a binary search of the fences alone. A shorter key sorts
-    /// before every tuple extending it, so this also finds where a prefix
-    /// range starts.
-    fn locate(&self, key: &[Const]) -> usize {
-        self.spine.partition(|fence| fence < key)
+    /// smaller): a binary search of the fences. A shorter key sorts before
+    /// every tuple extending it, so this also finds where a prefix range
+    /// starts.
+    fn locate(&self, key: Key<'_>) -> usize {
+        let spine = &*self.spine;
+        debug_assert!(spine.runs.is_empty() || key.cols.len() <= spine.last_key(0).len());
+        search(
+            &spine.fences,
+            key.word,
+            |&f| f,
+            |i| key.tie_below(spine.last_key(i)),
+        )
+    }
+
+    /// The run and position of `key`, if it is present.
+    fn find(&self, key: &[Const]) -> Option<(usize, usize)> {
+        let key = Key::new(key);
+        let i = self.locate(key);
+        let run = self.spine.runs.get(i)?;
+        let j = lower_bound(run, key);
+        let slot = run.get(j)?;
+        (slot.word == key.word && key.tie_equal(&slot.entry.0)).then_some((i, j))
     }
 
     /// The value stored for `key`.
     pub fn get(&self, key: &[Const]) -> Option<&V> {
-        let run = self.spine.runs.get(self.locate(key))?;
-        let j = run.binary_search_by(|(k, _)| k[..].cmp(key)).ok()?;
-        Some(&run[j].1)
+        let (i, j) = self.find(key)?;
+        Some(&self.spine.runs[i][j].entry.1)
     }
 
     /// Mutable access to the value stored for `key` (copies the run if it
     /// is shared).
     pub fn get_mut(&mut self, key: &[Const]) -> Option<&mut V> {
-        let i = self.locate(key);
-        let j = self
-            .spine
-            .runs
-            .get(i)?
-            .binary_search_by(|(k, _)| k[..].cmp(key))
-            .ok()?;
+        let (i, j) = self.find(key)?;
         let run = Arc::make_mut(&mut Arc::make_mut(&mut self.spine).runs[i]);
-        Some(&mut run[j].1)
+        Some(&mut run[j].entry.1)
     }
 
     /// Inserts `key → value` unless `key` is present (then nothing
     /// changes, nothing is copied); returns `true` iff it was inserted.
     pub fn insert(&mut self, key: Tuple, value: V) -> bool {
-        if self.spine.runs.is_empty() {
-            let spine = Arc::make_mut(&mut self.spine);
-            spine.arity = key.arity();
-            spine.insert_run(0, vec![(key, value)]);
-            self.len = 1;
-            return true;
-        }
-        debug_assert_eq!(key.arity(), self.spine.arity, "one arity per container");
-        // Past the last key: the entry extends the last run.
-        let i = self.locate(&key).min(self.spine.runs.len() - 1);
-        let Err(j) = self.spine.runs[i].binary_search_by(|(k, _)| k.cmp(&key)) else {
+        let Some((i, j, word)) = self.vacancy(&key) else {
             return false;
         };
+        let entry = (key, value);
+        self.place(i, j, Slot { word, entry });
+        true
+    }
+
+    /// [`insert`](Self::insert) from a borrowed key, searched once: the
+    /// tuple is allocated only if `key` is absent, and then returned (it
+    /// shares its constants with the map's entry).
+    pub fn insert_new(&mut self, key: &[Const], value: V) -> Option<Tuple> {
+        let (i, j, word) = self.vacancy(key)?;
+        let t = Tuple::from(key);
+        let entry = (t.clone(), value);
+        self.place(i, j, Slot { word, entry });
+        Some(t)
+    }
+
+    /// Where an absent `key` goes — its run, its position there and its
+    /// word — or `None` if it is present. A key past the last one extends
+    /// the last run; the first key of an empty map opens run 0.
+    fn vacancy(&self, key: &[Const]) -> Option<(usize, usize, u64)> {
+        let key = Key::new(key);
+        let runs = &self.spine.runs;
+        if runs.is_empty() {
+            return Some((0, 0, key.word));
+        }
+        debug_assert_eq!(
+            self.spine.last_key(0).len(),
+            key.cols.len(),
+            "one arity per container"
+        );
+        let i = self.locate(key).min(runs.len() - 1);
+        let j = lower_bound(&runs[i], key);
+        match runs[i].get(j) {
+            Some(slot) if slot.word == key.word && key.tie_equal(&slot.entry.0) => None,
+            _ => Some((i, j, key.word)),
+        }
+    }
+
+    /// Puts `slot` where [`vacancy`](Self::vacancy) said it goes.
+    fn place(&mut self, i: usize, j: usize, slot: Slot<V>) {
         let spine = Arc::make_mut(&mut self.spine);
+        self.len += 1;
+        if spine.runs.is_empty() {
+            spine.insert_run(0, vec![slot]);
+            return;
+        }
         let run = Arc::make_mut(&mut spine.runs[i]);
-        run.insert(j, (key, value));
+        run.insert(j, slot);
         if run.len() >= 2 * RUN {
             let upper = run.split_off(RUN);
             spine.insert_run(i + 1, upper);
         }
         spine.refence(i);
-        self.len += 1;
-        true
     }
 
     /// Removes `key`, returning its value if it was present.
     pub fn remove(&mut self, key: &[Const]) -> Option<V> {
-        let i = self.locate(key);
-        let j = self
-            .spine
-            .runs
-            .get(i)?
-            .binary_search_by(|(k, _)| k[..].cmp(key))
-            .ok()?;
+        let (i, j) = self.find(key)?;
         let spine = Arc::make_mut(&mut self.spine);
         let run = Arc::make_mut(&mut spine.runs[i]);
-        let (_, value) = run.remove(j);
+        let value = run.remove(j).entry.1;
         let left = run.len();
         self.len -= 1;
         if spine.runs.len() == 1 && left == 0 {
@@ -263,18 +452,30 @@ impl<V: Clone> Runs<V> {
     /// The entries whose tuples start with `key`, in ascending order: one
     /// contiguous stretch, since a shorter key sorts before every tuple
     /// extending it. Both ends are found up front, each run by the fences,
-    /// so the iterator does not borrow `key`.
+    /// so the iterator does not borrow `key`. The end compares the words
+    /// of the tuples' first `key.len()` columns, masked out of the stored
+    /// words.
     pub fn prefix(&self, key: &[Const]) -> Iter<'_, V> {
-        let n = key.len();
-        let runs = &self.spine.runs;
+        let mask = prefix_mask(key.len());
+        let key = Key::new(key);
+        let spine = &*self.spine;
+        let runs = &spine.runs;
         let run = self.locate(key);
-        let pos = runs
-            .get(run)
-            .map_or(0, |r| r.partition_point(|(k, _)| k[..] < *key));
-        let end_run = self.spine.partition(|fence| fence[..n] <= *key);
-        let end = runs
-            .get(end_run)
-            .map_or(0, |r| r.partition_point(|(k, _)| k[..n] <= *key));
+        let pos = runs.get(run).map_or(0, |r| lower_bound(r, key));
+        let end_run = search(
+            &spine.fences,
+            key.word,
+            |&f| f & mask,
+            |i| key.tie_in_range(spine.last_key(i)),
+        );
+        let end = runs.get(end_run).map_or(0, |r| {
+            search(
+                r,
+                key.word,
+                |s| s.word & mask,
+                |j| key.tie_in_range(&r[j].entry.0),
+            )
+        });
         Iter {
             spine: runs,
             run,
@@ -290,10 +491,22 @@ impl<V: Clone> Runs<V> {
         &self.spine.runs
     }
 
-    /// The fences, flat, for tests that they are the runs' last keys.
+    /// The fences, for tests.
     #[cfg(test)]
-    pub(crate) fn fences(&self) -> &[Const] {
+    pub(crate) fn fences(&self) -> &[u64] {
         &self.spine.fences
+    }
+
+    /// Asserts that every slot holds its tuple's word and every fence is
+    /// the word of its run's last key.
+    #[cfg(test)]
+    pub(crate) fn assert_words(&self) {
+        let spine = &*self.spine;
+        assert_eq!(spine.fences.len(), spine.runs.len(), "one fence per run");
+        for (i, run) in spine.runs.iter().enumerate() {
+            assert!(run.iter().all(|s| s.word == word(&s.entry.0)), "slot words");
+            assert_eq!(spine.fences[i], word(spine.last_key(i)), "fence");
+        }
     }
 }
 
@@ -318,7 +531,7 @@ impl<'a, V> Iterator for Iter<'a, V> {
             return None;
         }
         let run = &self.spine[self.run];
-        let entry = &run[self.pos];
+        let entry = &run[self.pos].entry;
         self.pos += 1;
         if self.pos == run.len() {
             self.run += 1;
@@ -355,13 +568,23 @@ mod tests {
 
     /// One of 2 400 keys of `arity` columns (6 × 10 × 40 at arity 3),
     /// every column even, so draws repeat, prefixes are shared and an odd
-    /// column sorts a key strictly between two stored ones.
+    /// column sorts a key strictly between two stored ones. A column's
+    /// lowest third of values lies far below the integers with codes of
+    /// their own and its highest third straddles their upper edge, so
+    /// many keys tie on their words and only the tuples tell them apart.
     fn random_key(rng: &mut u64, arity: usize) -> Tuple {
         let radix: &[u64] = [&[][..], &[2400], &[60, 40], &[6, 10, 40]][arity];
         let mut x = xorshift(rng) % 2400;
         let mut cols = vec![Const::Int(0); arity];
-        for (col, r) in cols.iter_mut().zip(radix).rev() {
-            *col = Const::Int(2 * (x % r) as i64);
+        for (col, &r) in cols.iter_mut().zip(radix).rev() {
+            let v = x % r;
+            let top = (2 * r).div_ceil(3);
+            let shift = match 3 * v / r {
+                0 => -(1 << 40),
+                1 => 0,
+                _ => INT_WINDOW + 1 - ((top + r) / 2 * 2) as i64,
+            };
+            *col = Const::Int(2 * v as i64 + shift);
             x /= r;
         }
         cols.into()
@@ -374,7 +597,7 @@ mod tests {
     fn probe_keys(r: &Runs<i64>, arity: usize, rng: &mut u64) -> Vec<Tuple> {
         let mut keys = vec![random_key(rng, arity)];
         for run in r.runs() {
-            let (first, last) = (&run[0].0, &run.last().expect("no run is empty").0);
+            let (first, last) = (&run[0].entry.0, &last(run).entry.0);
             keys.extend([first.clone(), last.clone()]);
             if let Some((Const::Int(c), init)) = last.split_last() {
                 keys.push(init.iter().copied().chain([Const::Int(c + 1)]).collect());
@@ -385,7 +608,8 @@ mod tests {
     }
 
     /// Everything a reader can ask of `r` answers as the model does, the
-    /// fences are the runs' last keys and the runs keep their sizes.
+    /// fences are the words of the runs' last keys and the runs keep their
+    /// sizes.
     fn assert_matches_model(r: &Runs<i64>, model: &Model, arity: usize, rng: &mut u64) {
         assert_eq!(r.len(), model.len());
         assert_eq!(r.is_empty(), model.is_empty());
@@ -396,12 +620,7 @@ mod tests {
             sizes.iter().filter(|&&n| n < RUN / 2).count() <= 1,
             "{sizes:?}"
         );
-        let last_keys: Vec<Const> = r
-            .runs()
-            .iter()
-            .flat_map(|run| run.last().expect("no run is empty").0.iter().copied())
-            .collect();
-        assert_eq!(r.fences(), last_keys, "fences");
+        r.assert_words();
         for key in probe_keys(r, arity, rng) {
             assert_eq!(r.get(&key), model.get(&key), "get {key}");
             for n in 0..=arity {
@@ -445,7 +664,12 @@ mod tests {
                                 if fresh {
                                     model.insert(k.clone(), v);
                                 }
-                                assert_eq!(r.insert(k, v), fresh);
+                                if v % 2 == 0 {
+                                    assert_eq!(r.insert(k, v), fresh);
+                                } else {
+                                    let made = r.insert_new(&k, v);
+                                    assert_eq!(made.as_deref(), fresh.then_some(&k[..]));
+                                }
                             }
                         }
                         0..=2 => {
@@ -512,8 +736,91 @@ mod tests {
         }
     }
 
+    /// Constants around every edge of the codes: early symbols, late
+    /// ones (with interning indexes no process reaches, around the first
+    /// one that shares its code), integers inside the window, at both of
+    /// its edges, just beyond them, far beyond and at the ends of `i64`.
+    fn edge_constants() -> Vec<Const> {
+        let early = ["zz_word_a", "zz_word_b", "zz_word_c"].map(Const::sym);
+        let late = [SYM_LATE - 1, SYM_LATE, SYM_LATE + 1, u32::MAX - 1]
+            .map(|i| Const::Sym(crate::symbol::Sym::from_index(i)));
+        let ints = [
+            0,
+            1,
+            -1,
+            INT_WINDOW - 1,
+            INT_WINDOW,
+            INT_WINDOW + 1,
+            INT_WINDOW + 2,
+            -INT_WINDOW + 1,
+            -INT_WINDOW,
+            -INT_WINDOW - 1,
+            -INT_WINDOW - 2,
+            1 << 40,
+            -(1 << 40),
+            i64::MAX,
+            i64::MIN,
+            i64::MAX - 1,
+            i64::MIN + 1,
+        ]
+        .map(Const::Int);
+        early.into_iter().chain(late).chain(ints).collect()
+    }
+
+    /// A key for messages: a late symbol cannot be rendered by name.
+    fn show(key: &[Const]) -> String {
+        let col = |c: &Const| match c {
+            Const::Sym(s) => format!("#{}", s.index()),
+            Const::Int(i) => i.to_string(),
+        };
+        key.iter().map(col).collect::<Vec<_>>().join(", ")
+    }
+
+    /// The word function is monotone in the tuple order, across arities 0
+    /// to 3 and every prefix of a key: `word(x) < word(y)` implies
+    /// `x < y`, equal keys have equal words, the word of a prefix is the
+    /// key's word masked, and an exact word — what the searches and
+    /// `Relation::from_rows` trust alone — belongs to its key: a key whose
+    /// first columns tie it starts with it. Random pairs of keys drawn from [`edge_constants`], so ties
+    /// on a shared code (a late symbol, an integer beyond the window)
+    /// come often, in the first column and in the second.
+    #[test]
+    fn words_order_as_their_keys() {
+        let pool = edge_constants();
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        let mut draw = |arity: usize| -> Vec<Const> {
+            (0..arity)
+                .map(|_| pool[(xorshift(&mut rng) % pool.len() as u64) as usize])
+                .collect()
+        };
+        for _ in 0..20_000 {
+            let (a, b) = (draw(3), draw(3));
+            for (m, n) in (0..=3).flat_map(|m| (0..=3).map(move |n| (m, n))) {
+                let (x, y) = (&a[..m], &b[..n]);
+                let (wx, wy) = (word(x), word(y));
+                let (kx, ky) = (show(x), show(y));
+                assert_eq!(word(&a) & prefix_mask(m), wx, "mask of [{kx}]");
+                if wx < wy {
+                    assert!(x < y, "word [{kx}] < word [{ky}] but not the keys");
+                }
+                if wx > wy {
+                    assert!(x > y, "word [{kx}] > word [{ky}] but not the keys");
+                }
+                if x == y {
+                    assert_eq!(wx, wy, "[{kx}]: equal keys, unequal words");
+                }
+                // An exact word is its key's alone, so a tuple whose
+                // first columns tie it starts with the key.
+                if abbreviate(x).1 && m <= n && word(&b) & prefix_mask(m) == wx {
+                    assert!(x == &b[..m], "[{kx}] is exact, [{ky}] ties it");
+                }
+            }
+        }
+    }
+
     /// A 0-ary container holds at most the empty tuple and has empty
-    /// fences; every operation still answers.
+    /// fences (its one fence is the empty key's word, 0); every operation
+    /// still answers.
     #[test]
     fn a_zero_ary_container_has_empty_fences() {
         let empty = Tuple::empty();
@@ -522,7 +829,7 @@ mod tests {
         assert_eq!(r.prefix(&[]).count(), 0);
         assert!(r.insert(empty.clone(), 1));
         assert!(!r.insert(empty.clone(), 2));
-        assert!(r.fences().is_empty());
+        assert_eq!(r.fences(), [0]);
         *r.get_mut(&[]).expect("present") += 4;
         assert_eq!(r.get(&[]), Some(&5));
         let shared = r.clone();
@@ -533,7 +840,7 @@ mod tests {
         assert_eq!(shared.get(&[]), Some(&5), "the clone kept its entry");
         let built = Runs::from_sorted([(empty.clone(), 3)]);
         assert_eq!((built.len(), built.get(&[])), (1, Some(&3)));
-        assert!(built.fences().is_empty());
+        assert_eq!(built.fences(), [0]);
         assert!(Runs::<i64>::from_sorted([]).is_empty());
     }
 }

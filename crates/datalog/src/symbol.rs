@@ -108,6 +108,14 @@ impl Sym {
         self.0
     }
 
+    /// The symbol with interning index `index`, interned or not: for
+    /// tests of orders at indexes no process reaches. Such a symbol has
+    /// no string.
+    #[cfg(test)]
+    pub(crate) fn from_index(index: u32) -> Sym {
+        Sym(index)
+    }
+
     /// The interned string.
     pub fn as_str(self) -> &'static str {
         let int = interner().lock().expect("interner poisoned");
