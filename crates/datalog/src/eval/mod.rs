@@ -1,15 +1,18 @@
 //! Bottom-up evaluation of stratified programs: computing the perfect model
 //! of the deductive database, stratum by stratum.
+//!
+//! [`materialize`] is the reference evaluator, the oracle the upward
+//! engine is tested against: a naive fixpoint per component ([`naive`]).
+//! The production build of derived state is the maintenance engine's own
+//! (`dduf_core::upward::maintain`); both join through [`plan`]'s kernel.
 
 pub mod join;
 pub mod naive;
 pub mod plan;
-pub mod seminaive;
 
 use crate::ast::Pred;
 use crate::error::Error;
 use crate::safety;
-use crate::schema::Program;
 use crate::storage::database::Database;
 use crate::storage::relation::Relation;
 use crate::storage::tuple::Tuple;
@@ -30,8 +33,8 @@ fn empty_relation() -> &'static Relation {
 pub struct ComponentTrace {
     /// Join work, every round included (DESIGN.md §12).
     pub stats: join::JoinStats,
-    /// Join plans compiled for this component (one per live round-0 rule
-    /// plus one per live (rule, delta-occurrence) pair).
+    /// Join plans compiled for this component (the materializer compiles
+    /// one per rule; the engine counts its compiled firings).
     pub plans: u64,
     /// Per-round derivation and delta counts, in round order.
     pub rounds: Vec<RoundTrace>,
@@ -96,18 +99,6 @@ pub fn component_label(preds: &[Pred]) -> String {
         .join("+")
 }
 
-/// Fixpoint strategy.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum Strategy {
-    /// Re-evaluate every rule against full relations each round. Simple;
-    /// used as the oracle in differential tests.
-    Naive,
-    /// Differential evaluation: recursive literals are driven by the
-    /// previous round's delta.
-    #[default]
-    SemiNaive,
-}
-
 /// The computed extensions of the derived predicates (the intensional part
 /// of the perfect model).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -136,14 +127,10 @@ impl Interpretation {
         self.derived.values().map(Relation::len).sum()
     }
 
-    /// Sets the extension of a derived predicate. Intended for engines that
-    /// assemble interpretations incrementally (e.g. the upward interpreter
-    /// building the new state from the old state plus events).
+    /// Sets the extension of a derived predicate, replacing any earlier
+    /// one: the materializer installs each component's result, the upward
+    /// engine each extension it builds or maintains.
     pub fn set(&mut self, pred: Pred, rel: Relation) {
-        self.derived.insert(pred, rel);
-    }
-
-    fn insert(&mut self, pred: Pred, rel: Relation) {
         self.derived.insert(pred, rel);
     }
 }
@@ -180,17 +167,12 @@ impl<'a> StateView<'a> {
     }
 }
 
-/// Materializes all derived predicates of `db` with the default (semi-naive)
-/// strategy.
-pub fn materialize(db: &Database) -> Result<Interpretation, Error> {
-    materialize_with(db, Strategy::default())
-}
-
-/// Materializes all derived predicates of `db` with an explicit strategy.
+/// Materializes all derived predicates of `db`, component by component
+/// with the naive fixpoint.
 ///
 /// Checks allowedness and stratifiability first; both are required by §2.
-pub fn materialize_with(db: &Database, strategy: Strategy) -> Result<Interpretation, Error> {
-    materialize_restricted(db, strategy, None)
+pub fn materialize(db: &Database) -> Result<Interpretation, Error> {
+    materialize_restricted(db, None)
 }
 
 /// Materializes only the derived predicates *relevant to* `roots`: the
@@ -199,19 +181,11 @@ pub fn materialize_with(db: &Database, strategy: Strategy) -> Result<Interpretat
 /// extension depends only on predicates reachable from it in the
 /// dependency graph). Useful for point problems (e.g. checking one
 /// constraint) where materializing unrelated views is wasted work.
-pub fn materialize_for(
-    db: &Database,
-    roots: &[Pred],
-    strategy: Strategy,
-) -> Result<Interpretation, Error> {
-    materialize_restricted(db, strategy, Some(roots))
+pub fn materialize_for(db: &Database, roots: &[Pred]) -> Result<Interpretation, Error> {
+    materialize_restricted(db, Some(roots))
 }
 
-fn materialize_restricted(
-    db: &Database,
-    strategy: Strategy,
-    roots: Option<&[Pred]>,
-) -> Result<Interpretation, Error> {
+fn materialize_restricted(db: &Database, roots: Option<&[Pred]>) -> Result<Interpretation, Error> {
     let program = db.program();
     safety::check_program(program)?;
     let components = stratify(program)?;
@@ -239,16 +213,13 @@ fn materialize_restricted(
         {
             continue;
         }
-        let (results, trace) = match strategy {
-            Strategy::Naive => naive::eval_component(db, &interp, component),
-            Strategy::SemiNaive => seminaive::eval_component(db, &interp, component),
-        };
+        let (results, trace) = naive::eval_component(db, &interp, component);
         evaluated += 1;
         if tracing {
             record_component_trace(&component_label(&component.preds), &trace);
         }
         for (pred, rel) in results {
-            interp.insert(pred, rel);
+            interp.set(pred, rel);
         }
     }
     if tracing {
@@ -266,25 +237,6 @@ fn materialize_restricted(
     Ok(interp)
 }
 
-/// Looks up the relation backing a body literal during component
-/// evaluation: base → EDB; lower-stratum derived → completed interpretation;
-/// same-component derived → the in-progress `current` map.
-pub(crate) fn body_relation<'a>(
-    db: &'a Database,
-    interp: &'a Interpretation,
-    current: &'a BTreeMap<Pred, Relation>,
-    program: &Program,
-    pred: Pred,
-) -> &'a Relation {
-    if let Some(rel) = current.get(&pred) {
-        rel
-    } else if program.is_derived(pred) {
-        interp.relation(pred)
-    } else {
-        db.relation(pred)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -300,7 +252,7 @@ mod tests {
         )
         .unwrap();
         let full = materialize(&db).unwrap();
-        let part = materialize_for(&db, &[Pred::new("w", 1)], Strategy::SemiNaive).unwrap();
+        let part = materialize_for(&db, &[Pred::new("w", 1)]).unwrap();
         // w and its dependency v computed, and equal to the full model.
         assert_eq!(
             part.relation(Pred::new("w", 1)),
@@ -324,7 +276,7 @@ mod tests {
              other(X) :- e(X, _).",
         )
         .unwrap();
-        let part = materialize_for(&db, &[Pred::new("tc", 2)], Strategy::SemiNaive).unwrap();
+        let part = materialize_for(&db, &[Pred::new("tc", 2)]).unwrap();
         assert_eq!(part.relation(Pred::new("tc", 2)).len(), 3);
         assert!(part.relation(Pred::new("other", 1)).is_empty());
     }
@@ -344,7 +296,7 @@ mod tests {
         let db = parse_database(&src).unwrap();
         let ic = db.program().global_ic().unwrap();
         let full = materialize(&db).unwrap();
-        let part = materialize_for(&db, &[ic], Strategy::SemiNaive).unwrap();
+        let part = materialize_for(&db, &[ic]).unwrap();
         assert!(!full.relation(ic).is_empty());
         assert_eq!(part.relation(ic), full.relation(ic));
         let unemp = Pred::new("unemp", 1);
@@ -374,14 +326,12 @@ mod tests {
         assert!(report.counter("eval.scc", "tc/2", "probes") > 0);
 
         // The semantic projection is the same on every run.
-        for strategy in [Strategy::Naive, Strategy::SemiNaive] {
-            let fingerprint = || {
-                dduf_obs::capture(|| materialize_with(&db, strategy).unwrap())
-                    .1
-                    .semantic_fingerprint()
-            };
-            assert_eq!(fingerprint(), fingerprint(), "{strategy:?}");
-        }
+        let fingerprint = || {
+            dduf_obs::capture(|| materialize(&db).unwrap())
+                .1
+                .semantic_fingerprint()
+        };
+        assert_eq!(fingerprint(), fingerprint());
     }
 
     /// One index policy: the materializer probes through

@@ -1,13 +1,15 @@
-//! Naive fixpoint evaluation of one stratification component.
+//! Naive fixpoint evaluation of one stratification component: the
+//! reference evaluator behind [`materialize`](crate::eval::materialize).
 //!
 //! Every rule is re-evaluated against the full current relations each round
 //! until no new tuple appears. Quadratic in the number of rounds, but
-//! trivially correct — it serves as the oracle against which the semi-naive
+//! trivially correct — it serves as the oracle against which the upward
 //! engine is differentially tested.
 
 use crate::ast::Pred;
 use crate::eval::plan::{eval_heads, JoinPlan};
-use crate::eval::{body_relation, ComponentTrace, Interpretation};
+use crate::eval::{ComponentTrace, Interpretation};
+use crate::schema::Program;
 use crate::storage::database::Database;
 use crate::storage::relation::Relation;
 use crate::storage::tuple::Tuple;
@@ -18,7 +20,8 @@ use std::collections::{BTreeMap, BTreeSet};
 /// its predicates and the component's trace. `interp` must already
 /// contain every lower component. Each round evaluates every rule against
 /// the relations as the previous round left them, then merges the fresh
-/// tuples.
+/// tuples. A non-recursive component stops after its first round: no body
+/// literal reads a member, so a second round would derive the same tuples.
 pub fn eval_component(
     db: &Database,
     interp: &Interpretation,
@@ -71,19 +74,37 @@ pub fn eval_component(
             }
         }
         trace.push_round(round_tuples, fresh);
-        if fresh == 0 {
+        if fresh == 0 || !component.recursive {
             break;
         }
     }
     (current.into_iter().collect(), trace)
 }
 
+/// The relation backing a body literal: a member's in-progress extension
+/// in `current`, a lower component's in `interp`, a base predicate's in
+/// `db`.
+fn body_relation<'a>(
+    db: &'a Database,
+    interp: &'a Interpretation,
+    current: &'a BTreeMap<Pred, Relation>,
+    program: &Program,
+    pred: Pred,
+) -> &'a Relation {
+    if let Some(rel) = current.get(&pred) {
+        rel
+    } else if program.is_derived(pred) {
+        interp.relation(pred)
+    } else {
+        db.relation(pred)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ast::{Atom, Const, Literal, Rule, Term};
-    use crate::eval::{materialize_with, Strategy};
-    use crate::schema::Program;
+    use crate::eval::materialize;
     use crate::storage::tuple::syms;
 
     fn atom(name: &str, vars: &[&str]) -> Atom {
@@ -114,8 +135,8 @@ mod tests {
     #[test]
     fn transitive_closure() {
         let db = edge_db(&[("a", "b"), ("b", "c"), ("c", "d")]);
-        let m = materialize_with(&db, Strategy::Naive).unwrap();
-        let tc = m.relation(crate::ast::Pred::new("tc", 2));
+        let m = materialize(&db).unwrap();
+        let tc = m.relation(Pred::new("tc", 2));
         assert_eq!(tc.len(), 6); // ab ac ad bc bd cd
         assert!(tc.contains(&syms(&["a", "d"])));
         assert!(!tc.contains(&syms(&["d", "a"])));
@@ -124,8 +145,8 @@ mod tests {
     #[test]
     fn cycle_terminates() {
         let db = edge_db(&[("a", "b"), ("b", "a")]);
-        let m = materialize_with(&db, Strategy::Naive).unwrap();
-        let tc = m.relation(crate::ast::Pred::new("tc", 2));
+        let m = materialize(&db).unwrap();
+        let tc = m.relation(Pred::new("tc", 2));
         assert_eq!(tc.len(), 4); // aa ab ba bb
         assert!(tc.contains(&syms(&["a", "a"])));
     }
@@ -148,8 +169,8 @@ mod tests {
             .unwrap();
         db.assert_fact(&Atom::ground("works", vec![Const::sym("joan")]))
             .unwrap();
-        let m = materialize_with(&db, Strategy::Naive).unwrap();
-        let unemp = m.relation(crate::ast::Pred::new("unemp", 1));
+        let m = materialize(&db).unwrap();
+        let unemp = m.relation(Pred::new("unemp", 1));
         assert_eq!(unemp.len(), 1);
         assert!(unemp.contains(&syms(&["dolors"])));
     }
@@ -157,7 +178,87 @@ mod tests {
     #[test]
     fn empty_database_empty_model() {
         let db = edge_db(&[]);
-        let m = materialize_with(&db, Strategy::Naive).unwrap();
+        let m = materialize(&db).unwrap();
         assert_eq!(m.fact_count(), 0);
+    }
+
+    #[test]
+    fn chain_closure_holds_every_forward_pair() {
+        let names: Vec<String> = (0..=12).map(|i| format!("n{i}")).collect();
+        let edges: Vec<(&str, &str)> = names
+            .windows(2)
+            .map(|w| (w[0].as_str(), w[1].as_str()))
+            .collect();
+        let m = materialize(&edge_db(&edges)).unwrap();
+        // n*(n+1)/2 pairs for a chain of n edges
+        assert_eq!(m.relation(Pred::new("tc", 2)).len(), 12 * 13 / 2);
+    }
+
+    #[test]
+    fn recursion_through_a_base_join() {
+        // even(X) :- zero(X).  even(Y) :- succ2(X, Y), even(X).
+        let mut b = Program::builder();
+        b.rule(Rule::new(
+            atom("even", &["X"]),
+            vec![Literal::pos(atom("zero", &["X"]))],
+        ));
+        b.rule(Rule::new(
+            atom("even", &["Y"]),
+            vec![
+                Literal::pos(atom("succ2", &["X", "Y"])),
+                Literal::pos(atom("even", &["X"])),
+            ],
+        ));
+        let mut db = Database::new(b.build().unwrap());
+        db.assert_fact(&Atom::ground("zero", vec![Const::Int(0)]))
+            .unwrap();
+        for i in (0..10).step_by(2) {
+            db.assert_fact(&Atom::ground(
+                "succ2",
+                vec![Const::Int(i), Const::Int(i + 2)],
+            ))
+            .unwrap();
+        }
+        let m = materialize(&db).unwrap();
+        assert_eq!(m.relation(Pred::new("even", 1)).len(), 6);
+    }
+
+    #[test]
+    fn negation_reads_a_completed_recursive_stratum() {
+        // reach(X) :- src(X).  reach(Y) :- reach(X), e(X, Y).
+        // unreachable(X) :- node(X), not reach(X).
+        let mut b = Program::builder();
+        b.rule(Rule::new(
+            atom("reach", &["X"]),
+            vec![Literal::pos(atom("src", &["X"]))],
+        ));
+        b.rule(Rule::new(
+            atom("reach", &["Y"]),
+            vec![
+                Literal::pos(atom("reach", &["X"])),
+                Literal::pos(atom("e", &["X", "Y"])),
+            ],
+        ));
+        b.rule(Rule::new(
+            atom("unreachable", &["X"]),
+            vec![
+                Literal::pos(atom("node", &["X"])),
+                Literal::neg(atom("reach", &["X"])),
+            ],
+        ));
+        let mut db = Database::new(b.build().unwrap());
+        for n in ["a", "b", "c", "d"] {
+            db.assert_fact(&Atom::ground("node", vec![Const::sym(n)]))
+                .unwrap();
+        }
+        db.assert_fact(&Atom::ground("src", vec![Const::sym("a")]))
+            .unwrap();
+        db.assert_fact(&Atom::ground("e", vec![Const::sym("a"), Const::sym("b")]))
+            .unwrap();
+        db.assert_fact(&Atom::ground("e", vec![Const::sym("b"), Const::sym("c")]))
+            .unwrap();
+        let m = materialize(&db).unwrap();
+        assert_eq!(m.relation(Pred::new("unreachable", 1)).len(), 1);
+        assert!(m.holds(Pred::new("unreachable", 1), &syms(&["d"])));
     }
 }

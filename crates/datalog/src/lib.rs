@@ -15,8 +15,9 @@
 //!   ([`analysis`]);
 //! * dependency analysis and stratification ([`depgraph`], [`stratify`]);
 //! * extensional storage ([`storage`]);
-//! * naive and semi-naive bottom-up evaluation of the perfect model
-//!   ([`eval`]) and query answering over materialized states ([`query`]).
+//! * naive bottom-up evaluation of the perfect model ([`eval`]), the
+//!   reference materializer, and query answering over materialized
+//!   states ([`query`]).
 //!
 //! ```
 //! use dduf_datalog::parser::parse_database;
@@ -56,7 +57,7 @@ pub mod symbol;
 
 pub use ast::{Atom, Const, Literal, Pred, Rule, Term, Var};
 pub use error::Error;
-pub use eval::{materialize, Interpretation, StateView, Strategy};
+pub use eval::{materialize, Interpretation, StateView};
 pub use schema::{DerivedRole, Program, Role};
 pub use storage::{Database, Relation, Tuple};
 pub use symbol::Sym;

@@ -19,7 +19,7 @@ use crate::ast::{Atom, Literal, Pred, Rule, Term, Var};
 use crate::depgraph::{DepGraph, EdgeSign};
 use crate::error::Error;
 use crate::eval::join::Bindings;
-use crate::eval::{materialize_for, StateView, Strategy};
+use crate::eval::{materialize_for, StateView};
 use crate::schema::Program;
 use crate::storage::database::Database;
 use crate::storage::tuple::Tuple;
@@ -100,7 +100,7 @@ pub fn query(db: &Database, query: &Atom) -> Result<MagicAnswers, Error> {
             .any(|(q, sign)| sign == EdgeSign::Negative && reachable.contains(&q))
     });
     if has_negation {
-        let interp = materialize_for(db, &[pred], Strategy::SemiNaive)?;
+        let interp = materialize_for(db, &[pred])?;
         let state = StateView::new(db, &interp);
         return Ok(MagicAnswers {
             tuples: crate::query::answers(state, query),
@@ -214,7 +214,7 @@ pub fn query(db: &Database, query: &Atom) -> Result<MagicAnswers, Error> {
     magic_db.assert_tuple(seed_base, seed)?;
 
     let goal = adorned_pred(pred, &query_ad);
-    let interp = materialize_for(&magic_db, &[goal], Strategy::SemiNaive)?;
+    let interp = materialize_for(&magic_db, &[goal])?;
 
     // Filter the adorned extension by the query pattern.
     let lits = [Literal::pos(Atom {

@@ -14,7 +14,7 @@
 //! order.
 //!
 //! Every key is searched by its *word*: a `u64` that abbreviates the key's
-//! first two columns and orders as the keys do ([`abbreviate`]). Each slot
+//! first two columns and orders as the keys do (`abbreviate`). Each slot
 //! of a run holds its entry's word beside the entry, and the spine keeps
 //! each run's *fence*, the word of its last key, in one flat array.
 //! Finding the run that can hold a key — for a lookup, a mutation or

@@ -13,7 +13,7 @@
 //! This crate is the umbrella: it re-exports the five layers.
 //!
 //! * [`datalog`] — the deductive database substrate: AST, parser, storage,
-//!   stratification, naive/semi-naive evaluation.
+//!   stratification, naive (reference) evaluation.
 //! * [`events`] — transition rules and insertion/deletion event rules
 //!   (Olivé 1991), with simplification.
 //! * [`core`] — the interpretations and the problem catalog.

@@ -66,14 +66,11 @@ fn events_reconstruct_new_state() {
     }
 }
 
-/// Naive and semi-naive evaluation produce bit-identical
-/// materializations, over the embedded example databases and random
-/// stratified programs alike.
+/// The engine's build of the derived state equals the oracle's
+/// materialization, over the embedded example databases and random
+/// stratified and recursive programs alike.
 #[test]
-fn naive_and_seminaive_materializations_are_identical() {
-    use dduf::datalog::eval::{materialize_with, Strategy};
-    use dduf::datalog::pretty;
-
+fn engine_build_equals_materialize() {
     let mut dbs: Vec<(String, Database)> = vec![
         (
             "employment".into(),
@@ -88,24 +85,29 @@ fn naive_and_seminaive_materializations_are_identical() {
         let db = parse_database(&prog.to_source()).expect("generated program parses");
         dbs.push((format!("rand#{case}"), db));
     }
+    for case in 0..16 {
+        let prog = RecProgram::gen(&mut rng);
+        let db = parse_database(&prog.to_source()).expect("generated program parses");
+        dbs.push((format!("rec#{case}"), db));
+    }
 
     for (name, db) in &dbs {
-        let naive = pretty::derived(&materialize_with(db, Strategy::Naive).expect("stratified"));
-        let seminaive = pretty::derived(&materialize(db).expect("stratified"));
-        assert_eq!(naive, seminaive, "{name}: semi-naive diverges from naive");
+        let engine = MaintenanceEngine::new(db).expect("stratified");
+        assert_eq!(
+            engine.interpretation(),
+            &materialize(db).expect("stratified"),
+            "{name}: the engine's build diverges from materialize"
+        );
     }
 }
 
 /// The trace counters are part of the determinism contract too: the
 /// semantic fingerprint (every counter the recorder marks deterministic,
-/// wall-times excluded) is bit-identical from run to run, for both
-/// evaluation strategies, over embedded and random programs — and so is
-/// the engine's read of a random transaction, whose answer is the
-/// oracle's.
+/// wall-times excluded) is bit-identical from run to run, for the
+/// materializer over embedded and random programs — and so is the
+/// engine's read of a random transaction, whose answer is the oracle's.
 #[test]
 fn trace_counters_identical_across_runs() {
-    use dduf::datalog::eval::{materialize_with, Strategy};
-
     let mut dbs: Vec<(String, Database)> = vec![
         (
             "employment".into(),
@@ -121,19 +123,16 @@ fn trace_counters_identical_across_runs() {
     }
 
     for (name, db) in &dbs {
-        for strategy in [Strategy::Naive, Strategy::SemiNaive] {
-            let fingerprint = || {
-                let (_, report) =
-                    dduf::obs::capture(|| materialize_with(db, strategy).expect("stratified"));
-                assert!(!report.is_empty(), "{name}: no spans recorded");
-                report.semantic_fingerprint()
-            };
-            assert_eq!(
-                fingerprint(),
-                fingerprint(),
-                "{name}: {strategy:?} trace diverges between runs"
-            );
-        }
+        let fingerprint = || {
+            let (_, report) = dduf::obs::capture(|| materialize(db).expect("stratified"));
+            assert!(!report.is_empty(), "{name}: no spans recorded");
+            report.semantic_fingerprint()
+        };
+        assert_eq!(
+            fingerprint(),
+            fingerprint(),
+            "{name}: trace diverges between runs"
+        );
     }
 
     let mut rng = Rng::new(0x0B5E03);
@@ -278,26 +277,24 @@ fn same_generation_db(depth: u32) -> Database {
 }
 
 /// The shape whose deltas outgrow the literals they join with: the `sg`
-/// delta of level 4, 5 and 6 (4^level pairs) is larger than `up` and
-/// `down` (126 edges each). Those rounds still run their delta-pinned
-/// plan, so the model equals naive evaluation and every probe is counted.
+/// pairs of level 4, 5 and 6 (4^level of them) outnumber `up` and `down`
+/// (126 edges each). The engine's build still fires each new pair through
+/// its compiled plan, so the model equals `materialize` and every probe
+/// is counted.
 #[test]
 fn same_generation_deltas_outgrowing_their_joins_stay_planned_and_counted() {
-    use dduf::datalog::eval::{materialize_with, Strategy};
-    use dduf::datalog::pretty;
-
     let db = same_generation_db(7);
-    let naive = pretty::derived(&materialize_with(&db, Strategy::Naive).unwrap());
-    let (model, report) = dduf::obs::capture(|| materialize(&db).expect("stratified"));
+    let (engine, report) = dduf::obs::capture(|| MaintenanceEngine::new(&db).expect("stratified"));
     assert_eq!(
-        pretty::derived(&model),
-        naive,
-        "semi-naive diverges from naive"
+        engine.interpretation(),
+        &materialize(&db).expect("stratified"),
+        "the engine's build diverges from materialize"
     );
     let probes = report.total("eval.scc", "probes");
-    // One scan of `flat`; each of the 5461 sg pairs probes `up` once, and
-    // each of the 1365 above the leaves probes `down` for its two
-    // children.
+    // Round 0 scans `flat` once. Each of the 5461 sg pairs (4^0 + … + 4^6)
+    // is fired once as its seed: it probes `up` on its first node, and each
+    // of the 1365 pairs above the leaves (4^0 + … + 4^5) matches two
+    // children there and probes `down` once for each.
     assert_eq!(probes, 1 + 5461 + 2 * 1365);
     assert_eq!(
         report.total("eval.scc", "indexed_probes") + report.total("eval.scc", "scan_probes"),
